@@ -44,11 +44,45 @@ IP_WITNESS_GENERATORS = ((1, 2, 4), (2, 3, 7), (1, 3, 5), (3, 4, 9), (2, 5, 11))
 
 # -- opens ----------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PointsOpen:
-    """A finite open set, listed pointwise (every subset is open here)."""
-    label: str
-    members: frozenset
+    """A finite open set of a table space (every subset is open here), held
+    as point indices; its members and label are rendered on first use."""
+
+    __slots__ = ("space", "indices", "_label", "_members")
+
+    def __init__(self, space: MetricSpace, indices: frozenset,
+                 label: str | None = None):
+        self.space = space
+        self.indices = indices
+        self._label = label
+        self._members = None
+
+    @property
+    def members(self) -> frozenset:
+        if self._members is None:
+            pts = self.space.points
+            self._members = frozenset(pts[i] for i in self.indices)
+        return self._members
+
+    @property
+    def label(self) -> str:
+        if self._label is None:
+            self._label = self._render_label()
+        return self._label
+
+    def _render_label(self) -> str:
+        return "{" + ",".join(sorted(point_label(p)
+                                     for p in self.members)) + "}"
+
+
+class _SingletonOpen(PointsOpen):
+    """The singleton ball B(x) of the singleton basis."""
+
+    __slots__ = ()
+
+    def _render_label(self) -> str:
+        (i,) = self.indices
+        return f"B({point_label(self.space.points[i])})"
 
 
 @dataclass(frozen=True)
@@ -83,19 +117,22 @@ def open_label(u) -> str:
 
 def points_open(space: MetricSpace, members: Iterable[Point],
                 label: str | None = None) -> PointsOpen:
-    mem = frozenset(members)
-    if not mem:
+    indices = frozenset(space.index(p) for p in members)
+    if not indices:
         raise InputError("empty open rejected")
-    for p in mem:
-        space.index(p)
-    if label is None:
-        label = "{" + ",".join(sorted(point_label(p) for p in mem)) + "}"
-    return PointsOpen(label, mem)
+    return PointsOpen(space, indices, label)
 
 
 def singleton_basis(space: MetricSpace) -> tuple[PointsOpen, ...]:
-    return tuple(points_open(space, [p], label=f"B({point_label(p)})")
-                 for p in space.points)
+    return tuple(_SingletonOpen(space, frozenset((i,)))
+                 for i in range(len(space.points)))
+
+
+def _open_indices(space: MetricSpace, u: PointsOpen) -> frozenset:
+    """The indices in ``space`` of the points of u."""
+    if u.space is space:
+        return u.indices
+    return frozenset(space.index(p) for p in u.members)
 
 
 def validate_basis(space: MetricSpace, basis: Sequence[PointsOpen]) -> None:
@@ -103,10 +140,11 @@ def validate_basis(space: MetricSpace, basis: Sequence[PointsOpen]) -> None:
         raise InputError("empty basis")
     covered = set()
     for u in basis:
-        if not u.members:
+        indices = _open_indices(space, u)
+        if not indices:
             raise InputError("basis contains an empty open")
-        covered |= u.members
-    if covered != set(space.points):
+        covered |= indices
+    if len(covered) != len(space.points):
         raise InputError("basis does not cover the space")
 
 
@@ -158,8 +196,7 @@ class TableDyn:
         return pre + per
 
     def _indices(self, u: PointsOpen) -> frozenset:
-        idx = self.sys.space.index
-        return frozenset(idx(p) for p in u.members)
+        return _open_indices(self.sys.space, u)
 
     def _images(self, start: frozenset) -> list[frozenset]:
         hit = self._orbits.get(start)
@@ -374,14 +411,20 @@ def omega_limit(sys: SystemMap, x: Point) -> CompactSet:
     return CompactSet(sys.space, (sys.space.points[j] for j in cycle))
 
 
-def recurrent_points(sys: SystemMap) -> CompactSet:
-    """All points lying on cycles; never empty on a finite system."""
-    _require_table(sys, "recurrence")
+def _recurrent_indices(sys: SystemMap) -> frozenset:
+    """Indices of the points on cycles: the image of T^preperiod."""
     pre, _ = sys.eventual_period()
     current = frozenset(range(len(sys.space.points)))
     for _ in range(pre):
         current = sys.image_indices(current)
-    return CompactSet(sys.space, (sys.space.points[i] for i in current))
+    return current
+
+
+def recurrent_points(sys: SystemMap) -> CompactSet:
+    """All points lying on cycles; never empty on a finite system."""
+    _require_table(sys, "recurrence")
+    return CompactSet(sys.space, (sys.space.points[i]
+                                  for i in _recurrent_indices(sys)))
 
 
 def _tuple_recurrent(tables: Sequence[tuple[int, ...]], start: tuple) -> bool:
@@ -849,10 +892,7 @@ def is_proximal(sys: SystemMap, horizon: int | None = None,
         return Verdict("holds", True, note="all pairs merge")
     if method != "collapse":
         raise InputError("method must be 'auto', 'pairwise', or 'collapse'")
-    pre, _ = sys.eventual_period()
-    current = frozenset(range(n_pts))
-    for _ in range(pre):
-        current = sys.image_indices(current)
+    current = _recurrent_indices(sys)
     if len(current) == 1:
         return Verdict("holds", True, note="images collapse to one state")
     a, b = sorted(current)[:2]
@@ -898,11 +938,11 @@ def is_sensitive(sys: SystemMap, eps, basis=None,
     tables = iterate_tables(sys, bound)
     for i, x in enumerate(space.points):
         for u in basis:
-            if x not in u.members:
+            members = _open_indices(space, u)
+            if i not in members:
                 continue
             escaped = False
-            for y in u.members:
-                j = space.index(y)
+            for j in members:
                 if any(space.d_by_index(tbl[i], tbl[j]) > eps
                        for tbl in tables):
                     escaped = True
@@ -920,9 +960,9 @@ def is_periodically_dense(sys: SystemMap, basis=None) -> Verdict:
     space = sys.space
     basis = tuple(basis) if basis is not None else singleton_basis(space)
     validate_basis(space, basis)
-    periodic = recurrent_points(sys).members
+    periodic = _recurrent_indices(sys)
     for u in basis:
-        if not (u.members & periodic):
+        if not (_open_indices(space, u) & periodic):
             return Verdict("fails", True, counterexample=(u.label,),
                            note="open without periodic points")
     return Verdict("holds", True)

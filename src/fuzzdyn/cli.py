@@ -168,7 +168,10 @@ def cmd_verify(args) -> int:
         lambdas = [parse_fraction(x) for x in args.lambdas.split(",")]
     exponents = None
     if args.a:
-        exponents = [int(x) for x in args.a.split(",")]
+        try:
+            exponents = [int(x) for x in args.a.split(",")]
+        except ValueError as exc:
+            raise InputError(f"bad exponent vector {args.a!r}") from exc
     g = None
     if args.g:
         path = args.g[5:] if args.g.startswith("file:") else args.g
@@ -177,6 +180,8 @@ def cmd_verify(args) -> int:
                 g = gfunction_from_jsonable(json.load(handle))
         except OSError as exc:
             raise InputError(f"cannot read g from {path!r}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise InputError(f"bad JSON in {path!r}: {exc}") from exc
     report = verify_theorem(args.theorem, system, m=args.m, lambdas=lambdas,
                             eps=eps, exponents=exponents, g=g,
                             horizon=args.horizon)
@@ -303,6 +308,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if args.horizon is not None and args.horizon < 1:
+            raise InputError("--horizon must be a positive integer")
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=_sys.stderr)
@@ -314,3 +321,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -420,6 +420,9 @@ def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
     lazily through cached cut bitmasks.  If the enumerated family is not
     closed under the map (possible for distorted grades and height
     constraints), that is reported as an error rather than repaired.
+
+    Internally a grade is its integer level k in 0..m (the grade k/m); the
+    point ids are built from the shared ``grid.with_zero()`` values.
     """
     norm = normalize_constraint(constraint)
     base = sys.space
@@ -430,58 +433,57 @@ def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
     total = len(choices) ** n
     if total > cap:
         raise BoundExceeded("fuzzy lift", total, cap)
-
-    states = [combo for combo in itertools.product(choices, repeat=n)
-              if _satisfies(max(combo), norm)]
-    index = {s: i for i, s in enumerate(states)}
-
-    pre = sys.preimages()
-    gtbl = g.table if g is not None else None
     if g is not None and g.grid != grid:
         raise InputError("grade distortion uses a different grid")
 
-    def step(state: tuple) -> tuple:
-        if gtbl is None:
-            return tuple(max((state[j] for j in pre[i]), default=ZERO)
-                         for i in range(n))
-        return tuple(max((gtbl[state[j]] for j in pre[i]), default=ZERO)
-                     for i in range(n))
+    values = grid.with_zero()
+    m = grid.m
+    keep = frozenset(k for k, v in enumerate(values) if _satisfies(v, norm))
+    states = [combo for combo in
+              itertools.product(range(len(choices)), repeat=n)
+              if max(combo) in keep]
+    index = {s: i for i, s in enumerate(states)}
+
+    pre = sys.preimages()
+    if g is None:
+        gint = tuple(range(m + 1))
+    else:
+        level_of = {v: k for k, v in enumerate(values)}
+        gint = tuple(level_of[g.table[v]] for v in values)
 
     table = []
     for s in states:
-        img = step(s)
+        img = tuple(max([gint[s[j]] for j in pre[i]], default=0)
+                    for i in range(n))
         slot = index.get(img)
         if slot is None:
             raise InputError(
-                f"lift not invariant: state {s} maps to height {max(img)} "
+                f"lift not invariant: state {tuple(values[k] for k in s)} "
+                f"maps to height {values[max(img)]} "
                 f"outside constraint {constraint_label(norm)}")
         table.append(slot)
 
     denom, mat = _scaled_matrix(base)
     mind = _min_to_mask_table(n, mat)
     diam_scaled = int(base.diam * denom)
-    levels = grid.levels
-    cut_cache: dict[tuple, tuple[int, ...]] = {}
+    cuts: list[list[int] | None] = [None] * len(states)
 
-    def cut_masks(state: tuple) -> tuple[int, ...]:
-        hit = cut_cache.get(state)
+    def cut_masks(i: int) -> list[int]:
+        """Bitmasks of the cuts at the levels 1/m .. 1 of state i."""
+        hit = cuts[i]
         if hit is None:
-            masks = []
-            for level in levels:
-                m_bits = 0
-                for i, grade in enumerate(state):
-                    if grade >= level:
-                        m_bits |= 1 << i
-                masks.append(m_bits)
-            hit = tuple(masks)
-            cut_cache[state] = hit
+            hit = [0] * (m + 1)
+            for bit, k in enumerate(states[i]):
+                hit[k] |= 1 << bit
+            for k in range(m - 1, 0, -1):
+                hit[k] |= hit[k + 1]
+            del hit[0]
+            cuts[i] = hit
         return hit
 
-    def dist(s1: tuple, s2: tuple) -> Fraction:
-        m1 = cut_masks(s1)
-        m2 = cut_masks(s2)
+    def dist(i: int, j: int) -> Fraction:
         worst = 0
-        for a_mask, b_mask in zip(m1, m2):
+        for a_mask, b_mask in zip(cut_masks(i), cut_masks(j)):
             if a_mask == 0 and b_mask == 0:
                 continue
             if a_mask == 0 or b_mask == 0:
@@ -492,20 +494,12 @@ def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
                 worst = v
         return Fraction(worst, denom)
 
+    points = tuple(tuple(map(values.__getitem__, s)) for s in states)
     label = f"F[{constraint_label(norm)}]({sys.label};m={grid.m})"
-    space = MetricSpace(tuple(states), fn=dist, diam=base.diam, label=label)
+    space = MetricSpace(points, fn=dist, diam=base.diam, label=label)
     prov = {"kind": "fuzzy_lift", "m": grid.m,
             "constraint": constraint_label(norm),
             "g": None if g is None else {str(k): str(v)
                                          for k, v in sorted(g.table.items())},
             "base": sys.provenance if sys.provenance else {"kind": "finite"}}
     return SystemMap(space, table, label=label, provenance=prov)
-
-
-def fuzzy_state(a: FuzzySet) -> tuple:
-    """The grade tuple used as a lifted-system point id."""
-    return a.grades
-
-
-def state_fuzzy(space: MetricSpace, grid: LevelGrid, state: tuple) -> FuzzySet:
-    return FuzzySet(space, grid, state)

@@ -29,7 +29,7 @@ class CompactSet:
     def __init__(self, space: MetricSpace, members: Iterable[Point]):
         mem = frozenset(members)
         for p in mem:
-            if p not in space._index:
+            if p not in space:
                 raise InputError(f"point not in space: {point_label(p)}")
         self.space = space
         self.members = mem
@@ -111,7 +111,7 @@ class VietorisBasisElement:
             if not o:
                 raise InputError("every listed open must be nonempty")
             for p in o:
-                if p not in self.space._index:
+                if p not in self.space:
                     raise InputError("open contains a foreign point")
 
 
@@ -195,8 +195,9 @@ def _mask_hausdorff(a_mask: int, b_mask: int, mind) -> int:
 def lift_system(sys: SystemMap, bound: int | None = None) -> SystemMap:
     """The induced system on all nonempty subsets, as a bona fide SystemMap.
 
-    The state set is materialized (bitmask order); the Hausdorff metric is
-    evaluated lazily and cached, since the state count squares.
+    The state set is materialized (bitmask order: state i is the subset
+    with bitmask i + 1); the Hausdorff metric is evaluated lazily from the
+    two bitmasks and cached, since the state count squares.
     """
     base = sys.space
     n = len(base.points)
@@ -218,11 +219,9 @@ def lift_system(sys: SystemMap, bound: int | None = None) -> SystemMap:
 
     denom, mat = _scaled_matrix(base)
     mind = _min_to_mask_table(n, mat)
-    mask_of = {s: m + 1 for m, s in enumerate(subsets)}
-    # subsets[m] corresponds to bitmask m+1
 
-    def dist(a: frozenset, b: frozenset) -> Fraction:
-        return Fraction(_mask_hausdorff(mask_of[a], mask_of[b], mind), denom)
+    def dist(i: int, j: int) -> Fraction:
+        return Fraction(_mask_hausdorff(i + 1, j + 1, mind), denom)
 
     space = MetricSpace(subsets, fn=dist, diam=base.diam,
                         label=f"K({base.label})")

@@ -135,9 +135,12 @@ def gfunction_to_jsonable(g: GFunction) -> dict:
 
 
 def gfunction_from_jsonable(obj: dict) -> GFunction:
-    grid = LevelGrid(int(obj["m"]))
-    table = {parse_fraction(k): parse_fraction(v)
-             for k, v in obj["table"].items()}
+    try:
+        grid = LevelGrid(int(obj["m"]))
+        table = {parse_fraction(k): parse_fraction(v)
+                 for k, v in obj["table"].items()}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"bad grade distortion document: {exc!r}") from exc
     return GFunction(grid, table)
 
 

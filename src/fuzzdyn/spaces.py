@@ -68,26 +68,28 @@ class MetricSpace:
     """Ordered point set with an exact rational metric.
 
     Either ``matrix`` (dense symmetric table, list of rows) or ``fn`` plus an
-    explicit ``diam`` must be supplied.  Lazy spaces cache every distance they
-    compute, keyed by index pair.
+    explicit ``diam`` must be supplied.  A lazy metric is called with an
+    index pair, ``fn(i, j)``, and lazy spaces cache every distance they
+    compute, keyed by index pair.  The point-to-index map is built on first
+    use; table spaces build it at once, which rejects duplicate point ids
+    on ingest.
     """
 
     __slots__ = ("points", "label", "_index", "_matrix", "_fn", "_cache",
                  "_diam", "_minpos", "_values")
 
     def __init__(self, points: Sequence[Point], *, matrix=None,
-                 fn: Callable[[Point, Point], Fraction] | None = None,
+                 fn: Callable[[int, int], Fraction] | None = None,
                  diam: Fraction | None = None, label: str = "space"):
         pts = tuple(points)
         if not pts:
             raise InputError("a metric space needs at least one point")
-        if len(set(pts)) != len(pts):
-            raise InputError("duplicate point ids")
         self.points = pts
         self.label = label
-        self._index = {p: i for i, p in enumerate(pts)}
+        self._index = None
         self._values = None
         if matrix is not None:
+            self._point_index()
             rows = tuple(tuple(as_fraction(v) for v in row) for row in matrix)
             n = len(pts)
             if len(rows) != n or any(len(r) != n for r in rows):
@@ -110,6 +112,14 @@ class MetricSpace:
         else:
             raise InputError("need a distance table or a distance function")
 
+    def _point_index(self) -> dict:
+        if self._index is None:
+            index = {p: i for i, p in enumerate(self.points)}
+            if len(index) != len(self.points):
+                raise InputError("duplicate point ids")
+            self._index = index
+        return self._index
+
     # -- queries ---------------------------------------------------------
 
     def __len__(self) -> int:
@@ -131,9 +141,12 @@ class MetricSpace:
         """At least two points (positive diameter on honest metrics)."""
         return len(self.points) >= 2
 
+    def __contains__(self, p) -> bool:
+        return p in self._point_index()
+
     def index(self, p: Point) -> int:
         try:
-            return self._index[p]
+            return self._point_index()[p]
         except KeyError:
             raise InputError(f"point not in space: {point_label(p)}") from None
 
@@ -148,7 +161,7 @@ class MetricSpace:
         key = (i, j) if i < j else (j, i)
         hit = self._cache.get(key)
         if hit is None:
-            hit = self._fn(self.points[key[0]], self.points[key[1]])
+            hit = self._fn(*key)
             self._cache[key] = hit
         return hit
 
@@ -436,26 +449,26 @@ def product_system(factors: Sequence[tuple[SystemMap, int]],
         raise BoundExceeded("product system", total, state_cap)
 
     spaces = [s.space for s, _ in factors]
-    step_tables = [iterate(s, e).table for s, e in factors]
     points = tuple(itertools.product(*[sp.points for sp in spaces]))
 
+    # state index = mixed-radix code of the factor indices, last factor
+    # fastest, matching the order of itertools.product
     sizes = [len(sp.points) for sp in spaces]
     strides = [1] * len(sizes)
     for i in range(len(sizes) - 2, -1, -1):
         strides[i] = strides[i + 1] * sizes[i + 1]
 
-    table = []
-    for flat in range(total):
-        rem = flat
-        out = 0
-        for pos, stride in enumerate(strides):
-            coord = rem // stride
-            rem %= stride
-            out += step_tables[pos][coord] * stride
-        table.append(out)
+    table = [0]
+    for (sys_i, e), size in zip(factors, sizes):
+        step = iterate(sys_i, e).table
+        table = [high * size + step[c] for high in table for c in range(size)]
 
-    def dist(p, q):
-        return max(sp.d(a, b) for sp, a, b in zip(spaces, p, q))
+    coords = [(stride, size, sp.d_by_index)
+              for stride, size, sp in zip(strides, sizes, spaces)]
+
+    def dist(i: int, j: int) -> Fraction:
+        return max(d(i // stride % size, j // stride % size)
+                   for stride, size, d in coords)
 
     diam = max(sp.diam for sp in spaces)
     label = " x ".join(f"{s.label}^{e}" if e != 1 else s.label

@@ -26,7 +26,7 @@ from .errors import InputError
 from .families import FamilyClassifier, thick_family
 from .fuzzy import (DEFAULT_STATE_CAP, FuzzySet, GFunction, LevelGrid,
                     alpha_cut, enumerate_fuzzy, enumeration_cost,
-                    fuzzy_lift_system, g_fuzzify_apply, xi_iterate)
+                    fuzzy_lift_system, g_fuzzify_apply, xi_of)
 from .hyperspace import hyperspace_displacement_curve, lift_system
 from .spaces import SystemMap, as_fraction, iterate_tables
 
@@ -471,6 +471,11 @@ def _cut_lemma_items(system, grid, horizon, cap, g, sample_cap=256, seed=11):
     checked = 0
     mismatch = None
     tables = iterate_tables(sys, n_max + 1)
+    xi = xi_of(g)
+    transfer = [{alpha: alpha for alpha in grid.levels}]  # xi^n per level
+    for _ in range(n_max):
+        transfer.append({alpha: xi[level]
+                         for alpha, level in transfer[-1].items()})
     pts = sys.space.points
     idx = sys.space.index
     for a in states:
@@ -480,7 +485,7 @@ def _cut_lemma_items(system, grid, horizon, cap, g, sample_cap=256, seed=11):
             tbl = tables[n]
             for alpha in grid.levels:
                 lhs = frozenset(alpha_cut(current, alpha).members)
-                level = xi_iterate(g, n, alpha)
+                level = transfer[n][alpha]
                 rhs = frozenset(pts[tbl[idx(p)]]
                                 for p in alpha_cut(a, level).members)
                 checked += 1

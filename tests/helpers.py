@@ -70,3 +70,8 @@ def taxi_space(coords, label="taxi"):
     rows = [[abs(ax - bx) + abs(ay - by) for bx, by in coords]
             for ax, ay in coords]
     return MetricSpace(pts, matrix=rows, label=label)
+
+
+def brute_product_distance(spaces, p, q):
+    """The max metric of a product, coordinate by coordinate."""
+    return max(space.d(a, b) for space, a, b in zip(spaces, p, q))

@@ -21,11 +21,33 @@ from fuzzdyn.families import (infinite_family, syndetic_family, thick_family)
 from fuzzdyn.fuzzy import LevelGrid, fuzzy_lift_system
 from fuzzdyn.hyperspace import lift_system
 from fuzzdyn.spaces import (SystemMap, circle_space, make_grid_interval_map,
-                            make_multiply, make_rotation, one_point_system)
+                            make_multiply, make_rotation, one_point_system,
+                            product_system)
 from fuzzdyn.symbolic import full_shift
 from helpers import brute_return_times, random_table_system
 
 F = Fraction
+
+
+class TestOpens:
+    def test_points_open_rejects_foreign_point(self):
+        space = circle_space(4)
+        with pytest.raises(InputError):
+            points_open(space, [0, 7])
+
+    def test_points_open_renders_members_and_label(self):
+        u = points_open(circle_space(4), [2, 0])
+        assert u.members == frozenset({0, 2})
+        assert u.label == "{0,2}"
+
+    def test_singleton_basis_counterexample_labels(self):
+        r = make_rotation(3, 1)
+        lift = lift_system(r)
+        assert is_mixing(lift).counterexample == ("B({0})", "B({0})", 1)
+        v = is_transitive(lift, basis=singleton_basis(lift.space))
+        assert v.counterexample == ("B({0})", "B({0,1})")
+        prod = product_system([(r, 1), (r, 1)])
+        assert is_mixing(prod).counterexample == ("B((0,0))", "B((0,0))", 1)
 
 
 class TestReturnTimeSets:

@@ -1,0 +1,132 @@
+"""Derived state spaces (products, subset lifts, fuzzy lifts) against the
+definitions: every point distinct, every transition equal to the pointwise
+step of the decoded state, every distance equal to a brute-force oracle."""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fuzzdyn.errors import InputError
+from fuzzdyn.fuzzy import (FuzzySet, GFunction, LevelGrid, enumerate_fuzzy,
+                           fuzzy_lift_system, g_fuzzify_apply, zadeh_apply)
+from fuzzdyn.hyperspace import CompactSet, induced_apply, lift_system
+from fuzzdyn.spaces import SystemMap, iterate, product_system
+
+from helpers import (brute_hausdorff, brute_levelwise, brute_product_distance,
+                     taxi_space)
+
+F = Fraction
+
+#: distance pairs sampled per derived space
+PAIRS = 40
+
+
+@st.composite
+def table_systems(draw, max_points=5):
+    n = draw(st.integers(1, max_points))
+    cells = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                          min_size=n, max_size=n, unique=True))
+    coords = [(F(x, 2), F(y, 3)) for x, y in cells]
+    table = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return SystemMap(taxi_space(coords), table, label="random")
+
+
+@st.composite
+def constraints(draw, grid):
+    kind = draw(st.sampled_from(["all", "nonempty", "eq", "ge"]))
+    if kind in ("eq", "ge"):
+        return (kind, draw(st.sampled_from(grid.levels)))
+    return kind
+
+
+@st.composite
+def gfunctions(draw, grid):
+    inner = sorted(draw(st.lists(st.sampled_from(grid.with_zero()),
+                                 min_size=grid.m - 1, max_size=grid.m - 1)))
+    keys = grid.with_zero()
+    return GFunction(grid, dict(zip(keys, [F(0)] + inner + [F(1)])))
+
+
+def sampled_pairs(rng, size):
+    return [(rng.randrange(size), rng.randrange(size)) for _ in range(PAIRS)]
+
+
+def assert_distinct(space):
+    assert len(set(space.points)) == len(space.points)
+
+
+@settings(max_examples=40, deadline=None)
+@given(table_systems(), st.randoms(use_true_random=False))
+def test_subset_lift_matches_definitions(sys, rng):
+    lift = lift_system(sys)
+    pts = lift.space.points
+    assert_distinct(lift.space)
+    n = len(sys.space.points)
+    assert len(pts) == 2 ** n - 1
+    for i, s in enumerate(pts):
+        image = induced_apply(sys, CompactSet(sys.space, s))
+        assert pts[lift.table[i]] == image.members
+    for i, j in sampled_pairs(rng, len(pts)):
+        assert lift.space.d_by_index(i, j) == \
+            brute_hausdorff(sys.space, pts[i], pts[j])
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_systems(), st.integers(1, 2), st.data())
+def test_fuzzy_lift_matches_definitions(sys, m, data):
+    grid = LevelGrid(m)
+    constraint = data.draw(constraints(grid))
+    g = data.draw(st.none() | gfunctions(grid))
+
+    def step(a):
+        return zadeh_apply(sys, a) if g is None else g_fuzzify_apply(sys, g, a)
+
+    family = list(enumerate_fuzzy(sys.space, grid, constraint))
+    try:
+        lift = fuzzy_lift_system(sys, grid, constraint, g=g)
+    except InputError:
+        grades = {a.grades for a in family}
+        assert any(step(a).grades not in grades for a in family)
+        return
+    pts = lift.space.points
+    assert_distinct(lift.space)
+    assert pts == tuple(a.grades for a in family)
+    states = [FuzzySet(sys.space, grid, p) for p in pts]
+    for i, a in enumerate(states):
+        assert pts[lift.table[i]] == step(a).grades
+    rng = data.draw(st.randoms(use_true_random=False))
+    for i, j in sampled_pairs(rng, len(pts)):
+        assert lift.space.d_by_index(i, j) == \
+            brute_levelwise(states[i], states[j])
+
+
+@st.composite
+def factors(draw):
+    """One to three (system, exponent) factors; a factor is a small table
+    system or the subset lift of one, so lazy factor metrics appear."""
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        sys = draw(table_systems(max_points=3))
+        if draw(st.booleans()):
+            sys = lift_system(sys)
+        out.append((sys, draw(st.integers(1, 3))))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(factors(), st.randoms(use_true_random=False))
+def test_product_matches_definitions(parts, rng):
+    prod = product_system(parts)
+    pts = prod.space.points
+    assert_distinct(prod.space)
+    assert pts == tuple(itertools.product(*[s.space.points for s, _ in parts]))
+    steps = [iterate(s, e) for s, e in parts]
+    for i, p in enumerate(pts):
+        assert pts[prod.table[i]] == tuple(t.apply(x)
+                                           for t, x in zip(steps, p))
+    spaces = [s.space for s, _ in parts]
+    for i, j in sampled_pairs(rng, len(pts)):
+        assert prod.space.d_by_index(i, j) == \
+            brute_product_distance(spaces, pts[i], pts[j])

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import fuzzdyn
 from fuzzdyn.cli import main, parse_system_spec
 from fuzzdyn.errors import InputError
 from fuzzdyn.families import IndexSet
@@ -20,6 +23,17 @@ from fuzzdyn.spaces import (circle_space, make_grid_interval_map,
 from fuzzdyn.symbolic import golden_mean_shift
 
 F = Fraction
+
+#: the directory holding the fuzzdyn package, for child interpreters
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(fuzzdyn.__file__)))
+
+
+def run_module_cli(args, cwd):
+    """``python -m fuzzdyn.cli ARGS`` in a child interpreter."""
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    return subprocess.run([sys.executable, "-m", "fuzzdyn.cli", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 class TestFractions:
@@ -211,6 +225,39 @@ class TestCli:
         assert main(["check", "--system", "torus:9",
                      "--props", "transitivity",
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("args,g_doc", [
+        (["verify", "--theorem", "a-transitivity", "--system", "rotation:3,1",
+          "--a", "1,x"], None),
+        (["verify", "--theorem", "cut-lemma", "--system", "rotation:3,1"],
+         {"m": "x"}),
+        (["verify", "--theorem", "cut-lemma", "--system", "rotation:3,1"],
+         {"m": 2}),
+        (["verify", "--theorem", "cut-lemma", "--system", "rotation:3,1"],
+         [1, 2]),
+        (["check", "--system", "rotation:3,1", "--props", "transitivity",
+          "--horizon", "0"], None),
+        (["check", "--system", "rotation:3,1", "--props", "transitivity",
+          "--horizon", "-3"], None),
+    ])
+    def test_malformed_input_one_line_error(self, tmp_path, args, g_doc):
+        if g_doc is not None:
+            g_path = tmp_path / "g.json"
+            g_path.write_text(json.dumps(g_doc))
+            args = args + ["--g", f"file:{g_path}"]
+        proc = run_module_cli(args + ["--out", str(tmp_path)], tmp_path)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_module_entry_point_writes_report(self, tmp_path):
+        proc = run_module_cli(["verify", "--theorem", "transitivity",
+                               "--system", "rotation:3,1", "--m", "1",
+                               "--out", str(tmp_path)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads((tmp_path / "equivalence_report.json").read_text())
+        assert doc["report"]["consistent"] is True
 
     def test_bound_exceeded_exit_three(self, tmp_path):
         assert main(["verify", "--theorem", "transitivity",

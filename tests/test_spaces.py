@@ -217,6 +217,11 @@ def test_interval_grid_space():
     assert g.d(F(1, 4), F(3, 4)) == F(1, 2)
 
 
+def test_duplicate_point_ids_rejected_on_table_space():
+    with pytest.raises(InputError):
+        MetricSpace([1, 2, 1], matrix=[[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+
+
 def test_lazy_space_needs_diam():
     with pytest.raises(InputError):
         MetricSpace([1, 2], fn=lambda p, q: F(1))
