@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -564,17 +564,15 @@ def is_weakly_mixing(target, basis=None, horizon: int | None = None,
         if isinstance(dyn, TableDyn) and basis is None:
             prod = product_system([(dyn.sys, 1), (dyn.sys, 1)])
             v = is_transitive(prod, horizon=horizon)
-            return Verdict(v.status, v.exact, v.horizon, v.witnesses,
-                           v.counterexample, note="via 2-fold product")
-        pdyn = ProductDyn([(dyn, 1), (dyn, 1)])
-        pbasis = None
-        if basis is not None:
-            basis = tuple(basis)
-            pbasis = tuple(ProductOpen(p)
-                           for p in itertools.product(basis, basis))
-        v = is_transitive(pdyn, basis=pbasis, horizon=horizon)
-        return Verdict(v.status, v.exact, v.horizon, v.witnesses,
-                       v.counterexample, note="via 2-fold product")
+        else:
+            pbasis = None
+            if basis is not None:
+                basis = tuple(basis)
+                pbasis = tuple(ProductOpen(p)
+                               for p in itertools.product(basis, basis))
+            v = is_transitive(ProductDyn([(dyn, 1), (dyn, 1)]), basis=pbasis,
+                              horizon=horizon)
+        return replace(v, note="via 2-fold product")
     basis = tuple(basis) if basis is not None else dyn.default_basis()
     bound, exact = _effective_horizon(dyn, horizon)
     witnesses = []
@@ -709,8 +707,7 @@ def is_a_transitive(target, exponents: Sequence[int], basis=None,
     else:
         pdyn = ProductDyn([(dyn, e) for e in exps])
         v = is_transitive(pdyn, horizon=horizon)
-    return Verdict(v.status, v.exact, v.horizon, v.witnesses,
-                   v.counterexample, note=f"exponents {exps}")
+    return replace(v, note=f"exponents {exps}")
 
 
 def weakly_disjoint(a, b, basis_a=None, basis_b=None,
@@ -727,8 +724,7 @@ def weakly_disjoint(a, b, basis_a=None, basis_b=None,
         pbasis = tuple(ProductOpen(p) for p in itertools.product(ba, bb))
         v = is_transitive(ProductDyn([(da, 1), (db, 1)]), basis=pbasis,
                           horizon=horizon)
-    return Verdict(v.status, v.exact, v.horizon, v.witnesses,
-                   v.counterexample, note="product transitivity")
+    return replace(v, note="product transitivity")
 
 
 def is_mildly_mixing_bounded(target, catalog: Sequence | None = None,
@@ -783,14 +779,15 @@ def _ip_difference_evidence(target, horizon: int | None) -> bool:
 
 # -- metric behaviour ----------------------------------------------------------
 
-def equicontinuity_modulus(sys: SystemMap, eps) -> tuple[Fraction | None, dict | None]:
+def equicontinuity_modulus(sys: SystemMap, eps) -> Verdict:
     """Largest distance-value delta so that pairs within delta stay within
     eps under every iterate.
 
     On a finite space the candidates are the positive distance values; the
     modulus is the smallest starting distance of an eps-violating pair (all
     strictly closer pairs are safe), or the diameter when nothing violates.
-    A certificate (x, y, n) accompanies any violation found.
+    The verdict holds when delta is positive; its witnesses are ``eps``,
+    ``delta`` and, for any violation found, the ``violator`` (x, y, n).
     """
     if not isinstance(sys, SystemMap):
         raise InputError("equicontinuity needs a finite table system")
@@ -799,27 +796,27 @@ def equicontinuity_modulus(sys: SystemMap, eps) -> tuple[Fraction | None, dict |
         raise InputError("eps must be positive")
     space = sys.space
     n_pts = len(space.points)
-    if n_pts == 1:
-        return eps, None
     pre, per = sys.eventual_period()
     tables = iterate_tables(sys, pre + per)
-    worst_start = None
-    cert = None
+    delta = None
+    violator = None
     for i in range(n_pts):
         for j in range(i + 1, n_pts):
             d0 = space.d_by_index(i, j)
             for step, tbl in enumerate(tables):
-                dv = space.d_by_index(tbl[i], tbl[j])
-                if dv >= eps:
-                    if worst_start is None or d0 < worst_start:
-                        worst_start = d0
-                        cert = {"x": point_label(space.points[i]),
-                                "y": point_label(space.points[j]),
-                                "n": step, "distance": dv}
+                if space.d_by_index(tbl[i], tbl[j]) >= eps:
+                    if delta is None or d0 < delta:
+                        delta = d0
+                        violator = (point_label(space.points[i]),
+                                    point_label(space.points[j]), step)
                     break
-    if worst_start is None:
-        return space.diam, None
-    return worst_start, cert
+    if delta is None:
+        delta = space.diam if n_pts > 1 else eps
+    wit = (("eps", str(eps)), ("delta", str(delta)))
+    if violator:
+        wit += (("violator", violator),)
+    return Verdict("holds" if delta > 0 else "fails", True,
+                   horizon=pre + per, witnesses=wit)
 
 
 def displacement_curve(sys: SystemMap, horizon: int | None = None) -> list[Fraction]:
@@ -834,20 +831,27 @@ def displacement_curve(sys: SystemMap, horizon: int | None = None) -> list[Fract
             for tbl in tables]
 
 
-def is_uniformly_rigid(sys: SystemMap, eps, horizon: int | None = None) -> int | None:
-    """Least n >= 1 with every point within eps of itself after n steps;
-    None when no such n exists (exact past the eventual period)."""
+def _rigidity_verdict(curve: Sequence[Fraction], eps: Fraction, bound: int,
+                      note: str) -> Verdict:
+    """Uniform rigidity read off a displacement curve scanned up to bound:
+    the least n >= 1 with displacement below eps is the witness."""
+    n = next((n for n in range(1, bound) if curve[n] < eps), None)
+    return Verdict("holds" if n is not None else "fails", True, horizon=bound,
+                   witnesses=(("witness_n", n),), note=note)
+
+
+def is_uniformly_rigid(sys: SystemMap, eps, horizon: int | None = None) -> Verdict:
+    """Some n >= 1 moves every point within eps of itself; the least such n
+    is the ``witness_n`` (None when there is none, exact past the eventual
+    period)."""
     _require_table(sys, "uniform rigidity")
     eps = as_fraction(eps)
     if eps <= 0:
         raise InputError("eps must be positive")
     pre, per = sys.eventual_period()
     bound = horizon if horizon is not None else pre + per + 1
-    curve = displacement_curve(sys, bound)
-    for n in range(1, bound):
-        if curve[n] < eps:
-            return n
-    return None
+    return _rigidity_verdict(displacement_curve(sys, bound), eps, bound,
+                             f"eps={eps}")
 
 
 def is_proximal_pair(sys: SystemMap, x: Point, y: Point,

@@ -64,19 +64,6 @@ def transitive_catalog() -> list:
     return members
 
 
-THEOREM_IDS = (
-    "transitivity",
-    "mixing",
-    "f-mixing",
-    "mild-mixing",
-    "a-transitivity",
-    "equicontinuity",
-    "uniform-rigidity",
-    "proximality",
-    "height-invariance",
-    "cut-lemma",
-)
-
 GENERATOR_KINDS = (
     "rotation:n,step",
     "multiply:n,a",

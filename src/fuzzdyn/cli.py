@@ -20,7 +20,7 @@ from .analysis import (diam_decay, displacement_curve, equicontinuity_modulus,
                        is_mildly_mixing_bounded, is_mixing,
                        is_periodically_dense, is_proximal, is_sensitive,
                        is_transitive, is_uniformly_rigid, is_weakly_mixing)
-from .catalog import GENERATOR_KINDS, THEOREM_IDS, base_catalog
+from .catalog import GENERATOR_KINDS, base_catalog
 from .errors import BoundExceeded, InputError
 from .serialize import (canonical_json, format_fraction,
                         gfunction_from_jsonable, parse_fraction,
@@ -30,7 +30,7 @@ from .serialize import (canonical_json, format_fraction,
 from .spaces import SystemMap, make_grid_interval_map, \
     make_multiply, make_rotation, one_point_system
 from .symbolic import full_shift, golden_mean_shift
-from .theorems import verify_theorem
+from .theorems import THEOREM_IDS, verify_theorem
 
 
 def parse_system_spec(spec: str):
@@ -72,43 +72,25 @@ def parse_system_spec(spec: str):
     raise InputError(f"unknown system kind {head!r}")
 
 
-CHECKS = ("transitivity", "weak-mixing", "mixing", "mild-mixing",
-          "uniform-rigidity", "equicontinuity", "proximality",
-          "sensitivity", "periodic-density")
+#: check name -> checker(system, eps, horizon) returning a Verdict
+CHECKS = {
+    "transitivity": lambda s, eps, h: is_transitive(s, horizon=h),
+    "weak-mixing": lambda s, eps, h: is_weakly_mixing(s, horizon=h),
+    "mixing": lambda s, eps, h: is_mixing(s, horizon=h),
+    "mild-mixing": lambda s, eps, h: is_mildly_mixing_bounded(s, horizon=h),
+    "uniform-rigidity": lambda s, eps, h: is_uniformly_rigid(s, eps, h),
+    "equicontinuity": lambda s, eps, h: equicontinuity_modulus(s, eps),
+    "proximality": lambda s, eps, h: is_proximal(s),
+    "sensitivity": lambda s, eps, h: is_sensitive(s, eps, horizon=h),
+    "periodic-density": lambda s, eps, h: is_periodically_dense(s),
+}
 
 
 def _run_check(name: str, system, eps, horizon) -> dict:
-    if name == "transitivity":
-        return verdict_to_jsonable(is_transitive(system, horizon=horizon))
-    if name == "weak-mixing":
-        return verdict_to_jsonable(is_weakly_mixing(system, horizon=horizon))
-    if name == "mixing":
-        return verdict_to_jsonable(is_mixing(system, horizon=horizon))
-    if name == "mild-mixing":
-        return verdict_to_jsonable(
-            is_mildly_mixing_bounded(system, horizon=horizon))
-    if name == "uniform-rigidity":
-        e = eps if eps is not None else _default_eps(system)
-        n = is_uniformly_rigid(system, e, horizon)
-        return {"status": "holds" if n is not None else "fails",
-                "exact": True, "witnesses": [["witness_n", n]],
-                "note": f"eps={format_fraction(e)}"}
-    if name == "equicontinuity":
-        e = eps if eps is not None else _default_eps(system)
-        delta, cert = equicontinuity_modulus(system, e)
-        return {"status": "holds" if delta else "fails", "exact": True,
-                "witnesses": [["eps", format_fraction(e)],
-                              ["delta", format_fraction(delta)]],
-                "note": "" if cert is None else
-                f"tightest violator at distance {cert['distance']}"}
-    if name == "proximality":
-        return verdict_to_jsonable(is_proximal(system))
-    if name == "sensitivity":
-        e = eps if eps is not None else _default_eps(system)
-        return verdict_to_jsonable(is_sensitive(system, e, horizon=horizon))
-    if name == "periodic-density":
-        return verdict_to_jsonable(is_periodically_dense(system))
-    raise InputError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
+    check = CHECKS.get(name)
+    if check is None:
+        raise InputError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
+    return verdict_to_jsonable(check(system, eps, horizon))
 
 
 def _default_eps(system):
@@ -128,7 +110,8 @@ def _csv_text(rows) -> str:
 
 def cmd_check(args) -> int:
     system = parse_system_spec(args.system)
-    eps = None if args.eps is None else parse_fraction(args.eps)
+    eps = (_default_eps(system) if args.eps is None
+           else parse_fraction(args.eps))
     props = [p.strip() for p in args.props.split(",") if p.strip()]
     if not props:
         raise InputError("no checks requested")
@@ -229,7 +212,7 @@ def cmd_plotdata(args) -> int:
     for eps in system.space.distance_values():
         if eps <= 0:
             continue
-        delta, _ = equicontinuity_modulus(system, eps)
+        delta = dict(equicontinuity_modulus(system, eps).witnesses)["delta"]
         rows.append([format_fraction(eps), format_fraction(delta)])
     write_atomic(os.path.join(args.out, "modulus.csv"), _csv_text(rows))
     if not args.json:

@@ -411,6 +411,33 @@ def enumerate_fuzzy(space: MetricSpace, grid: LevelGrid, constraint=None,
             yield FuzzySet(space, grid, combo)
 
 
+def _g_levels(grid: LevelGrid, g: GFunction | None) -> tuple[int, ...]:
+    """g on the integer levels 0..m (level k is the grade k/m); the
+    identity when g is None."""
+    if g is None:
+        return tuple(range(grid.m + 1))
+    if g.grid != grid:
+        raise InputError("grade distortion uses a different grid")
+    return tuple(int(g.table[v] * grid.m) for v in grid.with_zero())
+
+
+def _grade_step(s: tuple, pre, gint: Sequence[int]) -> tuple[int, ...]:
+    """One step of the g-extension on an integer grade tuple: the new level
+    at x is the max of g over the levels of the preimages of x (0 if none)."""
+    return tuple(max([gint[s[j]] for j in p], default=0) for p in pre)
+
+
+def _cut_masks(s: tuple, m: int) -> list[int]:
+    """Bitmasks of the cuts at levels 1/m .. 1 of an integer grade tuple."""
+    masks = [0] * (m + 1)
+    for bit, k in enumerate(s):
+        masks[k] |= 1 << bit
+    for k in range(m - 1, 0, -1):
+        masks[k] |= masks[k + 1]
+    del masks[0]
+    return masks
+
+
 def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
                       g: GFunction | None = None,
                       cap: int = DEFAULT_STATE_CAP) -> SystemMap:
@@ -433,8 +460,7 @@ def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
     total = len(choices) ** n
     if total > cap:
         raise BoundExceeded("fuzzy lift", total, cap)
-    if g is not None and g.grid != grid:
-        raise InputError("grade distortion uses a different grid")
+    gint = _g_levels(grid, g)
 
     values = grid.with_zero()
     m = grid.m
@@ -445,16 +471,9 @@ def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
     index = {s: i for i, s in enumerate(states)}
 
     pre = sys.preimages()
-    if g is None:
-        gint = tuple(range(m + 1))
-    else:
-        level_of = {v: k for k, v in enumerate(values)}
-        gint = tuple(level_of[g.table[v]] for v in values)
-
     table = []
     for s in states:
-        img = tuple(max([gint[s[j]] for j in pre[i]], default=0)
-                    for i in range(n))
+        img = _grade_step(s, pre, gint)
         slot = index.get(img)
         if slot is None:
             raise InputError(
@@ -469,16 +488,9 @@ def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
     cuts: list[list[int] | None] = [None] * len(states)
 
     def cut_masks(i: int) -> list[int]:
-        """Bitmasks of the cuts at the levels 1/m .. 1 of state i."""
         hit = cuts[i]
         if hit is None:
-            hit = [0] * (m + 1)
-            for bit, k in enumerate(states[i]):
-                hit[k] |= 1 << bit
-            for k in range(m - 1, 0, -1):
-                hit[k] |= hit[k + 1]
-            del hit[0]
-            cuts[i] = hit
+            hit = cuts[i] = _cut_masks(states[i], m)
         return hit
 
     def dist(i: int, j: int) -> Fraction:

@@ -192,6 +192,17 @@ def _mask_hausdorff(a_mask: int, b_mask: int, mind) -> int:
     return best
 
 
+def _mask_image(mask: int, point_bit: list[int]) -> int:
+    """Bitmask of the image of the subset with bitmask ``mask``, where
+    ``point_bit[i]`` is the bit of the image of point i."""
+    img = 0
+    while mask:
+        low = mask & -mask
+        img |= point_bit[low.bit_length() - 1]
+        mask ^= low
+    return img
+
+
 def lift_system(sys: SystemMap, bound: int | None = None) -> SystemMap:
     """The induced system on all nonempty subsets, as a bona fide SystemMap.
 
@@ -210,12 +221,8 @@ def lift_system(sys: SystemMap, bound: int | None = None) -> SystemMap:
     subsets = tuple(frozenset(pts[i] for i in range(n) if mask >> i & 1)
                     for mask in range(1, full))
 
-    point_bit = [1 << sys.table[i] for i in range(n)]
-    img = [0] * full
-    for mask in range(1, full):
-        low = mask & -mask
-        img[mask] = img[mask ^ low] | point_bit[low.bit_length() - 1]
-    table = [img[mask] - 1 for mask in range(1, full)]
+    point_bit = [1 << t for t in sys.table]
+    table = [_mask_image(mask, point_bit) - 1 for mask in range(1, full)]
 
     denom, mat = _scaled_matrix(base)
     mind = _min_to_mask_table(n, mat)
@@ -246,15 +253,8 @@ def hyperspace_displacement_curve(sys: SystemMap, horizon: int) -> list[Fraction
     tables = iterate_tables(sys, horizon)
     out = []
     for tbl in tables:
-        point_bit = [1 << tbl[i] for i in range(n)]
-        img = [0] * full
-        worst = 0
-        for mask in range(1, full):
-            low = mask & -mask
-            im = img[mask ^ low] | point_bit[low.bit_length() - 1]
-            img[mask] = im
-            v = _mask_hausdorff(im, mask, mind)
-            if v > worst:
-                worst = v
+        point_bit = [1 << t for t in tbl]
+        worst = max(_mask_hausdorff(_mask_image(mask, point_bit), mask, mind)
+                    for mask in range(1, full))
         out.append(Fraction(worst, denom))
     return out

@@ -16,7 +16,8 @@ from .families import IndexSet
 from .fuzzy import FuzzySet, GFunction, LevelGrid
 from .hyperspace import CompactSet
 from .spaces import (MetricSpace, SystemMap, as_fraction,
-                     make_grid_interval_map, make_multiply, make_rotation)
+                     make_grid_interval_map, make_multiply, make_rotation,
+                     validate_metric)
 from .symbolic import ShiftSystem
 from .theorems import EquivalenceReport
 
@@ -98,6 +99,10 @@ def system_from_jsonable(obj: dict):
             dist = [[parse_fraction(v) for v in row] for row in obj["dist"]]
             space = MetricSpace(pts, matrix=dist,
                                 label=obj.get("label", "finite"))
+            violations = validate_metric(space)
+            if violations:
+                raise InputError(f"distance table is not a metric: "
+                                 f"{violations[0]}")
             mapping = obj["map"]
             index = {p: i for i, p in enumerate(pts)}
             table = [index[mapping[p]] for p in pts]

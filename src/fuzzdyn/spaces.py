@@ -31,14 +31,15 @@ PRODUCT_STATE_CAP = 262144
 
 
 def max_points_cap() -> int:
-    """Enumeration cap for base points, from FUZZDYN_MAX_POINTS if set."""
+    """Enumeration cap for base points, from FUZZDYN_MAX_POINTS if set;
+    a value that is not a positive integer is an input error."""
     raw = os.environ.get("FUZZDYN_MAX_POINTS", "")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_MAX_POINTS
+    if not raw:
+        return DEFAULT_MAX_POINTS
+    if not raw.isdecimal() or int(raw) < 1:
+        raise InputError(f"FUZZDYN_MAX_POINTS must be a positive integer, "
+                         f"not {raw!r}")
+    return int(raw)
 
 
 def as_fraction(value) -> Fraction:

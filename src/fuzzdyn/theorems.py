@@ -11,23 +11,25 @@ bounded), though the matrix still records the inconsistency.
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
-from .analysis import (HyperShiftDyn, ShiftDyn, Verdict, diam_decay,
-                       equicontinuity_modulus, is_a_transitive,
+from .analysis import (HyperShiftDyn, ShiftDyn, Verdict, _rigidity_verdict,
+                       diam_decay, equicontinuity_modulus, is_a_transitive,
                        is_F_transitive, is_mildly_mixing_bounded, is_mixing,
                        is_proximal, is_transitive, is_uniformly_rigid,
                        is_weakly_mixing)
-from .catalog import THEOREM_IDS
 from .errors import InputError
 from .families import FamilyClassifier, thick_family
 from .fuzzy import (DEFAULT_STATE_CAP, FuzzySet, GFunction, LevelGrid,
-                    alpha_cut, enumerate_fuzzy, enumeration_cost,
-                    fuzzy_lift_system, g_fuzzify_apply, xi_of)
-from .hyperspace import hyperspace_displacement_curve, lift_system
+                    _cut_masks, _g_levels, _grade_step, enumeration_cost,
+                    fuzzy_lift_system, xi_of)
+from .hyperspace import (_mask_image, hyperspace_displacement_curve,
+                         lift_system)
 from .spaces import SystemMap, as_fraction, iterate_tables
 
 
@@ -94,229 +96,178 @@ def _require_finite(system, theorem: str) -> SystemMap:
     return system
 
 
-def _fuzzy_slice(sys: SystemMap, grid: LevelGrid, constraint, cap: int) -> SystemMap:
-    return fuzzy_lift_system(sys, grid, constraint, cap=cap)
+@dataclass(frozen=True)
+class _Run:
+    """The parameters shared by every item of one verification."""
+    grid: LevelGrid
+    lambdas: tuple
+    horizon: int | None
+    cap: int
+    eps: Fraction | None
+    exps: tuple
+    g: GFunction | None
+    catalog: Sequence | None
+    family: FamilyClassifier
 
 
-# -- per-theorem handlers ----------------------------------------------------
+# -- theorems declared as rows ---------------------------------------------
+#
+# A row is one item of a theorem: a checker run on every instance of a level.
+# On a table system the levels are the base system, its subset lift and one
+# fuzzy slice of exact height lambda per lambda, each built when its rows run.
+# On a shift the base and hyper rows run on return-time oracles, and every
+# fuzzy item copies the hyper verdict of the same item: the indicator states
+# of height lambda carry the subset system isometrically.
+
+_ISOMETRIC = "indicator states carry the subset system isometrically"
+
+#: shift oracle options of a row, and the note that replaces the verdict's
+_DEFAULT_BASIS = ({}, "")
+_LENGTH_2 = ({"cylinder_length": 2}, "length-2 cylinder basis")
+_ONE_COMPONENT = ({"max_components": 1}, "single-component basis")
+_ONE_COMPONENT_LENGTH_2 = ({"cylinder_length": 2, "max_components": 1},
+                           "single-component, length-2 basis")
 
 
-def _transitivity_items(system, grid, lambdas, horizon, cap):
+def _wm_and_a_transitive(target, run: _Run, wm_witnesses: int = 2) -> Verdict:
+    """Weak mixing and a-transitivity, witnessed by the first witnesses of
+    each side."""
+    wm = is_weakly_mixing(target, horizon=run.horizon)
+    at = is_a_transitive(target, run.exps, horizon=run.horizon)
+    return Verdict("holds" if wm.holds and at.holds else "fails",
+                   wm.exact and at.exact,
+                   witnesses=wm.witnesses[:wm_witnesses] + at.witnesses[:2])
+
+
+#: item -> (property, check(target, run)); {kind} and {exps} are filled in
+_ITEMS = {
+    "transitive": ("transitive",
+                   lambda t, run: is_transitive(t, horizon=run.horizon)),
+    "weak-mixing": ("weakly mixing",
+                    lambda t, run: is_weakly_mixing(t, horizon=run.horizon)),
+    "mixing": ("mixing", lambda t, run: is_mixing(t, horizon=run.horizon)),
+    "F-transitive": ("{kind}-transitive", lambda t, run: is_F_transitive(
+        t, run.family, horizon=run.horizon)),
+    "F-mixing": ("{kind}-mixing", lambda t, run: is_F_transitive(
+        t, run.family, horizon=run.horizon, mixing=True)),
+    "mildly-mixing": ("mildly mixing", lambda t, run: is_mildly_mixing_bounded(
+        t, run.catalog, run.horizon)),
+    "a-transitive": ("{exps}-transitive", lambda t, run: is_a_transitive(
+        t, run.exps, horizon=run.horizon)),
+    "wm-and-a-transitive": ("weakly mixing and {exps}-transitive",
+                            _wm_and_a_transitive),
+}
+
+
+@dataclass(frozen=True)
+class _Row:
+    """Item ``<level>-<item>`` of a theorem; ``level`` is "base", "hyper" or
+    "fuzzy".  On a shift, ``shift_basis`` builds the oracle, ``shift_check``
+    (when given) replaces the item's check, and a fuzzy row with
+    ``on_shift`` False gives no item."""
+    level: str
+    item: str
+    shift_basis: tuple = _DEFAULT_BASIS
+    shift_check: Callable[..., Verdict] | None = None
+    on_shift: bool = True
+
+
+_ROWS = {
+    "transitivity": (
+        _Row("base", "weak-mixing"),
+        _Row("hyper", "transitive"),
+        _Row("hyper", "weak-mixing", shift_check=lambda t, run:
+             is_weakly_mixing(t, horizon=run.horizon, method="lemma")),
+        _Row("fuzzy", "transitive"),
+        _Row("fuzzy", "weak-mixing"),
+    ),
+    "mixing": (
+        _Row("base", "mixing"),
+        _Row("hyper", "mixing"),
+        _Row("fuzzy", "mixing"),
+    ),
+    "f-mixing": (
+        _Row("base", "F-mixing", _LENGTH_2),
+        _Row("hyper", "F-transitive", _ONE_COMPONENT),
+        _Row("hyper", "F-mixing", _ONE_COMPONENT_LENGTH_2),
+        _Row("fuzzy", "F-transitive"),
+        _Row("fuzzy", "F-mixing", on_shift=False),
+    ),
+    "mild-mixing": (
+        _Row("base", "mildly-mixing"),
+        _Row("hyper", "mildly-mixing", _ONE_COMPONENT),
+        _Row("fuzzy", "mildly-mixing"),
+    ),
+    "a-transitivity": (
+        _Row("base", "wm-and-a-transitive",
+             shift_check=partial(_wm_and_a_transitive, wm_witnesses=0)),
+        _Row("hyper", "a-transitive", _ONE_COMPONENT),
+        _Row("fuzzy", "a-transitive"),
+    ),
+}
+
+
+def _row_item(row: _Row, level: str, v: Verdict, run: _Run) -> ReportItem:
+    prop = _ITEMS[row.item][0].format(kind=run.family.kind, exps=run.exps)
+    return _item_from_verdict(f"{level}-{row.item}", prop, level, v)
+
+
+def _table_levels(sys: SystemMap, run: _Run):
+    """(row level, level name, system) per level, each built on demand."""
+    yield "base", "base", sys
+    yield "hyper", "hyper", lift_system(sys)
+    for lam in run.lambdas:
+        yield "fuzzy", f"fuzzy({lam})", fuzzy_lift_system(
+            sys, run.grid, ("eq", lam), cap=run.cap)
+
+
+def _rows_items(rows: tuple[_Row, ...], system, run: _Run) -> list[ReportItem]:
+    """Run every row of a theorem, level by level."""
     items = []
     if isinstance(system, SystemMap):
-        items.append(_item_from_verdict(
-            "base-weak-mixing", "weakly mixing", "base",
-            is_weakly_mixing(system, horizon=horizon)))
-        lift = lift_system(system)
-        items.append(_item_from_verdict(
-            "hyper-transitive", "transitive", "hyper",
-            is_transitive(lift, horizon=horizon)))
-        items.append(_item_from_verdict(
-            "hyper-weak-mixing", "weakly mixing", "hyper",
-            is_weakly_mixing(lift, horizon=horizon)))
-        for lam in lambdas:
-            fl = _fuzzy_slice(system, grid, ("eq", lam), cap)
-            items.append(_item_from_verdict(
-                f"fuzzy({lam})-transitive", "transitive", f"fuzzy({lam})",
-                is_transitive(fl, horizon=horizon)))
-            items.append(_item_from_verdict(
-                f"fuzzy({lam})-weak-mixing", "weakly mixing", f"fuzzy({lam})",
-                is_weakly_mixing(fl, horizon=horizon)))
+        for level, name, target in _table_levels(system, run):
+            for row in rows:
+                if row.level == level:
+                    v = _ITEMS[row.item][1](target, run)
+                    items.append(_row_item(row, name, v, run))
         return items
-    shift = system
-    sd = ShiftDyn(shift)
-    hd = HyperShiftDyn(shift)
-    items.append(_item_from_verdict(
-        "base-weak-mixing", "weakly mixing", "base",
-        is_weakly_mixing(sd, horizon=horizon)))
-    k_tr = is_transitive(hd, horizon=horizon)
-    k_wm = is_weakly_mixing(hd, horizon=horizon, method="lemma")
-    items.append(_item_from_verdict("hyper-transitive", "transitive",
-                                    "hyper", k_tr))
-    items.append(_item_from_verdict("hyper-weak-mixing", "weakly mixing",
-                                    "hyper", k_wm))
-    for lam in lambdas:
-        items.append(ReportItem(
-            f"fuzzy({lam})-transitive", "transitive", f"fuzzy({lam})",
-            k_tr.status, False, k_tr.witnesses,
-            note="indicator states carry the subset system isometrically"))
-        items.append(ReportItem(
-            f"fuzzy({lam})-weak-mixing", "weakly mixing", f"fuzzy({lam})",
-            k_wm.status, False, k_wm.witnesses,
-            note="indicator states carry the subset system isometrically"))
+    hyper = {}
+    for row in rows:
+        if row.level == "fuzzy":
+            continue
+        options, note = row.shift_basis
+        oracle = (ShiftDyn if row.level == "base" else HyperShiftDyn)(
+            system, **options)
+        v = (row.shift_check or _ITEMS[row.item][1])(oracle, run)
+        if note:
+            v = replace(v, note=note)
+        if row.level == "hyper":
+            hyper[row.item] = v
+        items.append(_row_item(row, row.level, v, run))
+    for lam in run.lambdas:
+        for row in rows:
+            if row.level == "fuzzy" and row.on_shift:
+                v = replace(hyper[row.item], exact=False, note=_ISOMETRIC)
+                items.append(_row_item(row, f"fuzzy({lam})", v, run))
     return items
 
 
-def _mixing_items(system, grid, lambdas, horizon, cap):
-    items = []
-    if isinstance(system, SystemMap):
-        items.append(_item_from_verdict(
-            "base-mixing", "mixing", "base", is_mixing(system, horizon=horizon)))
-        lift = lift_system(system)
-        items.append(_item_from_verdict(
-            "hyper-mixing", "mixing", "hyper", is_mixing(lift, horizon=horizon)))
-        for lam in lambdas:
-            fl = _fuzzy_slice(system, grid, ("eq", lam), cap)
-            items.append(_item_from_verdict(
-                f"fuzzy({lam})-mixing", "mixing", f"fuzzy({lam})",
-                is_mixing(fl, horizon=horizon)))
-        return items
-    sd = ShiftDyn(system)
-    hd = HyperShiftDyn(system)
-    base = is_mixing(sd, horizon=horizon)
-    hyper = is_mixing(hd, horizon=horizon)
-    items.append(_item_from_verdict("base-mixing", "mixing", "base", base))
-    items.append(_item_from_verdict("hyper-mixing", "mixing", "hyper", hyper))
-    for lam in lambdas:
-        items.append(ReportItem(
-            f"fuzzy({lam})-mixing", "mixing", f"fuzzy({lam})",
-            hyper.status, False, hyper.witnesses,
-            note="indicator states carry the subset system isometrically"))
-    return items
+# -- theorems with their own builders --------------------------------------
 
 
-def _f_mixing_items(system, grid, lambdas, horizon, cap,
-                    family: FamilyClassifier):
-    items = []
-    fam = family
-    if isinstance(system, SystemMap):
-        items.append(_item_from_verdict(
-            "base-F-mixing", f"{fam.kind}-mixing", "base",
-            is_F_transitive(system, fam, horizon=horizon, mixing=True)))
-        lift = lift_system(system)
-        items.append(_item_from_verdict(
-            "hyper-F-transitive", f"{fam.kind}-transitive", "hyper",
-            is_F_transitive(lift, fam, horizon=horizon)))
-        items.append(_item_from_verdict(
-            "hyper-F-mixing", f"{fam.kind}-mixing", "hyper",
-            is_F_transitive(lift, fam, horizon=horizon, mixing=True)))
-        for lam in lambdas:
-            fl = _fuzzy_slice(system, grid, ("eq", lam), cap)
-            items.append(_item_from_verdict(
-                f"fuzzy({lam})-F-transitive", f"{fam.kind}-transitive",
-                f"fuzzy({lam})", is_F_transitive(fl, fam, horizon=horizon)))
-            items.append(_item_from_verdict(
-                f"fuzzy({lam})-F-mixing", f"{fam.kind}-mixing",
-                f"fuzzy({lam})",
-                is_F_transitive(fl, fam, horizon=horizon, mixing=True)))
-        return items
-    sd = ShiftDyn(system, cylinder_length=2)
-    hd = HyperShiftDyn(system, max_components=1)
-    hd_short = HyperShiftDyn(system, cylinder_length=2, max_components=1)
-    base = is_F_transitive(sd, fam, horizon=horizon, mixing=True)
-    h_tr = is_F_transitive(hd, fam, horizon=horizon)
-    h_mx = is_F_transitive(hd_short, fam, horizon=horizon, mixing=True)
-    items.append(_item_from_verdict("base-F-mixing", f"{fam.kind}-mixing",
-                                    "base", base,
-                                    note="length-2 cylinder basis"))
-    items.append(_item_from_verdict("hyper-F-transitive",
-                                    f"{fam.kind}-transitive", "hyper", h_tr,
-                                    note="single-component basis"))
-    items.append(_item_from_verdict("hyper-F-mixing", f"{fam.kind}-mixing",
-                                    "hyper", h_mx,
-                                    note="single-component, length-2 basis"))
-    for lam in lambdas:
-        items.append(ReportItem(
-            f"fuzzy({lam})-F-transitive", f"{fam.kind}-transitive",
-            f"fuzzy({lam})", h_tr.status, False, h_tr.witnesses,
-            note="indicator states carry the subset system isometrically"))
-    return items
-
-
-def _mild_items(system, grid, lambdas, horizon, cap, catalog):
-    items = []
-    if isinstance(system, SystemMap):
-        items.append(_item_from_verdict(
-            "base-mildly-mixing", "mildly mixing", "base",
-            is_mildly_mixing_bounded(system, catalog, horizon)))
-        lift = lift_system(system)
-        items.append(_item_from_verdict(
-            "hyper-mildly-mixing", "mildly mixing", "hyper",
-            is_mildly_mixing_bounded(lift, catalog, horizon)))
-        for lam in lambdas:
-            fl = _fuzzy_slice(system, grid, ("eq", lam), cap)
-            items.append(_item_from_verdict(
-                f"fuzzy({lam})-mildly-mixing", "mildly mixing",
-                f"fuzzy({lam})",
-                is_mildly_mixing_bounded(fl, catalog, horizon)))
-        return items
-    sd = ShiftDyn(system)
-    hd = HyperShiftDyn(system, max_components=1)
-    base = is_mildly_mixing_bounded(sd, catalog, horizon)
-    hyper = is_mildly_mixing_bounded(hd, catalog, horizon)
-    items.append(_item_from_verdict("base-mildly-mixing", "mildly mixing",
-                                    "base", base))
-    items.append(_item_from_verdict("hyper-mildly-mixing", "mildly mixing",
-                                    "hyper", hyper,
-                                    note="single-component basis"))
-    for lam in lambdas:
-        items.append(ReportItem(
-            f"fuzzy({lam})-mildly-mixing", "mildly mixing", f"fuzzy({lam})",
-            hyper.status, False, hyper.witnesses,
-            note="indicator states carry the subset system isometrically"))
-    return items
-
-
-def _a_transitivity_items(system, grid, lambdas, horizon, cap, exponents):
-    items = []
-    exps = tuple(exponents)
-    if isinstance(system, SystemMap):
-        wm = is_weakly_mixing(system, horizon=horizon)
-        at = is_a_transitive(system, exps, horizon=horizon)
-        both = ("holds" if wm.holds and at.holds else "fails")
-        items.append(ReportItem(
-            "base-wm-and-a-transitive", f"weakly mixing and {exps}-transitive",
-            "base", both, wm.exact and at.exact,
-            witnesses=wm.witnesses[:2] + at.witnesses[:2]))
-        lift = lift_system(system)
-        items.append(_item_from_verdict(
-            "hyper-a-transitive", f"{exps}-transitive", "hyper",
-            is_a_transitive(lift, exps, horizon=horizon)))
-        for lam in lambdas:
-            fl = _fuzzy_slice(system, grid, ("eq", lam), cap)
-            items.append(_item_from_verdict(
-                f"fuzzy({lam})-a-transitive", f"{exps}-transitive",
-                f"fuzzy({lam})", is_a_transitive(fl, exps, horizon=horizon)))
-        return items
-    sd = ShiftDyn(system)
-    hd = HyperShiftDyn(system, max_components=1)
-    wm = is_weakly_mixing(sd, horizon=horizon)
-    at = is_a_transitive(sd, exps, horizon=horizon)
-    both = "holds" if wm.holds and at.holds else "fails"
-    items.append(ReportItem(
-        "base-wm-and-a-transitive", f"weakly mixing and {exps}-transitive",
-        "base", both, False, witnesses=at.witnesses[:2]))
-    hyper = is_a_transitive(hd, exps, horizon=horizon)
-    items.append(_item_from_verdict(
-        "hyper-a-transitive", f"{exps}-transitive", "hyper", hyper,
-        note="single-component basis"))
-    for lam in lambdas:
-        items.append(ReportItem(
-            f"fuzzy({lam})-a-transitive", f"{exps}-transitive",
-            f"fuzzy({lam})", hyper.status, False, hyper.witnesses,
-            note="indicator states carry the subset system isometrically"))
-    return items
-
-
-def _equicontinuity_items(system, grid, horizon, cap, eps):
+def _equicontinuity_items(system, run: _Run) -> list[ReportItem]:
     sys = _require_finite(system, "equicontinuity")
+    eps = run.eps
     if eps is None:
         eps = sys.space.min_positive_distance() or Fraction(1)
-    items = []
-    for item_id, level, target in (
-            ("base-equicontinuous", "base", sys),
-            ("hyper-equicontinuous", "hyper", lift_system(sys)),
-            ("fuzzy-equicontinuous", "fuzzy(F0)",
-             _fuzzy_slice(sys, grid, "nonempty", cap))):
-        delta, cert = equicontinuity_modulus(target, eps)
-        ok = delta is not None and delta > 0
-        wit = (("eps", str(eps)), ("delta", str(delta)))
-        if cert:
-            wit += (("violator", (cert["x"], cert["y"], cert["n"])),)
-        items.append(ReportItem(item_id, "equicontinuous", level,
-                                "holds" if ok else "fails", True,
-                                witnesses=wit))
-    return items
+    levels = (
+        ("base-equicontinuous", "base", lambda: sys),
+        ("hyper-equicontinuous", "hyper", lambda: lift_system(sys)),
+        ("fuzzy-equicontinuous", "fuzzy(F0)",
+         lambda: fuzzy_lift_system(sys, run.grid, "nonempty", cap=run.cap)))
+    return [_item_from_verdict(item_id, "equicontinuous", level,
+                               equicontinuity_modulus(build(), eps))
+            for item_id, level, build in levels]
 
 
 #: slices bigger than this use the cut reduction even when they would fit
@@ -324,82 +275,66 @@ def _equicontinuity_items(system, grid, horizon, cap, eps):
 RIGIDITY_MATERIALIZE_CAP = 4096
 
 
-def _fuzzy_rigidity_witness(sys, grid, constraint, cap, eps, bound):
-    """(witness n or None, exactness note) for a fuzzy slice; materializes
-    small slices and otherwise uses the levelwise cut reduction, under
-    which every slice displaces exactly like the subset lift."""
-    cost = enumeration_cost(len(sys.space.points), grid, constraint)
-    if cost <= min(cap, RIGIDITY_MATERIALIZE_CAP):
-        lifted = _fuzzy_slice(sys, grid, constraint, cap)
-        return is_uniformly_rigid(lifted, eps), "enumerated states"
-    curve = hyperspace_displacement_curve(sys, bound)
-    for n in range(1, bound):
-        if curve[n] < eps:
-            return n, "levelwise cut reduction"
-    return None, "levelwise cut reduction"
+def _fuzzy_rigidity(sys: SystemMap, constraint, eps, curve, bound: int,
+                    run: _Run) -> Verdict:
+    """Uniform rigidity of a fuzzy slice; materializes small slices and
+    otherwise reads the subset displacement curve, since under the
+    levelwise cut reduction every slice displaces exactly like the subset
+    lift."""
+    cost = enumeration_cost(len(sys.space.points), run.grid, constraint)
+    if cost <= min(run.cap, RIGIDITY_MATERIALIZE_CAP):
+        lifted = fuzzy_lift_system(sys, run.grid, constraint, cap=run.cap)
+        return replace(is_uniformly_rigid(lifted, eps),
+                       note="enumerated states")
+    return _rigidity_verdict(curve, eps, bound, "levelwise cut reduction")
 
 
-def _uniform_rigidity_items(system, grid, lambdas, horizon, cap, eps):
+def _uniform_rigidity_items(system, run: _Run) -> list[ReportItem]:
     sys = _require_finite(system, "uniform-rigidity")
+    eps = run.eps
     if eps is None:
         mp = sys.space.min_positive_distance()
         eps = (mp / 2) if mp else Fraction(1, 2)
     pre, per = sys.eventual_period()
-    bound = horizon if horizon is not None else pre + per + 1
-    items = []
-
-    base_n = is_uniformly_rigid(sys, eps, bound)
-    items.append(ReportItem(
-        "base-uniformly-rigid", "uniformly rigid", "base",
-        "holds" if base_n is not None else "fails", True,
-        witnesses=(("witness_n", base_n),), note=f"eps={eps}"))
-
+    bound = run.horizon if run.horizon is not None else pre + per + 1
+    prop = "uniformly rigid"
+    items = [_item_from_verdict("base-uniformly-rigid", prop, "base",
+                                is_uniformly_rigid(sys, eps, bound))]
     curve = hyperspace_displacement_curve(sys, bound)
-    hyper_n = next((n for n in range(1, bound) if curve[n] < eps), None)
-    items.append(ReportItem(
-        "hyper-uniformly-rigid", "uniformly rigid", "hyper",
-        "holds" if hyper_n is not None else "fails", True,
-        witnesses=(("witness_n", hyper_n),), note="subset displacement scan"))
-
-    f0_n, f0_note = _fuzzy_rigidity_witness(sys, grid, "nonempty", cap, eps,
-                                            bound)
-    items.append(ReportItem(
-        "fuzzy(F0)-uniformly-rigid", "uniformly rigid", "fuzzy(F0)",
-        "holds" if f0_n is not None else "fails", True,
-        witnesses=(("witness_n", f0_n),), note=f0_note))
-
-    for kind in ("eq", "ge"):
-        for lam in lambdas:
-            n_w, note = _fuzzy_rigidity_witness(sys, grid, (kind, lam), cap,
-                                                eps, bound)
-            items.append(ReportItem(
-                f"fuzzy({kind} {lam})-uniformly-rigid", "uniformly rigid",
-                f"fuzzy({kind} {lam})",
-                "holds" if n_w is not None else "fails", True,
-                witnesses=(("witness_n", n_w),), note=note))
+    items.append(_item_from_verdict(
+        "hyper-uniformly-rigid", prop, "hyper",
+        _rigidity_verdict(curve, eps, bound, "subset displacement scan")))
+    slices = [("F0", "nonempty")] + [(f"{kind} {lam}", (kind, lam))
+                                      for kind in ("eq", "ge")
+                                      for lam in run.lambdas]
+    for name, constraint in slices:
+        items.append(_item_from_verdict(
+            f"fuzzy({name})-uniformly-rigid", prop, f"fuzzy({name})",
+            _fuzzy_rigidity(sys, constraint, eps, curve, bound, run)))
     return items
 
 
-def _proximality_items(system, grid, lambdas, horizon, cap):
+def _proximality_items(system, run: _Run) -> list[ReportItem]:
     sys = _require_finite(system, "proximality")
+    grid = run.grid
     items = []
     lift = lift_system(sys)
     items.append(_item_from_verdict(
         "hyper-proximal", "proximal", "hyper", is_proximal(lift)))
-    decay = diam_decay(sys, horizon)
+    decay = diam_decay(sys, run.horizon)
     reaches = next((n for n, v in enumerate(decay) if v == 0), None)
     items.append(ReportItem(
         "diam-decay", "image diameters reach zero", "base",
         "holds" if reaches is not None else "fails", True,
         witnesses=(("first_zero_at", reaches),
                    ("final", str(decay[-1])))))
-    for lam in lambdas:
-        fl = _fuzzy_slice(sys, grid, ("eq", lam), cap)
+    for lam in run.lambdas:
+        fl = fuzzy_lift_system(sys, grid, ("eq", lam), cap=run.cap)
         items.append(_item_from_verdict(
             f"fuzzy({lam})-proximal", "proximal", f"fuzzy({lam})",
             is_proximal(fl)))
     if grid.m >= 2 and sys.space.nontrivial:
-        f0 = _fuzzy_slice(sys, grid, "nonempty", cap)
+        f0 = fuzzy_lift_system(sys, grid, "nonempty", cap=run.cap)
         v = is_proximal(f0)
         items.append(_item_from_verdict(
             "fuzzy(F0)-proximal", "proximal", "fuzzy(F0)", v,
@@ -409,11 +344,11 @@ def _proximality_items(system, grid, lambdas, horizon, cap):
     return items
 
 
-def _height_invariance_items(system, grid, horizon, cap):
+def _height_invariance_items(system, run: _Run) -> list[ReportItem]:
     sys = _require_finite(system, "height-invariance")
     pre, per = sys.eventual_period()
-    bound = horizon if horizon is not None else pre + per + 1
-    lift = _fuzzy_slice(sys, grid, "all", cap)
+    bound = run.horizon if run.horizon is not None else pre + per + 1
+    lift = fuzzy_lift_system(sys, run.grid, "all", cap=run.cap)
     space = lift.space
     states = space.points
     heights = [max(s) for s in states]
@@ -439,7 +374,7 @@ def _height_invariance_items(system, grid, horizon, cap):
         "fuzzy(all)", "fails" if bad else "holds", True,
         witnesses=(("pairs_times_checked", checked),))]
     if sys.space.nontrivial:
-        f0 = _fuzzy_slice(sys, grid, "nonempty", cap)
+        f0 = fuzzy_lift_system(sys, run.grid, "nonempty", cap=run.cap)
         items.append(_item_from_verdict(
             "f0-not-transitive", "transitive", "fuzzy(F0)",
             is_transitive(f0), in_matrix=False,
@@ -451,46 +386,50 @@ def _height_invariance_items(system, grid, horizon, cap):
     return items
 
 
-def _cut_lemma_items(system, grid, horizon, cap, g, sample_cap=256, seed=11):
+def _cut_lemma_items(system, run: _Run, sample_cap=256,
+                     seed=11) -> list[ReportItem]:
+    """Cuts of the g-iterates are images of cuts moved by the level
+    transfer: [G^n(a)]_alpha = T^n([a]_{xi^n(alpha)}), checked on integer
+    grade tuples and cut bitmasks."""
     sys = _require_finite(system, "cut-lemma")
-    g = g if g is not None else GFunction.identity(grid)
-    n_max = horizon if horizon is not None else 6
-    total = enumeration_cost(len(sys.space.points), grid, "all")
-    if total <= cap:
-        states = list(enumerate_fuzzy(sys.space, grid, "all", cap=cap))
+    grid = run.grid
+    m = grid.m
+    values = grid.with_zero()
+    g = run.g if run.g is not None else GFunction.identity(grid)
+    n_max = run.horizon if run.horizon is not None else 6
+    n_pts = len(sys.space.points)
+    if enumeration_cost(n_pts, grid, "all") <= run.cap:
+        states = itertools.product(range(m + 1), repeat=n_pts)
         note = "all states"
     else:
         rng = random.Random(seed)
-        choices = grid.with_zero()
-        states = []
-        for _ in range(sample_cap):
-            combo = tuple(rng.choice(choices)
-                          for _ in range(len(sys.space.points)))
-            states.append(FuzzySet(sys.space, grid, combo))
+        levels = range(m + 1)
+        states = [tuple(rng.choice(levels) for _ in range(n_pts))
+                  for _ in range(sample_cap)]
         note = f"{sample_cap} sampled states (seed {seed})"
+    gint = _g_levels(grid, g)
+    level_of = {v: k for k, v in enumerate(values)}
+    xi = xi_of(g)
+    transfer = [tuple(range(m + 1))]  # xi^n on the integer levels
+    for _ in range(n_max):
+        transfer.append(tuple(level_of[xi[values[k]]] for k in transfer[-1]))
+    point_bits = [[1 << t for t in tbl]
+                  for tbl in iterate_tables(sys, n_max + 1)]
+    pre = sys.preimages()
     checked = 0
     mismatch = None
-    tables = iterate_tables(sys, n_max + 1)
-    xi = xi_of(g)
-    transfer = [{alpha: alpha for alpha in grid.levels}]  # xi^n per level
-    for _ in range(n_max):
-        transfer.append({alpha: xi[level]
-                         for alpha, level in transfer[-1].items()})
-    pts = sys.space.points
-    idx = sys.space.index
     for a in states:
+        a_cuts = _cut_masks(a, m)
         current = a
         for n in range(1, n_max + 1):
-            current = g_fuzzify_apply(sys, g, current)
-            tbl = tables[n]
-            for alpha in grid.levels:
-                lhs = frozenset(alpha_cut(current, alpha).members)
-                level = transfer[n][alpha]
-                rhs = frozenset(pts[tbl[idx(p)]]
-                                for p in alpha_cut(a, level).members)
+            current = _grade_step(current, pre, gint)
+            cuts = _cut_masks(current, m)
+            for k in range(1, m + 1):
+                rhs = _mask_image(a_cuts[transfer[n][k] - 1], point_bits[n])
                 checked += 1
-                if lhs != rhs:
-                    mismatch = (repr(a), n, str(alpha))
+                if cuts[k - 1] != rhs:
+                    fuzzy = FuzzySet(sys.space, grid, [values[i] for i in a])
+                    mismatch = (repr(fuzzy), n, str(values[k]))
                     break
             if mismatch:
                 break
@@ -506,6 +445,18 @@ def _cut_lemma_items(system, grid, horizon, cap, g, sample_cap=256, seed=11):
                        witnesses=wit, note=note)]
 
 
+_BUILDERS = {
+    **{theorem: partial(_rows_items, rows) for theorem, rows in _ROWS.items()},
+    "equicontinuity": _equicontinuity_items,
+    "uniform-rigidity": _uniform_rigidity_items,
+    "proximality": _proximality_items,
+    "height-invariance": _height_invariance_items,
+    "cut-lemma": _cut_lemma_items,
+}
+
+THEOREM_IDS = tuple(_BUILDERS)
+
+
 def verify_theorem(theorem: str, system, *, m: int = 2,
                    lambdas: Sequence[Fraction] | None = None,
                    eps=None, exponents: Sequence[int] | None = None,
@@ -518,7 +469,8 @@ def verify_theorem(theorem: str, system, *, m: int = 2,
     height in ``lambdas`` (defaulting to all grid levels).  Returns the
     finalized report; the red-alert flag marks exact-mode disagreements.
     """
-    if theorem not in THEOREM_IDS:
+    builder = _BUILDERS.get(theorem)
+    if builder is None:
         raise InputError(f"unknown theorem id {theorem!r}; "
                          f"known: {', '.join(THEOREM_IDS)}")
     grid = LevelGrid(m)
@@ -537,35 +489,8 @@ def verify_theorem(theorem: str, system, *, m: int = 2,
               ",".join(str(e) for e in exponents),
               "horizon": "" if horizon is None else horizon}
     report = EquivalenceReport(theorem, label, config)
-
-    if theorem == "transitivity":
-        report.items = _transitivity_items(system, grid, lams, horizon,
-                                           state_cap)
-    elif theorem == "mixing":
-        report.items = _mixing_items(system, grid, lams, horizon, state_cap)
-    elif theorem == "f-mixing":
-        fam = family if family is not None else thick_family()
-        report.items = _f_mixing_items(system, grid, lams, horizon,
-                                       state_cap, fam)
-    elif theorem == "mild-mixing":
-        report.items = _mild_items(system, grid, lams, horizon, state_cap,
-                                   catalog)
-    elif theorem == "a-transitivity":
-        exps = exponents if exponents is not None else (1, 2)
-        report.items = _a_transitivity_items(system, grid, lams, horizon,
-                                             state_cap, exps)
-    elif theorem == "equicontinuity":
-        report.items = _equicontinuity_items(system, grid, horizon,
-                                             state_cap, eps)
-    elif theorem == "uniform-rigidity":
-        report.items = _uniform_rigidity_items(system, grid, lams, horizon,
-                                               state_cap, eps)
-    elif theorem == "proximality":
-        report.items = _proximality_items(system, grid, lams, horizon,
-                                          state_cap)
-    elif theorem == "height-invariance":
-        report.items = _height_invariance_items(system, grid, horizon,
-                                                state_cap)
-    else:
-        report.items = _cut_lemma_items(system, grid, horizon, state_cap, g)
+    run = _Run(grid, lams, horizon, state_cap, eps,
+               tuple(exponents) if exponents is not None else (1, 2), g,
+               catalog, family if family is not None else thick_family())
+    report.items = builder(system, run)
     return report.finalize()

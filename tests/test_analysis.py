@@ -279,16 +279,25 @@ class TestMildMixing:
                 assert is_transitive(ShiftDyn(member)).holds
 
 
+def modulus(sys, eps):
+    """(delta, violator or None) from the equicontinuity verdict."""
+    v = equicontinuity_modulus(sys, eps)
+    assert v.exact and v.holds
+    wit = dict(v.witnesses)
+    assert wit["eps"] == str(eps)
+    return F(wit["delta"]), wit.get("violator")
+
+
 class TestEquicontinuity:
     def test_isometry_gives_eps_back(self):
         r = make_rotation(6, 1)
-        delta, cert = equicontinuity_modulus(r, F(1, 6))
+        delta, cert = modulus(r, F(1, 6))
         assert delta == F(1, 6)
 
     def test_matches_definition_scan(self):
         sys = make_multiply(9, 2)
         eps = F(2, 9)
-        delta, cert = equicontinuity_modulus(sys, eps)
+        delta, cert = modulus(sys, eps)
         # independent scan straight from the definition
         from fuzzdyn.spaces import iterate
         pre, per = sys.eventual_period()
@@ -312,8 +321,8 @@ class TestEquicontinuity:
         coarse = make_grid_interval_map("half", 4)
         fine = make_grid_interval_map("half", 8)
         for eps in (F(1, 8), F(1, 4), F(1, 2)):
-            d_coarse, _ = equicontinuity_modulus(coarse, eps)
-            d_fine, _ = equicontinuity_modulus(fine, eps)
+            d_coarse, _ = modulus(coarse, eps)
+            d_fine, _ = modulus(fine, eps)
             assert d_coarse >= d_fine > 0
 
     def test_rejects_symbolic(self):
@@ -321,16 +330,29 @@ class TestEquicontinuity:
             equicontinuity_modulus(full_shift(2, 3), F(1, 2))
 
 
+def rigid_time(sys, eps):
+    """The witness n of the uniform-rigidity verdict."""
+    v = is_uniformly_rigid(sys, eps)
+    assert v.exact and v.note == f"eps={eps}"
+    (key, n), = v.witnesses
+    assert key == "witness_n" and v.holds == (n is not None)
+    return n
+
+
 class TestUniformRigidity:
     def test_identity_returns_one(self):
-        assert is_uniformly_rigid(make_multiply(5, 1), F(1, 10)) == 1
+        assert rigid_time(make_multiply(5, 1), F(1, 10)) == 1
 
     def test_rotation_twelve(self):
-        assert is_uniformly_rigid(make_rotation(12, 1), F(1, 24)) == 12
+        assert rigid_time(make_rotation(12, 1), F(1, 24)) == 12
 
     def test_halving_never_returns(self):
-        assert is_uniformly_rigid(make_grid_interval_map("half", 8),
-                                  F(1, 16)) is None
+        assert rigid_time(make_grid_interval_map("half", 8),
+                          F(1, 16)) is None
+
+    def test_displacement_of_exactly_eps_does_not_count(self):
+        # a quarter turn moves every point exactly 1/4
+        assert rigid_time(make_rotation(4, 1), F(1, 4)) == 4
 
 
 class TestProximality:

@@ -1,0 +1,55 @@
+"""Canonical equivalence reports must stay byte-identical.
+
+``golden_reports.json`` maps each case below to the canonical JSON text of
+its report, recorded from an earlier version of the harness.  A refactor of
+the harness, the checkers or the kernels under them must reproduce every
+byte: verdicts, exactness flags, witnesses, notes and item order.
+"""
+
+import json
+import os
+
+import pytest
+
+from fuzzdyn.cli import parse_system_spec
+from fuzzdyn.serialize import canonical_json, report_to_jsonable
+from fuzzdyn.theorems import THEOREM_IDS, verify_theorem
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_reports.json")
+
+#: the theorems that accept a shift of finite type
+SHIFT_THEOREMS = ("transitivity", "mixing", "f-mixing", "mild-mixing",
+                  "a-transitivity")
+
+#: (theorem, system spec, m, state cap or None for the default)
+CASES = (
+    [(t, spec, 2, None) for spec in ("rotation:4,1", "gridmap:half,4")
+     for t in THEOREM_IDS]
+    + [(t, "goldenmean:2", 1, None) for t in SHIFT_THEOREMS]
+    + [("cut-lemma", "rotation:5,1", 2, 100),          # sampled states
+       ("uniform-rigidity", "rotation:4,1", 2, 20)]    # cut reduction too
+)
+
+
+def case_key(theorem, spec, m, cap):
+    key = f"{theorem} {spec} m={m}"
+    return key if cap is None else f"{key} state_cap={cap}"
+
+
+def report_text(theorem, spec, m, cap):
+    kwargs = {} if cap is None else {"state_cap": cap}
+    report = verify_theorem(theorem, parse_system_spec(spec), m=m, **kwargs)
+    return canonical_json(report_to_jsonable(report))
+
+
+with open(GOLDEN) as handle:
+    GOLDEN_TEXT = json.load(handle)
+
+
+def test_golden_covers_every_case():
+    assert sorted(GOLDEN_TEXT) == sorted(case_key(*c) for c in CASES)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: case_key(*c))
+def test_report_byte_identical(case):
+    assert report_text(*case) == GOLDEN_TEXT[case_key(*case)]

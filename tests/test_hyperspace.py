@@ -236,8 +236,10 @@ def test_env_var_caps_enumeration(monkeypatch):
         list(enumerate_compacts(circle_space(5)))
     with pytest.raises(BoundExceeded):
         lift_system(make_rotation(5, 1))
-    monkeypatch.setenv("FUZZDYN_MAX_POINTS", "not-a-number")
-    assert len(list(enumerate_compacts(circle_space(5)))) == 31
+    for bad in ("not-a-number", "-5", "0"):
+        monkeypatch.setenv("FUZZDYN_MAX_POINTS", bad)
+        with pytest.raises(InputError):
+            list(enumerate_compacts(circle_space(5)))
 
 
 def test_displacement_curve_matches_bruteforce():

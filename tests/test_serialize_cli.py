@@ -239,6 +239,15 @@ class TestCli:
           "--horizon", "0"], None),
         (["check", "--system", "rotation:3,1", "--props", "transitivity",
           "--horizon", "-3"], None),
+        (["check", "--props", "transitivity", "--system", "json:" + json.dumps(
+            {"kind": "finite", "points": ["a", "b"],
+             "dist": [["0", "1/2"], ["1", "0"]],
+             "map": {"a": "b", "b": "a"}})], None),
+        (["check", "--props", "transitivity", "--system", "json:" + json.dumps(
+            {"kind": "finite", "points": ["a", "b", "c"],
+             "dist": [["0", "1/4", "1"], ["1/4", "0", "1/4"],
+                      ["1", "1/4", "0"]],
+             "map": {"a": "a", "b": "b", "c": "c"}})], None),
     ])
     def test_malformed_input_one_line_error(self, tmp_path, args, g_doc):
         if g_doc is not None:

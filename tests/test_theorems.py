@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from fuzzdyn.errors import InputError
-from fuzzdyn.fuzzy import GFunction, LevelGrid
+from fuzzdyn.fuzzy import FuzzySet, GFunction, LevelGrid
 from fuzzdyn.spaces import (make_grid_interval_map, make_multiply,
                             make_rotation, one_point_system)
 from fuzzdyn.symbolic import full_shift
@@ -191,6 +191,18 @@ class TestCutLemmaTheorem:
         item = rep.items[0]
         assert item.status == "holds"
         assert not item.exact and "sampled" in item.note
+
+    def test_mismatch_witness_names_state_time_and_level(self, monkeypatch):
+        # a broken subset image makes every nonempty right-hand side empty
+        import fuzzdyn.theorems as theorems
+        monkeypatch.setattr(theorems, "_mask_image", lambda mask, bits: 0)
+        sys = make_rotation(3, 1)
+        rep = verify_theorem("cut-lemma", sys, m=2, horizon=2)
+        item = rep.items[0]
+        assert item.status == "fails"
+        # the first state in enumeration order with a nonempty cut
+        first = FuzzySet(sys.space, LevelGrid(2), (0, 0, F(1, 2)))
+        assert dict(item.witnesses)["mismatch"] == (repr(first), 1, "1/2")
 
 
 class TestReportMachinery:
