@@ -20,15 +20,16 @@ Open-set quantifiers always range over a declared basis:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import InputError
-from .families import (FamilyClassifier, IndexSet, classify_cofinite,
-                       difference_set, fs_set)
+from .families import FamilyClassifier, IndexSet, difference_set, fs_set
 from .hyperspace import CompactSet
 from .spaces import (MetricSpace, Point, SystemMap, ZERO, as_fraction,
                      iterate_tables, point_label, product_system)
@@ -123,9 +124,27 @@ def points_open(space: MetricSpace, members: Iterable[Point],
     return PointsOpen(space, indices, label)
 
 
-def singleton_basis(space: MetricSpace) -> tuple[PointsOpen, ...]:
-    return tuple(_SingletonOpen(space, frozenset((i,)))
-                 for i in range(len(space.points)))
+class _SingletonBasis(Sequence):
+    """The singleton balls of a table space, one per point in point order;
+    each open is built on first access and kept."""
+
+    def __init__(self, space: MetricSpace):
+        self.space = space
+        self._opens: list[PointsOpen | None] = [None] * len(space.points)
+
+    def __len__(self) -> int:
+        return len(self._opens)
+
+    def __getitem__(self, i: int) -> PointsOpen:
+        i = range(len(self._opens))[i]
+        hit = self._opens[i]
+        if hit is None:
+            hit = self._opens[i] = _SingletonOpen(self.space, frozenset((i,)))
+        return hit
+
+
+def singleton_basis(space: MetricSpace) -> Sequence[PointsOpen]:
+    return _SingletonBasis(space)
 
 
 def _open_indices(space: MetricSpace, u: PointsOpen) -> frozenset:
@@ -146,6 +165,17 @@ def validate_basis(space: MetricSpace, basis: Sequence[PointsOpen]) -> None:
         covered |= indices
     if len(covered) != len(space.points):
         raise InputError("basis does not cover the space")
+
+
+def _checked_basis(dyn, basis) -> Sequence:
+    """The oracle's default basis, or the caller's basis, which must cover
+    the space of a table system (the default basis covers it already)."""
+    if basis is None:
+        return dyn.default_basis()
+    basis = tuple(basis)
+    if isinstance(dyn, TableDyn):
+        validate_basis(dyn.sys.space, basis)
+    return basis
 
 
 # -- verdicts --------------------------------------------------------------
@@ -177,15 +207,17 @@ class Verdict:
 
 # -- dynamics oracles -------------------------------------------------------
 
+# Every oracle answers ``return_times(u, v, bound)`` with N(U, V) below the
+# bound as one bitset: bit n is set iff T^n(U) meets V and n < bound.
+
 class TableDyn:
     """Return-time oracle for a finite table system; exact via the eventual
     period of the map table."""
 
     def __init__(self, sys: SystemMap):
         self.sys = sys
-        self._orbits: dict[frozenset, list[frozenset]] = {}
 
-    def default_basis(self) -> tuple[PointsOpen, ...]:
+    def default_basis(self) -> Sequence[PointsOpen]:
         return singleton_basis(self.sys.space)
 
     def preperiod_period(self) -> tuple[int, int]:
@@ -195,30 +227,23 @@ class TableDyn:
         pre, per = self.sys.eventual_period()
         return pre + per
 
-    def _indices(self, u: PointsOpen) -> frozenset:
-        return _open_indices(self.sys.space, u)
-
-    def _images(self, start: frozenset) -> list[frozenset]:
-        hit = self._orbits.get(start)
-        if hit is None:
-            pre, per = self.sys.eventual_period()
-            tbl = self.sys.table
-            cur = start
-            hit = [cur]
-            for _ in range(pre + per - 1):
-                cur = frozenset(tbl[i] for i in cur)
-                hit.append(cur)
-            self._orbits[start] = hit
-        return hit
-
-    def return_membership(self, u: PointsOpen, v: PointsOpen, n: int) -> bool:
+    def return_times(self, u: PointsOpen, v: PointsOpen, bound: int) -> int:
+        """Walk the orbit of U up to pre + per, then repeat the period."""
         if not isinstance(u, PointsOpen) or not isinstance(v, PointsOpen):
             raise InputError("a table system quantifies over pointwise opens")
         pre, per = self.sys.eventual_period()
-        if n >= pre + per:
-            n = pre + (n - pre) % per
-        imgs = self._images(self._indices(u))
-        return bool(imgs[n] & self._indices(v))
+        tbl = self.sys.table
+        space = self.sys.space
+        cur, target = _open_indices(space, u), _open_indices(space, v)
+        bits = 0
+        for n in range(min(bound, pre + per)):
+            if not target.isdisjoint(cur):
+                bits |= 1 << n
+            cur = {tbl[i] for i in cur}
+        cycle = bits >> pre
+        for start in range(pre + per, bound, per):
+            bits |= cycle << start
+        return bits & ((1 << bound) - 1)
 
 
 class ShiftDyn:
@@ -239,8 +264,14 @@ class ShiftDyn:
     def exact_horizon(self) -> None:
         return None
 
-    def return_membership(self, u: CylinderOpen, v: CylinderOpen, n: int) -> bool:
-        return self.shift.return_membership(u.word, v.word, n)
+    def return_times(self, u: CylinderOpen, v: CylinderOpen, bound: int) -> int:
+        return self.shift.return_bits(u.word, v.word, bound)
+
+
+def _dilate(bits: int, a: int, bound: int) -> int:
+    """The bitset whose bit n < bound is bit a * n of ``bits``."""
+    digits = format(bits, "b")[::-1][::a][:bound]   # bit 0 first
+    return int(digits[::-1] or "0", 2)
 
 
 class ProductDyn:
@@ -277,10 +308,12 @@ class ProductDyn:
         pp = self.preperiod_period()
         return None if pp is None else pp[0] + pp[1]
 
-    def return_membership(self, u: ProductOpen, v: ProductOpen, n: int) -> bool:
-        return all(dyn.return_membership(up, vp, a * n)
-                   for (dyn, a), up, vp in
-                   zip(self.factors, u.parts, v.parts))
+    def return_times(self, u: ProductOpen, v: ProductOpen, bound: int) -> int:
+        bits = (1 << bound) - 1
+        for (dyn, a), up, vp in zip(self.factors, u.parts, v.parts):
+            times = dyn.return_times(up, vp, a * bound)
+            bits &= times if a == 1 else _dilate(times, a, bound)
+        return bits
 
 
 class HyperShiftDyn:
@@ -314,13 +347,13 @@ class HyperShiftDyn:
     def exact_horizon(self) -> None:
         return None
 
-    def return_membership(self, u: VietorisOpen, v: VietorisOpen, n: int) -> bool:
-        member = self.shift.return_membership
-        hits = [[member(uw, vw, n) for vw in v.words] for uw in u.words]
-        if not all(any(row) for row in hits):
-            return False
-        return all(any(hits[i][j] for i in range(len(u.words)))
-                   for j in range(len(v.words)))
+    def return_times(self, u: VietorisOpen, v: VietorisOpen, bound: int) -> int:
+        times = self.shift.return_bits
+        hits = [[times(uw, vw, bound) for vw in v.words] for uw in u.words]
+        bits = (1 << bound) - 1
+        for line in hits + list(zip(*hits)):
+            bits &= functools.reduce(operator.or_, line)
+        return bits
 
 
 def as_dyn(target):
@@ -328,7 +361,7 @@ def as_dyn(target):
         return TableDyn(target)
     if isinstance(target, ShiftSystem):
         return ShiftDyn(target)
-    if hasattr(target, "return_membership"):
+    if hasattr(target, "return_times"):
         return target
     raise InputError(f"not a dynamical system: {target!r}")
 
@@ -361,31 +394,14 @@ def return_time_set(target, u, v, horizon: int | None = None) -> IndexSet:
     if horizon is None:
         pp = dyn.preperiod_period()
         horizon = (pp[0] + 2 * pp[1]) if pp is not None else DEFAULT_SYMBOLIC_HORIZON
-    members = {n for n in range(horizon) if dyn.return_membership(u, v, n)}
-    return IndexSet.of(horizon, members)
+    return IndexSet.from_bits(horizon, dyn.return_times(u, v, horizon))
 
 
 def point_return_set(sys: SystemMap, x: Point, v, horizon: int | None = None) -> IndexSet:
     """N(x, V) = {n : T^n(x) in V} for a finite table system."""
     if not isinstance(sys, SystemMap):
         raise InputError("point return sets need a finite table system")
-    if isinstance(v, PointsOpen):
-        target = v.members
-    elif isinstance(v, CompactSet):
-        target = v.members
-    else:
-        target = frozenset(v)
-    if not target:
-        raise InputError("empty open rejected")
-    pre, per = sys.eventual_period()
-    horizon = horizon if horizon is not None else pre + 2 * per
-    i = sys.space.index(x)
-    members = set()
-    for n in range(horizon):
-        if sys.space.points[i] in target:
-            members.add(n)
-        i = sys.table[i]
-    return IndexSet.of(horizon, members)
+    return return_time_set(sys, [x], v, horizon)
 
 
 # -- orbits and recurrence ----------------------------------------------------
@@ -501,11 +517,9 @@ def _effective_horizon(dyn, horizon: int | None) -> tuple[int, bool]:
     return (horizon or DEFAULT_SYMBOLIC_HORIZON), False
 
 
-def _witness(dyn, u, v, bound: int) -> int | None:
-    for n in range(bound):
-        if dyn.return_membership(u, v, n):
-            return n
-    return None
+def _first(bits: int) -> int:
+    """The least n whose bit is set in a nonzero bitset."""
+    return (bits & -bits).bit_length() - 1
 
 
 def _fast_table_transitive(sys: SystemMap) -> Verdict:
@@ -535,21 +549,19 @@ def is_transitive(target, basis=None, horizon: int | None = None) -> Verdict:
     dyn = as_dyn(target)
     if isinstance(dyn, TableDyn) and basis is None and horizon is None:
         return _fast_table_transitive(dyn.sys)
-    basis = tuple(basis) if basis is not None else dyn.default_basis()
-    if isinstance(dyn, TableDyn):
-        validate_basis(dyn.sys.space, basis)
+    basis = _checked_basis(dyn, basis)
     bound, exact = _effective_horizon(dyn, horizon)
     witnesses = []
     for u in basis:
         for v in basis:
-            n = _witness(dyn, u, v, bound)
-            if n is None:
+            bits = dyn.return_times(u, v, bound)
+            if not bits:
                 return Verdict("fails", exact, horizon=bound,
                                counterexample=(open_label(u), open_label(v)),
                                note="no return time below the horizon"
                                     if not exact else "")
             if len(witnesses) < 8:
-                witnesses.append((open_label(u), open_label(v), n))
+                witnesses.append((open_label(u), open_label(v), _first(bits)))
     return Verdict("holds", exact, horizon=bound, witnesses=tuple(witnesses))
 
 
@@ -573,24 +585,20 @@ def is_weakly_mixing(target, basis=None, horizon: int | None = None,
             v = is_transitive(ProductDyn([(dyn, 1), (dyn, 1)]), basis=pbasis,
                               horizon=horizon)
         return replace(v, note="via 2-fold product")
-    basis = tuple(basis) if basis is not None else dyn.default_basis()
+    basis = _checked_basis(dyn, basis)
     bound, exact = _effective_horizon(dyn, horizon)
     witnesses = []
     for u in basis:
+        returns = dyn.return_times(u, u, bound)
         for v in basis:
-            got = None
-            for n in range(bound):
-                if (dyn.return_membership(u, u, n)
-                        and dyn.return_membership(u, v, n)):
-                    got = n
-                    break
-            if got is None:
+            both = returns & dyn.return_times(u, v, bound)
+            if not both:
                 return Verdict("fails", exact, horizon=bound,
                                counterexample=(open_label(u), open_label(v)),
                                note="N(U,U) and N(U,V) never overlap "
                                     "below the horizon")
             if len(witnesses) < 8:
-                witnesses.append((open_label(u), open_label(v), got))
+                witnesses.append((open_label(u), open_label(v), _first(both)))
     return Verdict("holds", exact, horizon=bound, witnesses=tuple(witnesses),
                    note="via return-time overlap")
 
@@ -599,45 +607,32 @@ def is_mixing(target, basis=None, horizon: int | None = None) -> Verdict:
     """Every N(U, V) is cofinite.  Exact on finite tables through the
     eventual period; horizon-classified on symbolic backends."""
     dyn = as_dyn(target)
-    basis = tuple(basis) if basis is not None else dyn.default_basis()
-    if isinstance(dyn, TableDyn):
-        validate_basis(dyn.sys.space, basis)
+    basis = _checked_basis(dyn, basis)
+    exact = isinstance(dyn, TableDyn)
+    if exact:
+        # cofinite iff every time from the preperiod on is a return time
         pre, per = dyn.sys.eventual_period()
-        window = pre + per
-        worst_tail = 0
-        for u in basis:
-            for v in basis:
-                mem = [dyn.return_membership(u, v, n) for n in range(window)]
-                if not all(mem[pre:]):
-                    miss = next(n for n in range(pre, window) if not mem[n])
-                    return Verdict("fails", True, horizon=window,
-                                   counterexample=(open_label(u),
-                                                   open_label(v), miss),
-                                   note="a full residue class of times is "
-                                        "missing")
-                tail = 0
-                for n in range(window - 1, -1, -1):
-                    if not mem[n]:
-                        tail = n + 1
-                        break
-                worst_tail = max(worst_tail, tail)
-        return Verdict("holds", True, horizon=window,
-                       witnesses=(("tail_start", worst_tail),))
-    bound, _ = _effective_horizon(dyn, horizon)
+        bound, tail_bound = pre + per, pre
+    else:
+        bound, _ = _effective_horizon(dyn, horizon)
+        tail_bound = bound // 2
     worst_tail = 0
     for u in basis:
         for v in basis:
-            s = IndexSet.of(bound, {n for n in range(bound)
-                                    if dyn.return_membership(u, v, n)})
-            res = classify_cofinite(s)
-            if not res.ok:
-                return Verdict("fails", False, horizon=bound,
-                               counterexample=(open_label(u), open_label(v)),
-                               note="not cofinite at the horizon")
-            worst_tail = max(worst_tail, res.tail_start)
-    return Verdict("holds", False, horizon=bound,
+            missing = ~dyn.return_times(u, v, bound) & ((1 << bound) - 1)
+            tail = missing.bit_length()
+            if tail > tail_bound:
+                example = (open_label(u), open_label(v))
+                if exact:
+                    example += (pre + _first(missing >> pre),)
+                return Verdict("fails", exact, horizon=bound,
+                               counterexample=example,
+                               note="a full residue class of times is missing"
+                                    if exact else "not cofinite at the horizon")
+            worst_tail = max(worst_tail, tail)
+    return Verdict("holds", exact, horizon=bound,
                    witnesses=(("tail_start", worst_tail),),
-                   note="horizon evidence")
+                   note="" if exact else "horizon evidence")
 
 
 def is_F_transitive(target, family: FamilyClassifier, basis=None,
@@ -657,7 +652,7 @@ def is_F_transitive(target, family: FamilyClassifier, basis=None,
         else:
             target = ProductDyn([(dyn, 1), (dyn, 1)])
     dyn = as_dyn(target)
-    basis = tuple(basis) if basis is not None else dyn.default_basis()
+    basis = _checked_basis(dyn, basis)
     pp = dyn.preperiod_period()
     finite = pp is not None
     if finite:
@@ -670,14 +665,14 @@ def is_F_transitive(target, family: FamilyClassifier, basis=None,
     detail_any = None
     for u in basis:
         for v in basis:
-            mem = [dyn.return_membership(u, v, n) for n in range(window)]
-            s = IndexSet.of(window, {n for n, m in enumerate(mem) if m})
+            bits = dyn.return_times(u, v, window)
+            s = IndexSet.from_bits(window, bits)
             if exact:
-                periodic_part = mem[pre:pre + per]
+                periodic_part = bits >> pre & ((1 << per) - 1)
                 if family.kind in ("infinite", "syndetic"):
-                    ok = any(periodic_part)
+                    ok = periodic_part != 0
                 else:
-                    ok = all(periodic_part)
+                    ok = periodic_part == (1 << per) - 1
                 _, detail = family.classify(s)
             else:
                 ok, detail = family.classify(s)
@@ -764,16 +759,15 @@ def _ip_difference_evidence(target, horizon: int | None) -> bool:
         window = max(64, pre + 2 * per)
     else:
         window = horizon or DEFAULT_SYMBOLIC_HORIZON
-    witness_sets = [difference_set(fs_set(g, window))
+    witness_bits = [sum(1 << n for n in
+                        difference_set(fs_set(g, window)).members)
                     for g in IP_WITNESS_GENERATORS]
     basis = dyn.default_basis()
     for u in basis:
         for v in basis:
-            times = {n for n in range(window)
-                     if dyn.return_membership(u, v, n)}
-            for w in witness_sets:
-                if not (times & w.members):
-                    return False
+            times = dyn.return_times(u, v, window)
+            if not all(times & w for w in witness_bits):
+                return False
     return True
 
 
@@ -935,8 +929,7 @@ def is_sensitive(sys: SystemMap, eps, basis=None,
     if eps <= 0:
         raise InputError("eps must be positive")
     space = sys.space
-    basis = tuple(basis) if basis is not None else singleton_basis(space)
-    validate_basis(space, basis)
+    basis = _checked_basis(TableDyn(sys), basis)
     pre, per = sys.eventual_period()
     bound = horizon if horizon is not None else pre + per
     tables = iterate_tables(sys, bound)
@@ -962,8 +955,7 @@ def is_periodically_dense(sys: SystemMap, basis=None) -> Verdict:
     """Every basis open contains a periodic point."""
     _require_table(sys, "periodic density")
     space = sys.space
-    basis = tuple(basis) if basis is not None else singleton_basis(space)
-    validate_basis(space, basis)
+    basis = _checked_basis(TableDyn(sys), basis)
     periodic = _recurrent_indices(sys)
     for u in basis:
         if not (_open_indices(space, u) & periodic):

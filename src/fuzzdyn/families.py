@@ -33,6 +33,11 @@ class IndexSet:
     def of(cls, horizon: int, members: Iterable[int]) -> "IndexSet":
         return cls(horizon, frozenset(members))
 
+    @classmethod
+    def from_bits(cls, horizon: int, bits: int) -> "IndexSet":
+        """The set whose members are the set bits below the horizon."""
+        return cls.of(horizon, (n for n in range(horizon) if bits >> n & 1))
+
     def sorted_members(self) -> list[int]:
         return sorted(self.members)
 
@@ -72,15 +77,17 @@ def default_window(horizon: int) -> int:
     return max(1, horizon // 4)
 
 
-def _longest_missing_run(s: IndexSet) -> int:
+def _longest_run(s: IndexSet, inside: bool) -> int:
+    """Length of the longest run of consecutive n below the horizon whose
+    membership in the set equals ``inside``."""
     longest = 0
     run = 0
     for n in range(s.horizon):
-        if n in s.members:
-            run = 0
-        else:
+        if (n in s.members) == inside:
             run += 1
             longest = max(longest, run)
+        else:
+            run = 0
     return longest
 
 
@@ -93,7 +100,7 @@ def classify_syndetic(s: IndexSet, gap_threshold: int | None = None) -> Syndetic
     horizon on both sides.
     """
     r = gap_threshold if gap_threshold is not None else default_window(s.horizon)
-    missing = _longest_missing_run(s)
+    missing = _longest_run(s, inside=False)
     ok = missing + 1 <= r
     seq = [-1] + s.sorted_members() + [s.horizon - 1]
     gap = max((b - a for a, b in zip(seq, seq[1:])), default=s.horizon)
@@ -105,14 +112,7 @@ def classify_syndetic(s: IndexSet, gap_threshold: int | None = None) -> Syndetic
 def classify_thick(s: IndexSet, run_threshold: int | None = None) -> ThickResult:
     """Long-run verdict at horizon: a run of length >= r counts as thick."""
     r = run_threshold if run_threshold is not None else default_window(s.horizon)
-    longest = 0
-    run = 0
-    for n in range(s.horizon):
-        if n in s.members:
-            run += 1
-            longest = max(longest, run)
-        else:
-            run = 0
+    longest = _longest_run(s, inside=True)
     return ThickResult(longest >= r, longest)
 
 

@@ -22,9 +22,9 @@ from typing import Sequence
 
 from .errors import BoundExceeded, InputError
 from .hyperspace import (CompactSet, _mask_hausdorff, _min_to_mask_table,
-                         _scaled_matrix, hausdorff_distance)
-from .spaces import (MetricSpace, Point, SystemMap, ZERO, ONE, as_fraction,
-                     point_label)
+                         hausdorff_distance)
+from .spaces import (MetricSpace, Point, SystemMap, ZERO, ONE, _scaled_matrix,
+                     as_fraction, point_label)
 
 #: default cap on enumerated fuzzy states, (m+1)^|X|
 DEFAULT_STATE_CAP = 3 ** 9

@@ -8,14 +8,13 @@ empty set is never a state of the lifted system.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import BoundExceeded, InputError
-from .spaces import (MetricSpace, Point, SystemMap, ZERO, iterate_tables,
-                     max_points_cap, point_label)
+from .spaces import (MetricSpace, Point, SystemMap, ZERO, _scaled_matrix,
+                     iterate_tables, max_points_cap, point_label)
 
 #: hard cap for bitmask displacement scans (2^n states)
 DISPLACEMENT_MAX_POINTS = 16
@@ -135,21 +134,6 @@ def enumerate_compacts(space: MetricSpace, bound: int | None = None):
     pts = space.points
     for mask in range(1, 1 << n):
         yield CompactSet(space, (pts[i] for i in range(n) if mask >> i & 1))
-
-
-def _scaled_matrix(space: MetricSpace) -> tuple[int, list[list[int]]]:
-    """Distances as integers over one common denominator."""
-    if not space.has_table:
-        raise InputError("scaled matrix needs a dense distance table")
-    n = len(space.points)
-    denom = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            q = space.d_by_index(i, j).denominator
-            denom = denom * q // math.gcd(denom, q)
-    mat = [[int(space.d_by_index(i, j) * denom) for j in range(n)]
-           for i in range(n)]
-    return denom, mat
 
 
 def _min_to_mask_table(n: int, mat: list[list[int]]) -> list[list[int] | None]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
@@ -192,12 +193,25 @@ class MetricSpace:
                          if self.d_by_index(i, j) < r)
 
 
+def _scaled_matrix(space: MetricSpace) -> tuple[int, list[list[int]]]:
+    """Distances as integers over one common denominator: the lcm of the
+    denominators of every entry, so asymmetric tables scale exactly too."""
+    n = len(space.points)
+    d = space.d_by_index
+    denom = math.lcm(*(d(i, j).denominator
+                       for i in range(n) for j in range(n)))
+    return denom, [[int(d(i, j) * denom) for j in range(n)] for i in range(n)]
+
+
 def validate_metric(space: MetricSpace, point_bound: int = 512) -> list[str]:
     """Check all metric axioms exhaustively; return the list of violations.
 
     Validation never aborts on a bad metric; each violation names the
     offending pair or triple.  Works on lazy spaces too (distances are
-    evaluated on demand), guarded by ``point_bound``.
+    evaluated on demand), guarded by ``point_bound``.  Distances are
+    compared as scaled integers; a pair (i, k) is scanned for a triangle
+    violator j only when the least d(i, j) + d(j, k) over all j is below
+    d(i, k).
     """
     n = len(space.points)
     if n > point_bound:
@@ -205,21 +219,23 @@ def validate_metric(space: MetricSpace, point_bound: int = 512) -> list[str]:
     out: list[str] = []
     lab = [point_label(p) for p in space.points]
     d = space.d_by_index
+    _, mat = _scaled_matrix(space)
+    cols = list(zip(*mat))
     for i in range(n):
-        if d(i, i) != 0:
+        if mat[i][i] != 0:
             out.append(f"d({lab[i]},{lab[i]}) = {d(i, i)} != 0")
     for i in range(n):
         for j in range(i + 1, n):
-            if d(i, j) != d(j, i):
+            if mat[i][j] != mat[j][i]:
                 out.append(f"asymmetry at ({lab[i]},{lab[j]})")
-            if d(i, j) <= 0:
+            if mat[i][j] <= 0:
                 out.append(f"d({lab[i]},{lab[j]}) = {d(i, j)} not positive")
-    for i in range(n):
+    for i, row in enumerate(mat):
         for k in range(i + 1, n):
+            if min(map(operator.add, row, cols[k])) >= row[k]:
+                continue
             for j in range(n):
-                if j == i or j == k:
-                    continue
-                if d(i, k) > d(i, j) + d(j, k):
+                if j != i and j != k and row[k] > row[j] + mat[j][k]:
                     out.append(
                         f"triangle violation: d({lab[i]},{lab[k]}) > "
                         f"d({lab[i]},{lab[j]}) + d({lab[j]},{lab[k]})")

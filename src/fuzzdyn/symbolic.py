@@ -6,7 +6,7 @@ finite artifact works with two views of them:
 * a truncated word space of all legal length-k words under the ultrametric
   d(u, v) = 2^-(first disagreement index), which makes cylinder sets honest
   open balls, and
-* per-n return-time membership for cylinder pairs, decided exactly by word
+* return-time sets of cylinder pairs as bitsets, decided exactly by word
   overlap plus path counting in the transition graph.
 
 Membership of each individual n in N([u],[v]) is exact for the infinite
@@ -33,8 +33,8 @@ class ShiftSystem:
     word extends to an infinite legal point.
     """
 
-    __slots__ = ("alphabet", "resolution", "label", "_succ", "_mats",
-                 "_wspace", "_memo")
+    __slots__ = ("alphabet", "resolution", "label", "_succ", "_walk_cache",
+                 "_walk_length", "_wspace")
 
     def __init__(self, alphabet: Sequence[str] = "01",
                  edges: Iterable[tuple[str, str]] | None = None,
@@ -64,10 +64,9 @@ class ShiftSystem:
         full = len(pairs) == len(syms) ** 2
         self.label = label or (f"fullshift({len(syms)},k={resolution})" if full
                                else f"sft({len(syms)},k={resolution})")
-        self._mats: list[dict[str, frozenset]] = [
-            {a: frozenset([a]) for a in syms}]
+        self._walk_cache: dict[tuple[str, str], int] = {}
+        self._walk_length = 0
         self._wspace = None
-        self._memo: dict[tuple[str, str, int], bool] = {}
 
     def __repr__(self) -> str:
         return f"ShiftSystem({self.label!r})"
@@ -122,50 +121,43 @@ class ShiftSystem:
                                        label=f"words({self.label})")
         return self._wspace
 
-    def reachable_exact(self, a: str, b: str, steps: int) -> bool:
-        """Is there a path of exactly ``steps`` edges from a to b."""
-        while len(self._mats) <= steps:
-            prev = self._mats[-1]
-            nxt = {}
-            for x, reach in prev.items():
-                acc = set()
-                for y in reach:
-                    acc.update(self._succ[y])
-                nxt[x] = frozenset(acc)
-            self._mats.append(nxt)
-        return b in self._mats[steps][a]
+    def _walks(self, length: int) -> dict[tuple[str, str], int]:
+        """(a, b) -> bitset whose bit k is set iff a path of exactly k edges
+        leads from a to b, for every k < ``length``; rebuilt only when a
+        longer bitset is asked for."""
+        if self._walk_length < length:
+            length = max(length, 2 * self._walk_length)
+            walks = {(a, b): 0 for a in self.alphabet for b in self.alphabet}
+            for a in self.alphabet:
+                reach = {a}
+                for k in range(length):
+                    for b in reach:
+                        walks[a, b] |= 1 << k
+                    reach = {c for b in reach for c in self._succ[b]}
+            self._walk_cache, self._walk_length = walks, length
+        return self._walk_cache
+
+    def return_bits(self, u: str, v: str, bound: int) -> int:
+        """N([u], [v]) below ``bound`` as a bitset: bit n is set iff n is an
+        exact return time of the one-sided shift.  For n < len(u) the words
+        overlap, and legal words agreeing on their overlap merge into a
+        legal word; for n >= len(u) a path of n - len(u) + 1 edges must lead
+        from the last symbol of u to the first of v."""
+        if not self.is_legal(u) or not self.is_legal(v):
+            raise InputError("cylinder words must be legal and nonempty")
+        bits = sum(1 << n for n in range(min(len(u), bound))
+                   if u[n:n + len(v)] == v[:len(u) - n])
+        if bound > len(u):
+            paths = self._walks(bound - len(u) + 1)[u[-1], v[0]]
+            bits |= (paths >> 1) << len(u)
+        return bits & ((1 << max(bound, 0)) - 1)
 
     def return_membership(self, u: str, v: str, n: int) -> bool:
         """Exact decision of n in N([u], [v]) for the one-sided shift."""
-        key = (u, v, n)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._return_membership(u, v, n)
-            self._memo[key] = hit
-        return hit
-
-    def _return_membership(self, u: str, v: str, n: int) -> bool:
-        if not self.is_legal(u) or not self.is_legal(v):
-            raise InputError("cylinder words must be legal and nonempty")
-        if n < 0:
-            return False
-        if n >= len(u):
-            gap = n - len(u)
-            return self.reachable_exact(u[-1], v[0], gap + 1)
-        # overlap: build the merged constraint word and check it is legal
-        length = max(len(u), n + len(v))
-        merged = []
-        for i in range(length):
-            from_u = u[i] if i < len(u) else None
-            from_v = v[i - n] if n <= i < n + len(v) else None
-            if from_u is not None and from_v is not None and from_u != from_v:
-                return False
-            merged.append(from_u if from_u is not None else from_v)
-        return all(self.follows(a, b) for a, b in zip(merged, merged[1:]))
+        return bool(self.return_bits(u, v, n + 1) >> max(n, 0) & 1)
 
     def return_times(self, u: str, v: str, horizon: int = DEFAULT_HORIZON) -> IndexSet:
-        members = {n for n in range(horizon) if self.return_membership(u, v, n)}
-        return IndexSet.of(horizon, members)
+        return IndexSet.from_bits(horizon, self.return_bits(u, v, horizon))
 
 
 def full_shift(symbols: int = 2, resolution: int = 3) -> ShiftSystem:

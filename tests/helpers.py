@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from fuzzdyn.spaces import MetricSpace, SystemMap, circle_space
+from fuzzdyn.spaces import MetricSpace, SystemMap, circle_space, point_label
 
 
 def brute_directed(space, src, dst):
@@ -56,6 +56,30 @@ def shift_brute_member(shift, u, v, n):
         if w.startswith(u) and w[n:n + len(v)] == v:
             return True
     return False
+
+
+def brute_metric_violations(space):
+    """Every metric axiom checked on Fraction distances, one message per
+    violation, in the order pairs and triples are visited."""
+    n = len(space.points)
+    lab = [point_label(p) for p in space.points]
+    d = space.d_by_index
+    out = [f"d({lab[i]},{lab[i]}) = {d(i, i)} != 0"
+           for i in range(n) if d(i, i) != 0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d(i, j) != d(j, i):
+                out.append(f"asymmetry at ({lab[i]},{lab[j]})")
+            if d(i, j) <= 0:
+                out.append(f"d({lab[i]},{lab[j]}) = {d(i, j)} not positive")
+    for i in range(n):
+        for k in range(i + 1, n):
+            for j in range(n):
+                if j not in (i, k) and d(i, k) > d(i, j) + d(j, k):
+                    out.append(
+                        f"triangle violation: d({lab[i]},{lab[k]}) > "
+                        f"d({lab[i]},{lab[j]}) + d({lab[j]},{lab[k]})")
+    return out
 
 
 def random_table_system(rng, n_points, label="random"):

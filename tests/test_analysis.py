@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fuzzdyn.analysis import (HyperShiftDyn, ProductDyn, ShiftDyn,
+from fuzzdyn.analysis import (CylinderOpen, HyperShiftDyn, ProductDyn,
+                              ProductOpen, ShiftDyn, TableDyn, VietorisOpen,
                               diam_decay, equicontinuity_modulus,
                               is_a_transitive, is_F_transitive,
                               is_mildly_mixing_bounded, is_mixing, is_n_rigid,
@@ -23,8 +26,9 @@ from fuzzdyn.hyperspace import lift_system
 from fuzzdyn.spaces import (SystemMap, circle_space, make_grid_interval_map,
                             make_multiply, make_rotation, one_point_system,
                             product_system)
-from fuzzdyn.symbolic import full_shift
-from helpers import brute_return_times, random_table_system
+from fuzzdyn.symbolic import ShiftSystem, full_shift
+from helpers import (brute_return_times, random_table_system,
+                     shift_brute_member)
 
 F = Fraction
 
@@ -460,7 +464,8 @@ class TestProductDyn:
         v = [o for o in pd.default_basis()
              if o.parts[0].members == frozenset({2})][0]
         # (T^2)^n hits 2 from 0 when 2n = 2 mod 4
-        times = [n for n in range(8) if pd.return_membership(u, v, n)]
+        bits = pd.return_times(u, v, 8)
+        times = [n for n in range(8) if bits >> n & 1]
         assert times == [1, 3, 5, 7]
 
     def test_mixed_product_shift_and_cycle(self):
@@ -510,7 +515,133 @@ def test_hyper_shift_vietoris_matches_subset_search():
     basis = [b for b in hd.default_basis() if len(b.words) <= 2]
     for u in basis[:12]:
         for v in basis[:12]:
+            bits = hd.return_times(u, v, 2)
             for n in range(0, 2):
-                got = hd.return_membership(u, v, n)
+                got = bool(bits >> n & 1)
                 want = brute(u.words, v.words, n)
                 assert got == want, (u, v, n)
+
+
+# -- each oracle's return-time bitset against the definitions ----------------
+
+def bit_members(bits, bound):
+    assert 0 <= bits < 1 << bound
+    return {n for n in range(bound) if bits >> n & 1}
+
+
+@st.composite
+def small_tables(draw, max_points=7):
+    n = draw(st.integers(1, max_points))
+    table = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return SystemMap(circle_space(n), table, label="random")
+
+
+@st.composite
+def point_sets(draw, sys):
+    return draw(st.sets(st.sampled_from(sys.space.points), min_size=1))
+
+
+@st.composite
+def small_shifts(draw):
+    """A shift on up to three symbols: a cycle through every symbol keeps
+    each vertex in- and out-going, random edges come on top."""
+    syms = "abc"[:draw(st.integers(1, 3))]
+    cycle = {(a, syms[(i + 1) % len(syms)]) for i, a in enumerate(syms)}
+    extra = draw(st.sets(st.tuples(st.sampled_from(syms),
+                                   st.sampled_from(syms))))
+    return ShiftSystem(syms, cycle | extra, resolution=2)
+
+
+class TestOracleBitsets:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_table_folds_the_period(self, data):
+        sys = data.draw(small_tables())
+        u, v = data.draw(point_sets(sys)), data.draw(point_sets(sys))
+        pre, per = sys.eventual_period()
+        bound = pre + per + data.draw(st.integers(0, 3 * per + 2))
+        bits = TableDyn(sys).return_times(points_open(sys.space, u),
+                                          points_open(sys.space, v), bound)
+        assert bit_members(bits, bound) == brute_return_times(sys, u, v,
+                                                              bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_shift_matches_word_enumeration(self, data):
+        shift = data.draw(small_shifts())
+        words = shift.cylinders(3)
+        u, v = data.draw(st.sampled_from(words)), data.draw(
+            st.sampled_from(words))
+        bound = data.draw(st.integers(0, 6))
+        bits = ShiftDyn(shift).return_times(CylinderOpen(u), CylinderOpen(v),
+                                            bound)
+        assert bit_members(bits, bound) == {
+            n for n in range(bound) if shift_brute_member(shift, u, v, n)}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_product_dilates_each_factor(self, data):
+        factors = data.draw(st.lists(
+            st.tuples(small_tables(5), st.integers(1, 3)),
+            min_size=1, max_size=2))
+        opens = [(data.draw(point_sets(sys)), data.draw(point_sets(sys)))
+                 for sys, _ in factors]
+        bound = data.draw(st.integers(0, 16))
+        pd = ProductDyn([(TableDyn(sys), a) for sys, a in factors])
+        u = ProductOpen(tuple(points_open(sys.space, pu)
+                              for (sys, _), (pu, _) in zip(factors, opens)))
+        v = ProductOpen(tuple(points_open(sys.space, pv)
+                              for (sys, _), (_, pv) in zip(factors, opens)))
+        factor_times = [brute_return_times(sys, pu, pv, a * bound)
+                        for (sys, a), (pu, pv) in zip(factors, opens)]
+        want = {n for n in range(bound)
+                if all(a * n in times for (_, a), times
+                       in zip(factors, factor_times))}
+        assert bit_members(pd.return_times(u, v, bound), bound) == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_vietoris_matches_rows_and_columns(self, data):
+        shift = data.draw(small_shifts())
+        words = shift.cylinders(2)
+        u_words = tuple(data.draw(st.lists(st.sampled_from(words),
+                                           min_size=1, max_size=2)))
+        v_words = tuple(data.draw(st.lists(st.sampled_from(words),
+                                           min_size=1, max_size=2)))
+        bound = data.draw(st.integers(0, 5))
+        bits = HyperShiftDyn(shift).return_times(
+            VietorisOpen(u_words), VietorisOpen(v_words), bound)
+
+        def meets(a, b, n):
+            return shift_brute_member(shift, a, b, n)
+
+        want = {n for n in range(bound)
+                if all(any(meets(a, b, n) for b in v_words) for a in u_words)
+                and all(any(meets(a, b, n) for a in u_words)
+                        for b in v_words)}
+        assert bit_members(bits, bound) == want
+
+
+def test_table_checkers_reject_a_basis_that_misses_points():
+    r = make_rotation(4, 1)
+    partial = [points_open(r.space, [0])]
+    for check in (lambda: is_transitive(r, basis=partial),
+                  lambda: is_weakly_mixing(r, basis=partial, method="lemma"),
+                  lambda: is_mixing(r, basis=partial),
+                  lambda: is_F_transitive(r, thick_family(), basis=partial)):
+        with pytest.raises(InputError):
+            check()
+
+
+class TestSingletonBasis:
+    def test_opens_built_on_access_and_kept(self):
+        space = circle_space(5)
+        basis = singleton_basis(space)
+        assert len(basis) == 5
+        assert basis[2] is basis[2]
+        assert basis[-1] is basis[4]
+        assert [u.indices for u in basis] == [frozenset({i})
+                                             for i in range(5)]
+        assert basis[3].label == "B(3)"
+        with pytest.raises(IndexError):
+            basis[5]

@@ -21,24 +21,35 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden_reports.json")
 SHIFT_THEOREMS = ("transitivity", "mixing", "f-mixing", "mild-mixing",
                   "a-transitivity")
 
-#: (theorem, system spec, m, state cap or None for the default)
+#: a period-2 shift of finite type: every shift item fails on it
+PERIOD_2_SFT = ('json:{"kind":"sft","alphabet":["a","b"],'
+                '"edges":[["a","b"],["b","a"]],"resolution":2}')
+
+#: (theorem, system spec, m, state cap or None for the default
+#: [, horizon or None for the default])
 CASES = (
     [(t, spec, 2, None) for spec in ("rotation:4,1", "gridmap:half,4")
      for t in THEOREM_IDS]
-    + [(t, "goldenmean:2", 1, None) for t in SHIFT_THEOREMS]
+    + [(t, spec, 1, None) for spec in ("goldenmean:2", PERIOD_2_SFT,
+                                       "fullshift:2,2")
+       for t in SHIFT_THEOREMS]
     + [("cut-lemma", "rotation:5,1", 2, 100),          # sampled states
-       ("uniform-rigidity", "rotation:4,1", 2, 20)]    # cut reduction too
+       ("uniform-rigidity", "rotation:4,1", 2, 20),    # cut reduction too
+       ("mixing", "goldenmean:2", 1, None, 16)]        # horizon-limited
 )
 
 
-def case_key(theorem, spec, m, cap):
+def case_key(theorem, spec, m, cap, horizon=None):
     key = f"{theorem} {spec} m={m}"
-    return key if cap is None else f"{key} state_cap={cap}"
+    if cap is not None:
+        key += f" state_cap={cap}"
+    return key if horizon is None else f"{key} horizon={horizon}"
 
 
-def report_text(theorem, spec, m, cap):
+def report_text(theorem, spec, m, cap, horizon=None):
     kwargs = {} if cap is None else {"state_cap": cap}
-    report = verify_theorem(theorem, parse_system_spec(spec), m=m, **kwargs)
+    report = verify_theorem(theorem, parse_system_spec(spec), m=m,
+                            horizon=horizon, **kwargs)
     return canonical_json(report_to_jsonable(report))
 
 

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from fuzzdyn.catalog import base_catalog, catalog_upto
 from fuzzdyn.errors import BoundExceeded, InputError
+from fuzzdyn.hyperspace import lift_system
 from fuzzdyn.spaces import (MetricSpace, SystemMap, circle_space,
                             eventual_period, interval_grid_space, iterate,
                             make_grid_interval_map, make_multiply,
                             make_rotation, one_point_system, product_system,
                             validate_metric)
+from helpers import brute_metric_violations
 
 F = Fraction
 
@@ -39,6 +41,32 @@ class TestValidateMetric:
     def test_all_catalog_spaces_clean(self):
         for sys in base_catalog():
             assert validate_metric(sys.space) == [], sys.label
+
+
+@st.composite
+def distance_tables(draw, max_points=6):
+    """Square tables with asymmetric, zero, negative and triangle-violating
+    entries; about half are mirrored to be symmetric."""
+    n = draw(st.integers(1, max_points))
+    value = st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2),
+                             F(5), F(-1, 2)])
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [[rows[min(i, j)][max(i, j)] if i != j else F(0)
+                 for j in range(n)] for i in range(n)]
+    return MetricSpace([f"p{i}" for i in range(n)], matrix=rows)
+
+
+class TestValidateMetricOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(distance_tables())
+    def test_matches_fraction_oracle(self, space):
+        assert validate_metric(space) == brute_metric_violations(space)
+
+    def test_lazy_space_matches_oracle(self):
+        space = lift_system(make_rotation(3, 1)).space
+        assert validate_metric(space) == brute_metric_violations(space) == []
 
 
 class TestRotation:
