@@ -32,7 +32,7 @@ from .errors import InputError
 from .families import FamilyClassifier, IndexSet, difference_set, fs_set
 from .hyperspace import CompactSet
 from .spaces import (MetricSpace, Point, SystemMap, ZERO, as_fraction,
-                     iterate_tables, point_label, product_system)
+                     iterate, iterate_tables, point_label)
 from .symbolic import ShiftSystem
 
 DEFAULT_SYMBOLIC_HORIZON = 64
@@ -110,6 +110,10 @@ def open_label(u) -> str:
     if isinstance(u, CylinderOpen):
         return f"[{u.word}]"
     if isinstance(u, ProductOpen):
+        # B(x) x B(y) is B((x,y)) under the max metric
+        if all(isinstance(p, _SingletonOpen) for p in u.parts):
+            point = tuple(p.space.points[i] for p in u.parts for i in p.indices)
+            return f"B({point_label(point)})"
         return "(" + ",".join(open_label(p) for p in u.parts) + ")"
     if isinstance(u, VietorisOpen):
         return "<" + ",".join(f"[{w}]" for w in u.words) + ">"
@@ -223,10 +227,6 @@ class TableDyn:
     def preperiod_period(self) -> tuple[int, int]:
         return self.sys.eventual_period()
 
-    def exact_horizon(self) -> int:
-        pre, per = self.sys.eventual_period()
-        return pre + per
-
     def return_times(self, u: PointsOpen, v: PointsOpen, bound: int) -> int:
         """Walk the orbit of U up to pre + per, then repeat the period."""
         if not isinstance(u, PointsOpen) or not isinstance(v, PointsOpen):
@@ -261,9 +261,6 @@ class ShiftDyn:
     def preperiod_period(self) -> None:
         return None
 
-    def exact_horizon(self) -> None:
-        return None
-
     def return_times(self, u: CylinderOpen, v: CylinderOpen, bound: int) -> int:
         return self.shift.return_bits(u.word, v.word, bound)
 
@@ -274,9 +271,20 @@ def _dilate(bits: int, a: int, bound: int) -> int:
     return int(digits[::-1] or "0", 2)
 
 
+@dataclass(frozen=True)
+class _BoxBasis:
+    """The boxes of the factor bases, built while they are iterated: the
+    product basis has the product of the factor sizes as its size."""
+    bases: tuple
+
+    def __iter__(self):
+        return map(ProductOpen, itertools.product(*self.bases))
+
+
 class ProductDyn:
     """Product of oracles with per-factor exponents; membership is decided
-    coordinatewise: n is a return time iff a_i * n is one for each factor."""
+    coordinatewise: n is a return time iff a_i * n is one for each factor.
+    The oracle keeps each dilated factor bitset it computes."""
 
     def __init__(self, factors: Sequence[tuple[object, int]]):
         if not factors:
@@ -285,11 +293,11 @@ class ProductDyn:
             if e < 1:
                 raise InputError("exponents must be positive")
         self.factors = tuple(factors)
+        self._factor_times: dict[tuple, int] = {}
 
-    def default_basis(self) -> tuple[ProductOpen, ...]:
-        bases = [dyn.default_basis() for dyn, _ in self.factors]
-        return tuple(ProductOpen(parts)
-                     for parts in itertools.product(*bases))
+    def default_basis(self) -> _BoxBasis:
+        return _BoxBasis(tuple(tuple(dyn.default_basis())
+                               for dyn, _ in self.factors))
 
     def preperiod_period(self) -> tuple[int, int] | None:
         pre_star, per_star = 0, 1
@@ -304,15 +312,15 @@ class ProductDyn:
             per_star = per_star * per_i // math.gcd(per_star, per_i)
         return pre_star, per_star
 
-    def exact_horizon(self) -> int | None:
-        pp = self.preperiod_period()
-        return None if pp is None else pp[0] + pp[1]
-
     def return_times(self, u: ProductOpen, v: ProductOpen, bound: int) -> int:
-        bits = (1 << bound) - 1
-        for (dyn, a), up, vp in zip(self.factors, u.parts, v.parts):
-            times = dyn.return_times(up, vp, a * bound)
-            bits &= times if a == 1 else _dilate(times, a, bound)
+        bits, times = (1 << bound) - 1, self._factor_times
+        for k, (up, vp) in enumerate(zip(u.parts, v.parts)):
+            key = (k, up, vp, bound)
+            if key not in times:
+                dyn, a = self.factors[k]
+                times[key] = _dilate(dyn.return_times(up, vp, a * bound), a,
+                                     bound)
+            bits &= times[key]
         return bits
 
 
@@ -342,9 +350,6 @@ class HyperShiftDyn:
         return tuple(out)
 
     def preperiod_period(self) -> None:
-        return None
-
-    def exact_horizon(self) -> None:
         return None
 
     def return_times(self, u: VietorisOpen, v: VietorisOpen, bound: int) -> int:
@@ -508,9 +513,11 @@ def is_weakly_rigid_upto(sys: SystemMap, n_max: int,
 # -- transitivity and mixing ---------------------------------------------------
 
 def _effective_horizon(dyn, horizon: int | None) -> tuple[int, bool]:
-    """(scan bound, exact?) for existence quantifiers over n."""
-    h = dyn.exact_horizon()
-    if h is not None:
+    """(scan bound, exact?) for existence quantifiers over n: a scan to
+    preperiod + period exhausts them."""
+    pp = dyn.preperiod_period()
+    if pp is not None:
+        h = pp[0] + pp[1]
         if horizon is None or horizon >= h:
             return h, True
         return horizon, False
@@ -522,24 +529,37 @@ def _first(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
-def _fast_table_transitive(sys: SystemMap) -> Verdict:
-    """Singleton-basis transitivity: every point reaches every point."""
-    pre, per = sys.eventual_period()
+def _fast_table_transitive(dyn) -> Verdict | None:
+    """Singleton-basis transitivity of a table system or of a product of
+    table systems: every state reaches every state.  Product states are
+    tuples of factor indices, visited in the order of the box basis.  None
+    when some factor is not a table system."""
+    product = isinstance(dyn, ProductDyn)
+    factors = dyn.factors if product else ((dyn, 1),)
+    if not all(isinstance(f, TableDyn) for f, _ in factors):
+        return None
+    tables = [iterate(f.sys, a).table for f, a in factors]
+    pre, per = dyn.preperiod_period()
     steps = pre + per
-    n_pts = len(sys.space.points)
-    tbl = sys.table
-    for start in range(n_pts):
+    ranges = [range(len(t)) for t in tables]
+    bases = [f.default_basis() for f, _ in factors]
+
+    def ball(state: tuple) -> str:
+        parts = tuple(b[i] for b, i in zip(bases, state))
+        return open_label(ProductOpen(parts) if product else parts[0])
+
+    n_states = math.prod(map(len, ranges))
+    for start in itertools.product(*ranges):
         reached = set()
-        i = start
+        cur = start
         for _ in range(steps):
-            reached.add(i)
-            i = tbl[i]
-        if len(reached) < n_pts:
-            missing = min(set(range(n_pts)) - reached)
-            cu = f"B({point_label(sys.space.points[start])})"
-            cv = f"B({point_label(sys.space.points[missing])})"
+            reached.add(cur)
+            cur = tuple(map(tuple.__getitem__, tables, cur))
+        if len(reached) < n_states:
+            missing = next(s for s in itertools.product(*ranges)
+                           if s not in reached)
             return Verdict("fails", True, horizon=steps,
-                           counterexample=(cu, cv),
+                           counterexample=(ball(start), ball(missing)),
                            note="orbit never meets the target ball")
     return Verdict("holds", True, horizon=steps)
 
@@ -547,8 +567,9 @@ def _fast_table_transitive(sys: SystemMap) -> Verdict:
 def is_transitive(target, basis=None, horizon: int | None = None) -> Verdict:
     """Every pair of basis opens communicates: N(U, V) is nonempty."""
     dyn = as_dyn(target)
-    if isinstance(dyn, TableDyn) and basis is None and horizon is None:
-        return _fast_table_transitive(dyn.sys)
+    fast = basis is None and horizon is None and _fast_table_transitive(dyn)
+    if fast:
+        return fast
     basis = _checked_basis(dyn, basis)
     bound, exact = _effective_horizon(dyn, horizon)
     witnesses = []
@@ -565,6 +586,15 @@ def is_transitive(target, basis=None, horizon: int | None = None) -> Verdict:
     return Verdict("holds", exact, horizon=bound, witnesses=tuple(witnesses))
 
 
+def _square(dyn, basis) -> tuple:
+    """The 2-fold product oracle and, for a caller's basis (checked on the
+    factor), its boxes; None stands for the product's default basis."""
+    if basis is not None:
+        basis = _checked_basis(dyn, basis)
+        basis = map(ProductOpen, itertools.product(basis, basis))
+    return ProductDyn([(dyn, 1), (dyn, 1)]), basis
+
+
 def is_weakly_mixing(target, basis=None, horizon: int | None = None,
                      method: str = "product") -> Verdict:
     """Transitivity of the 2-fold product, or the return-time overlap
@@ -573,17 +603,7 @@ def is_weakly_mixing(target, basis=None, horizon: int | None = None,
         raise InputError("method must be 'product' or 'lemma'")
     dyn = as_dyn(target)
     if method == "product":
-        if isinstance(dyn, TableDyn) and basis is None:
-            prod = product_system([(dyn.sys, 1), (dyn.sys, 1)])
-            v = is_transitive(prod, horizon=horizon)
-        else:
-            pbasis = None
-            if basis is not None:
-                basis = tuple(basis)
-                pbasis = tuple(ProductOpen(p)
-                               for p in itertools.product(basis, basis))
-            v = is_transitive(ProductDyn([(dyn, 1), (dyn, 1)]), basis=pbasis,
-                              horizon=horizon)
+        v = is_transitive(*_square(dyn, basis), horizon=horizon)
         return replace(v, note="via 2-fold product")
     basis = _checked_basis(dyn, basis)
     bound, exact = _effective_horizon(dyn, horizon)
@@ -639,19 +659,16 @@ def is_F_transitive(target, family: FamilyClassifier, basis=None,
                     horizon: int | None = None, mixing: bool = False) -> Verdict:
     """Every N(U, V) belongs to the family.
 
-    With ``mixing`` the check runs on the 2-fold product.  On finite tables
-    the eventually periodic structure decides the built-in tail families
-    exactly: a set with a nonempty periodic part has bounded gaps (syndetic
-    and infinite coincide), and one with a full periodic part is cofinite
-    (thick and cofinite coincide).  Sum-based membership stays bounded.
+    With ``mixing`` the check runs on the 2-fold product, over the boxes of
+    the basis when one is given.  On finite tables the eventually periodic
+    structure decides the built-in tail families exactly: a set with a
+    nonempty periodic part has bounded gaps (syndetic and infinite
+    coincide), and one with a full periodic part is cofinite (thick and
+    cofinite coincide).  Sum-based membership stays bounded.
     """
-    if mixing:
-        dyn = as_dyn(target)
-        if isinstance(dyn, TableDyn):
-            target = product_system([(dyn.sys, 1), (dyn.sys, 1)])
-        else:
-            target = ProductDyn([(dyn, 1), (dyn, 1)])
     dyn = as_dyn(target)
+    if mixing:
+        dyn, basis = _square(dyn, basis)
     basis = _checked_basis(dyn, basis)
     pp = dyn.preperiod_period()
     finite = pp is not None
@@ -689,36 +706,21 @@ def is_F_transitive(target, family: FamilyClassifier, basis=None,
                    note="" if exact else "horizon evidence")
 
 
-def is_a_transitive(target, exponents: Sequence[int], basis=None,
+def is_a_transitive(target, exponents: Sequence[int],
                     horizon: int | None = None) -> Verdict:
     """Transitivity of the product advanced by the given exponent vector."""
     exps = tuple(exponents)
     if not exps or any(e < 1 for e in exps):
         raise InputError("exponent vector must be nonempty and positive")
     dyn = as_dyn(target)
-    if isinstance(dyn, TableDyn) and basis is None:
-        prod = product_system([(dyn.sys, e) for e in exps])
-        v = is_transitive(prod, horizon=horizon)
-    else:
-        pdyn = ProductDyn([(dyn, e) for e in exps])
-        v = is_transitive(pdyn, horizon=horizon)
+    v = is_transitive(ProductDyn([(dyn, e) for e in exps]), horizon=horizon)
     return replace(v, note=f"exponents {exps}")
 
 
-def weakly_disjoint(a, b, basis_a=None, basis_b=None,
-                    horizon: int | None = None) -> Verdict:
+def weakly_disjoint(a, b, horizon: int | None = None) -> Verdict:
     """Transitivity of the heterogeneous product of the two systems."""
-    da, db = as_dyn(a), as_dyn(b)
-    if (isinstance(da, TableDyn) and isinstance(db, TableDyn)
-            and basis_a is None and basis_b is None):
-        prod = product_system([(da.sys, 1), (db.sys, 1)])
-        v = is_transitive(prod, horizon=horizon)
-    else:
-        ba = tuple(basis_a) if basis_a is not None else da.default_basis()
-        bb = tuple(basis_b) if basis_b is not None else db.default_basis()
-        pbasis = tuple(ProductOpen(p) for p in itertools.product(ba, bb))
-        v = is_transitive(ProductDyn([(da, 1), (db, 1)]), basis=pbasis,
-                          horizon=horizon)
+    v = is_transitive(ProductDyn([(as_dyn(a), 1), (as_dyn(b), 1)]),
+                      horizon=horizon)
     return replace(v, note="product transitivity")
 
 

@@ -131,10 +131,6 @@ class MetricSpace:
         return f"MetricSpace({self.label!r}, {len(self.points)} points)"
 
     @property
-    def has_table(self) -> bool:
-        return self._matrix is not None
-
-    @property
     def diam(self) -> Fraction:
         return self._diam
 
@@ -268,9 +264,6 @@ class SystemMap:
     @property
     def surjective(self) -> bool:
         return len(set(self.table)) == len(self.space.points)
-
-    def apply_index(self, i: int) -> int:
-        return self.table[i]
 
     def apply(self, p: Point) -> Point:
         return self.space.points[self.table[self.space.index(p)]]

@@ -228,6 +228,12 @@ class TestFamilyTransitivity:
                             mixing=True)
         assert v.fails
 
+    def test_f_mixing_takes_the_boxes_of_a_factor_basis(self):
+        r = make_rotation(4, 1)
+        assert is_F_transitive(r, thick_family(), mixing=True,
+                               basis=singleton_basis(r.space)) == \
+            is_F_transitive(r, thick_family(), mixing=True)
+
 
 class TestATransitive:
     def test_unit_vector_reduces_to_transitivity(self):
@@ -460,7 +466,7 @@ class TestProductDyn:
         r = make_rotation(4, 1)
         from fuzzdyn.analysis import TableDyn
         pd = ProductDyn([(TableDyn(r), 2)])
-        u = pd.default_basis()[0]
+        u = next(iter(pd.default_basis()))
         v = [o for o in pd.default_basis()
              if o.parts[0].members == frozenset({2})][0]
         # (T^2)^n hits 2 from 0 when 2n = 2 mod 4
@@ -472,7 +478,7 @@ class TestProductDyn:
         sd = ShiftDyn(full_shift(2, 2), cylinder_length=2)
         from fuzzdyn.analysis import TableDyn
         pd = ProductDyn([(sd, 1), (TableDyn(make_rotation(3, 1)), 1)])
-        assert pd.exact_horizon() is None
+        assert pd.preperiod_period() is None
         assert is_transitive(pd, horizon=24).holds
 
 
@@ -586,18 +592,20 @@ class TestOracleBitsets:
             min_size=1, max_size=2))
         opens = [(data.draw(point_sets(sys)), data.draw(point_sets(sys)))
                  for sys, _ in factors]
-        bound = data.draw(st.integers(0, 16))
+        bounds = data.draw(st.lists(st.integers(0, 16), min_size=2,
+                                    max_size=2))
         pd = ProductDyn([(TableDyn(sys), a) for sys, a in factors])
         u = ProductOpen(tuple(points_open(sys.space, pu)
                               for (sys, _), (pu, _) in zip(factors, opens)))
         v = ProductOpen(tuple(points_open(sys.space, pv)
                               for (sys, _), (_, pv) in zip(factors, opens)))
-        factor_times = [brute_return_times(sys, pu, pv, a * bound)
-                        for (sys, a), (pu, pv) in zip(factors, opens)]
-        want = {n for n in range(bound)
-                if all(a * n in times for (_, a), times
-                       in zip(factors, factor_times))}
-        assert bit_members(pd.return_times(u, v, bound), bound) == want
+        for bound in bounds:     # one oracle, so its factor bitsets are kept
+            factor_times = [brute_return_times(sys, pu, pv, a * bound)
+                            for (sys, a), (pu, pv) in zip(factors, opens)]
+            want = {n for n in range(bound)
+                    if all(a * n in times for (_, a), times
+                           in zip(factors, factor_times))}
+            assert bit_members(pd.return_times(u, v, bound), bound) == want
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -622,13 +630,33 @@ class TestOracleBitsets:
         assert bit_members(bits, bound) == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(small_tables(5), st.integers(1, 3)),
+                min_size=1, max_size=3),
+       st.one_of(st.none(), st.integers(1, 6)))
+def test_table_product_oracle_matches_the_materialized_product(factors,
+                                                               horizon):
+    """Transitivity of a product of table oracles, on the fast walk and on
+    the box scan, equals transitivity of the materialized product system;
+    the walk finds the first failing pair of the box scan."""
+    pd = ProductDyn([(TableDyn(sys), a) for sys, a in factors])
+    oracle = is_transitive(pd, horizon=horizon)
+    assert oracle == is_transitive(product_system(factors), horizon=horizon)
+    scan = is_transitive(pd, basis=pd.default_basis(), horizon=horizon)
+    assert (scan.status, scan.exact, scan.horizon, scan.counterexample) == \
+        (oracle.status, oracle.exact, oracle.horizon, oracle.counterexample)
+
+
 def test_table_checkers_reject_a_basis_that_misses_points():
     r = make_rotation(4, 1)
     partial = [points_open(r.space, [0])]
     for check in (lambda: is_transitive(r, basis=partial),
+                  lambda: is_weakly_mixing(r, basis=partial),
                   lambda: is_weakly_mixing(r, basis=partial, method="lemma"),
                   lambda: is_mixing(r, basis=partial),
-                  lambda: is_F_transitive(r, thick_family(), basis=partial)):
+                  lambda: is_F_transitive(r, thick_family(), basis=partial),
+                  lambda: is_F_transitive(r, thick_family(), basis=partial,
+                                          mixing=True)):
         with pytest.raises(InputError):
             check()
 

@@ -35,7 +35,9 @@ CASES = (
        for t in SHIFT_THEOREMS]
     + [("cut-lemma", "rotation:5,1", 2, 100),          # sampled states
        ("uniform-rigidity", "rotation:4,1", 2, 20),    # cut reduction too
-       ("mixing", "goldenmean:2", 1, None, 16)]        # horizon-limited
+       ("mixing", "goldenmean:2", 1, None, 16),        # horizon-limited
+       ("transitivity", "point", 1, None, 2),          # product witnesses
+       ("a-transitivity", "rotation:4,1", 2, None, 3)]  # non-exact products
 )
 
 
