@@ -31,7 +31,7 @@ from fractions import Fraction
 from .errors import InputError
 from .families import FamilyClassifier, IndexSet, difference_set, fs_set
 from .hyperspace import CompactSet
-from .spaces import (MetricSpace, Point, SystemMap, ZERO, as_fraction,
+from .spaces import (MetricSpace, Point, SystemMap, as_fraction,
                      iterate, iterate_tables, point_label)
 from .symbolic import ShiftSystem
 
@@ -779,11 +779,17 @@ def equicontinuity_modulus(sys: SystemMap, eps) -> Verdict:
     """Largest distance-value delta so that pairs within delta stay within
     eps under every iterate.
 
-    On a finite space the candidates are the positive distance values; the
-    modulus is the smallest starting distance of an eps-violating pair (all
-    strictly closer pairs are safe), or the diameter when nothing violates.
-    The verdict holds when delta is positive; its witnesses are ``eps``,
-    ``delta`` and, for any violation found, the ``violator`` (x, y, n).
+    On a finite space the candidates are the attained distances, and every
+    pair at distance >= eps violates at step 0.  So delta is the least
+    starting distance of a pair closer than eps whose orbit reaches eps
+    (all strictly closer pairs are safe), else v*, the least attained
+    distance >= eps, else the diameter when nothing violates.  Only pairs
+    closer than eps get an orbit scan, and only when they could lower
+    delta; when eps is at most the space's gap there are none, and the scan
+    stops at the first pair at the gap.  The verdict holds when delta is
+    positive; its witnesses are ``eps``, ``delta`` and, for any violation
+    found, the ``violator`` (x, y, n): the first pair in index order at
+    delta and its first violating step.
     """
     if not isinstance(sys, SystemMap):
         raise InputError("equicontinuity needs a finite table system")
@@ -794,23 +800,33 @@ def equicontinuity_modulus(sys: SystemMap, eps) -> Verdict:
     n_pts = len(space.points)
     pre, per = sys.eventual_period()
     tables = iterate_tables(sys, pre + per)
-    delta = None
-    violator = None
-    for i in range(n_pts):
-        for j in range(i + 1, n_pts):
-            d0 = space.d_by_index(i, j)
-            for step, tbl in enumerate(tables):
-                if space.d_by_index(tbl[i], tbl[j]) >= eps:
-                    if delta is None or d0 < delta:
-                        delta = d0
-                        violator = (point_label(space.points[i]),
-                                    point_label(space.points[j]), step)
+    # a distance reaches eps iff its scaled integer reaches this
+    reach = -(-eps.numerator * space.denom // eps.denominator)
+    gap = space.gap if space.gap is not None and space.gap >= reach else None
+    d = space.dist_int if gap is not None else space.scan_metric()
+    near = far = None               # (d0, i, j, step) of the best violator
+    for i, j in itertools.combinations(range(n_pts), 2):
+        d0 = d(i, j)
+        if d0 >= reach:
+            if far is None or d0 < far[0]:
+                far = (d0, i, j, 0)
+                if d0 == gap:
                     break
-    if delta is None:
+        elif near is None or d0 < near[0]:
+            step = next((step for step, tbl in enumerate(tables)
+                         if d(tbl[i], tbl[j]) >= reach), None)
+            if step is not None:
+                near = (d0, i, j, step)
+    best = near or far
+    if best is None:
         delta = space.diam if n_pts > 1 else eps
+    else:
+        delta = Fraction(best[0], space.denom)
     wit = (("eps", str(eps)), ("delta", str(delta)))
-    if violator:
-        wit += (("violator", violator),)
+    if best:
+        _, i, j, step = best
+        wit += (("violator", (point_label(space.points[i]),
+                              point_label(space.points[j]), step)),)
     return Verdict("holds" if delta > 0 else "fails", True,
                    horizon=pre + per, witnesses=wit)
 
@@ -822,8 +838,9 @@ def displacement_curve(sys: SystemMap, horizon: int | None = None) -> list[Fract
     bound = horizon if horizon is not None else pre + per + 1
     tables = iterate_tables(sys, bound)
     space = sys.space
+    d = space.dist_int
     n_pts = len(space.points)
-    return [max(space.d_by_index(tbl[i], i) for i in range(n_pts))
+    return [Fraction(max(d(tbl[i], i) for i in range(n_pts)), space.denom)
             for tbl in tables]
 
 
@@ -855,19 +872,27 @@ def is_proximal_pair(sys: SystemMap, x: Point, y: Point,
     """Do the two orbits merge (liminf distance zero is merging on a
     finite space, since distinct points keep positive distance)."""
     _require_table(sys, "proximality")
+    return _proximal_pair(sys, sys.space.index(x), sys.space.index(y), horizon)
+
+
+def _proximal_pair(sys: SystemMap, i: int, j: int,
+                   horizon: int | None) -> Verdict:
+    """``is_proximal_pair`` on point indices."""
     pre, per = sys.eventual_period()
     bound = horizon if horizon is not None else pre + per
-    i, j = sys.space.index(x), sys.space.index(y)
+    space = sys.space
+    x, y = space.points[i], space.points[j]
     best = None
     for n in range(bound + 1):
         if i == j:
             return Verdict("holds", True, horizon=bound, witnesses=((n,),))
         if n >= pre:
-            dv = sys.space.d_by_index(i, j)
+            dv = space.dist_int(i, j)
             best = dv if best is None or dv < best else best
         i, j = sys.table[i], sys.table[j]
+    liminf = "None" if best is None else str(Fraction(best, space.denom))
     return Verdict("fails", True, horizon=bound,
-                   counterexample=(point_label(x), point_label(y), str(best)),
+                   counterexample=(point_label(x), point_label(y), liminf),
                    note="orbits never merge; liminf distance shown")
 
 
@@ -881,10 +906,9 @@ def is_proximal(sys: SystemMap, horizon: int | None = None,
     if method == "auto":
         method = "pairwise" if n_pts <= 48 else "collapse"
     if method == "pairwise":
-        pts = sys.space.points
         for i in range(n_pts):
             for j in range(i + 1, n_pts):
-                v = is_proximal_pair(sys, pts[i], pts[j], horizon)
+                v = _proximal_pair(sys, i, j, horizon)
                 if not v.holds:
                     return Verdict("fails", True,
                                    counterexample=v.counterexample,
@@ -896,7 +920,7 @@ def is_proximal(sys: SystemMap, horizon: int | None = None,
     if len(current) == 1:
         return Verdict("holds", True, note="images collapse to one state")
     a, b = sorted(current)[:2]
-    v = is_proximal_pair(sys, sys.space.points[a], sys.space.points[b], horizon)
+    v = _proximal_pair(sys, a, b, horizon)
     return Verdict("fails", True, counterexample=v.counterexample,
                    note="periodic part keeps distinct states")
 
@@ -907,17 +931,14 @@ def diam_decay(sys: SystemMap, horizon: int | None = None) -> list[Fraction]:
     pre, per = sys.eventual_period()
     bound = horizon if horizon is not None else pre + per + 1
     space = sys.space
+    d = space.dist_int
     current = frozenset(range(len(space.points)))
     out = []
     for _ in range(bound):
         idx = sorted(current)
-        d = ZERO
-        for a_pos, i in enumerate(idx):
-            for j in idx[a_pos + 1:]:
-                v = space.d_by_index(i, j)
-                if v > d:
-                    d = v
-        out.append(d)
+        out.append(Fraction(max((d(i, j) for i, j in
+                                 itertools.combinations(idx, 2)), default=0),
+                            space.denom))
         current = sys.image_indices(current)
     return out
 
@@ -931,6 +952,9 @@ def is_sensitive(sys: SystemMap, eps, basis=None,
     if eps <= 0:
         raise InputError("eps must be positive")
     space = sys.space
+    d = space.dist_int
+    # a distance exceeds eps iff its scaled integer exceeds this
+    floor = eps.numerator * space.denom // eps.denominator
     basis = _checked_basis(TableDyn(sys), basis)
     pre, per = sys.eventual_period()
     bound = horizon if horizon is not None else pre + per
@@ -942,8 +966,7 @@ def is_sensitive(sys: SystemMap, eps, basis=None,
                 continue
             escaped = False
             for j in members:
-                if any(space.d_by_index(tbl[i], tbl[j]) > eps
-                       for tbl in tables):
+                if any(d(tbl[i], tbl[j]) > floor for tbl in tables):
                     escaped = True
                     break
             if not escaped:

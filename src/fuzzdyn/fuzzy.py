@@ -17,11 +17,13 @@ Conventions that make the finite picture consistent:
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import BoundExceeded, InputError
-from .hyperspace import (CompactSet, _mask_hausdorff, _min_to_mask_table,
+from .hyperspace import (MASK_PAIR_MAX_POINTS, CompactSet, _mask_hausdorff,
+                         _mask_pair_table, _min_to_mask_table,
                          hausdorff_distance)
 from .spaces import (MetricSpace, Point, SystemMap, ZERO, ONE, _scaled_matrix,
                      as_fraction, point_label)
@@ -444,9 +446,16 @@ def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
     """The extended dynamics on the enumerated fuzzy states, as a SystemMap.
 
     States are grade tuples; the metric is the levelwise distance, evaluated
-    lazily through cached cut bitmasks.  If the enumerated family is not
-    closed under the map (possible for distorted grades and height
-    constraints), that is reported as an error rather than repaired.
+    on demand from the cut bitmasks of the two states (each state's masks
+    are kept once computed) as an integer over the base denominator: the
+    max over levels of the mask Hausdorff distance, where a cut empty on one
+    side only counts the diameter.  On a base of two or more points, two
+    distinct states are at least the base gap apart, and two indicator
+    states of one height realize it.
+
+    If the enumerated family is not closed under the map (possible for
+    distorted grades and height constraints), that is reported as an error
+    rather than repaired.
 
     Internally a grade is its integer level k in 0..m (the grade k/m); the
     point ids are built from the shared ``grid.with_zero()`` values.
@@ -493,7 +502,7 @@ def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
             hit = cuts[i] = _cut_masks(states[i], m)
         return hit
 
-    def dist(i: int, j: int) -> Fraction:
+    def dist(i: int, j: int) -> int:
         worst = 0
         for a_mask, b_mask in zip(cut_masks(i), cut_masks(j)):
             if a_mask == 0 and b_mask == 0:
@@ -504,11 +513,22 @@ def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
                 v = _mask_hausdorff(a_mask, b_mask, mind)
             if v > worst:
                 worst = v
-        return Fraction(worst, denom)
+        return worst
+
+    def scan() -> Callable[[int, int], int]:
+        if n > MASK_PAIR_MAX_POINTS:
+            return dist
+        h = _mask_pair_table(n, mind, diam_scaled)
+        masks = [_cut_masks(s, m) for s in states]
+        rows = [[a << n for a in c] for c in masks]
+        return lambda i, j: max(map(h.__getitem__,
+                                    map(operator.or_, rows[i], masks[j])))
 
     points = tuple(tuple(map(values.__getitem__, s)) for s in states)
     label = f"F[{constraint_label(norm)}]({sys.label};m={grid.m})"
-    space = MetricSpace(points, fn=dist, diam=base.diam, label=label)
+    space = MetricSpace(points, fn=dist, denom=denom, diam=base.diam,
+                        gap=base.gap if n > 1 else None, scan=scan,
+                        label=label)
     prov = {"kind": "fuzzy_lift", "m": grid.m,
             "constraint": constraint_label(norm),
             "g": None if g is None else {str(k): str(v)

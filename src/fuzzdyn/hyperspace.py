@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import BoundExceeded, InputError
 from .spaces import (MetricSpace, Point, SystemMap, ZERO, _scaled_matrix,
@@ -18,6 +18,9 @@ from .spaces import (MetricSpace, Point, SystemMap, ZERO, _scaled_matrix,
 
 #: hard cap for bitmask displacement scans (2^n states)
 DISPLACEMENT_MAX_POINTS = 16
+
+#: most base points whose 4^n mask pairs a scan tabulates
+MASK_PAIR_MAX_POINTS = 8
 
 
 class CompactSet:
@@ -176,6 +179,26 @@ def _mask_hausdorff(a_mask: int, b_mask: int, mind) -> int:
     return best
 
 
+def _mask_pair_table(n: int, mind, empty: int) -> list[int]:
+    """h[a << n | b] = _mask_hausdorff(a, b, mind) for every pair of masks,
+    where an empty mask is ``empty`` away from a nonempty one."""
+    full = 1 << n
+    # directed[a][b] = max over x in a of mind[b][x], one bit of a at a time
+    directed = [[0] * full]
+    for a in range(1, full):
+        low = a & -a
+        x = low.bit_length() - 1
+        col = [0] + [mind[b][x] for b in range(1, full)]
+        prev = directed[a ^ low]
+        directed.append([c if c > p else p for c, p in zip(col, prev)])
+    h = []
+    for row, col in zip(directed, zip(*directed)):
+        h += [r if r > c else c for r, c in zip(row, col)]
+    # the empty mask: row 0 and column 0, apart from h[0] = 0
+    h[1:full] = h[full::full] = [empty] * (full - 1)
+    return h
+
+
 def _mask_image(mask: int, point_bit: list[int]) -> int:
     """Bitmask of the image of the subset with bitmask ``mask``, where
     ``point_bit[i]`` is the bit of the image of point i."""
@@ -191,8 +214,10 @@ def lift_system(sys: SystemMap, bound: int | None = None) -> SystemMap:
     """The induced system on all nonempty subsets, as a bona fide SystemMap.
 
     The state set is materialized (bitmask order: state i is the subset
-    with bitmask i + 1); the Hausdorff metric is evaluated lazily from the
-    two bitmasks and cached, since the state count squares.
+    with bitmask i + 1); the Hausdorff metric is evaluated on demand from
+    the two bitmasks, as an integer over the base denominator, since the
+    state count squares.  Two distinct subsets are at least the base gap
+    apart, and two singletons realize it.
     """
     base = sys.space
     n = len(base.points)
@@ -211,10 +236,17 @@ def lift_system(sys: SystemMap, bound: int | None = None) -> SystemMap:
     denom, mat = _scaled_matrix(base)
     mind = _min_to_mask_table(n, mat)
 
-    def dist(i: int, j: int) -> Fraction:
-        return Fraction(_mask_hausdorff(i + 1, j + 1, mind), denom)
+    def dist(i: int, j: int) -> int:
+        return _mask_hausdorff(i + 1, j + 1, mind)
 
-    space = MetricSpace(subsets, fn=dist, diam=base.diam,
+    def scan() -> Callable[[int, int], int]:
+        if n > MASK_PAIR_MAX_POINTS:
+            return dist
+        h = _mask_pair_table(n, mind, 0)
+        return lambda i, j: h[(i + 1) << n | (j + 1)]
+
+    space = MetricSpace(subsets, fn=dist, denom=denom, diam=base.diam,
+                        gap=base.gap if n > 1 else None, scan=scan,
                         label=f"K({base.label})")
     prov = {"kind": "hyperspace_lift",
             "base": sys.provenance if sys.provenance else {"kind": "finite"}}

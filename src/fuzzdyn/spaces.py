@@ -69,25 +69,39 @@ def point_label(p) -> str:
 class MetricSpace:
     """Ordered point set with an exact rational metric.
 
-    Either ``matrix`` (dense symmetric table, list of rows) or ``fn`` plus an
-    explicit ``diam`` must be supplied.  A lazy metric is called with an
-    index pair, ``fn(i, j)``, and lazy spaces cache every distance they
-    compute, keyed by index pair.  The point-to-index map is built on first
-    use; table spaces build it at once, which rejects duplicate point ids
-    on ingest.
+    Every space answers ``dist_int(i, j)``: the distance of points i and j
+    as an integer over the common denominator ``denom``.  Either ``matrix``
+    (dense table, list of rows) or ``fn`` plus ``denom`` and an explicit
+    ``diam`` must be supplied.  A table space scales its table once, over
+    the lcm of the denominators of every entry, so asymmetric tables scale
+    exactly too.  A lazy metric ``fn(i, j)`` is called with an index pair,
+    returns the scaled integer and keeps nothing per pair.  ``d_by_index``
+    renders one distance as a Fraction, for witnesses and serialization.
+
+    ``gap`` is the least scaled distance between two distinct points when
+    the space knows it, else None: a table space with a symmetric table and
+    zero diagonal knows it, and a lift or product is told it by its
+    constructor.  ``scan``, when given, makes the reader that
+    ``scan_metric`` returns.  The point-to-index map is built on first use;
+    table spaces build it at once, which rejects duplicate point ids on
+    ingest.
     """
 
-    __slots__ = ("points", "label", "_index", "_matrix", "_fn", "_cache",
-                 "_diam", "_minpos", "_values")
+    __slots__ = ("points", "label", "dist_int", "denom", "gap", "_scan",
+                 "_index", "_matrix", "_diam", "_minpos", "_values")
 
     def __init__(self, points: Sequence[Point], *, matrix=None,
-                 fn: Callable[[int, int], Fraction] | None = None,
-                 diam: Fraction | None = None, label: str = "space"):
+                 fn: Callable[[int, int], int] | None = None,
+                 denom: int | None = None, diam: Fraction | None = None,
+                 gap: int | None = None,
+                 scan: Callable[[], Callable[[int, int], int]] | None = None,
+                 label: str = "space"):
         pts = tuple(points)
         if not pts:
             raise InputError("a metric space needs at least one point")
         self.points = pts
         self.label = label
+        self._scan = scan
         self._index = None
         self._values = None
         if matrix is not None:
@@ -97,18 +111,25 @@ class MetricSpace:
             if len(rows) != n or any(len(r) != n for r in rows):
                 raise InputError("distance table shape does not match points")
             self._matrix = rows
-            self._fn = None
-            self._cache = None
-            flat = [rows[i][j] for i in range(n) for j in range(i + 1, n)]
-            self._diam = max(flat) if flat else ZERO
-            positive = [v for v in flat if v > 0]
-            self._minpos = min(positive) if positive else None
+            self.denom = math.lcm(*(v.denominator for r in rows for v in r))
+            ints = [[int(v * self.denom) for v in r] for r in rows]
+            self.dist_int = lambda i, j: ints[i][j]
+            flat = [ints[i][j] for i in range(n) for j in range(i + 1, n)]
+            metric = all(ints[i][i] == 0 and
+                         all(ints[i][j] == ints[j][i] for j in range(i))
+                         for i in range(n))
+            self.gap = min(flat) if flat and metric else None
+            self._diam = Fraction(max(flat, default=0), self.denom)
+            self._minpos = min((Fraction(v, self.denom) for v in flat if v > 0),
+                               default=None)
         elif fn is not None:
-            if diam is None:
-                raise InputError("lazy metric needs an explicit diameter")
+            if diam is None or denom is None:
+                raise InputError("lazy metric needs an explicit diameter "
+                                 "and denominator")
             self._matrix = None
-            self._fn = fn
-            self._cache = {}
+            self.dist_int = fn
+            self.denom = denom
+            self.gap = gap
             self._diam = as_fraction(diam)
             self._minpos = None
         else:
@@ -154,14 +175,13 @@ class MetricSpace:
     def d_by_index(self, i: int, j: int) -> Fraction:
         if self._matrix is not None:
             return self._matrix[i][j]
-        if i == j:
-            return ZERO
-        key = (i, j) if i < j else (j, i)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._fn(*key)
-            self._cache[key] = hit
-        return hit
+        return Fraction(self.dist_int(i, j), self.denom)
+
+    def scan_metric(self) -> Callable[[int, int], int]:
+        """``dist_int`` for a scan that reads most pairs.  A lift tabulates
+        every pair of cut masks (4^n ints, for small bases) into a reader
+        that the caller drops with its scan; other spaces give ``dist_int``."""
+        return self.dist_int if self._scan is None else self._scan()
 
     def min_positive_distance(self) -> Fraction | None:
         if self._matrix is None:
@@ -190,13 +210,10 @@ class MetricSpace:
 
 
 def _scaled_matrix(space: MetricSpace) -> tuple[int, list[list[int]]]:
-    """Distances as integers over one common denominator: the lcm of the
-    denominators of every entry, so asymmetric tables scale exactly too."""
+    """Every distance as an integer over the space's common denominator."""
     n = len(space.points)
-    d = space.d_by_index
-    denom = math.lcm(*(d(i, j).denominator
-                       for i in range(n) for j in range(n)))
-    return denom, [[int(d(i, j) * denom) for j in range(n)] for i in range(n)]
+    d = space.dist_int
+    return space.denom, [[d(i, j) for j in range(n)] for i in range(n)]
 
 
 def validate_metric(space: MetricSpace, point_bound: int = 512) -> list[str]:
@@ -473,16 +490,23 @@ def product_system(factors: Sequence[tuple[SystemMap, int]],
         step = iterate(sys_i, e).table
         table = [high * size + step[c] for high in table for c in range(size)]
 
-    coords = [(stride, size, sp.d_by_index)
+    # each factor's integers rescaled to the lcm of the factor denominators
+    denom = math.lcm(*(sp.denom for sp in spaces))
+    coords = [(stride, size, denom // sp.denom, sp.dist_int)
               for stride, size, sp in zip(strides, sizes, spaces)]
 
-    def dist(i: int, j: int) -> Fraction:
-        return max(d(i // stride % size, j // stride % size)
-                   for stride, size, d in coords)
+    def dist(i: int, j: int) -> int:
+        return max(scale * d(i // stride % size, j // stride % size)
+                   for stride, size, scale, d in coords)
 
+    # distinct states differ in some coordinate, and moving only that
+    # coordinate realizes the factor's gap
+    gap = (min(sp.gap * (denom // sp.denom) for sp in spaces)
+           if all(sp.gap is not None for sp in spaces) else None)
     diam = max(sp.diam for sp in spaces)
     label = " x ".join(f"{s.label}^{e}" if e != 1 else s.label
                        for s, e in factors)
-    space = MetricSpace(points, fn=dist, diam=diam, label=f"prod({label})")
+    space = MetricSpace(points, fn=dist, denom=denom, diam=diam, gap=gap,
+                        label=f"prod({label})")
     return SystemMap(space, table, label=label,
                      provenance={"kind": "product"})

@@ -351,8 +351,10 @@ def _height_invariance_items(system, run: _Run) -> list[ReportItem]:
     lift = fuzzy_lift_system(sys, run.grid, "all", cap=run.cap)
     space = lift.space
     states = space.points
-    heights = [max(s) for s in states]
-    diam = sys.space.diam
+    level = {v: k for k, v in enumerate(run.grid.with_zero())}
+    heights = [level[max(s)] for s in states]
+    d = space.scan_metric()
+    diam = int(space.diam * space.denom)
     tables = iterate_tables(lift, bound)
     bad = None
     checked = 0
@@ -362,7 +364,7 @@ def _height_invariance_items(system, run: _Run) -> list[ReportItem]:
                 continue
             for tbl in tables:
                 checked += 1
-                if space.d_by_index(tbl[i], tbl[j]) != diam:
+                if d(tbl[i], tbl[j]) != diam:
                     bad = (i, j)
                     break
             if bad:

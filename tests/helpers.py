@@ -9,7 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from fuzzdyn.spaces import MetricSpace, SystemMap, circle_space, point_label
+from fuzzdyn.analysis import Verdict
+from fuzzdyn.errors import InputError
+from fuzzdyn.spaces import (MetricSpace, SystemMap, as_fraction, circle_space,
+                            iterate_tables, point_label)
 
 
 def brute_directed(space, src, dst):
@@ -99,3 +102,46 @@ def taxi_space(coords, label="taxi"):
 def brute_product_distance(spaces, p, q):
     """The max metric of a product, coordinate by coordinate."""
     return max(space.d(a, b) for space, a, b in zip(spaces, p, q))
+
+
+def brute_equicontinuity_modulus(sys: SystemMap, eps) -> Verdict:
+    """The pair scan that ``equicontinuity_modulus`` replaced, kept verbatim:
+    every pair, every step up to pre + per, Fraction distances.
+
+    Largest distance-value delta so that pairs within delta stay within
+    eps under every iterate.
+
+    On a finite space the candidates are the positive distance values; the
+    modulus is the smallest starting distance of an eps-violating pair (all
+    strictly closer pairs are safe), or the diameter when nothing violates.
+    The verdict holds when delta is positive; its witnesses are ``eps``,
+    ``delta`` and, for any violation found, the ``violator`` (x, y, n).
+    """
+    if not isinstance(sys, SystemMap):
+        raise InputError("equicontinuity needs a finite table system")
+    eps = as_fraction(eps)
+    if eps <= 0:
+        raise InputError("eps must be positive")
+    space = sys.space
+    n_pts = len(space.points)
+    pre, per = sys.eventual_period()
+    tables = iterate_tables(sys, pre + per)
+    delta = None
+    violator = None
+    for i in range(n_pts):
+        for j in range(i + 1, n_pts):
+            d0 = space.d_by_index(i, j)
+            for step, tbl in enumerate(tables):
+                if space.d_by_index(tbl[i], tbl[j]) >= eps:
+                    if delta is None or d0 < delta:
+                        delta = d0
+                        violator = (point_label(space.points[i]),
+                                    point_label(space.points[j]), step)
+                    break
+    if delta is None:
+        delta = space.diam if n_pts > 1 else eps
+    wit = (("eps", str(eps)), ("delta", str(delta)))
+    if violator:
+        wit += (("violator", violator),)
+    return Verdict("holds" if delta > 0 else "fails", True,
+                   horizon=pre + per, witnesses=wit)

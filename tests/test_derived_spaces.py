@@ -1,6 +1,7 @@
 """Derived state spaces (products, subset lifts, fuzzy lifts) against the
 definitions: every point distinct, every transition equal to the pointwise
-step of the decoded state, every distance equal to a brute-force oracle."""
+step of the decoded state, every distance equal to a brute-force oracle,
+and a known gap equal to the least distance between distinct states."""
 
 import itertools
 from fractions import Fraction
@@ -102,12 +103,42 @@ def test_fuzzy_lift_matches_definitions(sys, m, data):
             brute_levelwise(states[i], states[j])
 
 
+def assert_every_pair(space, brute):
+    """dist_int is brute(i, j) * denom on every pair, the scan reader
+    agrees with it, and a known gap is the least distinct-pair distance."""
+    scan = space.scan_metric()
+    pairs = list(itertools.product(range(len(space)), repeat=2))
+    for i, j in pairs:
+        assert space.dist_int(i, j) == brute(i, j) * space.denom == scan(i, j)
+    if space.gap is not None:
+        assert space.gap == min(space.dist_int(i, j)
+                                for i, j in pairs if i != j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(table_systems(max_points=3), st.integers(1, 2))
+def test_every_pair_of_small_lifts(sys, m):
+    grid = LevelGrid(m)
+    lift = lift_system(sys)
+    subsets = lift.space.points
+    assert_every_pair(lift.space, lambda i, j: brute_hausdorff(
+        sys.space, subsets[i], subsets[j]))
+    fuzzy = fuzzy_lift_system(sys, grid, "all")
+    states = [FuzzySet(sys.space, grid, p) for p in fuzzy.space.points]
+    assert_every_pair(fuzzy.space, lambda i, j: brute_levelwise(
+        states[i], states[j]))
+    # over a metric of two or more points the gap is known
+    for space in (lift.space, fuzzy.space):
+        assert (space.gap is None) == (len(sys.space) == 1)
+
+
 @st.composite
-def factors(draw):
-    """One to three (system, exponent) factors; a factor is a small table
-    system or the subset lift of one, so lazy factor metrics appear."""
+def factors(draw, max_factors=3):
+    """One to ``max_factors`` (system, exponent) factors; a factor is a
+    small table system or the subset lift of one, so lazy factor metrics
+    appear."""
     out = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, max_factors))):
         sys = draw(table_systems(max_points=3))
         if draw(st.booleans()):
             sys = lift_system(sys)
@@ -130,3 +161,13 @@ def test_product_matches_definitions(parts, rng):
     for i, j in sampled_pairs(rng, len(pts)):
         assert prod.space.d_by_index(i, j) == \
             brute_product_distance(spaces, pts[i], pts[j])
+
+
+@settings(max_examples=40, deadline=None)
+@given(factors(max_factors=2))
+def test_every_pair_of_small_products(parts):
+    prod = product_system(parts)
+    pts = prod.space.points
+    spaces = [s.space for s, _ in parts]
+    assert_every_pair(prod.space, lambda i, j: brute_product_distance(
+        spaces, pts[i], pts[j]))

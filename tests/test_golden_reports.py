@@ -8,6 +8,7 @@ byte: verdicts, exactness flags, witnesses, notes and item order.
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -26,7 +27,7 @@ PERIOD_2_SFT = ('json:{"kind":"sft","alphabet":["a","b"],'
                 '"edges":[["a","b"],["b","a"]],"resolution":2}')
 
 #: (theorem, system spec, m, state cap or None for the default
-#: [, horizon or None for the default])
+#: [, horizon or None for the default [, eps or None for the default]])
 CASES = (
     [(t, spec, 2, None) for spec in ("rotation:4,1", "gridmap:half,4")
      for t in THEOREM_IDS]
@@ -37,21 +38,29 @@ CASES = (
        ("uniform-rigidity", "rotation:4,1", 2, 20),    # cut reduction too
        ("mixing", "goldenmean:2", 1, None, 16),        # horizon-limited
        ("transitivity", "point", 1, None, 2),          # product witnesses
-       ("a-transitivity", "rotation:4,1", 2, None, 3)]  # non-exact products
+       ("a-transitivity", "rotation:4,1", 2, None, 3),  # non-exact products
+       ("equicontinuity", "multiply:8,2", 1, None, None,   # delta < eps
+        "1/2"),
+       ("equicontinuity", "gridmap:half,4", 2, None, None,  # delta = eps
+        "1/2")]
 )
 
 
-def case_key(theorem, spec, m, cap, horizon=None):
+def case_key(theorem, spec, m, cap, horizon=None, eps=None):
     key = f"{theorem} {spec} m={m}"
     if cap is not None:
         key += f" state_cap={cap}"
-    return key if horizon is None else f"{key} horizon={horizon}"
+    if horizon is not None:
+        key += f" horizon={horizon}"
+    return key if eps is None else f"{key} eps={eps}"
 
 
-def report_text(theorem, spec, m, cap, horizon=None):
+def report_text(theorem, spec, m, cap, horizon=None, eps=None):
     kwargs = {} if cap is None else {"state_cap": cap}
     report = verify_theorem(theorem, parse_system_spec(spec), m=m,
-                            horizon=horizon, **kwargs)
+                            horizon=horizon,
+                            eps=None if eps is None else Fraction(eps),
+                            **kwargs)
     return canonical_json(report_to_jsonable(report))
 
 
