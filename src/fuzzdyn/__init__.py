@@ -8,29 +8,29 @@ properties on every level with explicit exactness bookkeeping.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import BoundExceeded, FuzzdynError, InputError
 from .spaces import (MetricSpace, SystemMap, eventual_period, iterate,
                      make_grid_interval_map, make_multiply, make_rotation,
                      one_point_system, product_system, validate_metric)
 from .symbolic import ShiftSystem, full_shift, golden_mean_shift
-from .hyperspace import (CompactSet, VietorisBasisElement, enumerate_compacts,
-                         hausdorff_distance, in_vietoris, induced_apply,
+from .hyperspace import (CompactSet, enumerate_compacts, hausdorff_distance,
                          lift_system)
-from .fuzzy import (FuzzySet, GFunction, LevelGrid, PiecewiseRepresentation,
-                    alpha_cut, embed_indicator, enumerate_fuzzy,
-                    fuzzy_lift_system, g_fuzzify_apply, levelwise_distance,
-                    merge_chains, support, xi_of, zadeh_apply)
+from .fuzzy import (FuzzySet, GFunction, LevelGrid, alpha_cut,
+                    enumerate_fuzzy, fuzzy_lift_system, g_fuzzify_apply,
+                    xi_of, zadeh_apply)
 from .families import (FamilyClassifier, IndexSet, classify_cofinite,
                        classify_syndetic, classify_thick, contains_ip,
                        difference_set, dual_contains, fs_set)
 from .analysis import (Verdict, diam_decay, equicontinuity_modulus,
                        is_a_transitive, is_F_transitive,
-                       is_mildly_mixing_bounded, is_mixing, is_n_rigid,
+                       is_mildly_mixing_bounded, is_mixing,
                        is_periodically_dense, is_proximal, is_proximal_pair,
                        is_sensitive, is_transitive, is_uniformly_rigid,
-                       is_weakly_mixing, is_weakly_rigid_upto, omega_limit,
-                       point_return_set, recurrent_points, return_time_set,
-                       weakly_disjoint)
+                       is_weakly_mixing, point_return_set, recurrent_points,
+                       return_time_set, weakly_disjoint)
 from .theorems import EquivalenceReport, verify_theorem
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, obj in globals().items()
+                 if not (name.startswith("_") or isinstance(obj, _ModuleType)))

@@ -418,20 +418,6 @@ def _require_table(sys, what: str) -> SystemMap:
     return sys
 
 
-def omega_limit(sys: SystemMap, x: Point) -> CompactSet:
-    """Points visited infinitely often by the orbit of x (its cycle part)."""
-    _require_table(sys, "omega limits")
-    seen: dict[int, int] = {}
-    i = sys.space.index(x)
-    seq = []
-    while i not in seen:
-        seen[i] = len(seq)
-        seq.append(i)
-        i = sys.table[i]
-    cycle = seq[seen[i]:]
-    return CompactSet(sys.space, (sys.space.points[j] for j in cycle))
-
-
 def _recurrent_indices(sys: SystemMap) -> frozenset:
     """Indices of the points on cycles: the image of T^preperiod."""
     pre, _ = sys.eventual_period()
@@ -446,68 +432,6 @@ def recurrent_points(sys: SystemMap) -> CompactSet:
     _require_table(sys, "recurrence")
     return CompactSet(sys.space, (sys.space.points[i]
                                   for i in _recurrent_indices(sys)))
-
-
-def _tuple_recurrent(tables: Sequence[tuple[int, ...]], start: tuple) -> bool:
-    """Does the coordinatewise orbit of the tuple return to the tuple."""
-    seen = {start}
-    cur = start
-    while True:
-        cur = tuple(tbl[i] for tbl, i in zip(tables, cur))
-        if cur == start:
-            return True
-        if cur in seen:
-            return False
-        seen.add(cur)
-
-
-def is_n_rigid(sys: SystemMap, n: int, tuple_cap: int = 4096) -> Verdict:
-    """Every n-tuple recurrent under the n-fold product.
-
-    Enumerates tuples honestly up to ``tuple_cap`` states; beyond that the
-    verdict is derived from coordinatewise periodicity (a tuple is a
-    product-recurrent point iff each coordinate is periodic), which is exact
-    on finite tables.
-    """
-    _require_table(sys, "rigidity")
-    if n < 1:
-        raise InputError("n must be >= 1")
-    size = len(sys.space.points) ** n
-    periodic = recurrent_points(sys).members
-    if size <= tuple_cap:
-        tables = [sys.table] * n
-        for combo in itertools.product(range(len(sys.space.points)), repeat=n):
-            if not _tuple_recurrent(tables, combo):
-                pts = tuple(point_label(sys.space.points[i]) for i in combo)
-                return Verdict("fails", True, counterexample=("tuple",) + pts,
-                               note=f"non-recurrent {n}-tuple")
-        return Verdict("holds", True, note=f"all {size} tuples recur")
-    if periodic == frozenset(sys.space.points):
-        return Verdict("holds", True,
-                       note="derived: every point periodic, so every tuple "
-                            "is product-recurrent")
-    bad = sorted(set(sys.space.points) - periodic, key=sys.space.index)[0]
-    return Verdict("fails", True,
-                   counterexample=("tuple",) + (point_label(bad),) * n,
-                   note="derived from a non-periodic coordinate")
-
-
-def is_weakly_rigid_upto(sys: SystemMap, n_max: int,
-                         tuple_cap: int = 4096) -> Verdict:
-    """n-rigidity for every n up to n_max, with an exactness note.
-
-    When the map is a bijection, 1-rigidity of all points extends to every
-    n; the note records this derived fact instead of assuming it.
-    """
-    for n in range(1, n_max + 1):
-        v = is_n_rigid(sys, n, tuple_cap)
-        if not v.holds:
-            return Verdict("fails", True, counterexample=v.counterexample,
-                           note=f"not {n}-rigid")
-    extra = ("bijection: extends to all n" if sys.surjective and
-             len(set(sys.table)) == len(sys.table) else
-             f"checked n <= {n_max}")
-    return Verdict("holds", True, note=extra)
 
 
 # -- transitivity and mixing ---------------------------------------------------

@@ -17,14 +17,14 @@ Conventions that make the finite picture consistent:
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import BoundExceeded, InputError
 from .hyperspace import (MASK_PAIR_MAX_POINTS, CompactSet, _mask_hausdorff,
-                         _mask_pair_table, _min_to_mask_table,
-                         hausdorff_distance)
+                         _mask_pair_table, _min_to_mask_table)
 from .spaces import (MetricSpace, Point, SystemMap, ZERO, ONE, _scaled_matrix,
                      as_fraction, point_label)
 
@@ -106,53 +106,17 @@ class FuzzySet:
         return "Fuzzy{" + pairs + "}"
 
 
-def empty_fuzzy(space: MetricSpace, grid: LevelGrid) -> FuzzySet:
-    return FuzzySet(space, grid, [ZERO] * len(space.points))
-
-
 def alpha_cut(a: FuzzySet, alpha: Fraction) -> CompactSet:
-    """The superlevel set {x : grade(x) >= alpha}, for alpha in (0, 1]."""
+    """The superlevel set {x : grade(x) >= alpha}, for alpha in (0, 1]: the
+    cut mask of the least grid level k/m >= alpha."""
     alpha = as_fraction(alpha)
     if not (0 < alpha <= 1):
         raise InputError("alpha must lie in (0, 1]")
-    members = [p for p, g in zip(a.space.points, a.grades) if g >= alpha]
-    return CompactSet(a.space, members)
-
-
-def support(a: FuzzySet) -> CompactSet:
-    """Closure of {x : grade(x) > 0}; closure is trivial here."""
-    return CompactSet(a.space, [p for p, g in zip(a.space.points, a.grades)
-                                if g > 0])
-
-
-def levelwise_distance(a: FuzzySet, b: FuzzySet) -> Fraction:
-    """sup over alpha in (0,1] of the Hausdorff distance of the alpha cuts,
-    where a cut missing on one side counts diam(X).  The sup is realized on
-    the grid levels.
-    """
-    if a.space is not b.space:
-        raise InputError("levelwise distance needs a common base space")
-    if a.grid != b.grid:
-        raise InputError("levelwise distance needs a common level grid")
-    best = ZERO
-    for level in a.grid.levels:
-        da = alpha_cut(a, level)
-        db = alpha_cut(b, level)
-        v = hausdorff_distance(da, db)
-        if v > best:
-            best = v
-    return best
-
-
-def zadeh_apply(sys: SystemMap, a: FuzzySet) -> FuzzySet:
-    """New grade at x is the max grade over the preimage of x (0 if none)."""
-    if a.space is not sys.space:
-        raise InputError("fuzzy set does not live on the system's space")
-    pre = sys.preimages()
-    grades = a.grades
-    out = [max((grades[j] for j in pre[i]), default=ZERO)
-           for i in range(len(grades))]
-    return FuzzySet(a.space, a.grid, out)
+    m = a.grid.m
+    mask = _cut_masks(tuple(int(v * m) for v in a.grades),
+                      m)[math.ceil(alpha * m) - 1]
+    return CompactSet(a.space, (p for bit, p in enumerate(a.space.points)
+                                if mask >> bit & 1))
 
 
 class GFunction:
@@ -218,117 +182,35 @@ def xi_of(g: GFunction) -> dict[Fraction, Fraction]:
 
 
 def xi_iterate(g: GFunction, n: int, alpha: Fraction) -> Fraction:
-    """n-fold application of the level transfer to alpha."""
+    """n-fold application of the level transfer to alpha, a level of
+    {0} + grid levels."""
+    if n < 0:
+        raise InputError("the iterate count must be >= 0")
     xi = xi_of(g)
+    if alpha not in xi:
+        raise InputError(f"{alpha} is not a grid level")
     cur = alpha
     for _ in range(n):
         cur = xi[cur]
     return cur
 
 
-def g_fuzzify_apply(sys: SystemMap, g: GFunction, a: FuzzySet) -> FuzzySet:
-    """New grade at x is the max of g(grade) over the preimage of x."""
+def g_fuzzify_apply(sys: SystemMap, g: GFunction | None,
+                    a: FuzzySet) -> FuzzySet:
+    """New grade at x is the max of g(grade) over the preimage of x (0 if
+    none), stepped by the lift kernel; g = None is Zadeh's extension."""
     if a.space is not sys.space:
         raise InputError("fuzzy set does not live on the system's space")
-    if g.grid != a.grid:
-        raise InputError("grade distortion and fuzzy set use different grids")
-    pre = sys.preimages()
-    grades = a.grades
-    tbl = g.table
-    out = [max((tbl[grades[j]] for j in pre[i]), default=ZERO)
-           for i in range(len(grades))]
-    return FuzzySet(a.space, a.grid, out)
+    grid = a.grid
+    step = _grade_step(tuple(int(v * grid.m) for v in a.grades),
+                       sys.preimages(), _g_levels(grid, g))
+    values = grid.with_zero()
+    return FuzzySet(a.space, grid, [values[k] for k in step])
 
 
-def embed_indicator(lam: Fraction, c: CompactSet, grid: LevelGrid) -> FuzzySet:
-    """The state with grade lam on the set and 0 elsewhere; height lam."""
-    lam = as_fraction(lam)
-    if lam <= 0:
-        raise InputError("indicator height must be positive")
-    if not grid.admits(lam):
-        raise InputError(f"height {lam} is not on the grid")
-    if c.is_empty:
-        raise InputError("indicator of the empty set rejected")
-    grades = [lam if p in c.members else ZERO for p in c.space.points]
-    return FuzzySet(c.space, grid, grades)
-
-
-class PiecewiseRepresentation:
-    """A fuzzy state as a decreasing chain of cuts with thresholds.
-
-    thresholds t_1 < ... < t_k end at the height; cuts[i] is the cut on the
-    interval (t_{i-1}, t_i] (with t_0 = 0).  Above t_k the cut is empty.
-    """
-
-    __slots__ = ("space", "thresholds", "cuts")
-
-    def __init__(self, space: MetricSpace, thresholds: Sequence[Fraction],
-                 cuts: Sequence[CompactSet]):
-        ts = tuple(as_fraction(t) for t in thresholds)
-        cs = tuple(cuts)
-        if len(ts) != len(cs):
-            raise InputError("thresholds and cuts must align")
-        if any(not (0 < t <= 1) for t in ts):
-            raise InputError("thresholds must lie in (0, 1]")
-        if any(a >= b for a, b in zip(ts, ts[1:])):
-            raise InputError("thresholds must strictly increase")
-        for c in cs:
-            if c.space is not space:
-                raise InputError("cut on a foreign space")
-        for hi, lo in zip(cs, cs[1:]):
-            if not lo.members <= hi.members:
-                raise InputError("cut chain must decrease")
-        if cs and cs[-1].is_empty:
-            raise InputError("the top cut must be nonempty")
-        self.space = space
-        self.thresholds = ts
-        self.cuts = cs
-
-    @property
-    def height(self) -> Fraction:
-        return self.thresholds[-1] if self.thresholds else ZERO
-
-    def lookup(self, alpha: Fraction) -> CompactSet:
-        alpha = as_fraction(alpha)
-        if not (0 < alpha <= 1):
-            raise InputError("alpha must lie in (0, 1]")
-        for t, c in zip(self.thresholds, self.cuts):
-            if alpha <= t:
-                return c
-        return CompactSet(self.space, ())
-
-    @classmethod
-    def from_fuzzy(cls, a: FuzzySet) -> "PiecewiseRepresentation":
-        levels = sorted({g for g in a.grades if g > 0})
-        cuts = [alpha_cut(a, t) for t in levels]
-        return cls(a.space, levels, cuts)
-
-    def to_fuzzy(self, grid: LevelGrid) -> FuzzySet:
-        for t in self.thresholds:
-            if not grid.admits(t):
-                raise InputError(f"threshold {t} is not on the grid")
-        grades = []
-        for p in self.space.points:
-            g = ZERO
-            for t, c in zip(self.thresholds, self.cuts):
-                if p in c.members:
-                    g = t
-            grades.append(g)
-        return FuzzySet(self.space, grid, grades)
-
-
-def merge_chains(a: PiecewiseRepresentation, b: PiecewiseRepresentation):
-    """Common threshold refinement with aligned cut pairs.
-
-    Returns (thresholds, pairs) where pairs[i] gives both cuts on the
-    interval ending at thresholds[i]; a side already above its height
-    contributes the empty set.
-    """
-    if a.space is not b.space:
-        raise InputError("merge needs a common base space")
-    merged = tuple(sorted(set(a.thresholds) | set(b.thresholds)))
-    pairs = tuple((a.lookup(t), b.lookup(t)) for t in merged)
-    return merged, pairs
+def zadeh_apply(sys: SystemMap, a: FuzzySet) -> FuzzySet:
+    """New grade at x is the max grade over the preimage of x (0 if none)."""
+    return g_fuzzify_apply(sys, None, a)
 
 
 def normalize_constraint(constraint) -> tuple:
@@ -364,19 +246,6 @@ def constraint_label(norm: tuple) -> str:
         return "F0"
     op = "=" if norm[0] == "eq" else ">="
     return f"h{op}{norm[1]}"
-
-
-def count_states(n_points: int, grid: LevelGrid, norm: tuple) -> int:
-    """Exact state count for a constraint, by inclusion-exclusion on height."""
-    q = grid.m + 1
-    if norm[0] == "all":
-        return q ** n_points
-    if norm[0] == "nonempty":
-        return q ** n_points - 1
-    lam_idx = int(norm[1] * grid.m)  # levels below lam, plus zero
-    if norm[0] == "eq":
-        return (lam_idx + 1) ** n_points - lam_idx ** n_points
-    return q ** n_points - lam_idx ** n_points
 
 
 def _enumeration_choices(grid: LevelGrid, norm: tuple) -> tuple[Fraction, ...]:

@@ -1,5 +1,5 @@
-"""The space of nonempty subsets under the Hausdorff metric, its induced
-set-valued dynamics, and the finite Vietoris basis.
+"""The space of nonempty subsets under the Hausdorff metric and its
+induced set-valued dynamics.
 
 The empty set is representable in :class:`CompactSet` so the extended metric
 d(empty, A) = diam(X) is available where fuzzy level cuts need it, but the
@@ -8,7 +8,6 @@ empty set is never a state of the lifted system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -65,13 +64,10 @@ class CompactSet:
         return "{" + inner + "}"
 
 
-def empty_compact(space: MetricSpace) -> CompactSet:
-    return CompactSet(space, ())
-
-
 def hausdorff_distance(a: CompactSet, b: CompactSet) -> Fraction:
-    """max of the two directed sup-inf distances, with the extension
-    d(empty, empty) = 0 and d(empty, A) = diam(X) for nonempty A.
+    """max of the two directed sup-inf distances, read from the space's
+    integer metric, with the extension d(empty, empty) = 0 and
+    d(empty, A) = diam(X) for nonempty A.
     """
     if a.space is not b.space:
         raise InputError("Hausdorff distance needs a common base space")
@@ -79,53 +75,15 @@ def hausdorff_distance(a: CompactSet, b: CompactSet) -> Fraction:
         return ZERO
     if a.is_empty or b.is_empty:
         return a.space.diam
-    d = a.space.d
+    space = a.space
+    d = space.dist_int
+    ia = [space.index(p) for p in a.members]
+    ib = [space.index(p) for p in b.members]
 
     def directed(src, dst):
         return max(min(d(x, y) for y in dst) for x in src)
 
-    return max(directed(a.members, b.members), directed(b.members, a.members))
-
-
-def induced_apply(sys: SystemMap, a: CompactSet) -> CompactSet:
-    """Pointwise image; defined on nonempty sets only."""
-    if a.space is not sys.space:
-        raise InputError("set does not live on the system's space")
-    if a.is_empty:
-        raise InputError("the induced map is defined on nonempty sets only")
-    return CompactSet(sys.space, sys.image_points(a.members))
-
-
-@dataclass(frozen=True)
-class VietorisBasisElement:
-    """A finite collection of nonempty opens; selects the compacta inside
-    the union that meet every listed open."""
-
-    space: MetricSpace
-    opens: tuple[frozenset, ...]
-
-    def __post_init__(self):
-        if not self.opens:
-            raise InputError("a Vietoris element needs at least one open")
-        object.__setattr__(self, "opens",
-                           tuple(frozenset(o) for o in self.opens))
-        for o in self.opens:
-            if not o:
-                raise InputError("every listed open must be nonempty")
-            for p in o:
-                if p not in self.space:
-                    raise InputError("open contains a foreign point")
-
-
-def in_vietoris(a: CompactSet, v: VietorisBasisElement) -> bool:
-    if a.is_empty:
-        raise InputError("Vietoris membership is about nonempty compacta")
-    if a.space is not v.space:
-        raise InputError("mismatched base spaces")
-    union = frozenset().union(*v.opens)
-    if not a.members <= union:
-        return False
-    return all(a.members & o for o in v.opens)
+    return Fraction(max(directed(ia, ib), directed(ib, ia)), space.denom)
 
 
 def enumerate_compacts(space: MetricSpace, bound: int | None = None):

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from fuzzdyn.analysis import Verdict
 from fuzzdyn.errors import InputError
+from fuzzdyn.fuzzy import FuzzySet
 from fuzzdyn.spaces import (MetricSpace, SystemMap, as_fraction, circle_space,
                             iterate_tables, point_label)
 
@@ -38,6 +39,49 @@ def brute_levelwise(fuzzy_a, fuzzy_b):
                           if g >= level)
         best = max(best, brute_hausdorff(space, cut_a, cut_b))
     return best
+
+
+def brute_fuzzy_step(sys, a, g=None):
+    """New grade at x is the max of g(grade) over the preimage of x (0 if
+    none), on Fraction grades; g = None is Zadeh's extension."""
+    pre = sys.preimages()
+    grades = a.grades
+    tbl = {v: v for v in a.grid.with_zero()} if g is None else g.table
+    out = [max((tbl[grades[j]] for j in pre[i]), default=Fraction(0))
+           for i in range(len(grades))]
+    return FuzzySet(a.space, a.grid, out)
+
+
+def count_states(n_points, grid, norm):
+    """Exact state count for a constraint, by inclusion-exclusion on height."""
+    q = grid.m + 1
+    if norm[0] == "all":
+        return q ** n_points
+    if norm[0] == "nonempty":
+        return q ** n_points - 1
+    lam_idx = int(norm[1] * grid.m)  # levels below lam, plus zero
+    if norm[0] == "eq":
+        return (lam_idx + 1) ** n_points - lam_idx ** n_points
+    return q ** n_points - lam_idx ** n_points
+
+
+def in_vietoris(members, opens):
+    """Does the set lie in the Vietoris element of ``opens``: inside their
+    union and meeting every one of them."""
+    a = frozenset(members)
+    return a <= frozenset().union(*opens) and all(a & o for o in opens)
+
+
+def omega_limit(sys, x):
+    """Points visited infinitely often by the orbit of x (its cycle part)."""
+    seen = {}
+    i = sys.space.index(x)
+    seq = []
+    while i not in seen:
+        seen[i] = len(seq)
+        seq.append(i)
+        i = sys.table[i]
+    return frozenset(sys.space.points[j] for j in seq[seen[i]:])
 
 
 def brute_return_times(sys, u_points, v_points, horizon):

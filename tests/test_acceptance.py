@@ -15,9 +15,8 @@ from fuzzdyn.catalog import (base_catalog, catalog_bijections_upto,
                              catalog_isometries_upto, catalog_upto)
 from fuzzdyn.families import (IndexSet, classify_syndetic, contains_ip,
                               dual_contains, fs_set, thick_family)
-from fuzzdyn.fuzzy import (LevelGrid, enumerate_fuzzy, fuzzy_lift_system,
-                           g_fuzzify_apply, xi_iterate, alpha_cut, FuzzySet,
-                           GFunction)
+from fuzzdyn.fuzzy import (LevelGrid, fuzzy_lift_system, g_fuzzify_apply,
+                           xi_iterate, alpha_cut, FuzzySet, GFunction)
 from fuzzdyn.hyperspace import enumerate_compacts, hausdorff_distance, \
     lift_system
 from fuzzdyn.spaces import (SystemMap, circle_space, iterate_tables,
@@ -283,15 +282,8 @@ def test_criterion_10_metric_axioms():
                 hausdorff_distance(a, b) + hausdorff_distance(b, c)
 
     # levelwise metric on the top-height slice, three points, grid 1/2
-    from fuzzdyn.fuzzy import levelwise_distance
-    space = circle_space(3)
-    states = list(enumerate_fuzzy(space, LevelGrid(2), ("eq", ONE)))
-    for a in states:
-        assert levelwise_distance(a, a) == 0
-    for a, b in itertools.combinations(states, 2):
-        assert levelwise_distance(a, b) == levelwise_distance(b, a) > 0
-    for a, b, c in itertools.combinations(states, 3):
-        assert levelwise_distance(a, c) <= \
-            levelwise_distance(a, b) + levelwise_distance(b, c)
+    ident = SystemMap(circle_space(3), range(3))
+    lift = fuzzy_lift_system(ident, LevelGrid(2), ("eq", ONE))
+    assert validate_metric(lift.space) == []
     print("\nCRITERION-10 metric axioms PASS (spaces, subset metric, "
           "levelwise metric)")

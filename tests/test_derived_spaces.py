@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from fuzzdyn.errors import InputError
 from fuzzdyn.fuzzy import (FuzzySet, GFunction, LevelGrid, enumerate_fuzzy,
-                           fuzzy_lift_system, g_fuzzify_apply, zadeh_apply)
-from fuzzdyn.hyperspace import CompactSet, induced_apply, lift_system
+                           fuzzy_lift_system)
+from fuzzdyn.hyperspace import lift_system
 from fuzzdyn.spaces import SystemMap, iterate, product_system
 
-from helpers import (brute_hausdorff, brute_levelwise, brute_product_distance,
-                     taxi_space)
+from helpers import (brute_fuzzy_step, brute_hausdorff, brute_levelwise,
+                     brute_product_distance, taxi_space)
 
 F = Fraction
 
@@ -67,8 +67,7 @@ def test_subset_lift_matches_definitions(sys, rng):
     n = len(sys.space.points)
     assert len(pts) == 2 ** n - 1
     for i, s in enumerate(pts):
-        image = induced_apply(sys, CompactSet(sys.space, s))
-        assert pts[lift.table[i]] == image.members
+        assert pts[lift.table[i]] == sys.image_points(s)
     for i, j in sampled_pairs(rng, len(pts)):
         assert lift.space.d_by_index(i, j) == \
             brute_hausdorff(sys.space, pts[i], pts[j])
@@ -81,22 +80,20 @@ def test_fuzzy_lift_matches_definitions(sys, m, data):
     constraint = data.draw(constraints(grid))
     g = data.draw(st.none() | gfunctions(grid))
 
-    def step(a):
-        return zadeh_apply(sys, a) if g is None else g_fuzzify_apply(sys, g, a)
-
     family = list(enumerate_fuzzy(sys.space, grid, constraint))
     try:
         lift = fuzzy_lift_system(sys, grid, constraint, g=g)
     except InputError:
         grades = {a.grades for a in family}
-        assert any(step(a).grades not in grades for a in family)
+        assert any(brute_fuzzy_step(sys, a, g).grades not in grades
+                   for a in family)
         return
     pts = lift.space.points
     assert_distinct(lift.space)
     assert pts == tuple(a.grades for a in family)
     states = [FuzzySet(sys.space, grid, p) for p in pts]
     for i, a in enumerate(states):
-        assert pts[lift.table[i]] == step(a).grades
+        assert pts[lift.table[i]] == brute_fuzzy_step(sys, a, g).grades
     rng = data.draw(st.randoms(use_true_random=False))
     for i, j in sampled_pairs(rng, len(pts)):
         assert lift.space.d_by_index(i, j) == \

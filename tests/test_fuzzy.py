@@ -7,23 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzdyn.errors import BoundExceeded, InputError
-from fuzzdyn.fuzzy import (FuzzySet, GFunction, LevelGrid,
-                           PiecewiseRepresentation, alpha_cut, count_states,
-                           embed_indicator, empty_fuzzy, enumerate_fuzzy,
-                           fuzzy_lift_system, g_fuzzify_apply,
-                           levelwise_distance, merge_chains, support, xi_of,
-                           xi_iterate, zadeh_apply)
+from fuzzdyn.fuzzy import (FuzzySet, GFunction, LevelGrid, alpha_cut,
+                           enumerate_fuzzy, fuzzy_lift_system,
+                           g_fuzzify_apply, xi_of, xi_iterate, zadeh_apply)
 from fuzzdyn.hyperspace import (CompactSet, enumerate_compacts,
                                 hausdorff_distance, lift_system)
 from fuzzdyn.spaces import (SystemMap, circle_space, make_multiply,
                             make_rotation)
-from helpers import brute_levelwise, random_table_system
+from helpers import brute_levelwise, count_states, random_table_system
 
 F = Fraction
 
 
 def indicator(space, grid, lam, members):
-    return embed_indicator(lam, CompactSet(space, members), grid)
+    return FuzzySet.from_map(space, grid, {p: lam for p in members})
+
+
+def empty_fuzzy(space, grid):
+    return FuzzySet(space, grid, [F(0)] * len(space.points))
 
 
 class TestAlphaCut:
@@ -58,14 +59,17 @@ class TestAlphaCut:
 
 
 class TestSupport:
+    """The support {x : grade(x) > 0} of a grid state is its cut at the
+    least level 1/m."""
+
     def test_indicator_support(self):
         space = circle_space(4)
         a = indicator(space, LevelGrid(4), F(3, 4), [1, 3])
-        assert support(a).members == {1, 3}
+        assert alpha_cut(a, F(1, 4)).members == {1, 3}
 
     def test_empty_fuzzy_support(self):
         space = circle_space(4)
-        assert support(empty_fuzzy(space, LevelGrid(2))).is_empty
+        assert alpha_cut(empty_fuzzy(space, LevelGrid(2)), F(1, 2)).is_empty
 
     def test_union_of_cuts(self):
         space = circle_space(4)
@@ -78,65 +82,61 @@ class TestSupport:
             union = set()
             for lv in grid.levels:
                 union |= alpha_cut(a, lv).members
-            assert support(a).members == union
+            support = {p for p, g in zip(space.points, a.grades) if g > 0}
+            assert alpha_cut(a, grid.levels[0]).members == support == union
 
 
 class TestLevelwiseDistance:
+    """The levelwise metric of the fuzzy lift, read at fuzzy states."""
+
     def test_zero_on_equal(self):
-        space = circle_space(4)
-        grid = LevelGrid(2)
-        for a in enumerate_fuzzy(space, grid):
-            assert levelwise_distance(a, a) == 0
+        lift = fuzzy_lift_system(make_multiply(4, 1), LevelGrid(2), "all")
+        for i in range(len(lift.space)):
+            assert lift.space.dist_int(i, i) == 0
 
     def test_same_height_indicators_reduce_to_hausdorff(self):
-        space = circle_space(8)
+        sys = make_rotation(8, 1)
         grid = LevelGrid(2)
-        c = CompactSet(space, [0, 1])
-        d = CompactSet(space, [4])
+        c = CompactSet(sys.space, [0, 1])
+        d = CompactSet(sys.space, [4])
         for lam in grid.levels:
-            got = levelwise_distance(embed_indicator(lam, c, grid),
-                                     embed_indicator(lam, d, grid))
+            lift = fuzzy_lift_system(sys, grid, ("eq", lam))
+            got = lift.space.d(indicator(sys.space, grid, lam, c).grades,
+                               indicator(sys.space, grid, lam, d).grades)
             assert got == hausdorff_distance(c, d)
 
     def test_height_gap_forces_diameter(self):
-        space = circle_space(8)
+        sys = make_rotation(8, 1)
         grid = LevelGrid(2)
-        c = CompactSet(space, [0, 1])
-        one = embed_indicator(F(1), c, grid)
-        half = embed_indicator(F(1, 2), c, grid)
-        assert levelwise_distance(one, half) == space.diam
+        lift = fuzzy_lift_system(sys, grid, "all")
+        one = indicator(sys.space, grid, F(1), [0, 1])
+        half = indicator(sys.space, grid, F(1, 2), [0, 1])
+        assert lift.space.d(one.grades, half.grades) == sys.space.diam
 
     def test_matches_level_enumeration_oracle(self):
-        space = circle_space(5)
+        sys = make_rotation(5, 1)
         grid = LevelGrid(3)
+        lift = fuzzy_lift_system(sys, grid, "all")
         rng = random.Random(2)
         choices = grid.with_zero()
         for _ in range(60):
-            a = FuzzySet(space, grid,
-                         [rng.choice(choices) for _ in space.points])
-            b = FuzzySet(space, grid,
-                         [rng.choice(choices) for _ in space.points])
-            assert levelwise_distance(a, b) == brute_levelwise(a, b)
-
-    def test_grid_mismatch_rejected(self):
-        space = circle_space(3)
-        a = empty_fuzzy(space, LevelGrid(2))
-        b = empty_fuzzy(space, LevelGrid(3))
-        with pytest.raises(InputError):
-            levelwise_distance(a, b)
+            a = FuzzySet(sys.space, grid,
+                         [rng.choice(choices) for _ in sys.space.points])
+            b = FuzzySet(sys.space, grid,
+                         [rng.choice(choices) for _ in sys.space.points])
+            assert lift.space.d(a.grades, b.grades) == brute_levelwise(a, b)
 
     def test_metric_axioms_on_height_one_slice(self):
-        space = circle_space(3)
-        grid = LevelGrid(2)
-        states = list(enumerate_fuzzy(space, grid, ("eq", F(1))))
+        lift = fuzzy_lift_system(make_rotation(3, 1), LevelGrid(2),
+                                 ("eq", F(1)))
+        d = lift.space.d_by_index
+        states = range(len(lift.space))
         assert len(states) == 19
         for a, b in itertools.combinations(states, 2):
-            d = levelwise_distance(a, b)
-            assert d > 0
-            assert d == levelwise_distance(b, a)
+            assert d(a, b) > 0
+            assert d(a, b) == d(b, a)
         for a, b, c in itertools.combinations(states, 3):
-            assert levelwise_distance(a, c) <= \
-                levelwise_distance(a, b) + levelwise_distance(b, c)
+            assert d(a, c) <= d(a, b) + d(b, c)
 
 
 class TestZadeh:
@@ -164,9 +164,8 @@ class TestZadeh:
     def test_indicator_maps_to_image_indicator(self):
         m = make_multiply(8, 2)
         grid = LevelGrid(2)
-        c = CompactSet(m.space, [1, 3, 5, 7])
-        got = zadeh_apply(m, embed_indicator(F(1, 2), c, grid))
-        want = embed_indicator(F(1, 2), CompactSet(m.space, [2, 6]), grid)
+        got = zadeh_apply(m, indicator(m.space, grid, F(1, 2), [1, 3, 5, 7]))
+        want = indicator(m.space, grid, F(1, 2), [2, 6])
         assert got == want
 
     def test_empty_state_fixed(self):
@@ -230,8 +229,7 @@ class TestGFunctions:
         a = FuzzySet(m.space, grid,
                      [F(1, 2) if p in (1, 2) else F(0) for p in m.space.points])
         got = g_fuzzify_apply(m, g, a)
-        want = embed_indicator(
-            F(1), CompactSet(m.space, {m.apply(1), m.apply(2)}), grid)
+        want = indicator(m.space, grid, F(1), {m.apply(1), m.apply(2)})
         assert got == want
 
     def test_grid_mismatch_rejected(self):
@@ -269,6 +267,14 @@ def test_xi_nondecreasing_and_positive(m, seed):
         assert xi[x] > 0
 
 
+@pytest.mark.parametrize("n,alpha", [(1, F(1, 3)), (0, F(1, 3)),
+                                     (-1, F(1, 2))])
+def test_xi_iterate_rejects_bad_input(n, alpha):
+    g = GFunction.identity(LevelGrid(2))
+    with pytest.raises(InputError):
+        xi_iterate(g, n, alpha)
+
+
 def test_cut_commutation_iterated_random():
     rng = random.Random(6)
     for _ in range(30):
@@ -295,94 +301,31 @@ class TestEmbedIndicator:
         space = circle_space(6)
         grid = LevelGrid(4)
         c = CompactSet(space, [0, 5])
-        a = embed_indicator(F(3, 4), c, grid)
+        a = indicator(space, grid, F(3, 4), c)
         assert alpha_cut(a, F(3, 4)) == c
         assert a.height == F(3, 4)
-
-    def test_degenerate_inputs_rejected(self):
-        space = circle_space(3)
-        grid = LevelGrid(2)
-        with pytest.raises(InputError):
-            embed_indicator(F(0), CompactSet(space, [0]), grid)
-        with pytest.raises(InputError):
-            embed_indicator(F(1), CompactSet(space, []), grid)
 
     def test_whole_space_fixed_by_surjection(self):
         m = make_multiply(9, 2)
         grid = LevelGrid(2)
-        top = embed_indicator(F(1), CompactSet(m.space, m.space.points), grid)
+        top = indicator(m.space, grid, F(1), m.space.points)
         assert zadeh_apply(m, top) == top
 
     def test_isometric_and_equivariant(self):
         sys = make_rotation(5, 1)
         grid = LevelGrid(2)
         lam = F(1, 2)
+        lift = fuzzy_lift_system(sys, grid, ("eq", lam))
         sets = list(enumerate_compacts(sys.space))
         for a, b in itertools.combinations(sets, 2):
-            assert levelwise_distance(embed_indicator(lam, a, grid),
-                                      embed_indicator(lam, b, grid)) == \
-                hausdorff_distance(a, b)
+            assert lift.space.d(indicator(sys.space, grid, lam, a).grades,
+                                indicator(sys.space, grid, lam, b).grades) \
+                == hausdorff_distance(a, b)
         for a in sets:
-            lhs = zadeh_apply(sys, embed_indicator(lam, a, grid))
-            rhs = embed_indicator(
-                lam, CompactSet(sys.space, sys.image_points(a.members)), grid)
+            lhs = zadeh_apply(sys, indicator(sys.space, grid, lam, a))
+            rhs = indicator(sys.space, grid, lam,
+                            sys.image_points(a.members))
             assert lhs == rhs
-
-
-class TestPiecewiseRepresentation:
-    def test_roundtrip(self):
-        space = circle_space(4)
-        grid = LevelGrid(4)
-        rng = random.Random(7)
-        choices = grid.with_zero()
-        for _ in range(50):
-            a = FuzzySet(space, grid,
-                         [rng.choice(choices) for _ in space.points])
-            rep = PiecewiseRepresentation.from_fuzzy(a)
-            if a.is_empty:
-                assert rep.thresholds == ()
-                continue
-            assert rep.thresholds[-1] == a.height
-            assert rep.to_fuzzy(grid) == a
-
-    def test_merge_identical(self):
-        space = circle_space(3)
-        grid = LevelGrid(2)
-        a = FuzzySet(space, grid, [F(1, 2), F(1), F(0)])
-        rep = PiecewiseRepresentation.from_fuzzy(a)
-        thresholds, pairs = merge_chains(rep, rep)
-        assert thresholds == rep.thresholds
-        assert all(x == y for x, y in pairs)
-
-    def test_merge_thresholds_sorted_union(self):
-        space = circle_space(4)
-        grid = LevelGrid(6)
-        a = FuzzySet(space, grid, [F(1, 2), F(1), F(0), F(0)])
-        b = FuzzySet(space, grid, [F(1, 3), F(1, 3), F(1), F(0)])
-        ra = PiecewiseRepresentation.from_fuzzy(a)
-        rb = PiecewiseRepresentation.from_fuzzy(b)
-        thresholds, _ = merge_chains(ra, rb)
-        assert thresholds == (F(1, 3), F(1, 2), F(1))
-
-    def test_merged_lookup_matches_alpha_cut(self):
-        space = circle_space(4)
-        grid = LevelGrid(6)
-        rng = random.Random(8)
-        choices = grid.with_zero()
-        for _ in range(40):
-            a = FuzzySet(space, grid,
-                         [rng.choice(choices) for _ in space.points])
-            b = FuzzySet(space, grid,
-                         [rng.choice(choices) for _ in space.points])
-            if a.is_empty or b.is_empty:
-                continue
-            ra = PiecewiseRepresentation.from_fuzzy(a)
-            rb = PiecewiseRepresentation.from_fuzzy(b)
-            thresholds, pairs = merge_chains(ra, rb)
-            assert len(thresholds) <= len(ra.thresholds) + len(rb.thresholds)
-            for t, (ca, cb) in zip(thresholds, pairs):
-                assert ca.members == alpha_cut(a, t).members
-                assert cb.members == alpha_cut(b, t).members
 
 
 class TestEnumeration:
@@ -478,12 +421,13 @@ class TestFuzzyLift:
 def test_height_obstruction_small():
     sys = make_rotation(3, 1)
     grid = LevelGrid(2)
+    lift = fuzzy_lift_system(sys, grid, "all")
     states = list(enumerate_fuzzy(sys.space, grid))
     for a, b in itertools.combinations(states, 2):
         if a.height == b.height:
             continue
         cur_a, cur_b = a, b
         for _ in range(4):
-            assert levelwise_distance(cur_a, cur_b) == sys.space.diam
+            assert lift.space.d(cur_a.grades, cur_b.grades) == sys.space.diam
             cur_a = zadeh_apply(sys, cur_a)
             cur_b = zadeh_apply(sys, cur_b)

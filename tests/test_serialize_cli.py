@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -288,3 +289,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert "rotation:n,step" in out
         assert "uniform-rigidity" in out
+
+
+def test_package_exports_are_public_names_not_modules():
+    for name in fuzzdyn.__all__:
+        assert not isinstance(getattr(fuzzdyn, name), types.ModuleType), name
