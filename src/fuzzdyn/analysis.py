@@ -176,6 +176,8 @@ def _checked_basis(dyn, basis) -> Sequence:
     the space of a table system (the default basis covers it already)."""
     if basis is None:
         return dyn.default_basis()
+    if isinstance(basis, _BoxBasis):
+        return basis
     basis = tuple(basis)
     if isinstance(dyn, TableDyn):
         validate_basis(dyn.sys.space, basis)
@@ -211,10 +213,21 @@ class Verdict:
 
 # -- dynamics oracles -------------------------------------------------------
 
-# Every oracle answers ``return_times(u, v, bound)`` with N(U, V) below the
-# bound as one bitset: bit n is set iff T^n(U) meets V and n < bound.
+class _Oracle:
+    """Every oracle answers ``return_times(u, v, bound)`` with N(U, V) below
+    the bound as one bitset: bit n is set iff T^n(U) meets V and n < bound.
+    Scans read ``rows(basis, bound)``: (U, row) per basis open U, where the
+    row yields N(U, V) for every V of the basis, in basis order, on demand."""
 
-class TableDyn:
+    def rows(self, basis, bound: int):
+        for u in basis:
+            yield u, self.row(u, basis, bound)
+
+    def row(self, u, basis, bound: int):
+        return (self.return_times(u, v, bound) for v in basis)
+
+
+class TableDyn(_Oracle):
     """Return-time oracle for a finite table system; exact via the eventual
     period of the map table."""
 
@@ -228,31 +241,53 @@ class TableDyn:
         return self.sys.eventual_period()
 
     def return_times(self, u: PointsOpen, v: PointsOpen, bound: int) -> int:
-        """Walk the orbit of U up to pre + per, then repeat the period."""
-        if not isinstance(u, PointsOpen) or not isinstance(v, PointsOpen):
+        return next(self.row(u, (v,), bound))
+
+    def row(self, u: PointsOpen, basis, bound: int):
+        """One walk of the orbit of U up to pre + per records, per point,
+        the times n at which it lies in T^n(U); V collects its points' times
+        (T^n(U) meets V iff some point of V lies in it), then the period
+        repeats."""
+        if not isinstance(u, PointsOpen):
             raise InputError("a table system quantifies over pointwise opens")
         pre, per = self.sys.eventual_period()
         tbl = self.sys.table
         space = self.sys.space
-        cur, target = _open_indices(space, u), _open_indices(space, v)
-        bits = 0
-        for n in range(min(bound, pre + per)):
-            if not target.isdisjoint(cur):
-                bits |= 1 << n
+        walk = min(bound, pre + per)
+        times: dict[int, int] = {}
+        cur = _open_indices(space, u)
+        for n in range(walk):
+            bit = 1 << n
+            for i in cur:
+                times[i] = times.get(i, 0) | bit
             cur = {tbl[i] for i in cur}
-        cycle = bits >> pre
-        for start in range(pre + per, bound, per):
-            bits |= cycle << start
-        return bits & ((1 << bound) - 1)
+        mask = (1 << bound) - 1
+        for v in basis:
+            if not isinstance(v, PointsOpen):
+                raise InputError("a table system quantifies over pointwise "
+                                 "opens")
+            bits = 0
+            for j in _open_indices(space, v):
+                bits |= times.get(j, 0)
+            cycle = bits >> pre
+            for start in range(walk, bound, per):
+                bits |= cycle << start
+            yield bits & mask
 
 
-class ShiftDyn:
-    """Return-time oracle for cylinders of a shift of finite type."""
+class ShiftDyn(_Oracle):
+    """Return-time oracle for cylinders of a shift of finite type.
+
+    Each word pair is decided once per bound: the oracle keeps every bitset
+    it computes, at most (cylinders)^2 x (distinct bounds) of them.  Only
+    legal pairs get an entry, so every call with an illegal word is
+    validated again and raises."""
 
     def __init__(self, shift: ShiftSystem,
                  cylinder_length: int = DEFAULT_CYLINDER_LENGTH):
         self.shift = shift
         self.cylinder_length = min(cylinder_length, shift.resolution)
+        self._times: dict[tuple[str, str, int], int] = {}
 
     def default_basis(self) -> tuple[CylinderOpen, ...]:
         return tuple(CylinderOpen(w)
@@ -261,8 +296,16 @@ class ShiftDyn:
     def preperiod_period(self) -> None:
         return None
 
+    def word_times(self, u: str, v: str, bound: int) -> int:
+        """N([u], [v]) below the bound."""
+        key = (u, v, bound)
+        bits = self._times.get(key)
+        if bits is None:
+            bits = self._times[key] = self.shift.return_bits(u, v, bound)
+        return bits
+
     def return_times(self, u: CylinderOpen, v: CylinderOpen, bound: int) -> int:
-        return self.shift.return_bits(u.word, v.word, bound)
+        return self.word_times(u.word, v.word, bound)
 
 
 def _dilate(bits: int, a: int, bound: int) -> int:
@@ -280,11 +323,42 @@ class _BoxBasis:
     def __iter__(self):
         return map(ProductOpen, itertools.product(*self.bases))
 
+    def __len__(self) -> int:
+        return math.prod(map(len, self.bases))
 
-class ProductDyn:
+
+class _LazyRow:
+    """A factor row whose bitsets are computed on first iteration and kept;
+    a later iteration reads the kept ones, then resumes the source."""
+
+    __slots__ = ("_source", "_done")
+
+    def __init__(self, source):
+        self._source = source
+        self._done: list[int] = []
+
+    def __iter__(self):
+        yield from self._done
+        for bits in self._source:
+            self._done.append(bits)
+            yield bits
+
+
+def _box_row(rows: list, acc: int):
+    """The AND of one bitset from each factor row, in product order."""
+    if len(rows) == 1:
+        return map(acc.__and__, rows[0])
+    rest = rows[1:]
+    return itertools.chain.from_iterable(_box_row(rest, acc & bits)
+                                         for bits in rows[0])
+
+
+class ProductDyn(_Oracle):
     """Product of oracles with per-factor exponents; membership is decided
-    coordinatewise: n is a return time iff a_i * n is one for each factor.
-    The oracle keeps each dilated factor bitset it computes."""
+    coordinatewise: n is a return time iff a_i * n is one for each factor,
+    so a box's row is the AND of its factors' dilated rows (Furstenberg
+    1967).  Over a box basis each factor row is built once per factor-basis
+    index and kept only for that scan; any other basis is read pairwise."""
 
     def __init__(self, factors: Sequence[tuple[object, int]]):
         if not factors:
@@ -293,7 +367,6 @@ class ProductDyn:
             if e < 1:
                 raise InputError("exponents must be positive")
         self.factors = tuple(factors)
-        self._factor_times: dict[tuple, int] = {}
 
     def default_basis(self) -> _BoxBasis:
         return _BoxBasis(tuple(tuple(dyn.default_basis())
@@ -312,33 +385,59 @@ class ProductDyn:
             per_star = per_star * per_i // math.gcd(per_star, per_i)
         return pre_star, per_star
 
+    def _factor_row(self, k: int, u, basis, bound: int):
+        dyn, a = self.factors[k]
+        row = dyn.row(u, basis, a * bound)
+        if a == 1:
+            return row
+        return (_dilate(bits, a, bound) for bits in row)
+
     def return_times(self, u: ProductOpen, v: ProductOpen, bound: int) -> int:
-        bits, times = (1 << bound) - 1, self._factor_times
+        bits = (1 << bound) - 1
         for k, (up, vp) in enumerate(zip(u.parts, v.parts)):
-            key = (k, up, vp, bound)
-            if key not in times:
-                dyn, a = self.factors[k]
-                times[key] = _dilate(dyn.return_times(up, vp, a * bound), a,
-                                     bound)
-            bits &= times[key]
+            bits &= next(self._factor_row(k, up, (vp,), bound))
         return bits
 
+    def rows(self, basis, bound: int):
+        if not isinstance(basis, _BoxBasis):
+            yield from super().rows(basis, bound)
+            return
+        bases = basis.bases
+        # factor k: factor-basis index -> its row; the first factor's row is
+        # read by consecutive boxes only, so just the current one is kept
+        kept: list[dict[int, _LazyRow]] = [{} for _ in bases]
+        full = (1 << bound) - 1
+        for index in itertools.product(*(range(len(b)) for b in bases)):
+            rows = []
+            for k, i in enumerate(index):
+                row = kept[k].get(i)
+                if row is None:
+                    if k == 0:
+                        kept[0].clear()
+                    row = kept[k][i] = _LazyRow(
+                        self._factor_row(k, bases[k][i], bases[k], bound))
+                rows.append(row)
+            yield (ProductOpen(tuple(map(operator.getitem, bases, index))),
+                   _box_row(rows, full))
 
-class HyperShiftDyn:
+
+class HyperShiftDyn(_Oracle):
     """Hyperspace return times over a shift, on Vietoris elements whose
     components are base cylinders.
 
     For any system, T_K^n<U_1..U_p> meets <V_1..V_q> iff every U_i sends a
     point into some V_j at time n and every V_j receives one from some U_i;
     a finite set realizing the matching witnesses membership.  This reduces
-    hyperspace membership to base membership exactly.
+    hyperspace membership to base membership exactly, read from the word
+    pairs a base :class:`ShiftDyn` keeps.
     """
 
     def __init__(self, shift: ShiftSystem,
                  cylinder_length: int = DEFAULT_CYLINDER_LENGTH,
                  max_components: int = VIETORIS_COMPONENT_CAP):
         self.shift = shift
-        self.cylinder_length = min(cylinder_length, shift.resolution)
+        self.base = ShiftDyn(shift, cylinder_length)
+        self.cylinder_length = self.base.cylinder_length
         self.max_components = max_components
 
     def default_basis(self) -> tuple[VietorisOpen, ...]:
@@ -353,12 +452,25 @@ class HyperShiftDyn:
         return None
 
     def return_times(self, u: VietorisOpen, v: VietorisOpen, bound: int) -> int:
-        times = self.shift.return_bits
-        hits = [[times(uw, vw, bound) for vw in v.words] for uw in u.words]
-        bits = (1 << bound) - 1
-        for line in hits + list(zip(*hits)):
-            bits &= functools.reduce(operator.or_, line)
-        return bits
+        return next(self.row(u, (v,), bound))
+
+    def row(self, u: VietorisOpen, basis, bound: int):
+        times = self.base.word_times
+        full = (1 << bound) - 1
+        cols = {}   # base word V_j -> (N(U_i, V_j) for each U_i, their OR)
+        for v in basis:
+            bits = full
+            sends = [0] * len(u.words)
+            for vw in v.words:
+                hit = cols.get(vw)
+                if hit is None:
+                    col = [times(uw, vw, bound) for uw in u.words]
+                    hit = cols[vw] = col, functools.reduce(operator.or_, col)
+                bits &= hit[1]                          # V_j receives
+                sends = list(map(operator.or_, sends, hit[0]))
+            for line in sends:                          # U_i sends
+                bits &= line
+            yield bits
 
 
 def as_dyn(target):
@@ -366,7 +478,7 @@ def as_dyn(target):
         return TableDyn(target)
     if isinstance(target, ShiftSystem):
         return ShiftDyn(target)
-    if hasattr(target, "return_times"):
+    if isinstance(target, _Oracle):
         return target
     raise InputError(f"not a dynamical system: {target!r}")
 
@@ -448,6 +560,14 @@ def _effective_horizon(dyn, horizon: int | None) -> tuple[int, bool]:
     return (horizon or DEFAULT_SYMBOLIC_HORIZON), False
 
 
+def _scan(dyn, basis, bound: int):
+    """(U, V, N(U, V) below the bound) for every pair of basis opens, one
+    oracle row per source open U."""
+    for u, row in dyn.rows(basis, bound):
+        for v, bits in zip(basis, row):
+            yield u, v, bits
+
+
 def _first(bits: int) -> int:
     """The least n whose bit is set in a nonzero bitset."""
     return (bits & -bits).bit_length() - 1
@@ -497,16 +617,14 @@ def is_transitive(target, basis=None, horizon: int | None = None) -> Verdict:
     basis = _checked_basis(dyn, basis)
     bound, exact = _effective_horizon(dyn, horizon)
     witnesses = []
-    for u in basis:
-        for v in basis:
-            bits = dyn.return_times(u, v, bound)
-            if not bits:
-                return Verdict("fails", exact, horizon=bound,
-                               counterexample=(open_label(u), open_label(v)),
-                               note="no return time below the horizon"
-                                    if not exact else "")
-            if len(witnesses) < 8:
-                witnesses.append((open_label(u), open_label(v), _first(bits)))
+    for u, v, bits in _scan(dyn, basis, bound):
+        if not bits:
+            return Verdict("fails", exact, horizon=bound,
+                           counterexample=(open_label(u), open_label(v)),
+                           note="no return time below the horizon"
+                                if not exact else "")
+        if len(witnesses) < 8:
+            witnesses.append((open_label(u), open_label(v), _first(bits)))
     return Verdict("holds", exact, horizon=bound, witnesses=tuple(witnesses))
 
 
@@ -515,7 +633,7 @@ def _square(dyn, basis) -> tuple:
     factor), its boxes; None stands for the product's default basis."""
     if basis is not None:
         basis = _checked_basis(dyn, basis)
-        basis = map(ProductOpen, itertools.product(basis, basis))
+        basis = _BoxBasis((basis, basis))
     return ProductDyn([(dyn, 1), (dyn, 1)]), basis
 
 
@@ -532,10 +650,13 @@ def is_weakly_mixing(target, basis=None, horizon: int | None = None,
     basis = _checked_basis(dyn, basis)
     bound, exact = _effective_horizon(dyn, horizon)
     witnesses = []
-    for u in basis:
-        returns = dyn.return_times(u, u, bound)
-        for v in basis:
-            both = returns & dyn.return_times(u, v, bound)
+    size = len(basis)
+    pairs = _scan(dyn, basis, bound)
+    for i in range(size):
+        row = list(itertools.islice(pairs, size))
+        returns = row[i][2]                     # N(U, U)
+        for u, v, bits in row:
+            both = returns & bits
             if not both:
                 return Verdict("fails", exact, horizon=bound,
                                counterexample=(open_label(u), open_label(v)),
@@ -561,19 +682,19 @@ def is_mixing(target, basis=None, horizon: int | None = None) -> Verdict:
         bound, _ = _effective_horizon(dyn, horizon)
         tail_bound = bound // 2
     worst_tail = 0
-    for u in basis:
-        for v in basis:
-            missing = ~dyn.return_times(u, v, bound) & ((1 << bound) - 1)
-            tail = missing.bit_length()
-            if tail > tail_bound:
-                example = (open_label(u), open_label(v))
-                if exact:
-                    example += (pre + _first(missing >> pre),)
-                return Verdict("fails", exact, horizon=bound,
-                               counterexample=example,
-                               note="a full residue class of times is missing"
-                                    if exact else "not cofinite at the horizon")
-            worst_tail = max(worst_tail, tail)
+    full = (1 << bound) - 1
+    for u, v, bits in _scan(dyn, basis, bound):
+        missing = ~bits & full
+        tail = missing.bit_length()
+        if tail > tail_bound:
+            example = (open_label(u), open_label(v))
+            if exact:
+                example += (pre + _first(missing >> pre),)
+            return Verdict("fails", exact, horizon=bound,
+                           counterexample=example,
+                           note="a full residue class of times is missing"
+                                if exact else "not cofinite at the horizon")
+        worst_tail = max(worst_tail, tail)
     return Verdict("holds", exact, horizon=bound,
                    witnesses=(("tail_start", worst_tail),),
                    note="" if exact else "horizon evidence")
@@ -603,29 +724,28 @@ def is_F_transitive(target, family: FamilyClassifier, basis=None,
         window, _ = _effective_horizon(dyn, horizon)
     exact_kinds = ("infinite", "syndetic", "cofinite", "thick")
     exact = finite and family.kind in exact_kinds
-    detail_any = None
-    for u in basis:
-        for v in basis:
-            bits = dyn.return_times(u, v, window)
-            s = IndexSet.from_bits(window, bits)
-            if exact:
-                periodic_part = bits >> pre & ((1 << per) - 1)
-                if family.kind in ("infinite", "syndetic"):
-                    ok = periodic_part != 0
-                else:
-                    ok = periodic_part == (1 << per) - 1
-                _, detail = family.classify(s)
+    detail = last = None
+    for u, v, bits in _scan(dyn, basis, window):
+        if exact:
+            periodic_part = bits >> pre & ((1 << per) - 1)
+            if family.kind in ("infinite", "syndetic"):
+                ok = periodic_part != 0
             else:
-                ok, detail = family.classify(s)
-            detail_any = detail
-            if not ok:
-                return Verdict("fails", exact, horizon=window,
-                               counterexample=(open_label(u), open_label(v)),
-                               note=f"N(U,V) not {family.kind} "
-                                    f"({'exact' if exact else 'at horizon'})")
+                ok = periodic_part == (1 << per) - 1
+        else:
+            ok, detail = family.classify(IndexSet.from_bits(window, bits))
+        if not ok:
+            return Verdict("fails", exact, horizon=window,
+                           counterexample=(open_label(u), open_label(v)),
+                           note=f"N(U,V) not {family.kind} "
+                                f"({'exact' if exact else 'at horizon'})")
+        last = bits
+    if exact and last is not None:
+        # the witness is read off the last pair's set at the window
+        _, detail = family.classify(IndexSet.from_bits(window, last))
     wit = (("family", family.kind),)
-    if detail_any and detail_any.get("witness") is not None:
-        wit += (("witness", detail_any["witness"]),)
+    if detail and detail.get("witness") is not None:
+        wit += (("witness", detail["witness"]),)
     return Verdict("holds", exact, horizon=window, witnesses=wit,
                    note="" if exact else "horizon evidence")
 
@@ -688,13 +808,8 @@ def _ip_difference_evidence(target, horizon: int | None) -> bool:
     witness_bits = [sum(1 << n for n in
                         difference_set(fs_set(g, window)).members)
                     for g in IP_WITNESS_GENERATORS]
-    basis = dyn.default_basis()
-    for u in basis:
-        for v in basis:
-            times = dyn.return_times(u, v, window)
-            if not all(times & w for w in witness_bits):
-                return False
-    return True
+    return all(times & w for _, _, times in
+               _scan(dyn, dyn.default_basis(), window) for w in witness_bits)
 
 
 # -- metric behaviour ----------------------------------------------------------

@@ -8,7 +8,7 @@ scanned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
@@ -16,10 +16,13 @@ from .errors import InputError
 
 @dataclass(frozen=True)
 class IndexSet:
-    """Subset of {0, ..., horizon-1}; every verdict carries the horizon."""
+    """Subset of {0, ..., horizon-1}; every verdict carries the horizon.
+    The classifiers read the members as one bitset: bit n of ``bits`` is
+    set iff n is a member."""
 
     horizon: int
     members: frozenset
+    bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -28,6 +31,7 @@ class IndexSet:
         if any((not isinstance(v, int)) or v < 0 or v >= self.horizon
                for v in self.members):
             raise InputError("index set member outside [0, horizon)")
+        object.__setattr__(self, "bits", sum(1 << n for n in self.members))
 
     @classmethod
     def of(cls, horizon: int, members: Iterable[int]) -> "IndexSet":
@@ -36,14 +40,22 @@ class IndexSet:
     @classmethod
     def from_bits(cls, horizon: int, bits: int) -> "IndexSet":
         """The set whose members are the set bits below the horizon."""
-        return cls.of(horizon, (n for n in range(horizon) if bits >> n & 1))
+        if horizon < 1:
+            raise InputError("horizon must be positive")
+        bits &= (1 << horizon) - 1
+        digits = format(bits, "b")[::-1]            # bit 0 first
+        s = cls.__new__(cls)
+        object.__setattr__(s, "horizon", horizon)
+        object.__setattr__(s, "members", frozenset(
+            n for n, c in enumerate(digits) if c == "1"))
+        object.__setattr__(s, "bits", bits)
+        return s
 
     def sorted_members(self) -> list[int]:
         return sorted(self.members)
 
     def complement(self) -> "IndexSet":
-        return IndexSet(self.horizon,
-                        frozenset(range(self.horizon)) - self.members)
+        return IndexSet.from_bits(self.horizon, ~self.bits)
 
     def __contains__(self, n: int) -> bool:
         return n in self.members
@@ -80,15 +92,8 @@ def default_window(horizon: int) -> int:
 def _longest_run(s: IndexSet, inside: bool) -> int:
     """Length of the longest run of consecutive n below the horizon whose
     membership in the set equals ``inside``."""
-    longest = 0
-    run = 0
-    for n in range(s.horizon):
-        if (n in s.members) == inside:
-            run += 1
-            longest = max(longest, run)
-        else:
-            run = 0
-    return longest
+    digits = format(s.bits, "b").zfill(s.horizon)
+    return max(map(len, digits.split("0" if inside else "1")))
 
 
 def classify_syndetic(s: IndexSet, gap_threshold: int | None = None) -> SyndeticResult:
@@ -102,11 +107,14 @@ def classify_syndetic(s: IndexSet, gap_threshold: int | None = None) -> Syndetic
     r = gap_threshold if gap_threshold is not None else default_window(s.horizon)
     missing = _longest_run(s, inside=False)
     ok = missing + 1 <= r
-    seq = [-1] + s.sorted_members() + [s.horizon - 1]
-    gap = max((b - a for a, b in zip(seq, seq[1:])), default=s.horizon)
-    if not s.members:
-        gap = s.horizon
-    return SyndeticResult(ok, gap)
+    if not s.bits:
+        return SyndeticResult(ok, s.horizon)
+    # spacings of consecutive members, with sentinels at -1 and horizon - 1:
+    # one more than each run of non-members below the top member, and the
+    # run above it
+    below_top = max(map(len, format(s.bits, "b").split("1")))
+    return SyndeticResult(ok, max(below_top + 1,
+                                  s.horizon - s.bits.bit_length()))
 
 
 def classify_thick(s: IndexSet, run_threshold: int | None = None) -> ThickResult:
@@ -119,19 +127,16 @@ def classify_thick(s: IndexSet, run_threshold: int | None = None) -> ThickResult
 def classify_cofinite(s: IndexSet, tail_bound: int | None = None) -> CofiniteResult:
     """True iff [t, H) is contained in the set for some t <= bound (default H/2)."""
     bound = tail_bound if tail_bound is not None else s.horizon // 2
-    t = 0
-    for n in range(s.horizon - 1, -1, -1):
-        if n not in s.members:
-            t = n + 1
-            break
+    # one past the last non-member, 0 when every n is a member
+    t = (~s.bits & ((1 << s.horizon) - 1)).bit_length()
     return CofiniteResult(t <= bound, t)
 
 
 def classify_infinite(s: IndexSet, tail_bound: int | None = None) -> InfiniteResult:
     """Horizon proxy for infinitude: membership in the tail window [bound, H)."""
     bound = tail_bound if tail_bound is not None else s.horizon // 2
-    tail = [n for n in s.members if n >= bound]
-    return InfiniteResult(bool(tail), len(tail))
+    tail = (s.bits >> max(bound, 0)).bit_count()
+    return InfiniteResult(tail > 0, tail)
 
 
 def fs_set(generators: Sequence[int], horizon: int) -> IndexSet:

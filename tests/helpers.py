@@ -189,3 +189,27 @@ def brute_equicontinuity_modulus(sys: SystemMap, eps) -> Verdict:
         wit += (("violator", violator),)
     return Verdict("holds" if delta > 0 else "fails", True,
                    horizon=pre + per, witnesses=wit)
+
+
+def brute_family_results(members, horizon, threshold):
+    """(syndetic, thick, cofinite, infinite) results of a set, scanned n by
+    n through its members; ``threshold`` is shared as the gap, run, tail and
+    window bound, None for each classifier's default."""
+    def longest_run(inside):
+        longest = run = 0
+        for n in range(horizon):
+            run = run + 1 if (n in members) == inside else 0
+            longest = max(longest, run)
+        return longest
+
+    window = threshold if threshold is not None else max(1, horizon // 4)
+    tail = threshold if threshold is not None else horizon // 2
+    seq = [-1] + sorted(members) + [horizon - 1]
+    gap = max(b - a for a, b in zip(seq, seq[1:])) if members else horizon
+    t = next((n + 1 for n in range(horizon - 1, -1, -1)
+              if n not in members), 0)
+    count = len([n for n in members if n >= tail])
+    return ((longest_run(False) + 1 <= window, gap),
+            (longest_run(True) >= window, longest_run(True)),
+            (t <= tail, t),
+            (count > 0, count))

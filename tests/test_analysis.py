@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -8,15 +9,16 @@ from hypothesis import strategies as st
 
 from fuzzdyn.analysis import (CylinderOpen, HyperShiftDyn, ProductDyn,
                               ProductOpen, ShiftDyn, TableDyn, VietorisOpen,
+                              _BoxBasis, _LazyRow, _scan,
                               diam_decay, equicontinuity_modulus,
                               is_a_transitive, is_F_transitive,
                               is_mildly_mixing_bounded, is_mixing,
                               is_periodically_dense, is_proximal,
                               is_proximal_pair, is_sensitive, is_transitive,
                               is_uniformly_rigid, is_weakly_mixing,
-                              point_return_set, points_open, recurrent_points,
-                              return_time_set, singleton_basis,
-                              weakly_disjoint)
+                              open_label, point_return_set, points_open,
+                              recurrent_points, return_time_set,
+                              singleton_basis, weakly_disjoint)
 from fuzzdyn.catalog import base_catalog, transitive_catalog
 from fuzzdyn.errors import InputError
 from fuzzdyn.families import (infinite_family, syndetic_family, thick_family)
@@ -524,14 +526,14 @@ def point_sets(draw, sys):
 
 
 @st.composite
-def small_shifts(draw):
+def small_shifts(draw, resolutions=st.just(2)):
     """A shift on up to three symbols: a cycle through every symbol keeps
     each vertex in- and out-going, random edges come on top."""
     syms = "abc"[:draw(st.integers(1, 3))]
     cycle = {(a, syms[(i + 1) % len(syms)]) for i, a in enumerate(syms)}
     extra = draw(st.sets(st.tuples(st.sampled_from(syms),
                                    st.sampled_from(syms))))
-    return ShiftSystem(syms, cycle | extra, resolution=2)
+    return ShiftSystem(syms, cycle | extra, resolution=draw(resolutions))
 
 
 class TestOracleBitsets:
@@ -649,3 +651,171 @@ class TestSingletonBasis:
         assert basis[3].label == "B(3)"
         with pytest.raises(IndexError):
             basis[5]
+
+
+# -- oracle rows against pairwise return times -------------------------------
+
+@st.composite
+def pointwise_bases(draw, sys):
+    """The singleton basis, or a few random point sets and one open holding
+    every point they miss."""
+    if draw(st.booleans()):
+        return singleton_basis(sys.space)
+    opens = [points_open(sys.space, data) for data in
+             draw(st.lists(point_sets(sys), max_size=3))]
+    covered = set().union(*(u.members for u in opens))
+    rest = [p for p in sys.space.points if p not in covered]
+    return tuple(opens) + ((points_open(sys.space, rest),) if rest else ())
+
+
+@st.composite
+def factor_oracles(draw, max_points=6, max_length=3):
+    """A table oracle with a pointwise basis, or the oracle of a shift of
+    resolution at most 3 with its cylinder basis."""
+    if draw(st.booleans()):
+        sys = draw(small_tables(max_points))
+        return TableDyn(sys), draw(pointwise_bases(sys))
+    shift = draw(small_shifts(st.integers(1, 3)))
+    dyn = ShiftDyn(shift, cylinder_length=draw(st.integers(1, max_length)))
+    return dyn, dyn.default_basis()
+
+
+def assert_rows_equal_pairs(dyn, basis, bound):
+    for u, row in dyn.rows(basis, bound):
+        assert list(row) == [dyn.return_times(u, v, bound) for v in basis]
+
+
+class TestOracleRows:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_table_rows_match_the_definition(self, data):
+        sys = data.draw(small_tables(6))
+        basis = data.draw(pointwise_bases(sys))
+        pre, per = sys.eventual_period()
+        bound = data.draw(st.integers(0, pre + 3 * per + 2))
+        dyn = TableDyn(sys)
+        for u, row in dyn.rows(basis, bound):
+            assert [bit_members(bits, bound) for bits in row] == [
+                brute_return_times(sys, u.members, v.members, bound)
+                for v in basis]
+        assert_rows_equal_pairs(dyn, basis, bound)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_shift_and_vietoris_rows_equal_pairs(self, data):
+        shift = data.draw(small_shifts(st.integers(1, 3)))
+        bound = data.draw(st.integers(0, 20))
+        dyn = ShiftDyn(shift)
+        assert_rows_equal_pairs(dyn, dyn.default_basis(), bound)
+        hyper = HyperShiftDyn(shift, cylinder_length=2)
+        basis = data.draw(st.lists(st.sampled_from(hyper.default_basis()),
+                                   min_size=1, max_size=8))
+        assert_rows_equal_pairs(hyper, basis, bound)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_box_rows_equal_pairs(self, data):
+        """Mixed products of one to three factors with exponents 1 to 3,
+        each box row read off the factor rows."""
+        factors = data.draw(st.lists(factor_oracles(), min_size=1,
+                                     max_size=3))
+        pd = ProductDyn([(dyn, data.draw(st.integers(1, 3)))
+                         for dyn, _ in factors])
+        bases = tuple(tuple(data.draw(st.lists(st.sampled_from(list(b)),
+                                               min_size=1, max_size=3)))
+                      for _, b in factors)
+        bound = data.draw(st.integers(0, 12))
+        assert_rows_equal_pairs(pd, _BoxBasis(bases), bound)
+        for (dyn, _), basis in zip(factors, bases):
+            assert_rows_equal_pairs(dyn, basis, bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_overlap_lemma_reads_the_diagonal_of_each_row(self, data):
+        """The lemma takes N(U, U) from row U of the scan: its verdict is
+        the pairwise overlap scan's, witnesses and counterexample
+        included."""
+        dyn, basis = data.draw(factor_oracles(max_points=5, max_length=2))
+        horizon = data.draw(st.one_of(st.none(), st.integers(1, 12)))
+        got = is_weakly_mixing(dyn, basis=basis, horizon=horizon,
+                               method="lemma")
+        bound, found, witnesses = got.horizon, None, []
+        for u, v in itertools.product(basis, basis):
+            both = (dyn.return_times(u, u, bound)
+                    & dyn.return_times(u, v, bound))
+            if not both:
+                found = (open_label(u), open_label(v))
+                break
+            witnesses.append((open_label(u), open_label(v),
+                              (both & -both).bit_length() - 1))
+        assert got.counterexample == found
+        assert got.fails == (found is not None)
+        if found is None:
+            assert got.witnesses == tuple(witnesses[:8])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_box_scan_verdicts_equal_pairwise_verdicts(self, data):
+        """The default box basis (row route) and the same boxes as a tuple
+        (pairwise route) give equal verdicts, counterexamples included."""
+        count = data.draw(st.integers(1, 3))
+        factors = data.draw(st.lists(
+            factor_oracles(max_points=(6, 4, 3)[count - 1],
+                           max_length=(3, 2, 1)[count - 1]),
+            min_size=count, max_size=count))
+        pd = ProductDyn([(dyn, data.draw(st.integers(1, 3)))
+                         for dyn, _ in factors])
+        horizon = data.draw(st.one_of(st.none(), st.integers(1, 12)))
+        family = data.draw(st.sampled_from((thick_family(), syndetic_family(),
+                                            infinite_family())))
+        boxes = pd.default_basis()
+        assert isinstance(boxes, _BoxBasis)
+        for check in (is_transitive, is_mixing,
+                      lambda t, **kw: is_F_transitive(t, family, **kw)):
+            assert check(pd, basis=boxes, horizon=horizon) == \
+                check(pd, basis=tuple(boxes), horizon=horizon)
+
+
+class TestOracleMemory:
+    def test_shift_memo_never_skips_validation(self):
+        shift = ShiftSystem("ab", [("a", "b"), ("b", "a")], resolution=2)
+        sd, hd = ShiftDyn(shift), HyperShiftDyn(shift)
+        legal, illegal = CylinderOpen("ab"), CylinderOpen("aa")
+        for _ in range(2):
+            for u, v in ((legal, illegal), (illegal, legal)):
+                with pytest.raises(InputError):
+                    sd.return_times(u, v, 8)
+            with pytest.raises(InputError):
+                hd.return_times(VietorisOpen(("ab",)),
+                                VietorisOpen(("ba", "aa")), 8)
+        assert sd._times == {}
+        assert all("aa" not in key for key in hd.base._times)
+        assert sd.return_times(legal, CylinderOpen("ba"), 8) == \
+            sd.return_times(legal, CylinderOpen("ba"), 8)
+        assert list(sd._times) == [("ab", "ba", 8)]
+
+    def test_shift_memo_holds_word_pairs_per_bound(self):
+        hd = HyperShiftDyn(full_shift(2, 3))
+        is_mixing(hd)
+        is_transitive(hd, horizon=16)
+        cylinders = len(hd.shift.cylinders(hd.cylinder_length))
+        assert len(hd.base._times) == cylinders ** 2 * 2
+
+    def test_product_keeps_no_pair_state(self):
+        """Factor rows live only inside a scan: after it, or once it is
+        closed, the product oracle holds its factors and nothing else."""
+        def live_rows():
+            gc.collect()
+            return sum(isinstance(o, _LazyRow) for o in gc.get_objects())
+
+        pd = ProductDyn([(ShiftDyn(full_shift(2, 2)), 1),
+                         (TableDyn(make_rotation(3, 1)), 2)])
+        before = live_rows()
+        assert is_transitive(pd, horizon=24).holds
+        assert is_mixing(pd).fails
+        assert vars(pd) == {"factors": pd.factors}
+        pairs = _scan(pd, pd.default_basis(), 16)
+        next(pairs)
+        assert live_rows() > before
+        pairs.close()
+        assert live_rows() == before

@@ -11,6 +11,7 @@ from fuzzdyn.families import (FamilyClassifier, IndexSet, classify_cofinite,
                               classify_thick, contains_ip, difference_set,
                               dual_contains, fs_set, infinite_family,
                               syndetic_family, thick_family)
+from helpers import brute_family_results
 
 
 def iset(horizon, members):
@@ -186,11 +187,32 @@ def test_complement_involution(members):
     assert s.complement().complement() == s
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 80).flatmap(lambda h: st.tuples(
+    st.just(h), st.integers(-1, 1 << h),
+    st.one_of(st.none(), st.integers(-2, h + 2)))))
+def test_bitset_classifiers_match_member_scans(case):
+    """Each classifier reads the set's bitset; a set built from bits equals
+    the one built from its members, and the results equal n-by-n scans."""
+    horizon, bits, threshold = case
+    members = {n for n in range(horizon) if bits >> n & 1}
+    s = IndexSet.from_bits(horizon, bits)
+    built = iset(horizon, members)
+    assert s == built and s.bits == built.bits
+    assert s.complement() == iset(horizon, set(range(horizon)) - members)
+    got = (classify_syndetic(s, threshold), classify_thick(s, threshold),
+           classify_cofinite(s, threshold), classify_infinite(s, threshold))
+    assert tuple(map(tuple, got)) == brute_family_results(members, horizon,
+                                                          threshold)
+
+
 def test_indexset_validation():
     with pytest.raises(InputError):
         IndexSet.of(10, [10])
     with pytest.raises(InputError):
         IndexSet.of(0, [])
+    with pytest.raises(InputError):
+        IndexSet.from_bits(0, 0)
 
 
 def test_classifier_verdict_json_shape():

@@ -32,7 +32,7 @@ CASES = (
     [(t, spec, 2, None) for spec in ("rotation:4,1", "gridmap:half,4")
      for t in THEOREM_IDS]
     + [(t, spec, 1, None) for spec in ("goldenmean:2", PERIOD_2_SFT,
-                                       "fullshift:2,2")
+                                       "fullshift:2,2", "fullshift:2,3")
        for t in SHIFT_THEOREMS]
     + [("cut-lemma", "rotation:5,1", 2, 100),          # sampled states
        ("uniform-rigidity", "rotation:4,1", 2, 20),    # cut reduction too
