@@ -146,6 +146,11 @@ class _SingletonBasis(Sequence):
             hit = self._opens[i] = _SingletonOpen(self.space, frozenset((i,)))
         return hit
 
+    def __iter__(self):
+        if None in self._opens:
+            return map(self.__getitem__, range(len(self._opens)))
+        return iter(self._opens)
+
 
 def singleton_basis(space: MetricSpace) -> Sequence[PointsOpen]:
     return _SingletonBasis(space)
@@ -314,17 +319,41 @@ def _dilate(bits: int, a: int, bound: int) -> int:
     return int(digits[::-1] or "0", 2)
 
 
-@dataclass(frozen=True)
-class _BoxBasis:
-    """The boxes of the factor bases, built while they are iterated: the
-    product basis has the product of the factor sizes as its size."""
-    bases: tuple
+class _BoxBasis(Sequence):
+    """The boxes of the factor bases in product order.  The first box reads
+    one open per factor, so a scan that stops there leaves lazy factor bases
+    unbuilt; once an iteration reads past it, the factor bases are kept as
+    tuples, and every iteration runs on those."""
+
+    __slots__ = ("bases", "_tuples")
+
+    def __init__(self, bases: tuple):
+        self.bases = bases
+        self._tuples = (bases if all(type(b) is tuple for b in bases)
+                        else None)
 
     def __iter__(self):
-        return map(ProductOpen, itertools.product(*self.bases))
+        if self._tuples is not None:
+            return map(ProductOpen, itertools.product(*self._tuples))
+        return itertools.chain.from_iterable(self._runs())
+
+    def _runs(self):
+        if all(self.bases):
+            first = map(operator.itemgetter(0), self.bases)
+            yield (ProductOpen(tuple(first)),)
+            self._tuples = tuple(map(tuple, self.bases))
+            yield itertools.islice(iter(self), 1, None)
 
     def __len__(self) -> int:
         return math.prod(map(len, self.bases))
+
+    def __getitem__(self, i: int) -> ProductOpen:
+        i = range(len(self))[i]
+        parts = []
+        for basis in reversed(self.bases):
+            i, r = divmod(i, len(basis))
+            parts.append(basis[r])
+        return ProductOpen(tuple(reversed(parts)))
 
 
 class _LazyRow:
@@ -369,8 +398,7 @@ class ProductDyn(_Oracle):
         self.factors = tuple(factors)
 
     def default_basis(self) -> _BoxBasis:
-        return _BoxBasis(tuple(tuple(dyn.default_basis())
-                               for dyn, _ in self.factors))
+        return _BoxBasis(tuple(dyn.default_basis() for dyn, _ in self.factors))
 
     def preperiod_period(self) -> tuple[int, int] | None:
         pre_star, per_star = 0, 1
@@ -429,15 +457,21 @@ class HyperShiftDyn(_Oracle):
     point into some V_j at time n and every V_j receives one from some U_i;
     a finite set realizing the matching witnesses membership.  This reduces
     hyperspace membership to base membership exactly, read from the word
-    pairs a base :class:`ShiftDyn` keeps.
+    pairs a base :class:`ShiftDyn` keeps.  A ``base`` passed in is shared,
+    memo included, and fixes the cylinder length.
     """
 
     def __init__(self, shift: ShiftSystem,
                  cylinder_length: int = DEFAULT_CYLINDER_LENGTH,
-                 max_components: int = VIETORIS_COMPONENT_CAP):
+                 max_components: int = VIETORIS_COMPONENT_CAP,
+                 base: ShiftDyn | None = None):
+        if base is None:
+            base = ShiftDyn(shift, cylinder_length)
+        elif base.shift is not shift:
+            raise InputError("the base oracle is over another shift")
         self.shift = shift
-        self.base = ShiftDyn(shift, cylinder_length)
-        self.cylinder_length = self.base.cylinder_length
+        self.base = base
+        self.cylinder_length = base.cylinder_length
         self.max_components = max_components
 
     def default_basis(self) -> tuple[VietorisOpen, ...]:

@@ -20,7 +20,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import BoundExceeded, InputError
 from .hyperspace import (MASK_PAIR_MAX_POINTS, CompactSet, _mask_hausdorff,
@@ -292,10 +292,28 @@ def _g_levels(grid: LevelGrid, g: GFunction | None) -> tuple[int, ...]:
     return tuple(int(g.table[v] * grid.m) for v in grid.with_zero())
 
 
+def _grade_steps(states: Sequence[tuple], pre,
+                 gint: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """One step of the g-extension on a batch of integer grade tuples, in
+    batch order: the new level at x is the max of g over the levels of the
+    preimages of x (0 if none).
+
+    Works column by column: column j holds g of the level of point j across
+    the batch, and the new column of x is the elementwise max of its
+    preimages' columns.  The images are streamed, never held as a list.
+    """
+    cols = [tuple(map(gint.__getitem__, c)) for c in zip(*states)]
+    if not cols:
+        return iter(())
+    zeros = (0,) * len(cols[0])
+    out = [tuple(map(max, *map(cols.__getitem__, p))) if len(p) > 1
+           else cols[p[0]] if p else zeros for p in pre]
+    return zip(*out)
+
+
 def _grade_step(s: tuple, pre, gint: Sequence[int]) -> tuple[int, ...]:
-    """One step of the g-extension on an integer grade tuple: the new level
-    at x is the max of g over the levels of the preimages of x (0 if none)."""
-    return tuple(max([gint[s[j]] for j in p], default=0) for p in pre)
+    """The g-extension step of one integer grade tuple."""
+    return next(_grade_steps((s,), pre, gint))
 
 
 def _cut_masks(s: tuple, m: int) -> list[int]:
@@ -349,16 +367,13 @@ def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
     index = {s: i for i, s in enumerate(states)}
 
     pre = sys.preimages()
-    table = []
-    for s in states:
-        img = _grade_step(s, pre, gint)
-        slot = index.get(img)
-        if slot is None:
-            raise InputError(
-                f"lift not invariant: state {tuple(values[k] for k in s)} "
-                f"maps to height {values[max(img)]} "
-                f"outside constraint {constraint_label(norm)}")
-        table.append(slot)
+    table = list(map(index.get, _grade_steps(states, pre, gint)))
+    if None in table:
+        s = states[table.index(None)]
+        raise InputError(
+            f"lift not invariant: state {tuple(values[k] for k in s)} "
+            f"maps to height {values[max(_grade_step(s, pre, gint))]} "
+            f"outside constraint {constraint_label(norm)}")
 
     denom, mat = _scaled_matrix(base)
     mind = _min_to_mask_table(n, mat)

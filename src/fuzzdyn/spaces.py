@@ -319,7 +319,7 @@ class SystemMap:
             step = 0
             while cur not in seen:
                 seen[cur] = step
-                cur = tuple(self.table[i] for i in cur)
+                cur = tuple(map(self.table.__getitem__, cur))
                 step += 1
             first = seen[cur]
             self._ep = (first, step - first)

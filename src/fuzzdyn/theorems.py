@@ -18,15 +18,16 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
 
-from .analysis import (HyperShiftDyn, ShiftDyn, Verdict, _rigidity_verdict,
-                       diam_decay, equicontinuity_modulus, is_a_transitive,
+from .analysis import (DEFAULT_CYLINDER_LENGTH, HyperShiftDyn, ShiftDyn,
+                       Verdict, _rigidity_verdict, diam_decay,
+                       equicontinuity_modulus, is_a_transitive,
                        is_F_transitive, is_mildly_mixing_bounded, is_mixing,
                        is_proximal, is_transitive, is_uniformly_rigid,
                        is_weakly_mixing)
 from .errors import InputError
 from .families import FamilyClassifier, thick_family
 from .fuzzy import (DEFAULT_STATE_CAP, FuzzySet, GFunction, LevelGrid,
-                    _cut_masks, _g_levels, _grade_step, enumeration_cost,
+                    _cut_masks, _g_levels, _grade_steps, enumeration_cost,
                     fuzzy_lift_system, xi_of)
 from .hyperspace import (_mask_image, hyperspace_displacement_curve,
                          lift_system)
@@ -232,12 +233,16 @@ def _rows_items(rows: tuple[_Row, ...], system, run: _Run) -> list[ReportItem]:
                     items.append(_row_item(row, name, v, run))
         return items
     hyper = {}
+    bases = {}  # cylinder length -> the one ShiftDyn, word-pair memo shared
     for row in rows:
         if row.level == "fuzzy":
             continue
         options, note = row.shift_basis
-        oracle = (ShiftDyn if row.level == "base" else HyperShiftDyn)(
-            system, **options)
+        length = options.get("cylinder_length", DEFAULT_CYLINDER_LENGTH)
+        if length not in bases:
+            bases[length] = ShiftDyn(system, length)
+        oracle = bases[length] if row.level == "base" else HyperShiftDyn(
+            system, **options, base=bases[length])
         v = (row.shift_check or _ITEMS[row.item][1])(oracle, run)
         if note:
             v = replace(v, note=note)
@@ -388,11 +393,27 @@ def _height_invariance_items(system, run: _Run) -> list[ReportItem]:
     return items
 
 
+class _ImageMemo(dict):
+    """T^n(mask) per cut mask, for one n, filled on first use."""
+
+    def __init__(self, point_bits: list[int]):
+        super().__init__()
+        self.point_bits = point_bits
+
+    def __missing__(self, mask: int) -> int:
+        image = self[mask] = _mask_image(mask, self.point_bits)
+        return image
+
+
 def _cut_lemma_items(system, run: _Run, sample_cap=256,
                      seed=11) -> list[ReportItem]:
     """Cuts of the g-iterates are images of cuts moved by the level
     transfer: [G^n(a)]_alpha = T^n([a]_{xi^n(alpha)}), checked on integer
-    grade tuples and cut bitmasks."""
+    grade tuples and cut bitmasks.
+
+    The left side steps every state at once with the batch kernel: one
+    index table of all states, or n_max steps of the sampled batch.  The
+    right side reads T^n(mask) from a memo per n."""
     sys = _require_finite(system, "cut-lemma")
     grid = run.grid
     m = grid.m
@@ -400,41 +421,54 @@ def _cut_lemma_items(system, run: _Run, sample_cap=256,
     g = run.g if run.g is not None else GFunction.identity(grid)
     n_max = run.horizon if run.horizon is not None else 6
     n_pts = len(sys.space.points)
+    gint = _g_levels(grid, g)
+    pre = sys.preimages()
     if enumeration_cost(n_pts, grid, "all") <= run.cap:
-        states = itertools.product(range(m + 1), repeat=n_pts)
+        states = list(itertools.product(range(m + 1), repeat=n_pts))
+        index = {s: i for i, s in enumerate(states)}
+        step = list(map(index.__getitem__, _grade_steps(states, pre, gint)))
+        cut_of = [_cut_masks(s, m) for s in states]
+        cuts = [cut_of]  # cuts[n][i]: the cut masks of G^n of state i
+        at = range(len(states))
+        for _ in range(n_max):
+            at = list(map(step.__getitem__, at))
+            cuts.append(list(map(cut_of.__getitem__, at)))
         note = "all states"
     else:
         rng = random.Random(seed)
         levels = range(m + 1)
         states = [tuple(rng.choice(levels) for _ in range(n_pts))
                   for _ in range(sample_cap)]
+        batch = states
+        cuts = [[_cut_masks(s, m) for s in batch]]
+        for _ in range(n_max):
+            batch = list(_grade_steps(batch, pre, gint))
+            cuts.append([_cut_masks(s, m) for s in batch])
         note = f"{sample_cap} sampled states (seed {seed})"
-    gint = _g_levels(grid, g)
     level_of = {v: k for k, v in enumerate(values)}
     xi = xi_of(g)
     transfer = [tuple(range(m + 1))]  # xi^n on the integer levels
     for _ in range(n_max):
         transfer.append(tuple(level_of[xi[values[k]]] for k in transfer[-1]))
-    point_bits = [[1 << t for t in tbl]
-                  for tbl in iterate_tables(sys, n_max + 1)]
-    pre = sys.preimages()
+    # the cut index of a level k at time n: [a]_{xi^n(k)} is a_cuts[xi^n(k)-1]
+    slots = [tuple(t - 1 for t in tbl[1:]) for tbl in transfer]
+    images = [_ImageMemo([1 << t for t in tbl])
+              for tbl in iterate_tables(sys, n_max + 1)]
     checked = 0
     mismatch = None
-    for a in states:
-        a_cuts = _cut_masks(a, m)
-        current = a
+    for i, a_cuts in enumerate(cuts[0]):
         for n in range(1, n_max + 1):
-            current = _grade_step(current, pre, gint)
-            cuts = _cut_masks(current, m)
-            for k in range(1, m + 1):
-                rhs = _mask_image(a_cuts[transfer[n][k] - 1], point_bits[n])
-                checked += 1
-                if cuts[k - 1] != rhs:
-                    fuzzy = FuzzySet(sys.space, grid, [values[i] for i in a])
-                    mismatch = (repr(fuzzy), n, str(values[k]))
-                    break
-            if mismatch:
-                break
+            lhs = cuts[n][i]
+            rhs = list(map(images[n].__getitem__,
+                           map(a_cuts.__getitem__, slots[n])))
+            if lhs == rhs:
+                checked += m
+                continue
+            k = next(k for k in range(m) if lhs[k] != rhs[k])
+            checked += k + 1
+            fuzzy = FuzzySet(sys.space, grid, [values[v] for v in states[i]])
+            mismatch = (repr(fuzzy), n, str(values[k + 1]))
+            break
         if mismatch:
             break
     status = "fails" if mismatch else "holds"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fuzzdyn.analysis as analysis
 from fuzzdyn.analysis import (CylinderOpen, HyperShiftDyn, ProductDyn,
                               ProductOpen, ShiftDyn, TableDyn, VietorisOpen,
                               _BoxBasis, _LazyRow, _scan,
@@ -770,6 +771,7 @@ class TestOracleRows:
                                             infinite_family())))
         boxes = pd.default_basis()
         assert isinstance(boxes, _BoxBasis)
+        assert tuple(boxes) == tuple(boxes[i] for i in range(len(boxes)))
         for check in (is_transitive, is_mixing,
                       lambda t, **kw: is_F_transitive(t, family, **kw)):
             assert check(pd, basis=boxes, horizon=horizon) == \
@@ -800,6 +802,48 @@ class TestOracleMemory:
         is_transitive(hd, horizon=16)
         cylinders = len(hd.shift.cylinders(hd.cylinder_length))
         assert len(hd.base._times) == cylinders ** 2 * 2
+
+    def test_hyper_oracle_shares_a_base_of_its_shift_only(self):
+        shift = full_shift(2, 3)
+        base = ShiftDyn(shift, cylinder_length=2)
+        hd = HyperShiftDyn(shift, max_components=1, base=base)
+        assert hd.base is base and hd.cylinder_length == 2
+        with pytest.raises(InputError):
+            HyperShiftDyn(full_shift(2, 3), base=base)
+
+    def test_product_basis_builds_only_the_opens_it_reads(self, monkeypatch):
+        """A product check that fails at its first pair reads one box, so it
+        builds one singleton open per factor basis."""
+        built = []
+
+        class CountingOpen(analysis._SingletonOpen):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(analysis, "_SingletonOpen", CountingOpen)
+        lift = fuzzy_lift_system(make_rotation(5, 1), LevelGrid(2),
+                                 ("eq", F(1)))
+        v = is_F_transitive(lift, thick_family(), mixing=True)
+        assert v.fails
+        u, w = v.counterexample
+        assert u == w == "B(((0,0,0,0,1),(0,0,0,0,1)))"
+        assert len(built) == 2
+
+    def test_nested_product_basis_reads_boxes_by_index(self):
+        inner = ProductDyn([(TableDyn(make_rotation(2, 1)), 1),
+                            (ShiftDyn(full_shift(2, 1)), 1)])
+        outer = ProductDyn([(inner, 1), (TableDyn(make_rotation(3, 1)), 1)])
+        boxes = outer.default_basis()
+        flat = tuple(boxes)
+        assert len(flat) == len(boxes) == 12
+        assert flat == tuple(boxes[i] for i in range(-12, 0))
+        assert open_label(boxes[5]) == "((B(0),[1]),B(2))"
+        for check in (is_transitive, is_mixing):
+            assert check(outer, horizon=8) == check(outer, basis=flat,
+                                                    horizon=8)
 
     def test_product_keeps_no_pair_state(self):
         """Factor rows live only inside a scan: after it, or once it is

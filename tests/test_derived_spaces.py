@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzdyn.errors import InputError
-from fuzzdyn.fuzzy import (FuzzySet, GFunction, LevelGrid, enumerate_fuzzy,
-                           fuzzy_lift_system)
+from fuzzdyn.fuzzy import (FuzzySet, GFunction, LevelGrid, _g_levels,
+                           _grade_steps, enumerate_fuzzy, fuzzy_lift_system)
 from fuzzdyn.hyperspace import lift_system
 from fuzzdyn.spaces import SystemMap, iterate, product_system
 
@@ -98,6 +98,23 @@ def test_fuzzy_lift_matches_definitions(sys, m, data):
     for i, j in sampled_pairs(rng, len(pts)):
         assert lift.space.d_by_index(i, j) == \
             brute_levelwise(states[i], states[j])
+
+
+@settings(max_examples=80, deadline=None)
+@given(table_systems(max_points=6), st.integers(1, 3), st.data())
+def test_batch_grade_step_matches_definition(sys, m, data):
+    # random tables are often not onto, so some points have no preimage
+    grid = LevelGrid(m)
+    g = data.draw(st.none() | gfunctions(grid))
+    n = len(sys.space.points)
+    batch = data.draw(st.lists(st.tuples(*[st.integers(0, m)] * n),
+                               max_size=50))
+    images = list(_grade_steps(batch, sys.preimages(), _g_levels(grid, g)))
+    values = grid.with_zero()
+    assert images == [
+        tuple(int(v * m) for v in brute_fuzzy_step(
+            sys, FuzzySet(sys.space, grid, [values[k] for k in s]), g).grades)
+        for s in batch]
 
 
 def assert_every_pair(space, brute):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -405,6 +406,28 @@ class TestFuzzyLift:
         g = GFunction(grid, {F(0): 0, F(1, 2): 0, F(1): 1})
         with pytest.raises(InputError):
             fuzzy_lift_system(make_rotation(3, 1), grid, ("eq", F(1, 2)), g=g)
+
+    def test_noninvariance_names_the_first_state(self):
+        grid = LevelGrid(2)
+        g = GFunction(grid, {F(0): 0, F(1, 2): 0, F(1): 1})
+        with pytest.raises(InputError) as err:
+            fuzzy_lift_system(make_rotation(3, 1), grid, ("eq", F(1, 2)), g=g)
+        assert str(err.value) == (
+            "lift not invariant: state (Fraction(0, 1), Fraction(0, 1), "
+            "Fraction(1, 2)) maps to height 0 outside constraint h=1/2")
+
+    def test_lift_build_transient_memory(self):
+        # the batch step streams its images: no list of image tuples
+        # beside the states, the index and the points
+        sys = make_rotation(9, 1)
+        sys.preimages()
+        tracemalloc.start()
+        try:
+            fuzzy_lift_system(sys, LevelGrid(2), "nonempty")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.4 * 2 ** 20
 
     def test_grade_cut_duality(self):
         space = circle_space(4)

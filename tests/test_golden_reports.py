@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from fuzzdyn.cli import parse_system_spec
+from fuzzdyn.fuzzy import GFunction, LevelGrid
 from fuzzdyn.serialize import canonical_json, report_to_jsonable
 from fuzzdyn.theorems import THEOREM_IDS, verify_theorem
 
@@ -27,7 +28,8 @@ PERIOD_2_SFT = ('json:{"kind":"sft","alphabet":["a","b"],'
                 '"edges":[["a","b"],["b","a"]],"resolution":2}')
 
 #: (theorem, system spec, m, state cap or None for the default
-#: [, horizon or None for the default [, eps or None for the default]])
+#: [, horizon or None for the default [, eps or None for the default
+#: [, grade distortion "level:value,..." or None for Zadeh's extension]]])
 CASES = (
     [(t, spec, 2, None) for spec in ("rotation:4,1", "gridmap:half,4")
      for t in THEOREM_IDS]
@@ -42,24 +44,37 @@ CASES = (
        ("equicontinuity", "multiply:8,2", 1, None, None,   # delta < eps
         "1/2"),
        ("equicontinuity", "gridmap:half,4", 2, None, None,  # delta = eps
-        "1/2")]
+        "1/2"),
+       ("cut-lemma", "rotation:4,1", 2, None, None, None,   # distorted,
+        "0:0,1/2:1,1:1"),                                   # all states
+       ("cut-lemma", "multiply:9,2", 4, None, 3, None,      # distorted,
+        "0:0,1/4:1/2,1/2:1/2,3/4:3/4,1:1")]                 # sampled
 )
 
 
-def case_key(theorem, spec, m, cap, horizon=None, eps=None):
+def case_key(theorem, spec, m, cap, horizon=None, eps=None, g=None):
     key = f"{theorem} {spec} m={m}"
     if cap is not None:
         key += f" state_cap={cap}"
     if horizon is not None:
         key += f" horizon={horizon}"
-    return key if eps is None else f"{key} eps={eps}"
+    if eps is not None:
+        key += f" eps={eps}"
+    return key if g is None else f"{key} g={g}"
 
 
-def report_text(theorem, spec, m, cap, horizon=None, eps=None):
+def parse_g(m, text):
+    table = dict(pair.split(":") for pair in text.split(","))
+    return GFunction(LevelGrid(m), {Fraction(k): Fraction(v)
+                                    for k, v in table.items()})
+
+
+def report_text(theorem, spec, m, cap, horizon=None, eps=None, g=None):
     kwargs = {} if cap is None else {"state_cap": cap}
     report = verify_theorem(theorem, parse_system_spec(spec), m=m,
                             horizon=horizon,
                             eps=None if eps is None else Fraction(eps),
+                            g=None if g is None else parse_g(m, g),
                             **kwargs)
     return canonical_json(report_to_jsonable(report))
 

@@ -6,7 +6,7 @@ from fuzzdyn.errors import InputError
 from fuzzdyn.fuzzy import FuzzySet, GFunction, LevelGrid
 from fuzzdyn.spaces import (make_grid_interval_map, make_multiply,
                             make_rotation, one_point_system)
-from fuzzdyn.symbolic import full_shift
+from fuzzdyn.symbolic import ShiftSystem, full_shift
 from fuzzdyn.theorems import (EquivalenceReport, ReportItem, verify_theorem)
 
 F = Fraction
@@ -203,6 +203,22 @@ class TestCutLemmaTheorem:
         # the first state in enumeration order with a nonempty cut
         first = FuzzySet(sys.space, LevelGrid(2), (0, 0, F(1, 2)))
         assert dict(item.witnesses)["mismatch"] == (repr(first), 1, "1/2")
+
+
+def test_shift_rows_share_one_word_pair_memo(monkeypatch):
+    """Every shift row of one verification reads the word pairs of one base
+    oracle per cylinder length: each pair is decided once."""
+    calls = []
+    return_bits = ShiftSystem.return_bits
+
+    def counting(self, u, v, bound):
+        calls.append((u, v, bound))
+        return return_bits(self, u, v, bound)
+
+    monkeypatch.setattr(ShiftSystem, "return_bits", counting)
+    rep = verify_theorem("transitivity", full_shift(2, 3), m=1)
+    assert rep.consistent
+    assert len(calls) == len(set(calls)) == 14 ** 2
 
 
 class TestReportMachinery:
