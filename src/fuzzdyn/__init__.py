@@ -28,8 +28,7 @@ from .analysis import (Verdict, diam_decay, equicontinuity_modulus,
                        is_mildly_mixing_bounded, is_mixing,
                        is_periodically_dense, is_proximal, is_proximal_pair,
                        is_sensitive, is_transitive, is_uniformly_rigid,
-                       is_weakly_mixing, point_return_set, recurrent_points,
-                       return_time_set, weakly_disjoint)
+                       is_weakly_mixing, return_time_set, weakly_disjoint)
 from .theorems import EquivalenceReport, verify_theorem
 
 __all__ = sorted(name for name, obj in globals().items()

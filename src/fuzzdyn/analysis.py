@@ -221,12 +221,12 @@ class Verdict:
 class _Oracle:
     """Every oracle answers ``return_times(u, v, bound)`` with N(U, V) below
     the bound as one bitset: bit n is set iff T^n(U) meets V and n < bound.
-    Scans read ``rows(basis, bound)``: (U, row) per basis open U, where the
-    row yields N(U, V) for every V of the basis, in basis order, on demand."""
+    Scans read ``rows(basis, bound)``: one row per basis open U, in basis
+    order, and the row yields N(U, V) for every V of the basis, in basis
+    order, on demand."""
 
     def rows(self, basis, bound: int):
-        for u in basis:
-            yield u, self.row(u, basis, bound)
+        return (self.row(u, basis, bound) for u in basis)
 
     def row(self, u, basis, bound: int):
         return (self.return_times(u, v, bound) for v in basis)
@@ -245,34 +245,41 @@ class TableDyn(_Oracle):
     def preperiod_period(self) -> tuple[int, int]:
         return self.sys.eventual_period()
 
-    def return_times(self, u: PointsOpen, v: PointsOpen, bound: int) -> int:
-        return next(self.row(u, (v,), bound))
-
-    def row(self, u: PointsOpen, basis, bound: int):
-        """One walk of the orbit of U up to pre + per records, per point,
-        the times n at which it lies in T^n(U); V collects its points' times
-        (T^n(U) meets V iff some point of V lies in it), then the period
-        repeats."""
+    def _indices(self, u) -> frozenset:
         if not isinstance(u, PointsOpen):
             raise InputError("a table system quantifies over pointwise opens")
+        return _open_indices(self.sys.space, u)
+
+    def return_times(self, u: PointsOpen, v: PointsOpen, bound: int) -> int:
+        return next(self._row(self._indices(u), (self._indices(v),), bound))
+
+    def rows(self, basis, bound: int):
+        if (isinstance(basis, _SingletonBasis)
+                and basis.space is self.sys.space):
+            n = len(basis)                  # point i is the set (i,)
+            return (self._row((i,), zip(range(n)), bound) for i in range(n))
+        sets = tuple(map(self._indices, basis))
+        return (self._row(u, sets, bound) for u in sets)
+
+    def _row(self, u, sets, bound: int):
+        """One walk of the orbit of the point set u up to pre + per records,
+        per point, the times n at which it lies in T^n(u); each target set
+        collects its points' times (T^n(u) meets it iff some point of it
+        lies in T^n(u)), then the period repeats."""
         pre, per = self.sys.eventual_period()
         tbl = self.sys.table
-        space = self.sys.space
         walk = min(bound, pre + per)
         times: dict[int, int] = {}
-        cur = _open_indices(space, u)
+        cur = u
         for n in range(walk):
             bit = 1 << n
             for i in cur:
                 times[i] = times.get(i, 0) | bit
             cur = {tbl[i] for i in cur}
         mask = (1 << bound) - 1
-        for v in basis:
-            if not isinstance(v, PointsOpen):
-                raise InputError("a table system quantifies over pointwise "
-                                 "opens")
+        for v in sets:
             bits = 0
-            for j in _open_indices(space, v):
+            for j in v:
                 bits |= times.get(j, 0)
             cycle = bits >> pre
             for start in range(walk, bound, per):
@@ -320,29 +327,13 @@ def _dilate(bits: int, a: int, bound: int) -> int:
 
 
 class _BoxBasis(Sequence):
-    """The boxes of the factor bases in product order.  The first box reads
-    one open per factor, so a scan that stops there leaves lazy factor bases
-    unbuilt; once an iteration reads past it, the factor bases are kept as
-    tuples, and every iteration runs on those."""
+    """The boxes of the factor bases in product order, each built only when
+    it is read by index; scans read rows by index and build none."""
 
-    __slots__ = ("bases", "_tuples")
+    __slots__ = ("bases",)
 
     def __init__(self, bases: tuple):
         self.bases = bases
-        self._tuples = (bases if all(type(b) is tuple for b in bases)
-                        else None)
-
-    def __iter__(self):
-        if self._tuples is not None:
-            return map(ProductOpen, itertools.product(*self._tuples))
-        return itertools.chain.from_iterable(self._runs())
-
-    def _runs(self):
-        if all(self.bases):
-            first = map(operator.itemgetter(0), self.bases)
-            yield (ProductOpen(tuple(first)),)
-            self._tuples = tuple(map(tuple, self.bases))
-            yield itertools.islice(iter(self), 1, None)
 
     def __len__(self) -> int:
         return math.prod(map(len, self.bases))
@@ -386,8 +377,9 @@ class ProductDyn(_Oracle):
     """Product of oracles with per-factor exponents; membership is decided
     coordinatewise: n is a return time iff a_i * n is one for each factor,
     so a box's row is the AND of its factors' dilated rows (Furstenberg
-    1967).  Over a box basis each factor row is built once per factor-basis
-    index and kept only for that scan; any other basis is read pairwise."""
+    1967).  Over a box basis each factor row comes from one scan of the
+    factor and is kept only for this scan; any other basis is read
+    pairwise."""
 
     def __init__(self, factors: Sequence[tuple[object, int]]):
         if not factors:
@@ -413,17 +405,17 @@ class ProductDyn(_Oracle):
             per_star = per_star * per_i // math.gcd(per_star, per_i)
         return pre_star, per_star
 
-    def _factor_row(self, k: int, u, basis, bound: int):
+    def _factor_rows(self, k: int, basis, bound: int):
         dyn, a = self.factors[k]
-        row = dyn.row(u, basis, a * bound)
+        rows = dyn.rows(basis, a * bound)
         if a == 1:
-            return row
-        return (_dilate(bits, a, bound) for bits in row)
+            return rows
+        return ((_dilate(bits, a, bound) for bits in row) for row in rows)
 
     def return_times(self, u: ProductOpen, v: ProductOpen, bound: int) -> int:
         bits = (1 << bound) - 1
-        for k, (up, vp) in enumerate(zip(u.parts, v.parts)):
-            bits &= next(self._factor_row(k, up, (vp,), bound))
+        for (dyn, a), up, vp in zip(self.factors, u.parts, v.parts):
+            bits &= _dilate(dyn.return_times(up, vp, a * bound), a, bound)
         return bits
 
     def rows(self, basis, bound: int):
@@ -431,22 +423,22 @@ class ProductDyn(_Oracle):
             yield from super().rows(basis, bound)
             return
         bases = basis.bases
-        # factor k: factor-basis index -> its row; the first factor's row is
-        # read by consecutive boxes only, so just the current one is kept
-        kept: list[dict[int, _LazyRow]] = [{} for _ in bases]
+        first, *rest = (map(_LazyRow, self._factor_rows(k, b, bound))
+                        for k, b in enumerate(bases))
+        # product order first reads a later factor's rows in index order,
+        # under the first row of the first factor: each is pulled from its
+        # factor's scan then and kept; a row of the first factor serves
+        # consecutive boxes only
+        kept: list[list[_LazyRow]] = [[] for _ in rest]
         full = (1 << bound) - 1
-        for index in itertools.product(*(range(len(b)) for b in bases)):
-            rows = []
-            for k, i in enumerate(index):
-                row = kept[k].get(i)
-                if row is None:
-                    if k == 0:
-                        kept[0].clear()
-                    row = kept[k][i] = _LazyRow(
-                        self._factor_row(k, bases[k][i], bases[k], bound))
-                rows.append(row)
-            yield (ProductOpen(tuple(map(operator.getitem, bases, index))),
-                   _box_row(rows, full))
+        for row in first:
+            for index in itertools.product(*map(range, map(len, bases[1:]))):
+                rows = [row]
+                for got, source, i in zip(kept, rest, index):
+                    if i == len(got):
+                        got.append(next(source))
+                    rows.append(got[i])
+                yield _box_row(rows, full)
 
 
 class HyperShiftDyn(_Oracle):
@@ -548,13 +540,6 @@ def return_time_set(target, u, v, horizon: int | None = None) -> IndexSet:
     return IndexSet.from_bits(horizon, dyn.return_times(u, v, horizon))
 
 
-def point_return_set(sys: SystemMap, x: Point, v, horizon: int | None = None) -> IndexSet:
-    """N(x, V) = {n : T^n(x) in V} for a finite table system."""
-    if not isinstance(sys, SystemMap):
-        raise InputError("point return sets need a finite table system")
-    return return_time_set(sys, [x], v, horizon)
-
-
 # -- orbits and recurrence ----------------------------------------------------
 
 def _require_table(sys, what: str) -> SystemMap:
@@ -573,13 +558,6 @@ def _recurrent_indices(sys: SystemMap) -> frozenset:
     return current
 
 
-def recurrent_points(sys: SystemMap) -> CompactSet:
-    """All points lying on cycles; never empty on a finite system."""
-    _require_table(sys, "recurrence")
-    return CompactSet(sys.space, (sys.space.points[i]
-                                  for i in _recurrent_indices(sys)))
-
-
 # -- transitivity and mixing ---------------------------------------------------
 
 def _effective_horizon(dyn, horizon: int | None) -> tuple[int, bool]:
@@ -595,11 +573,16 @@ def _effective_horizon(dyn, horizon: int | None) -> tuple[int, bool]:
 
 
 def _scan(dyn, basis, bound: int):
-    """(U, V, N(U, V) below the bound) for every pair of basis opens, one
-    oracle row per source open U."""
-    for u, row in dyn.rows(basis, bound):
-        for v, bits in zip(basis, row):
-            yield u, v, bits
+    """(i, j, N(basis[i], basis[j]) below the bound) for every pair of basis
+    indices, one oracle row per source index i; an open is built only when
+    a checker labels it."""
+    for i, row in enumerate(dyn.rows(basis, bound)):
+        for j, bits in enumerate(row):
+            yield i, j, bits
+
+
+def _labels(basis, i: int, j: int) -> tuple[str, str]:
+    return open_label(basis[i]), open_label(basis[j])
 
 
 def _first(bits: int) -> int:
@@ -607,58 +590,20 @@ def _first(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
-def _fast_table_transitive(dyn) -> Verdict | None:
-    """Singleton-basis transitivity of a table system or of a product of
-    table systems: every state reaches every state.  Product states are
-    tuples of factor indices, visited in the order of the box basis.  None
-    when some factor is not a table system."""
-    product = isinstance(dyn, ProductDyn)
-    factors = dyn.factors if product else ((dyn, 1),)
-    if not all(isinstance(f, TableDyn) for f, _ in factors):
-        return None
-    tables = [iterate(f.sys, a).table for f, a in factors]
-    pre, per = dyn.preperiod_period()
-    steps = pre + per
-    ranges = [range(len(t)) for t in tables]
-    bases = [f.default_basis() for f, _ in factors]
-
-    def ball(state: tuple) -> str:
-        parts = tuple(b[i] for b, i in zip(bases, state))
-        return open_label(ProductOpen(parts) if product else parts[0])
-
-    n_states = math.prod(map(len, ranges))
-    for start in itertools.product(*ranges):
-        reached = set()
-        cur = start
-        for _ in range(steps):
-            reached.add(cur)
-            cur = tuple(map(tuple.__getitem__, tables, cur))
-        if len(reached) < n_states:
-            missing = next(s for s in itertools.product(*ranges)
-                           if s not in reached)
-            return Verdict("fails", True, horizon=steps,
-                           counterexample=(ball(start), ball(missing)),
-                           note="orbit never meets the target ball")
-    return Verdict("holds", True, horizon=steps)
-
-
 def is_transitive(target, basis=None, horizon: int | None = None) -> Verdict:
     """Every pair of basis opens communicates: N(U, V) is nonempty."""
     dyn = as_dyn(target)
-    fast = basis is None and horizon is None and _fast_table_transitive(dyn)
-    if fast:
-        return fast
     basis = _checked_basis(dyn, basis)
     bound, exact = _effective_horizon(dyn, horizon)
     witnesses = []
-    for u, v, bits in _scan(dyn, basis, bound):
+    for i, j, bits in _scan(dyn, basis, bound):
         if not bits:
             return Verdict("fails", exact, horizon=bound,
-                           counterexample=(open_label(u), open_label(v)),
-                           note="no return time below the horizon"
-                                if not exact else "")
+                           counterexample=_labels(basis, i, j),
+                           note="orbit never meets the target ball" if exact
+                                else "no return time below the horizon")
         if len(witnesses) < 8:
-            witnesses.append((open_label(u), open_label(v), _first(bits)))
+            witnesses.append(_labels(basis, i, j) + (_first(bits),))
     return Verdict("holds", exact, horizon=bound, witnesses=tuple(witnesses))
 
 
@@ -689,15 +634,15 @@ def is_weakly_mixing(target, basis=None, horizon: int | None = None,
     for i in range(size):
         row = list(itertools.islice(pairs, size))
         returns = row[i][2]                     # N(U, U)
-        for u, v, bits in row:
+        for _, j, bits in row:
             both = returns & bits
             if not both:
                 return Verdict("fails", exact, horizon=bound,
-                               counterexample=(open_label(u), open_label(v)),
+                               counterexample=_labels(basis, i, j),
                                note="N(U,U) and N(U,V) never overlap "
                                     "below the horizon")
             if len(witnesses) < 8:
-                witnesses.append((open_label(u), open_label(v), _first(both)))
+                witnesses.append(_labels(basis, i, j) + (_first(both),))
     return Verdict("holds", exact, horizon=bound, witnesses=tuple(witnesses),
                    note="via return-time overlap")
 
@@ -717,11 +662,11 @@ def is_mixing(target, basis=None, horizon: int | None = None) -> Verdict:
         tail_bound = bound // 2
     worst_tail = 0
     full = (1 << bound) - 1
-    for u, v, bits in _scan(dyn, basis, bound):
+    for i, j, bits in _scan(dyn, basis, bound):
         missing = ~bits & full
         tail = missing.bit_length()
         if tail > tail_bound:
-            example = (open_label(u), open_label(v))
+            example = _labels(basis, i, j)
             if exact:
                 example += (pre + _first(missing >> pre),)
             return Verdict("fails", exact, horizon=bound,
@@ -759,7 +704,7 @@ def is_F_transitive(target, family: FamilyClassifier, basis=None,
     exact_kinds = ("infinite", "syndetic", "cofinite", "thick")
     exact = finite and family.kind in exact_kinds
     detail = last = None
-    for u, v, bits in _scan(dyn, basis, window):
+    for i, j, bits in _scan(dyn, basis, window):
         if exact:
             periodic_part = bits >> pre & ((1 << per) - 1)
             if family.kind in ("infinite", "syndetic"):
@@ -770,7 +715,7 @@ def is_F_transitive(target, family: FamilyClassifier, basis=None,
             ok, detail = family.classify(IndexSet.from_bits(window, bits))
         if not ok:
             return Verdict("fails", exact, horizon=window,
-                           counterexample=(open_label(u), open_label(v)),
+                           counterexample=_labels(basis, i, j),
                            note=f"N(U,V) not {family.kind} "
                                 f"({'exact' if exact else 'at horizon'})")
         last = bits
@@ -943,7 +888,8 @@ def is_uniformly_rigid(sys: SystemMap, eps, horizon: int | None = None) -> Verdi
 def is_proximal_pair(sys: SystemMap, x: Point, y: Point,
                      horizon: int | None = None) -> Verdict:
     """Do the two orbits merge (liminf distance zero is merging on a
-    finite space, since distinct points keep positive distance)."""
+    finite space, since distinct points keep positive distance).  A failure
+    is exact only when the scan reaches preperiod + period."""
     _require_table(sys, "proximality")
     return _proximal_pair(sys, sys.space.index(x), sys.space.index(y), horizon)
 
@@ -964,38 +910,27 @@ def _proximal_pair(sys: SystemMap, i: int, j: int,
             best = dv if best is None or dv < best else best
         i, j = sys.table[i], sys.table[j]
     liminf = "None" if best is None else str(Fraction(best, space.denom))
-    return Verdict("fails", True, horizon=bound,
+    exact = bound >= pre + per
+    return Verdict("fails", exact, horizon=bound,
                    counterexample=(point_label(x), point_label(y), liminf),
-                   note="orbits never merge; liminf distance shown")
+                   note="orbits never merge; liminf distance shown" if exact
+                        else "orbits do not merge up to the horizon")
 
 
-def is_proximal(sys: SystemMap, horizon: int | None = None,
-                method: str = "auto") -> Verdict:
-    """All pairs proximal.  Pairwise scan for small systems; for large ones
-    the equivalent image-collapse criterion (all orbits merge iff iterated
-    images shrink to one state), which needs no distances."""
+def is_proximal(sys: SystemMap) -> Verdict:
+    """All pairs proximal.  Two orbits of a finite system merge iff
+    T^preperiod sends them to one state, so this holds iff T^preperiod(X)
+    is a single state; otherwise the counterexample is point 0 and the
+    first point whose T^preperiod image differs from that of point 0."""
     _require_table(sys, "proximality")
-    n_pts = len(sys.space.points)
-    if method == "auto":
-        method = "pairwise" if n_pts <= 48 else "collapse"
-    if method == "pairwise":
-        for i in range(n_pts):
-            for j in range(i + 1, n_pts):
-                v = _proximal_pair(sys, i, j, horizon)
-                if not v.holds:
-                    return Verdict("fails", True,
-                                   counterexample=v.counterexample,
-                                   note="non-proximal pair")
+    pre, _ = sys.eventual_period()
+    tbl = iterate(sys, pre).table
+    j = next((j for j, t in enumerate(tbl) if t != tbl[0]), None)
+    if j is None:
         return Verdict("holds", True, note="all pairs merge")
-    if method != "collapse":
-        raise InputError("method must be 'auto', 'pairwise', or 'collapse'")
-    current = _recurrent_indices(sys)
-    if len(current) == 1:
-        return Verdict("holds", True, note="images collapse to one state")
-    a, b = sorted(current)[:2]
-    v = _proximal_pair(sys, a, b, horizon)
-    return Verdict("fails", True, counterexample=v.counterexample,
-                   note="periodic part keeps distinct states")
+    return Verdict("fails", True,
+                   counterexample=_proximal_pair(sys, 0, j, None).counterexample,
+                   note="non-proximal pair")
 
 
 def diam_decay(sys: SystemMap, horizon: int | None = None) -> list[Fraction]:

@@ -3,7 +3,7 @@
 Every distance is a :class:`fractions.Fraction`; no floats appear anywhere.
 Spaces either carry a dense symmetric distance table or (for large derived
 spaces such as hyperspace and fuzzy lifts) a distance function evaluated on
-demand and cached.  All values are immutable after construction and every
+demand, never cached.  All values are immutable after construction and every
 operation is pure.
 """
 
@@ -287,10 +287,6 @@ class SystemMap:
 
     def image_indices(self, idxs: Iterable[int]) -> frozenset:
         return frozenset(self.table[i] for i in idxs)
-
-    def image_points(self, pts: Iterable[Point]) -> frozenset:
-        idx = self.space.index
-        return frozenset(self.space.points[self.table[idx(p)]] for p in pts)
 
     def preimages(self) -> tuple[tuple[int, ...], ...]:
         """Preimage index lists, one per point."""

@@ -3,17 +3,40 @@
 These recompute everything from the definitions with plain Fraction loops,
 deliberately avoiding the package's optimized integer-mask paths; optimized
 and definitional routes are cross-checked against each other in the tests.
+``image_points``, ``recurrent_points`` and ``point_return_set`` are former
+package names that only tests call; they stay thin edges over the package.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
-from fuzzdyn.analysis import Verdict
+from fuzzdyn.analysis import (ProductDyn, ProductOpen, TableDyn, Verdict,
+                              _recurrent_indices, open_label, return_time_set)
 from fuzzdyn.errors import InputError
 from fuzzdyn.fuzzy import FuzzySet
+from fuzzdyn.hyperspace import CompactSet
 from fuzzdyn.spaces import (MetricSpace, SystemMap, as_fraction, circle_space,
-                            iterate_tables, point_label)
+                            iterate, iterate_tables, point_label)
+
+
+def image_points(sys, pts):
+    """T(A) for a set A of points."""
+    idx = sys.space.index
+    return frozenset(sys.space.points[sys.table[idx(p)]] for p in pts)
+
+
+def recurrent_points(sys) -> CompactSet:
+    """All points lying on cycles: the image of T^preperiod."""
+    return CompactSet(sys.space, (sys.space.points[i]
+                                  for i in _recurrent_indices(sys)))
+
+
+def point_return_set(sys, x, v, horizon=None):
+    """N(x, V) = {n : T^n(x) in V} for a finite table system."""
+    return return_time_set(sys, [x], v, horizon)
 
 
 def brute_directed(space, src, dst):
@@ -92,8 +115,69 @@ def brute_return_times(sys, u_points, v_points, horizon):
     for n in range(horizon):
         if current & v:
             out.add(n)
-        current = sys.image_points(current)
+        current = image_points(sys, current)
     return out
+
+
+def brute_transitive(dyn) -> Verdict:
+    """Singleton-basis transitivity of a table oracle or of a product of
+    table oracles, by walking the orbit of every state: every state must
+    reach every state within preperiod + period steps.  Product states are
+    tuples of factor indices, visited in the order of the box basis; the
+    first start whose orbit misses a state and the first state it misses
+    are the counterexample."""
+    product = isinstance(dyn, ProductDyn)
+    factors = dyn.factors if product else ((dyn, 1),)
+    assert all(isinstance(f, TableDyn) for f, _ in factors)
+    tables = [iterate(f.sys, a).table for f, a in factors]
+    pre, per = dyn.preperiod_period()
+    steps = pre + per
+    ranges = [range(len(t)) for t in tables]
+    bases = [f.default_basis() for f, _ in factors]
+
+    def ball(state: tuple) -> str:
+        parts = tuple(b[i] for b, i in zip(bases, state))
+        return open_label(ProductOpen(parts) if product else parts[0])
+
+    n_states = math.prod(map(len, ranges))
+    for start in itertools.product(*ranges):
+        reached = set()
+        cur = start
+        for _ in range(steps):
+            reached.add(cur)
+            cur = tuple(map(tuple.__getitem__, tables, cur))
+        if len(reached) < n_states:
+            missing = next(s for s in itertools.product(*ranges)
+                           if s not in reached)
+            return Verdict("fails", True, horizon=steps,
+                           counterexample=(ball(start), ball(missing)),
+                           note="orbit never meets the target ball")
+    return Verdict("holds", True, horizon=steps)
+
+
+def brute_proximal(sys) -> Verdict:
+    """All pairs proximal, pair by pair in index order: the orbit of (x, y)
+    in X x X is walked until a pair repeats.  The pair is proximal iff the
+    walk meets the diagonal; otherwise its liminf distance is the least
+    distance on the cycle of pairs, and it is the counterexample."""
+    space = sys.space
+    tbl = sys.table
+    for i, j in itertools.combinations(range(len(space.points)), 2):
+        seen = []
+        pair = (i, j)
+        while pair not in seen:
+            seen.append(pair)
+            pair = (tbl[pair[0]], tbl[pair[1]])
+        if any(a == b for a, b in seen):
+            continue
+        liminf = min(space.d_by_index(a, b)
+                     for a, b in seen[seen.index(pair):])
+        return Verdict("fails", True,
+                       counterexample=(point_label(space.points[i]),
+                                       point_label(space.points[j]),
+                                       str(liminf)),
+                       note="non-proximal pair")
+    return Verdict("holds", True, note="all pairs merge")
 
 
 def shift_brute_member(shift, u, v, n):

@@ -17,8 +17,7 @@ from fuzzdyn.analysis import (CylinderOpen, HyperShiftDyn, ProductDyn,
                               is_periodically_dense, is_proximal,
                               is_proximal_pair, is_sensitive, is_transitive,
                               is_uniformly_rigid, is_weakly_mixing,
-                              open_label, point_return_set, points_open,
-                              recurrent_points, return_time_set,
+                              open_label, points_open, return_time_set,
                               singleton_basis, weakly_disjoint)
 from fuzzdyn.catalog import base_catalog, transitive_catalog
 from fuzzdyn.errors import InputError
@@ -29,8 +28,9 @@ from fuzzdyn.spaces import (SystemMap, circle_space, make_grid_interval_map,
                             make_multiply, make_rotation, one_point_system,
                             product_system)
 from fuzzdyn.symbolic import ShiftSystem, full_shift
-from helpers import (brute_return_times, omega_limit, random_table_system,
-                     shift_brute_member)
+from helpers import (brute_proximal, brute_return_times, brute_transitive,
+                     omega_limit, point_return_set, random_table_system,
+                     recurrent_points, shift_brute_member)
 
 F = Fraction
 
@@ -133,14 +133,6 @@ class TestTransitive:
         times = return_time_set(make_rotation(6, 2), {u}, {target},
                                 horizon=24)
         assert not times.members
-
-    def test_fast_path_matches_generic(self):
-        for sys in base_catalog():
-            if len(sys.space.points) > 9:
-                continue
-            fast = is_transitive(sys)
-            generic = is_transitive(sys, basis=singleton_basis(sys.space))
-            assert fast.status == generic.status, sys.label
 
     def test_shift_transitive(self):
         assert is_transitive(ShiftDyn(full_shift(2, 3))).holds
@@ -363,13 +355,12 @@ class TestProximality:
         v = is_proximal_pair(r, 0, 2)
         assert v.fails and v.counterexample[-1] == "1/2"
 
-    def test_methods_agree_random(self):
-        rng = random.Random(4)
-        for _ in range(40):
-            sys = random_table_system(rng, 6)
-            pairwise = is_proximal(sys, method="pairwise")
-            collapse = is_proximal(sys, method="collapse")
-            assert pairwise.status == collapse.status
+    def test_pair_failure_short_of_the_period_is_not_exact(self):
+        half = make_grid_interval_map("half", 8)
+        v = is_proximal_pair(half, F(0), F(1), horizon=1)
+        assert v.fails and not v.exact and v.horizon == 1
+        merged = is_proximal_pair(half, F(0), F(1))
+        assert merged.holds and merged.exact and merged.witnesses == ((4,),)
 
 
 class TestDiamDecay:
@@ -615,15 +606,40 @@ class TestOracleBitsets:
        st.one_of(st.none(), st.integers(1, 6)))
 def test_table_product_oracle_matches_the_materialized_product(factors,
                                                                horizon):
-    """Transitivity of a product of table oracles, on the fast walk and on
-    the box scan, equals transitivity of the materialized product system;
-    the walk finds the first failing pair of the box scan."""
+    """Transitivity of a product of table oracles, scanned over its box
+    basis, equals transitivity of the materialized product system, scanned
+    over its singleton basis."""
     pd = ProductDyn([(TableDyn(sys), a) for sys, a in factors])
     oracle = is_transitive(pd, horizon=horizon)
     assert oracle == is_transitive(product_system(factors), horizon=horizon)
     scan = is_transitive(pd, basis=pd.default_basis(), horizon=horizon)
     assert (scan.status, scan.exact, scan.horizon, scan.counterexample) == \
         (oracle.status, oracle.exact, oracle.horizon, oracle.counterexample)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    small_tables(6).map(TableDyn),
+    st.lists(st.tuples(small_tables(4), st.integers(1, 3)),
+             min_size=1, max_size=3).map(
+        lambda fs: ProductDyn([(TableDyn(sys), a) for sys, a in fs]))))
+def test_transitivity_scan_matches_the_orbit_walk(dyn):
+    """The return-time scan and the state-by-state orbit walk agree on
+    tables and on products of one to three tables, exponents 1 to 3."""
+    got, want = is_transitive(dyn), brute_transitive(dyn)
+    assert (got.status, got.exact, got.horizon, got.counterexample,
+            got.note) == (want.status, want.exact, want.horizon,
+                          want.counterexample, want.note)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_tables(7))
+def test_proximality_matches_the_pairwise_definition(sys):
+    """One T^preperiod image decides proximality of every pair, with the
+    counterexample and liminf of a pair-by-pair scan; on the system and on
+    its subset lift."""
+    for target in (sys, lift_system(sys)):
+        assert is_proximal(target) == brute_proximal(target), target.table
 
 
 def test_table_checkers_reject_a_basis_that_misses_points():
@@ -682,7 +698,7 @@ def factor_oracles(draw, max_points=6, max_length=3):
 
 
 def assert_rows_equal_pairs(dyn, basis, bound):
-    for u, row in dyn.rows(basis, bound):
+    for u, row in zip(basis, dyn.rows(basis, bound)):
         assert list(row) == [dyn.return_times(u, v, bound) for v in basis]
 
 
@@ -695,7 +711,7 @@ class TestOracleRows:
         pre, per = sys.eventual_period()
         bound = data.draw(st.integers(0, pre + 3 * per + 2))
         dyn = TableDyn(sys)
-        for u, row in dyn.rows(basis, bound):
+        for u, row in zip(basis, dyn.rows(basis, bound)):
             assert [bit_members(bits, bound) for bits in row] == [
                 brute_return_times(sys, u.members, v.members, bound)
                 for v in basis]
@@ -831,6 +847,35 @@ class TestOracleMemory:
         u, w = v.counterexample
         assert u == w == "B(((0,0,0,0,1),(0,0,0,0,1)))"
         assert len(built) == 2
+
+    def test_scans_build_opens_only_to_label(self, monkeypatch):
+        """A transitivity scan that holds reads every pair by index; only
+        the 8 witnesses build opens, two boxes or two balls each."""
+        boxes, balls = [], []
+
+        class CountingBox(analysis.ProductOpen):
+            def __init__(self, parts):
+                boxes.append(parts)
+                super().__init__(parts)
+
+        class CountingBall(analysis._SingletonOpen):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                balls.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(analysis, "ProductOpen", CountingBox)
+        monkeypatch.setattr(analysis, "_SingletonOpen", CountingBall)
+        pd = ProductDyn([(TableDyn(make_rotation(5, 1)), 1),
+                         (TableDyn(make_rotation(7, 1)), 1)])
+        v = is_transitive(pd)
+        assert v.holds and len(v.witnesses) == 8
+        assert len(boxes) == 16
+        balls.clear()
+        v = is_transitive(make_rotation(40, 1))
+        assert v.holds and len(v.witnesses) == 8
+        assert len(balls) == 8
 
     def test_nested_product_basis_reads_boxes_by_index(self):
         inner = ProductDyn([(TableDyn(make_rotation(2, 1)), 1),

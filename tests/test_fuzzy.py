@@ -15,7 +15,8 @@ from fuzzdyn.hyperspace import (CompactSet, enumerate_compacts,
                                 hausdorff_distance, lift_system)
 from fuzzdyn.spaces import (SystemMap, circle_space, make_multiply,
                             make_rotation)
-from helpers import brute_levelwise, count_states, random_table_system
+from helpers import (brute_levelwise, count_states, image_points,
+                     random_table_system)
 
 F = Fraction
 
@@ -325,7 +326,7 @@ class TestEmbedIndicator:
         for a in sets:
             lhs = zadeh_apply(sys, indicator(sys.space, grid, lam, a))
             rhs = indicator(sys.space, grid, lam,
-                            sys.image_points(a.members))
+                            image_points(sys, a.members))
             assert lhs == rhs
 
 

@@ -4,10 +4,17 @@
 its report, recorded from an earlier version of the harness.  A refactor of
 the harness, the checkers or the kernels under them must reproduce every
 byte: verdicts, exactness flags, witnesses, notes and item order.
+
+A change that is meant to alter some reports re-records just those cases,
+named by key, and prints the unified diff of each::
+
+    PYTHONPATH=src python tests/test_golden_reports.py "proximality rotation:4,1 m=2"
 """
 
+import difflib
 import json
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -90,3 +97,23 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("case", CASES, ids=lambda c: case_key(*c))
 def test_report_byte_identical(case):
     assert report_text(*case) == GOLDEN_TEXT[case_key(*case)]
+
+
+def record(keys):
+    """Re-record the named cases in the golden file and print each diff."""
+    cases = {case_key(*c): c for c in CASES}
+    unknown = [key for key in keys if key not in cases]
+    if unknown or not keys:
+        sys.exit(f"name one or more case keys; unknown: {unknown}")
+    for key in keys:
+        text = report_text(*cases[key])
+        sys.stdout.writelines(difflib.unified_diff(
+            GOLDEN_TEXT.get(key, "").splitlines(True), text.splitlines(True),
+            f"{key} (recorded)", f"{key} (now)"))
+        GOLDEN_TEXT[key] = text
+    with open(GOLDEN, "w") as handle:
+        handle.write(json.dumps(GOLDEN_TEXT, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    record(sys.argv[1:])
