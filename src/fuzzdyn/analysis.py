@@ -747,33 +747,44 @@ def weakly_disjoint(a, b, horizon: int | None = None) -> Verdict:
     return replace(v, note="product transitivity")
 
 
+#: a finite table closes the quantifier (X x Y is Y when X is one point),
+#: so a table target is its own last opponent and its verdict is exact
+_TABLE_LEMMA = ("finite-table lemma: a transitive table is one c-cycle, "
+                "and X x X is transitive only for c = 1")
+
+
 def is_mildly_mixing_bounded(target, catalog: Sequence | None = None,
                              horizon: int | None = None) -> Verdict:
     """Weak disjointness from every member of a catalog of transitive
     systems.  The universal quantifier over all transitive systems is not
-    finitely exhaustible, so a passing verdict is catalog-relative; a
-    failing product is a genuine counterexample.  Bounded difference-of-sums
-    evidence is attached as a witness.
+    finitely exhaustible, so on a shift a passing verdict is
+    catalog-relative; a failing product is a genuine counterexample.
+    Bounded difference-of-sums evidence is attached as a witness.
     """
     if catalog is None:
         from .catalog import transitive_catalog
         catalog = transitive_catalog()
     if not catalog:
         raise InputError("empty catalog rejected")
-    for member in catalog:
+    table = isinstance(as_dyn(target), TableDyn)
+    for member in list(catalog) + ([target] if table else []):
         v = weakly_disjoint(target, member, horizon=horizon)
         if not v.holds:
             label = member.label if hasattr(member, "label") else str(member)
+            if member is target:
+                return Verdict("fails", v.exact, v.horizon, note=_TABLE_LEMMA,
+                               counterexample=("the target itself", label))
             return Verdict("fails", v.exact, v.horizon,
                            counterexample=("catalog member", label),
                            note="product with a transitive system is not "
                                 "transitive")
     evidence = _ip_difference_evidence(target, horizon)
-    return Verdict("holds", False, horizon=horizon,
+    return Verdict("holds", table, horizon=horizon,
                    witnesses=(("catalog", len(catalog)),
                               ("difference_sums_met", evidence)),
-                   note="catalog-relative; universal quantifier over all "
-                        "transitive systems not exhausted")
+                   note=_TABLE_LEMMA if table else
+                   "catalog-relative; universal quantifier over all "
+                   "transitive systems not exhausted")
 
 
 def _ip_difference_evidence(target, horizon: int | None) -> bool:

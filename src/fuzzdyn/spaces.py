@@ -74,7 +74,8 @@ class MetricSpace:
     (dense table, list of rows) or ``fn`` plus ``denom`` and an explicit
     ``diam`` must be supplied.  A table space scales its table once, over
     the lcm of the denominators of every entry, so asymmetric tables scale
-    exactly too.  A lazy metric ``fn(i, j)`` is called with an index pair,
+    exactly too; a table of integers comes with its ``denom``, already
+    scaled.  A lazy metric ``fn(i, j)`` is called with an index pair,
     returns the scaled integer and keeps nothing per pair.  ``d_by_index``
     renders one distance as a Fraction, for witnesses and serialization.
 
@@ -106,13 +107,15 @@ class MetricSpace:
         self._values = None
         if matrix is not None:
             self._point_index()
-            rows = tuple(tuple(as_fraction(v) for v in row) for row in matrix)
             n = len(pts)
-            if len(rows) != n or any(len(r) != n for r in rows):
+            if len(matrix) != n or any(len(r) != n for r in matrix):
                 raise InputError("distance table shape does not match points")
-            self._matrix = rows
-            self.denom = math.lcm(*(v.denominator for r in rows for v in r))
-            ints = [[int(v * self.denom) for v in r] for r in rows]
+            if denom is None:
+                rows = [[as_fraction(v) for v in row] for row in matrix]
+                denom = math.lcm(*(v.denominator for r in rows for v in r))
+                matrix = [[int(v * denom) for v in r] for r in rows]
+            self._matrix = ints = matrix
+            self.denom = denom
             self.dist_int = lambda i, j: ints[i][j]
             flat = [ints[i][j] for i in range(n) for j in range(i + 1, n)]
             metric = all(ints[i][i] == 0 and
@@ -120,8 +123,8 @@ class MetricSpace:
                          for i in range(n))
             self.gap = min(flat) if flat and metric else None
             self._diam = Fraction(max(flat, default=0), self.denom)
-            self._minpos = min((Fraction(v, self.denom) for v in flat if v > 0),
-                               default=None)
+            pos = min((v for v in flat if v > 0), default=None)
+            self._minpos = None if pos is None else Fraction(pos, denom)
         elif fn is not None:
             if diam is None or denom is None:
                 raise InputError("lazy metric needs an explicit diameter "
@@ -173,8 +176,6 @@ class MetricSpace:
         return self.d_by_index(self.index(p), self.index(q))
 
     def d_by_index(self, i: int, j: int) -> Fraction:
-        if self._matrix is not None:
-            return self._matrix[i][j]
         return Fraction(self.dist_int(i, j), self.denom)
 
     def scan_metric(self) -> Callable[[int, int], int]:
@@ -193,12 +194,12 @@ class MetricSpace:
         if self._matrix is None:
             raise InputError("distance values unavailable on a lazy metric space")
         if self._values is None:
-            vals = {ZERO}
+            vals = {0}
             n = len(self.points)
             for i in range(n):
-                for j in range(i + 1, n):
-                    vals.add(self._matrix[i][j])
-            self._values = tuple(sorted(vals))
+                vals.update(self._matrix[i][i + 1:])
+            self._values = tuple(Fraction(v, self.denom)
+                                 for v in sorted(vals))
         return self._values
 
     def ball(self, center: Point, radius: Fraction) -> frozenset:
@@ -361,9 +362,10 @@ def circle_space(n: int) -> MetricSpace:
     """Z_n with the circle metric d(i,j) = min(|i-j|, n-|i-j|)/n."""
     if n < 1:
         raise InputError("circle space needs n >= 1")
-    rows = [[Fraction(min(abs(i - j), n - abs(i - j)), n) for j in range(n)]
+    # integer rows over n, which is the lcm of the reduced denominators
+    rows = [[min(abs(i - j), n - abs(i - j)) for j in range(n)]
             for i in range(n)]
-    return MetricSpace(range(n), matrix=rows, label=f"Z{n}")
+    return MetricSpace(range(n), matrix=rows, denom=n, label=f"Z{n}")
 
 
 def interval_grid_space(m: int) -> MetricSpace:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from fuzzdyn.analysis import (ProductDyn, ProductOpen, TableDyn, Verdict,
                               _recurrent_indices, open_label, return_time_set)
 from fuzzdyn.errors import InputError
-from fuzzdyn.fuzzy import FuzzySet
+from fuzzdyn.fuzzy import FuzzySet, fuzzy_lift_system
 from fuzzdyn.hyperspace import CompactSet
 from fuzzdyn.spaces import (MetricSpace, SystemMap, as_fraction, circle_space,
                             iterate, iterate_tables, point_label)
@@ -273,6 +273,29 @@ def brute_equicontinuity_modulus(sys: SystemMap, eps) -> Verdict:
         wit += (("violator", violator),)
     return Verdict("holds" if delta > 0 else "fails", True,
                    horizon=pre + per, witnesses=wit)
+
+
+def brute_height_obstruction(sys: SystemMap, grid, bound: int):
+    """The pair scan that the height-preservation lemma replaced, kept
+    verbatim: every pair of states of distinct heights in the "all" lift,
+    at every step below ``bound``, must stay a diameter apart.  Returns the
+    status and the number of (pair, step) distances read."""
+    lift = fuzzy_lift_system(sys, grid, "all")
+    space = lift.space
+    heights = [max(s) for s in space.points]
+    d = space.scan_metric()
+    diam = int(space.diam * space.denom)
+    tables = iterate_tables(lift, bound)
+    checked = 0
+    for i in range(len(heights)):
+        for j in range(i + 1, len(heights)):
+            if heights[i] == heights[j]:
+                continue
+            for tbl in tables:
+                checked += 1
+                if d(tbl[i], tbl[j]) != diam:
+                    return "fails", checked
+    return "holds", checked
 
 
 def brute_family_results(members, horizon, threshold):

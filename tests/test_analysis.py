@@ -239,8 +239,17 @@ class TestWeaklyDisjoint:
 
 class TestMildMixing:
     def test_one_point_holds(self):
+        # a table's quantifier closes: X x Y is Y on one point
         v = is_mildly_mixing_bounded(one_point_system())
-        assert v.holds and not v.exact
+        assert v.holds and v.exact
+        assert "finite-table lemma" in v.note
+
+    def test_prime_cycle_fails_against_itself(self):
+        # 7 is coprime to every cycle of the default catalog
+        v = is_mildly_mixing_bounded(make_rotation(7, 1))
+        assert v.fails and v.exact
+        assert v.counterexample == ("the target itself", "rotation(7,1)")
+        assert "finite-table lemma" in v.note
 
     def test_two_cycle_fails_against_itself(self):
         v = is_mildly_mixing_bounded(make_rotation(2, 1))

@@ -44,7 +44,7 @@ CASES = (
                                        "fullshift:2,2", "fullshift:2,3")
        for t in SHIFT_THEOREMS]
     + [("cut-lemma", "rotation:5,1", 2, 100),          # sampled states
-       ("uniform-rigidity", "rotation:4,1", 2, 20),    # cut reduction too
+       ("uniform-rigidity", "rotation:4,1", 2, 20),    # slices above cap
        ("mixing", "goldenmean:2", 1, None, 16),        # horizon-limited
        ("transitivity", "point", 1, None, 2),          # product witnesses
        ("a-transitivity", "rotation:4,1", 2, None, 3),  # non-exact products

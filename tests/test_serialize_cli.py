@@ -186,6 +186,17 @@ class TestCli:
         assert rows["fuzzy(F0)-proximal"]["in_matrix"] is False
         assert rows["hyper-proximal"]["status"] == "holds"
 
+    def test_verify_equicontinuity_on_one_point_has_no_red_alert(
+            self, tmp_path):
+        # the F0 lift of one point puts its two heights at distance 0
+        rc = main(["verify", "--theorem", "equicontinuity",
+                   "--system", "point", "--m", "2", "--out", str(tmp_path)])
+        assert rc == 0
+        doc = json.loads((tmp_path / "equivalence_report.json").read_text())
+        assert doc["report"]["red_alert"] is False
+        assert [item["id"] for item in doc["report"]["items"]] == [
+            "base-equicontinuous", "hyper-equicontinuous"]
+
     def test_verify_cut_lemma_with_g_file(self, tmp_path):
         gpath = tmp_path / "g.json"
         grid = LevelGrid(4)

@@ -1,13 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fuzzdyn.analysis import displacement_curve
 from fuzzdyn.errors import InputError
-from fuzzdyn.fuzzy import FuzzySet, GFunction, LevelGrid
-from fuzzdyn.spaces import (make_grid_interval_map, make_multiply,
+from fuzzdyn.fuzzy import FuzzySet, GFunction, LevelGrid, fuzzy_lift_system
+from fuzzdyn.hyperspace import hyperspace_displacement_curve
+from fuzzdyn.spaces import (SystemMap, make_grid_interval_map, make_multiply,
                             make_rotation, one_point_system)
 from fuzzdyn.symbolic import ShiftSystem, full_shift
 from fuzzdyn.theorems import (EquivalenceReport, ReportItem, verify_theorem)
+from helpers import brute_height_obstruction, taxi_space
 
 F = Fraction
 
@@ -65,11 +70,17 @@ class TestMildMixingTheorem:
         assert rep.consistent
         assert all(it.status == "fails" for it in rep.matrix_items())
 
-    def test_one_point_holds_catalog_relative(self):
+    def test_one_point_holds_exactly(self):
         rep = verify_theorem("mild-mixing", one_point_system(), m=1)
         assert rep.consistent
         assert all(it.status == "holds" for it in rep.matrix_items())
-        assert all(not it.exact for it in rep.matrix_items())
+        assert all(it.exact for it in rep.matrix_items())
+
+    def test_prime_rotation_fails_exactly_at_every_level(self):
+        # no cycle of the default catalog shares a factor with 7
+        rep = verify_theorem("mild-mixing", make_rotation(7, 1), m=2)
+        assert rep.consistent and not rep.red_alert
+        assert all(it.status == "fails" and it.exact for it in rep.items)
 
 
 class TestATransitivityTheorem:
@@ -123,23 +134,32 @@ class TestUniformRigidityTheorem:
         assert {witness(it) for it in rep.items} == {None}
 
 
-def test_fuzzy_displacement_matches_cut_reduction():
+@st.composite
+def taxi_tables(draw, max_points=5):
+    """A random map on up to ``max_points`` distinct points of the integer
+    plane under the taxi metric."""
+    coords = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           min_size=1, max_size=max_points, unique=True))
+    n = len(coords)
+    table = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return SystemMap(taxi_space(coords), table, label="taxi")
+
+
+@settings(max_examples=40, deadline=None)
+@given(taxi_tables(), st.integers(1, 3))
+def test_fuzzy_displacement_matches_cut_reduction(sys, m):
     """Enumerated fuzzy slices displace exactly like the subset lift, for
-    every constraint; this pins the reduction used when slices outgrow the
-    materialization cap."""
-    from fuzzdyn.analysis import displacement_curve
-    from fuzzdyn.fuzzy import fuzzy_lift_system
-    from fuzzdyn.hyperspace import hyperspace_displacement_curve
-    for sys in (make_rotation(4, 1), make_grid_interval_map("half", 4)):
-        pre, per = sys.eventual_period()
-        bound = pre + per + 1
-        key = hyperspace_displacement_curve(sys, bound)
-        grid = LevelGrid(2)
-        for constraint in ("nonempty", ("eq", F(1)), ("eq", F(1, 2)),
-                           ("ge", F(1, 2))):
-            lifted = fuzzy_lift_system(sys, grid, constraint)
-            assert displacement_curve(lifted, bound) == key, \
-                (sys.label, constraint)
+    every constraint; every fuzzy uniform-rigidity item reads the subset
+    curve on this reduction."""
+    pre, per = sys.eventual_period()
+    bound = pre + per + 1
+    key = hyperspace_displacement_curve(sys, bound)
+    grid = LevelGrid(m)
+    constraints = ["all", "nonempty"] + [(kind, lam) for kind in ("eq", "ge")
+                                         for lam in grid.levels]
+    for constraint in constraints:
+        lifted = fuzzy_lift_system(sys, grid, constraint)
+        assert displacement_curve(lifted, bound) == key, constraint
 
 
 class TestProximalityTheorem:
@@ -165,6 +185,32 @@ class TestHeightInvariance:
         assert by_id["height-obstruction"].status == "holds"
         assert by_id["f0-not-transitive"].status == "fails"
         assert by_id["f0-not-proximal"].status == "fails"
+
+    def test_height_changing_lift_is_a_kernel_bug(self, monkeypatch):
+        import fuzzdyn.theorems as theorems
+
+        def collapsing(sys, grid, constraint, cap):
+            # every state of the "all" lift maps to the empty state
+            lift = fuzzy_lift_system(sys, grid, constraint, cap=cap)
+            return SystemMap(lift.space, [0] * len(lift.table))
+
+        monkeypatch.setattr(theorems, "fuzzy_lift_system", collapsing)
+        # state 1 of the product order is the grade tuple (0, 0, 1/2)
+        with pytest.raises(RuntimeError,
+                           match=r"lift kernel bug: state \(0,0,1/2\) "):
+            verify_theorem("height-invariance", make_rotation(3, 1), m=2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(taxi_tables(), st.integers(1, 3), st.one_of(st.none(),
+                                                       st.integers(1, 4)))
+    def test_lemma_matches_the_pair_scan(self, sys, m, horizon):
+        rep = verify_theorem("height-invariance", sys, m=m, horizon=horizon)
+        item = rep.items[0]
+        pre, per = sys.eventual_period()
+        bound = horizon if horizon is not None else pre + per + 1
+        status, checked = brute_height_obstruction(sys, LevelGrid(m), bound)
+        assert (item.status, item.exact) == (status, True)
+        assert dict(item.witnesses)["pairs_times_checked"] == checked
 
     def test_halving_obstruction_survives_collapse(self):
         rep = verify_theorem("height-invariance",
