@@ -32,7 +32,7 @@ from .errors import InputError
 from .families import FamilyClassifier, IndexSet, difference_set, fs_set
 from .hyperspace import CompactSet
 from .spaces import (MetricSpace, Point, SystemMap, as_fraction,
-                     iterate, iterate_tables, point_label)
+                     iterate_tables, point_label)
 from .symbolic import ShiftSystem
 
 DEFAULT_SYMBOLIC_HORIZON = 64
@@ -549,13 +549,16 @@ def _require_table(sys, what: str) -> SystemMap:
     return sys
 
 
+def _positive_eps(eps) -> Fraction:
+    eps = as_fraction(eps)
+    if eps <= 0:
+        raise InputError("eps must be positive")
+    return eps
+
+
 def _recurrent_indices(sys: SystemMap) -> frozenset:
     """Indices of the points on cycles: the image of T^preperiod."""
-    pre, _ = sys.eventual_period()
-    current = frozenset(range(len(sys.space.points)))
-    for _ in range(pre):
-        current = sys.image_indices(current)
-    return current
+    return frozenset(sys.preperiod_table())
 
 
 # -- transitivity and mixing ---------------------------------------------------
@@ -822,9 +825,7 @@ def equicontinuity_modulus(sys: SystemMap, eps) -> Verdict:
     """
     if not isinstance(sys, SystemMap):
         raise InputError("equicontinuity needs a finite table system")
-    eps = as_fraction(eps)
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    eps = _positive_eps(eps)
     space = sys.space
     n_pts = len(space.points)
     pre, per = sys.eventual_period()
@@ -861,16 +862,20 @@ def equicontinuity_modulus(sys: SystemMap, eps) -> Verdict:
 
 
 def displacement_curve(sys: SystemMap, horizon: int | None = None) -> list[Fraction]:
-    """max over points of d(T^n(x), x), for n = 0 .. horizon-1."""
+    """max over points of d(T^n(x), x), for n = 0 .. horizon-1.  Only
+    T^0 .. T^(pre+per-1) are stepped: T^(n+per) = T^n for n >= pre, so
+    later entries repeat the periodic part."""
     _require_table(sys, "displacement")
     pre, per = sys.eventual_period()
     bound = horizon if horizon is not None else pre + per + 1
-    tables = iterate_tables(sys, bound)
+    tables = iterate_tables(sys, min(bound, pre + per))
     space = sys.space
     d = space.dist_int
     n_pts = len(space.points)
-    return [Fraction(max(d(tbl[i], i) for i in range(n_pts)), space.denom)
-            for tbl in tables]
+    curve = [Fraction(max(d(tbl[i], i) for i in range(n_pts)), space.denom)
+             for tbl in tables]
+    return curve + [curve[pre + (n - pre) % per]
+                    for n in range(len(curve), bound)]
 
 
 def _rigidity_verdict(curve: Sequence[Fraction], eps: Fraction, bound: int,
@@ -887,9 +892,7 @@ def is_uniformly_rigid(sys: SystemMap, eps, horizon: int | None = None) -> Verdi
     is the ``witness_n`` (None when there is none, exact past the eventual
     period)."""
     _require_table(sys, "uniform rigidity")
-    eps = as_fraction(eps)
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    eps = _positive_eps(eps)
     pre, per = sys.eventual_period()
     bound = horizon if horizon is not None else pre + per + 1
     return _rigidity_verdict(displacement_curve(sys, bound), eps, bound,
@@ -934,8 +937,7 @@ def is_proximal(sys: SystemMap) -> Verdict:
     is a single state; otherwise the counterexample is point 0 and the
     first point whose T^preperiod image differs from that of point 0."""
     _require_table(sys, "proximality")
-    pre, _ = sys.eventual_period()
-    tbl = iterate(sys, pre).table
+    tbl = sys.preperiod_table()
     j = next((j for j, t in enumerate(tbl) if t != tbl[0]), None)
     if j is None:
         return Verdict("holds", True, note="all pairs merge")
@@ -967,9 +969,7 @@ def is_sensitive(sys: SystemMap, eps, basis=None,
     """For every point and every basis neighborhood of it, some neighbor
     escapes to distance > eps at some time below the horizon."""
     _require_table(sys, "sensitivity")
-    eps = as_fraction(eps)
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    eps = _positive_eps(eps)
     space = sys.space
     d = space.dist_int
     # a distance exceeds eps iff its scaled integer exceeds this

@@ -13,10 +13,7 @@ from typing import Callable, Iterable
 
 from .errors import BoundExceeded, InputError
 from .spaces import (MetricSpace, Point, SystemMap, ZERO, _scaled_matrix,
-                     iterate_tables, max_points_cap, point_label)
-
-#: hard cap for bitmask displacement scans (2^n states)
-DISPLACEMENT_MAX_POINTS = 16
+                     max_points_cap, point_label)
 
 #: most base points whose 4^n mask pairs a scan tabulates
 MASK_PAIR_MAX_POINTS = 8
@@ -210,25 +207,3 @@ def lift_system(sys: SystemMap, bound: int | None = None) -> SystemMap:
             "base": sys.provenance if sys.provenance else {"kind": "finite"}}
     return SystemMap(space, table, label=f"K({sys.label})", provenance=prov)
 
-
-def hyperspace_displacement_curve(sys: SystemMap, horizon: int) -> list[Fraction]:
-    """max over nonempty subsets A of d_H(T^n(A), A), for n = 0 .. horizon-1.
-
-    Exact bitmask scan over all 2^|X| - 1 subsets; this is the displacement
-    of the subset lift, and (by cut realizability) of every fuzzy-height
-    slice as well.
-    """
-    n = len(sys.space.points)
-    if n > DISPLACEMENT_MAX_POINTS:
-        raise BoundExceeded("displacement scan", n, DISPLACEMENT_MAX_POINTS)
-    denom, mat = _scaled_matrix(sys.space)
-    mind = _min_to_mask_table(n, mat)
-    full = 1 << n
-    tables = iterate_tables(sys, horizon)
-    out = []
-    for tbl in tables:
-        point_bit = [1 << t for t in tbl]
-        worst = max(_mask_hausdorff(_mask_image(mask, point_bit), mask, mind)
-                    for mask in range(1, full))
-        out.append(Fraction(worst, denom))
-    return out

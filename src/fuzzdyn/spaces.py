@@ -259,7 +259,8 @@ def validate_metric(space: MetricSpace, point_bound: int = 512) -> list[str]:
 class SystemMap:
     """Total endomap of a MetricSpace, stored as an index table."""
 
-    __slots__ = ("space", "table", "label", "provenance", "_ep", "_pre")
+    __slots__ = ("space", "table", "label", "provenance", "_ep", "_settled",
+                 "_pre")
 
     def __init__(self, space: MetricSpace, table: Sequence[int],
                  label: str = "system", provenance: dict | None = None):
@@ -274,6 +275,7 @@ class SystemMap:
         self.label = label
         self.provenance = provenance
         self._ep = None
+        self._settled = None
         self._pre = None
 
     def __repr__(self) -> str:
@@ -320,7 +322,13 @@ class SystemMap:
                 step += 1
             first = seen[cur]
             self._ep = (first, step - first)
+            self._settled = cur  # T^(first+period) = T^first
         return self._ep
+
+    def preperiod_table(self) -> tuple[int, ...]:
+        """The table of T^preperiod, kept from :meth:`eventual_period`."""
+        self.eventual_period()
+        return self._settled
 
     def is_isometry(self) -> bool:
         n = len(self.space.points)

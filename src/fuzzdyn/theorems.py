@@ -21,18 +21,17 @@ from functools import partial
 from typing import Callable, Sequence
 
 from .analysis import (DEFAULT_CYLINDER_LENGTH, HyperShiftDyn, ShiftDyn,
-                       Verdict, _rigidity_verdict, diam_decay,
-                       equicontinuity_modulus, is_a_transitive,
-                       is_F_transitive, is_mildly_mixing_bounded, is_mixing,
-                       is_proximal, is_transitive, is_uniformly_rigid,
-                       is_weakly_mixing)
+                       Verdict, _positive_eps, _rigidity_verdict, diam_decay,
+                       displacement_curve, equicontinuity_modulus,
+                       is_a_transitive, is_F_transitive,
+                       is_mildly_mixing_bounded, is_mixing, is_proximal,
+                       is_transitive, is_weakly_mixing)
 from .errors import InputError
 from .families import FamilyClassifier, thick_family
 from .fuzzy import (DEFAULT_STATE_CAP, FuzzySet, GFunction, LevelGrid,
                     _cut_masks, _g_levels, _grade_steps, enumeration_cost,
                     fuzzy_lift_system, xi_of)
-from .hyperspace import (_mask_image, hyperspace_displacement_curve,
-                         lift_system)
+from .hyperspace import _mask_image, lift_system
 from .spaces import SystemMap, as_fraction, iterate_tables, point_label
 
 
@@ -280,28 +279,29 @@ def _equicontinuity_items(system, run: _Run) -> list[ReportItem]:
 
 
 def _uniform_rigidity_items(system, run: _Run) -> list[ReportItem]:
+    """Every level reads the base displacement curve.  Singleton lemma:
+    max over nonempty A of d_H(T^n(A), A) is max over x of d(T^n(x), x),
+    since singletons attain it and each point of A moves at most that far.
+    Each fuzzy slice displaces like the subset lift: some cut of its states
+    is any given subset, and cuts commute with Zadeh's extension."""
     sys = _require_finite(system, "uniform-rigidity")
     eps = run.eps
     if eps is None:
         mp = sys.space.min_positive_distance()
         eps = (mp / 2) if mp else Fraction(1, 2)
+    eps = _positive_eps(eps)
     pre, per = sys.eventual_period()
     bound = run.horizon if run.horizon is not None else pre + per + 1
+    curve = displacement_curve(sys, bound)
     prop = "uniformly rigid"
-    items = [_item_from_verdict("base-uniformly-rigid", prop, "base",
-                                is_uniformly_rigid(sys, eps, bound))]
-    curve = hyperspace_displacement_curve(sys, bound)
-    items.append(_item_from_verdict(
-        "hyper-uniformly-rigid", prop, "hyper",
-        _rigidity_verdict(curve, eps, bound, "subset displacement scan")))
-    # each slice displaces like the subset lift: some cut of its states is
-    # any given subset, and cuts commute with Zadeh's extension
-    fuzzy = _rigidity_verdict(curve, eps, bound, "levelwise cut reduction")
     slices = ["F0"] + [f"{kind} {lam}" for kind in ("eq", "ge")
                        for lam in run.lambdas]
-    items += [_item_from_verdict(f"fuzzy({name})-uniformly-rigid", prop,
-                                 f"fuzzy({name})", fuzzy) for name in slices]
-    return items
+    levels = ([("base", f"eps={eps}"), ("hyper", "singleton lemma")]
+              + [(f"fuzzy({name})", "levelwise cut reduction")
+                 for name in slices])
+    return [_item_from_verdict(f"{level}-uniformly-rigid", prop, level,
+                               _rigidity_verdict(curve, eps, bound, note))
+            for level, note in levels]
 
 
 def _proximality_items(system, run: _Run) -> list[ReportItem]:
@@ -338,21 +338,23 @@ def _height_invariance_items(system, run: _Run) -> list[ReportItem]:
     """Height-preservation lemma: Zadeh's extension of a total map keeps
     every height, and two states of heights h1 < h2 are a diameter apart
     (their cuts at h2 differ in emptiness).  So distinct heights stay a
-    diameter apart iff the lift table preserves heights: one O(S) pass.
+    diameter apart iff the lift table preserves heights: one O(S) pass
+    over the F0 lift, whose only missing state, the empty one, is fixed.
     The witness counts the (pair, step) reads of a scan of every
-    distinct-height pair: (C(S,2) - sum_h C(S_h,2)) times the steps."""
+    distinct-height pair of all S states, the empty one included:
+    (C(S,2) - sum_h C(S_h,2)) times the steps."""
     sys = _require_finite(system, "height-invariance")
     pre, per = sys.eventual_period()
     bound = run.horizon if run.horizon is not None else pre + per + 1
-    lift = fuzzy_lift_system(sys, run.grid, "all", cap=run.cap)
-    # the "all" lift enumerates integer grade tuples in product order
+    f0 = fuzzy_lift_system(sys, run.grid, "nonempty", cap=run.cap)
+    # integer grade tuples in product order; F0 state i is tuple i + 1
     heights = list(map(max, itertools.product(range(run.grid.m + 1),
                                               repeat=len(sys.space.points))))
-    moved = next((i for i, t in enumerate(lift.table)
-                  if heights[t] != heights[i]), None)
+    moved = next((i for i, t in enumerate(f0.table)
+                  if heights[t + 1] != heights[i + 1]), None)
     if moved is not None:
         raise RuntimeError(f"lift kernel bug: state "
-                           f"{point_label(lift.space.points[moved])} "
+                           f"{point_label(f0.space.points[moved])} "
                            f"changes height under Zadeh's extension")
     pairs = math.comb(len(heights), 2) - sum(
         math.comb(k, 2) for k in Counter(heights).values())
@@ -364,7 +366,6 @@ def _height_invariance_items(system, run: _Run) -> list[ReportItem]:
         witnesses=(("pairs_times_checked", checked),),
         note="height-preservation lemma")]
     if sys.space.nontrivial:
-        f0 = fuzzy_lift_system(sys, run.grid, "nonempty", cap=run.cap)
         items.append(_item_from_verdict(
             "f0-not-transitive", "transitive", "fuzzy(F0)",
             is_transitive(f0), in_matrix=False,

@@ -17,9 +17,11 @@ from fuzzdyn.analysis import (ProductDyn, ProductOpen, TableDyn, Verdict,
                               _recurrent_indices, open_label, return_time_set)
 from fuzzdyn.errors import InputError
 from fuzzdyn.fuzzy import FuzzySet, fuzzy_lift_system
-from fuzzdyn.hyperspace import CompactSet
-from fuzzdyn.spaces import (MetricSpace, SystemMap, as_fraction, circle_space,
-                            iterate, iterate_tables, point_label)
+from fuzzdyn.hyperspace import (CompactSet, _mask_hausdorff, _mask_image,
+                                _min_to_mask_table)
+from fuzzdyn.spaces import (MetricSpace, SystemMap, _scaled_matrix,
+                            as_fraction, circle_space, iterate,
+                            iterate_tables, point_label)
 
 
 def image_points(sys, pts):
@@ -296,6 +298,22 @@ def brute_height_obstruction(sys: SystemMap, grid, bound: int):
                 if d(tbl[i], tbl[j]) != diam:
                     return "fails", checked
     return "holds", checked
+
+
+def brute_subset_displacement(sys: SystemMap, horizon: int) -> list[Fraction]:
+    """max over nonempty subsets A of d_H(T^n(A), A), for n = 0 ..
+    horizon-1: the bitmask scan over all 2^|X| - 1 subsets that the
+    singleton lemma replaced, kept verbatim as the reference for it."""
+    n = len(sys.space.points)
+    denom, mat = _scaled_matrix(sys.space)
+    mind = _min_to_mask_table(n, mat)
+    out = []
+    for tbl in iterate_tables(sys, horizon):
+        point_bit = [1 << t for t in tbl]
+        worst = max(_mask_hausdorff(_mask_image(mask, point_bit), mask, mind)
+                    for mask in range(1, 1 << n))
+        out.append(Fraction(worst, denom))
+    return out
 
 
 def brute_family_results(members, horizon, threshold):

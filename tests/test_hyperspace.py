@@ -6,12 +6,12 @@ import pytest
 
 from fuzzdyn.errors import BoundExceeded, InputError
 from fuzzdyn.hyperspace import (CompactSet, enumerate_compacts,
-                                hausdorff_distance, hyperspace_displacement_curve,
-                                lift_system)
+                                hausdorff_distance, lift_system)
 from fuzzdyn.spaces import (circle_space, eventual_period, iterate,
                             make_grid_interval_map, make_multiply,
                             make_rotation)
-from helpers import brute_hausdorff, image_points, in_vietoris, taxi_space
+from helpers import (brute_hausdorff, brute_subset_displacement, image_points,
+                     in_vietoris, taxi_space)
 
 F = Fraction
 
@@ -207,10 +207,12 @@ def test_env_var_caps_enumeration(monkeypatch):
 
 
 def test_displacement_curve_matches_bruteforce():
+    """The mask scan in ``brute_subset_displacement`` is the definition:
+    the worst d_H(T^n(A), A) over the lift's states, by brute_hausdorff."""
     for sys in (make_rotation(4, 1), make_grid_interval_map("half", 4)):
         pre, per = eventual_period(sys)
         bound = pre + per + 1
-        curve = hyperspace_displacement_curve(sys, bound)
+        curve = brute_subset_displacement(sys, bound)
         lift = lift_system(sys)
         for n in range(bound):
             lifted = iterate(lift, n)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import types
 from fractions import Fraction
 
@@ -284,6 +285,29 @@ class TestCli:
         assert main(["verify", "--theorem", "transitivity",
                      "--system", "rotation:20,1",
                      "--out", str(tmp_path)]) == 3
+
+    def test_uniform_rigidity_has_no_subset_bound(self, tmp_path):
+        rc = main(["verify", "--theorem", "uniform-rigidity",
+                   "--system", "rotation:17,1", "--out", str(tmp_path)])
+        assert rc == 0
+        doc = json.loads((tmp_path / "equivalence_report.json").read_text())
+        rows = {item["id"]: item for item in doc["report"]["items"]}
+        assert rows["hyper-uniformly-rigid"]["status"] == "holds"
+        assert rows["hyper-uniformly-rigid"]["note"] == "singleton lemma"
+
+    def test_large_horizon_reads_the_periodic_part(self, tmp_path):
+        # T^(n+3) = T^n on rotation:3,1: a run steps 3 tables, not 3e6
+        start = time.monotonic()
+        for args in (["check", "--props", "uniform-rigidity"],
+                     ["verify", "--theorem", "uniform-rigidity"]):
+            assert main(args + ["--system", "rotation:3,1",
+                                "--horizon", "3000000",
+                                "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "check_report.json").read_text())
+        assert doc["results"]["uniform-rigidity"]["witnesses"] == [
+            ["witness_n", 3]]
+        elapsed = time.monotonic() - start
+        assert elapsed < 10.0, f"runtime {elapsed:.1f}s exceeds 10s"
 
     def test_reports_byte_identical_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

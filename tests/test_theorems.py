@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from fuzzdyn.analysis import displacement_curve
 from fuzzdyn.errors import InputError
 from fuzzdyn.fuzzy import FuzzySet, GFunction, LevelGrid, fuzzy_lift_system
-from fuzzdyn.hyperspace import hyperspace_displacement_curve
 from fuzzdyn.spaces import (SystemMap, make_grid_interval_map, make_multiply,
                             make_rotation, one_point_system)
 from fuzzdyn.symbolic import ShiftSystem, full_shift
 from fuzzdyn.theorems import (EquivalenceReport, ReportItem, verify_theorem)
-from helpers import brute_height_obstruction, taxi_space
+from helpers import (brute_height_obstruction, brute_subset_displacement,
+                     taxi_space)
 
 F = Fraction
 
@@ -145,15 +145,24 @@ def taxi_tables(draw, max_points=5):
     return SystemMap(taxi_space(coords), table, label="taxi")
 
 
+@settings(max_examples=60, deadline=None)
+@given(taxi_tables(max_points=6), st.integers(0, 40))
+def test_singleton_lemma(sys, horizon):
+    """The subset lift displaces exactly like the base at every step, over
+    any horizon: the hyper uniform-rigidity item reads the base curve."""
+    assert brute_subset_displacement(sys, horizon) == displacement_curve(
+        sys, horizon)
+
+
 @settings(max_examples=40, deadline=None)
 @given(taxi_tables(), st.integers(1, 3))
 def test_fuzzy_displacement_matches_cut_reduction(sys, m):
-    """Enumerated fuzzy slices displace exactly like the subset lift, for
-    every constraint; every fuzzy uniform-rigidity item reads the subset
-    curve on this reduction."""
+    """Enumerated fuzzy slices displace exactly like the base, for every
+    constraint; every fuzzy uniform-rigidity item reads the base curve on
+    this reduction and the singleton lemma."""
     pre, per = sys.eventual_period()
     bound = pre + per + 1
-    key = hyperspace_displacement_curve(sys, bound)
+    key = displacement_curve(sys, bound)
     grid = LevelGrid(m)
     constraints = ["all", "nonempty"] + [(kind, lam) for kind in ("eq", "ge")
                                          for lam in grid.levels]
@@ -190,14 +199,14 @@ class TestHeightInvariance:
         import fuzzdyn.theorems as theorems
 
         def collapsing(sys, grid, constraint, cap):
-            # every state of the "all" lift maps to the empty state
+            # every state of the F0 lift maps to state 0, (0, 0, 1/2)
             lift = fuzzy_lift_system(sys, grid, constraint, cap=cap)
             return SystemMap(lift.space, [0] * len(lift.table))
 
         monkeypatch.setattr(theorems, "fuzzy_lift_system", collapsing)
-        # state 1 of the product order is the grade tuple (0, 0, 1/2)
+        # state 1 of the F0 order is the grade tuple (0, 0, 1)
         with pytest.raises(RuntimeError,
-                           match=r"lift kernel bug: state \(0,0,1/2\) "):
+                           match=r"lift kernel bug: state \(0,0,1\) "):
             verify_theorem("height-invariance", make_rotation(3, 1), m=2)
 
     @settings(max_examples=40, deadline=None)
