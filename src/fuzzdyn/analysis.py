@@ -880,9 +880,12 @@ def displacement_curve(sys: SystemMap, horizon: int | None = None) -> list[Fract
 
 def _rigidity_verdict(curve: Sequence[Fraction], eps: Fraction, bound: int,
                       note: str) -> Verdict:
-    """Uniform rigidity read off a displacement curve scanned up to bound:
-    the least n >= 1 with displacement below eps is the witness."""
-    n = next((n for n in range(1, bound) if curve[n] < eps), None)
+    """Uniform rigidity up to bound, read off the first min(bound, pre +
+    per + 1) entries of the displacement curve: the least n >= 1 with
+    displacement below eps is the witness, and if it exists it is at most
+    pre + per, since later entries repeat entries from pre on (n = per
+    repeats n = 0 when pre = 0)."""
+    n = next((n for n in range(1, len(curve)) if curve[n] < eps), None)
     return Verdict("holds" if n is not None else "fails", True, horizon=bound,
                    witnesses=(("witness_n", n),), note=note)
 
@@ -895,8 +898,8 @@ def is_uniformly_rigid(sys: SystemMap, eps, horizon: int | None = None) -> Verdi
     eps = _positive_eps(eps)
     pre, per = sys.eventual_period()
     bound = horizon if horizon is not None else pre + per + 1
-    return _rigidity_verdict(displacement_curve(sys, bound), eps, bound,
-                             f"eps={eps}")
+    curve = displacement_curve(sys, min(bound, pre + per + 1))
+    return _rigidity_verdict(curve, eps, bound, f"eps={eps}")
 
 
 def is_proximal_pair(sys: SystemMap, x: Point, y: Point,
@@ -947,7 +950,9 @@ def is_proximal(sys: SystemMap) -> Verdict:
 
 
 def diam_decay(sys: SystemMap, horizon: int | None = None) -> list[Fraction]:
-    """diam(T^n(X)) for n = 0 .. horizon-1; nonincreasing since images nest."""
+    """diam(T^n(X)) for n = 0 .. horizon-1; nonincreasing since images nest.
+    Only T^0 .. T^pre are stepped: from n = pre on, T^n(X) is the union of
+    the cycles, so later entries repeat the last."""
     _require_table(sys, "diameter decay")
     pre, per = sys.eventual_period()
     bound = horizon if horizon is not None else pre + per + 1
@@ -955,13 +960,13 @@ def diam_decay(sys: SystemMap, horizon: int | None = None) -> list[Fraction]:
     d = space.dist_int
     current = frozenset(range(len(space.points)))
     out = []
-    for _ in range(bound):
+    for _ in range(min(bound, pre + 1)):
         idx = sorted(current)
         out.append(Fraction(max((d(i, j) for i, j in
                                  itertools.combinations(idx, 2)), default=0),
                             space.denom))
         current = sys.image_indices(current)
-    return out
+    return out + out[-1:] * (bound - len(out))
 
 
 def is_sensitive(sys: SystemMap, eps, basis=None,

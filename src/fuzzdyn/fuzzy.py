@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import BoundExceeded, InputError
-from .hyperspace import (MASK_PAIR_MAX_POINTS, CompactSet, _mask_hausdorff,
-                         _mask_pair_table, _min_to_mask_table)
-from .spaces import (MetricSpace, Point, SystemMap, ZERO, ONE, _scaled_matrix,
-                     as_fraction, point_label)
+from .hyperspace import CompactSet, _cut_lift
+from .spaces import (MetricSpace, Point, SystemMap, ZERO, ONE, as_fraction,
+                     point_label)
 
 #: default cap on enumerated fuzzy states, (m+1)^|X|
 DEFAULT_STATE_CAP = 3 ** 9
@@ -265,21 +263,32 @@ def enumeration_cost(n_points: int, grid: LevelGrid, constraint=None) -> int:
 
 def enumerate_fuzzy(space: MetricSpace, grid: LevelGrid, constraint=None,
                     cap: int = DEFAULT_STATE_CAP):
-    """Every grade function satisfying the constraint, exactly once.
+    """Every grade function satisfying the constraint, exactly once, in the
+    state order of the fuzzy lift.
 
     The bound applies to the states the loop visits (all (m+1)^|X| of them,
     except that a height-eq slice restricts to its own grade range).
     """
-    norm = normalize_constraint(constraint)
+    values = grid.with_zero()
+    for s in _grade_states(len(space.points), grid,
+                           normalize_constraint(constraint), cap):
+        yield FuzzySet(space, grid, [values[k] for k in s])
+
+
+def _grade_states(n: int, grid: LevelGrid, norm: tuple,
+                  cap: int) -> Iterator[tuple[int, ...]]:
+    """The integer grade tuples on n points (level k is the grade k/m) that
+    satisfy the normalized constraint, in ``itertools.product`` order.  The
+    level and the bound are checked at the call, before any state is made."""
     if norm[0] in ("eq", "ge") and not grid.admits(norm[1]):
         raise InputError(f"constraint level {norm[1]} is not on the grid")
-    choices = _enumeration_choices(grid, norm)
-    total = len(choices) ** len(space.points)
+    levels = len(_enumeration_choices(grid, norm))
+    total = levels ** n
     if total > cap:
-        raise BoundExceeded("fuzzy enumeration", total, cap)
-    for combo in itertools.product(choices, repeat=len(space.points)):
-        if _satisfies(max(combo), norm):
-            yield FuzzySet(space, grid, combo)
+        raise BoundExceeded("fuzzy lift", total, cap)
+    keep = [_satisfies(v, norm) for v in grid.with_zero()[:levels]]
+    states = itertools.product(range(levels), repeat=n)
+    return states if all(keep) else (s for s in states if keep[max(s)])
 
 
 def _g_levels(grid: LevelGrid, g: GFunction | None) -> tuple[int, ...]:
@@ -327,95 +336,57 @@ def _cut_masks(s: tuple, m: int) -> list[int]:
     return masks
 
 
-def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
-                      g: GFunction | None = None,
-                      cap: int = DEFAULT_STATE_CAP) -> SystemMap:
-    """The extended dynamics on the enumerated fuzzy states, as a SystemMap.
-
-    States are grade tuples; the metric is the levelwise distance, evaluated
-    on demand from the cut bitmasks of the two states (each state's masks
-    are kept once computed) as an integer over the base denominator: the
-    max over levels of the mask Hausdorff distance, where a cut empty on one
-    side only counts the diameter.  On a base of two or more points, two
-    distinct states are at least the base gap apart, and two indicator
-    states of one height realize it.
-
-    If the enumerated family is not closed under the map (possible for
-    distorted grades and height constraints), that is reported as an error
-    rather than repaired.
-
-    Internally a grade is its integer level k in 0..m (the grade k/m); the
-    point ids are built from the shared ``grid.with_zero()`` values.
-    """
-    norm = normalize_constraint(constraint)
-    base = sys.space
-    n = len(base.points)
-    if norm[0] in ("eq", "ge") and not grid.admits(norm[1]):
-        raise InputError(f"constraint level {norm[1]} is not on the grid")
-    choices = _enumeration_choices(grid, norm)
-    total = len(choices) ** n
-    if total > cap:
-        raise BoundExceeded("fuzzy lift", total, cap)
+def _lift_table(sys: SystemMap, grid: LevelGrid, norm: tuple,
+                g: GFunction | None,
+                cap: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The integer grade states of the lift under the normalized constraint
+    and the index table of one g-extension step on them.  A state stepped
+    out of the family is an input error."""
+    states = list(_grade_states(len(sys.space.points), grid, norm, cap))
     gint = _g_levels(grid, g)
-
-    values = grid.with_zero()
-    m = grid.m
-    keep = frozenset(k for k, v in enumerate(values) if _satisfies(v, norm))
-    states = [combo for combo in
-              itertools.product(range(len(choices)), repeat=n)
-              if max(combo) in keep]
     index = {s: i for i, s in enumerate(states)}
-
     pre = sys.preimages()
     table = list(map(index.get, _grade_steps(states, pre, gint)))
     if None in table:
+        values = grid.with_zero()
         s = states[table.index(None)]
         raise InputError(
             f"lift not invariant: state {tuple(values[k] for k in s)} "
             f"maps to height {values[max(_grade_step(s, pre, gint))]} "
             f"outside constraint {constraint_label(norm)}")
+    return states, table
 
-    denom, mat = _scaled_matrix(base)
-    mind = _min_to_mask_table(n, mat)
-    diam_scaled = int(base.diam * denom)
-    cuts: list[list[int] | None] = [None] * len(states)
 
-    def cut_masks(i: int) -> list[int]:
-        hit = cuts[i]
+def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
+                      g: GFunction | None = None,
+                      cap: int = DEFAULT_STATE_CAP) -> SystemMap:
+    """The extended dynamics on the enumerated fuzzy states, as a SystemMap.
+
+    States are grade tuples, and the metric is the levelwise distance of
+    the shared lift kernel, read from each state's cut bitmasks (kept once
+    computed).  If the enumerated family is not closed under the map
+    (possible for distorted grades and height constraints), that is
+    reported as an error rather than repaired.
+
+    Internally a grade is its integer level k in 0..m (the grade k/m); the
+    point ids are built from the shared ``grid.with_zero()`` values.
+    """
+    norm = normalize_constraint(constraint)
+    states, table = _lift_table(sys, grid, norm, g, cap)
+    m = grid.m
+    masks: list[list[int] | None] = [None] * len(states)
+
+    def cuts(i: int) -> list[int]:
+        hit = masks[i]
         if hit is None:
-            hit = cuts[i] = _cut_masks(states[i], m)
+            hit = masks[i] = _cut_masks(states[i], m)
         return hit
 
-    def dist(i: int, j: int) -> int:
-        worst = 0
-        for a_mask, b_mask in zip(cut_masks(i), cut_masks(j)):
-            if a_mask == 0 and b_mask == 0:
-                continue
-            if a_mask == 0 or b_mask == 0:
-                v = diam_scaled
-            else:
-                v = _mask_hausdorff(a_mask, b_mask, mind)
-            if v > worst:
-                worst = v
-        return worst
-
-    def scan() -> Callable[[int, int], int]:
-        if n > MASK_PAIR_MAX_POINTS:
-            return dist
-        h = _mask_pair_table(n, mind, diam_scaled)
-        masks = [_cut_masks(s, m) for s in states]
-        rows = [[a << n for a in c] for c in masks]
-        return lambda i, j: max(map(h.__getitem__,
-                                    map(operator.or_, rows[i], masks[j])))
-
+    values = grid.with_zero()
     points = tuple(tuple(map(values.__getitem__, s)) for s in states)
-    label = f"F[{constraint_label(norm)}]({sys.label};m={grid.m})"
-    space = MetricSpace(points, fn=dist, denom=denom, diam=base.diam,
-                        gap=base.gap if n > 1 else None, scan=scan,
-                        label=label)
-    prov = {"kind": "fuzzy_lift", "m": grid.m,
+    label = f"F[{constraint_label(norm)}]({sys.label};m={m})"
+    prov = {"kind": "fuzzy_lift", "m": m,
             "constraint": constraint_label(norm),
             "g": None if g is None else {str(k): str(v)
-                                         for k, v in sorted(g.table.items())},
-            "base": sys.provenance if sys.provenance else {"kind": "finite"}}
-    return SystemMap(space, table, label=label, provenance=prov)
+                                         for k, v in sorted(g.table.items())}}
+    return _cut_lift(sys, points, cuts, table, label, prov)

@@ -8,15 +8,19 @@ empty set is never a state of the lifted system.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BoundExceeded, InputError
 from .spaces import (MetricSpace, Point, SystemMap, ZERO, _scaled_matrix,
-                     max_points_cap, point_label)
+                     point_label)
 
 #: most base points whose 4^n mask pairs a scan tabulates
 MASK_PAIR_MAX_POINTS = 8
+
+#: default bound on the base points of a subset enumeration or lift
+DEFAULT_MAX_POINTS = 16
 
 
 class CompactSet:
@@ -83,15 +87,21 @@ def hausdorff_distance(a: CompactSet, b: CompactSet) -> Fraction:
     return Fraction(max(directed(ia, ib), directed(ib, ia)), space.denom)
 
 
-def enumerate_compacts(space: MetricSpace, bound: int | None = None):
-    """All 2^n - 1 nonempty subsets, each exactly once, in bitmask order."""
+def _subsets(space: MetricSpace, bound: int) -> Iterator[frozenset]:
+    """The 2^n - 1 nonempty subsets of the points, in bitmask order: the
+    states of the subset lift."""
     n = len(space.points)
-    cap = bound if bound is not None else max_points_cap()
-    if n > cap:
-        raise BoundExceeded("hyperspace enumeration", n, cap)
+    if n > bound:
+        raise BoundExceeded("hyperspace lift", n, bound)
     pts = space.points
     for mask in range(1, 1 << n):
-        yield CompactSet(space, (pts[i] for i in range(n) if mask >> i & 1))
+        yield frozenset(pts[i] for i in range(n) if mask >> i & 1)
+
+
+def enumerate_compacts(space: MetricSpace, bound: int = DEFAULT_MAX_POINTS):
+    """All 2^n - 1 nonempty subsets, each exactly once, in bitmask order."""
+    for members in _subsets(space, bound):
+        yield CompactSet(space, members)
 
 
 def _min_to_mask_table(n: int, mat: list[list[int]]) -> list[list[int] | None]:
@@ -165,45 +175,63 @@ def _mask_image(mask: int, point_bit: list[int]) -> int:
     return img
 
 
-def lift_system(sys: SystemMap, bound: int | None = None) -> SystemMap:
-    """The induced system on all nonempty subsets, as a bona fide SystemMap.
+def _cut_lift(sys: SystemMap, points: Sequence[Point],
+              cuts: Callable[[int], Sequence[int]], table: Sequence[int],
+              label: str, provenance: dict) -> SystemMap:
+    """The lift of ``sys`` onto ``points``, where state i has the cut
+    bitmasks ``cuts(i)``, one per level, and steps to state ``table[i]``.
 
-    The state set is materialized (bitmask order: state i is the subset
-    with bitmask i + 1); the Hausdorff metric is evaluated on demand from
-    the two bitmasks, as an integer over the base denominator, since the
-    state count squares.  Two distinct subsets are at least the base gap
-    apart, and two singletons realize it.
+    The metric is the levelwise distance, evaluated on demand from the cut
+    masks as an integer over the base denominator: the max over levels of
+    the mask Hausdorff distance, where a cut empty on one side only counts
+    the diameter.  On a base of two or more points, two distinct states are
+    at least the base gap apart, and two states whose cuts are two
+    singletons at the gap realize it.
     """
     base = sys.space
     n = len(base.points)
-    cap = bound if bound is not None else max_points_cap()
-    if n > cap:
-        raise BoundExceeded("hyperspace lift", n, cap)
-
-    full = 1 << n
-    pts = base.points
-    subsets = tuple(frozenset(pts[i] for i in range(n) if mask >> i & 1)
-                    for mask in range(1, full))
-
-    point_bit = [1 << t for t in sys.table]
-    table = [_mask_image(mask, point_bit) - 1 for mask in range(1, full)]
-
     denom, mat = _scaled_matrix(base)
     mind = _min_to_mask_table(n, mat)
+    diam = int(base.diam * denom)
 
     def dist(i: int, j: int) -> int:
-        return _mask_hausdorff(i + 1, j + 1, mind)
+        worst = 0
+        for a_mask, b_mask in zip(cuts(i), cuts(j)):
+            if a_mask and b_mask:
+                v = _mask_hausdorff(a_mask, b_mask, mind)
+            elif a_mask or b_mask:
+                v = diam
+            else:
+                continue
+            if v > worst:
+                worst = v
+        return worst
 
     def scan() -> Callable[[int, int], int]:
         if n > MASK_PAIR_MAX_POINTS:
             return dist
-        h = _mask_pair_table(n, mind, 0)
-        return lambda i, j: h[(i + 1) << n | (j + 1)]
+        h = _mask_pair_table(n, mind, diam)
+        masks = list(map(cuts, range(len(points))))
+        rows = [[a << n for a in c] for c in masks]
+        return lambda i, j: max(map(h.__getitem__,
+                                    map(operator.or_, rows[i], masks[j])))
 
-    space = MetricSpace(subsets, fn=dist, denom=denom, diam=base.diam,
+    space = MetricSpace(points, fn=dist, denom=denom, diam=base.diam,
                         gap=base.gap if n > 1 else None, scan=scan,
-                        label=f"K({base.label})")
-    prov = {"kind": "hyperspace_lift",
+                        label=label)
+    prov = {**provenance,
             "base": sys.provenance if sys.provenance else {"kind": "finite"}}
-    return SystemMap(space, table, label=f"K({sys.label})", provenance=prov)
+    return SystemMap(space, table, label=label, provenance=prov)
 
+
+def lift_system(sys: SystemMap, bound: int = DEFAULT_MAX_POINTS) -> SystemMap:
+    """The induced system on all nonempty subsets, as a bona fide SystemMap:
+    the one-level case of the levelwise lift, whose metric is the Hausdorff
+    metric.  State i is the subset with bitmask i + 1.
+    """
+    subsets = tuple(_subsets(sys.space, bound))
+    point_bit = [1 << t for t in sys.table]
+    table = [_mask_image(mask, point_bit) - 1
+             for mask in range(1, len(subsets) + 1)]
+    return _cut_lift(sys, subsets, lambda i: (i + 1,), table,
+                     f"K({sys.label})", {"kind": "hyperspace_lift"})

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import os
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
@@ -24,23 +23,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
-#: default cap on base-space enumerations (points), overridable via env
-DEFAULT_MAX_POINTS = 16
-
 #: cap on materialized product systems (total states)
 PRODUCT_STATE_CAP = 262144
-
-
-def max_points_cap() -> int:
-    """Enumeration cap for base points, from FUZZDYN_MAX_POINTS if set;
-    a value that is not a positive integer is an input error."""
-    raw = os.environ.get("FUZZDYN_MAX_POINTS", "")
-    if not raw:
-        return DEFAULT_MAX_POINTS
-    if not raw.isdecimal() or int(raw) < 1:
-        raise InputError(f"FUZZDYN_MAX_POINTS must be a positive integer, "
-                         f"not {raw!r}")
-    return int(raw)
 
 
 def as_fraction(value) -> Fraction:

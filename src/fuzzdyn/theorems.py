@@ -11,7 +11,6 @@ bounded), though the matrix still records the inconsistency.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from collections import Counter
@@ -29,8 +28,8 @@ from .analysis import (DEFAULT_CYLINDER_LENGTH, HyperShiftDyn, ShiftDyn,
 from .errors import InputError
 from .families import FamilyClassifier, thick_family
 from .fuzzy import (DEFAULT_STATE_CAP, FuzzySet, GFunction, LevelGrid,
-                    _cut_masks, _g_levels, _grade_steps, enumeration_cost,
-                    fuzzy_lift_system, xi_of)
+                    _cut_masks, _g_levels, _grade_states, _grade_steps,
+                    _lift_table, enumeration_cost, fuzzy_lift_system, xi_of)
 from .hyperspace import _mask_image, lift_system
 from .spaces import SystemMap, as_fraction, iterate_tables, point_label
 
@@ -292,7 +291,7 @@ def _uniform_rigidity_items(system, run: _Run) -> list[ReportItem]:
     eps = _positive_eps(eps)
     pre, per = sys.eventual_period()
     bound = run.horizon if run.horizon is not None else pre + per + 1
-    curve = displacement_curve(sys, bound)
+    curve = displacement_curve(sys, min(bound, pre + per + 1))
     prop = "uniformly rigid"
     slices = ["F0"] + [f"{kind} {lam}" for kind in ("eq", "ge")
                        for lam in run.lambdas]
@@ -348,8 +347,8 @@ def _height_invariance_items(system, run: _Run) -> list[ReportItem]:
     bound = run.horizon if run.horizon is not None else pre + per + 1
     f0 = fuzzy_lift_system(sys, run.grid, "nonempty", cap=run.cap)
     # integer grade tuples in product order; F0 state i is tuple i + 1
-    heights = list(map(max, itertools.product(range(run.grid.m + 1),
-                                              repeat=len(sys.space.points))))
+    heights = list(map(max, _grade_states(len(sys.space.points), run.grid,
+                                          ("all",), run.cap)))
     moved = next((i for i, t in enumerate(f0.table)
                   if heights[t + 1] != heights[i + 1]), None)
     if moved is not None:
@@ -405,12 +404,8 @@ def _cut_lemma_items(system, run: _Run, sample_cap=256,
     g = run.g if run.g is not None else GFunction.identity(grid)
     n_max = run.horizon if run.horizon is not None else 6
     n_pts = len(sys.space.points)
-    gint = _g_levels(grid, g)
-    pre = sys.preimages()
     if enumeration_cost(n_pts, grid, "all") <= run.cap:
-        states = list(itertools.product(range(m + 1), repeat=n_pts))
-        index = {s: i for i, s in enumerate(states)}
-        step = list(map(index.__getitem__, _grade_steps(states, pre, gint)))
+        states, step = _lift_table(sys, grid, ("all",), g, run.cap)
         cut_of = [_cut_masks(s, m) for s in states]
         cuts = [cut_of]  # cuts[n][i]: the cut masks of G^n of state i
         at = range(len(states))
@@ -425,6 +420,8 @@ def _cut_lemma_items(system, run: _Run, sample_cap=256,
                   for _ in range(sample_cap)]
         batch = states
         cuts = [[_cut_masks(s, m) for s in batch]]
+        pre = sys.preimages()
+        gint = _g_levels(grid, g)
         for _ in range(n_max):
             batch = list(_grade_steps(batch, pre, gint))
             cuts.append([_cut_masks(s, m) for s in batch])

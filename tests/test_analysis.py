@@ -24,13 +24,14 @@ from fuzzdyn.errors import InputError
 from fuzzdyn.families import (infinite_family, syndetic_family, thick_family)
 from fuzzdyn.fuzzy import LevelGrid, fuzzy_lift_system
 from fuzzdyn.hyperspace import lift_system
-from fuzzdyn.spaces import (SystemMap, circle_space, make_grid_interval_map,
-                            make_multiply, make_rotation, one_point_system,
-                            product_system)
+from fuzzdyn.spaces import (SystemMap, circle_space, iterate,
+                            make_grid_interval_map, make_multiply,
+                            make_rotation, one_point_system, product_system)
 from fuzzdyn.symbolic import ShiftSystem, full_shift
 from helpers import (brute_proximal, brute_return_times, brute_transitive,
-                     omega_limit, point_return_set, random_table_system,
-                     recurrent_points, shift_brute_member)
+                     image_points, omega_limit, point_return_set,
+                     random_table_system, recurrent_points,
+                     shift_brute_member)
 
 F = Fraction
 
@@ -345,6 +346,26 @@ class TestUniformRigidity:
         assert rigid_time(make_rotation(4, 1), F(1, 4)) == 4
 
 
+def test_rigidity_witness_matches_the_stepped_iterates():
+    """The verdict reads at most pre + per + 1 curve entries; its witness
+    is still the least n >= 1 below the horizon whose iterate moves every
+    point less than eps, and its horizon is the one asked for."""
+    rng = random.Random(13)
+    for _ in range(20):
+        sys = random_table_system(rng, 6)
+        pre, per = sys.eventual_period()
+        d = sys.space.d_by_index
+        moves = [max(d(t, i) for i, t in enumerate(iterate(sys, n).table))
+                 for n in range(3 * (pre + per) + 6)]
+        for horizon in (1, 2, pre + per, pre + per + 1, len(moves)):
+            for eps in sys.space.distance_values()[1:]:
+                v = is_uniformly_rigid(sys, eps, horizon)
+                n = next((n for n in range(1, horizon) if moves[n] < eps),
+                         None)
+                assert v.witnesses == (("witness_n", n),)
+                assert v.horizon == horizon and v.holds == (n is not None)
+
+
 class TestProximality:
     def test_constant_map(self):
         sys = SystemMap(circle_space(4), (0, 0, 0, 0), label="const")
@@ -386,6 +407,20 @@ class TestDiamDecay:
         decay = diam_decay(sys, 4)
         assert decay[0] == sys.space.diam
         assert decay[1:] == [F(0)] * 3
+
+    def test_matches_the_stepped_images(self):
+        """Only T^0 .. T^pre are stepped; every later entry must still be
+        the diameter of the image set stepped that often."""
+        rng = random.Random(7)
+        for _ in range(25):
+            sys = random_table_system(rng, 7)
+            pre, per = sys.eventual_period()
+            image, expected = frozenset(sys.space.points), []
+            for _ in range(pre + per + 3):
+                expected.append(max(sys.space.d(x, y)
+                                    for x in image for y in image))
+                image = image_points(sys, image)
+            assert diam_decay(sys, len(expected)) == expected
 
     def test_monotone_nonincreasing(self):
         rng = random.Random(5)

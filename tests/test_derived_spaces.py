@@ -4,6 +4,7 @@ step of the decoded state, every distance equal to a brute-force oracle,
 and a known gap equal to the least distance between distinct states."""
 
 import itertools
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from fuzzdyn.errors import InputError
 from fuzzdyn.fuzzy import (FuzzySet, GFunction, LevelGrid, _g_levels,
                            _grade_steps, enumerate_fuzzy, fuzzy_lift_system)
-from fuzzdyn.hyperspace import lift_system
+from fuzzdyn.hyperspace import MASK_PAIR_MAX_POINTS, lift_system
 from fuzzdyn.spaces import SystemMap, iterate, product_system
 
 from helpers import (brute_fuzzy_step, brute_hausdorff, brute_levelwise,
@@ -144,6 +145,36 @@ def test_every_pair_of_small_lifts(sys, m):
     # over a metric of two or more points the gap is known
     for space in (lift.space, fuzzy.space):
         assert (space.gap is None) == (len(sys.space) == 1)
+
+
+def test_lifts_above_the_pair_table_bound():
+    """On a base above MASK_PAIR_MAX_POINTS the scan reader is dist_int
+    itself; both lifts still match the definitions on sampled pairs, the
+    empty fuzzy state (index 0 of the "all" lift) included."""
+    rng = random.Random(9)
+    n = MASK_PAIR_MAX_POINTS + 1
+    cells = rng.sample([(x, y) for x in range(5) for y in range(5)], n)
+    sys = SystemMap(taxi_space([(F(x, 2), F(y, 3)) for x, y in cells]),
+                    [rng.randrange(n) for _ in range(n)], label="taxi9")
+    grid = LevelGrid(2)
+    lift = lift_system(sys)
+    fuzzy = fuzzy_lift_system(sys, grid, "all")
+    subsets = lift.space.points
+    values = grid.with_zero()
+    for space, brute in (
+            (lift.space, lambda i, j: brute_hausdorff(
+                sys.space, subsets[i], subsets[j])),
+            (fuzzy.space, lambda i, j: brute_levelwise(
+                FuzzySet(sys.space, grid, fuzzy.space.points[i]),
+                FuzzySet(sys.space, grid, fuzzy.space.points[j])))):
+        scan = space.scan_metric()
+        assert scan == space.dist_int
+        pairs = sampled_pairs(rng, len(space)) + [(0, rng.randrange(
+            len(space))) for _ in range(5)]
+        for i, j in pairs:
+            assert space.dist_int(i, j) == brute(i, j) * space.denom \
+                == scan(i, j)
+    assert fuzzy.space.points[0] == (values[0],) * n
 
 
 @st.composite

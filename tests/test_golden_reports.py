@@ -44,7 +44,7 @@ CASES = (
                                        "fullshift:2,2", "fullshift:2,3")
        for t in SHIFT_THEOREMS]
     + [("cut-lemma", "rotation:5,1", 2, 100),          # sampled states
-       ("uniform-rigidity", "rotation:4,1", 2, 20),    # slices above cap
+       ("uniform-rigidity", "rotation:4,1", 2, 20),    # cap below slices
        ("mixing", "goldenmean:2", 1, None, 16),        # horizon-limited
        ("transitivity", "point", 1, None, 2),          # product witnesses
        ("a-transitivity", "rotation:4,1", 2, None, 3),  # non-exact products
@@ -92,6 +92,13 @@ with open(GOLDEN) as handle:
 
 def test_golden_covers_every_case():
     assert sorted(GOLDEN_TEXT) == sorted(case_key(*c) for c in CASES)
+
+
+def test_uniform_rigidity_ignores_the_state_cap():
+    """Uniform rigidity reads the base displacement curve and builds no
+    lift, so a state cap below every fuzzy slice leaves its report as is."""
+    assert GOLDEN_TEXT["uniform-rigidity rotation:4,1 m=2 state_cap=20"] \
+        == GOLDEN_TEXT["uniform-rigidity rotation:4,1 m=2"]
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: case_key(*c))

@@ -194,16 +194,13 @@ class TestLiftSystem:
             lift_system(make_rotation(17, 1))
 
 
-def test_env_var_caps_enumeration(monkeypatch):
-    monkeypatch.setenv("FUZZDYN_MAX_POINTS", "4")
+def test_bound_caps_enumeration():
     with pytest.raises(BoundExceeded):
-        list(enumerate_compacts(circle_space(5)))
+        list(enumerate_compacts(circle_space(5), bound=4))
     with pytest.raises(BoundExceeded):
-        lift_system(make_rotation(5, 1))
-    for bad in ("not-a-number", "-5", "0"):
-        monkeypatch.setenv("FUZZDYN_MAX_POINTS", bad)
-        with pytest.raises(InputError):
-            list(enumerate_compacts(circle_space(5)))
+        lift_system(make_rotation(5, 1), bound=4)
+    assert len(list(enumerate_compacts(circle_space(4), bound=4))) == 15
+    assert len(lift_system(make_rotation(4, 1), bound=4).space) == 15
 
 
 def test_displacement_curve_matches_bruteforce():
