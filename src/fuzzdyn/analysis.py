@@ -31,8 +31,8 @@ from fractions import Fraction
 from .errors import InputError
 from .families import FamilyClassifier, IndexSet, difference_set, fs_set
 from .hyperspace import CompactSet
-from .spaces import (MetricSpace, Point, SystemMap, as_fraction,
-                     iterate_tables, point_label)
+from .spaces import (MetricSpace, Point, SystemMap, _scaled_matrix,
+                     as_fraction, iterate_tables, point_label)
 from .symbolic import ShiftSystem
 
 DEFAULT_SYMBOLIC_HORIZON = 64
@@ -859,6 +859,48 @@ def equicontinuity_modulus(sys: SystemMap, eps) -> Verdict:
                               point_label(space.points[j]), step)),)
     return Verdict("holds" if delta > 0 else "fails", True,
                    horizon=pre + per, witnesses=wit)
+
+
+def modulus_curve(sys: SystemMap) -> list[tuple[Fraction, Fraction]]:
+    """(eps, delta) of :func:`equicontinuity_modulus` at every positive
+    distance value eps, in ascending eps, from one pass over the pairs.
+
+    Let M(i, j) be the largest distance of a pair over T^0 ..
+    T^(pre+per-1).  Then delta(eps) is the least starting distance over the
+    pairs with M >= eps: a pair at or beyond eps violates at step 0, and a
+    closer one violates iff its orbit reaches eps.  With no such pair it is
+    the diameter, or eps on a one-point space.  The pass keeps the least
+    starting distance for each distinct M, one row of M at a time.
+    """
+    _require_table(sys, "the equicontinuity modulus")
+    space = sys.space
+    eps_values = [v for v in space.distance_values() if v > 0]
+    pre, per = sys.eventual_period()
+    tables = iterate_tables(sys, pre + per)
+    denom, mat = _scaled_matrix(space)
+    n_pts = len(space.points)
+    least: dict[int, int] = {}  # M -> least starting distance
+    for i, row in enumerate(mat):
+        starts = row[i + 1:]
+        top = starts    # M(i, j) for j > i, one step at a time
+        for tbl in tables[1:]:
+            later = map(mat[tbl[i]].__getitem__,
+                        itertools.islice(tbl, i + 1, None))
+            top = [a if a > b else b for a, b in zip(top, later)]
+        for d0, high in zip(starts, top):
+            if least.get(high, d0 + 1) > d0:
+                least[high] = d0
+    out = []
+    best = None         # the least d0 over the M >= eps
+    tops = sorted(least)
+    for eps in reversed(eps_values):
+        while tops and tops[-1] >= eps * denom:
+            d0 = least[tops.pop()]
+            best = d0 if best is None or d0 < best else best
+        delta = (Fraction(best, denom) if best is not None
+                 else space.diam if n_pts > 1 else eps)
+        out.append((eps, delta))
+    return out[::-1]
 
 
 def displacement_curve(sys: SystemMap, horizon: int | None = None) -> list[Fraction]:

@@ -19,7 +19,8 @@ from . import __version__
 from .analysis import (diam_decay, displacement_curve, equicontinuity_modulus,
                        is_mildly_mixing_bounded, is_mixing,
                        is_periodically_dense, is_proximal, is_sensitive,
-                       is_transitive, is_uniformly_rigid, is_weakly_mixing)
+                       is_transitive, is_uniformly_rigid, is_weakly_mixing,
+                       modulus_curve)
 from .catalog import GENERATOR_KINDS, base_catalog
 from .errors import BoundExceeded, InputError
 from .serialize import (canonical_json, format_fraction,
@@ -208,12 +209,9 @@ def cmd_plotdata(args) -> int:
     write_atomic(os.path.join(args.out, "rigidity.csv"), _csv_text(
         [["n", "max_displacement"]] +
         [[str(n), format_fraction(v)] for n, v in enumerate(disp)]))
-    rows = [["eps", "delta"]]
-    for eps in system.space.distance_values():
-        if eps <= 0:
-            continue
-        delta = dict(equicontinuity_modulus(system, eps).witnesses)["delta"]
-        rows.append([format_fraction(eps), format_fraction(delta)])
+    rows = [["eps", "delta"]] + [
+        [format_fraction(eps), format_fraction(delta)]
+        for eps, delta in modulus_curve(system)]
     write_atomic(os.path.join(args.out, "modulus.csv"), _csv_text(rows))
     if not args.json:
         print(f"wrote diam_decay.csv, rigidity.csv, modulus.csv to {args.out}")

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
-from typing import Iterator, Sequence
+from functools import reduce
+from typing import Callable, Sequence
 
 from .errors import BoundExceeded, InputError
 from .hyperspace import CompactSet, _cut_lift
-from .spaces import (MetricSpace, Point, SystemMap, ZERO, ONE, as_fraction,
-                     point_label)
+from .spaces import (MetricSpace, Point, SystemMap, ZERO, ONE, _RenderedPoints,
+                     as_fraction, point_label)
 
 #: default cap on enumerated fuzzy states, (m+1)^|X|
 DEFAULT_STATE_CAP = 3 ** 9
@@ -200,10 +202,12 @@ def g_fuzzify_apply(sys: SystemMap, g: GFunction | None,
     if a.space is not sys.space:
         raise InputError("fuzzy set does not live on the system's space")
     grid = a.grid
-    step = _grade_step(tuple(int(v * grid.m) for v in a.grades),
-                       sys.preimages(), _g_levels(grid, g))
-    values = grid.with_zero()
-    return FuzzySet(a.space, grid, [values[k] for k in step])
+    n, radix = len(a.grades), grid.m + 1
+    code = _code((int(v * grid.m) for v in a.grades), radix)
+    image, = _code_steps(n, radix, sys.preimages(), _g_levels(grid, g),
+                         [code])
+    render = _renderer(n, radix, grid.with_zero())
+    return FuzzySet(a.space, grid, render(image))
 
 
 def zadeh_apply(sys: SystemMap, a: FuzzySet) -> FuzzySet:
@@ -269,26 +273,67 @@ def enumerate_fuzzy(space: MetricSpace, grid: LevelGrid, constraint=None,
     The bound applies to the states the loop visits (all (m+1)^|X| of them,
     except that a height-eq slice restricts to its own grade range).
     """
-    values = grid.with_zero()
-    for s in _grade_states(len(space.points), grid,
-                           normalize_constraint(constraint), cap):
-        yield FuzzySet(space, grid, [values[k] for k in s])
+    n = len(space.points)
+    radix, codes, _ = _states(n, grid, normalize_constraint(constraint), cap)
+    render = _renderer(n, radix, grid.with_zero())
+    for code in codes:
+        yield FuzzySet(space, grid, render(code))
 
 
-def _grade_states(n: int, grid: LevelGrid, norm: tuple,
-                  cap: int) -> Iterator[tuple[int, ...]]:
-    """The integer grade tuples on n points (level k is the grade k/m) that
-    satisfy the normalized constraint, in ``itertools.product`` order.  The
-    level and the bound are checked at the call, before any state is made."""
+# -- state codes -------------------------------------------------------------
+#
+# A state of a lift on n points is its mixed-radix code over the levels
+# 0..radix-1 of its slice, first point most significant: ascending codes are
+# ``itertools.product`` order.  Point j has the stride radix^(n-1-j).
+
+
+def _code(levels, radix: int) -> int:
+    """The code of integer levels, first point most significant."""
+    return reduce(lambda code, k: code * radix + k, levels, 0)
+
+
+def _renderer(n: int, radix: int,
+              values: Sequence[Point]) -> Callable[[int], tuple]:
+    """code -> the tuple of ``values`` of its levels."""
+    def render(code: int) -> tuple:
+        out = []
+        for _ in range(n):
+            code, k = divmod(code, radix)
+            out.append(values[k])
+        return tuple(reversed(out))
+    return render
+
+
+def _code_heights(n: int, radix: int) -> list[int]:
+    """The height (largest level) of every code on n points, by code."""
+    heights = [0]
+    levels = range(radix)
+    for _ in range(n):
+        heights = [h if h > k else k for h in heights for k in levels]
+    return heights
+
+
+def _states(n: int, grid: LevelGrid, norm: tuple,
+            cap: int) -> tuple[int, Sequence[int], list[int] | None]:
+    """(radix, codes, rank) of the states on n points that satisfy the
+    normalized constraint, codes ascending.  The level and the bound are
+    checked at the call, before anything is built.  State i of "all" has the
+    code i, and of "nonempty" the code i + 1; a height slice has a rank array
+    instead, where rank[c] - 1 is the index of the state with code c."""
     if norm[0] in ("eq", "ge") and not grid.admits(norm[1]):
         raise InputError(f"constraint level {norm[1]} is not on the grid")
-    levels = len(_enumeration_choices(grid, norm))
-    total = levels ** n
+    radix = len(_enumeration_choices(grid, norm))
+    total = radix ** n
     if total > cap:
         raise BoundExceeded("fuzzy lift", total, cap)
-    keep = [_satisfies(v, norm) for v in grid.with_zero()[:levels]]
-    states = itertools.product(range(levels), repeat=n)
-    return states if all(keep) else (s for s in states if keep[max(s)])
+    if norm[0] == "all":
+        return radix, range(total), None
+    if norm[0] == "nonempty":
+        return radix, range(1, total), None
+    keep = [_satisfies(v, norm) for v in grid.with_zero()]
+    kept = list(map(keep.__getitem__, _code_heights(n, radix)))
+    return (radix, list(itertools.compress(range(total), kept)),
+            list(itertools.accumulate(kept)))
 
 
 def _g_levels(grid: LevelGrid, g: GFunction | None) -> tuple[int, ...]:
@@ -301,32 +346,53 @@ def _g_levels(grid: LevelGrid, g: GFunction | None) -> tuple[int, ...]:
     return tuple(int(g.table[v] * grid.m) for v in grid.with_zero())
 
 
-def _grade_steps(states: Sequence[tuple], pre,
-                 gint: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """One step of the g-extension on a batch of integer grade tuples, in
-    batch order: the new level at x is the max of g over the levels of the
-    preimages of x (0 if none).
+def _code_steps(n: int, radix: int, pre, gint: Sequence[int],
+                codes: Sequence[int] | None = None) -> list[int]:
+    """One step of the g-extension on state codes: the image code of every
+    code on n points (``codes`` None), or of each code of a batch.  The new
+    level at x is the max of g over the levels of the preimages of x (0 if
+    none), so the image code is the sum over x of the stride of x times
+    that max.  Every g value of a level below ``radix`` must stay below it.
 
-    Works column by column: column j holds g of the level of point j across
-    the batch, and the new column of x is the elementwise max of its
-    preimages' columns.  The images are streamed, never held as a list.
+    Works column by column: the column of point j holds g of j's level
+    times the stride of its image, and the column of x is the elementwise
+    max of its preimages' columns; the image codes are their sum.  Over
+    every code, the column of j repeats with period radix * stride(j), so
+    the column of x is built over one period of its first (most
+    significant) preimage, and the sum grows from the shortest period to
+    the longest, which is every code, since point 0 is somebody's preimage.
     """
-    cols = [tuple(map(gint.__getitem__, c)) for c in zip(*states)]
-    if not cols:
-        return iter(())
-    zeros = (0,) * len(cols[0])
-    out = [tuple(map(max, *map(cols.__getitem__, p))) if len(p) > 1
-           else cols[p[0]] if p else zeros for p in pre]
-    return zip(*out)
+    strides = [radix ** (n - 1 - j) for j in range(n)]
+
+    def column(j: int, stride: int, period: int) -> list[int]:
+        values = [gint[k] * stride for k in range(radix)]
+        step = strides[j]
+        if codes is not None:
+            return [values[c // step % radix] for c in codes]
+        block = []
+        for v in values:
+            block += [v] * step
+        return block * (period // len(block))
+
+    cols = []
+    for x, sources in enumerate(pre):
+        if not sources:
+            continue
+        period = radix * strides[sources[0]]
+        col = column(sources[0], strides[x], period)
+        for j in sources[1:]:
+            col = [a if a > b else b
+                   for a, b in zip(col, column(j, strides[x], period))]
+        cols.append(col)
+    image = [0]
+    for col in sorted(cols, key=len):
+        image = [a + b for a, b in zip(itertools.cycle(image), col)]
+    return image
 
 
-def _grade_step(s: tuple, pre, gint: Sequence[int]) -> tuple[int, ...]:
-    """The g-extension step of one integer grade tuple."""
-    return next(_grade_steps((s,), pre, gint))
-
-
-def _cut_masks(s: tuple, m: int) -> list[int]:
-    """Bitmasks of the cuts at levels 1/m .. 1 of an integer grade tuple."""
+def _cut_masks(s: Sequence[int], m: int) -> list[int]:
+    """Bitmasks of the cuts at levels 1/m .. 1 of integer levels, point j
+    at bit j."""
     masks = [0] * (m + 1)
     for bit, k in enumerate(s):
         masks[k] |= 1 << bit
@@ -336,25 +402,57 @@ def _cut_masks(s: tuple, m: int) -> list[int]:
     return masks
 
 
+def _cut_reader(n: int, radix: int,
+                m: int) -> Callable[[int], tuple[int, ...]]:
+    """code -> the cut masks at levels 1/m .. 1 of the state with that code
+    on n points: the OR of two table entries, the masks of the code's high
+    and of its low half of digits, each table about the square root of the
+    codes long."""
+    low = n // 2
+
+    def table(size: int, shift: int) -> list[list[int]]:
+        return [[mask << shift for mask in _cut_masks(levels, m)]
+                for levels in itertools.product(range(radix), repeat=size)]
+
+    high, lows, split = table(n - low, 0), table(low, n - low), radix ** low
+
+    def cuts(code: int) -> tuple[int, ...]:
+        hi, lo = divmod(code, split)
+        return tuple(map(operator.or_, high[hi], lows[lo]))
+    return cuts
+
+
 def _lift_table(sys: SystemMap, grid: LevelGrid, norm: tuple,
                 g: GFunction | None,
-                cap: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The integer grade states of the lift under the normalized constraint
-    and the index table of one g-extension step on them.  A state stepped
-    out of the family is an input error."""
-    states = list(_grade_states(len(sys.space.points), grid, norm, cap))
+                cap: int) -> tuple[int, Sequence[int], list[int]]:
+    """(radix, codes, table): the codes of the lift's states under the
+    normalized constraint and the index table of one g-extension step on
+    them.  A state stepped out of the family is an input error.
+
+    The extension of a total map by a nondecreasing g sends a state of
+    height h to one of height g(h), so the family is closed iff g keeps each
+    of its heights inside it; the first state of height h, in product
+    order, is (0, ..., 0, h), whose code is h."""
+    n = len(sys.space.points)
+    radix, codes, rank = _states(n, grid, norm, cap)
     gint = _g_levels(grid, g)
-    index = {s: i for i, s in enumerate(states)}
-    pre = sys.preimages()
-    table = list(map(index.get, _grade_steps(states, pre, gint)))
-    if None in table:
+    keep = [_satisfies(v, norm) for v in grid.with_zero()]
+    bad = next((h for h in range(radix) if keep[h] and not keep[gint[h]]),
+               None)
+    if bad is not None:
         values = grid.with_zero()
-        s = states[table.index(None)]
         raise InputError(
-            f"lift not invariant: state {tuple(values[k] for k in s)} "
-            f"maps to height {values[max(_grade_step(s, pre, gint))]} "
+            f"lift not invariant: state {(ZERO,) * (n - 1) + (values[bad],)} "
+            f"maps to height {values[gint[bad]]} "
             f"outside constraint {constraint_label(norm)}")
-    return states, table
+    images = _code_steps(n, radix, sys.preimages(), gint)
+    if norm[0] == "all":
+        table = images
+    elif norm[0] == "nonempty":
+        table = [c - 1 for c in images[1:]]
+    else:
+        table = [rank[images[c]] - 1 for c in codes]
+    return radix, codes, table
 
 
 def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
@@ -362,28 +460,30 @@ def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
                       cap: int = DEFAULT_STATE_CAP) -> SystemMap:
     """The extended dynamics on the enumerated fuzzy states, as a SystemMap.
 
-    States are grade tuples, and the metric is the levelwise distance of
-    the shared lift kernel, read from each state's cut bitmasks (kept once
-    computed).  If the enumerated family is not closed under the map
+    A state reads as its tuple of grades, and the metric is the levelwise
+    distance of the shared lift kernel, read from each state's cut bitmasks
+    (kept once computed).  If the enumerated family is not closed under the map
     (possible for distorted grades and height constraints), that is
     reported as an error rather than repaired.
 
-    Internally a grade is its integer level k in 0..m (the grade k/m); the
-    point ids are built from the shared ``grid.with_zero()`` values.
+    Internally a state is its code (see :func:`_states`); ``space.points``
+    is a read-only sequence that renders a code into its tuple of grades,
+    built from the shared ``grid.with_zero()`` values, only when read.
     """
     norm = normalize_constraint(constraint)
-    states, table = _lift_table(sys, grid, norm, g, cap)
+    n = len(sys.space.points)
+    radix, codes, table = _lift_table(sys, grid, norm, g, cap)
     m = grid.m
-    masks: list[list[int] | None] = [None] * len(states)
+    read_cuts = _cut_reader(n, radix, m)
+    masks: list[tuple[int, ...] | None] = [None] * len(codes)
 
-    def cuts(i: int) -> list[int]:
+    def cuts(i: int) -> tuple[int, ...]:
         hit = masks[i]
         if hit is None:
-            hit = masks[i] = _cut_masks(states[i], m)
+            hit = masks[i] = read_cuts(codes[i])
         return hit
 
-    values = grid.with_zero()
-    points = tuple(tuple(map(values.__getitem__, s)) for s in states)
+    points = _RenderedPoints(codes, _renderer(n, radix, grid.with_zero()))
     label = f"F[{constraint_label(norm)}]({sys.label};m={m})"
     prov = {"kind": "fuzzy_lift", "m": m,
             "constraint": constraint_label(norm),

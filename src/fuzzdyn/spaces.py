@@ -12,8 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from .errors import BoundExceeded, InputError
 
@@ -50,6 +51,25 @@ def point_label(p) -> str:
     return str(p)
 
 
+class _RenderedPoints(Sequence):
+    """A read-only point sequence that keeps one integer code per point and
+    renders the point id from its code only when the point is read."""
+
+    __slots__ = ("codes", "render")
+
+    def __init__(self, codes: Sequence[int], render: Callable[[int], Point]):
+        self.codes = codes
+        self.render = render
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.render, self.codes[i]))
+        return self.render(self.codes[i])
+
+
 class MetricSpace:
     """Ordered point set with an exact rational metric.
 
@@ -62,6 +82,8 @@ class MetricSpace:
     scaled.  A lazy metric ``fn(i, j)`` is called with an index pair,
     returns the scaled integer and keeps nothing per pair.  ``d_by_index``
     renders one distance as a Fraction, for witnesses and serialization.
+    ``points`` is copied to a tuple, except a ``_RenderedPoints`` sequence,
+    which a lift passes so that a point id is rendered only when read.
 
     ``gap`` is the least scaled distance between two distinct points when
     the space knows it, else None: a table space with a symmetric table and
@@ -81,7 +103,7 @@ class MetricSpace:
                  gap: int | None = None,
                  scan: Callable[[], Callable[[int, int], int]] | None = None,
                  label: str = "space"):
-        pts = tuple(points)
+        pts = points if isinstance(points, _RenderedPoints) else tuple(points)
         if not pts:
             raise InputError("a metric space needs at least one point")
         self.points = pts
@@ -252,7 +274,8 @@ class SystemMap:
         n = len(space.points)
         if len(tbl) != n:
             raise InputError("map table length does not match the space")
-        if any((not isinstance(v, int)) or v < 0 or v >= n for v in tbl):
+        if (not all(issubclass(t, int) for t in set(map(type, tbl)))
+                or min(tbl) < 0 or max(tbl) >= n):
             raise InputError("map table entry out of range")
         self.space = space
         self.table = tbl
@@ -296,17 +319,8 @@ class SystemMap:
     def eventual_period(self) -> tuple[int, int]:
         """Smallest (preperiod, period) with T^(p+q) = T^p as tables."""
         if self._ep is None:
-            seen = {}
-            n = len(self.table)
-            cur = tuple(range(n))
-            step = 0
-            while cur not in seen:
-                seen[cur] = step
-                cur = tuple(map(self.table.__getitem__, cur))
-                step += 1
-            first = seen[cur]
-            self._ep = (first, step - first)
-            self._settled = cur  # T^(first+period) = T^first
+            pre, per, self._settled = _rho(self.table)
+            self._ep = (pre, per)
         return self._ep
 
     def preperiod_table(self) -> tuple[int, ...]:
@@ -320,6 +334,47 @@ class SystemMap:
         t = self.table
         return all(d(t[i], t[j]) == d(i, j)
                    for i in range(n) for j in range(i + 1, n))
+
+
+def _rho(table: Sequence[int]) -> tuple[int, int, tuple[int, ...]]:
+    """(pre, per, T^pre) of a table.  Out-degree 1 makes each component of
+    its functional graph one rho: a cycle with trees hanging into it, and
+    T^(p+q) = T^p exactly when p is at least every tail depth and q is a
+    multiple of every cycle length.  So one O(N) walk gives pre, the
+    largest depth, and per, the lcm of the cycle lengths; T^pre is then
+    composed by repeated squaring."""
+    n = len(table)
+    depth = [-1] * n       # steps from a point to its cycle, once known
+    walk = [-1] * n        # the start of the walk that visited a point
+    lengths = set()
+    for start in range(n):
+        if depth[start] >= 0:
+            continue
+        path = []
+        x = start
+        while depth[x] < 0 and walk[x] != start:
+            walk[x] = start
+            path.append(x)
+            x = table[x]
+        if depth[x] < 0:  # the walk closed a new cycle at x
+            k = path.index(x)
+            lengths.add(len(path) - k)
+            for y in path[k:]:
+                depth[y] = 0
+            del path[k:]
+        d = depth[x]
+        for y in reversed(path):
+            d += 1
+            depth[y] = d
+    pre = max(depth)
+    settled, square, k = range(n), table, pre
+    while k:
+        if k & 1:
+            settled = list(map(square.__getitem__, settled))
+        k >>= 1
+        if k:
+            square = list(map(square.__getitem__, square))
+    return pre, math.lcm(*lengths), tuple(settled)
 
 
 def eventual_period(sys: SystemMap) -> tuple[int, int]:

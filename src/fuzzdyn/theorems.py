@@ -28,10 +28,11 @@ from .analysis import (DEFAULT_CYLINDER_LENGTH, HyperShiftDyn, ShiftDyn,
 from .errors import InputError
 from .families import FamilyClassifier, thick_family
 from .fuzzy import (DEFAULT_STATE_CAP, FuzzySet, GFunction, LevelGrid,
-                    _cut_masks, _g_levels, _grade_states, _grade_steps,
-                    _lift_table, enumeration_cost, fuzzy_lift_system, xi_of)
+                    _code, _code_heights, _code_steps, _cut_masks,
+                    _cut_reader, _g_levels, _lift_table, _renderer,
+                    enumeration_cost, fuzzy_lift_system, xi_of)
 from .hyperspace import _mask_image, lift_system
-from .spaces import SystemMap, as_fraction, iterate_tables, point_label
+from .spaces import SystemMap, _rho, as_fraction, point_label
 
 
 @dataclass(frozen=True)
@@ -346,9 +347,8 @@ def _height_invariance_items(system, run: _Run) -> list[ReportItem]:
     pre, per = sys.eventual_period()
     bound = run.horizon if run.horizon is not None else pre + per + 1
     f0 = fuzzy_lift_system(sys, run.grid, "nonempty", cap=run.cap)
-    # integer grade tuples in product order; F0 state i is tuple i + 1
-    heights = list(map(max, _grade_states(len(sys.space.points), run.grid,
-                                          ("all",), run.cap)))
+    # the heights of every code, the empty one too; F0 state i is code i + 1
+    heights = _code_heights(len(sys.space.points), run.grid.m + 1)
     moved = next((i for i, t in enumerate(f0.table)
                   if heights[t + 1] != heights[i + 1]), None)
     if moved is not None:
@@ -391,75 +391,88 @@ class _ImageMemo(dict):
 def _cut_lemma_items(system, run: _Run, sample_cap=256,
                      seed=11) -> list[ReportItem]:
     """Cuts of the g-iterates are images of cuts moved by the level
-    transfer: [G^n(a)]_alpha = T^n([a]_{xi^n(alpha)}), checked on integer
-    grade tuples and cut bitmasks.
+    transfer: [G^n(a)]_alpha = T^n([a]_{xi^n(alpha)}), checked on state
+    codes and cut bitmasks.  The count and the first mismatch are those of
+    a scan state by state in code order, each state step by step.
 
-    The left side steps every state at once with the batch kernel: one
-    index table of all states, or n_max steps of the sampled batch.  The
-    right side reads T^n(mask) from a memo per n."""
+    The left side steps every state at once with the code kernel: one index
+    table of all states, or the sampled batch.  The right side reads
+    T^n(mask) from a memo.  Only one step is held at a time, and stepping
+    stops at the fold max(pre) + lcm(per) of T, g and xi: G^n(a)(x) is the
+    max of g^n(a(y)) over the y with T^n(y) = x, so from the fold on every
+    comparison repeats the one at n - lcm(per) >= max(pre), and the one at
+    n = 0 holds.  So the first mismatch, if any, is before the fold, and
+    the count over the whole horizon follows.  That holds for a wrong lift
+    table too: a state's orbit leaves the true one at the first state it
+    steps wrongly, which the true orbit reaches within the fold, and the
+    mismatch shows at the next step."""
     sys = _require_finite(system, "cut-lemma")
     grid = run.grid
     m = grid.m
+    radix = m + 1
     values = grid.with_zero()
     g = run.g if run.g is not None else GFunction.identity(grid)
+    gint = _g_levels(grid, g)
     n_max = run.horizon if run.horizon is not None else 6
     n_pts = len(sys.space.points)
     if enumeration_cost(n_pts, grid, "all") <= run.cap:
-        states, step = _lift_table(sys, grid, ("all",), g, run.cap)
-        cut_of = [_cut_masks(s, m) for s in states]
-        cuts = [cut_of]  # cuts[n][i]: the cut masks of G^n of state i
-        at = range(len(states))
-        for _ in range(n_max):
-            at = list(map(step.__getitem__, at))
-            cuts.append(list(map(cut_of.__getitem__, at)))
+        _, codes, step = _lift_table(sys, grid, ("all",), g, run.cap)
+        cut_of = list(map(_cut_reader(n_pts, radix, m), codes))
+        cuts_at = cut_of.__getitem__
+        advance = partial(map, step.__getitem__)
         note = "all states"
     else:
         rng = random.Random(seed)
         levels = range(m + 1)
-        states = [tuple(rng.choice(levels) for _ in range(n_pts))
-                  for _ in range(sample_cap)]
-        batch = states
-        cuts = [[_cut_masks(s, m) for s in batch]]
-        pre = sys.preimages()
-        gint = _g_levels(grid, g)
-        for _ in range(n_max):
-            batch = list(_grade_steps(batch, pre, gint))
-            cuts.append([_cut_masks(s, m) for s in batch])
+        codes = [_code([rng.choice(levels) for _ in range(n_pts)], radix)
+                 for _ in range(sample_cap)]
+        render = _renderer(n_pts, radix, levels)
+
+        def cuts_at(code: int) -> tuple[int, ...]:
+            return tuple(_cut_masks(render(code), m))
+        cut_of = list(map(cuts_at, codes))
+        advance = partial(_code_steps, n_pts, radix, sys.preimages(), gint)
         note = f"{sample_cap} sampled states (seed {seed})"
     level_of = {v: k for k, v in enumerate(values)}
     xi = xi_of(g)
-    transfer = [tuple(range(m + 1))]  # xi^n on the integer levels
-    for _ in range(n_max):
-        transfer.append(tuple(level_of[xi[values[k]]] for k in transfer[-1]))
-    # the cut index of a level k at time n: [a]_{xi^n(k)} is a_cuts[xi^n(k)-1]
-    slots = [tuple(t - 1 for t in tbl[1:]) for tbl in transfer]
-    images = [_ImageMemo([1 << t for t in tbl])
-              for tbl in iterate_tables(sys, n_max + 1)]
-    checked = 0
-    mismatch = None
-    for i, a_cuts in enumerate(cuts[0]):
-        for n in range(1, n_max + 1):
-            lhs = cuts[n][i]
-            rhs = list(map(images[n].__getitem__,
-                           map(a_cuts.__getitem__, slots[n])))
-            if lhs == rhs:
-                checked += m
-                continue
-            k = next(k for k in range(m) if lhs[k] != rhs[k])
-            checked += k + 1
-            fuzzy = FuzzySet(sys.space, grid, [values[v] for v in states[i]])
-            mismatch = (repr(fuzzy), n, str(values[k + 1]))
-            break
-        if mismatch:
-            break
-    status = "fails" if mismatch else "holds"
-    wit = (("equalities_checked", checked),)
-    if mismatch:
-        wit += (("mismatch", mismatch),)
+    xint = [level_of[xi[v]] for v in values]  # xi on the integer levels
+    folds = [_rho(tbl) for tbl in (sys.table, gint, xint)]
+    horizon = min(n_max, max(f[0] for f in folds)
+                  + math.lcm(*(f[1] for f in folds)))
+    at = codes          # G^n of every state
+    transfer = xint     # xi^n on the integer levels
+    moved = sys.table   # T^n
+    first = None        # (state, n, level index) of the first mismatch
+    stop = len(codes)   # only states before a mismatch can be first
+    for n in range(1, horizon + 1):
+        if n > 1:
+            transfer = [xint[k] for k in transfer]
+            moved = [sys.table[t] for t in moved]
+        at = list(advance(at))
+        # the cut index of a level k at time n: [a]_{xi^n(k)} is
+        # a_cuts[xi^n(k)-1]
+        slots = [t - 1 for t in transfer[1:]]
+        images = _ImageMemo([1 << t for t in moved])
+        for i in range(stop):
+            a_cuts = cut_of[i]
+            lhs = cuts_at(at[i])
+            rhs = tuple(map(images.__getitem__,
+                            map(a_cuts.__getitem__, slots)))
+            if lhs != rhs:
+                k = next(k for k in range(m) if lhs[k] != rhs[k])
+                first, stop = (i, n, k), i
+                break
+    wit = (("equalities_checked", len(codes) * m * n_max),)
+    if first:
+        i, n, k = first
+        wit = (("equalities_checked", (i * n_max + n - 1) * m + k + 1),)
+        fuzzy = FuzzySet(sys.space, grid,
+                         _renderer(n_pts, radix, values)(codes[i]))
+        wit += (("mismatch", (repr(fuzzy), n, str(values[k + 1]))),)
     return [ReportItem("cut-commutation",
                        "iterated cuts move by the level transfer",
-                       "fuzzy(all)", status, note == "all states",
-                       witnesses=wit, note=note)]
+                       "fuzzy(all)", "fails" if first else "holds",
+                       note == "all states", witnesses=wit, note=note)]
 
 
 _BUILDERS = {

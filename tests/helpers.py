@@ -16,7 +16,7 @@ from fractions import Fraction
 from fuzzdyn.analysis import (ProductDyn, ProductOpen, TableDyn, Verdict,
                               _recurrent_indices, open_label, return_time_set)
 from fuzzdyn.errors import InputError
-from fuzzdyn.fuzzy import FuzzySet, fuzzy_lift_system
+from fuzzdyn.fuzzy import FuzzySet, fuzzy_lift_system, xi_iterate
 from fuzzdyn.hyperspace import (CompactSet, _mask_hausdorff, _mask_image,
                                 _min_to_mask_table)
 from fuzzdyn.spaces import (MetricSpace, SystemMap, _scaled_matrix,
@@ -75,6 +75,24 @@ def brute_fuzzy_step(sys, a, g=None):
     out = [max((tbl[grades[j]] for j in pre[i]), default=Fraction(0))
            for i in range(len(grades))]
     return FuzzySet(a.space, a.grid, out)
+
+
+def brute_fuzzy_states(n_points, grid, constraint=None):
+    """The grade tuples satisfying a constraint, in ``itertools.product``
+    order over the grades a slice uses (an eq slice uses none above its
+    level): the state order of the fuzzy lift."""
+    values = grid.with_zero()
+    if constraint is None or constraint == "all":
+        keep = lambda h: True
+    elif constraint == "nonempty":
+        keep = lambda h: h > 0
+    else:
+        kind, lam = constraint
+        keep = (lambda h: h == lam) if kind == "eq" else (lambda h: h >= lam)
+        if kind == "eq":
+            values = tuple(v for v in values if v <= lam)
+    return [s for s in itertools.product(values, repeat=n_points)
+            if keep(max(s))]
 
 
 def count_states(n_points, grid, norm):
@@ -275,6 +293,47 @@ def brute_equicontinuity_modulus(sys: SystemMap, eps) -> Verdict:
         wit += (("violator", violator),)
     return Verdict("holds" if delta > 0 else "fails", True,
                    horizon=pre + per, witnesses=wit)
+
+
+def brute_eventual_period(table):
+    """The table hashing that ``SystemMap.eventual_period`` replaced, kept
+    verbatim: (pre, per, T^pre), stepping whole iterate tables until one
+    repeats."""
+    seen = {}
+    cur = tuple(range(len(table)))
+    step = 0
+    while cur not in seen:
+        seen[cur] = step
+        cur = tuple(map(table.__getitem__, cur))
+        step += 1
+    first = seen[cur]
+    return first, step - first, cur
+
+
+def brute_cut_lemma(sys, grid, g, horizon, table):
+    """The cut-lemma scan before it stopped at the fold: state by state in
+    product order, each at every step 1 .. horizon, on Fraction grades.
+    ``table`` steps the states of the "all" lift (the left side); the right
+    side is T^n of the cut at xi^n(alpha).  Returns (equalities checked,
+    the first mismatch (state repr, n, alpha) or None)."""
+    states = brute_fuzzy_states(len(sys.space.points), grid)
+    m = grid.m
+    checked = 0
+    for i, a in enumerate(states):
+        fuzzy = FuzzySet(sys.space, grid, a)
+        cur = i
+        for n in range(1, horizon + 1):
+            cur = table[cur]
+            moved = iterate(sys, n)
+            for k, alpha in enumerate(grid.levels):
+                lhs = frozenset(p for p, v in zip(sys.space.points,
+                                                  states[cur]) if v >= alpha)
+                level = xi_iterate(g, n, alpha)
+                cut = [p for p, v in zip(sys.space.points, a) if v >= level]
+                if lhs != image_points(moved, cut):
+                    return checked + k + 1, (repr(fuzzy), n, str(alpha))
+            checked += m
+    return checked, None
 
 
 def brute_height_obstruction(sys: SystemMap, grid, bound: int):

@@ -7,17 +7,21 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzdyn.errors import InputError
-from fuzzdyn.fuzzy import (FuzzySet, GFunction, LevelGrid, _g_levels,
-                           _grade_steps, enumerate_fuzzy, fuzzy_lift_system)
+from fuzzdyn.fuzzy import (FuzzySet, GFunction, LevelGrid, _code, _code_steps,
+                           _g_levels, _renderer, constraint_label,
+                           enumerate_fuzzy, fuzzy_lift_system,
+                           normalize_constraint)
 from fuzzdyn.hyperspace import MASK_PAIR_MAX_POINTS, lift_system
 from fuzzdyn.spaces import SystemMap, iterate, product_system
 
-from helpers import (brute_fuzzy_step, brute_hausdorff, brute_levelwise,
-                     brute_product_distance, image_points, taxi_space)
+from helpers import (brute_fuzzy_states, brute_fuzzy_step, brute_hausdorff,
+                     brute_levelwise, brute_product_distance, image_points,
+                     taxi_space)
 
 F = Fraction
 
@@ -91,7 +95,7 @@ def test_fuzzy_lift_matches_definitions(sys, m, data):
         return
     pts = lift.space.points
     assert_distinct(lift.space)
-    assert pts == tuple(a.grades for a in family)
+    assert tuple(pts) == tuple(a.grades for a in family)
     states = [FuzzySet(sys.space, grid, p) for p in pts]
     for i, a in enumerate(states):
         assert pts[lift.table[i]] == brute_fuzzy_step(sys, a, g).grades
@@ -110,12 +114,67 @@ def test_batch_grade_step_matches_definition(sys, m, data):
     n = len(sys.space.points)
     batch = data.draw(st.lists(st.tuples(*[st.integers(0, m)] * n),
                                max_size=50))
-    images = list(_grade_steps(batch, sys.preimages(), _g_levels(grid, g)))
+    images = _code_steps(n, m + 1, sys.preimages(), _g_levels(grid, g),
+                         [_code(s, m + 1) for s in batch])
+    levels = _renderer(n, m + 1, range(m + 1))
     values = grid.with_zero()
-    assert images == [
+    assert list(map(levels, images)) == [
         tuple(int(v * m) for v in brute_fuzzy_step(
             sys, FuzzySet(sys.space, grid, [values[k] for k in s]), g).grades)
         for s in batch]
+
+
+def every_constraint(grid):
+    return (["all", "nonempty"]
+            + [(kind, lam) for kind in ("eq", "ge") for lam in grid.levels])
+
+
+@settings(max_examples=25, deadline=None)
+@given(table_systems(), st.integers(1, 3), st.data())
+def test_code_kernel_matches_brute_lift(sys, m, data):
+    # the states, the step table and the invariance error of every slice
+    # against product-order grade tuples stepped by the definition
+    grid = LevelGrid(m)
+    g = data.draw(st.none() | gfunctions(grid))
+    n = len(sys.space.points)
+    for constraint in every_constraint(grid):
+        states = brute_fuzzy_states(n, grid, constraint)
+        index = {s: i for i, s in enumerate(states)}
+        images = [brute_fuzzy_step(sys, FuzzySet(sys.space, grid, s),
+                                   g).grades for s in states]
+        leaving = next((i for i, t in enumerate(images) if t not in index),
+                       None)
+        if leaving is not None:
+            with pytest.raises(InputError) as err:
+                fuzzy_lift_system(sys, grid, constraint, g=g)
+            label = constraint_label(normalize_constraint(constraint))
+            assert str(err.value) == (
+                f"lift not invariant: state {states[leaving]} maps to "
+                f"height {max(images[leaving])} outside constraint {label}")
+            continue
+        lift = fuzzy_lift_system(sys, grid, constraint, g=g)
+        assert len(lift.space.points) == len(states)
+        assert tuple(lift.space.points) == tuple(states)
+        assert list(lift.table) == [index[t] for t in images]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 3), st.data())
+def test_rendered_points_index_like_a_tuple(n, m, data):
+    grid = LevelGrid(m)
+    constraint = data.draw(constraints(grid))
+    points = fuzzy_lift_system(SystemMap(taxi_space(
+        [(F(i), F(0)) for i in range(n)]), list(range(n))), grid,
+        constraint).space.points
+    states = tuple(brute_fuzzy_states(n, grid, constraint))
+    i = data.draw(st.integers(-len(states), len(states) - 1))
+    assert points[i] == states[i]
+    lo, hi = sorted(data.draw(st.tuples(st.integers(-9, 9),
+                                        st.integers(-9, 9))))
+    assert points[lo:hi] == states[lo:hi]
+    assert list(reversed(points)) == list(reversed(states))
+    with pytest.raises(IndexError):
+        points[len(states)]
 
 
 def assert_every_pair(space, brute):

@@ -417,9 +417,19 @@ class TestFuzzyLift:
             "lift not invariant: state (Fraction(0, 1), Fraction(0, 1), "
             "Fraction(1, 2)) maps to height 0 outside constraint h=1/2")
 
+    def test_noninvariance_on_the_f0_slice(self):
+        # g(1/2) = 0 empties the first state of height 1/2
+        grid = LevelGrid(2)
+        g = GFunction(grid, {F(0): 0, F(1, 2): 0, F(1): 1})
+        with pytest.raises(InputError) as err:
+            fuzzy_lift_system(make_rotation(3, 1), grid, "nonempty", g=g)
+        assert str(err.value) == (
+            "lift not invariant: state (Fraction(0, 1), Fraction(0, 1), "
+            "Fraction(1, 2)) maps to height 0 outside constraint F0")
+
     def test_lift_build_transient_memory(self):
-        # the batch step streams its images: no list of image tuples
-        # beside the states, the index and the points
+        # the states are codes, stepped column by column: no grade tuple,
+        # index dict or point tuple per state (6.05 MiB when there were)
         sys = make_rotation(9, 1)
         sys.preimages()
         tracemalloc.start()
@@ -428,7 +438,7 @@ class TestFuzzyLift:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6.4 * 2 ** 20
+        assert peak <= 2.5 * 2 ** 20
 
     def test_grade_cut_duality(self):
         space = circle_space(4)

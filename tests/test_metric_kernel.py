@@ -8,7 +8,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzdyn.analysis import equicontinuity_modulus, is_proximal
+from fuzzdyn.analysis import equicontinuity_modulus, is_proximal, modulus_curve
 from fuzzdyn.fuzzy import LevelGrid, fuzzy_lift_system
 from fuzzdyn.hyperspace import lift_system
 from fuzzdyn.spaces import (MetricSpace, SystemMap, make_grid_interval_map,
@@ -62,6 +62,15 @@ def test_modulus_matches_the_pair_scan(sys, m, data):
     for level in levels:
         assert equicontinuity_modulus(level, eps) == \
             brute_equicontinuity_modulus(level, eps), level.label
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems(max_points=6))
+def test_modulus_curve_matches_each_modulus(sys):
+    expected = [(eps, F(dict(equicontinuity_modulus(sys, eps).witnesses)
+                        ["delta"]))
+                for eps in sys.space.distance_values() if eps > 0]
+    assert modulus_curve(sys) == expected
 
 
 def test_modulus_on_a_fuzzy_lift_stays_small():

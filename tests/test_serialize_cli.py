@@ -309,6 +309,33 @@ class TestCli:
         elapsed = time.monotonic() - start
         assert elapsed < 10.0, f"runtime {elapsed:.1f}s exceeds 10s"
 
+    def test_cut_lemma_large_horizon_stops_at_the_fold(self, tmp_path):
+        # G^n, xi^n and T^n repeat from the fold on: the run steps 3 times
+        # and counts the equalities of all 3e6 steps
+        start = time.monotonic()
+        assert main(["verify", "--theorem", "cut-lemma",
+                     "--system", "rotation:3,1", "--horizon", "3000000",
+                     "--out", str(tmp_path)]) == 0
+        elapsed = time.monotonic() - start
+        doc = json.loads((tmp_path / "equivalence_report.json").read_text())
+        item, = doc["report"]["items"]
+        assert item["status"] == "holds" and item["exact"] is True
+        assert item["witnesses"] == [["equalities_checked", 27 * 2 * 3000000]]
+        assert elapsed < 10.0, f"runtime {elapsed:.1f}s exceeds 10s"
+
+    def test_plotdata_modulus_in_one_pass(self, tmp_path):
+        start = time.monotonic()
+        proc = run_module_cli(["plotdata", "--system", "rotation:300,1",
+                               "--out", str(tmp_path)], tmp_path)
+        elapsed = time.monotonic() - start
+        assert proc.returncode == 0, proc.stderr
+        rows = (tmp_path / "modulus.csv").read_text().splitlines()
+        # an isometry: delta(eps) = eps at each of the 150 distance values
+        assert rows[0] == "eps,delta" and len(rows) == 151
+        assert all(eps == delta for eps, delta in
+                   (row.split(",") for row in rows[1:]))
+        assert elapsed < 10.0, f"runtime {elapsed:.1f}s exceeds 10s"
+
     def test_reports_byte_identical_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -324,6 +351,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "rotation:n,step" in out
         assert "uniform-rigidity" in out
+
+
+def test_cli_loads_only_the_standard_library(tmp_path):
+    # -S: no site hooks, whose .pth files may load modules of their own
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, fuzzdyn.cli; "
+         "print(*sorted({m.partition('.')[0] for m in sys.modules}))"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "fuzzdyn" in loaded
+    assert loaded - set(sys.stdlib_module_names) <= {"fuzzdyn", "__main__"}
 
 
 def test_package_exports_are_public_names_not_modules():

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from fuzzdyn.spaces import (MetricSpace, SystemMap, circle_space,
                             make_grid_interval_map, make_multiply,
                             make_rotation, one_point_system, product_system,
                             validate_metric)
-from helpers import brute_metric_violations
+from helpers import brute_eventual_period, brute_metric_violations
 
 F = Fraction
 
@@ -220,6 +221,31 @@ class TestEventualPeriod:
             assert iterate(sys, pre + per).table == t_pre
             for smaller in range(1, per):
                 assert iterate(sys, pre + smaller).table != t_pre, sys.label
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.integers(0, n - 1), min_size=n, max_size=n)))
+def test_eventual_period_matches_table_hashing(table):
+    sys = SystemMap(circle_space(len(table)), table)
+    pre, per, settled = brute_eventual_period(sys.table)
+    assert sys.eventual_period() == (pre, per)
+    assert sys.preperiod_table() == settled
+
+
+def test_eventual_period_of_a_long_cycle_is_one_walk():
+    # rotation(2000, 1): hashing 2000 iterate tables took 31 MiB at peak
+    space = MetricSpace(range(2000), fn=lambda i, j: int(i != j), denom=1,
+                        diam=F(1))
+    sys = SystemMap(space, [(i + 1) % 2000 for i in range(2000)])
+    tracemalloc.start()
+    try:
+        assert sys.eventual_period() == (0, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sys.preperiod_table() == tuple(range(2000))
+    assert peak < 2 ** 20
 
 
 @settings(max_examples=40, deadline=None)

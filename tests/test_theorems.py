@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,10 @@ from fuzzdyn.fuzzy import FuzzySet, GFunction, LevelGrid, fuzzy_lift_system
 from fuzzdyn.spaces import (SystemMap, make_grid_interval_map, make_multiply,
                             make_rotation, one_point_system)
 from fuzzdyn.symbolic import ShiftSystem, full_shift
+import fuzzdyn.theorems as theorems
 from fuzzdyn.theorems import (EquivalenceReport, ReportItem, verify_theorem)
-from helpers import (brute_height_obstruction, brute_subset_displacement,
-                     taxi_space)
+from helpers import (brute_cut_lemma, brute_height_obstruction,
+                     brute_subset_displacement, taxi_space)
 
 F = Fraction
 
@@ -258,6 +260,33 @@ class TestCutLemmaTheorem:
         # the first state in enumeration order with a nonempty cut
         first = FuzzySet(sys.space, LevelGrid(2), (0, 0, F(1, 2)))
         assert dict(item.witnesses)["mismatch"] == (repr(first), 1, "1/2")
+
+
+@settings(max_examples=60, deadline=None)
+@given(taxi_tables(max_points=3), st.integers(1, 2), st.integers(1, 30),
+       st.data())
+def test_cut_lemma_fold_keeps_the_state_by_state_scan(sys, m, horizon, data):
+    # a lift table broken at random states: the first mismatch and the count
+    # of a scan state by state over the whole horizon, though the check
+    # steps all states at once and stops at the fold of T, g and xi
+    grid = LevelGrid(m)
+    g = data.draw(st.sampled_from([GFunction.identity(grid)] + (
+        [GFunction(grid, {F(0): 0, F(1, 2): 1, F(1): 1}),
+         GFunction(grid, {F(0): 0, F(1, 2): 0, F(1): 1})] if m == 2 else [])))
+    radix, codes, table = theorems._lift_table(sys, grid, ("all",), g, 3 ** 9)
+    broken = list(table)
+    for i in data.draw(st.lists(st.sampled_from(codes), max_size=3)):
+        broken[i] = data.draw(st.sampled_from(codes))
+    with mock.patch.object(theorems, "_lift_table",
+                           return_value=(radix, codes, broken)):
+        item, = verify_theorem("cut-lemma", sys, m=m, horizon=horizon,
+                               g=g).items
+    checked, mismatch = brute_cut_lemma(sys, grid, g, horizon, broken)
+    assert item.status == ("fails" if mismatch else "holds")
+    expected = (("equalities_checked", checked),)
+    if mismatch:
+        expected += (("mismatch", mismatch),)
+    assert item.witnesses == expected
 
 
 def test_shift_rows_share_one_word_pair_memo(monkeypatch):
