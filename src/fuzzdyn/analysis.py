@@ -29,13 +29,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InputError
-from .families import FamilyClassifier, IndexSet, difference_set, fs_set
+from .families import (TAIL_KINDS, FamilyClassifier, IndexSet, difference_set,
+                       fs_set)
 from .hyperspace import CompactSet
 from .spaces import (MetricSpace, Point, SystemMap, _scaled_matrix,
                      as_fraction, iterate_tables, point_label)
-from .symbolic import ShiftSystem
+from .symbolic import DEFAULT_HORIZON, ShiftSystem
 
-DEFAULT_SYMBOLIC_HORIZON = 64
 DEFAULT_CYLINDER_LENGTH = 3
 VIETORIS_COMPONENT_CAP = 2
 
@@ -536,7 +536,7 @@ def return_time_set(target, u, v, horizon: int | None = None) -> IndexSet:
     v = _coerce_open(dyn, v)
     if horizon is None:
         pp = dyn.preperiod_period()
-        horizon = (pp[0] + 2 * pp[1]) if pp is not None else DEFAULT_SYMBOLIC_HORIZON
+        horizon = (pp[0] + 2 * pp[1]) if pp is not None else DEFAULT_HORIZON
     return IndexSet.from_bits(horizon, dyn.return_times(u, v, horizon))
 
 
@@ -572,7 +572,7 @@ def _effective_horizon(dyn, horizon: int | None) -> tuple[int, bool]:
         if horizon is None or horizon >= h:
             return h, True
         return horizon, False
-    return (horizon or DEFAULT_SYMBOLIC_HORIZON), False
+    return (horizon or DEFAULT_HORIZON), False
 
 
 def _scan(dyn, basis, bound: int):
@@ -702,18 +702,16 @@ def is_F_transitive(target, family: FamilyClassifier, basis=None,
     if finite:
         pre, per = pp
         window = pre + 2 * per
+        period = (1 << per) - 1
     else:
         window, _ = _effective_horizon(dyn, horizon)
-    exact_kinds = ("infinite", "syndetic", "cofinite", "thick")
-    exact = finite and family.kind in exact_kinds
+    tail = TAIL_KINDS.get(family.kind)
+    exact = finite and tail is not None
     detail = last = None
     for i, j, bits in _scan(dyn, basis, window):
         if exact:
-            periodic_part = bits >> pre & ((1 << per) - 1)
-            if family.kind in ("infinite", "syndetic"):
-                ok = periodic_part != 0
-            else:
-                ok = periodic_part == (1 << per) - 1
+            periodic_part = bits >> pre & period
+            ok = periodic_part == period if tail.full else periodic_part != 0
         else:
             ok, detail = family.classify(IndexSet.from_bits(window, bits))
         if not ok:
@@ -797,9 +795,8 @@ def _ip_difference_evidence(target, horizon: int | None) -> bool:
         pre, per = dyn.sys.eventual_period()
         window = max(64, pre + 2 * per)
     else:
-        window = horizon or DEFAULT_SYMBOLIC_HORIZON
-    witness_bits = [sum(1 << n for n in
-                        difference_set(fs_set(g, window)).members)
+        window = horizon or DEFAULT_HORIZON
+    witness_bits = [difference_set(fs_set(g, window)).bits
                     for g in IP_WITNESS_GENERATORS]
     return all(times & w for _, _, times in
                _scan(dyn, dyn.default_basis(), window) for w in witness_bits)

@@ -8,60 +8,62 @@ scanned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InputError
+
+
+def _checked_horizon(horizon: int) -> int:
+    if horizon < 1:
+        raise InputError("horizon must be positive")
+    return horizon
 
 
 @dataclass(frozen=True)
 class IndexSet:
     """Subset of {0, ..., horizon-1}; every verdict carries the horizon.
-    The classifiers read the members as one bitset: bit n of ``bits`` is
-    set iff n is a member."""
+    The set is one bitset: bit n of ``bits`` is set iff n is a member, and
+    the members are decoded from it only when read."""
 
     horizon: int
-    members: frozenset
-    bits: int = field(init=False, repr=False, compare=False)
+    bits: int
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise InputError("horizon must be positive")
-        object.__setattr__(self, "members", frozenset(self.members))
-        if any((not isinstance(v, int)) or v < 0 or v >= self.horizon
-               for v in self.members):
+        _checked_horizon(self.horizon)
+        if self.bits < 0 or self.bits >> self.horizon:
             raise InputError("index set member outside [0, horizon)")
-        object.__setattr__(self, "bits", sum(1 << n for n in self.members))
 
     @classmethod
     def of(cls, horizon: int, members: Iterable[int]) -> "IndexSet":
-        return cls(horizon, frozenset(members))
+        _checked_horizon(horizon)
+        members = frozenset(members)
+        if any((not isinstance(v, int)) or v < 0 or v >= horizon
+               for v in members):
+            raise InputError("index set member outside [0, horizon)")
+        return cls(horizon, sum(1 << v for v in members))
 
     @classmethod
     def from_bits(cls, horizon: int, bits: int) -> "IndexSet":
         """The set whose members are the set bits below the horizon."""
-        if horizon < 1:
-            raise InputError("horizon must be positive")
-        bits &= (1 << horizon) - 1
-        digits = format(bits, "b")[::-1]            # bit 0 first
-        s = cls.__new__(cls)
-        object.__setattr__(s, "horizon", horizon)
-        object.__setattr__(s, "members", frozenset(
-            n for n, c in enumerate(digits) if c == "1"))
-        object.__setattr__(s, "bits", bits)
-        return s
+        return cls(horizon, bits & ((1 << _checked_horizon(horizon)) - 1))
+
+    @property
+    def members(self) -> frozenset:
+        return frozenset(self.sorted_members())
 
     def sorted_members(self) -> list[int]:
-        return sorted(self.members)
+        digits = format(self.bits, "b")[::-1]       # bit 0 first
+        return [n for n, c in enumerate(digits) if c == "1"]
 
     def complement(self) -> "IndexSet":
         return IndexSet.from_bits(self.horizon, ~self.bits)
 
     def __contains__(self, n: int) -> bool:
-        return n in self.members
+        return n >= 0 and self.bits >> n & 1 == 1
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.bits.bit_count()
 
 
 class SyndeticResult(NamedTuple):
@@ -87,6 +89,11 @@ class InfiniteResult(NamedTuple):
 def default_window(horizon: int) -> int:
     """Shared gap/run threshold r(H) used by syndetic and thick verdicts."""
     return max(1, horizon // 4)
+
+
+def default_tail(horizon: int) -> int:
+    """Shared tail bound H/2 used by cofinite and infinite verdicts."""
+    return horizon // 2
 
 
 def _longest_run(s: IndexSet, inside: bool) -> int:
@@ -126,7 +133,7 @@ def classify_thick(s: IndexSet, run_threshold: int | None = None) -> ThickResult
 
 def classify_cofinite(s: IndexSet, tail_bound: int | None = None) -> CofiniteResult:
     """True iff [t, H) is contained in the set for some t <= bound (default H/2)."""
-    bound = tail_bound if tail_bound is not None else s.horizon // 2
+    bound = tail_bound if tail_bound is not None else default_tail(s.horizon)
     # one past the last non-member, 0 when every n is a member
     t = (~s.bits & ((1 << s.horizon) - 1)).bit_length()
     return CofiniteResult(t <= bound, t)
@@ -134,7 +141,7 @@ def classify_cofinite(s: IndexSet, tail_bound: int | None = None) -> CofiniteRes
 
 def classify_infinite(s: IndexSet, tail_bound: int | None = None) -> InfiniteResult:
     """Horizon proxy for infinitude: membership in the tail window [bound, H)."""
-    bound = tail_bound if tail_bound is not None else s.horizon // 2
+    bound = tail_bound if tail_bound is not None else default_tail(s.horizon)
     tail = (s.bits >> max(bound, 0)).bit_count()
     return InfiniteResult(tail > 0, tail)
 
@@ -146,11 +153,11 @@ def fs_set(generators: Sequence[int], horizon: int) -> IndexSet:
         raise InputError("fs_set needs at least one generator")
     if any((not isinstance(g, int)) or g < 1 for g in gens):
         raise InputError("generators must be positive integers")
-    sums = {0}
+    full = (1 << _checked_horizon(horizon)) - 1
+    sums = 1                                    # bit 0: the empty sum
     for g in gens:
-        sums |= {s + g for s in sums if s + g < horizon}
-    sums.discard(0)
-    return IndexSet.of(horizon, sums)
+        sums |= sums << g & full
+    return IndexSet(horizon, sums & ~1)
 
 
 def contains_ip(s: IndexSet, depth: int, depth_bound: int = 5):
@@ -165,34 +172,46 @@ def contains_ip(s: IndexSet, depth: int, depth_bound: int = 5):
     if depth > depth_bound:
         raise InputError(f"IP depth {depth} exceeds bound {depth_bound}")
     members = s.sorted_members()
-    if not members:
-        return (False, ())
 
-    def extend(chosen: list[int], sums: frozenset, start: int):
+    def extend(chosen: list[int], sums: int, start: int):
         if len(chosen) == depth:
             return tuple(chosen)
-        for idx in range(start, len(members)):
-            p = members[idx]
-            new = {p} | {t + p for t in sums}
-            if all(v in s.members for v in new):
-                got = extend(chosen + [p], sums | frozenset(new), idx)
+        for idx, p in enumerate(members[start:], start):
+            new = sums << p | 1 << p            # the sums that use p
+            if not new & ~s.bits:
+                got = extend(chosen + [p], sums | new, idx)
                 if got is not None:
                     return got
         return None
 
-    witness = extend([], frozenset(), 0)
+    witness = extend([], 0, 0)
     return (witness is not None, witness or ())
 
 
 def difference_set(s: IndexSet) -> IndexSet:
     """All nonnegative differences of members, at the same horizon."""
-    mem = s.sorted_members()
-    out = set()
-    for i in mem:
-        for j in mem:
-            if i >= j and i - j < s.horizon:
-                out.add(i - j)
-    return IndexSet.of(s.horizon, out)
+    out = 0
+    for j in s.sorted_members():
+        out |= s.bits >> j                      # i - j for every member i >= j
+    return IndexSet(s.horizon, out)
+
+
+class TailKind(NamedTuple):
+    """A tail family: its classifier, its threshold's name and default, and
+    whether a periodic part must be ``full``, not just nonzero, to belong."""
+
+    classify: Callable[[IndexSet, int], tuple]
+    threshold: str
+    default: Callable[[int], int]
+    full: bool
+
+
+TAIL_KINDS = {
+    "infinite": TailKind(classify_infinite, "tail_window", default_tail, False),
+    "cofinite": TailKind(classify_cofinite, "tail_bound", default_tail, True),
+    "syndetic": TailKind(classify_syndetic, "gap", default_window, False),
+    "thick": TailKind(classify_thick, "run", default_window, True),
+}
 
 
 @dataclass(frozen=True)
@@ -206,12 +225,9 @@ class FamilyClassifier:
     threshold: int | None = None
     depth: int = 3
     predicate: object = None
-    name: str = ""
-
-    KINDS = ("infinite", "cofinite", "syndetic", "thick", "ip", "custom")
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if self.kind not in (*TAIL_KINDS, "ip", "custom"):
             raise InputError(f"unknown family kind {self.kind!r}")
         if self.kind == "custom" and self.predicate is None:
             raise InputError("custom family needs a predicate")
@@ -219,26 +235,13 @@ class FamilyClassifier:
     def classify(self, s: IndexSet) -> tuple[bool, dict]:
         """(verdict, detail); detail is JSON-ready and names thresholds."""
         detail = {"kind": self.kind, "horizon": s.horizon}
-        if self.kind == "infinite":
-            res = classify_infinite(s, self.threshold)
-            detail.update(thresholds={"tail_window": self.threshold if self.threshold is not None else s.horizon // 2},
-                          witness=res.tail_count)
-            return res.ok, detail
-        if self.kind == "cofinite":
-            res = classify_cofinite(s, self.threshold)
-            detail.update(thresholds={"tail_bound": self.threshold if self.threshold is not None else s.horizon // 2},
-                          witness=res.tail_start)
-            return res.ok, detail
-        if self.kind == "syndetic":
-            res = classify_syndetic(s, self.threshold)
-            detail.update(thresholds={"gap": self.threshold if self.threshold is not None else default_window(s.horizon)},
-                          witness=res.gap)
-            return res.ok, detail
-        if self.kind == "thick":
-            res = classify_thick(s, self.threshold)
-            detail.update(thresholds={"run": self.threshold if self.threshold is not None else default_window(s.horizon)},
-                          witness=res.max_run)
-            return res.ok, detail
+        tail = TAIL_KINDS.get(self.kind)
+        if tail is not None:
+            limit = (self.threshold if self.threshold is not None
+                     else tail.default(s.horizon))
+            ok, witness = tail.classify(s, limit)
+            detail.update(thresholds={tail.threshold: limit}, witness=witness)
+            return ok, detail
         if self.kind == "ip":
             ok, witness = contains_ip(s, self.depth)
             detail.update(thresholds={"depth": self.depth}, witness=list(witness))

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BoundExceeded, InputError
-from .spaces import (MetricSpace, Point, SystemMap, ZERO, _scaled_matrix,
-                     point_label)
+from .spaces import (MetricSpace, Point, SystemMap, ZERO, _RenderedPoints,
+                     _scaled_matrix, point_label)
 
 #: most base points whose 4^n mask pairs a scan tabulates
 MASK_PAIR_MAX_POINTS = 8
@@ -87,20 +87,20 @@ def hausdorff_distance(a: CompactSet, b: CompactSet) -> Fraction:
     return Fraction(max(directed(ia, ib), directed(ib, ia)), space.denom)
 
 
-def _subsets(space: MetricSpace, bound: int) -> Iterator[frozenset]:
+def _subset_points(space: MetricSpace, bound: int) -> _RenderedPoints:
     """The 2^n - 1 nonempty subsets of the points, in bitmask order: the
-    states of the subset lift."""
+    states of the subset lift, kept as bitmasks and rendered when read."""
     n = len(space.points)
     if n > bound:
         raise BoundExceeded("hyperspace lift", n, bound)
     pts = space.points
-    for mask in range(1, 1 << n):
-        yield frozenset(pts[i] for i in range(n) if mask >> i & 1)
+    return _RenderedPoints(range(1, 1 << n), lambda mask: frozenset(
+        pts[i] for i in range(n) if mask >> i & 1))
 
 
 def enumerate_compacts(space: MetricSpace, bound: int = DEFAULT_MAX_POINTS):
     """All 2^n - 1 nonempty subsets, each exactly once, in bitmask order."""
-    for members in _subsets(space, bound):
+    for members in _subset_points(space, bound):
         yield CompactSet(space, members)
 
 
@@ -229,9 +229,8 @@ def lift_system(sys: SystemMap, bound: int = DEFAULT_MAX_POINTS) -> SystemMap:
     the one-level case of the levelwise lift, whose metric is the Hausdorff
     metric.  State i is the subset with bitmask i + 1.
     """
-    subsets = tuple(_subsets(sys.space, bound))
+    subsets = _subset_points(sys.space, bound)
     point_bit = [1 << t for t in sys.table]
-    table = [_mask_image(mask, point_bit) - 1
-             for mask in range(1, len(subsets) + 1)]
+    table = [_mask_image(mask, point_bit) - 1 for mask in subsets.codes]
     return _cut_lift(sys, subsets, lambda i: (i + 1,), table,
                      f"K({sys.label})", {"kind": "hyperspace_lift"})

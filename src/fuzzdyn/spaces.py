@@ -482,7 +482,7 @@ def make_grid_interval_map(f, m: int, snap: str = "down") -> SystemMap:
     if snap not in ("down", "nearest"):
         raise InputError("snap must be 'down' or 'nearest'")
     xs = [a for a, _ in bps]
-    if xs != sorted(set(xs)) or xs[0] != 0 or xs[-1] != 1:
+    if not xs or xs != sorted(set(xs)) or xs[0] != 0 or xs[-1] != 1:
         raise InputError("breakpoints must have increasing x from 0 to 1")
     if any(y < 0 or y > 1 for _, y in bps):
         raise InputError("map leaves [0,1]")

@@ -17,11 +17,10 @@ from fuzzdyn.analysis import (ProductDyn, ProductOpen, TableDyn, Verdict,
                               _recurrent_indices, open_label, return_time_set)
 from fuzzdyn.errors import InputError
 from fuzzdyn.fuzzy import FuzzySet, fuzzy_lift_system, xi_iterate
-from fuzzdyn.hyperspace import (CompactSet, _mask_hausdorff, _mask_image,
-                                _min_to_mask_table)
-from fuzzdyn.spaces import (MetricSpace, SystemMap, _scaled_matrix,
-                            as_fraction, circle_space, iterate,
-                            iterate_tables, point_label)
+from fuzzdyn.hyperspace import CompactSet
+from fuzzdyn.spaces import (MetricSpace, SystemMap, as_fraction,
+                            circle_space, iterate, iterate_tables,
+                            point_label)
 
 
 def image_points(sys, pts):
@@ -361,17 +360,22 @@ def brute_height_obstruction(sys: SystemMap, grid, bound: int):
 
 def brute_subset_displacement(sys: SystemMap, horizon: int) -> list[Fraction]:
     """max over nonempty subsets A of d_H(T^n(A), A), for n = 0 ..
-    horizon-1: the bitmask scan over all 2^|X| - 1 subsets that the
-    singleton lemma replaced, kept verbatim as the reference for it."""
-    n = len(sys.space.points)
-    denom, mat = _scaled_matrix(sys.space)
-    mind = _min_to_mask_table(n, mat)
+    horizon-1: the scan over all 2^|X| - 1 subsets that the singleton
+    lemma replaced, each subset stepped by ``image_points`` and measured by
+    ``brute_hausdorff``."""
+    pts = sys.space.points
+    subsets = [frozenset(c) for r in range(1, len(pts) + 1)
+               for c in itertools.combinations(pts, r)]
+    images = list(subsets)
+    worst = {}                  # the subsets' images repeat past pre + per
     out = []
-    for tbl in iterate_tables(sys, horizon):
-        point_bit = [1 << t for t in tbl]
-        worst = max(_mask_hausdorff(_mask_image(mask, point_bit), mask, mind)
-                    for mask in range(1, 1 << n))
-        out.append(Fraction(worst, denom))
+    for _ in range(max(horizon, 1)):    # n = 0 at least, as displacement_curve
+        key = tuple(images)
+        if key not in worst:
+            worst[key] = max(brute_hausdorff(sys.space, img, a)
+                             for img, a in zip(images, subsets))
+        out.append(worst[key])
+        images = [image_points(sys, img) for img in images]
     return out
 
 

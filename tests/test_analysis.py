@@ -21,7 +21,8 @@ from fuzzdyn.analysis import (CylinderOpen, HyperShiftDyn, ProductDyn,
                               singleton_basis, weakly_disjoint)
 from fuzzdyn.catalog import base_catalog, transitive_catalog
 from fuzzdyn.errors import InputError
-from fuzzdyn.families import (infinite_family, syndetic_family, thick_family)
+from fuzzdyn.families import (FamilyClassifier, infinite_family,
+                              syndetic_family, thick_family)
 from fuzzdyn.fuzzy import LevelGrid, fuzzy_lift_system
 from fuzzdyn.hyperspace import lift_system
 from fuzzdyn.spaces import (SystemMap, circle_space, iterate,
@@ -199,6 +200,25 @@ class TestFamilyTransitivity:
         v = is_F_transitive(make_rotation(2, 1), infinite_family(),
                             mixing=True)
         assert v.fails
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.integers(0, n - 1), min_size=n, max_size=n)),
+        st.sampled_from(("infinite", "cofinite", "syndetic", "thick")))
+    def test_tail_kinds_exact_on_tables(self, table, kind):
+        """On n points every return-time set is periodic from n on with
+        period at most n, so the window [n, 2n) decides each tail kind:
+        infinite and syndetic sets meet it, cofinite and thick sets hold
+        all of it."""
+        n = len(table)
+        sys = SystemMap(circle_space(n), table)
+        window = set(range(n, 2 * n))
+        full = kind in ("cofinite", "thick")
+        expect = all(window <= times if full else bool(window & times)
+                     for x in sys.space.points for y in sys.space.points
+                     for times in [brute_return_times(sys, [x], [y], 2 * n)])
+        v = is_F_transitive(sys, FamilyClassifier(kind))
+        assert v.exact and v.holds == expect
 
     def test_f_mixing_takes_the_boxes_of_a_factor_basis(self):
         r = make_rotation(4, 1)

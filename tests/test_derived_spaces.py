@@ -159,14 +159,24 @@ def test_code_kernel_matches_brute_lift(sys, m, data):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 3), st.data())
+@given(st.integers(1, 5), st.integers(0, 3), st.data())
 def test_rendered_points_index_like_a_tuple(n, m, data):
-    grid = LevelGrid(m)
-    constraint = data.draw(constraints(grid))
-    points = fuzzy_lift_system(SystemMap(taxi_space(
-        [(F(i), F(0)) for i in range(n)]), list(range(n))), grid,
-        constraint).space.points
-    states = tuple(brute_fuzzy_states(n, grid, constraint))
+    """A lift's lazy points read like the tuple of its states: the fuzzy
+    states in product order, and at m = 0 the subset lift's nonempty
+    subsets in bitmask order."""
+    sys = SystemMap(taxi_space([(F(i), F(0)) for i in range(n)]),
+                    list(range(n)))
+    pts = sys.space.points
+    if m == 0:
+        points = lift_system(sys).space.points
+        states = tuple(frozenset(pts[i] for i in range(n) if mask >> i & 1)
+                       for mask in range(1, 1 << n))
+    else:
+        grid = LevelGrid(m)
+        constraint = data.draw(constraints(grid))
+        points = fuzzy_lift_system(sys, grid, constraint).space.points
+        states = tuple(brute_fuzzy_states(n, grid, constraint))
+    assert len(points) == len(states)
     i = data.draw(st.integers(-len(states), len(states) - 1))
     assert points[i] == states[i]
     lo, hi = sorted(data.draw(st.tuples(st.integers(-9, 9),

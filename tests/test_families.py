@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -204,6 +205,36 @@ def test_bitset_classifiers_match_member_scans(case):
            classify_cofinite(s, threshold), classify_infinite(s, threshold))
     assert tuple(map(tuple, got)) == brute_family_results(members, horizon,
                                                           threshold)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda h: st.tuples(
+    st.just(h), st.sets(st.integers(0, h - 1)),
+    st.lists(st.integers(1, h + 2), min_size=1, max_size=5),
+    st.integers(-3, h + 3))))
+def test_indexset_operations_match_python_sets(case):
+    """Every operation on the bitset equals the same operation on a plain
+    set of members."""
+    horizon, members, gens, n = case
+    s = iset(horizon, members)
+    assert IndexSet.from_bits(horizon, s.bits) == s
+    assert s.bits == sum(1 << v for v in members)
+    assert s.members == frozenset(members)
+    assert s.sorted_members() == sorted(members)
+    assert len(s) == len(members)
+    assert (n in s) == (n in members)
+    assert s.complement().members == set(range(horizon)) - members
+    sums = {sum(c) for r in range(1, len(gens) + 1)
+            for c in itertools.combinations(gens, r)}
+    assert fs_set(gens, horizon).members == {v for v in sums if v < horizon}
+    assert difference_set(s).members == {i - j for i in members
+                                         for j in members if i >= j}
+
+
+def test_indexset_fields_are_horizon_and_bits():
+    assert [f.name for f in dataclasses.fields(IndexSet)] == ["horizon",
+                                                              "bits"]
+    assert "name" not in {f.name for f in dataclasses.fields(FamilyClassifier)}
 
 
 def test_indexset_validation():

@@ -261,6 +261,8 @@ class TestCli:
              "dist": [["0", "1/4", "1"], ["1/4", "0", "1/4"],
                       ["1", "1/4", "0"]],
              "map": {"a": "a", "b": "b", "c": "c"}})], None),
+        (["check", "--props", "transitivity", "--system", "json:" + json.dumps(
+            {"kind": "grid_map", "shape": [], "m": 3})], None),
     ])
     def test_malformed_input_one_line_error(self, tmp_path, args, g_doc):
         if g_doc is not None:

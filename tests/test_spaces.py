@@ -135,6 +135,10 @@ class TestGridIntervalMap:
         with pytest.raises(InputError):
             make_grid_interval_map([(0, 0), (1, 2)], 4)
 
+    def test_empty_breakpoints_rejected(self):
+        with pytest.raises(InputError, match="increasing x from 0 to 1"):
+            make_grid_interval_map([], 4)
+
     def test_bad_snap_rejected(self):
         with pytest.raises(InputError):
             make_grid_interval_map("half", 4, snap="up")
