@@ -349,7 +349,8 @@ class _BoxBasis(Sequence):
 
 class _LazyRow:
     """A factor row whose bitsets are computed on first iteration and kept;
-    a later iteration reads the kept ones, then resumes the source."""
+    a later iteration reads the kept ones, then resumes the source, and
+    once the source is exhausted it reads the kept list alone."""
 
     __slots__ = ("_source", "_done")
 
@@ -358,19 +359,32 @@ class _LazyRow:
         self._done: list[int] = []
 
     def __iter__(self):
+        if self._source is None:
+            return iter(self._done)
+        return self._resume()
+
+    def _resume(self):
         yield from self._done
         for bits in self._source:
             self._done.append(bits)
             yield bits
+        self._source = None
+
+
+_AND = operator.attrgetter("__and__")
 
 
 def _box_row(rows: list, acc: int):
-    """The AND of one bitset from each factor row, in product order."""
+    """The AND of one bitset from each factor row, in product order; the
+    last two factors are crossed by C-level maps, one head at a time."""
+    heads = map(acc.__and__, rows[0])
     if len(rows) == 1:
-        return map(acc.__and__, rows[0])
-    rest = rows[1:]
-    return itertools.chain.from_iterable(_box_row(rest, acc & bits)
-                                         for bits in rows[0])
+        return heads
+    if len(rows) == 2:
+        tails = map(map, map(_AND, heads), itertools.repeat(rows[1]))
+    else:
+        tails = map(_box_row, itertools.repeat(rows[1:]), heads)
+    return itertools.chain.from_iterable(tails)
 
 
 class ProductDyn(_Oracle):
@@ -483,20 +497,19 @@ class HyperShiftDyn(_Oracle):
     def row(self, u: VietorisOpen, basis, bound: int):
         times = self.base.word_times
         full = (1 << bound) - 1
+        spread = functools.partial(map, operator.or_)
+        zeros = (0,) * len(u.words)
         cols = {}   # base word V_j -> (N(U_i, V_j) for each U_i, their OR)
         for v in basis:
-            bits = full
-            sends = [0] * len(u.words)
+            bits, lines = full, zeros
             for vw in v.words:
                 hit = cols.get(vw)
                 if hit is None:
-                    col = [times(uw, vw, bound) for uw in u.words]
+                    col = tuple(times(uw, vw, bound) for uw in u.words)
                     hit = cols[vw] = col, functools.reduce(operator.or_, col)
                 bits &= hit[1]                          # V_j receives
-                sends = list(map(operator.or_, sends, hit[0]))
-            for line in sends:                          # U_i sends
-                bits &= line
-            yield bits
+                lines = spread(lines, hit[0])
+            yield functools.reduce(operator.and_, lines, bits)  # U_i sends
 
 
 def as_dyn(target):
@@ -575,13 +588,24 @@ def _effective_horizon(dyn, horizon: int | None) -> tuple[int, bool]:
     return (horizon or DEFAULT_HORIZON), False
 
 
+#: the first and the longest chunk of a row that a scan reads at once
+_FIRST_CHUNK, _CHUNK_CAP = 8, 1024
+
+
 def _scan(dyn, basis, bound: int):
-    """(i, j, N(basis[i], basis[j]) below the bound) for every pair of basis
-    indices, one oracle row per source index i; an open is built only when
-    a checker labels it."""
+    """(i, j0, chunk) through every row of the scan, one oracle row per
+    source index i, in order: chunk lists N(basis[i], basis[j]) below the
+    bound for j = j0, j0 + 1, ...  Each row is read in chunks of 8, 16,
+    32, ... up to the cap, so a checker tests a chunk with list operations,
+    a failure early in a row reads little past it, and no row is ever held
+    whole.  An open is built only when a checker labels it."""
     for i, row in enumerate(dyn.rows(basis, bound)):
-        for j, bits in enumerate(row):
-            yield i, j, bits
+        row = iter(row)
+        j0, size = 0, _FIRST_CHUNK
+        while chunk := list(itertools.islice(row, size)):
+            yield i, j0, chunk
+            j0 += len(chunk)
+            size = min(2 * size, _CHUNK_CAP)
 
 
 def _labels(basis, i: int, j: int) -> tuple[str, str]:
@@ -599,15 +623,23 @@ def is_transitive(target, basis=None, horizon: int | None = None) -> Verdict:
     basis = _checked_basis(dyn, basis)
     bound, exact = _effective_horizon(dyn, horizon)
     witnesses = []
-    for i, j, bits in _scan(dyn, basis, bound):
-        if not bits:
+    for i, j0, chunk in _scan(dyn, basis, bound):
+        if 0 in chunk:
             return Verdict("fails", exact, horizon=bound,
-                           counterexample=_labels(basis, i, j),
+                           counterexample=_labels(basis, i,
+                                                  j0 + chunk.index(0)),
                            note="orbit never meets the target ball" if exact
                                 else "no return time below the horizon")
         if len(witnesses) < 8:
-            witnesses.append(_labels(basis, i, j) + (_first(bits),))
+            _witness(witnesses, basis, i, j0, chunk)
     return Verdict("holds", exact, horizon=bound, witnesses=tuple(witnesses))
+
+
+def _witness(witnesses: list, basis, i: int, j0: int, chunk: list) -> None:
+    """Extend the witnesses, up to 8, by (U, V, least n) of the chunk's
+    nonempty sets."""
+    for j, bits in enumerate(chunk[:8 - len(witnesses)], j0):
+        witnesses.append(_labels(basis, i, j) + (_first(bits),))
 
 
 def _square(dyn, basis) -> tuple:
@@ -632,20 +664,15 @@ def is_weakly_mixing(target, basis=None, horizon: int | None = None,
     basis = _checked_basis(dyn, basis)
     bound, exact = _effective_horizon(dyn, horizon)
     witnesses = []
-    size = len(basis)
-    pairs = _scan(dyn, basis, bound)
-    for i in range(size):
-        row = list(itertools.islice(pairs, size))
-        returns = row[i][2]                     # N(U, U)
-        for _, j, bits in row:
-            both = returns & bits
-            if not both:
-                return Verdict("fails", exact, horizon=bound,
-                               counterexample=_labels(basis, i, j),
-                               note="N(U,U) and N(U,V) never overlap "
-                                    "below the horizon")
-            if len(witnesses) < 8:
-                witnesses.append(_labels(basis, i, j) + (_first(both),))
+    for i, row in enumerate(dyn.rows(basis, bound)):
+        row = list(row)
+        both = list(map(row[i].__and__, row))   # N(U, U) & N(U, V)
+        if 0 in both:
+            return Verdict("fails", exact, horizon=bound,
+                           counterexample=_labels(basis, i, both.index(0)),
+                           note="N(U,U) and N(U,V) never overlap "
+                                "below the horizon")
+        _witness(witnesses, basis, i, 0, both)
     return Verdict("holds", exact, horizon=bound, witnesses=tuple(witnesses),
                    note="via return-time overlap")
 
@@ -665,13 +692,15 @@ def is_mixing(target, basis=None, horizon: int | None = None) -> Verdict:
         tail_bound = bound // 2
     worst_tail = 0
     full = (1 << bound) - 1
-    for i, j, bits in _scan(dyn, basis, bound):
-        missing = ~bits & full
-        tail = missing.bit_length()
+    for i, j0, chunk in _scan(dyn, basis, bound):
+        # the missing times of each set: its tail starts past the last one
+        tails = list(map(int.bit_length, map(full.__xor__, chunk)))
+        tail = max(tails)
         if tail > tail_bound:
-            example = _labels(basis, i, j)
+            k = next(k for k, t in enumerate(tails) if t > tail_bound)
+            example = _labels(basis, i, j0 + k)
             if exact:
-                example += (pre + _first(missing >> pre),)
+                example += (pre + _first((full ^ chunk[k]) >> pre),)
             return Verdict("fails", exact, horizon=bound,
                            counterexample=example,
                            note="a full residue class of times is missing"
@@ -702,24 +731,31 @@ def is_F_transitive(target, family: FamilyClassifier, basis=None,
     if finite:
         pre, per = pp
         window = pre + 2 * per
-        period = (1 << per) - 1
+        period = ((1 << per) - 1) << pre     # the first period from pre on
     else:
         window, _ = _effective_horizon(dyn, horizon)
     tail = TAIL_KINDS.get(family.kind)
     exact = finite and tail is not None
     detail = last = None
-    for i, j, bits in _scan(dyn, basis, window):
+    for i, j0, chunk in _scan(dyn, basis, window):
         if exact:
-            periodic_part = bits >> pre & period
-            ok = periodic_part == period if tail.full else periodic_part != 0
+            parts = map(period.__and__, chunk)
+            oks = list(map(period.__eq__, parts) if tail.full
+                       else map(bool, parts))
         else:
-            ok, detail = family.classify(IndexSet.from_bits(window, bits))
-        if not ok:
+            oks = []
+            for bits in chunk:
+                ok, detail = family.classify(IndexSet.from_bits(window, bits))
+                oks.append(ok)
+                if not ok:
+                    break
+        if False in oks:
             return Verdict("fails", exact, horizon=window,
-                           counterexample=_labels(basis, i, j),
+                           counterexample=_labels(basis, i,
+                                                  j0 + oks.index(False)),
                            note=f"N(U,V) not {family.kind} "
                                 f"({'exact' if exact else 'at horizon'})")
-        last = bits
+        last = chunk[-1]
     if exact and last is not None:
         # the witness is read off the last pair's set at the window
         _, detail = family.classify(IndexSet.from_bits(window, last))
@@ -798,7 +834,7 @@ def _ip_difference_evidence(target, horizon: int | None) -> bool:
         window = horizon or DEFAULT_HORIZON
     witness_bits = [difference_set(fs_set(g, window)).bits
                     for g in IP_WITNESS_GENERATORS]
-    return all(times & w for _, _, times in
+    return all(0 not in map(w.__and__, chunk) for _, _, chunk in
                _scan(dyn, dyn.default_basis(), window) for w in witness_bits)
 
 
@@ -907,7 +943,7 @@ def displacement_curve(sys: SystemMap, horizon: int | None = None) -> list[Fract
     _require_table(sys, "displacement")
     pre, per = sys.eventual_period()
     bound = horizon if horizon is not None else pre + per + 1
-    tables = iterate_tables(sys, min(bound, pre + per))
+    tables = iterate_tables(sys, min(bound, pre + per))[:bound]
     space = sys.space
     d = space.dist_int
     n_pts = len(space.points)

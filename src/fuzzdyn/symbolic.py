@@ -124,7 +124,10 @@ class ShiftSystem:
     def _walks(self, length: int) -> dict[tuple[str, str], int]:
         """(a, b) -> bitset whose bit k is set iff a path of exactly k edges
         leads from a to b, for every k < ``length``; rebuilt only when a
-        longer bitset is asked for."""
+        longer bitset is asked for.  The cache is bounded: it holds one
+        bitset per ordered symbol pair, k^2 for k symbols, each at most
+        twice as long as the longest length asked for, since a rebuild
+        only runs for a longer ask and at most doubles the kept length."""
         if self._walk_length < length:
             length = max(length, 2 * self._walk_length)
             walks = {(a, b): 0 for a in self.alphabet for b in self.alphabet}

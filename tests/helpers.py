@@ -174,6 +174,63 @@ def brute_transitive(dyn) -> Verdict:
     return Verdict("holds", True, horizon=steps)
 
 
+def pairwise_first_failure(sys, basis, ok):
+    """Pair by pair in scan order, row U by row U and V in basis order: the
+    first pair of basis opens whose return times below pre + 2 * per, by
+    ``brute_return_times``, fail ``ok(times, pre, per)``, as (label of U,
+    label of V, times); None when every pair passes."""
+    pre, per = sys.eventual_period()
+    for u, v in itertools.product(basis, basis):
+        times = brute_return_times(sys, u.members, v.members, pre + 2 * per)
+        if not ok(times, pre, per):
+            return open_label(u), open_label(v), times
+    return None
+
+
+def _periodic_part(times, pre, per):
+    """Which times of the first period from the preperiod on are in the set."""
+    return [n in times for n in range(pre, pre + per)]
+
+
+def pairwise_transitive(sys, basis):
+    """The counterexample of exact transitivity, pair by pair, or, when it
+    holds, the first 8 witnesses (U, V, least return time)."""
+    found = pairwise_first_failure(
+        sys, basis,
+        lambda times, pre, per: any(n < pre + per for n in times))
+    if found is not None:
+        return found[:2]
+    pre, per = sys.eventual_period()
+    pairs = itertools.islice(itertools.product(basis, basis), 8)
+    return tuple((open_label(u), open_label(v),
+                  min(brute_return_times(sys, u.members, v.members,
+                                         pre + per)))
+                 for u, v in pairs)
+
+
+def pairwise_mixing(sys, basis):
+    """The counterexample of exact mixing, pair by pair: the pair and the
+    first time from the preperiod on that its return set misses."""
+    found = pairwise_first_failure(
+        sys, basis,
+        lambda times, pre, per: all(_periodic_part(times, pre, per)))
+    if found is None:
+        return None
+    u, v, times = found
+    pre, per = sys.eventual_period()
+    return u, v, next(n for n in range(pre, pre + per) if n not in times)
+
+
+def pairwise_tail(sys, basis, full: bool):
+    """The counterexample of an exact tail-kind check, pair by pair: a full
+    periodic part for thick, a nonempty one for syndetic."""
+    test = all if full else any
+    found = pairwise_first_failure(
+        sys, basis,
+        lambda times, pre, per: test(_periodic_part(times, pre, per)))
+    return None if found is None else found[:2]
+
+
 def brute_proximal(sys) -> Verdict:
     """All pairs proximal, pair by pair in index order: the orbit of (x, y)
     in X x X is walked until a pair repeats.  The pair is proximal iff the
@@ -369,7 +426,7 @@ def brute_subset_displacement(sys: SystemMap, horizon: int) -> list[Fraction]:
     images = list(subsets)
     worst = {}                  # the subsets' images repeat past pre + per
     out = []
-    for _ in range(max(horizon, 1)):    # n = 0 at least, as displacement_curve
+    for _ in range(horizon):
         key = tuple(images)
         if key not in worst:
             worst[key] = max(brute_hausdorff(sys.space, img, a)

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,16 +22,17 @@ from fuzzdyn.analysis import (CylinderOpen, HyperShiftDyn, ProductDyn,
                               singleton_basis, weakly_disjoint)
 from fuzzdyn.catalog import base_catalog, transitive_catalog
 from fuzzdyn.errors import InputError
-from fuzzdyn.families import (FamilyClassifier, infinite_family,
-                              syndetic_family, thick_family)
+from fuzzdyn.families import (FamilyClassifier, difference_set, fs_set,
+                              infinite_family, syndetic_family, thick_family)
 from fuzzdyn.fuzzy import LevelGrid, fuzzy_lift_system
 from fuzzdyn.hyperspace import lift_system
-from fuzzdyn.spaces import (SystemMap, circle_space, iterate,
+from fuzzdyn.spaces import (MetricSpace, SystemMap, circle_space, iterate,
                             make_grid_interval_map, make_multiply,
                             make_rotation, one_point_system, product_system)
 from fuzzdyn.symbolic import ShiftSystem, full_shift
 from helpers import (brute_proximal, brute_return_times, brute_transitive,
-                     image_points, omega_limit, point_return_set,
+                     image_points, omega_limit, pairwise_mixing,
+                     pairwise_tail, pairwise_transitive, point_return_set,
                      random_table_system, recurrent_points,
                      shift_brute_member)
 
@@ -972,3 +974,138 @@ class TestOracleMemory:
         assert live_rows() > before
         pairs.close()
         assert live_rows() == before
+
+
+def discrete_system(table) -> SystemMap:
+    """A table map on the points 0 .. n-1 under the 0/1 metric, read
+    lazily, so a large one costs no distance matrix."""
+    n = len(table)
+    space = MetricSpace(range(n), fn=lambda i, j: int(i != j), denom=1,
+                        diam=1, gap=1, label=f"discrete({n})")
+    return SystemMap(space, table, label=f"discrete({n})")
+
+
+def chunk_lengths(total: int, first: int, cap: int) -> list[int]:
+    out, size = [], first
+    while total > 0:
+        out.append(min(size, total))
+        total -= out[-1]
+        size = min(2 * size, cap)
+    return out
+
+
+class TestChunkedScan:
+    """Scans hand checkers each row in chunks of doubling length up to a
+    cap; every verdict is the pair-by-pair scan's."""
+
+    def test_transitivity_fails_past_the_cap(self):
+        """A rotation of cap + 6 points and one fixed point: the first
+        failing pair is the last of row 0, inside the first chunk at the
+        cap."""
+        n = analysis._CHUNK_CAP + 6
+        sys = discrete_system([(i + 1) % n for i in range(n)] + [n])
+        v = is_transitive(sys)
+        assert v == brute_transitive(TableDyn(sys))
+        assert v.counterexample == ("B(0)", f"B({n})")
+
+    def test_tail_checks_fail_past_the_cap(self):
+        """0 and 1 swap and every spoke maps to 0 (pre 1, period 2).  Row
+        {0,1} meets {0,1} and each {0, spoke} at every time, then misses
+        {2}, the basis open just past cap + 6 spokes."""
+        spokes = analysis._CHUNK_CAP + 6
+        sys = discrete_system([1, 0] + [0] * spokes)
+        space = sys.space
+        basis = ([points_open(space, [0, 1])]
+                 + [points_open(space, [0, k]) for k in range(2, spokes + 2)]
+                 + [points_open(space, [2])])
+        assert is_transitive(sys, basis=basis).counterexample == \
+            pairwise_transitive(sys, basis) == ("{0,1}", "{2}")
+        assert is_mixing(sys, basis=basis).counterexample == \
+            pairwise_mixing(sys, basis) == ("{0,1}", "{2}", 1)
+        for kind, full in (("thick", True), ("syndetic", False)):
+            v = is_F_transitive(sys, FamilyClassifier(kind), basis=basis)
+            assert v.exact
+            assert v.counterexample == pairwise_tail(sys, basis, full) == \
+                ("{0,1}", "{2}")
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_small_chunks_keep_the_pairwise_answers(self, data):
+        """With chunks of 1, 2, 2, ... every row splits, and each checker
+        still answers as the pair-by-pair scan does; the chunks of a row
+        concatenate to the row."""
+        sys = data.draw(small_tables(6))
+        basis = data.draw(pointwise_bases(sys))
+        other = data.draw(small_tables(4))
+        product = ProductDyn([(TableDyn(sys), 1), (TableDyn(other), 1)])
+        pre, per = sys.eventual_period()
+        bound = pre + per
+        checks = (
+            lambda: is_transitive(sys, basis=basis),
+            lambda: is_mixing(sys, basis=basis),
+            lambda: is_F_transitive(sys, thick_family(), basis=basis),
+            lambda: is_F_transitive(sys, syndetic_family(), basis=basis),
+            lambda: is_weakly_mixing(sys, basis=basis, method="lemma"),
+            lambda: is_transitive(product),
+            lambda: analysis._ip_difference_evidence(sys, None))
+        with mock.patch.multiple(analysis, _FIRST_CHUNK=1, _CHUNK_CAP=2):
+            small = [check() for check in checks]
+            scan = list(_scan(TableDyn(sys), basis, bound))
+        assert small == [check() for check in checks]
+        for i, u in enumerate(basis):
+            row = [(j0, chunk) for k, j0, chunk in scan if k == i]
+            assert [len(chunk) for _, chunk in row] == \
+                chunk_lengths(len(basis), 1, 2)
+            assert [j0 for j0, _ in row] == list(itertools.accumulate(
+                [0] + [len(chunk) for _, chunk in row[:-1]]))
+            assert [bits for _, chunk in row for bits in chunk] == \
+                [TableDyn(sys).return_times(u, v, bound) for v in basis]
+        transitive, mixing, thick, syndetic = small[:4]
+        expect = pairwise_transitive(sys, basis)
+        if transitive.holds:
+            assert transitive.witnesses == expect
+        else:
+            assert transitive.counterexample == expect
+        assert mixing.counterexample == pairwise_mixing(sys, basis)
+        assert thick.counterexample == pairwise_tail(sys, basis, True)
+        assert syndetic.counterexample == pairwise_tail(sys, basis, False)
+        brute = brute_transitive(product)
+        assert small[5].counterexample == brute.counterexample
+        assert small[5].holds == brute.holds
+        window = max(64, pre + 2 * per)
+        sums = [difference_set(fs_set(g, window)).members
+                for g in analysis.IP_WITNESS_GENERATORS]
+        points = sys.space.points
+        assert small[6] == all(brute_return_times(sys, [x], [y], window) & w
+                               for x in points for y in points for w in sums)
+
+    def test_early_product_failure_reads_few_factor_entries(self):
+        """A product of two non-transitive lifts fails in its first box
+        row: the scan reads a bounded number of factor entries, where a
+        whole box row would read every state of the second lift."""
+        class CountingDyn(TableDyn):
+            def __init__(self, sys):
+                super().__init__(sys)
+                self.read = 0
+
+            def rows(self, basis, bound):
+                return map(self._count, super().rows(basis, bound))
+
+            def _count(self, row):
+                for bits in row:
+                    self.read += 1
+                    yield bits
+
+        a = CountingDyn(fuzzy_lift_system(make_rotation(5, 1), LevelGrid(2)))
+        b = CountingDyn(fuzzy_lift_system(make_rotation(4, 1), LevelGrid(2)))
+        v = is_transitive(ProductDyn([(a, 1), (b, 1)]))
+        assert v.fails and len(b.sys.space) == 81
+        assert a.read + b.read <= 16
+
+    def test_exhausted_factor_row_reads_its_kept_list(self):
+        row = _LazyRow(iter([3, 1, 2]))
+        first = iter(row)
+        assert next(first) == 3
+        assert list(row) == [3, 1, 2]           # resumes the source
+        assert type(iter(row)) is type(iter([]))
+        assert list(row) == [3, 1, 2]

@@ -85,3 +85,15 @@ def test_golden_mean_overlap_blocked():
     # shifting [1] by one step cannot land in [1]: 11 is forbidden
     assert not gm.return_membership("1", "1", 1)
     assert gm.return_membership("1", "1", 2)
+
+
+def test_walk_cache_is_bounded():
+    """The walk bitsets are one per ordered symbol pair, each at most twice
+    as long as the longest length asked for."""
+    shift = full_shift(3, 2)
+    shift.return_bits("0", "1", 10)
+    shift.return_bits("0", "1", 100)
+    assert len(shift._walk_cache) == 3 * 3
+    assert 100 <= shift._walk_length <= 2 * 100
+    assert all(bits < 1 << shift._walk_length
+               for bits in shift._walk_cache.values())

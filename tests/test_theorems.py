@@ -156,6 +156,14 @@ def test_singleton_lemma(sys, horizon):
         sys, horizon)
 
 
+def test_displacement_curve_at_horizon_zero_is_empty():
+    """The curve lists n = 0 .. horizon - 1: none at horizon 0."""
+    for sys in (make_rotation(5, 1), make_grid_interval_map("half", 4)):
+        assert displacement_curve(sys, 0) == [] == \
+            brute_subset_displacement(sys, 0)
+        assert len(displacement_curve(sys, 1)) == 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(taxi_tables(), st.integers(1, 3))
 def test_fuzzy_displacement_matches_cut_reduction(sys, m):
