@@ -371,20 +371,13 @@ class _LazyRow:
         self._source = None
 
 
-_AND = operator.attrgetter("__and__")
-
-
 def _box_row(rows: list, acc: int):
-    """The AND of one bitset from each factor row, in product order; the
-    last two factors are crossed by C-level maps, one head at a time."""
+    """The AND of one bitset from each factor row, in product order."""
     heads = map(acc.__and__, rows[0])
     if len(rows) == 1:
         return heads
-    if len(rows) == 2:
-        tails = map(map, map(_AND, heads), itertools.repeat(rows[1]))
-    else:
-        tails = map(_box_row, itertools.repeat(rows[1:]), heads)
-    return itertools.chain.from_iterable(tails)
+    return itertools.chain.from_iterable(
+        map(_box_row, itertools.repeat(rows[1:]), heads))
 
 
 class ProductDyn(_Oracle):
@@ -497,19 +490,18 @@ class HyperShiftDyn(_Oracle):
     def row(self, u: VietorisOpen, basis, bound: int):
         times = self.base.word_times
         full = (1 << bound) - 1
-        spread = functools.partial(map, operator.or_)
-        zeros = (0,) * len(u.words)
         cols = {}   # base word V_j -> (N(U_i, V_j) for each U_i, their OR)
         for v in basis:
-            bits, lines = full, zeros
+            bits = full
+            sends = [0] * len(u.words)
             for vw in v.words:
                 hit = cols.get(vw)
                 if hit is None:
                     col = tuple(times(uw, vw, bound) for uw in u.words)
                     hit = cols[vw] = col, functools.reduce(operator.or_, col)
                 bits &= hit[1]                          # V_j receives
-                lines = spread(lines, hit[0])
-            yield functools.reduce(operator.and_, lines, bits)  # U_i sends
+                sends = list(map(operator.or_, sends, hit[0]))
+            yield functools.reduce(operator.and_, sends, bits)  # U_i sends
 
 
 def as_dyn(target):
@@ -737,24 +729,22 @@ def is_F_transitive(target, family: FamilyClassifier, basis=None,
     tail = TAIL_KINDS.get(family.kind)
     exact = finite and tail is not None
     detail = last = None
+    note = f"N(U,V) not {family.kind} ({'exact' if exact else 'at horizon'})"
     for i, j0, chunk in _scan(dyn, basis, window):
         if exact:
             parts = map(period.__and__, chunk)
             oks = list(map(period.__eq__, parts) if tail.full
                        else map(bool, parts))
+            if False in oks:
+                return Verdict("fails", exact, horizon=window, note=note,
+                               counterexample=_labels(basis, i,
+                                                      j0 + oks.index(False)))
         else:
-            oks = []
-            for bits in chunk:
+            for j, bits in enumerate(chunk, j0):
                 ok, detail = family.classify(IndexSet.from_bits(window, bits))
-                oks.append(ok)
                 if not ok:
-                    break
-        if False in oks:
-            return Verdict("fails", exact, horizon=window,
-                           counterexample=_labels(basis, i,
-                                                  j0 + oks.index(False)),
-                           note=f"N(U,V) not {family.kind} "
-                                f"({'exact' if exact else 'at horizon'})")
+                    return Verdict("fails", exact, horizon=window, note=note,
+                                   counterexample=_labels(basis, i, j))
         last = chunk[-1]
     if exact and last is not None:
         # the witness is read off the last pair's set at the window

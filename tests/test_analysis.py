@@ -31,9 +31,9 @@ from fuzzdyn.spaces import (MetricSpace, SystemMap, circle_space, iterate,
                             make_rotation, one_point_system, product_system)
 from fuzzdyn.symbolic import ShiftSystem, full_shift
 from helpers import (brute_proximal, brute_return_times, brute_transitive,
-                     image_points, omega_limit, pairwise_mixing,
-                     pairwise_tail, pairwise_transitive, point_return_set,
-                     random_table_system, recurrent_points,
+                     image_points, omega_limit, pairwise_first_failure,
+                     pairwise_mixing, pairwise_tail, pairwise_transitive,
+                     point_return_set, random_table_system, recurrent_points,
                      shift_brute_member)
 
 F = Fraction
@@ -1040,6 +1040,8 @@ class TestChunkedScan:
         product = ProductDyn([(TableDyn(sys), 1), (TableDyn(other), 1)])
         pre, per = sys.eventual_period()
         bound = pre + per
+        # a custom family has no exact test: the scan classifies each set
+        twice = FamilyClassifier("custom", predicate=lambda s: len(s) >= 2)
         checks = (
             lambda: is_transitive(sys, basis=basis),
             lambda: is_mixing(sys, basis=basis),
@@ -1047,7 +1049,8 @@ class TestChunkedScan:
             lambda: is_F_transitive(sys, syndetic_family(), basis=basis),
             lambda: is_weakly_mixing(sys, basis=basis, method="lemma"),
             lambda: is_transitive(product),
-            lambda: analysis._ip_difference_evidence(sys, None))
+            lambda: analysis._ip_difference_evidence(sys, None),
+            lambda: is_F_transitive(sys, twice, basis=basis))
         with mock.patch.multiple(analysis, _FIRST_CHUNK=1, _CHUNK_CAP=2):
             small = [check() for check in checks]
             scan = list(_scan(TableDyn(sys), basis, bound))
@@ -1078,6 +1081,10 @@ class TestChunkedScan:
         points = sys.space.points
         assert small[6] == all(brute_return_times(sys, [x], [y], window) & w
                                for x in points for y in points for w in sums)
+        found = pairwise_first_failure(
+            sys, basis, lambda times, pre, per: len(times) >= 2)
+        assert not small[7].exact
+        assert small[7].counterexample == (found and found[:2])
 
     def test_early_product_failure_reads_few_factor_entries(self):
         """A product of two non-transitive lifts fails in its first box
