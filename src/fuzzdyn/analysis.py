@@ -100,8 +100,12 @@ class ProductOpen:
 
 @dataclass(frozen=True)
 class VietorisOpen:
-    """Hyperspace basis element built from base cylinders."""
+    """Hyperspace basis element built from base cylinders, at least one."""
     words: tuple
+
+    def __post_init__(self):
+        if not self.words:
+            raise InputError("empty open rejected")
 
 
 def open_label(u) -> str:

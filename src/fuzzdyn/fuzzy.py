@@ -402,6 +402,21 @@ def _cut_masks(s: Sequence[int], m: int) -> list[int]:
     return masks
 
 
+def _cut_columns(n: int, radix: int, m: int) -> list[list[int]]:
+    """The cut masks of every code on n points, one column per level 1/m
+    .. 1: column k - 1 holds, by code, the mask of the points whose level
+    is at least k.  Each column grows one point at a time, most significant
+    first, as the codes do."""
+    cols = []
+    for k in range(1, m + 1):
+        col = [0]
+        for bit in range(n):
+            digits = [0] * k + [1 << bit] * (radix - k)
+            col = [c | d for c in col for d in digits]
+        cols.append(col)
+    return cols
+
+
 def _cut_reader(n: int, radix: int,
                 m: int) -> Callable[[int], tuple[int, ...]]:
     """code -> the cut masks at levels 1/m .. 1 of the state with that code
@@ -469,6 +484,10 @@ def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
     Internally a state is its code (see :func:`_states`); ``space.points``
     is a read-only sequence that renders a code into its tuple of grades,
     built from the shared ``grid.with_zero()`` values, only when read.
+
+    Under Zadeh's extension (g the identity on the levels) the lift takes
+    the base's eventual period, since every constraint keeps a point mass
+    at every base point (see :func:`_cut_lift`).
     """
     norm = normalize_constraint(constraint)
     n = len(sys.space.points)
@@ -489,4 +508,5 @@ def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
             "constraint": constraint_label(norm),
             "g": None if g is None else {str(k): str(v)
                                          for k, v in sorted(g.table.items())}}
-    return _cut_lift(sys, points, cuts, table, label, prov)
+    zadeh = _g_levels(grid, g) == tuple(range(m + 1))
+    return _cut_lift(sys, points, cuts, table, label, prov, zadeh)

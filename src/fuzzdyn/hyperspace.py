@@ -177,9 +177,17 @@ def _mask_image(mask: int, point_bit: list[int]) -> int:
 
 def _cut_lift(sys: SystemMap, points: Sequence[Point],
               cuts: Callable[[int], Sequence[int]], table: Sequence[int],
-              label: str, provenance: dict) -> SystemMap:
+              label: str, provenance: dict,
+              same_period: bool) -> SystemMap:
     """The lift of ``sys`` onto ``points``, where state i has the cut
     bitmasks ``cuts(i)``, one per level, and steps to state ``table[i]``.
+
+    ``same_period`` says that the lift takes the base's eventual period, so
+    its table is never walked for it.  It holds for a lift that steps every
+    state by images of preimage sets, T_F^n(u)(x) = max{u(y) : T^n(y) = x},
+    and that holds a point mass lambda * 1_y at every base point y: equal
+    powers of T give equal preimage sets, and T_F^n(lambda * 1_y) is
+    lambda * 1_(T^n(y)), so T_F^(p+q) = T_F^p exactly when T^(p+q) = T^p.
 
     The metric is the levelwise distance, evaluated on demand from the cut
     masks as an integer over the base denominator: the max over levels of
@@ -221,16 +229,18 @@ def _cut_lift(sys: SystemMap, points: Sequence[Point],
                         label=label)
     prov = {**provenance,
             "base": sys.provenance if sys.provenance else {"kind": "finite"}}
-    return SystemMap(space, table, label=label, provenance=prov)
+    return SystemMap(space, table, label=label, provenance=prov,
+                     period=sys.eventual_period() if same_period else None)
 
 
 def lift_system(sys: SystemMap, bound: int = DEFAULT_MAX_POINTS) -> SystemMap:
     """The induced system on all nonempty subsets, as a bona fide SystemMap:
     the one-level case of the levelwise lift, whose metric is the Hausdorff
-    metric.  State i is the subset with bitmask i + 1.
+    metric.  State i is the subset with bitmask i + 1.  The singletons are
+    the point masses, so the lift takes the base's eventual period.
     """
     subsets = _subset_points(sys.space, bound)
     point_bit = [1 << t for t in sys.table]
     table = [_mask_image(mask, point_bit) - 1 for mask in subsets.codes]
     return _cut_lift(sys, subsets, lambda i: (i + 1,), table,
-                     f"K({sys.label})", {"kind": "hyperspace_lift"})
+                     f"K({sys.label})", {"kind": "hyperspace_lift"}, True)

@@ -263,13 +263,18 @@ def validate_metric(space: MetricSpace, point_bound: int = 512) -> list[str]:
 
 
 class SystemMap:
-    """Total endomap of a MetricSpace, stored as an index table."""
+    """Total endomap of a MetricSpace, stored as an index table.
+
+    ``period``, when given, is the map's (preperiod, period), known to the
+    caller by a lemma; a lift passes its base's (see
+    :func:`fuzzdyn.hyperspace._cut_lift`)."""
 
     __slots__ = ("space", "table", "label", "provenance", "_ep", "_settled",
                  "_pre")
 
     def __init__(self, space: MetricSpace, table: Sequence[int],
-                 label: str = "system", provenance: dict | None = None):
+                 label: str = "system", provenance: dict | None = None,
+                 period: tuple[int, int] | None = None):
         tbl = tuple(table)
         n = len(space.points)
         if len(tbl) != n:
@@ -281,7 +286,7 @@ class SystemMap:
         self.table = tbl
         self.label = label
         self.provenance = provenance
-        self._ep = None
+        self._ep = period
         self._settled = None
         self._pre = None
 
@@ -317,15 +322,17 @@ class SystemMap:
         return out
 
     def eventual_period(self) -> tuple[int, int]:
-        """Smallest (preperiod, period) with T^(p+q) = T^p as tables."""
+        """Smallest (preperiod, period) with T^(p+q) = T^p as tables: the
+        ``period`` the map was built with, else one walk over the table."""
         if self._ep is None:
-            pre, per, self._settled = _rho(self.table)
-            self._ep = (pre, per)
+            self._ep = _rho(self.table)
         return self._ep
 
     def preperiod_table(self) -> tuple[int, ...]:
-        """The table of T^preperiod, kept from :meth:`eventual_period`."""
-        self.eventual_period()
+        """The table of T^preperiod, composed by :func:`_power` on first
+        read and kept."""
+        if self._settled is None:
+            self._settled = _power(self.table, self.eventual_period()[0])
         return self._settled
 
     def is_isometry(self) -> bool:
@@ -336,13 +343,12 @@ class SystemMap:
                    for i in range(n) for j in range(i + 1, n))
 
 
-def _rho(table: Sequence[int]) -> tuple[int, int, tuple[int, ...]]:
-    """(pre, per, T^pre) of a table.  Out-degree 1 makes each component of
-    its functional graph one rho: a cycle with trees hanging into it, and
+def _rho(table: Sequence[int]) -> tuple[int, int]:
+    """(pre, per) of a table.  Out-degree 1 makes each component of its
+    functional graph one rho: a cycle with trees hanging into it, and
     T^(p+q) = T^p exactly when p is at least every tail depth and q is a
     multiple of every cycle length.  So one O(N) walk gives pre, the
-    largest depth, and per, the lcm of the cycle lengths; T^pre is then
-    composed by repeated squaring."""
+    largest depth, and per, the lcm of the cycle lengths."""
     n = len(table)
     depth = [-1] * n       # steps from a point to its cycle, once known
     walk = [-1] * n        # the start of the walk that visited a point
@@ -366,15 +372,20 @@ def _rho(table: Sequence[int]) -> tuple[int, int, tuple[int, ...]]:
         for y in reversed(path):
             d += 1
             depth[y] = d
-    pre = max(depth)
-    settled, square, k = range(n), table, pre
+    return max(depth), math.lcm(*lengths)
+
+
+def _power(table: Sequence[int], k: int) -> tuple[int, ...]:
+    """The table of T^k, composed by repeated squaring; k = 0 is the
+    identity."""
+    power, square = range(len(table)), table
     while k:
         if k & 1:
-            settled = list(map(square.__getitem__, settled))
+            power = list(map(square.__getitem__, power))
         k >>= 1
         if k:
             square = list(map(square.__getitem__, square))
-    return pre, math.lcm(*lengths), tuple(settled)
+    return tuple(power)
 
 
 def eventual_period(sys: SystemMap) -> tuple[int, int]:
@@ -385,12 +396,7 @@ def iterate(sys: SystemMap, k: int) -> SystemMap:
     """The k-th power of the map, as a fresh table; k = 0 is the identity."""
     if k < 0:
         raise InputError("iterate needs k >= 0")
-    n = len(sys.space.points)
-    cur = tuple(range(n))
-    base = sys.table
-    for _ in range(k):
-        cur = tuple(base[i] for i in cur)
-    return SystemMap(sys.space, cur, label=f"{sys.label}^{k}")
+    return SystemMap(sys.space, _power(sys.table, k), label=f"{sys.label}^{k}")
 
 
 def iterate_tables(sys: SystemMap, upto: int) -> list[tuple[int, ...]]:

@@ -34,7 +34,7 @@ class ShiftSystem:
     """
 
     __slots__ = ("alphabet", "resolution", "label", "_succ", "_walk_cache",
-                 "_walk_length", "_wspace")
+                 "_walk_length", "_wspace", "_legal")
 
     def __init__(self, alphabet: Sequence[str] = "01",
                  edges: Iterable[tuple[str, str]] | None = None,
@@ -67,6 +67,7 @@ class ShiftSystem:
         self._walk_cache: dict[tuple[str, str], int] = {}
         self._walk_length = 0
         self._wspace = None
+        self._legal: set[str] = set()
 
     def __repr__(self) -> str:
         return f"ShiftSystem({self.label!r})"
@@ -145,9 +146,18 @@ class ShiftSystem:
         exact return time of the one-sided shift.  For n < len(u) the words
         overlap, and legal words agreeing on their overlap merge into a
         legal word; for n >= len(u) a path of n - len(u) + 1 edges must lead
-        from the last symbol of u to the first of v."""
-        if not self.is_legal(u) or not self.is_legal(v):
-            raise InputError("cylinder words must be legal and nonempty")
+        from the last symbol of u to the first of v.
+
+        Each word is validated once: a legal word no longer than the
+        resolution is kept, which bounds the set kept by the number of
+        cylinders, and any other word is validated at every call."""
+        for word in (u, v):
+            if word not in self._legal:
+                if not self.is_legal(word):
+                    raise InputError(
+                        "cylinder words must be legal and nonempty")
+                if len(word) <= self.resolution:
+                    self._legal.add(word)
         bits = sum(1 << n for n in range(min(len(u), bound))
                    if u[n:n + len(v)] == v[:len(u) - n])
         if bound > len(u):

@@ -28,8 +28,8 @@ from .analysis import (DEFAULT_CYLINDER_LENGTH, HyperShiftDyn, ShiftDyn,
 from .errors import InputError
 from .families import FamilyClassifier, thick_family
 from .fuzzy import (DEFAULT_STATE_CAP, FuzzySet, GFunction, LevelGrid,
-                    _code, _code_heights, _code_steps, _cut_masks,
-                    _cut_reader, _g_levels, _lift_table, _renderer,
+                    _code, _code_heights, _code_steps, _cut_columns,
+                    _cut_masks, _g_levels, _lift_table, _renderer,
                     enumeration_cost, fuzzy_lift_system, xi_of)
 from .hyperspace import _mask_image, lift_system
 from .spaces import SystemMap, _rho, as_fraction, point_label
@@ -397,15 +397,18 @@ def _cut_lemma_items(system, run: _Run, sample_cap=256,
 
     The left side steps every state at once with the code kernel: one index
     table of all states, or the sampled batch.  The right side reads
-    T^n(mask) from a memo.  Only one step is held at a time, and stepping
-    stops at the fold max(pre) + lcm(per) of T, g and xi: G^n(a)(x) is the
-    max of g^n(a(y)) over the y with T^n(y) = x, so from the fold on every
-    comparison repeats the one at n - lcm(per) >= max(pre), and the one at
-    n = 0 holds.  So the first mismatch, if any, is before the fold, and
-    the count over the whole horizon follows.  That holds for a wrong lift
-    table too: a state's orbit leaves the true one at the first state it
-    steps wrongly, which the true orbit reaches within the fold, and the
-    mismatch shows at the next step."""
+    T^n(mask) from a memo.  Each step compares every level's whole column
+    of masks at once and scans state by state only when two columns differ;
+    from then on only the states before that first mismatch are stepped,
+    since no later state can come first.  Only one step is held at a time,
+    and stepping stops at the fold max(pre) + lcm(per) of T, g and xi:
+    G^n(a)(x) is the max of g^n(a(y)) over the y with T^n(y) = x, so from
+    the fold on every comparison repeats the one at n - lcm(per) >=
+    max(pre), and the one at n = 0 holds.  So the first mismatch, if any,
+    is before the fold, and the count over the whole horizon follows.  That
+    holds for a wrong lift table too: a state's orbit leaves the true one
+    at the first state it steps wrongly, which the true orbit reaches
+    within the fold, and the mismatch shows at the next step."""
     sys = _require_finite(system, "cut-lemma")
     grid = run.grid
     m = grid.m
@@ -417,8 +420,10 @@ def _cut_lemma_items(system, run: _Run, sample_cap=256,
     n_pts = len(sys.space.points)
     if enumeration_cost(n_pts, grid, "all") <= run.cap:
         _, codes, step = _lift_table(sys, grid, ("all",), g, run.cap)
-        cut_of = list(map(_cut_reader(n_pts, radix, m), codes))
-        cuts_at = cut_of.__getitem__
+        every = _cut_columns(n_pts, radix, m)
+
+        def columns(at: list[int]) -> list[list[int]]:
+            return [list(map(col.__getitem__, at)) for col in every]
         advance = partial(map, step.__getitem__)
         note = "all states"
     else:
@@ -428,40 +433,42 @@ def _cut_lemma_items(system, run: _Run, sample_cap=256,
                  for _ in range(sample_cap)]
         render = _renderer(n_pts, radix, levels)
 
-        def cuts_at(code: int) -> tuple[int, ...]:
-            return tuple(_cut_masks(render(code), m))
-        cut_of = list(map(cuts_at, codes))
+        def columns(at: list[int]) -> list[list[int]]:
+            return list(map(list, zip(*(_cut_masks(render(c), m)
+                                        for c in at))))
         advance = partial(_code_steps, n_pts, radix, sys.preimages(), gint)
         note = f"{sample_cap} sampled states (seed {seed})"
     level_of = {v: k for k, v in enumerate(values)}
     xi = xi_of(g)
     xint = [level_of[xi[v]] for v in values]  # xi on the integer levels
-    folds = [_rho(tbl) for tbl in (sys.table, gint, xint)]
+    folds = [sys.eventual_period(), _rho(gint), _rho(xint)]
     horizon = min(n_max, max(f[0] for f in folds)
                   + math.lcm(*(f[1] for f in folds)))
-    at = codes          # G^n of every state
-    transfer = xint     # xi^n on the integer levels
-    moved = sys.table   # T^n
-    first = None        # (state, n, level index) of the first mismatch
-    stop = len(codes)   # only states before a mismatch can be first
+    at = codes            # G^n of every state before the first mismatch
+    cuts = columns(at)    # their cut masks, one column per level
+    transfer = xint       # xi^n on the integer levels
+    moved = sys.table     # T^n
+    first = None          # (state, n, level index) of the first mismatch
     for n in range(1, horizon + 1):
         if n > 1:
             transfer = [xint[k] for k in transfer]
             moved = [sys.table[t] for t in moved]
         at = list(advance(at))
-        # the cut index of a level k at time n: [a]_{xi^n(k)} is
-        # a_cuts[xi^n(k)-1]
-        slots = [t - 1 for t in transfer[1:]]
         images = _ImageMemo([1 << t for t in moved])
-        for i in range(stop):
-            a_cuts = cut_of[i]
-            lhs = cuts_at(at[i])
-            rhs = tuple(map(images.__getitem__,
-                            map(a_cuts.__getitem__, slots)))
-            if lhs != rhs:
-                k = next(k for k in range(m) if lhs[k] != rhs[k])
-                first, stop = (i, n, k), i
-                break
+        # level k at time n: [G^n(a)]_k against T^n([a]_{xi^n(k)}), and
+        # the cut at level xi^n(k) is in column xi^n(k) - 1
+        lhs = columns(at)
+        rhs = [list(map(images.__getitem__, cuts[t - 1]))
+               for t in transfer[1:]]
+        if lhs == rhs:
+            continue
+        i = next(i for i, row in enumerate(zip(*lhs, *rhs))
+                 if row[:m] != row[m:])
+        k = next(k for k in range(m) if lhs[k][i] != rhs[k][i])
+        first = (i, n, k)
+        if not i:
+            break
+        at, cuts = at[:i], [col[:i] for col in cuts]
     wit = (("equalities_checked", len(codes) * m * n_max),)
     if first:
         i, n, k = first

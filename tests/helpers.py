@@ -366,25 +366,31 @@ def brute_eventual_period(table):
     return first, step - first, cur
 
 
-def brute_cut_lemma(sys, grid, g, horizon, table):
+def brute_cut_lemma(sys, grid, g, horizon, step, states=None):
     """The cut-lemma scan before it stopped at the fold: state by state in
-    product order, each at every step 1 .. horizon, on Fraction grades.
-    ``table`` steps the states of the "all" lift (the left side); the right
-    side is T^n of the cut at xi^n(alpha).  Returns (equalities checked,
-    the first mismatch (state repr, n, alpha) or None)."""
-    states = brute_fuzzy_states(len(sys.space.points), grid)
+    the order of ``states`` (by default every grade tuple, in product
+    order), each at every step 1 .. horizon, on Fraction grades.  ``step``
+    maps a grade tuple to the grade tuple of its image (the left side); the
+    right side is T^n of the cut at xi^n(alpha).  Returns (equalities
+    checked, the first mismatch (state repr, n, alpha) or None)."""
+    if states is None:
+        states = brute_fuzzy_states(len(sys.space.points), grid)
     m = grid.m
+    # T^n and xi^n of each level depend on n alone
+    powers = [iterate(sys, n) for n in range(horizon + 1)]
+    levels = [[xi_iterate(g, n, alpha) for alpha in grid.levels]
+              for n in range(horizon + 1)]
     checked = 0
-    for i, a in enumerate(states):
+    for a in states:
         fuzzy = FuzzySet(sys.space, grid, a)
-        cur = i
+        cur = a
         for n in range(1, horizon + 1):
-            cur = table[cur]
-            moved = iterate(sys, n)
+            cur = step(cur)
+            moved = powers[n]
             for k, alpha in enumerate(grid.levels):
-                lhs = frozenset(p for p, v in zip(sys.space.points,
-                                                  states[cur]) if v >= alpha)
-                level = xi_iterate(g, n, alpha)
+                lhs = frozenset(p for p, v in zip(sys.space.points, cur)
+                                if v >= alpha)
+                level = levels[n][k]
                 cut = [p for p, v in zip(sys.space.points, a) if v >= level]
                 if lhs != image_points(moved, cut):
                     return checked + k + 1, (repr(fuzzy), n, str(alpha))

@@ -878,6 +878,13 @@ class TestOracleMemory:
             sd.return_times(legal, CylinderOpen("ba"), 8)
         assert list(sd._times) == [("ab", "ba", 8)]
 
+    def test_empty_vietoris_open_is_an_input_error(self):
+        # as a source its row once raised a TypeError from an empty reduce
+        hd = HyperShiftDyn(full_shift(2, 2))
+        for u, v in (((), ("0",)), (("0",), ())):
+            with pytest.raises(InputError, match="^empty open rejected$"):
+                hd.return_times(VietorisOpen(u), VietorisOpen(v), 4)
+
     def test_shift_memo_holds_word_pairs_per_bound(self):
         hd = HyperShiftDyn(full_shift(2, 3))
         is_mixing(hd)

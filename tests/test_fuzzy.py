@@ -13,10 +13,11 @@ from fuzzdyn.fuzzy import (FuzzySet, GFunction, LevelGrid, alpha_cut,
                            g_fuzzify_apply, xi_of, xi_iterate, zadeh_apply)
 from fuzzdyn.hyperspace import (CompactSet, enumerate_compacts,
                                 hausdorff_distance, lift_system)
-from fuzzdyn.spaces import (SystemMap, circle_space, make_multiply,
-                            make_rotation)
-from helpers import (brute_levelwise, count_states, image_points,
-                     random_table_system)
+import fuzzdyn.spaces as spaces
+from fuzzdyn.spaces import (SystemMap, circle_space, make_grid_interval_map,
+                            make_multiply, make_rotation)
+from helpers import (brute_eventual_period, brute_levelwise, count_states,
+                     image_points, random_table_system)
 
 F = Fraction
 
@@ -465,3 +466,54 @@ def test_height_obstruction_small():
             assert lift.space.d(cur_a.grades, cur_b.grades) == sys.space.diam
             cur_a = zadeh_apply(sys, cur_a)
             cur_b = zadeh_apply(sys, cur_b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.integers(0, n - 1), min_size=n, max_size=n)), st.integers(1, 3),
+    st.data())
+def test_lifts_take_the_base_period(table, m, data):
+    """The subset lift and Zadeh's extension under every constraint, g given
+    or not, have the eventual period of the base; a distortion g that moves
+    a level keeps the walk over the lift's table."""
+    sys = SystemMap(circle_space(len(table)), table)
+    grid = LevelGrid(m)
+    lam = data.draw(st.sampled_from(grid.levels))
+    zadeh = [lift_system(sys), fuzzy_lift_system(
+        sys, grid, "all", g=GFunction.identity(grid))] + [
+        fuzzy_lift_system(sys, grid, c)
+        for c in ("all", "nonempty", ("eq", lam), ("ge", lam))]
+    distorted = [fuzzy_lift_system(sys, grid, c, g=GFunction(
+        grid, {F(0): 0, F(1, 2): 1, F(1): 1})) for c in ("all", "nonempty")
+        if m == 2]
+    for lift in zadeh + distorted:
+        pre, per, settled = brute_eventual_period(lift.table)
+        assert lift.eventual_period() == (pre, per), lift.label
+        assert lift.preperiod_table() == settled, lift.label
+    assert all(lift.eventual_period() == sys.eventual_period()
+               for lift in zadeh)
+
+
+def test_a_distorted_lift_has_its_own_period():
+    # g sends 1/2 to 1, so over the identity map the lift settles in one
+    # step, though the base is settled at once
+    grid = LevelGrid(2)
+    g = GFunction(grid, {F(0): 0, F(1, 2): 1, F(1): 1})
+    base = make_multiply(3, 1)
+    lift = fuzzy_lift_system(base, grid, "nonempty", g=g)
+    assert base.eventual_period() == (0, 1)
+    assert lift.eventual_period() == (1, 1)
+    assert lift.preperiod_table() == brute_eventual_period(lift.table)[2]
+
+
+def test_zadeh_lift_period_walks_only_the_base(monkeypatch):
+    """Reading the period of a 19,682-state lift walks no table longer
+    than the base's 9 entries."""
+    walked = []
+    rho = spaces._rho
+    monkeypatch.setattr(spaces, "_rho",
+                        lambda table: walked.append(len(table)) or rho(table))
+    base = make_grid_interval_map("half", 8)
+    f0 = fuzzy_lift_system(base, LevelGrid(2), "nonempty")
+    assert f0.eventual_period() == (4, 1)
+    assert walked and max(walked) <= len(base.table)

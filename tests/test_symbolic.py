@@ -36,6 +36,33 @@ def test_legality():
     assert not gm.is_legal("02")
 
 
+def test_return_bits_validates_each_short_word_once(monkeypatch):
+    gm = golden_mean_shift(3)
+    checked = []
+    is_legal = ShiftSystem.is_legal
+    monkeypatch.setattr(ShiftSystem, "is_legal",
+                        lambda self, w: checked.append(w) or is_legal(self, w))
+    for bound in (4, 8, 4):
+        gm.return_bits("01", "10", bound)
+        gm.return_bits("10", "01", bound)
+    assert sorted(checked) == ["01", "10"]
+    # a word longer than the resolution is not kept, so the set stays
+    # within the cylinders, and it is validated at every call
+    for _ in range(2):
+        gm.return_bits("0101", "0", 6)
+    assert checked.count("0101") == 2
+    assert gm._legal == {"01", "10", "0"}
+
+
+def test_an_illegal_word_raises_at_every_call():
+    gm = golden_mean_shift(3)
+    for _ in range(3):
+        for u, v in (("11", "0"), ("0", "11"), ("", "0")):
+            with pytest.raises(InputError):
+                gm.return_bits(u, v, 4)
+    assert gm._legal == {"0"}
+
+
 def test_word_space_is_ultrametric():
     fs = full_shift(2, 3)
     space = fs.word_space()

@@ -1,3 +1,5 @@
+import functools
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -13,8 +15,9 @@ from fuzzdyn.spaces import (SystemMap, make_grid_interval_map, make_multiply,
 from fuzzdyn.symbolic import ShiftSystem, full_shift
 import fuzzdyn.theorems as theorems
 from fuzzdyn.theorems import (EquivalenceReport, ReportItem, verify_theorem)
-from helpers import (brute_cut_lemma, brute_height_obstruction,
-                     brute_subset_displacement, taxi_space)
+from helpers import (brute_cut_lemma, brute_fuzzy_states, brute_fuzzy_step,
+                     brute_height_obstruction, brute_subset_displacement,
+                     taxi_space)
 
 F = Fraction
 
@@ -270,31 +273,109 @@ class TestCutLemmaTheorem:
         assert dict(item.witnesses)["mismatch"] == (repr(first), 1, "1/2")
 
 
-@settings(max_examples=60, deadline=None)
-@given(taxi_tables(max_points=3), st.integers(1, 2), st.integers(1, 30),
-       st.data())
-def test_cut_lemma_fold_keeps_the_state_by_state_scan(sys, m, horizon, data):
-    # a lift table broken at random states: the first mismatch and the count
-    # of a scan state by state over the whole horizon, though the check
-    # steps all states at once and stops at the fold of T, g and xi
-    grid = LevelGrid(m)
-    g = data.draw(st.sampled_from([GFunction.identity(grid)] + (
-        [GFunction(grid, {F(0): 0, F(1, 2): 1, F(1): 1}),
-         GFunction(grid, {F(0): 0, F(1, 2): 0, F(1): 1})] if m == 2 else [])))
-    radix, codes, table = theorems._lift_table(sys, grid, ("all",), g, 3 ** 9)
-    broken = list(table)
-    for i in data.draw(st.lists(st.sampled_from(codes), max_size=3)):
-        broken[i] = data.draw(st.sampled_from(codes))
-    with mock.patch.object(theorems, "_lift_table",
-                           return_value=(radix, codes, broken)):
-        item, = verify_theorem("cut-lemma", sys, m=m, horizon=horizon,
-                               g=g).items
-    checked, mismatch = brute_cut_lemma(sys, grid, g, horizon, broken)
+def distortions(grid, data):
+    """The identity, and at m = 2 and 3 distortions whose level transfer
+    moves the levels; at m = 3 xi^2 differs from xi (xi(1) = 2/3, and
+    xi(2/3) = 1/3)."""
+    tables = {2: [{F(0): 0, F(1, 2): 1, F(1): 1},
+                  {F(0): 0, F(1, 2): 0, F(1): 1}],
+              3: [{F(0): 0, F(1, 3): F(2, 3), F(2, 3): 1, F(1): 1}]}
+    return data.draw(st.sampled_from([GFunction.identity(grid)] + [
+        GFunction(grid, t) for t in tables.get(grid.m, [])]))
+
+
+def sample_states(n_points, grid):
+    """The 256 states that the check samples above the cap (seed 11)."""
+    values = grid.with_zero()
+    rng = random.Random(11)
+    return [tuple(values[rng.choice(range(grid.m + 1))]
+                  for _ in range(n_points)) for _ in range(256)]
+
+
+def broken_cut_lemma(sys, grid, g, horizon, breaks, sampled):
+    """The cut-lemma item with the image of each code c in ``breaks`` sent
+    to breaks[c]: in the lift table of all states, or, one state above the
+    cap, in the code kernel that steps the sample."""
+    n_codes = (grid.m + 1) ** len(sys.space)
+    if sampled:
+        steps = theorems._code_steps
+        patch = mock.patch.object(theorems, "_code_steps", lambda *args: [
+            breaks.get(c, t) for c, t in zip(args[-1], steps(*args))])
+        cap = n_codes - 1
+    else:
+        radix, codes, table = theorems._lift_table(sys, grid, ("all",), g,
+                                                   n_codes)
+        broken = [breaks.get(c, t) for c, t in zip(codes, table)]
+        patch = mock.patch.object(theorems, "_lift_table",
+                                  return_value=(radix, codes, broken))
+        cap = n_codes
+    with patch:
+        item, = verify_theorem("cut-lemma", sys, m=grid.m, horizon=horizon,
+                               g=g, state_cap=cap).items
+    assert item.exact != sampled
+    return item
+
+
+def broken_scan(sys, grid, g, horizon, breaks, sampled):
+    """``brute_cut_lemma`` over the same states, stepped by the brute
+    g-step with the same codes broken."""
+    states = brute_fuzzy_states(len(sys.space), grid)
+    code_of = {a: c for c, a in enumerate(states)}
+
+    @functools.cache
+    def step(a):
+        c = code_of[a]
+        if c in breaks:
+            return states[breaks[c]]
+        return brute_fuzzy_step(sys, FuzzySet(sys.space, grid, a), g).grades
+    return brute_cut_lemma(sys, grid, g, horizon, step,
+                           sample_states(len(sys.space), grid)
+                           if sampled else None)
+
+
+def assert_scan(item, scan):
+    """The item reports the count and first mismatch of a brute scan."""
+    checked, mismatch = scan
     assert item.status == ("fails" if mismatch else "holds")
     expected = (("equalities_checked", checked),)
     if mismatch:
         expected += (("mismatch", mismatch),)
     assert item.witnesses == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(taxi_tables(max_points=3), st.integers(1, 3), st.integers(1, 30),
+       st.booleans(), st.data())
+def test_cut_lemma_fold_keeps_the_state_by_state_scan(sys, m, horizon,
+                                                      sampled, data):
+    # a step broken at random codes: the first mismatch and the count of a
+    # scan state by state over the whole horizon, though the check steps all
+    # states at once, compares whole columns and stops at the fold of T, g
+    # and xi; on all states, and on the sample one state above the cap
+    grid = LevelGrid(m)
+    g = distortions(grid, data)
+    codes = st.integers(0, (m + 1) ** len(sys.space) - 1)
+    breaks = dict(data.draw(st.lists(st.tuples(codes, codes), max_size=3)))
+    item = broken_cut_lemma(sys, grid, g, horizon, breaks, sampled)
+    assert_scan(item, broken_scan(sys, grid, g, horizon, breaks, sampled))
+
+
+@pytest.mark.parametrize("sampled,broken,horizon,first", [
+    (False, 4, 3, "Fuzzy{2:1}"), (True, 4, 3, "Fuzzy{2:1}"),
+    (False, 6, 2, "Fuzzy{0:1,2:1}")])
+def test_cut_lemma_first_mismatch_at_a_later_state_and_step(sampled, broken,
+                                                            horizon, first):
+    # rotation(3) at m = 1 cycles the states 1 = (0,0,1) -> 4 -> 2 -> 1 and
+    # 3 -> 5 -> 6 -> 3, and the sample starts (1,1,1), (0,0,1), (0,0,1),
+    # (1,0,0); a broken image of state 4 (or 6) fails there at step 1, but
+    # state 1 (or 5), one step before it, comes first and fails at step 2,
+    # after the scan has cut the states back to those before 4 (or 6)
+    sys, grid = make_rotation(3, 1), LevelGrid(1)
+    g = GFunction.identity(grid)
+    item = broken_cut_lemma(sys, grid, g, horizon, {broken: 0}, sampled)
+    scan = broken_scan(sys, grid, g, horizon, {broken: 0}, sampled)
+    assert scan[1] == (first, 2, "1")
+    assert_scan(item, scan)
 
 
 def test_shift_rows_share_one_word_pair_memo(monkeypatch):
