@@ -269,7 +269,7 @@ class TableDyn(_Oracle):
         """One walk of the orbit of the point set u up to pre + per records,
         per point, the times n at which it lies in T^n(u); each target set
         collects its points' times (T^n(u) meets it iff some point of it
-        lies in T^n(u)), then the period repeats."""
+        lies in T^n(u)); a multiply by a repunit repeats the per-bit cycle."""
         pre, per = self.sys.eventual_period()
         tbl = self.sys.table
         walk = min(bound, pre + per)
@@ -281,14 +281,14 @@ class TableDyn(_Oracle):
                 times[i] = times.get(i, 0) | bit
             cur = {tbl[i] for i in cur}
         mask = (1 << bound) - 1
+        # ones at walk + k * per for k < bound // per, enough since walk >=
+        # per whenever walk < bound
+        rep = mask // ((1 << per) - 1) >> bound % per << walk
         for v in sets:
             bits = 0
             for j in v:
                 bits |= times.get(j, 0)
-            cycle = bits >> pre
-            for start in range(walk, bound, per):
-                bits |= cycle << start
-            yield bits & mask
+            yield (bits | (bits >> pre) * rep) & mask
 
 
 class ShiftDyn(_Oracle):
@@ -352,15 +352,19 @@ class _BoxBasis(Sequence):
 
 
 class _LazyRow:
-    """A factor row whose bitsets are computed on first iteration and kept;
-    a later iteration reads the kept ones, then resumes the source, and
-    once the source is exhausted it reads the kept list alone."""
-
-    __slots__ = ("_source", "_done")
+    """A factor row, or a factor's rows, whose items are computed on first
+    iteration and kept; a later iteration reads the kept ones, then resumes
+    the source, and once the source is exhausted it reads the kept list
+    alone."""
 
     def __init__(self, source):
         self._source = source
         self._done: list[int] = []
+
+    @functools.cached_property
+    def values(self) -> frozenset:
+        """The set of the row's bitsets, read to its end on first use."""
+        return frozenset(self)
 
     def __iter__(self):
         if self._source is None:
@@ -375,13 +379,23 @@ class _LazyRow:
         self._source = None
 
 
-def _box_row(rows: list, acc: int):
-    """The AND of one bitset from each factor row, in product order."""
+def _box_row(rows: list, acc: int = -1):
+    """The AND of one bitset from each (masked) factor row, in product
+    order."""
     heads = map(acc.__and__, rows[0])
     if len(rows) == 1:
         return heads
     return itertools.chain.from_iterable(
         map(_box_row, itertools.repeat(rows[1:]), heads))
+
+
+def _tuples(first, *rest):
+    """Each choice of one item per iterable, in product order, read on
+    demand: each iterable after the first is read once per item before it,
+    so it must be one that can be read again, such as a ``_LazyRow``."""
+    for item in first:
+        for tail in _tuples(*rest) if rest else [()]:
+            yield (item, *tail)
 
 
 class ProductDyn(_Oracle):
@@ -431,25 +445,16 @@ class ProductDyn(_Oracle):
 
     def rows(self, basis, bound: int):
         if not isinstance(basis, _BoxBasis):
-            yield from super().rows(basis, bound)
-            return
-        bases = basis.bases
+            return super().rows(basis, bound)
+        return map(_box_row, self.factor_rows(basis, bound))
+
+    def factor_rows(self, basis: _BoxBasis, bound: int):
+        """The factor rows of each box row, a tuple per box in box order:
+        a later factor's rows are pulled on first use and kept for the
+        scan; a row of the first factor serves consecutive boxes only."""
         first, *rest = (map(_LazyRow, self._factor_rows(k, b, bound))
-                        for k, b in enumerate(bases))
-        # product order first reads a later factor's rows in index order,
-        # under the first row of the first factor: each is pulled from its
-        # factor's scan then and kept; a row of the first factor serves
-        # consecutive boxes only
-        kept: list[list[_LazyRow]] = [[] for _ in rest]
-        full = (1 << bound) - 1
-        for row in first:
-            for index in itertools.product(*map(range, map(len, bases[1:]))):
-                rows = [row]
-                for got, source, i in zip(kept, rest, index):
-                    if i == len(got):
-                        got.append(next(source))
-                    rows.append(got[i])
-                yield _box_row(rows, full)
+                        for k, b in enumerate(basis.bases))
+        return _tuples(first, *map(_LazyRow, rest))
 
 
 class HyperShiftDyn(_Oracle):
@@ -594,14 +599,30 @@ def _scan(dyn, basis, bound: int):
     bound for j = j0, j0 + 1, ...  Each row is read in chunks of 8, 16,
     32, ... up to the cap, so a checker tests a chunk with list operations,
     a failure early in a row reads little past it, and no row is ever held
-    whole.  An open is built only when a checker labels it."""
-    for i, row in enumerate(dyn.rows(basis, bound)):
-        row = iter(row)
+    whole.  An open is built only when a checker labels it.
+
+    Every checker stops at its first failing set, so a row read to its end
+    has passed.  A product's box row holds the ANDs of one set from each of
+    its factor rows, so its key, the tuple of their sets of values, fixes
+    its set of sets.  Past the first 8 sets, a box row whose key has passed
+    is skipped; its key reads each of its factor rows, none of which is
+    read twice, and no box pair.  A row with a new key is read in chunks,
+    so its first failing set ends the scan.  The keys that passed, one per
+    distinct key read to its end, are held only during the scan."""
+    boxes, passed = isinstance(basis, _BoxBasis), set()
+    rows = (dyn.factor_rows if boxes else dyn.rows)(basis, bound)
+    for i, row in enumerate(rows):
+        if (boxes and i * len(basis) >= 8
+                and tuple(r.values for r in row) in passed):
+            continue
+        sets = iter(_box_row(row) if boxes else row)
         j0, size = 0, _FIRST_CHUNK
-        while chunk := list(itertools.islice(row, size)):
+        while chunk := list(itertools.islice(sets, size)):
             yield i, j0, chunk
             j0 += len(chunk)
             size = min(2 * size, _CHUNK_CAP)
+        if boxes:
+            passed.add(tuple(r.values for r in row))
 
 
 def _labels(basis, i: int, j: int) -> tuple[str, str]:
@@ -732,7 +753,6 @@ def is_F_transitive(target, family: FamilyClassifier, basis=None,
         window, _ = _effective_horizon(dyn, horizon)
     tail = TAIL_KINDS.get(family.kind)
     exact = finite and tail is not None
-    detail = last = None
     note = f"N(U,V) not {family.kind} ({'exact' if exact else 'at horizon'})"
     for i, j0, chunk in _scan(dyn, basis, window):
         if exact:
@@ -745,14 +765,13 @@ def is_F_transitive(target, family: FamilyClassifier, basis=None,
                                                       j0 + oks.index(False)))
         else:
             for j, bits in enumerate(chunk, j0):
-                ok, detail = family.classify(IndexSet.from_bits(window, bits))
-                if not ok:
+                if not family.classify(IndexSet.from_bits(window, bits))[0]:
                     return Verdict("fails", exact, horizon=window, note=note,
                                    counterexample=_labels(basis, i, j))
-        last = chunk[-1]
-    if exact and last is not None:
-        # the witness is read off the last pair's set at the window
-        _, detail = family.classify(IndexSet.from_bits(window, last))
+    # the witness is read off the last pair's set at the window; a product
+    # scan may skip that pair's row
+    detail = basis and family.classify(IndexSet.from_bits(
+        window, dyn.return_times(basis[-1], basis[-1], window)))[1]
     wit = (("family", family.kind),)
     if detail and detail.get("witness") is not None:
         wit += (("witness", detail["witness"]),)

@@ -194,19 +194,28 @@ def _cut_lift(sys: SystemMap, points: Sequence[Point],
     the mask Hausdorff distance, where a cut empty on one side only counts
     the diameter.  On a base of two or more points, two distinct states are
     at least the base gap apart, and two states whose cuts are two
-    singletons at the gap realize it.
+    singletons at the gap realize it.  The min-to-mask table behind the
+    distance is built on the first distance read and kept, so a check that
+    reads none never builds it; a scan builds its pair table from it, and
+    keeps neither past the scan when no distance was read before.
     """
     base = sys.space
     n = len(base.points)
     denom, mat = _scaled_matrix(base)
-    mind = _min_to_mask_table(n, mat)
+    mind = None
     diam = int(base.diam * denom)
+
+    def min_table() -> list[list[int] | None]:
+        nonlocal mind
+        if mind is None:
+            mind = _min_to_mask_table(n, mat)
+        return mind
 
     def dist(i: int, j: int) -> int:
         worst = 0
         for a_mask, b_mask in zip(cuts(i), cuts(j)):
             if a_mask and b_mask:
-                v = _mask_hausdorff(a_mask, b_mask, mind)
+                v = _mask_hausdorff(a_mask, b_mask, mind or min_table())
             elif a_mask or b_mask:
                 v = diam
             else:
@@ -218,7 +227,7 @@ def _cut_lift(sys: SystemMap, points: Sequence[Point],
     def scan() -> Callable[[int, int], int]:
         if n > MASK_PAIR_MAX_POINTS:
             return dist
-        h = _mask_pair_table(n, mind, diam)
+        h = _mask_pair_table(n, mind or _min_to_mask_table(n, mat), diam)
         masks = list(map(cuts, range(len(points))))
         rows = [[a << n for a in c] for c in masks]
         return lambda i, j: max(map(h.__getitem__,

@@ -14,7 +14,8 @@ import math
 from fractions import Fraction
 
 from fuzzdyn.analysis import (ProductDyn, ProductOpen, TableDyn, Verdict,
-                              _recurrent_indices, open_label, return_time_set)
+                              _Oracle, _recurrent_indices, open_label,
+                              return_time_set)
 from fuzzdyn.errors import InputError
 from fuzzdyn.fuzzy import FuzzySet, fuzzy_lift_system, xi_iterate
 from fuzzdyn.hyperspace import CompactSet
@@ -172,6 +173,25 @@ def brute_transitive(dyn) -> Verdict:
                            counterexample=(ball(start), ball(missing)),
                            note="orbit never meets the target ball")
     return Verdict("holds", True, horizon=steps)
+
+
+class PairwiseProduct(_Oracle):
+    """A product oracle read pair by pair: each box pair's return times come
+    from ``ProductDyn.return_times``, one call per pair, for factors of any
+    kind.  Its basis is the product's boxes as a tuple, so a scan builds no
+    factor row and skips no box row."""
+
+    def __init__(self, product: ProductDyn):
+        self.product = product
+
+    def default_basis(self) -> tuple:
+        return tuple(self.product.default_basis())
+
+    def preperiod_period(self):
+        return self.product.preperiod_period()
+
+    def return_times(self, u, v, bound: int) -> int:
+        return self.product.return_times(u, v, bound)
 
 
 def pairwise_first_failure(sys, basis, ok):

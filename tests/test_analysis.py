@@ -22,16 +22,18 @@ from fuzzdyn.analysis import (CylinderOpen, HyperShiftDyn, ProductDyn,
                               singleton_basis, weakly_disjoint)
 from fuzzdyn.catalog import base_catalog, transitive_catalog
 from fuzzdyn.errors import InputError
-from fuzzdyn.families import (FamilyClassifier, difference_set, fs_set,
-                              infinite_family, syndetic_family, thick_family)
+from fuzzdyn.families import (FamilyClassifier, IndexSet, difference_set,
+                              fs_set, infinite_family, syndetic_family,
+                              thick_family)
 from fuzzdyn.fuzzy import LevelGrid, fuzzy_lift_system
 from fuzzdyn.hyperspace import lift_system
 from fuzzdyn.spaces import (MetricSpace, SystemMap, circle_space, iterate,
                             make_grid_interval_map, make_multiply,
                             make_rotation, one_point_system, product_system)
 from fuzzdyn.symbolic import ShiftSystem, full_shift
-from helpers import (brute_proximal, brute_return_times, brute_transitive,
-                     image_points, omega_limit, pairwise_first_failure,
+from helpers import (PairwiseProduct, brute_proximal, brute_return_times,
+                     brute_transitive, image_points, omega_limit,
+                     pairwise_first_failure,
                      pairwise_mixing, pairwise_tail, pairwise_transitive,
                      point_return_set, random_table_system, recurrent_points,
                      shift_brute_member)
@@ -1123,3 +1125,136 @@ class TestChunkedScan:
         assert list(row) == [3, 1, 2]           # resumes the source
         assert type(iter(row)) is type(iter([]))
         assert list(row) == [3, 1, 2]
+
+
+@st.composite
+def mixed_factors(draw):
+    """A factor oracle of any kind with a basis: a table with a pointwise
+    basis, a shift with its cylinders, or the hyperspace of a shift with
+    some of its Vietoris opens."""
+    if draw(st.booleans()):
+        return draw(factor_oracles(max_points=4, max_length=2))
+    hyper = HyperShiftDyn(draw(small_shifts(st.integers(1, 2))),
+                          cylinder_length=1)
+    basis = draw(st.lists(st.sampled_from(hyper.default_basis()),
+                          min_size=1, max_size=4, unique=True))
+    return hyper, tuple(basis)
+
+
+class TestBoxClasses:
+    """A product scan over boxes skips each box row whose key, the value
+    set of each of its factor rows, has passed; every verdict is the
+    pair-by-pair scan's."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_class_scan_keeps_the_pairwise_answers(self, data):
+        """Products of 1-3 factors of mixed kinds with exponents 1-3: each
+        checker that skips rows gives the verdict of the same boxes read
+        pair by pair through ``ProductDyn.return_times``, at the real chunk
+        sizes and at chunks of 1, 2, 2, ..."""
+        factors = data.draw(st.lists(mixed_factors(), min_size=1,
+                                     max_size=3))
+        pd = ProductDyn([(dyn, data.draw(st.integers(1, 3)))
+                         for dyn, _ in factors])
+        boxes = _BoxBasis(tuple(basis for _, basis in factors))
+        pairwise = PairwiseProduct(pd)
+        horizon = data.draw(st.one_of(st.none(), st.integers(1, 16)))
+        family = data.draw(st.sampled_from((thick_family(), syndetic_family(),
+                                            infinite_family())))
+        # a custom family has no exact test: the scan classifies each set
+        twice = FamilyClassifier("custom", predicate=lambda s: len(s) >= 2)
+        checks = (is_transitive, is_mixing,
+                  lambda t, **kw: is_F_transitive(t, family, **kw),
+                  lambda t, **kw: is_F_transitive(t, twice, **kw))
+        expect = [check(pairwise, basis=tuple(boxes), horizon=horizon)
+                  for check in checks]
+        assert [check(pd, basis=boxes, horizon=horizon)
+                for check in checks] == expect
+        with mock.patch.multiple(analysis, _FIRST_CHUNK=1, _CHUNK_CAP=2):
+            assert [check(pd, basis=boxes, horizon=horizon)
+                    for check in checks] == expect
+        # a holding family check takes its witness from the last pair
+        for v, fam in zip(expect[2:], (family, twice)):
+            if v.holds:
+                *_, (_, _, chunk) = _scan(pairwise, tuple(boxes), v.horizon)
+                _, detail = fam.classify(IndexSet.from_bits(v.horizon,
+                                                            chunk[-1]))
+                found = (detail or {}).get("witness")
+                assert v.witnesses == (("family", fam.kind),) + (
+                    () if found is None else (("witness", found),))
+
+    def test_holding_product_builds_only_the_window_rows(self, monkeypatch):
+        """Every factor row of a rotation holds the same set of values, so
+        one key decides each box row past the first, whose sets fill the
+        witness window: a holding transitivity or syndetic check of a
+        product of rotations builds that one box row."""
+        built = []
+        product = analysis._box_row
+
+        def counting(seqs, *rest):
+            if not rest:        # a box row; inner calls pass acc
+                built.append(seqs)
+            return product(seqs, *rest)
+
+        monkeypatch.setattr(analysis, "_box_row", counting)
+        pd = ProductDyn([(TableDyn(make_rotation(5, 1)), 1),
+                         (TableDyn(make_rotation(7, 1)), 1)])
+        v = is_transitive(pd)
+        assert v.holds and v.exact and len(built) == 1
+        assert v == is_transitive(PairwiseProduct(pd))
+        built.clear()
+        v = weakly_disjoint(make_rotation(80, 1), make_rotation(81, 1))
+        assert v.holds and v.exact and len(v.witnesses) == 8
+        assert len(built) == 1
+        built.clear()
+        v = is_F_transitive(pd, syndetic_family())
+        assert v.holds and v.exact and len(built) == 1
+        assert v == is_F_transitive(PairwiseProduct(pd), syndetic_family())
+
+    def test_failing_key_past_the_window_reads_its_row(self):
+        """rotation(2) x (0 -> 1 -> 2 -> 1) over the opens {0,1,2}, {1,2},
+        {1}, {2}: the first box row fills the window, the second has its
+        key and is skipped, and the third fails, since 1 is sent into {2}
+        only at odd times, and is read to find its first failing box."""
+        sys = discrete_system([1, 2, 1])
+        opens = tuple(points_open(sys.space, members)
+                      for members in ([0, 1, 2], [1, 2], [1], [2]))
+        rotation = TableDyn(make_rotation(2, 1))
+        pd = ProductDyn([(rotation, 1), (TableDyn(sys), 1)])
+        boxes = _BoxBasis((rotation.default_basis(), opens))
+        v = is_transitive(pd, basis=boxes)
+        assert v == is_transitive(PairwiseProduct(pd), basis=tuple(boxes))
+        assert v.counterexample == ("(B(0),{1})", "(B(0),{2})")
+        with mock.patch.multiple(analysis, _FIRST_CHUNK=1, _CHUNK_CAP=2):
+            assert is_transitive(pd, basis=boxes) == v
+
+    def test_failing_row_past_the_window_reads_one_chunk(self, monkeypatch):
+        """rotation(5) x (the identity on 40 points) over the opens X, {0},
+        {1}, ...: the first box row fills the window, and the second fails
+        at its third box.  Its key reads its new factor row once, to its
+        end, and no combination of values; then the scan reads one chunk
+        of that box row, not its 5 * 41 boxes."""
+        pulled, boxes_read = [0], [0]
+        factor_rows, box_row = ProductDyn._factor_rows, analysis._box_row
+
+        def counted(items, counter):
+            for bits in items:
+                counter[0] += 1
+                yield bits
+
+        monkeypatch.setattr(ProductDyn, "_factor_rows", lambda *args: (
+            counted(row, pulled) for row in factor_rows(*args)))
+        monkeypatch.setattr(analysis, "_box_row", lambda rows, *acc: (
+            box_row(rows, *acc) if acc
+            else counted(box_row(rows), boxes_read)))
+        sys = discrete_system(list(range(40)))
+        opens = (points_open(sys.space, range(40)),) + tuple(
+            points_open(sys.space, [k]) for k in range(40))
+        rotation = TableDyn(make_rotation(5, 1))
+        pd = ProductDyn([(rotation, 1), (TableDyn(sys), 1)])
+        boxes = _BoxBasis((rotation.default_basis(), opens))
+        v = is_transitive(pd, basis=boxes)
+        assert v.counterexample == ("(B(0),{0})", "(B(0),{1})")
+        assert pulled == [5 + 41 + 41] and boxes_read == [5 * 41 + 8]
+        assert v == is_transitive(PairwiseProduct(pd), basis=tuple(boxes))

@@ -4,10 +4,12 @@ scan it replaced, and the memory that metric scans keep."""
 import gc
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fuzzdyn.hyperspace as hyperspace
 from fuzzdyn.analysis import equicontinuity_modulus, is_proximal, modulus_curve
 from fuzzdyn.fuzzy import LevelGrid, fuzzy_lift_system
 from fuzzdyn.hyperspace import lift_system
@@ -124,3 +126,23 @@ def test_proximality_never_indexes_points(monkeypatch):
     monkeypatch.setattr(MetricSpace, "index", refuse)
     assert [is_proximal(small), is_proximal(large)] == expected
     assert expected[0].fails and expected[1].fails
+
+
+def test_lift_builds_its_mask_table_on_the_first_distance():
+    """A lift builds the min-to-mask table behind its distance only when a
+    distance is read one at a time, and then once; the proximality
+    collapse route reads none."""
+    built = []
+    real = hyperspace._min_to_mask_table
+
+    def counting(n, mat):
+        built.append(n)
+        return real(n, mat)
+
+    with mock.patch.object(hyperspace, "_min_to_mask_table", counting):
+        lift = fuzzy_lift_system(make_grid_interval_map("half", 8),
+                                 LevelGrid(2), "all")
+        assert is_proximal(lift).fails
+        assert built == []
+        d = lift.space.d_by_index(1, 2)
+        assert lift.space.d_by_index(1, 2) == d and built == [9]
