@@ -35,22 +35,6 @@ def base_catalog() -> list[SystemMap]:
     ]
 
 
-def catalog_upto(n_points: int) -> list[SystemMap]:
-    return [s for s in base_catalog() if len(s.space.points) <= n_points]
-
-
-def catalog_bijections_upto(n_points: int) -> list[SystemMap]:
-    out = []
-    for s in catalog_upto(n_points):
-        if len(set(s.table)) == len(s.table) and len(s.space.points) >= 2:
-            out.append(s)
-    return out
-
-
-def catalog_isometries_upto(n_points: int) -> list[SystemMap]:
-    return [s for s in catalog_upto(n_points) if s.is_isometry()]
-
-
 def transitive_catalog() -> list:
     """Default opponents for the bounded mild-mixing check: short cycles, a
     product of coprime cycles, and the full shift (itself transitive but not

@@ -242,14 +242,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "quantized fuzzy states")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable stdout")
-        p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--m", type=int, default=2, help="grade grid 1/m")
-        p.add_argument("--eps", default=None, help="epsilon as p/q")
-        p.add_argument("--seed", type=int, default=0)
+    # each subcommand takes only the options it reads
+    options = {
+        "--out": dict(default=".", help="output directory"),
+        "--json": dict(action="store_true", help="machine-readable stdout"),
+        "--horizon": dict(type=int, default=None),
+        "--m": dict(type=int, default=2, help="grade grid 1/m"),
+        "--eps": dict(default=None, help="epsilon as p/q"),
+        "--seed": dict(type=int, default=0),
+    }
+
+    def common(p, names=tuple(options)):
+        for name in names:
+            p.add_argument(name, **options[name])
 
     p_check = sub.add_parser("check", help="run property checkers")
     p_check.add_argument("--system", required=True)
@@ -272,12 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plot = sub.add_parser("plotdata", help="emit two-column CSV curves")
     p_plot.add_argument("--system", required=True)
-    common(p_plot)
+    common(p_plot, ("--out", "--json", "--horizon"))
     p_plot.set_defaults(fn=cmd_plotdata)
 
     p_cat = sub.add_parser("catalog",
                            help="list generators, checks, theorem ids")
-    common(p_cat)
+    common(p_cat, ("--json",))
     p_cat.set_defaults(fn=cmd_catalog)
     return parser
 
@@ -289,7 +294,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.horizon is not None and args.horizon < 1:
+        if getattr(args, "horizon", None) is not None and args.horizon < 1:
             raise InputError("--horizon must be a positive integer")
         return args.fn(args)
     except InputError as exc:

@@ -216,21 +216,18 @@ TAIL_KINDS = {
 
 @dataclass(frozen=True)
 class FamilyClassifier:
-    """One of the built-in tail families, with its horizon thresholds.
+    """One of the built-in families, with its horizon thresholds.
 
-    kind: "infinite" | "cofinite" | "syndetic" | "thick" | "ip" | "custom"
+    kind: "infinite" | "cofinite" | "syndetic" | "thick" | "ip"
     """
 
     kind: str
     threshold: int | None = None
     depth: int = 3
-    predicate: object = None
 
     def __post_init__(self):
-        if self.kind not in (*TAIL_KINDS, "ip", "custom"):
+        if self.kind not in (*TAIL_KINDS, "ip"):
             raise InputError(f"unknown family kind {self.kind!r}")
-        if self.kind == "custom" and self.predicate is None:
-            raise InputError("custom family needs a predicate")
 
     def classify(self, s: IndexSet) -> tuple[bool, dict]:
         """(verdict, detail); detail is JSON-ready and names thresholds."""
@@ -242,49 +239,15 @@ class FamilyClassifier:
             ok, witness = tail.classify(s, limit)
             detail.update(thresholds={tail.threshold: limit}, witness=witness)
             return ok, detail
-        if self.kind == "ip":
-            ok, witness = contains_ip(s, self.depth)
-            detail.update(thresholds={"depth": self.depth}, witness=list(witness))
-            return ok, detail
-        ok = bool(self.predicate(s))
-        detail.update(witness=None)
+        ok, witness = contains_ip(s, self.depth)
+        detail.update(thresholds={"depth": self.depth}, witness=list(witness))
         return ok, detail
-
-    def verdict_json(self, s: IndexSet) -> dict:
-        ok, detail = self.classify(s)
-        return {"kind": self.kind, "verdict": "holds" if ok else "fails",
-                "witness": detail.get("witness"),
-                "horizon": s.horizon,
-                "thresholds": detail.get("thresholds", {})}
-
-
-def syndetic_family(threshold: int | None = None) -> FamilyClassifier:
-    return FamilyClassifier("syndetic", threshold)
-
-
-def thick_family(threshold: int | None = None) -> FamilyClassifier:
-    return FamilyClassifier("thick", threshold)
-
-
-def cofinite_family(threshold: int | None = None) -> FamilyClassifier:
-    return FamilyClassifier("cofinite", threshold)
-
-
-def infinite_family(threshold: int | None = None) -> FamilyClassifier:
-    return FamilyClassifier("infinite", threshold)
-
-
-def ip_family(depth: int = 3) -> FamilyClassifier:
-    return FamilyClassifier("ip", depth=depth)
 
 
 def dual_contains(s: IndexSet, family: FamilyClassifier) -> bool:
     """Dual-family membership via the complement characterization:
     the set meets every member of the family iff its complement is not in
-    the family.  Requires a built-in family (complement logic is known);
-    thresholds are shared between the two sides.
+    the family.  Thresholds are shared between the two sides.
     """
-    if family.kind == "custom":
-        raise InputError("dual membership needs a built-in family")
     ok, _ = family.classify(s.complement())
     return not ok

@@ -77,14 +77,6 @@ class FuzzySet:
         self.grid = grid
         self.grades = g
 
-    @classmethod
-    def from_map(cls, space: MetricSpace, grid: LevelGrid, mapping: dict) -> "FuzzySet":
-        grades = [as_fraction(mapping.get(p, ZERO)) for p in space.points]
-        return cls(space, grid, grades)
-
-    def grade(self, p: Point) -> Fraction:
-        return self.grades[self.space.index(p)]
-
     @property
     def height(self) -> Fraction:
         return max(self.grades)
@@ -179,20 +171,6 @@ def xi_of(g: GFunction) -> dict[Fraction, Fraction]:
                 out[x] = y
                 break
     return out
-
-
-def xi_iterate(g: GFunction, n: int, alpha: Fraction) -> Fraction:
-    """n-fold application of the level transfer to alpha, a level of
-    {0} + grid levels."""
-    if n < 0:
-        raise InputError("the iterate count must be >= 0")
-    xi = xi_of(g)
-    if alpha not in xi:
-        raise InputError(f"{alpha} is not a grid level")
-    cur = alpha
-    for _ in range(n):
-        cur = xi[cur]
-    return cur
 
 
 def g_fuzzify_apply(sys: SystemMap, g: GFunction | None,

@@ -1,4 +1,4 @@
-"""JSON schemas for systems, sets, verdicts, and reports.
+"""JSON schemas for systems, grade distortions, verdicts, and reports.
 
 Rationals cross the interface as "p/q" strings everywhere; emission uses
 canonical key order so identical inputs give byte-identical output.
@@ -12,9 +12,7 @@ import tempfile
 from fractions import Fraction
 
 from .errors import InputError
-from .families import IndexSet
-from .fuzzy import FuzzySet, GFunction, LevelGrid
-from .hyperspace import CompactSet
+from .fuzzy import GFunction, LevelGrid
 from .spaces import (MetricSpace, SystemMap, as_fraction,
                      make_grid_interval_map, make_multiply, make_rotation,
                      validate_metric)
@@ -112,27 +110,6 @@ def system_from_jsonable(obj: dict):
     raise InputError(f"unknown system kind {kind!r}")
 
 
-def compact_to_jsonable(c: CompactSet) -> list:
-    return [point_to_jsonable(p) for p in c.sorted_points()]
-
-
-def fuzzy_to_jsonable(a: FuzzySet) -> dict:
-    grades = {point_key(p): format_fraction(g)
-              for p, g in zip(a.space.points, a.grades) if g > 0}
-    return {"grid_m": a.grid.m, "grades": grades}
-
-
-def fuzzy_from_jsonable(space: MetricSpace, obj: dict) -> FuzzySet:
-    grid = LevelGrid(int(obj["grid_m"]))
-    lookup = {point_key(p): p for p in space.points}
-    mapping = {}
-    for key, val in obj.get("grades", {}).items():
-        if key not in lookup:
-            raise InputError(f"grade for unknown point {key!r}")
-        mapping[lookup[key]] = parse_fraction(val)
-    return FuzzySet.from_map(space, grid, mapping)
-
-
 def gfunction_to_jsonable(g: GFunction) -> dict:
     return {"m": g.grid.m,
             "table": {format_fraction(k): format_fraction(v)
@@ -147,14 +124,6 @@ def gfunction_from_jsonable(obj: dict) -> GFunction:
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"bad grade distortion document: {exc!r}") from exc
     return GFunction(grid, table)
-
-
-def indexset_to_jsonable(s: IndexSet) -> dict:
-    return {"horizon": s.horizon, "members": s.sorted_members()}
-
-
-def indexset_from_jsonable(obj: dict) -> IndexSet:
-    return IndexSet.of(int(obj["horizon"]), [int(v) for v in obj["members"]])
 
 
 def _jsonable_scalar(v):

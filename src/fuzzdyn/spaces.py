@@ -27,6 +27,10 @@ HALF = Fraction(1, 2)
 #: cap on materialized product systems (total states)
 PRODUCT_STATE_CAP = 262144
 
+#: cap on the points of a generated circle or interval grid space, whose
+#: dense distance table holds points^2 entries
+TABLE_POINT_CAP = 2048
+
 
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions, and 'p/q' strings to an exact rational."""
@@ -312,15 +316,6 @@ class SystemMap:
             self._pre = tuple(tuple(b) for b in buckets)
         return self._pre
 
-    def orbit_points(self, p: Point, steps: int) -> list[Point]:
-        """[p, T(p), ..., T^steps(p)]."""
-        i = self.space.index(p)
-        out = [self.space.points[i]]
-        for _ in range(steps):
-            i = self.table[i]
-            out.append(self.space.points[i])
-        return out
-
     def eventual_period(self) -> tuple[int, int]:
         """Smallest (preperiod, period) with T^(p+q) = T^p as tables: the
         ``period`` the map was built with, else one walk over the table."""
@@ -334,13 +329,6 @@ class SystemMap:
         if self._settled is None:
             self._settled = _power(self.table, self.eventual_period()[0])
         return self._settled
-
-    def is_isometry(self) -> bool:
-        n = len(self.space.points)
-        d = self.space.d_by_index
-        t = self.table
-        return all(d(t[i], t[j]) == d(i, j)
-                   for i in range(n) for j in range(i + 1, n))
 
 
 def _rho(table: Sequence[int]) -> tuple[int, int]:
@@ -415,6 +403,8 @@ def circle_space(n: int) -> MetricSpace:
     """Z_n with the circle metric d(i,j) = min(|i-j|, n-|i-j|)/n."""
     if n < 1:
         raise InputError("circle space needs n >= 1")
+    if n > TABLE_POINT_CAP:
+        raise BoundExceeded("table space", n, TABLE_POINT_CAP)
     # integer rows over n, which is the lcm of the reduced denominators
     rows = [[min(abs(i - j), n - abs(i - j)) for j in range(n)]
             for i in range(n)]
@@ -425,6 +415,8 @@ def interval_grid_space(m: int) -> MetricSpace:
     """The grid {i/m : 0 <= i <= m} inside [0,1] with |x - y|."""
     if m < 1:
         raise InputError("grid needs m >= 1")
+    if m + 1 > TABLE_POINT_CAP:
+        raise BoundExceeded("table space", m + 1, TABLE_POINT_CAP)
     pts = [Fraction(i, m) for i in range(m + 1)]
     rows = [[abs(x - y) for y in pts] for x in pts]
     return MetricSpace(pts, matrix=rows, label=f"grid[0,1]/{m}")

@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .families import IndexSet
 from .spaces import MetricSpace
 
 DEFAULT_HORIZON = 64
@@ -71,11 +70,6 @@ class ShiftSystem:
 
     def __repr__(self) -> str:
         return f"ShiftSystem({self.label!r})"
-
-    @property
-    def is_full(self) -> bool:
-        return all(len(self._succ[a]) == len(self.alphabet)
-                   for a in self.alphabet)
 
     def follows(self, a: str, b: str) -> bool:
         return b in self._succ[a]
@@ -164,13 +158,6 @@ class ShiftSystem:
             paths = self._walks(bound - len(u) + 1)[u[-1], v[0]]
             bits |= (paths >> 1) << len(u)
         return bits & ((1 << max(bound, 0)) - 1)
-
-    def return_membership(self, u: str, v: str, n: int) -> bool:
-        """Exact decision of n in N([u], [v]) for the one-sided shift."""
-        return bool(self.return_bits(u, v, n + 1) >> max(n, 0) & 1)
-
-    def return_times(self, u: str, v: str, horizon: int = DEFAULT_HORIZON) -> IndexSet:
-        return IndexSet.from_bits(horizon, self.return_bits(u, v, horizon))
 
 
 def full_shift(symbols: int = 2, resolution: int = 3) -> ShiftSystem:

@@ -26,7 +26,7 @@ from .analysis import (DEFAULT_CYLINDER_LENGTH, HyperShiftDyn, ShiftDyn,
                        is_mildly_mixing_bounded, is_mixing, is_proximal,
                        is_transitive, is_weakly_mixing)
 from .errors import InputError
-from .families import FamilyClassifier, thick_family
+from .families import FamilyClassifier
 from .fuzzy import (DEFAULT_STATE_CAP, FuzzySet, GFunction, LevelGrid,
                     _code, _code_heights, _code_steps, _cut_columns,
                     _cut_masks, _g_levels, _lift_table, _renderer,
@@ -528,6 +528,7 @@ def verify_theorem(theorem: str, system, *, m: int = 2,
     report = EquivalenceReport(theorem, label, config)
     run = _Run(grid, lams, horizon, state_cap, eps,
                tuple(exponents) if exponents is not None else (1, 2), g,
-               catalog, family if family is not None else thick_family())
+               catalog,
+               family if family is not None else FamilyClassifier("thick"))
     report.items = builder(system, run)
     return report.finalize()

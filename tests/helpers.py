@@ -3,8 +3,10 @@
 These recompute everything from the definitions with plain Fraction loops,
 deliberately avoiding the package's optimized integer-mask paths; optimized
 and definitional routes are cross-checked against each other in the tests.
-``image_points``, ``recurrent_points`` and ``point_return_set`` are former
-package names that only tests call; they stay thin edges over the package.
+``image_points``, ``recurrent_points``, ``point_return_set``,
+``orbit_points``, ``is_isometry`` and the ``catalog_*_upto`` fixtures are
+former package names that only tests call; they stay thin edges over the
+package.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from fractions import Fraction
 from fuzzdyn.analysis import (ProductDyn, ProductOpen, TableDyn, Verdict,
                               _Oracle, _recurrent_indices, open_label,
                               return_time_set)
+from fuzzdyn.catalog import base_catalog
 from fuzzdyn.errors import InputError
-from fuzzdyn.fuzzy import FuzzySet, fuzzy_lift_system, xi_iterate
+from fuzzdyn.fuzzy import FuzzySet, fuzzy_lift_system, xi_of
 from fuzzdyn.hyperspace import CompactSet
 from fuzzdyn.spaces import (MetricSpace, SystemMap, as_fraction,
                             circle_space, iterate, iterate_tables,
@@ -39,6 +42,37 @@ def recurrent_points(sys) -> CompactSet:
 def point_return_set(sys, x, v, horizon=None):
     """N(x, V) = {n : T^n(x) in V} for a finite table system."""
     return return_time_set(sys, [x], v, horizon)
+
+
+def orbit_points(sys, p, steps):
+    """[p, T(p), ..., T^steps(p)]."""
+    i = sys.space.index(p)
+    out = [sys.space.points[i]]
+    for _ in range(steps):
+        i = sys.table[i]
+        out.append(sys.space.points[i])
+    return out
+
+
+def is_isometry(sys) -> bool:
+    n = len(sys.space.points)
+    d = sys.space.d_by_index
+    t = sys.table
+    return all(d(t[i], t[j]) == d(i, j)
+               for i in range(n) for j in range(i + 1, n))
+
+
+def catalog_upto(n_points: int) -> list[SystemMap]:
+    return [s for s in base_catalog() if len(s.space.points) <= n_points]
+
+
+def catalog_bijections_upto(n_points: int) -> list[SystemMap]:
+    return [s for s in catalog_upto(n_points)
+            if len(set(s.table)) == len(s.table) >= 2]
+
+
+def catalog_isometries_upto(n_points: int) -> list[SystemMap]:
+    return [s for s in catalog_upto(n_points) if is_isometry(s)]
 
 
 def brute_directed(space, src, dst):
@@ -398,8 +432,10 @@ def brute_cut_lemma(sys, grid, g, horizon, step, states=None):
     m = grid.m
     # T^n and xi^n of each level depend on n alone
     powers = [iterate(sys, n) for n in range(horizon + 1)]
-    levels = [[xi_iterate(g, n, alpha) for alpha in grid.levels]
-              for n in range(horizon + 1)]
+    xi = xi_of(g)
+    levels = [list(grid.levels)]
+    while len(levels) <= horizon:
+        levels.append([xi[lv] for lv in levels[-1]])
     checked = 0
     for a in states:
         fuzzy = FuzzySet(sys.space, grid, a)

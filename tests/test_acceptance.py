@@ -11,12 +11,11 @@ from fractions import Fraction
 
 from fuzzdyn.analysis import (ShiftDyn, is_proximal, is_transitive,
                               is_weakly_mixing)
-from fuzzdyn.catalog import (base_catalog, catalog_bijections_upto,
-                             catalog_isometries_upto, catalog_upto)
-from fuzzdyn.families import (IndexSet, classify_syndetic, contains_ip,
-                              dual_contains, fs_set, thick_family)
+from fuzzdyn.catalog import base_catalog
+from fuzzdyn.families import (FamilyClassifier, IndexSet, classify_syndetic,
+                              contains_ip, dual_contains, fs_set)
 from fuzzdyn.fuzzy import (LevelGrid, fuzzy_lift_system, g_fuzzify_apply,
-                           xi_iterate, alpha_cut, FuzzySet, GFunction)
+                           xi_of, alpha_cut, FuzzySet, GFunction)
 from fuzzdyn.hyperspace import enumerate_compacts, hausdorff_distance, \
     lift_system
 from fuzzdyn.spaces import (SystemMap, circle_space, iterate_tables,
@@ -24,7 +23,8 @@ from fuzzdyn.spaces import (SystemMap, circle_space, iterate_tables,
                             make_multiply, one_point_system, validate_metric)
 from fuzzdyn.symbolic import full_shift
 from fuzzdyn.theorems import verify_theorem
-from helpers import random_table_system, taxi_space
+from helpers import (catalog_bijections_upto, catalog_isometries_upto,
+                     catalog_upto, random_table_system, taxi_space)
 
 F = Fraction
 HALF = F(1, 2)
@@ -86,11 +86,12 @@ def test_criterion_02_cut_commutation():
         g = GFunction(grid, table)
         a = FuzzySet(sys.space, grid,
                      [rng.choice(levels) for _ in sys.space.points])
-        current = a
+        xi = xi_of(g)
+        current, cuts = a, {alpha: alpha for alpha in grid.levels}
         for n in range(1, 11):
             current = g_fuzzify_apply(sys, g, current)
-            for alpha in grid.levels:
-                level = xi_iterate(g, n, alpha)
+            cuts = {alpha: xi[lv] for alpha, lv in cuts.items()}
+            for alpha, level in cuts.items():
                 want = alpha_cut(a, level).members
                 for _ in range(n):
                     want = frozenset(sys.apply(p) for p in want)
@@ -241,7 +242,8 @@ def test_criterion_09_family_machinery():
         density = rng.random()
         members = {n for n in range(200) if rng.random() < density}
         s = IndexSet.of(200, members)
-        assert dual_contains(s, thick_family()) == classify_syndetic(s).ok
+        assert dual_contains(s, FamilyClassifier("thick")) == \
+            classify_syndetic(s).ok
     assert fs_set([1, 2, 4, 8, 16, 32], 64).sorted_members() == \
         list(range(1, 64))
     for _ in range(100):

@@ -23,8 +23,7 @@ from fuzzdyn.analysis import (CylinderOpen, HyperShiftDyn, ProductDyn,
 from fuzzdyn.catalog import base_catalog, transitive_catalog
 from fuzzdyn.errors import InputError
 from fuzzdyn.families import (FamilyClassifier, IndexSet, difference_set,
-                              fs_set, infinite_family, syndetic_family,
-                              thick_family)
+                              fs_set)
 from fuzzdyn.fuzzy import LevelGrid, fuzzy_lift_system
 from fuzzdyn.hyperspace import lift_system
 from fuzzdyn.spaces import (MetricSpace, SystemMap, circle_space, iterate,
@@ -182,26 +181,26 @@ class TestMixing:
 
 class TestFamilyTransitivity:
     def test_infinite_family_one_point(self):
-        v = is_F_transitive(one_point_system(), infinite_family())
+        v = is_F_transitive(one_point_system(), FamilyClassifier("infinite"))
         assert v.holds and v.exact
 
     def test_cycle_syndetically_transitive_with_gap(self):
-        v = is_F_transitive(make_rotation(5, 1), syndetic_family())
+        v = is_F_transitive(make_rotation(5, 1), FamilyClassifier("syndetic"))
         assert v.holds and v.exact
         assert dict(v.witnesses)["witness"] == 5
 
     def test_thick_transitivity_is_weak_mixing(self):
         targets = [s for s in base_catalog() if len(s.space.points) <= 6]
         for sys in targets:
-            thick = is_F_transitive(sys, thick_family())
+            thick = is_F_transitive(sys, FamilyClassifier("thick"))
             wm = is_weakly_mixing(sys)
             assert thick.status == wm.status, sys.label
         sd = ShiftDyn(full_shift(2, 3))
-        assert is_F_transitive(sd, thick_family()).holds == \
+        assert is_F_transitive(sd, FamilyClassifier("thick")).holds == \
             is_weakly_mixing(sd).holds
 
     def test_f_mixing_runs_on_product(self):
-        v = is_F_transitive(make_rotation(2, 1), infinite_family(),
+        v = is_F_transitive(make_rotation(2, 1), FamilyClassifier("infinite"),
                             mixing=True)
         assert v.fails
 
@@ -226,9 +225,9 @@ class TestFamilyTransitivity:
 
     def test_f_mixing_takes_the_boxes_of_a_factor_basis(self):
         r = make_rotation(4, 1)
-        assert is_F_transitive(r, thick_family(), mixing=True,
+        assert is_F_transitive(r, FamilyClassifier("thick"), mixing=True,
                                basis=singleton_basis(r.space)) == \
-            is_F_transitive(r, thick_family(), mixing=True)
+            is_F_transitive(r, FamilyClassifier("thick"), mixing=True)
 
 
 class TestATransitive:
@@ -713,12 +712,13 @@ def test_proximality_matches_the_pairwise_definition(sys):
 def test_table_checkers_reject_a_basis_that_misses_points():
     r = make_rotation(4, 1)
     partial = [points_open(r.space, [0])]
+    thick = FamilyClassifier("thick")
     for check in (lambda: is_transitive(r, basis=partial),
                   lambda: is_weakly_mixing(r, basis=partial),
                   lambda: is_weakly_mixing(r, basis=partial, method="lemma"),
                   lambda: is_mixing(r, basis=partial),
-                  lambda: is_F_transitive(r, thick_family(), basis=partial),
-                  lambda: is_F_transitive(r, thick_family(), basis=partial,
+                  lambda: is_F_transitive(r, thick, basis=partial),
+                  lambda: is_F_transitive(r, thick, basis=partial,
                                           mixing=True)):
         with pytest.raises(InputError):
             check()
@@ -851,8 +851,8 @@ class TestOracleRows:
         pd = ProductDyn([(dyn, data.draw(st.integers(1, 3)))
                          for dyn, _ in factors])
         horizon = data.draw(st.one_of(st.none(), st.integers(1, 12)))
-        family = data.draw(st.sampled_from((thick_family(), syndetic_family(),
-                                            infinite_family())))
+        family = FamilyClassifier(data.draw(st.sampled_from(
+            ("thick", "syndetic", "infinite"))))
         boxes = pd.default_basis()
         assert isinstance(boxes, _BoxBasis)
         assert tuple(boxes) == tuple(boxes[i] for i in range(len(boxes)))
@@ -917,7 +917,7 @@ class TestOracleMemory:
         monkeypatch.setattr(analysis, "_SingletonOpen", CountingOpen)
         lift = fuzzy_lift_system(make_rotation(5, 1), LevelGrid(2),
                                  ("eq", F(1)))
-        v = is_F_transitive(lift, thick_family(), mixing=True)
+        v = is_F_transitive(lift, FamilyClassifier("thick"), mixing=True)
         assert v.fails
         u, w = v.counterexample
         assert u == w == "B(((0,0,0,0,1),(0,0,0,0,1)))"
@@ -1049,17 +1049,19 @@ class TestChunkedScan:
         product = ProductDyn([(TableDyn(sys), 1), (TableDyn(other), 1)])
         pre, per = sys.eventual_period()
         bound = pre + per
-        # a custom family has no exact test: the scan classifies each set
-        twice = FamilyClassifier("custom", predicate=lambda s: len(s) >= 2)
+        # the ip family has no exact test: the scan classifies each set
+        ip = FamilyClassifier("ip")
         checks = (
             lambda: is_transitive(sys, basis=basis),
             lambda: is_mixing(sys, basis=basis),
-            lambda: is_F_transitive(sys, thick_family(), basis=basis),
-            lambda: is_F_transitive(sys, syndetic_family(), basis=basis),
+            lambda: is_F_transitive(sys, FamilyClassifier("thick"),
+                                    basis=basis),
+            lambda: is_F_transitive(sys, FamilyClassifier("syndetic"),
+                                    basis=basis),
             lambda: is_weakly_mixing(sys, basis=basis, method="lemma"),
             lambda: is_transitive(product),
             lambda: analysis._ip_difference_evidence(sys, None),
-            lambda: is_F_transitive(sys, twice, basis=basis))
+            lambda: is_F_transitive(sys, ip, basis=basis))
         with mock.patch.multiple(analysis, _FIRST_CHUNK=1, _CHUNK_CAP=2):
             small = [check() for check in checks]
             scan = list(_scan(TableDyn(sys), basis, bound))
@@ -1091,7 +1093,8 @@ class TestChunkedScan:
         assert small[6] == all(brute_return_times(sys, [x], [y], window) & w
                                for x in points for y in points for w in sums)
         found = pairwise_first_failure(
-            sys, basis, lambda times, pre, per: len(times) >= 2)
+            sys, basis, lambda times, pre, per: ip.classify(
+                IndexSet.of(pre + 2 * per, times))[0])
         assert not small[7].exact
         assert small[7].counterexample == (found and found[:2])
 
@@ -1160,13 +1163,13 @@ class TestBoxClasses:
         boxes = _BoxBasis(tuple(basis for _, basis in factors))
         pairwise = PairwiseProduct(pd)
         horizon = data.draw(st.one_of(st.none(), st.integers(1, 16)))
-        family = data.draw(st.sampled_from((thick_family(), syndetic_family(),
-                                            infinite_family())))
-        # a custom family has no exact test: the scan classifies each set
-        twice = FamilyClassifier("custom", predicate=lambda s: len(s) >= 2)
+        family = FamilyClassifier(data.draw(st.sampled_from(
+            ("thick", "syndetic", "infinite"))))
+        # the ip family has no exact test: the scan classifies each set
+        ip = FamilyClassifier("ip")
         checks = (is_transitive, is_mixing,
                   lambda t, **kw: is_F_transitive(t, family, **kw),
-                  lambda t, **kw: is_F_transitive(t, twice, **kw))
+                  lambda t, **kw: is_F_transitive(t, ip, **kw))
         expect = [check(pairwise, basis=tuple(boxes), horizon=horizon)
                   for check in checks]
         assert [check(pd, basis=boxes, horizon=horizon)
@@ -1175,7 +1178,7 @@ class TestBoxClasses:
             assert [check(pd, basis=boxes, horizon=horizon)
                     for check in checks] == expect
         # a holding family check takes its witness from the last pair
-        for v, fam in zip(expect[2:], (family, twice)):
+        for v, fam in zip(expect[2:], (family, ip)):
             if v.holds:
                 *_, (_, _, chunk) = _scan(pairwise, tuple(boxes), v.horizon)
                 _, detail = fam.classify(IndexSet.from_bits(v.horizon,
@@ -1208,9 +1211,10 @@ class TestBoxClasses:
         assert v.holds and v.exact and len(v.witnesses) == 8
         assert len(built) == 1
         built.clear()
-        v = is_F_transitive(pd, syndetic_family())
+        syndetic = FamilyClassifier("syndetic")
+        v = is_F_transitive(pd, syndetic)
         assert v.holds and v.exact and len(built) == 1
-        assert v == is_F_transitive(PairwiseProduct(pd), syndetic_family())
+        assert v == is_F_transitive(PairwiseProduct(pd), syndetic)
 
     def test_failing_key_past_the_window_reads_its_row(self):
         """rotation(2) x (0 -> 1 -> 2 -> 1) over the opens {0,1,2}, {1,2},

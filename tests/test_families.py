@@ -10,8 +10,7 @@ from fuzzdyn.errors import InputError
 from fuzzdyn.families import (FamilyClassifier, IndexSet, classify_cofinite,
                               classify_infinite, classify_syndetic,
                               classify_thick, contains_ip, difference_set,
-                              dual_contains, fs_set, infinite_family,
-                              syndetic_family, thick_family)
+                              dual_contains, fs_set)
 from helpers import brute_family_results
 
 
@@ -143,7 +142,8 @@ class TestDuality:
         for _ in range(100):
             members = {n for n in range(200) if rng.random() < rng.random()}
             s = iset(200, members)
-            assert dual_contains(s, thick_family()) == classify_syndetic(s).ok
+            assert dual_contains(s, FamilyClassifier("thick")) == \
+                classify_syndetic(s).ok
 
     def test_dual_of_infinite_is_tail_containment(self):
         rng = random.Random(4)
@@ -151,17 +151,17 @@ class TestDuality:
             members = {n for n in range(100) if rng.random() < 0.7}
             s = iset(100, members)
             expect = all(n in members for n in range(50, 100))
-            assert dual_contains(s, infinite_family()) == expect
+            assert dual_contains(s, FamilyClassifier("infinite")) == expect
 
     def test_whole_horizon_in_every_dual(self):
         s = iset(64, range(64))
-        for fam in (syndetic_family(), thick_family(), infinite_family()):
-            assert dual_contains(s, fam)
+        for kind in ("syndetic", "thick", "infinite"):
+            assert dual_contains(s, FamilyClassifier(kind))
 
     def test_custom_rejected(self):
-        fam = FamilyClassifier("custom", predicate=lambda s: True)
+        # the built-in kinds are the only kinds
         with pytest.raises(InputError):
-            dual_contains(iset(10, [1]), fam)
+            FamilyClassifier("custom")
 
 
 def test_syndetic_meets_thick_at_matched_threshold():
@@ -246,10 +246,9 @@ def test_indexset_validation():
         IndexSet.from_bits(0, 0)
 
 
-def test_classifier_verdict_json_shape():
+def test_classifier_detail_shape():
     s = iset(100, range(0, 100, 2))
-    verdict = syndetic_family().verdict_json(s)
-    assert set(verdict) == {"kind", "verdict", "witness", "horizon",
-                            "thresholds"}
-    assert verdict["verdict"] == "holds"
-    assert verdict["horizon"] == 100
+    ok, detail = FamilyClassifier("syndetic").classify(s)
+    assert ok
+    assert detail == {"kind": "syndetic", "horizon": 100,
+                      "thresholds": {"gap": 25}, "witness": 2}

@@ -12,7 +12,7 @@ from fuzzdyn.spaces import (circle_space, eventual_period, iterate,
                             make_grid_interval_map, make_multiply,
                             make_rotation)
 from helpers import (brute_hausdorff, brute_subset_displacement, image_points,
-                     in_vietoris, taxi_space)
+                     in_vietoris, orbit_points, taxi_space)
 
 F = Fraction
 
@@ -162,7 +162,7 @@ class TestLiftSystem:
 
     def test_singleton_orbit_mirrors_base(self):
         lift = lift_system(make_rotation(3, 1))
-        orbit = lift.orbit_points(frozenset({0}), 3)
+        orbit = orbit_points(lift, frozenset({0}), 3)
         assert orbit == [frozenset({0}), frozenset({1}),
                          frozenset({2}), frozenset({0})]
 

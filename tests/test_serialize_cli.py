@@ -11,17 +11,13 @@ import pytest
 import fuzzdyn
 from fuzzdyn.cli import main, parse_system_spec
 from fuzzdyn.errors import InputError
-from fuzzdyn.families import IndexSet
-from fuzzdyn.fuzzy import FuzzySet, GFunction, LevelGrid
-from fuzzdyn.hyperspace import CompactSet, lift_system
-from fuzzdyn.serialize import (canonical_json, compact_to_jsonable,
-                               format_fraction, fuzzy_from_jsonable,
-                               fuzzy_to_jsonable, gfunction_from_jsonable,
-                               gfunction_to_jsonable, indexset_from_jsonable,
-                               indexset_to_jsonable, parse_fraction,
-                               system_from_jsonable, system_to_jsonable)
-from fuzzdyn.spaces import (circle_space, make_grid_interval_map,
-                            make_multiply, make_rotation)
+from fuzzdyn.fuzzy import GFunction, LevelGrid
+from fuzzdyn.hyperspace import lift_system
+from fuzzdyn.serialize import (canonical_json, format_fraction,
+                               gfunction_from_jsonable, gfunction_to_jsonable,
+                               parse_fraction, system_from_jsonable,
+                               system_to_jsonable)
+from fuzzdyn.spaces import make_grid_interval_map, make_multiply, make_rotation
 from fuzzdyn.symbolic import golden_mean_shift
 
 F = Fraction
@@ -100,35 +96,19 @@ class TestSystemRoundTrips:
 
 
 class TestValueRoundTrips:
-    def test_compact_sorted(self):
-        space = circle_space(5)
-        assert compact_to_jsonable(CompactSet(space, [3, 0, 4])) == [0, 3, 4]
-
-    def test_fuzzy_roundtrip(self):
-        space = circle_space(4)
-        grid = LevelGrid(2)
-        a = FuzzySet(space, grid, [F(0), F(1, 2), F(1), F(0)])
-        doc = fuzzy_to_jsonable(a)
-        assert doc == {"grid_m": 2, "grades": {"1": "1/2", "2": "1/1"}}
-        assert fuzzy_from_jsonable(space, doc) == a
-
     def test_gfunction_roundtrip(self):
         grid = LevelGrid(2)
         g = GFunction(grid, {F(0): 0, F(1, 2): 1, F(1): 1})
         back = gfunction_from_jsonable(gfunction_to_jsonable(g))
         assert back == g
 
-    def test_indexset_roundtrip(self):
-        s = IndexSet.of(20, [1, 5, 7])
-        assert indexset_from_jsonable(indexset_to_jsonable(s)) == s
-
 
 class TestSystemSpecs:
     def test_named_specs(self):
         assert parse_system_spec("rotation:6,2").label == "rotation(6,2)"
         assert parse_system_spec("point").label == "rotation(1,0)"
-        assert parse_system_spec("fullshift:2,3").is_full
-        assert not parse_system_spec("goldenmean:4").is_full
+        assert parse_system_spec("fullshift:2,3").label == "fullshift(2,k=3)"
+        assert not parse_system_spec("goldenmean:4").follows("1", "1")
 
     def test_file_spec(self, tmp_path):
         path = tmp_path / "sys.json"
@@ -287,6 +267,35 @@ class TestCli:
         assert main(["verify", "--theorem", "transitivity",
                      "--system", "rotation:20,1",
                      "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("system", ["rotation:2049,1",
+                                        "gridmap:half,2048"])
+    def test_table_space_over_the_cap_exits_three(self, tmp_path, capsys,
+                                                   system):
+        # the point count is checked before any distance row is built
+        start = time.monotonic()
+        assert main(["check", "--system", system, "--props", "transitivity",
+                     "--out", str(tmp_path)]) == 3
+        assert time.monotonic() - start < 1.0
+        err = capsys.readouterr().err
+        assert err == "bound exceeded: table space: size 2049 exceeds " \
+                      "bound 2048\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [
+        ["catalog", "--out", "x"],
+        ["catalog", "--horizon", "3"],
+        ["catalog", "--m", "0"],
+        ["plotdata", "--system", "rotation:3,1", "--eps", "1/2"],
+        ["plotdata", "--system", "rotation:3,1", "--m", "1"],
+        ["plotdata", "--system", "rotation:3,1", "--seed", "1"],
+    ])
+    def test_options_a_command_does_not_read_exit_two(self, tmp_path, capsys,
+                                                      monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_uniform_rigidity_has_no_subset_bound(self, tmp_path):
         rc = main(["verify", "--theorem", "uniform-rigidity",

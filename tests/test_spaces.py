@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzdyn.catalog import base_catalog, catalog_upto
+from fuzzdyn.catalog import base_catalog
 from fuzzdyn.errors import BoundExceeded, InputError
 from fuzzdyn.hyperspace import lift_system
+import fuzzdyn.spaces as spaces
 from fuzzdyn.spaces import (MetricSpace, SystemMap, circle_space,
                             eventual_period, interval_grid_space, iterate,
                             make_grid_interval_map, make_multiply,
                             make_rotation, one_point_system, product_system,
                             validate_metric)
-from helpers import brute_eventual_period, brute_metric_violations
+from helpers import (brute_eventual_period, brute_metric_violations,
+                     catalog_upto, is_isometry, orbit_points)
 
 F = Fraction
 
@@ -73,18 +75,29 @@ class TestValidateMetricOracle:
 class TestRotation:
     def test_order_four_cycle(self):
         r = make_rotation(4, 1)
-        assert r.orbit_points(0, 4) == [0, 1, 2, 3, 0]
+        assert orbit_points(r, 0, 4) == [0, 1, 2, 3, 0]
 
     def test_rotation_is_isometry(self):
-        assert make_rotation(12, 1).is_isometry()
+        assert is_isometry(make_rotation(12, 1))
 
     def test_step_two_orbit_stuck_on_evens(self):
         r = make_rotation(6, 2)
-        assert set(r.orbit_points(0, 6)) == {0, 2, 4}
+        assert set(orbit_points(r, 0, 6)) == {0, 2, 4}
 
     def test_zero_points_rejected(self):
         with pytest.raises(InputError):
             make_rotation(0)
+
+    def test_generated_spaces_stop_at_the_point_cap(self, monkeypatch):
+        monkeypatch.setattr(spaces, "TABLE_POINT_CAP", 8)
+        assert len(circle_space(8)) == len(interval_grid_space(7)) == 8
+        for build in (lambda: make_rotation(9, 1),
+                      lambda: make_multiply(9, 2),
+                      lambda: interval_grid_space(8)):
+            with pytest.raises(BoundExceeded) as exc:
+                build()
+            assert (exc.value.what, exc.value.size, exc.value.bound) == \
+                ("table space", 9, 8)
 
     def test_surjective(self):
         assert make_rotation(7, 3).surjective
@@ -109,7 +122,7 @@ class TestMultiply:
 class TestGridIntervalMap:
     def test_halving_orbit_of_one(self):
         half = make_grid_interval_map("half", 8)
-        orbit = half.orbit_points(F(1), 4)
+        orbit = orbit_points(half, F(1), 4)
         assert orbit == [F(1), F(1, 2), F(1, 4), F(1, 8), F(0)]
 
     def test_halving_images_shrink_to_zero(self):
@@ -156,12 +169,12 @@ class TestProductSystem:
     def test_exponent_vector_orbit(self):
         r = make_rotation(4, 1)
         p = product_system([(r, 1), (r, 2)])
-        assert p.orbit_points((0, 0), 2) == [(0, 0), (1, 2), (2, 0)]
+        assert orbit_points(p, (0, 0), 2) == [(0, 0), (1, 2), (2, 0)]
 
     def test_two_fold_product_of_two_cycle_misses_diagonal(self):
         r = make_rotation(2, 1)
         p = product_system([(r, 1), (r, 1)])
-        orbit = p.orbit_points((0, 1), 4)
+        orbit = orbit_points(p, (0, 1), 4)
         assert len(set(orbit)) == 2
         assert (0, 0) not in orbit
 

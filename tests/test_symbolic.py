@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fuzzdyn.errors import InputError
-from fuzzdyn.families import classify_cofinite
+from fuzzdyn.families import IndexSet, classify_cofinite
 from fuzzdyn.spaces import validate_metric
 from fuzzdyn.symbolic import ShiftSystem, full_shift, golden_mean_shift
 from helpers import shift_brute_member
@@ -77,15 +77,14 @@ def test_word_space_is_ultrametric():
 
 def test_return_times_example():
     fs = full_shift(2, 3)
-    times = fs.return_times("01", "1", 10)
-    assert times.sorted_members() == list(range(1, 10))
+    assert fs.return_bits("01", "1", 10) == 0b1111111110
 
 
 def test_cofinite_tail_of_long_cylinder():
     fs = full_shift(2, 3)
     for u in fs.legal_words(3):
         for v in fs.legal_words(3):
-            s = fs.return_times(u, v, 32)
+            s = IndexSet.from_bits(32, fs.return_bits(u, v, 32))
             res = classify_cofinite(s)
             assert res.ok
             assert res.tail_start <= 3
@@ -96,7 +95,7 @@ def test_membership_matches_word_enumeration(shift):
     words = shift.cylinders(3)
     for u, v in itertools.product(words, repeat=2):
         for n in range(8):
-            fast = shift.return_membership(u, v, n)
+            fast = bool(shift.return_bits(u, v, n + 1) >> n & 1)
             brute = shift_brute_member(shift, u, v, n)
             assert fast == brute, (u, v, n)
 
@@ -104,14 +103,13 @@ def test_membership_matches_word_enumeration(shift):
 def test_membership_rejects_illegal_words():
     gm = golden_mean_shift(4)
     with pytest.raises(InputError):
-        gm.return_membership("11", "0", 1)
+        gm.return_bits("11", "0", 2)
 
 
 def test_golden_mean_overlap_blocked():
     gm = golden_mean_shift(4)
     # shifting [1] by one step cannot land in [1]: 11 is forbidden
-    assert not gm.return_membership("1", "1", 1)
-    assert gm.return_membership("1", "1", 2)
+    assert gm.return_bits("1", "1", 3) == 0b101
 
 
 def test_walk_cache_is_bounded():
