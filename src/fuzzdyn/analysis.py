@@ -168,8 +168,6 @@ def _open_indices(space: MetricSpace, u: PointsOpen) -> frozenset:
 
 
 def validate_basis(space: MetricSpace, basis: Sequence[PointsOpen]) -> None:
-    if not basis:
-        raise InputError("empty basis")
     covered = set()
     for u in basis:
         indices = _open_indices(space, u)
@@ -182,14 +180,16 @@ def validate_basis(space: MetricSpace, basis: Sequence[PointsOpen]) -> None:
 
 def _checked_basis(dyn, basis) -> Sequence:
     """The oracle's default basis, or the caller's basis, which must cover
-    the space of a table system (the default basis covers it already)."""
+    the space of a table system (the default basis covers it already).
+    No basis may be empty: a scan over no opens would hold vacuously."""
     if basis is None:
-        return dyn.default_basis()
-    if isinstance(basis, _BoxBasis):
-        return basis
-    basis = tuple(basis)
-    if isinstance(dyn, TableDyn):
-        validate_basis(dyn.sys.space, basis)
+        basis = dyn.default_basis()
+    elif not isinstance(basis, _BoxBasis):
+        basis = tuple(basis)
+        if basis and isinstance(dyn, TableDyn):
+            validate_basis(dyn.sys.space, basis)
+    if not basis:
+        raise InputError("empty basis")
     return basis
 
 
@@ -494,23 +494,58 @@ class HyperShiftDyn(_Oracle):
         return None
 
     def return_times(self, u: VietorisOpen, v: VietorisOpen, bound: int) -> int:
-        return next(self.row(u, (v,), bound))
+        times = [[self.base.word_times(a, b, bound) for b in v.words]
+                 for a in u.words]
+        # each U_i sends into some V_j; each V_j receives from some U_i
+        return functools.reduce(operator.and_, (
+            functools.reduce(operator.or_, bits)
+            for bits in (*times, *zip(*times))))
 
-    def row(self, u: VietorisOpen, basis, bound: int):
-        times = self.base.word_times
-        full = (1 << bound) - 1
-        cols = {}   # base word V_j -> (N(U_i, V_j) for each U_i, their OR)
-        for v in basis:
-            bits = full
-            sends = [0] * len(u.words)
-            for vw in v.words:
-                hit = cols.get(vw)
-                if hit is None:
-                    col = tuple(times(uw, vw, bound) for uw in u.words)
-                    hit = cols[vw] = col, functools.reduce(operator.or_, col)
-                bits &= hit[1]                          # V_j receives
-                sends = list(map(operator.or_, sends, hit[0]))
-            yield functools.reduce(operator.and_, sends, bits)  # U_i sends
+    def rows(self, basis, bound: int):
+        """One lazy row per source U, the Vietoris fold (README)."""
+        # each open's distinct words, as <V, V> = <V>; per run of targets
+        # of as many words, column k holds the index of each target's k-th
+        # word among the basis's words
+        opens = [tuple(dict.fromkeys(v.words)) for v in basis]
+        words = {}
+        runs = [[[words.setdefault(w, len(words)) for w in col]
+                 for col in zip(*run)]
+                for _, run in itertools.groupby(opens, len)]
+        word_rows = {}      # source word -> its base row over the words
+        for u in opens:
+            for w in u:
+                if w not in word_rows:
+                    word_rows[w] = [self.base.word_times(w, x, bound)
+                                    for x in words]
+            rows = [word_rows[w] for w in u]
+            yield itertools.chain.from_iterable(map(functools.partial(
+                _vietoris_run, list(_fold(operator.or_, rows)), rows), runs))
+
+
+def _vietoris_run(ors, rows, cols):
+    """A source's sets over one run of targets, from the base rows of its
+    words and their OR: each V_k receives from some U_i, and each U_i sends
+    into some V_k."""
+    return _fold(operator.and_, [
+        *(map(ors.__getitem__, c) for c in cols),
+        *(_fold(operator.or_, [map(r.__getitem__, c) for c in cols])
+          for r in rows)])
+
+
+#: the deepest chain of lazy maps a fold builds before it reads one into a
+#: list; a chain of 100,000 maps overflows the C stack when read
+_FOLD_DEPTH = 64
+
+
+def _fold(op, its):
+    """The elementwise op of the iterables, read lazily unless there are
+    more than ``_FOLD_DEPTH`` of them."""
+    acc, *its = its
+    for k, it in enumerate(its, 1):
+        acc = map(op, acc, it)
+        if k % _FOLD_DEPTH == 0:
+            acc = list(acc)
+    return acc
 
 
 def as_dyn(target):
@@ -531,7 +566,7 @@ def _coerce_open(dyn, u):
         if isinstance(u, CompactSet):
             return points_open(dyn.sys.space, u.members)
         return points_open(dyn.sys.space, u)
-    if isinstance(dyn, (ShiftDyn, HyperShiftDyn)) and isinstance(u, str):
+    if isinstance(dyn, ShiftDyn) and isinstance(u, str):
         return CylinderOpen(u)
     raise InputError(f"cannot interpret {u!r} as an open set")
 
@@ -770,7 +805,7 @@ def is_F_transitive(target, family: FamilyClassifier, basis=None,
                                    counterexample=_labels(basis, i, j))
     # the witness is read off the last pair's set at the window; a product
     # scan may skip that pair's row
-    detail = basis and family.classify(IndexSet.from_bits(
+    detail = family.classify(IndexSet.from_bits(
         window, dyn.return_times(basis[-1], basis[-1], window)))[1]
     wit = (("family", family.kind),)
     if detail and detail.get("witness") is not None:

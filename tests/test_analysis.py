@@ -1,6 +1,9 @@
 import gc
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -666,6 +669,75 @@ class TestOracleBitsets:
                         for b in v_words)}
         assert bit_members(bits, bound) == want
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_vietoris_rows_match_the_membership_rule(self, data):
+        """Whole rows of the hyperspace oracle, entry by entry: n is in
+        N(U, V) iff every U_i meets some V_j at time n and every V_j is met
+        by some U_i.  The basis is a caller's, of opens with 1-3 words in
+        any order and with repeats, or the default one at 3 components."""
+        shift = data.draw(small_shifts())
+        hyper = HyperShiftDyn(shift,
+                              cylinder_length=data.draw(st.integers(1, 2)),
+                              max_components=3)
+        words = shift.cylinders(hyper.cylinder_length)
+        if len(words) <= 6 and data.draw(st.booleans()):
+            basis = hyper.default_basis()
+        else:
+            basis = [VietorisOpen(tuple(ws)) for ws in data.draw(st.lists(
+                st.lists(st.sampled_from(words), min_size=1, max_size=3),
+                min_size=1, max_size=6))]
+        bound = data.draw(st.integers(0, 6))
+        used = {w for u in basis for w in u.words}
+        meets = {(a, b): {n for n in range(bound)
+                          if shift_brute_member(shift, a, b, n)}
+                 for a in used for b in used}
+
+        def want(u, v):
+            return {n for n in range(bound)
+                    if all(any(n in meets[a, b] for b in v.words)
+                           for a in u.words)
+                    and all(any(n in meets[a, b] for a in u.words)
+                            for b in v.words)}
+
+        rows = list(hyper.rows(basis, bound))
+        assert len(rows) == len(basis)
+        for u, row in zip(basis, rows):
+            assert [bit_members(bits, bound) for bits in row] == [
+                want(u, v) for v in basis]
+
+    def test_vietoris_rows_past_the_fold_depth(self):
+        """An open of more distinct words than a fold nests lazily reads
+        some partial folds into lists; its rows still match the pairwise
+        rule, which ``return_times`` reads without a fold."""
+        hyper = HyperShiftDyn(full_shift(2, 3), cylinder_length=7)
+        words = tuple(hyper.shift.cylinders(7))
+        assert len(words) > analysis._FOLD_DEPTH
+        basis = [VietorisOpen(words), VietorisOpen(words[:1]),
+                 VietorisOpen(tuple(reversed(words[:70])) + words[:3])]
+        for u, row in zip(basis, hyper.rows(basis, 10)):
+            assert list(row) == [hyper.return_times(u, v, 10) for v in basis]
+
+    def test_a_long_open_reads_in_a_child(self, tmp_path):
+        """A chain of 100,000 lazy maps overflows the C stack when read, so
+        an open of 100,000 repeated words, and a fold of 200,000 lists, run
+        in a child interpreter that such a chain would crash."""
+        code = ("import operator\n"
+                "from fuzzdyn.analysis import (HyperShiftDyn, VietorisOpen,"
+                " _fold, is_transitive)\n"
+                "from fuzzdyn.symbolic import full_shift\n"
+                "u = VietorisOpen(('0',) * 100_000)\n"
+                "print(is_transitive(HyperShiftDyn(full_shift(2, 3)),"
+                " basis=[u]).status)\n"
+                "print(*_fold(operator.and_, [[1]] * 200_000))\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(os.path.abspath(analysis.__file__))))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["holds", "1"]
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(small_tables(5), st.integers(1, 3)),
@@ -886,6 +958,34 @@ class TestOracleMemory:
         for u, v in (((), ("0",)), (("0",), ())):
             with pytest.raises(InputError, match="^empty open rejected$"):
                 hd.return_times(VietorisOpen(u), VietorisOpen(v), 4)
+
+    def test_a_word_is_no_vietoris_open(self):
+        # a bare word names a base cylinder; on the hyperspace oracle it
+        # once reached the row as a CylinderOpen and raised AttributeError
+        hd = HyperShiftDyn(full_shift(2, 2))
+        with pytest.raises(InputError, match="^cannot interpret '0'"):
+            return_time_set(hd, "0", VietorisOpen(("1",)))
+
+    @pytest.mark.parametrize("dyn, basis", [
+        (ShiftDyn(full_shift(2, 3)), []),
+        (ShiftDyn(full_shift(2, 3), cylinder_length=0), None),
+        (HyperShiftDyn(full_shift(2, 3), max_components=0), None),
+    ], ids=["caller", "no-cylinders", "no-components"])
+    def test_empty_shift_basis_is_an_input_error(self, dyn, basis):
+        """A scan over no opens would hold vacuously: a caller's empty
+        basis, an empty default and the boxes of an empty factor basis are
+        each rejected, as a table's empty basis is."""
+        syndetic = FamilyClassifier("syndetic")
+        checks = [is_transitive, is_mixing, is_weakly_mixing,
+                  lambda t, **kw: is_weakly_mixing(t, method="lemma", **kw),
+                  lambda t, **kw: is_F_transitive(t, syndetic, **kw),
+                  lambda t, **kw: is_F_transitive(t, syndetic, mixing=True,
+                                                  **kw)]
+        if basis is None:       # the product's default boxes
+            checks.append(lambda t, **kw: is_a_transitive(t, (1, 2)))
+        for check in checks:
+            with pytest.raises(InputError, match="^empty basis$"):
+                check(dyn, basis=basis)
 
     def test_shift_memo_holds_word_pairs_per_bound(self):
         hd = HyperShiftDyn(full_shift(2, 3))
@@ -1134,11 +1234,11 @@ class TestChunkedScan:
 def mixed_factors(draw):
     """A factor oracle of any kind with a basis: a table with a pointwise
     basis, a shift with its cylinders, or the hyperspace of a shift with
-    some of its Vietoris opens."""
+    some of its Vietoris opens over cylinders of length 1-2."""
     if draw(st.booleans()):
         return draw(factor_oracles(max_points=4, max_length=2))
     hyper = HyperShiftDyn(draw(small_shifts(st.integers(1, 2))),
-                          cylinder_length=1)
+                          cylinder_length=draw(st.integers(1, 2)))
     basis = draw(st.lists(st.sampled_from(hyper.default_basis()),
                           min_size=1, max_size=4, unique=True))
     return hyper, tuple(basis)
