@@ -1,196 +1,32 @@
 """Return-time sets and dynamical property checkers.
 
 Every checker returns a :class:`Verdict` that records whether its
-quantifiers were exhausted.  On finite table systems the eventual period of
-the map table makes all "for all n" quantifiers finite, so verdicts there
-are exact.  On symbolic backends membership of each individual n in a
-return-time set is exact, but tail claims and the open-set quantifier
-(truncated to cylinders of bounded length) are horizon evidence and are
-flagged as such.
-
-Open-set quantifiers always range over a declared basis:
-
-* finite backends: all singleton balls (radius below the minimum positive
-  distance, so the ball is the point itself);
-* symbolic backends: all legal cylinders up to a configured length;
-* lifted enumerations: singleton balls of lifted states;
-* hyperspace over a shift: Vietoris elements with a bounded number of
-  cylinder components, decided through base return times.
+quantifiers were exhausted.  The checkers read an oracle of
+:mod:`fuzzdyn.oracles` through its contract, never by its type.  On finite
+oracles the eventual period makes all "for all n" quantifiers finite, so
+verdicts there are exact.  On symbolic backends membership of each
+individual n in a return-time set is exact, but tail claims and the
+open-set quantifier (truncated to cylinders of bounded length) are horizon
+evidence and are flagged as such.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
-import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InputError
 from .families import (TAIL_KINDS, FamilyClassifier, IndexSet, difference_set,
                        fs_set)
-from .hyperspace import CompactSet
-from .spaces import (MetricSpace, Point, SystemMap, _scaled_matrix,
-                     as_fraction, iterate_tables, point_label)
-from .symbolic import DEFAULT_HORIZON, ShiftSystem
-
-DEFAULT_CYLINDER_LENGTH = 3
-VIETORIS_COMPONENT_CAP = 2
+from .oracles import ProductDyn, TableDyn, _box_row, _BoxBasis, as_dyn
+from .spaces import (Point, SystemMap, _scaled_matrix, as_fraction,
+                     iterate_tables, point_label)
+from .symbolic import DEFAULT_HORIZON
 
 #: generator triples behind the bounded difference-of-sums evidence
 IP_WITNESS_GENERATORS = ((1, 2, 4), (2, 3, 7), (1, 3, 5), (3, 4, 9), (2, 5, 11))
-
-
-# -- opens ----------------------------------------------------------------
-
-class PointsOpen:
-    """A finite open set of a table space (every subset is open here), held
-    as point indices; its members and label are rendered on first use."""
-
-    __slots__ = ("space", "indices", "_label", "_members")
-
-    def __init__(self, space: MetricSpace, indices: frozenset,
-                 label: str | None = None):
-        self.space = space
-        self.indices = indices
-        self._label = label
-        self._members = None
-
-    @property
-    def members(self) -> frozenset:
-        if self._members is None:
-            pts = self.space.points
-            self._members = frozenset(pts[i] for i in self.indices)
-        return self._members
-
-    @property
-    def label(self) -> str:
-        if self._label is None:
-            self._label = self._render_label()
-        return self._label
-
-    def _render_label(self) -> str:
-        return "{" + ",".join(sorted(point_label(p)
-                                     for p in self.members)) + "}"
-
-
-class _SingletonOpen(PointsOpen):
-    """The singleton ball B(x) of the singleton basis."""
-
-    __slots__ = ()
-
-    def _render_label(self) -> str:
-        (i,) = self.indices
-        return f"B({point_label(self.space.points[i])})"
-
-
-@dataclass(frozen=True)
-class CylinderOpen:
-    """The set of shift points with the given legal prefix."""
-    word: str
-
-
-@dataclass(frozen=True)
-class ProductOpen:
-    """A box: one open per factor of a product system."""
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class VietorisOpen:
-    """Hyperspace basis element built from base cylinders, at least one."""
-    words: tuple
-
-    def __post_init__(self):
-        if not self.words:
-            raise InputError("empty open rejected")
-
-
-def open_label(u) -> str:
-    if isinstance(u, PointsOpen):
-        return u.label
-    if isinstance(u, CylinderOpen):
-        return f"[{u.word}]"
-    if isinstance(u, ProductOpen):
-        # B(x) x B(y) is B((x,y)) under the max metric
-        if all(isinstance(p, _SingletonOpen) for p in u.parts):
-            point = tuple(p.space.points[i] for p in u.parts for i in p.indices)
-            return f"B({point_label(point)})"
-        return "(" + ",".join(open_label(p) for p in u.parts) + ")"
-    if isinstance(u, VietorisOpen):
-        return "<" + ",".join(f"[{w}]" for w in u.words) + ">"
-    raise InputError(f"not an open: {u!r}")
-
-
-def points_open(space: MetricSpace, members: Iterable[Point],
-                label: str | None = None) -> PointsOpen:
-    indices = frozenset(space.index(p) for p in members)
-    if not indices:
-        raise InputError("empty open rejected")
-    return PointsOpen(space, indices, label)
-
-
-class _SingletonBasis(Sequence):
-    """The singleton balls of a table space, one per point in point order;
-    each open is built on first access and kept."""
-
-    def __init__(self, space: MetricSpace):
-        self.space = space
-        self._opens: list[PointsOpen | None] = [None] * len(space.points)
-
-    def __len__(self) -> int:
-        return len(self._opens)
-
-    def __getitem__(self, i: int) -> PointsOpen:
-        i = range(len(self._opens))[i]
-        hit = self._opens[i]
-        if hit is None:
-            hit = self._opens[i] = _SingletonOpen(self.space, frozenset((i,)))
-        return hit
-
-    def __iter__(self):
-        if None in self._opens:
-            return map(self.__getitem__, range(len(self._opens)))
-        return iter(self._opens)
-
-
-def singleton_basis(space: MetricSpace) -> Sequence[PointsOpen]:
-    return _SingletonBasis(space)
-
-
-def _open_indices(space: MetricSpace, u: PointsOpen) -> frozenset:
-    """The indices in ``space`` of the points of u."""
-    if u.space is space:
-        return u.indices
-    return frozenset(space.index(p) for p in u.members)
-
-
-def validate_basis(space: MetricSpace, basis: Sequence[PointsOpen]) -> None:
-    covered = set()
-    for u in basis:
-        indices = _open_indices(space, u)
-        if not indices:
-            raise InputError("basis contains an empty open")
-        covered |= indices
-    if len(covered) != len(space.points):
-        raise InputError("basis does not cover the space")
-
-
-def _checked_basis(dyn, basis) -> Sequence:
-    """The oracle's default basis, or the caller's basis, which must cover
-    the space of a table system (the default basis covers it already).
-    No basis may be empty: a scan over no opens would hold vacuously."""
-    if basis is None:
-        basis = dyn.default_basis()
-    elif not isinstance(basis, _BoxBasis):
-        basis = tuple(basis)
-        if basis and isinstance(dyn, TableDyn):
-            validate_basis(dyn.sys.space, basis)
-    if not basis:
-        raise InputError("empty basis")
-    return basis
 
 
 # -- verdicts --------------------------------------------------------------
@@ -220,357 +56,6 @@ class Verdict:
         return self.status == "fails"
 
 
-# -- dynamics oracles -------------------------------------------------------
-
-class _Oracle:
-    """Every oracle answers ``return_times(u, v, bound)`` with N(U, V) below
-    the bound as one bitset: bit n is set iff T^n(U) meets V and n < bound.
-    Scans read ``rows(basis, bound)``: one row per basis open U, in basis
-    order, and the row yields N(U, V) for every V of the basis, in basis
-    order, on demand."""
-
-    def rows(self, basis, bound: int):
-        return (self.row(u, basis, bound) for u in basis)
-
-    def row(self, u, basis, bound: int):
-        return (self.return_times(u, v, bound) for v in basis)
-
-
-class TableDyn(_Oracle):
-    """Return-time oracle for a finite table system; exact via the eventual
-    period of the map table."""
-
-    def __init__(self, sys: SystemMap):
-        self.sys = sys
-
-    def default_basis(self) -> Sequence[PointsOpen]:
-        return singleton_basis(self.sys.space)
-
-    def preperiod_period(self) -> tuple[int, int]:
-        return self.sys.eventual_period()
-
-    def _indices(self, u) -> frozenset:
-        if not isinstance(u, PointsOpen):
-            raise InputError("a table system quantifies over pointwise opens")
-        return _open_indices(self.sys.space, u)
-
-    def return_times(self, u: PointsOpen, v: PointsOpen, bound: int) -> int:
-        return next(self._row(self._indices(u), (self._indices(v),), bound))
-
-    def rows(self, basis, bound: int):
-        if (isinstance(basis, _SingletonBasis)
-                and basis.space is self.sys.space):
-            n = len(basis)                  # point i is the set (i,)
-            return (self._row((i,), zip(range(n)), bound) for i in range(n))
-        sets = tuple(map(self._indices, basis))
-        return (self._row(u, sets, bound) for u in sets)
-
-    def _row(self, u, sets, bound: int):
-        """One walk of the orbit of the point set u up to pre + per records,
-        per point, the times n at which it lies in T^n(u); each target set
-        collects its points' times (T^n(u) meets it iff some point of it
-        lies in T^n(u)); a multiply by a repunit repeats the per-bit cycle."""
-        pre, per = self.sys.eventual_period()
-        tbl = self.sys.table
-        walk = min(bound, pre + per)
-        times: dict[int, int] = {}
-        cur = u
-        for n in range(walk):
-            bit = 1 << n
-            for i in cur:
-                times[i] = times.get(i, 0) | bit
-            cur = {tbl[i] for i in cur}
-        mask = (1 << bound) - 1
-        # ones at walk + k * per for k < bound // per, enough since walk >=
-        # per whenever walk < bound
-        rep = mask // ((1 << per) - 1) >> bound % per << walk
-        for v in sets:
-            bits = 0
-            for j in v:
-                bits |= times.get(j, 0)
-            yield (bits | (bits >> pre) * rep) & mask
-
-
-class ShiftDyn(_Oracle):
-    """Return-time oracle for cylinders of a shift of finite type.
-
-    Each word pair is decided once per bound: the oracle keeps every bitset
-    it computes, at most (cylinders)^2 x (distinct bounds) of them.  Only
-    legal pairs get an entry, so every call with an illegal word is
-    validated again and raises."""
-
-    def __init__(self, shift: ShiftSystem,
-                 cylinder_length: int = DEFAULT_CYLINDER_LENGTH):
-        self.shift = shift
-        self.cylinder_length = min(cylinder_length, shift.resolution)
-        self._times: dict[tuple[str, str, int], int] = {}
-
-    def default_basis(self) -> tuple[CylinderOpen, ...]:
-        return tuple(CylinderOpen(w)
-                     for w in self.shift.cylinders(self.cylinder_length))
-
-    def preperiod_period(self) -> None:
-        return None
-
-    def word_times(self, u: str, v: str, bound: int) -> int:
-        """N([u], [v]) below the bound."""
-        key = (u, v, bound)
-        bits = self._times.get(key)
-        if bits is None:
-            bits = self._times[key] = self.shift.return_bits(u, v, bound)
-        return bits
-
-    def return_times(self, u: CylinderOpen, v: CylinderOpen, bound: int) -> int:
-        return self.word_times(u.word, v.word, bound)
-
-
-def _dilate(bits: int, a: int, bound: int) -> int:
-    """The bitset whose bit n < bound is bit a * n of ``bits``."""
-    digits = format(bits, "b")[::-1][::a][:bound]   # bit 0 first
-    return int(digits[::-1] or "0", 2)
-
-
-class _BoxBasis(Sequence):
-    """The boxes of the factor bases in product order, each built only when
-    it is read by index; scans read rows by index and build none."""
-
-    __slots__ = ("bases",)
-
-    def __init__(self, bases: tuple):
-        self.bases = bases
-
-    def __len__(self) -> int:
-        return math.prod(map(len, self.bases))
-
-    def __getitem__(self, i: int) -> ProductOpen:
-        i = range(len(self))[i]
-        parts = []
-        for basis in reversed(self.bases):
-            i, r = divmod(i, len(basis))
-            parts.append(basis[r])
-        return ProductOpen(tuple(reversed(parts)))
-
-
-class _LazyRow:
-    """A factor row, or a factor's rows, whose items are computed on first
-    iteration and kept; a later iteration reads the kept ones, then resumes
-    the source, and once the source is exhausted it reads the kept list
-    alone."""
-
-    def __init__(self, source):
-        self._source = source
-        self._done: list[int] = []
-
-    @functools.cached_property
-    def values(self) -> frozenset:
-        """The set of the row's bitsets, read to its end on first use."""
-        return frozenset(self)
-
-    def __iter__(self):
-        if self._source is None:
-            return iter(self._done)
-        return self._resume()
-
-    def _resume(self):
-        yield from self._done
-        for bits in self._source:
-            self._done.append(bits)
-            yield bits
-        self._source = None
-
-
-def _box_row(rows: list, acc: int = -1):
-    """The AND of one bitset from each (masked) factor row, in product
-    order."""
-    heads = map(acc.__and__, rows[0])
-    if len(rows) == 1:
-        return heads
-    return itertools.chain.from_iterable(
-        map(_box_row, itertools.repeat(rows[1:]), heads))
-
-
-def _tuples(first, *rest):
-    """Each choice of one item per iterable, in product order, read on
-    demand: each iterable after the first is read once per item before it,
-    so it must be one that can be read again, such as a ``_LazyRow``."""
-    for item in first:
-        for tail in _tuples(*rest) if rest else [()]:
-            yield (item, *tail)
-
-
-class ProductDyn(_Oracle):
-    """Product of oracles with per-factor exponents; membership is decided
-    coordinatewise: n is a return time iff a_i * n is one for each factor,
-    so a box's row is the AND of its factors' dilated rows (Furstenberg
-    1967).  Over a box basis each factor row comes from one scan of the
-    factor and is kept only for this scan; any other basis is read
-    pairwise."""
-
-    def __init__(self, factors: Sequence[tuple[object, int]]):
-        if not factors:
-            raise InputError("empty factor list rejected")
-        for _, e in factors:
-            if e < 1:
-                raise InputError("exponents must be positive")
-        self.factors = tuple(factors)
-
-    def default_basis(self) -> _BoxBasis:
-        return _BoxBasis(tuple(dyn.default_basis() for dyn, _ in self.factors))
-
-    def preperiod_period(self) -> tuple[int, int] | None:
-        pre_star, per_star = 0, 1
-        for dyn, a in self.factors:
-            pp = dyn.preperiod_period()
-            if pp is None:
-                return None
-            pre, per = pp
-            pre_i = -(-pre // a)
-            per_i = per // math.gcd(per, a)
-            pre_star = max(pre_star, pre_i)
-            per_star = per_star * per_i // math.gcd(per_star, per_i)
-        return pre_star, per_star
-
-    def _factor_rows(self, k: int, basis, bound: int):
-        dyn, a = self.factors[k]
-        rows = dyn.rows(basis, a * bound)
-        if a == 1:
-            return rows
-        return ((_dilate(bits, a, bound) for bits in row) for row in rows)
-
-    def return_times(self, u: ProductOpen, v: ProductOpen, bound: int) -> int:
-        bits = (1 << bound) - 1
-        for (dyn, a), up, vp in zip(self.factors, u.parts, v.parts):
-            bits &= _dilate(dyn.return_times(up, vp, a * bound), a, bound)
-        return bits
-
-    def rows(self, basis, bound: int):
-        if not isinstance(basis, _BoxBasis):
-            return super().rows(basis, bound)
-        return map(_box_row, self.factor_rows(basis, bound))
-
-    def factor_rows(self, basis: _BoxBasis, bound: int):
-        """The factor rows of each box row, a tuple per box in box order:
-        a later factor's rows are pulled on first use and kept for the
-        scan; a row of the first factor serves consecutive boxes only."""
-        first, *rest = (map(_LazyRow, self._factor_rows(k, b, bound))
-                        for k, b in enumerate(basis.bases))
-        return _tuples(first, *map(_LazyRow, rest))
-
-
-class HyperShiftDyn(_Oracle):
-    """Hyperspace return times over a shift, on Vietoris elements whose
-    components are base cylinders.
-
-    For any system, T_K^n<U_1..U_p> meets <V_1..V_q> iff every U_i sends a
-    point into some V_j at time n and every V_j receives one from some U_i;
-    a finite set realizing the matching witnesses membership.  This reduces
-    hyperspace membership to base membership exactly, read from the word
-    pairs a base :class:`ShiftDyn` keeps.  A ``base`` passed in is shared,
-    memo included, and fixes the cylinder length.
-    """
-
-    def __init__(self, shift: ShiftSystem,
-                 cylinder_length: int = DEFAULT_CYLINDER_LENGTH,
-                 max_components: int = VIETORIS_COMPONENT_CAP,
-                 base: ShiftDyn | None = None):
-        if base is None:
-            base = ShiftDyn(shift, cylinder_length)
-        elif base.shift is not shift:
-            raise InputError("the base oracle is over another shift")
-        self.shift = shift
-        self.base = base
-        self.cylinder_length = base.cylinder_length
-        self.max_components = max_components
-
-    def default_basis(self) -> tuple[VietorisOpen, ...]:
-        cyls = self.shift.cylinders(self.cylinder_length)
-        out = []
-        for r in range(1, self.max_components + 1):
-            for combo in itertools.combinations(cyls, r):
-                out.append(VietorisOpen(tuple(combo)))
-        return tuple(out)
-
-    def preperiod_period(self) -> None:
-        return None
-
-    def return_times(self, u: VietorisOpen, v: VietorisOpen, bound: int) -> int:
-        times = [[self.base.word_times(a, b, bound) for b in v.words]
-                 for a in u.words]
-        # each U_i sends into some V_j; each V_j receives from some U_i
-        return functools.reduce(operator.and_, (
-            functools.reduce(operator.or_, bits)
-            for bits in (*times, *zip(*times))))
-
-    def rows(self, basis, bound: int):
-        """One lazy row per source U, the Vietoris fold (README)."""
-        # each open's distinct words, as <V, V> = <V>; per run of targets
-        # of as many words, column k holds the index of each target's k-th
-        # word among the basis's words
-        opens = [tuple(dict.fromkeys(v.words)) for v in basis]
-        words = {}
-        runs = [[[words.setdefault(w, len(words)) for w in col]
-                 for col in zip(*run)]
-                for _, run in itertools.groupby(opens, len)]
-        word_rows = {}      # source word -> its base row over the words
-        for u in opens:
-            for w in u:
-                if w not in word_rows:
-                    word_rows[w] = [self.base.word_times(w, x, bound)
-                                    for x in words]
-            rows = [word_rows[w] for w in u]
-            yield itertools.chain.from_iterable(map(functools.partial(
-                _vietoris_run, list(_fold(operator.or_, rows)), rows), runs))
-
-
-def _vietoris_run(ors, rows, cols):
-    """A source's sets over one run of targets, from the base rows of its
-    words and their OR: each V_k receives from some U_i, and each U_i sends
-    into some V_k."""
-    return _fold(operator.and_, [
-        *(map(ors.__getitem__, c) for c in cols),
-        *(_fold(operator.or_, [map(r.__getitem__, c) for c in cols])
-          for r in rows)])
-
-
-#: the deepest chain of lazy maps a fold builds before it reads one into a
-#: list; a chain of 100,000 maps overflows the C stack when read
-_FOLD_DEPTH = 64
-
-
-def _fold(op, its):
-    """The elementwise op of the iterables, read lazily unless there are
-    more than ``_FOLD_DEPTH`` of them."""
-    acc, *its = its
-    for k, it in enumerate(its, 1):
-        acc = map(op, acc, it)
-        if k % _FOLD_DEPTH == 0:
-            acc = list(acc)
-    return acc
-
-
-def as_dyn(target):
-    if isinstance(target, SystemMap):
-        return TableDyn(target)
-    if isinstance(target, ShiftSystem):
-        return ShiftDyn(target)
-    if isinstance(target, _Oracle):
-        return target
-    raise InputError(f"not a dynamical system: {target!r}")
-
-
-def _coerce_open(dyn, u):
-    """Allow raw point collections / words where opens are expected."""
-    if isinstance(u, (PointsOpen, CylinderOpen, ProductOpen, VietorisOpen)):
-        return u
-    if isinstance(dyn, TableDyn):
-        if isinstance(u, CompactSet):
-            return points_open(dyn.sys.space, u.members)
-        return points_open(dyn.sys.space, u)
-    if isinstance(dyn, ShiftDyn) and isinstance(u, str):
-        return CylinderOpen(u)
-    raise InputError(f"cannot interpret {u!r} as an open set")
-
-
 # -- return-time sets --------------------------------------------------------
 
 def return_time_set(target, u, v, horizon: int | None = None) -> IndexSet:
@@ -581,8 +66,7 @@ def return_time_set(target, u, v, horizon: int | None = None) -> IndexSet:
     listed n is exact on every backend.
     """
     dyn = as_dyn(target)
-    u = _coerce_open(dyn, u)
-    v = _coerce_open(dyn, v)
+    u, v = dyn.as_open(u), dyn.as_open(v)
     if horizon is None:
         pp = dyn.preperiod_period()
         horizon = (pp[0] + 2 * pp[1]) if pp is not None else DEFAULT_HORIZON
@@ -661,7 +145,7 @@ def _scan(dyn, basis, bound: int):
 
 
 def _labels(basis, i: int, j: int) -> tuple[str, str]:
-    return open_label(basis[i]), open_label(basis[j])
+    return basis[i].label, basis[j].label
 
 
 def _first(bits: int) -> int:
@@ -672,7 +156,7 @@ def _first(bits: int) -> int:
 def is_transitive(target, basis=None, horizon: int | None = None) -> Verdict:
     """Every pair of basis opens communicates: N(U, V) is nonempty."""
     dyn = as_dyn(target)
-    basis = _checked_basis(dyn, basis)
+    basis = dyn.checked_basis(basis)
     bound, exact = _effective_horizon(dyn, horizon)
     witnesses = []
     for i, j0, chunk in _scan(dyn, basis, bound):
@@ -695,11 +179,9 @@ def _witness(witnesses: list, basis, i: int, j0: int, chunk: list) -> None:
 
 
 def _square(dyn, basis) -> tuple:
-    """The 2-fold product oracle and, for a caller's basis (checked on the
-    factor), its boxes; None stands for the product's default basis."""
-    if basis is not None:
-        basis = _checked_basis(dyn, basis)
-        basis = _BoxBasis((basis, basis))
+    """The 2-fold product oracle and, for a caller's basis, its boxes, which
+    the product checks; None stands for the product's default basis."""
+    basis = None if basis is None else _BoxBasis((tuple(basis),) * 2)
     return ProductDyn([(dyn, 1), (dyn, 1)]), basis
 
 
@@ -713,7 +195,7 @@ def is_weakly_mixing(target, basis=None, horizon: int | None = None,
     if method == "product":
         v = is_transitive(*_square(dyn, basis), horizon=horizon)
         return replace(v, note="via 2-fold product")
-    basis = _checked_basis(dyn, basis)
+    basis = dyn.checked_basis(basis)
     bound, exact = _effective_horizon(dyn, horizon)
     witnesses = []
     for i, row in enumerate(dyn.rows(basis, bound)):
@@ -730,14 +212,15 @@ def is_weakly_mixing(target, basis=None, horizon: int | None = None,
 
 
 def is_mixing(target, basis=None, horizon: int | None = None) -> Verdict:
-    """Every N(U, V) is cofinite.  Exact on finite tables through the
+    """Every N(U, V) is cofinite.  Exact on finite oracles through the
     eventual period; horizon-classified on symbolic backends."""
     dyn = as_dyn(target)
-    basis = _checked_basis(dyn, basis)
-    exact = isinstance(dyn, TableDyn)
+    basis = dyn.checked_basis(basis)
+    pp = dyn.preperiod_period()
+    exact = pp is not None
     if exact:
         # cofinite iff every time from the preperiod on is a return time
-        pre, per = dyn.sys.eventual_period()
+        pre, per = pp
         bound, tail_bound = pre + per, pre
     else:
         bound, _ = _effective_horizon(dyn, horizon)
@@ -768,7 +251,7 @@ def is_F_transitive(target, family: FamilyClassifier, basis=None,
     """Every N(U, V) belongs to the family.
 
     With ``mixing`` the check runs on the 2-fold product, over the boxes of
-    the basis when one is given.  On finite tables the eventually periodic
+    the basis when one is given.  On finite oracles the eventually periodic
     structure decides the built-in tail families exactly: a set with a
     nonempty periodic part has bounded gaps (syndetic and infinite
     coincide), and one with a full periodic part is cofinite (thick and
@@ -777,7 +260,7 @@ def is_F_transitive(target, family: FamilyClassifier, basis=None,
     dyn = as_dyn(target)
     if mixing:
         dyn, basis = _square(dyn, basis)
-    basis = _checked_basis(dyn, basis)
+    basis = dyn.checked_basis(basis)
     pp = dyn.preperiod_period()
     finite = pp is not None
     if finite:
@@ -832,8 +315,8 @@ def weakly_disjoint(a, b, horizon: int | None = None) -> Verdict:
     return replace(v, note="product transitivity")
 
 
-#: a finite table closes the quantifier (X x Y is Y when X is one point),
-#: so a table target is its own last opponent and its verdict is exact
+#: a finite target closes the quantifier (X x Y is Y when X is one point),
+#: so it is its own last opponent and its verdict is exact
 _TABLE_LEMMA = ("finite-table lemma: a transitive table is one c-cycle, "
                 "and X x X is transitive only for c = 1")
 
@@ -843,16 +326,18 @@ def is_mildly_mixing_bounded(target, catalog: Sequence | None = None,
     """Weak disjointness from every member of a catalog of transitive
     systems.  The universal quantifier over all transitive systems is not
     finitely exhaustible, so on a shift a passing verdict is
-    catalog-relative; a failing product is a genuine counterexample.
-    Bounded difference-of-sums evidence is attached as a witness.
+    catalog-relative; a failing product is a genuine counterexample.  The
+    finite-table lemma makes it exact on any finite oracle, as it holds on
+    every finite system with the discrete topology.  Bounded
+    difference-of-sums evidence is attached as a witness.
     """
     if catalog is None:
         from .catalog import transitive_catalog
         catalog = transitive_catalog()
     if not catalog:
         raise InputError("empty catalog rejected")
-    table = isinstance(as_dyn(target), TableDyn)
-    for member in list(catalog) + ([target] if table else []):
+    finite = as_dyn(target).preperiod_period() is not None
+    for member in list(catalog) + ([target] if finite else []):
         v = weakly_disjoint(target, member, horizon=horizon)
         if not v.holds:
             label = member.label if hasattr(member, "label") else str(member)
@@ -864,10 +349,10 @@ def is_mildly_mixing_bounded(target, catalog: Sequence | None = None,
                            note="product with a transitive system is not "
                                 "transitive")
     evidence = _ip_difference_evidence(target, horizon)
-    return Verdict("holds", table, horizon=horizon,
+    return Verdict("holds", finite, horizon=horizon,
                    witnesses=(("catalog", len(catalog)),
                               ("difference_sums_met", evidence)),
-                   note=_TABLE_LEMMA if table else
+                   note=_TABLE_LEMMA if finite else
                    "catalog-relative; universal quantifier over all "
                    "transitive systems not exhausted")
 
@@ -875,11 +360,9 @@ def is_mildly_mixing_bounded(target, catalog: Sequence | None = None,
 def _ip_difference_evidence(target, horizon: int | None) -> bool:
     """Do all basis return sets meet each bounded difference-of-sums set."""
     dyn = as_dyn(target)
-    if isinstance(dyn, TableDyn):
-        pre, per = dyn.sys.eventual_period()
-        window = max(64, pre + 2 * per)
-    else:
-        window = horizon or DEFAULT_HORIZON
+    pp = dyn.preperiod_period()
+    window = (max(64, pp[0] + 2 * pp[1]) if pp is not None
+              else horizon or DEFAULT_HORIZON)
     witness_bits = [difference_set(fs_set(g, window)).bits
                     for g in IP_WITNESS_GENERATORS]
     return all(0 not in map(w.__and__, chunk) for _, _, chunk in
@@ -1102,13 +585,13 @@ def is_sensitive(sys: SystemMap, eps, basis=None,
     d = space.dist_int
     # a distance exceeds eps iff its scaled integer exceeds this
     floor = eps.numerator * space.denom // eps.denominator
-    basis = _checked_basis(TableDyn(sys), basis)
+    basis = TableDyn(sys).checked_basis(basis)
     pre, per = sys.eventual_period()
     bound = horizon if horizon is not None else pre + per
     tables = iterate_tables(sys, bound)
     for i, x in enumerate(space.points):
         for u in basis:
-            members = _open_indices(space, u)
+            members = u.indices
             if i not in members:
                 continue
             escaped = False
@@ -1126,11 +609,10 @@ def is_sensitive(sys: SystemMap, eps, basis=None,
 def is_periodically_dense(sys: SystemMap, basis=None) -> Verdict:
     """Every basis open contains a periodic point."""
     _require_table(sys, "periodic density")
-    space = sys.space
-    basis = _checked_basis(TableDyn(sys), basis)
+    basis = TableDyn(sys).checked_basis(basis)
     periodic = _recurrent_indices(sys)
     for u in basis:
-        if not (_open_indices(space, u) & periodic):
+        if not (u.indices & periodic):
             return Verdict("fails", True, counterexample=(u.label,),
                            note="open without periodic points")
     return Verdict("holds", True)

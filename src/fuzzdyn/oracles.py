@@ -1,0 +1,564 @@
+"""Return-time oracles and the opens they quantify over.
+
+An oracle answers when T^n(U) meets V for opens U, V of one system: a
+finite table (``TableDyn``), a shift of finite type (``ShiftDyn``), the
+hyperspace of a shift (``HyperShiftDyn``) or a product of oracles with
+exponents (``ProductDyn``).  Each owns its opens, its basis and its
+exactness (``_Oracle``).  The default bases are a table's singleton balls
+(radius below the minimum positive distance), a shift's legal cylinders up
+to a configured length, the Vietoris elements of a bounded number of
+cylinder components over a shift, decided through base return times, and
+the boxes of a product's factor bases.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+import operator
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
+
+from .errors import InputError
+from .spaces import MetricSpace, Point, SystemMap, point_label
+from .symbolic import ShiftSystem
+
+DEFAULT_CYLINDER_LENGTH = 3
+VIETORIS_COMPONENT_CAP = 2
+
+
+# -- opens ----------------------------------------------------------------
+
+class PointsOpen:
+    """A finite open set of a table space (every subset is open here), held
+    as point indices; its members and label are rendered on first use."""
+
+    __slots__ = ("space", "indices", "_label", "_members")
+
+    def __init__(self, space: MetricSpace, indices: frozenset,
+                 label: str | None = None):
+        self.space = space
+        self.indices = indices
+        self._label = label
+        self._members = None
+
+    @property
+    def members(self) -> frozenset:
+        if self._members is None:
+            pts = self.space.points
+            self._members = frozenset(pts[i] for i in self.indices)
+        return self._members
+
+    @property
+    def label(self) -> str:
+        if self._label is None:
+            self._label = self._render_label()
+        return self._label
+
+    def _render_label(self) -> str:
+        return "{" + ",".join(sorted(point_label(p)
+                                     for p in self.members)) + "}"
+
+
+class _SingletonOpen(PointsOpen):
+    """The singleton ball B(x) of the singleton basis."""
+
+    __slots__ = ()
+
+    def _render_label(self) -> str:
+        (i,) = self.indices
+        return f"B({point_label(self.space.points[i])})"
+
+
+@dataclass(frozen=True)
+class CylinderOpen:
+    """The set of shift points with the given legal prefix."""
+    word: str
+
+    @property
+    def label(self) -> str:
+        return f"[{self.word}]"
+
+
+@dataclass(frozen=True)
+class ProductOpen:
+    """A box: one open per factor of a product system."""
+    parts: tuple
+
+    @property
+    def label(self) -> str:
+        # B(x) x B(y) is B((x,y)) under the max metric
+        if all(isinstance(p, _SingletonOpen) for p in self.parts):
+            point = tuple(p.space.points[i] for p in self.parts
+                          for i in p.indices)
+            return f"B({point_label(point)})"
+        return "(" + ",".join(p.label for p in self.parts) + ")"
+
+
+@dataclass(frozen=True)
+class VietorisOpen:
+    """Hyperspace basis element built from base cylinders, at least one."""
+    words: tuple
+
+    def __post_init__(self):
+        if not self.words:
+            raise InputError("empty open rejected")
+
+    @property
+    def label(self) -> str:
+        return "<" + ",".join(f"[{w}]" for w in self.words) + ">"
+
+
+def points_open(space: MetricSpace, members: Iterable[Point],
+                label: str | None = None) -> PointsOpen:
+    indices = frozenset(space.index(p) for p in members)
+    if not indices:
+        raise InputError("empty open rejected")
+    return PointsOpen(space, indices, label)
+
+
+class _SingletonBasis(Sequence):
+    """The singleton balls of a table space, one per point in point order;
+    each open is built on first access and kept."""
+
+    def __init__(self, space: MetricSpace):
+        self.space = space
+        self._opens: list[PointsOpen | None] = [None] * len(space.points)
+
+    def __len__(self) -> int:
+        return len(self._opens)
+
+    def __getitem__(self, i: int) -> PointsOpen:
+        i = range(len(self._opens))[i]
+        hit = self._opens[i]
+        if hit is None:
+            hit = self._opens[i] = _SingletonOpen(self.space, frozenset((i,)))
+        return hit
+
+    def __iter__(self):
+        if None in self._opens:
+            return map(self.__getitem__, range(len(self._opens)))
+        return iter(self._opens)
+
+
+def _covers(sizes: tuple, boxes: list) -> bool:
+    """Do the boxes, each a tuple of index sets, one per factor, cover the
+    product of the ranges of the sizes?  The points of the first factor
+    that lie in the same boxes pose the same question for the rest."""
+    if not sizes:
+        return bool(boxes)
+    owners = [[] for _ in range(sizes[0])]
+    for k, box in enumerate(boxes):
+        for i in box[0]:
+            owners[i].append(k)
+    return all(_covers(sizes[1:], [boxes[k][1:] for k in ks])
+               for ks in set(map(tuple, owners)))
+
+
+# -- dynamics oracles -------------------------------------------------------
+
+class _Oracle:
+    """All that the checkers read of an oracle.  ``as_open(x)`` is x as an
+    open of the oracle's kind, or raises ``InputError``.
+    ``checked_basis(basis)`` is the default basis for None, else the
+    caller's opens through ``as_open``, which must cover the space of a
+    finite oracle; no basis may be empty, as a scan over none holds
+    vacuously.  ``preperiod_period()`` is the only exactness signal: it is
+    not None exactly when the oracle is finite and a scan to pre + per over
+    its default basis is exhaustive.  So it ties exactness in time to that
+    of the basis, and exact time on a shift must split the two: bounded
+    cylinders are no basis of its topology whatever its clock.
+    ``return_times(u, v, bound)`` is N(U, V) below the bound as one bitset,
+    bit n set iff T^n(U) meets V.  Scans read ``rows(basis, bound)``, one
+    row per basis open U in basis order, yielding N(U, V) for every V of
+    the basis in basis order, on demand."""
+
+    def as_open(self, x):
+        raise InputError(f"cannot interpret {x!r} as an open set")
+
+    def checked_basis(self, basis) -> Sequence:
+        if basis is None:
+            basis, sizes = self.default_basis(), None
+        else:
+            basis, sizes = tuple(map(self.as_open, basis)), self._sizes()
+        if not basis:
+            raise InputError("empty basis")
+        if sizes and not _covers(sizes, list(map(self._parts, basis))):
+            raise InputError("basis does not cover the space")
+        return basis
+
+    def preperiod_period(self) -> tuple[int, int] | None:
+        return None
+
+    def _sizes(self) -> tuple | None:
+        """Each table's point count on a finite oracle, for ``_parts``."""
+        return None
+
+    def rows(self, basis, bound: int):
+        return (map(self.return_times, itertools.repeat(u), basis,
+                    itertools.repeat(bound)) for u in basis)
+
+
+class TableDyn(_Oracle):
+    """Return-time oracle for a finite table system; exact via the eventual
+    period of the map table."""
+
+    def __init__(self, sys: SystemMap):
+        self.sys = sys
+
+    def default_basis(self) -> Sequence[PointsOpen]:
+        return _SingletonBasis(self.sys.space)
+
+    def as_open(self, x) -> PointsOpen:
+        """A ``PointsOpen``, or a collection of points such as a
+        ``CompactSet``, as a nonempty open of this space."""
+        if isinstance(x, PointsOpen):
+            if x.space is self.sys.space and x.indices:
+                return x
+            return points_open(self.sys.space, x.members, x._label)
+        if not isinstance(x, Iterable):
+            return super().as_open(x)
+        return points_open(self.sys.space, x)
+
+    def preperiod_period(self) -> tuple[int, int]:
+        return self.sys.eventual_period()
+
+    def _sizes(self) -> tuple[int]:
+        return (len(self.sys.space.points),)
+
+    def _parts(self, u: PointsOpen) -> tuple:
+        return (u.indices,)
+
+    def return_times(self, u: PointsOpen, v: PointsOpen, bound: int) -> int:
+        return next(self._row(u.indices, (v.indices,), bound))
+
+    def rows(self, basis, bound: int):
+        if (isinstance(basis, _SingletonBasis)
+                and basis.space is self.sys.space):
+            n = len(basis)                  # point i is the set (i,)
+            return (self._row((i,), zip(range(n)), bound) for i in range(n))
+        sets = tuple(u.indices for u in basis)
+        return (self._row(u, sets, bound) for u in sets)
+
+    def _row(self, u, sets, bound: int):
+        """One walk of the orbit of the point set u up to pre + per records,
+        per point, the times n at which it lies in T^n(u); each target set
+        collects its points' times (T^n(u) meets it iff some point of it
+        lies in T^n(u)); a multiply by a repunit repeats the per-bit cycle
+        when the bound lies past the walk."""
+        pre, per = self.sys.eventual_period()
+        tbl = self.sys.table
+        walk = min(bound, pre + per)
+        times: dict[int, int] = {}
+        cur = u
+        for n in range(walk):
+            bit = 1 << n
+            for i in cur:
+                times[i] = times.get(i, 0) | bit
+            cur = {tbl[i] for i in cur}
+        mask = (1 << bound) - 1
+        # ones at walk + k * per for k < bound // per, enough since walk >=
+        # per whenever walk < bound
+        rep = mask // ((1 << per) - 1) >> bound % per << walk
+        for v in sets:
+            bits = 0
+            for j in v:
+                bits |= times.get(j, 0)
+            if walk < bound:
+                bits = (bits | (bits >> pre) * rep) & mask
+            yield bits
+
+
+class ShiftDyn(_Oracle):
+    """Return-time oracle for cylinders of a shift of finite type.
+
+    Each word pair is decided once per bound: the oracle keeps every bitset
+    it computes, at most (cylinders)^2 x (distinct bounds) of them.  Only
+    legal pairs get an entry, so every call with an illegal word is
+    validated again and raises."""
+
+    def __init__(self, shift: ShiftSystem,
+                 cylinder_length: int = DEFAULT_CYLINDER_LENGTH):
+        self.shift = shift
+        self.cylinder_length = min(cylinder_length, shift.resolution)
+        self._times: dict[tuple[str, str, int], int] = {}
+
+    def default_basis(self) -> tuple[CylinderOpen, ...]:
+        return tuple(CylinderOpen(w)
+                     for w in self.shift.cylinders(self.cylinder_length))
+
+    def as_open(self, x) -> CylinderOpen:
+        """A ``CylinderOpen``, or a word as its cylinder."""
+        x = CylinderOpen(x) if isinstance(x, str) else x
+        return x if isinstance(x, CylinderOpen) else super().as_open(x)
+
+    def word_times(self, u: str, v: str, bound: int) -> int:
+        """N([u], [v]) below the bound."""
+        key = (u, v, bound)
+        bits = self._times.get(key)
+        if bits is None:
+            bits = self._times[key] = self.shift.return_bits(u, v, bound)
+        return bits
+
+    def return_times(self, u: CylinderOpen, v: CylinderOpen, bound: int) -> int:
+        return self.word_times(u.word, v.word, bound)
+
+
+def _dilate(bits: int, a: int, bound: int) -> int:
+    """The bitset whose bit n < bound is bit a * n of ``bits``."""
+    digits = format(bits, "b")[::-1][::a][:bound]   # bit 0 first
+    return int(digits[::-1] or "0", 2)
+
+
+class _BoxBasis(Sequence):
+    """The boxes of the factor bases in product order, each built only when
+    it is read by index; scans read rows by index and build none."""
+
+    __slots__ = ("bases",)
+
+    def __init__(self, bases: tuple):
+        self.bases = bases
+
+    def __len__(self) -> int:
+        return math.prod(map(len, self.bases))
+
+    def __getitem__(self, i: int) -> ProductOpen:
+        i = range(len(self))[i]
+        parts = []
+        for basis in reversed(self.bases):
+            i, r = divmod(i, len(basis))
+            parts.append(basis[r])
+        return ProductOpen(tuple(reversed(parts)))
+
+
+class _LazyRow:
+    """A factor row, or a factor's rows, whose items are computed on first
+    iteration and kept; a later iteration reads the kept ones, then resumes
+    the source, and once the source is exhausted it reads the kept list
+    alone."""
+
+    def __init__(self, source):
+        self._source = source
+        self._done: list[int] = []
+
+    @functools.cached_property
+    def values(self) -> frozenset:
+        """The set of the row's bitsets, read to its end on first use."""
+        return frozenset(self)
+
+    def __iter__(self):
+        if self._source is None:
+            return iter(self._done)
+        return self._resume()
+
+    def _resume(self):
+        yield from self._done
+        for bits in self._source:
+            self._done.append(bits)
+            yield bits
+        self._source = None
+
+
+def _box_row(rows: list, acc: int = -1):
+    """The AND of one bitset from each (masked) factor row, in product
+    order."""
+    heads = map(acc.__and__, rows[0])
+    if len(rows) == 1:
+        return heads
+    return itertools.chain.from_iterable(
+        map(_box_row, itertools.repeat(rows[1:]), heads))
+
+
+def _tuples(first, *rest):
+    """Each choice of one item per iterable, in product order, read on
+    demand: each iterable after the first is read once per item before it,
+    so it must be one that can be read again, such as a ``_LazyRow``."""
+    for item in first:
+        for tail in _tuples(*rest) if rest else [()]:
+            yield (item, *tail)
+
+
+class ProductDyn(_Oracle):
+    """Product of oracles with per-factor exponents; membership is decided
+    coordinatewise: n is a return time iff a_i * n is one for each factor,
+    so a box's row is the AND of its factors' dilated rows (Furstenberg
+    1967).  Over a box basis each factor row comes from one scan of the
+    factor and is kept only for this scan; any other basis is read
+    pairwise."""
+
+    def __init__(self, factors: Sequence[tuple[object, int]]):
+        if not factors:
+            raise InputError("empty factor list rejected")
+        for _, e in factors:
+            if e < 1:
+                raise InputError("exponents must be positive")
+        self.factors = tuple(factors)
+
+    def default_basis(self) -> _BoxBasis:
+        return _BoxBasis(tuple(dyn.default_basis() for dyn, _ in self.factors))
+
+    def as_open(self, x) -> ProductOpen:
+        """A ``ProductOpen`` with one part per factor, each part checked by
+        its factor."""
+        if not isinstance(x, ProductOpen):
+            return super().as_open(x)
+        if len(x.parts) != len(self.factors):
+            raise InputError("a box needs one part per factor")
+        return ProductOpen(tuple(dyn.as_open(p) for (dyn, _), p
+                                 in zip(self.factors, x.parts)))
+
+    def checked_basis(self, basis) -> Sequence:
+        """A box basis is checked factor by factor and stays lazy."""
+        if not isinstance(basis, _BoxBasis):
+            return super().checked_basis(basis)
+        if len(basis.bases) != len(self.factors):
+            raise InputError("a box needs one part per factor")
+        return _BoxBasis(tuple(dyn.checked_basis(b) for (dyn, _), b
+                               in zip(self.factors, basis.bases)))
+
+    def preperiod_period(self) -> tuple[int, int] | None:
+        pre_star, per_star = 0, 1
+        for dyn, a in self.factors:
+            pp = dyn.preperiod_period()
+            if pp is None:
+                return None
+            pre, per = pp
+            pre_i = -(-pre // a)
+            per_i = per // math.gcd(per, a)
+            pre_star = max(pre_star, pre_i)
+            per_star = per_star * per_i // math.gcd(per_star, per_i)
+        return pre_star, per_star
+
+    def _sizes(self) -> tuple | None:
+        sizes = [dyn._sizes() for dyn, _ in self.factors]
+        return None if None in sizes else sum(sizes, ())
+
+    def _parts(self, u: ProductOpen) -> tuple:
+        return sum((dyn._parts(p) for (dyn, _), p
+                    in zip(self.factors, u.parts)), ())
+
+    def _factor_rows(self, k: int, basis, bound: int):
+        dyn, a = self.factors[k]
+        rows = dyn.rows(basis, a * bound)
+        if a == 1:
+            return rows
+        return ((_dilate(bits, a, bound) for bits in row) for row in rows)
+
+    def return_times(self, u: ProductOpen, v: ProductOpen, bound: int) -> int:
+        bits = (1 << bound) - 1
+        for (dyn, a), up, vp in zip(self.factors, u.parts, v.parts):
+            bits &= _dilate(dyn.return_times(up, vp, a * bound), a, bound)
+        return bits
+
+    def rows(self, basis, bound: int):
+        if not isinstance(basis, _BoxBasis):
+            return super().rows(basis, bound)
+        return map(_box_row, self.factor_rows(basis, bound))
+
+    def factor_rows(self, basis: _BoxBasis, bound: int):
+        """The factor rows of each box row, a tuple per box in box order:
+        a later factor's rows are pulled on first use and kept for the
+        scan; a row of the first factor serves consecutive boxes only."""
+        first, *rest = (map(_LazyRow, self._factor_rows(k, b, bound))
+                        for k, b in enumerate(basis.bases))
+        return _tuples(first, *map(_LazyRow, rest))
+
+
+class HyperShiftDyn(_Oracle):
+    """Hyperspace return times over a shift, on Vietoris elements whose
+    components are base cylinders.
+
+    For any system, T_K^n<U_1..U_p> meets <V_1..V_q> iff every U_i sends a
+    point into some V_j at time n and every V_j receives one from some U_i;
+    a finite set realizing the matching witnesses membership.  This reduces
+    hyperspace membership to base membership exactly, read from the word
+    pairs a base :class:`ShiftDyn` keeps.  A ``base`` passed in is shared,
+    memo included, and fixes the cylinder length.
+    """
+
+    def __init__(self, shift: ShiftSystem,
+                 cylinder_length: int = DEFAULT_CYLINDER_LENGTH,
+                 max_components: int = VIETORIS_COMPONENT_CAP,
+                 base: ShiftDyn | None = None):
+        if base is None:
+            base = ShiftDyn(shift, cylinder_length)
+        elif base.shift is not shift:
+            raise InputError("the base oracle is over another shift")
+        self.shift = shift
+        self.base = base
+        self.cylinder_length = base.cylinder_length
+        self.max_components = max_components
+
+    def default_basis(self) -> tuple[VietorisOpen, ...]:
+        cyls = self.shift.cylinders(self.cylinder_length)
+        return tuple(VietorisOpen(combo)
+                     for r in range(1, self.max_components + 1)
+                     for combo in itertools.combinations(cyls, r))
+
+    def as_open(self, x) -> VietorisOpen:
+        return x if isinstance(x, VietorisOpen) else super().as_open(x)
+
+    def return_times(self, u: VietorisOpen, v: VietorisOpen, bound: int) -> int:
+        times = [[self.base.word_times(a, b, bound) for b in v.words]
+                 for a in u.words]
+        # each U_i sends into some V_j; each V_j receives from some U_i
+        return functools.reduce(operator.and_, (
+            functools.reduce(operator.or_, bits)
+            for bits in (*times, *zip(*times))))
+
+    def rows(self, basis, bound: int):
+        """One lazy row per source U, the Vietoris fold (README)."""
+        # each open's distinct words, as <V, V> = <V>; per run of targets
+        # of as many words, column k holds the index of each target's k-th
+        # word among the basis's words
+        opens = [tuple(dict.fromkeys(v.words)) for v in basis]
+        words = {}
+        runs = [[[words.setdefault(w, len(words)) for w in col]
+                 for col in zip(*run)]
+                for _, run in itertools.groupby(opens, len)]
+        word_rows = {}      # source word -> its base row over the words
+        for u in opens:
+            for w in u:
+                if w not in word_rows:
+                    word_rows[w] = [self.base.word_times(w, x, bound)
+                                    for x in words]
+            rows = [word_rows[w] for w in u]
+            yield itertools.chain.from_iterable(map(functools.partial(
+                _vietoris_run, list(_fold(operator.or_, rows)), rows), runs))
+
+
+def _vietoris_run(ors, rows, cols):
+    """A source's sets over one run of targets, from the base rows of its
+    words and their OR: each V_k receives from some U_i, and each U_i sends
+    into some V_k."""
+    return _fold(operator.and_, [
+        *(map(ors.__getitem__, c) for c in cols),
+        *(_fold(operator.or_, [map(r.__getitem__, c) for c in cols])
+          for r in rows)])
+
+
+#: the deepest chain of lazy maps a fold builds before it reads one into a
+#: list; a chain of 100,000 maps overflows the C stack when read
+_FOLD_DEPTH = 64
+
+
+def _fold(op, its):
+    """The elementwise op of the iterables, read lazily unless there are
+    more than ``_FOLD_DEPTH`` of them."""
+    acc, *its = its
+    for k, it in enumerate(its, 1):
+        acc = map(op, acc, it)
+        if k % _FOLD_DEPTH == 0:
+            acc = list(acc)
+    return acc
+
+
+def as_dyn(target):
+    if isinstance(target, SystemMap):
+        return TableDyn(target)
+    if isinstance(target, ShiftSystem):
+        return ShiftDyn(target)
+    if isinstance(target, _Oracle):
+        return target
+    raise InputError(f"not a dynamical system: {target!r}")

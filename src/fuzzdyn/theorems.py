@@ -19,8 +19,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
 
-from .analysis import (DEFAULT_CYLINDER_LENGTH, HyperShiftDyn, ShiftDyn,
-                       Verdict, _positive_eps, _rigidity_verdict, diam_decay,
+from .analysis import (Verdict, _positive_eps, _rigidity_verdict, diam_decay,
                        displacement_curve, equicontinuity_modulus,
                        is_a_transitive, is_F_transitive,
                        is_mildly_mixing_bounded, is_mixing, is_proximal,
@@ -32,6 +31,7 @@ from .fuzzy import (DEFAULT_STATE_CAP, FuzzySet, GFunction, LevelGrid,
                     _cut_masks, _g_levels, _lift_table, _renderer,
                     enumeration_cost, fuzzy_lift_system, xi_of)
 from .hyperspace import _mask_image, lift_system
+from .oracles import DEFAULT_CYLINDER_LENGTH, HyperShiftDyn, ShiftDyn
 from .spaces import SystemMap, _rho, as_fraction, point_label
 
 

@@ -15,13 +15,12 @@ import itertools
 import math
 from fractions import Fraction
 
-from fuzzdyn.analysis import (ProductDyn, ProductOpen, TableDyn, Verdict,
-                              _Oracle, _recurrent_indices, open_label,
-                              return_time_set)
+from fuzzdyn.analysis import Verdict, _recurrent_indices, return_time_set
 from fuzzdyn.catalog import base_catalog
 from fuzzdyn.errors import InputError
 from fuzzdyn.fuzzy import FuzzySet, fuzzy_lift_system, xi_of
 from fuzzdyn.hyperspace import CompactSet
+from fuzzdyn.oracles import ProductDyn, ProductOpen, TableDyn, _Oracle
 from fuzzdyn.spaces import (MetricSpace, SystemMap, as_fraction,
                             circle_space, iterate, iterate_tables,
                             point_label)
@@ -191,7 +190,7 @@ def brute_transitive(dyn) -> Verdict:
 
     def ball(state: tuple) -> str:
         parts = tuple(b[i] for b, i in zip(bases, state))
-        return open_label(ProductOpen(parts) if product else parts[0])
+        return (ProductOpen(parts) if product else parts[0]).label
 
     n_states = math.prod(map(len, ranges))
     for start in itertools.product(*ranges):
@@ -221,6 +220,9 @@ class PairwiseProduct(_Oracle):
     def default_basis(self) -> tuple:
         return tuple(self.product.default_basis())
 
+    def as_open(self, x):
+        return self.product.as_open(x)
+
     def preperiod_period(self):
         return self.product.preperiod_period()
 
@@ -237,7 +239,7 @@ def pairwise_first_failure(sys, basis, ok):
     for u, v in itertools.product(basis, basis):
         times = brute_return_times(sys, u.members, v.members, pre + 2 * per)
         if not ok(times, pre, per):
-            return open_label(u), open_label(v), times
+            return u.label, v.label, times
     return None
 
 
@@ -256,7 +258,7 @@ def pairwise_transitive(sys, basis):
         return found[:2]
     pre, per = sys.eventual_period()
     pairs = itertools.islice(itertools.product(basis, basis), 8)
-    return tuple((open_label(u), open_label(v),
+    return tuple((u.label, v.label,
                   min(brute_return_times(sys, u.members, v.members,
                                          pre + per)))
                  for u, v in pairs)

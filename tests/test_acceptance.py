@@ -9,8 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from fuzzdyn.analysis import (ShiftDyn, is_proximal, is_transitive,
-                              is_weakly_mixing)
+from fuzzdyn.analysis import is_proximal, is_transitive, is_weakly_mixing
 from fuzzdyn.catalog import base_catalog
 from fuzzdyn.families import (FamilyClassifier, IndexSet, classify_syndetic,
                               contains_ip, dual_contains, fs_set)
@@ -18,6 +17,7 @@ from fuzzdyn.fuzzy import (LevelGrid, fuzzy_lift_system, g_fuzzify_apply,
                            xi_of, alpha_cut, FuzzySet, GFunction)
 from fuzzdyn.hyperspace import enumerate_compacts, hausdorff_distance, \
     lift_system
+from fuzzdyn.oracles import ShiftDyn
 from fuzzdyn.spaces import (SystemMap, circle_space, iterate_tables,
                             make_grid_interval_map, make_rotation,
                             make_multiply, one_point_system, validate_metric)

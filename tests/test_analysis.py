@@ -12,23 +12,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fuzzdyn.analysis as analysis
-from fuzzdyn.analysis import (CylinderOpen, HyperShiftDyn, ProductDyn,
-                              ProductOpen, ShiftDyn, TableDyn, VietorisOpen,
-                              _BoxBasis, _LazyRow, _scan,
-                              diam_decay, equicontinuity_modulus,
+import fuzzdyn.oracles as oracles
+from fuzzdyn.analysis import (_scan, diam_decay, equicontinuity_modulus,
                               is_a_transitive, is_F_transitive,
                               is_mildly_mixing_bounded, is_mixing,
                               is_periodically_dense, is_proximal,
                               is_proximal_pair, is_sensitive, is_transitive,
                               is_uniformly_rigid, is_weakly_mixing,
-                              open_label, points_open, return_time_set,
-                              singleton_basis, weakly_disjoint)
+                              return_time_set, weakly_disjoint)
 from fuzzdyn.catalog import base_catalog, transitive_catalog
 from fuzzdyn.errors import InputError
 from fuzzdyn.families import (FamilyClassifier, IndexSet, difference_set,
                               fs_set)
 from fuzzdyn.fuzzy import LevelGrid, fuzzy_lift_system
 from fuzzdyn.hyperspace import lift_system
+from fuzzdyn.oracles import (CylinderOpen, HyperShiftDyn, ProductDyn,
+                             ProductOpen, ShiftDyn, TableDyn, VietorisOpen,
+                             _BoxBasis, _LazyRow, _SingletonBasis,
+                             points_open)
 from fuzzdyn.spaces import (MetricSpace, SystemMap, circle_space, iterate,
                             make_grid_interval_map, make_multiply,
                             make_rotation, one_point_system, product_system)
@@ -58,7 +59,7 @@ class TestOpens:
         r = make_rotation(3, 1)
         lift = lift_system(r)
         assert is_mixing(lift).counterexample == ("B({0})", "B({0})", 1)
-        v = is_transitive(lift, basis=singleton_basis(lift.space))
+        v = is_transitive(lift, basis=_SingletonBasis(lift.space))
         assert v.counterexample == ("B({0})", "B({0,1})")
         prod = product_system([(r, 1), (r, 1)])
         assert is_mixing(prod).counterexample == ("B((0,0))", "B((0,0))", 1)
@@ -229,7 +230,7 @@ class TestFamilyTransitivity:
     def test_f_mixing_takes_the_boxes_of_a_factor_basis(self):
         r = make_rotation(4, 1)
         assert is_F_transitive(r, FamilyClassifier("thick"), mixing=True,
-                               basis=singleton_basis(r.space)) == \
+                               basis=_SingletonBasis(r.space)) == \
             is_F_transitive(r, FamilyClassifier("thick"), mixing=True)
 
 
@@ -504,7 +505,6 @@ class TestPeriodicDensity:
 class TestProductDyn:
     def test_exponent_scaling(self):
         r = make_rotation(4, 1)
-        from fuzzdyn.analysis import TableDyn
         pd = ProductDyn([(TableDyn(r), 2)])
         u = next(iter(pd.default_basis()))
         v = [o for o in pd.default_basis()
@@ -516,7 +516,6 @@ class TestProductDyn:
 
     def test_mixed_product_shift_and_cycle(self):
         sd = ShiftDyn(full_shift(2, 2), cylinder_length=2)
-        from fuzzdyn.analysis import TableDyn
         pd = ProductDyn([(sd, 1), (TableDyn(make_rotation(3, 1)), 1)])
         assert pd.preperiod_period() is None
         assert is_transitive(pd, horizon=24).holds
@@ -712,7 +711,7 @@ class TestOracleBitsets:
         rule, which ``return_times`` reads without a fold."""
         hyper = HyperShiftDyn(full_shift(2, 3), cylinder_length=7)
         words = tuple(hyper.shift.cylinders(7))
-        assert len(words) > analysis._FOLD_DEPTH
+        assert len(words) > oracles._FOLD_DEPTH
         basis = [VietorisOpen(words), VietorisOpen(words[:1]),
                  VietorisOpen(tuple(reversed(words[:70])) + words[:3])]
         for u, row in zip(basis, hyper.rows(basis, 10)):
@@ -723,15 +722,16 @@ class TestOracleBitsets:
         an open of 100,000 repeated words, and a fold of 200,000 lists, run
         in a child interpreter that such a chain would crash."""
         code = ("import operator\n"
-                "from fuzzdyn.analysis import (HyperShiftDyn, VietorisOpen,"
-                " _fold, is_transitive)\n"
+                "from fuzzdyn.analysis import is_transitive\n"
+                "from fuzzdyn.oracles import (HyperShiftDyn, VietorisOpen,"
+                " _fold)\n"
                 "from fuzzdyn.symbolic import full_shift\n"
                 "u = VietorisOpen(('0',) * 100_000)\n"
                 "print(is_transitive(HyperShiftDyn(full_shift(2, 3)),"
                 " basis=[u]).status)\n"
                 "print(*_fold(operator.and_, [[1]] * 200_000))\n")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(
-            os.path.dirname(os.path.abspath(analysis.__file__))))
+            os.path.dirname(os.path.abspath(oracles.__file__))))
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                               env=env, capture_output=True, text=True,
                               timeout=120)
@@ -799,7 +799,7 @@ def test_table_checkers_reject_a_basis_that_misses_points():
 class TestSingletonBasis:
     def test_opens_built_on_access_and_kept(self):
         space = circle_space(5)
-        basis = singleton_basis(space)
+        basis = _SingletonBasis(space)
         assert len(basis) == 5
         assert basis[2] is basis[2]
         assert basis[-1] is basis[4]
@@ -817,7 +817,7 @@ def pointwise_bases(draw, sys):
     """The singleton basis, or a few random point sets and one open holding
     every point they miss."""
     if draw(st.booleans()):
-        return singleton_basis(sys.space)
+        return _SingletonBasis(sys.space)
     opens = [points_open(sys.space, data) for data in
              draw(st.lists(point_sets(sys), max_size=3))]
     covered = set().union(*(u.members for u in opens))
@@ -901,9 +901,9 @@ class TestOracleRows:
             both = (dyn.return_times(u, u, bound)
                     & dyn.return_times(u, v, bound))
             if not both:
-                found = (open_label(u), open_label(v))
+                found = (u.label, v.label)
                 break
-            witnesses.append((open_label(u), open_label(v),
+            witnesses.append((u.label, v.label,
                               (both & -both).bit_length() - 1))
         assert got.counterexample == found
         assert got.fails == (found is not None)
@@ -1007,14 +1007,14 @@ class TestOracleMemory:
         builds one singleton open per factor basis."""
         built = []
 
-        class CountingOpen(analysis._SingletonOpen):
+        class CountingOpen(oracles._SingletonOpen):
             __slots__ = ()
 
             def __init__(self, *args):
                 built.append(args)
                 super().__init__(*args)
 
-        monkeypatch.setattr(analysis, "_SingletonOpen", CountingOpen)
+        monkeypatch.setattr(oracles, "_SingletonOpen", CountingOpen)
         lift = fuzzy_lift_system(make_rotation(5, 1), LevelGrid(2),
                                  ("eq", F(1)))
         v = is_F_transitive(lift, FamilyClassifier("thick"), mixing=True)
@@ -1028,20 +1028,20 @@ class TestOracleMemory:
         the 8 witnesses build opens, two boxes or two balls each."""
         boxes, balls = [], []
 
-        class CountingBox(analysis.ProductOpen):
+        class CountingBox(ProductOpen):
             def __init__(self, parts):
                 boxes.append(parts)
                 super().__init__(parts)
 
-        class CountingBall(analysis._SingletonOpen):
+        class CountingBall(oracles._SingletonOpen):
             __slots__ = ()
 
             def __init__(self, *args):
                 balls.append(args)
                 super().__init__(*args)
 
-        monkeypatch.setattr(analysis, "ProductOpen", CountingBox)
-        monkeypatch.setattr(analysis, "_SingletonOpen", CountingBall)
+        monkeypatch.setattr(oracles, "ProductOpen", CountingBox)
+        monkeypatch.setattr(oracles, "_SingletonOpen", CountingBall)
         pd = ProductDyn([(TableDyn(make_rotation(5, 1)), 1),
                          (TableDyn(make_rotation(7, 1)), 1)])
         v = is_transitive(pd)
@@ -1060,7 +1060,7 @@ class TestOracleMemory:
         flat = tuple(boxes)
         assert len(flat) == len(boxes) == 12
         assert flat == tuple(boxes[i] for i in range(-12, 0))
-        assert open_label(boxes[5]) == "((B(0),[1]),B(2))"
+        assert boxes[5].label == "((B(0),[1]),B(2))"
         for check in (is_transitive, is_mixing):
             assert check(outer, horizon=8) == check(outer, basis=flat,
                                                     horizon=8)
@@ -1293,7 +1293,7 @@ class TestBoxClasses:
         witness window: a holding transitivity or syndetic check of a
         product of rotations builds that one box row."""
         built = []
-        product = analysis._box_row
+        product = oracles._box_row
 
         def counting(seqs, *rest):
             if not rest:        # a box row; inner calls pass acc
@@ -1340,7 +1340,7 @@ class TestBoxClasses:
         end, and no combination of values; then the scan reads one chunk
         of that box row, not its 5 * 41 boxes."""
         pulled, boxes_read = [0], [0]
-        factor_rows, box_row = ProductDyn._factor_rows, analysis._box_row
+        factor_rows, box_row = ProductDyn._factor_rows, oracles._box_row
 
         def counted(items, counter):
             for bits in items:

@@ -1,9 +1,11 @@
 """Every public name is reached: the package uses it, or the README documents
 it.  A public function or method that neither reaches is surface nothing
-needs; delete it, or move it to ``tests/helpers.py`` if only tests use it."""
+needs; delete it, or move it to ``tests/helpers.py`` if only tests use it.
+Every module also stays under the parser-token budget of one compile step."""
 
 import ast
 import re
+import tokenize
 from pathlib import Path
 
 import fuzzdyn
@@ -53,3 +55,26 @@ def test_every_public_function_is_reached():
 def test_every_public_method_is_reached():
     _, methods = _public_defs()
     assert _unreached(methods) == []
+
+
+#: CPython 3.11 compiles a module of more parser tokens than this in an
+#: extra step, which raises the memory peak of an import that finds no
+#: bytecode cache
+TOKEN_BUDGET = 8192
+
+
+def _parser_tokens(path: Path) -> int:
+    """The tokens of a module, less comments, NL and ENCODING."""
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    with path.open("rb") as f:
+        return sum(tok.type not in skip
+                   for tok in tokenize.tokenize(f.readline))
+
+
+def test_every_module_stays_under_the_token_budget():
+    over = {path.name: count for path in MODULES
+            if (count := _parser_tokens(path)) >= TOKEN_BUDGET}
+    assert not over, (
+        f"{over} reach {TOKEN_BUDGET} parser tokens: split the module along "
+        "a module boundary, as the oracles were split from the checkers; "
+        "never rewrite its code denser to fit")
