@@ -4,10 +4,10 @@ Every checker returns a :class:`Verdict` that records whether its
 quantifiers were exhausted.  The checkers read an oracle of
 :mod:`fuzzdyn.oracles` through its contract, never by its type.  On finite
 oracles the eventual period makes all "for all n" quantifiers finite, so
-verdicts there are exact.  On symbolic backends membership of each
-individual n in a return-time set is exact, but tail claims and the
-open-set quantifier (truncated to cylinders of bounded length) are horizon
-evidence and are flagged as such.
+verdicts there are exact once a scan reaches the clock (``_clock``).  On
+symbolic backends membership of each individual n in a return-time set is
+exact, but tail claims and the open-set quantifier (truncated to cylinders
+of bounded length) are horizon evidence and are flagged as such.
 """
 
 from __future__ import annotations
@@ -96,16 +96,22 @@ def _recurrent_indices(sys: SystemMap) -> frozenset:
 
 # -- transitivity and mixing ---------------------------------------------------
 
-def _effective_horizon(dyn, horizon: int | None) -> tuple[int, bool]:
-    """(scan bound, exact?) for existence quantifiers over n: a scan to
-    preperiod + period exhausts them."""
+def _clock(dyn, horizon: int | None, extra: int = 0) -> tuple[int, bool]:
+    """(scan bound, exact?) of a scan over the times n below the bound, the
+    one rule behind every ``exact`` flag that rests on a time window.  On a
+    finite oracle of (pre, per) a scan below pre + per + extra is
+    exhaustive, since later times repeat earlier ones; ``extra`` is 1 for a
+    curve read up to pre + per inclusive.  No horizon, or one at least that
+    bound, is cut to the bound and exact; a shorter horizon, or an oracle
+    with no clock, is horizon evidence.  A verdict that rests on a witness
+    it found is exact whatever the bound."""
     pp = dyn.preperiod_period()
-    if pp is not None:
-        h = pp[0] + pp[1]
-        if horizon is None or horizon >= h:
-            return h, True
-        return horizon, False
-    return (horizon or DEFAULT_HORIZON), False
+    if pp is None:
+        return horizon or DEFAULT_HORIZON, False
+    full = pp[0] + pp[1] + extra
+    if horizon is None or horizon >= full:
+        return full, True
+    return horizon, False
 
 
 #: the first and the longest chunk of a row that a scan reads at once
@@ -157,7 +163,7 @@ def is_transitive(target, basis=None, horizon: int | None = None) -> Verdict:
     """Every pair of basis opens communicates: N(U, V) is nonempty."""
     dyn = as_dyn(target)
     basis = dyn.checked_basis(basis)
-    bound, exact = _effective_horizon(dyn, horizon)
+    bound, exact = _clock(dyn, horizon)
     witnesses = []
     for i, j0, chunk in _scan(dyn, basis, bound):
         if 0 in chunk:
@@ -196,7 +202,7 @@ def is_weakly_mixing(target, basis=None, horizon: int | None = None,
         v = is_transitive(*_square(dyn, basis), horizon=horizon)
         return replace(v, note="via 2-fold product")
     basis = dyn.checked_basis(basis)
-    bound, exact = _effective_horizon(dyn, horizon)
+    bound, exact = _clock(dyn, horizon)
     witnesses = []
     for i, row in enumerate(dyn.rows(basis, bound)):
         row = list(row)
@@ -217,14 +223,10 @@ def is_mixing(target, basis=None, horizon: int | None = None) -> Verdict:
     dyn = as_dyn(target)
     basis = dyn.checked_basis(basis)
     pp = dyn.preperiod_period()
-    exact = pp is not None
-    if exact:
-        # cofinite iff every time from the preperiod on is a return time
-        pre, per = pp
-        bound, tail_bound = pre + per, pre
-    else:
-        bound, _ = _effective_horizon(dyn, horizon)
-        tail_bound = bound // 2
+    # a finite oracle reads its whole clock whatever the horizon: cofinite
+    # iff every time from the preperiod on is a return time
+    bound, exact = _clock(dyn, None if pp else horizon)
+    tail_bound = pp[0] if exact else bound // 2
     worst_tail = 0
     full = (1 << bound) - 1
     for i, j0, chunk in _scan(dyn, basis, bound):
@@ -235,7 +237,8 @@ def is_mixing(target, basis=None, horizon: int | None = None) -> Verdict:
             k = next(k for k, t in enumerate(tails) if t > tail_bound)
             example = _labels(basis, i, j0 + k)
             if exact:
-                example += (pre + _first((full ^ chunk[k]) >> pre),)
+                example += (tail_bound
+                            + _first((full ^ chunk[k]) >> tail_bound),)
             return Verdict("fails", exact, horizon=bound,
                            counterexample=example,
                            note="a full residue class of times is missing"
@@ -262,15 +265,13 @@ def is_F_transitive(target, family: FamilyClassifier, basis=None,
         dyn, basis = _square(dyn, basis)
     basis = dyn.checked_basis(basis)
     pp = dyn.preperiod_period()
-    finite = pp is not None
-    if finite:
+    window, exact = _clock(dyn, None if pp else horizon)
+    if pp:
         pre, per = pp
-        window = pre + 2 * per
+        window += per                        # a second period, for the witness
         period = ((1 << per) - 1) << pre     # the first period from pre on
-    else:
-        window, _ = _effective_horizon(dyn, horizon)
     tail = TAIL_KINDS.get(family.kind)
-    exact = finite and tail is not None
+    exact = exact and tail is not None
     note = f"N(U,V) not {family.kind} ({'exact' if exact else 'at horizon'})"
     for i, j0, chunk in _scan(dyn, basis, window):
         if exact:
@@ -336,7 +337,7 @@ def is_mildly_mixing_bounded(target, catalog: Sequence | None = None,
         catalog = transitive_catalog()
     if not catalog:
         raise InputError("empty catalog rejected")
-    finite = as_dyn(target).preperiod_period() is not None
+    _, finite = _clock(as_dyn(target), None)
     for member in list(catalog) + ([target] if finite else []):
         v = weakly_disjoint(target, member, horizon=horizon)
         if not v.holds:
@@ -484,28 +485,19 @@ def displacement_curve(sys: SystemMap, horizon: int | None = None) -> list[Fract
                     for n in range(len(curve), bound)]
 
 
-def _rigidity_verdict(curve: Sequence[Fraction], eps: Fraction, bound: int,
-                      note: str) -> Verdict:
-    """Uniform rigidity up to bound, read off the first min(bound, pre +
-    per + 1) entries of the displacement curve: the least n >= 1 with
-    displacement below eps is the witness, and if it exists it is at most
-    pre + per, since later entries repeat entries from pre on (n = per
-    repeats n = 0 when pre = 0)."""
-    n = next((n for n in range(1, len(curve)) if curve[n] < eps), None)
-    return Verdict("holds" if n is not None else "fails", True, horizon=bound,
-                   witnesses=(("witness_n", n),), note=note)
-
-
 def is_uniformly_rigid(sys: SystemMap, eps, horizon: int | None = None) -> Verdict:
     """Some n >= 1 moves every point within eps of itself; the least such n
-    is the ``witness_n`` (None when there is none, exact past the eventual
-    period)."""
+    below the horizon is the ``witness_n`` (None when there is none).  The
+    curve to n = pre + per decides it: later entries repeat entries from pre
+    on (n = per repeats n = 0 when pre = 0)."""
     _require_table(sys, "uniform rigidity")
     eps = _positive_eps(eps)
-    pre, per = sys.eventual_period()
-    bound = horizon if horizon is not None else pre + per + 1
-    curve = displacement_curve(sys, min(bound, pre + per + 1))
-    return _rigidity_verdict(curve, eps, bound, f"eps={eps}")
+    bound, exact = _clock(TableDyn(sys), horizon, extra=1)
+    curve = displacement_curve(sys, bound)
+    n = next((n for n in range(1, bound) if curve[n] < eps), None)
+    return Verdict("holds" if n is not None else "fails",
+                   exact or n is not None, horizon=bound,
+                   witnesses=(("witness_n", n),), note=f"eps={eps}")
 
 
 def is_proximal_pair(sys: SystemMap, x: Point, y: Point,
@@ -520,8 +512,8 @@ def is_proximal_pair(sys: SystemMap, x: Point, y: Point,
 def _proximal_pair(sys: SystemMap, i: int, j: int,
                    horizon: int | None) -> Verdict:
     """``is_proximal_pair`` on point indices."""
-    pre, per = sys.eventual_period()
-    bound = horizon if horizon is not None else pre + per
+    pre, _ = sys.eventual_period()
+    bound, exact = _clock(TableDyn(sys), horizon)
     space = sys.space
     x, y = space.points[i], space.points[j]
     best = None
@@ -533,7 +525,6 @@ def _proximal_pair(sys: SystemMap, i: int, j: int,
             best = dv if best is None or dv < best else best
         i, j = sys.table[i], sys.table[j]
     liminf = "None" if best is None else str(Fraction(best, space.denom))
-    exact = bound >= pre + per
     return Verdict("fails", exact, horizon=bound,
                    counterexample=(point_label(x), point_label(y), liminf),
                    note="orbits never merge; liminf distance shown" if exact
@@ -585,9 +576,9 @@ def is_sensitive(sys: SystemMap, eps, basis=None,
     d = space.dist_int
     # a distance exceeds eps iff its scaled integer exceeds this
     floor = eps.numerator * space.denom // eps.denominator
-    basis = TableDyn(sys).checked_basis(basis)
-    pre, per = sys.eventual_period()
-    bound = horizon if horizon is not None else pre + per
+    dyn = TableDyn(sys)
+    basis = dyn.checked_basis(basis)
+    bound, exact = _clock(dyn, horizon)
     tables = iterate_tables(sys, bound)
     for i, x in enumerate(space.points):
         for u in basis:
@@ -600,9 +591,12 @@ def is_sensitive(sys: SystemMap, eps, basis=None,
                     escaped = True
                     break
             if not escaped:
-                return Verdict("fails", True, horizon=bound,
+                return Verdict("fails", exact, horizon=bound,
                                counterexample=(point_label(x), u.label),
-                               note="no neighbor ever escapes past eps")
+                               note="no neighbor ever escapes past eps"
+                                    if exact else
+                                    "no neighbor escapes past eps up to "
+                                    "the horizon")
     return Verdict("holds", True, horizon=bound)
 
 

@@ -24,11 +24,10 @@ from .analysis import (diam_decay, displacement_curve, equicontinuity_modulus,
 from .catalog import GENERATOR_KINDS, base_catalog
 from .errors import BoundExceeded, InputError
 from .serialize import (canonical_json, format_fraction,
-                        gfunction_from_jsonable, parse_fraction,
-                        report_csv_rows, report_to_jsonable,
-                        system_from_jsonable, system_to_jsonable,
-                        verdict_to_jsonable, write_atomic)
-from .spaces import SystemMap, make_grid_interval_map, \
+                        gfunction_from_jsonable, report_csv_rows,
+                        report_to_jsonable, system_from_jsonable,
+                        system_to_jsonable, verdict_to_jsonable, write_atomic)
+from .spaces import SystemMap, as_fraction, make_grid_interval_map, \
     make_multiply, make_rotation, one_point_system
 from .symbolic import full_shift, golden_mean_shift
 from .theorems import THEOREM_IDS, verify_theorem
@@ -99,7 +98,7 @@ def _default_eps(system):
         mp = system.space.min_positive_distance()
         if mp:
             return mp
-    return parse_fraction("1/2")
+    return as_fraction("1/2")
 
 
 def _csv_text(rows) -> str:
@@ -112,7 +111,7 @@ def _csv_text(rows) -> str:
 def cmd_check(args) -> int:
     system = parse_system_spec(args.system)
     eps = (_default_eps(system) if args.eps is None
-           else parse_fraction(args.eps))
+           else as_fraction(args.eps))
     props = [p.strip() for p in args.props.split(",") if p.strip()]
     if not props:
         raise InputError("no checks requested")
@@ -146,10 +145,10 @@ def cmd_check(args) -> int:
 
 def cmd_verify(args) -> int:
     system = parse_system_spec(args.system)
-    eps = None if args.eps is None else parse_fraction(args.eps)
+    eps = None if args.eps is None else as_fraction(args.eps)
     lambdas = None
     if args.lambdas:
-        lambdas = [parse_fraction(x) for x in args.lambdas.split(",")]
+        lambdas = [as_fraction(x) for x in args.lambdas.split(",")]
     exponents = None
     if args.a:
         try:

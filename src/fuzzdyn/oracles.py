@@ -56,6 +56,9 @@ class PointsOpen:
             self._label = self._render_label()
         return self._label
 
+    def __repr__(self) -> str:
+        return f"PointsOpen({self.label})"
+
     def _render_label(self) -> str:
         return "{" + ",".join(sorted(point_label(p)
                                      for p in self.members)) + "}"

@@ -25,22 +25,8 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_fraction(s) -> Fraction:
-    return as_fraction(s)
-
-
-def point_to_jsonable(p):
-    if isinstance(p, Fraction):
-        return format_fraction(p)
-    if isinstance(p, frozenset):
-        return sorted((point_to_jsonable(q) for q in p), key=json.dumps)
-    if isinstance(p, tuple):
-        return [point_to_jsonable(q) for q in p]
-    return p
-
-
 def point_key(p) -> str:
-    j = point_to_jsonable(p)
+    j = _jsonable_scalar(p)
     return j if isinstance(j, str) else json.dumps(j, sort_keys=True)
 
 
@@ -82,7 +68,7 @@ def system_from_jsonable(obj: dict):
         if kind == "grid_map":
             shape = obj["shape"]
             if isinstance(shape, list):
-                shape = [(parse_fraction(a), parse_fraction(b))
+                shape = [(as_fraction(a), as_fraction(b))
                          for a, b in shape]
             return make_grid_interval_map(shape, int(obj["m"]),
                                           obj.get("snap", "down"))
@@ -94,7 +80,7 @@ def system_from_jsonable(obj: dict):
                                int(obj["resolution"]))
         if kind == "finite":
             pts = list(obj["points"])
-            dist = [[parse_fraction(v) for v in row] for row in obj["dist"]]
+            dist = [[as_fraction(v) for v in row] for row in obj["dist"]]
             space = MetricSpace(pts, matrix=dist,
                                 label=obj.get("label", "finite"))
             violations = validate_metric(space)
@@ -119,7 +105,7 @@ def gfunction_to_jsonable(g: GFunction) -> dict:
 def gfunction_from_jsonable(obj: dict) -> GFunction:
     try:
         grid = LevelGrid(int(obj["m"]))
-        table = {parse_fraction(k): parse_fraction(v)
+        table = {as_fraction(k): as_fraction(v)
                  for k, v in obj["table"].items()}
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"bad grade distortion document: {exc!r}") from exc

@@ -19,11 +19,10 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
 
-from .analysis import (Verdict, _positive_eps, _rigidity_verdict, diam_decay,
-                       displacement_curve, equicontinuity_modulus,
+from .analysis import (Verdict, _clock, diam_decay, equicontinuity_modulus,
                        is_a_transitive, is_F_transitive,
                        is_mildly_mixing_bounded, is_mixing, is_proximal,
-                       is_transitive, is_weakly_mixing)
+                       is_transitive, is_uniformly_rigid, is_weakly_mixing)
 from .errors import InputError
 from .families import FamilyClassifier
 from .fuzzy import (DEFAULT_STATE_CAP, FuzzySet, GFunction, LevelGrid,
@@ -31,7 +30,8 @@ from .fuzzy import (DEFAULT_STATE_CAP, FuzzySet, GFunction, LevelGrid,
                     _cut_masks, _g_levels, _lift_table, _renderer,
                     enumeration_cost, fuzzy_lift_system, xi_of)
 from .hyperspace import _mask_image, lift_system
-from .oracles import DEFAULT_CYLINDER_LENGTH, HyperShiftDyn, ShiftDyn
+from .oracles import (DEFAULT_CYLINDER_LENGTH, HyperShiftDyn, ShiftDyn,
+                      TableDyn)
 from .spaces import SystemMap, _rho, as_fraction, point_label
 
 
@@ -289,18 +289,14 @@ def _uniform_rigidity_items(system, run: _Run) -> list[ReportItem]:
     if eps is None:
         mp = sys.space.min_positive_distance()
         eps = (mp / 2) if mp else Fraction(1, 2)
-    eps = _positive_eps(eps)
-    pre, per = sys.eventual_period()
-    bound = run.horizon if run.horizon is not None else pre + per + 1
-    curve = displacement_curve(sys, min(bound, pre + per + 1))
-    prop = "uniformly rigid"
+    v = is_uniformly_rigid(sys, eps, run.horizon)
     slices = ["F0"] + [f"{kind} {lam}" for kind in ("eq", "ge")
                        for lam in run.lambdas]
-    levels = ([("base", f"eps={eps}"), ("hyper", "singleton lemma")]
+    levels = ([("base", v.note), ("hyper", "singleton lemma")]
               + [(f"fuzzy({name})", "levelwise cut reduction")
                  for name in slices])
-    return [_item_from_verdict(f"{level}-uniformly-rigid", prop, level,
-                               _rigidity_verdict(curve, eps, bound, note))
+    return [_item_from_verdict(f"{level}-uniformly-rigid", "uniformly rigid",
+                               level, v, note=note)
             for level, note in levels]
 
 
@@ -311,11 +307,14 @@ def _proximality_items(system, run: _Run) -> list[ReportItem]:
     lift = lift_system(sys)
     items.append(_item_from_verdict(
         "hyper-proximal", "proximal", "hyper", is_proximal(lift)))
-    decay = diam_decay(sys, run.horizon)
+    # the curve is read to n = pre + per, like the rigidity curve
+    bound, exact = _clock(TableDyn(sys), run.horizon, extra=1)
+    decay = diam_decay(sys, bound)
     reaches = next((n for n, v in enumerate(decay) if v == 0), None)
     items.append(ReportItem(
         "diam-decay", "image diameters reach zero", "base",
-        "holds" if reaches is not None else "fails", True,
+        "holds" if reaches is not None else "fails",
+        exact or reaches is not None,
         witnesses=(("first_zero_at", reaches),
                    ("final", str(decay[-1])))))
     for lam in run.lambdas:

@@ -372,11 +372,19 @@ class TestUniformRigidity:
         # a quarter turn moves every point exactly 1/4
         assert rigid_time(make_rotation(4, 1), F(1, 4)) == 4
 
+    def test_a_failure_short_of_the_clock_is_not_exact(self):
+        """The rotation comes back at n = 12, so a scan to horizon 2 that
+        finds no witness is horizon evidence, not an exact failure."""
+        v = is_uniformly_rigid(make_rotation(12, 1), F(1, 24), horizon=2)
+        assert v.fails and not v.exact and v.horizon == 2
+
 
 def test_rigidity_witness_matches_the_stepped_iterates():
     """The verdict reads at most pre + per + 1 curve entries; its witness
     is still the least n >= 1 below the horizon whose iterate moves every
-    point less than eps, and its horizon is the one asked for."""
+    point less than eps, and its horizon is the one asked for, cut to
+    pre + per + 1.  A found witness is exact, and so is a failure over the
+    whole clock."""
     rng = random.Random(13)
     for _ in range(20):
         sys = random_table_system(rng, 6)
@@ -390,7 +398,9 @@ def test_rigidity_witness_matches_the_stepped_iterates():
                 n = next((n for n in range(1, horizon) if moves[n] < eps),
                          None)
                 assert v.witnesses == (("witness_n", n),)
-                assert v.horizon == horizon and v.holds == (n is not None)
+                assert (v.horizon == min(horizon, pre + per + 1)
+                        and v.holds == (n is not None))
+                assert v.exact == (v.holds or horizon > pre + per)
 
 
 class TestProximality:
@@ -484,6 +494,30 @@ class TestSensitivity:
                                   label=f"B({x};2/9)")
                       for x in space.points)
         assert is_sensitive(sys, F(2, 9), basis=basis).holds
+
+    def test_a_failure_short_of_the_clock_is_not_exact(self):
+        """No neighbor escapes at time 0, but one does later."""
+        sys = make_grid_interval_map("tent", 8, "nearest")
+        pts = sys.space.points
+        basis = [pts[i:i + 2] for i in range(len(pts) - 1)]
+        short = is_sensitive(sys, F(1, 8), basis=basis, horizon=1)
+        assert short.fails and not short.exact and short.horizon == 1
+        full = is_sensitive(sys, F(1, 8), basis=basis)
+        assert full.holds and full.exact
+
+    def test_a_long_horizon_steps_only_the_clock(self):
+        """A horizon past pre + per is cut to it, so no more iterate
+        tables are built than the clock needs."""
+        sys = make_rotation(12, 1)
+        pre, per = sys.eventual_period()
+        build = analysis.iterate_tables
+
+        def spy(s, upto):
+            assert upto <= pre + per, f"{upto} iterate tables asked for"
+            return build(s, upto)
+        with mock.patch.object(analysis, "iterate_tables", spy):
+            v = is_sensitive(sys, F(1, 12), horizon=10**6)
+        assert v.fails and v.exact and v.horizon == pre + per
 
 
 class TestPeriodicDensity:

@@ -55,3 +55,25 @@ def test_catalog_report_is_consistent(theorem, system, m):
 def test_every_expected_bound_is_a_gate_run():
     runs = {(t, s.label, m) for t, s, m in RUNS}
     assert EXPECTED_BOUNDS <= runs
+
+
+def test_a_horizon_fakes_no_exact_verdict():
+    """Every theorem at m=1 on each catalog member of at most 9 points, at
+    every horizon 1 .. pre + per + 1: no report raises the red alert, and
+    every exact item agrees with the same item at the default horizon,
+    which reads the whole clock."""
+    for system in base_catalog():
+        if len(system.space.points) > 9:
+            continue
+        pre, per = system.eventual_period()
+        for theorem in THEOREM_IDS:
+            full = {it.item_id: it
+                    for it in verify_theorem(theorem, system, m=1).items}
+            for horizon in range(1, pre + per + 2):
+                rep = verify_theorem(theorem, system, m=1, horizon=horizon)
+                case = (theorem, system.label, horizon)
+                assert not rep.red_alert, case
+                for it in rep.items:
+                    if it.exact and full[it.item_id].exact:
+                        assert it.status == full[it.item_id].status, (
+                            case, it.item_id)

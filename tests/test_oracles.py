@@ -52,6 +52,14 @@ def test_an_oracle_rejects_the_open_of_another(kind, other):
             call()
 
 
+def test_a_rejected_open_is_named_by_its_label():
+    """The message names the open, not an object address."""
+    ball = rotation(2).default_basis()[0]
+    with pytest.raises(InputError, match="^cannot interpret") as err:
+        is_transitive(ShiftDyn(full_shift(2, 3)), basis=[ball])
+    assert "B(0)" in str(err.value) and "0x" not in str(err.value)
+
+
 def test_a_box_part_is_checked_by_its_factor():
     dyn, box = oracles()["product"]
     swapped = ProductOpen(box.parts[::-1])

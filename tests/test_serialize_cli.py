@@ -15,9 +15,9 @@ from fuzzdyn.fuzzy import GFunction, LevelGrid
 from fuzzdyn.hyperspace import lift_system
 from fuzzdyn.serialize import (canonical_json, format_fraction,
                                gfunction_from_jsonable, gfunction_to_jsonable,
-                               parse_fraction, system_from_jsonable,
-                               system_to_jsonable)
-from fuzzdyn.spaces import make_grid_interval_map, make_multiply, make_rotation
+                               system_from_jsonable, system_to_jsonable)
+from fuzzdyn.spaces import (as_fraction, make_grid_interval_map, make_multiply,
+                            make_rotation)
 from fuzzdyn.symbolic import golden_mean_shift
 
 F = Fraction
@@ -37,15 +37,15 @@ def run_module_cli(args, cwd):
 class TestFractions:
     def test_roundtrip(self):
         for s in ("0/1", "3/4", "7/1"):
-            assert format_fraction(parse_fraction(s)) == s
+            assert format_fraction(as_fraction(s)) == s
 
     def test_accepts_plain_integers(self):
-        assert parse_fraction("3") == 3
+        assert as_fraction("3") == 3
         assert format_fraction(F(3)) == "3/1"
 
     def test_bad_input(self):
         with pytest.raises(InputError):
-            parse_fraction("x/y")
+            as_fraction("x/y")
 
 
 class TestSystemRoundTrips:
@@ -155,6 +155,21 @@ class TestCli:
         assert all(item["status"] == "fails"
                    for item in doc["report"]["items"])
         assert (tmp_path / "equivalence_matrix.csv").exists()
+
+    def test_a_short_horizon_raises_no_red_alert(self, tmp_path):
+        """At horizon 2 the image diameters have not reached zero: the
+        decay item fails as horizon evidence, against exact proximal
+        items, so the report is inconsistent but raises no alert."""
+        rc = main(["verify", "--theorem", "proximality",
+                   "--system", "gridmap:half,8", "--m", "2",
+                   "--horizon", "2", "--out", str(tmp_path)])
+        assert rc == 0
+        doc = json.loads((tmp_path / "equivalence_report.json").read_text())
+        assert doc["report"]["consistent"] is False
+        assert doc["report"]["red_alert"] is False
+        decay, = (item for item in doc["report"]["items"]
+                  if item["id"] == "diam-decay")
+        assert decay["status"] == "fails" and decay["exact"] is False
 
     def test_verify_proximality_includes_mixed_height_row(self, tmp_path):
         rc = main(["verify", "--theorem", "proximality",
