@@ -500,6 +500,19 @@ def is_uniformly_rigid(sys: SystemMap, eps, horizon: int | None = None) -> Verdi
                    witnesses=(("witness_n", n),), note=f"eps={eps}")
 
 
+def diam_reaches_zero(sys: SystemMap, horizon: int | None = None) -> Verdict:
+    """Some image T^n(X) is a single point.  The diameter curve is read to
+    n = pre + per, like the rigidity curve; the witnesses are the least n
+    where it is zero (None when there is none) and its last value."""
+    _require_table(sys, "diameter decay")
+    bound, exact = _clock(TableDyn(sys), horizon, extra=1)
+    decay = diam_decay(sys, bound)
+    n = next((n for n, v in enumerate(decay) if v == 0), None)
+    return Verdict("holds" if n is not None else "fails",
+                   exact or n is not None, horizon=bound,
+                   witnesses=(("first_zero_at", n), ("final", str(decay[-1]))))
+
+
 def is_proximal_pair(sys: SystemMap, x: Point, y: Point,
                      horizon: int | None = None) -> Verdict:
     """Do the two orbits merge (liminf distance zero is merging on a

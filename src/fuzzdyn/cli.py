@@ -33,6 +33,16 @@ from .symbolic import full_shift, golden_mean_shift
 from .theorems import THEOREM_IDS, verify_theorem
 
 
+def _load_json(path: str, what: str = ""):
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise InputError(f"cannot read {what}{path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"bad JSON in {path!r}: {exc}") from exc
+
+
 def parse_system_spec(spec: str):
     """rotation:12,1 | multiply:9,2 | gridmap:half,8[,down] |
     fullshift:2,3 | goldenmean:4 | point | file:path | json:{...}"""
@@ -42,13 +52,7 @@ def parse_system_spec(spec: str):
         raise InputError(f"bad system spec {spec!r}")
     head, rest = spec.split(":", 1)
     if head == "file":
-        try:
-            with open(rest) as handle:
-                return system_from_jsonable(json.load(handle))
-        except OSError as exc:
-            raise InputError(f"cannot read {rest!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad JSON in {rest!r}: {exc}") from exc
+        return system_from_jsonable(_load_json(rest))
     if head == "json":
         try:
             return system_from_jsonable(json.loads(rest))
@@ -86,13 +90,6 @@ CHECKS = {
 }
 
 
-def _run_check(name: str, system, eps, horizon) -> dict:
-    check = CHECKS.get(name)
-    if check is None:
-        raise InputError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
-    return verdict_to_jsonable(check(system, eps, horizon))
-
-
 def _default_eps(system):
     if isinstance(system, SystemMap):
         mp = system.space.min_positive_distance()
@@ -115,15 +112,20 @@ def cmd_check(args) -> int:
     props = [p.strip() for p in args.props.split(",") if p.strip()]
     if not props:
         raise InputError("no checks requested")
-    results = {}
-    for name in props:
-        results[name] = _run_check(name, system, eps, args.horizon)
+    for k, name in enumerate(props):
+        if name not in CHECKS:
+            raise InputError(f"unknown check {name!r}; "
+                             f"known: {', '.join(CHECKS)}")
+        if name in props[:k]:
+            raise InputError(f"check {name!r} is repeated")
+    results = {name: verdict_to_jsonable(CHECKS[name](system, eps,
+                                                      args.horizon))
+               for name in props}
     payload = {
         "tool": {"name": "fuzzdyn", "version": __version__},
         "config": {"command": "check", "system": args.system,
                    "props": props, "eps": args.eps,
-                   "horizon": args.horizon, "m": args.m,
-                   "seed": args.seed},
+                   "horizon": args.horizon, "m": args.m},
         "system": system_to_jsonable(system),
         "results": results,
     }
@@ -158,13 +160,7 @@ def cmd_verify(args) -> int:
     g = None
     if args.g:
         path = args.g[5:] if args.g.startswith("file:") else args.g
-        try:
-            with open(path) as handle:
-                g = gfunction_from_jsonable(json.load(handle))
-        except OSError as exc:
-            raise InputError(f"cannot read g from {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad JSON in {path!r}: {exc}") from exc
+        g = gfunction_from_jsonable(_load_json(path, "g from "))
     report = verify_theorem(args.theorem, system, m=args.m, lambdas=lambdas,
                             eps=eps, exponents=exponents, g=g,
                             horizon=args.horizon)
@@ -173,7 +169,7 @@ def cmd_verify(args) -> int:
         "config": {"command": "verify", "system": args.system,
                    "theorem": args.theorem, "m": args.m,
                    "lambdas": args.lambdas, "eps": args.eps,
-                   "a": args.a, "horizon": args.horizon, "seed": args.seed},
+                   "a": args.a, "horizon": args.horizon},
         "report": report_to_jsonable(report),
     }
     text = canonical_json(payload)
@@ -248,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon": dict(type=int, default=None),
         "--m": dict(type=int, default=2, help="grade grid 1/m"),
         "--eps": dict(default=None, help="epsilon as p/q"),
-        "--seed": dict(type=int, default=0),
     }
 
     def common(p, names=tuple(options)):

@@ -19,14 +19,17 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import random
+from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable, Sequence
 
+from .analysis import Verdict
 from .errors import BoundExceeded, InputError
-from .hyperspace import CompactSet, _cut_lift
+from .hyperspace import CompactSet, _cut_lift, _mask_image
 from .spaces import (MetricSpace, Point, SystemMap, ZERO, ONE, _RenderedPoints,
-                     as_fraction, point_label)
+                     _rho, as_fraction, point_label)
 
 #: default cap on enumerated fuzzy states, (m+1)^|X|
 DEFAULT_STATE_CAP = 3 ** 9
@@ -488,3 +491,143 @@ def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
                                          for k, v in sorted(g.table.items())}}
     zadeh = _g_levels(grid, g) == tuple(range(m + 1))
     return _cut_lift(sys, points, cuts, table, label, prov, zadeh)
+
+
+# -- the level-wise lemmas --------------------------------------------------
+
+#: the states the cut lemma samples above the cap, and their seed
+_CUT_SAMPLE, _CUT_SEED = 256, 11
+
+
+def heights_preserved(sys: SystemMap, grid: LevelGrid, f0: SystemMap,
+                      horizon: int | None = None) -> Verdict:
+    """Height-preservation lemma on ``f0``, the F0 lift of ``sys``: Zadeh's
+    extension of a total map keeps every height, and states of heights
+    h1 < h2 are a diameter apart (their cuts at h2 differ in emptiness), so
+    distinct heights stay a diameter apart iff the F0 lift table keeps
+    heights (its one missing state, the empty one, is fixed).  A changed
+    height is a kernel bug, raised as ``RuntimeError``.  The witness counts
+    the (pair, step) reads of a scan of every distinct-height pair of all S
+    states, the empty one included, over T^0 .. T^(horizon-1), horizon
+    pre + per + 1 by default: (C(S,2) - sum_h C(S_h,2)) times the steps."""
+    pre, per = sys.eventual_period()
+    bound = horizon if horizon is not None else pre + per + 1
+    # the heights of every code, the empty one too; F0 state i is code i + 1
+    heights = _code_heights(len(sys.space.points), grid.m + 1)
+    moved = next((i for i, t in enumerate(f0.table)
+                  if heights[t + 1] != heights[i + 1]), None)
+    if moved is not None:
+        raise RuntimeError(f"lift kernel bug: state "
+                           f"{point_label(f0.space.points[moved])} "
+                           f"changes height under Zadeh's extension")
+    pairs = math.comb(len(heights), 2) - sum(
+        math.comb(k, 2) for k in Counter(heights).values())
+    # a pair scan reads T^0 .. T^(bound-1), and T^0 even at bound 0
+    return Verdict("holds", True, horizon=bound,
+                   witnesses=(("pairs_times_checked", pairs * max(bound, 1)),),
+                   note="height-preservation lemma")
+
+
+class _ImageMemo(dict):
+    """T^n(mask) per cut mask, for one n, filled on first use."""
+
+    def __init__(self, point_bits: list[int]):
+        self.point_bits = point_bits
+
+    def __missing__(self, mask: int) -> int:
+        image = self[mask] = _mask_image(mask, self.point_bits)
+        return image
+
+
+def cuts_commute(sys: SystemMap, grid: LevelGrid, g: GFunction | None = None,
+                 horizon: int | None = None,
+                 cap: int = DEFAULT_STATE_CAP) -> Verdict:
+    """Cuts of the g-iterates are images of cuts moved by the level
+    transfer: [G^n(a)]_alpha = T^n([a]_{xi^n(alpha)}) for n = 1 .. horizon
+    (6 by default), on state codes and cut bitmasks, exactly on all states
+    within the cap and else on a fixed sample.  The count and the first
+    mismatch are those of a scan state by state in code order, each state
+    step by step.
+
+    The left side steps every state at once with the code kernel: one index
+    table of all states, or the sampled batch.  The right side reads
+    T^n(mask) from a memo.  Each step compares every level's whole column
+    of masks at once and scans state by state only when two columns differ;
+    from then on only the states before that first mismatch are stepped,
+    since no later state can come first.  Only one step is held at a time,
+    and stepping stops at the fold max(pre) + lcm(per) of T, g and xi:
+    G^n(a)(x) is the max of g^n(a(y)) over the y with T^n(y) = x, so from
+    the fold on every comparison repeats the one at n - lcm(per) >=
+    max(pre), and the one at n = 0 holds.  So the first mismatch, if any,
+    is before the fold, and the count over the whole horizon follows.  That
+    holds for a wrong lift table too: a state's orbit leaves the true one
+    at the first state it steps wrongly, which the true orbit reaches
+    within the fold, and the mismatch shows at the next step."""
+    m = grid.m
+    radix = m + 1
+    values = grid.with_zero()
+    g = g if g is not None else GFunction.identity(grid)
+    gint = _g_levels(grid, g)
+    n_max = horizon if horizon is not None else 6
+    n_pts = len(sys.space.points)
+    every = radix ** n_pts <= cap
+    if every:
+        _, codes, step = _lift_table(sys, grid, ("all",), g, cap)
+        all_cuts = _cut_columns(n_pts, radix, m)
+
+        def columns(at: list[int]) -> list[list[int]]:
+            return [list(map(col.__getitem__, at)) for col in all_cuts]
+        advance = partial(map, step.__getitem__)
+        note = "all states"
+    else:
+        rng = random.Random(_CUT_SEED)
+        levels = range(m + 1)
+        codes = [_code([rng.choice(levels) for _ in range(n_pts)], radix)
+                 for _ in range(_CUT_SAMPLE)]
+        render = _renderer(n_pts, radix, levels)
+
+        def columns(at: list[int]) -> list[list[int]]:
+            return list(map(list, zip(*(_cut_masks(render(c), m)
+                                        for c in at))))
+        advance = partial(_code_steps, n_pts, radix, sys.preimages(), gint)
+        note = f"{_CUT_SAMPLE} sampled states (seed {_CUT_SEED})"
+    level_of = {v: k for k, v in enumerate(values)}
+    xi = xi_of(g)
+    xint = [level_of[xi[v]] for v in values]  # xi on the integer levels
+    folds = [sys.eventual_period(), _rho(gint), _rho(xint)]
+    last = min(n_max, max(f[0] for f in folds)
+               + math.lcm(*(f[1] for f in folds)))
+    at = codes            # G^n of every state before the first mismatch
+    cuts = columns(at)    # their cut masks, one column per level
+    transfer = xint       # xi^n on the integer levels
+    moved = sys.table     # T^n
+    first = None          # (state, n, level index) of the first mismatch
+    for n in range(1, last + 1):
+        if n > 1:
+            transfer = [xint[k] for k in transfer]
+            moved = [sys.table[t] for t in moved]
+        at = list(advance(at))
+        images = _ImageMemo([1 << t for t in moved])
+        # level k at time n: [G^n(a)]_k against T^n([a]_{xi^n(k)}), and
+        # the cut at level xi^n(k) is in column xi^n(k) - 1
+        lhs = columns(at)
+        rhs = [list(map(images.__getitem__, cuts[t - 1]))
+               for t in transfer[1:]]
+        if lhs == rhs:
+            continue
+        i = next(i for i, row in enumerate(zip(*lhs, *rhs))
+                 if row[:m] != row[m:])
+        k = next(k for k in range(m) if lhs[k][i] != rhs[k][i])
+        first = (i, n, k)
+        if not i:
+            break
+        at, cuts = at[:i], [col[:i] for col in cuts]
+    wit = (("equalities_checked", len(codes) * m * n_max),)
+    if first:
+        i, n, k = first
+        wit = (("equalities_checked", (i * n_max + n - 1) * m + k + 1),)
+        fuzzy = FuzzySet(sys.space, grid,
+                         _renderer(n_pts, radix, values)(codes[i]))
+        wit += (("mismatch", (repr(fuzzy), n, str(values[k + 1]))),)
+    return Verdict("fails" if first else "holds", every, horizon=n_max,
+                   witnesses=wit, note=note)

@@ -56,28 +56,38 @@ def system_to_jsonable(system) -> dict:
             "label": system.label}
 
 
+def _integer(obj: dict, key: str) -> int:
+    """The JSON integer ``obj[key]``; a float, string or boolean is an
+    input error, not a value to coerce."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{key!r} must be an integer, "
+                         f"not {json.dumps(value)}")
+    return value
+
+
 def system_from_jsonable(obj: dict):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("system description needs a 'kind' field")
     kind = obj["kind"]
     try:
         if kind == "rotation":
-            return make_rotation(int(obj["n"]), int(obj["step"]))
+            return make_rotation(_integer(obj, "n"), _integer(obj, "step"))
         if kind == "multiply":
-            return make_multiply(int(obj["n"]), int(obj["a"]))
+            return make_multiply(_integer(obj, "n"), _integer(obj, "a"))
         if kind == "grid_map":
             shape = obj["shape"]
             if isinstance(shape, list):
                 shape = [(as_fraction(a), as_fraction(b))
                          for a, b in shape]
-            return make_grid_interval_map(shape, int(obj["m"]),
+            return make_grid_interval_map(shape, _integer(obj, "m"),
                                           obj.get("snap", "down"))
         if kind == "sft":
             edges = obj.get("edges")
             pairs = None if edges in (None, "full") else \
                 [(a, b) for a, b in edges]
-            return ShiftSystem("".join(obj["alphabet"]), pairs,
-                               int(obj["resolution"]))
+            return ShiftSystem(obj["alphabet"], pairs,
+                               _integer(obj, "resolution"))
         if kind == "finite":
             pts = list(obj["points"])
             dist = [[as_fraction(v) for v in row] for row in obj["dist"]]
@@ -104,7 +114,7 @@ def gfunction_to_jsonable(g: GFunction) -> dict:
 
 def gfunction_from_jsonable(obj: dict) -> GFunction:
     try:
-        grid = LevelGrid(int(obj["m"]))
+        grid = LevelGrid(_integer(obj, "m"))
         table = {as_fraction(k): as_fraction(v)
                  for k, v in obj["table"].items()}
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

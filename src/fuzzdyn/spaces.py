@@ -212,13 +212,6 @@ class MetricSpace:
                                  for v in sorted(vals))
         return self._values
 
-    def ball(self, center: Point, radius: Fraction) -> frozenset:
-        """Open ball {q : d(center, q) < radius}."""
-        r = as_fraction(radius)
-        i = self.index(center)
-        return frozenset(q for j, q in enumerate(self.points)
-                         if self.d_by_index(i, j) < r)
-
 
 def _scaled_matrix(space: MetricSpace) -> tuple[int, list[list[int]]]:
     """Every distance as an integer over the space's common denominator."""
@@ -296,13 +289,6 @@ class SystemMap:
 
     def __repr__(self) -> str:
         return f"SystemMap({self.label!r}, {len(self.space)} points)"
-
-    @property
-    def surjective(self) -> bool:
-        return len(set(self.table)) == len(self.space.points)
-
-    def apply(self, p: Point) -> Point:
-        return self.space.points[self.table[self.space.index(p)]]
 
     def image_indices(self, idxs: Iterable[int]) -> frozenset:
         return frozenset(self.table[i] for i in idxs)

@@ -1,6 +1,7 @@
 """Equivalence harness: evaluate every side of a known equivalence on the
 same instance (base system, subset lift, fuzzy lifts per height) and report
-per-item verdicts with an agreement matrix.
+per-item verdicts with an agreement matrix.  Every item is a checker's
+``Verdict``; the harness only declares which checker runs on which level.
 
 An exact-mode disagreement between items of one equivalence is an
 implementation-bug oracle, not mathematics; it raises a red alert carrying
@@ -11,28 +12,22 @@ bounded), though the matrix still records the inconsistency.
 
 from __future__ import annotations
 
-import math
-import random
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
 
-from .analysis import (Verdict, _clock, diam_decay, equicontinuity_modulus,
+from .analysis import (Verdict, diam_reaches_zero, equicontinuity_modulus,
                        is_a_transitive, is_F_transitive,
                        is_mildly_mixing_bounded, is_mixing, is_proximal,
                        is_transitive, is_uniformly_rigid, is_weakly_mixing)
 from .errors import InputError
 from .families import FamilyClassifier
-from .fuzzy import (DEFAULT_STATE_CAP, FuzzySet, GFunction, LevelGrid,
-                    _code, _code_heights, _code_steps, _cut_columns,
-                    _cut_masks, _g_levels, _lift_table, _renderer,
-                    enumeration_cost, fuzzy_lift_system, xi_of)
-from .hyperspace import _mask_image, lift_system
-from .oracles import (DEFAULT_CYLINDER_LENGTH, HyperShiftDyn, ShiftDyn,
-                      TableDyn)
-from .spaces import SystemMap, _rho, as_fraction, point_label
+from .fuzzy import (DEFAULT_STATE_CAP, GFunction, LevelGrid, cuts_commute,
+                    fuzzy_lift_system, heights_preserved)
+from .hyperspace import lift_system
+from .oracles import DEFAULT_CYLINDER_LENGTH, HyperShiftDyn, ShiftDyn
+from .spaces import SystemMap, as_fraction
 
 
 @dataclass(frozen=True)
@@ -90,12 +85,6 @@ def _item_from_verdict(item_id: str, prop: str, level: str, v: Verdict,
     return ReportItem(item_id, prop, level, v.status, v.exact,
                       witnesses=v.witnesses,
                       note=note or v.note, in_matrix=in_matrix)
-
-
-def _require_finite(system, theorem: str) -> SystemMap:
-    if not isinstance(system, SystemMap):
-        raise InputError(f"theorem {theorem!r} needs a finite table system")
-    return system
 
 
 @dataclass(frozen=True)
@@ -261,8 +250,7 @@ def _rows_items(rows: tuple[_Row, ...], system, run: _Run) -> list[ReportItem]:
 # -- theorems with their own builders --------------------------------------
 
 
-def _equicontinuity_items(system, run: _Run) -> list[ReportItem]:
-    sys = _require_finite(system, "equicontinuity")
+def _equicontinuity_items(sys: SystemMap, run: _Run) -> list[ReportItem]:
     eps = run.eps
     if eps is None:
         eps = sys.space.min_positive_distance() or Fraction(1)
@@ -278,13 +266,12 @@ def _equicontinuity_items(system, run: _Run) -> list[ReportItem]:
             if sys.space.nontrivial or level != "fuzzy(F0)"]
 
 
-def _uniform_rigidity_items(system, run: _Run) -> list[ReportItem]:
+def _uniform_rigidity_items(sys: SystemMap, run: _Run) -> list[ReportItem]:
     """Every level reads the base displacement curve.  Singleton lemma:
     max over nonempty A of d_H(T^n(A), A) is max over x of d(T^n(x), x),
     since singletons attain it and each point of A moves at most that far.
     Each fuzzy slice displaces like the subset lift: some cut of its states
     is any given subset, and cuts commute with Zadeh's extension."""
-    sys = _require_finite(system, "uniform-rigidity")
     eps = run.eps
     if eps is None:
         mp = sys.space.min_positive_distance()
@@ -300,23 +287,12 @@ def _uniform_rigidity_items(system, run: _Run) -> list[ReportItem]:
             for level, note in levels]
 
 
-def _proximality_items(system, run: _Run) -> list[ReportItem]:
-    sys = _require_finite(system, "proximality")
+def _proximality_items(sys: SystemMap, run: _Run) -> list[ReportItem]:
     grid = run.grid
-    items = []
-    lift = lift_system(sys)
-    items.append(_item_from_verdict(
-        "hyper-proximal", "proximal", "hyper", is_proximal(lift)))
-    # the curve is read to n = pre + per, like the rigidity curve
-    bound, exact = _clock(TableDyn(sys), run.horizon, extra=1)
-    decay = diam_decay(sys, bound)
-    reaches = next((n for n, v in enumerate(decay) if v == 0), None)
-    items.append(ReportItem(
-        "diam-decay", "image diameters reach zero", "base",
-        "holds" if reaches is not None else "fails",
-        exact or reaches is not None,
-        witnesses=(("first_zero_at", reaches),
-                   ("final", str(decay[-1])))))
+    items = [_item_from_verdict("hyper-proximal", "proximal", "hyper",
+                                is_proximal(lift_system(sys))),
+             _item_from_verdict("diam-decay", "image diameters reach zero",
+                                "base", diam_reaches_zero(sys, run.horizon))]
     for lam in run.lambdas:
         fl = fuzzy_lift_system(sys, grid, ("eq", lam), cap=run.cap)
         items.append(_item_from_verdict(
@@ -324,45 +300,19 @@ def _proximality_items(system, run: _Run) -> list[ReportItem]:
             is_proximal(fl)))
     if grid.m >= 2 and sys.space.nontrivial:
         f0 = fuzzy_lift_system(sys, grid, "nonempty", cap=run.cap)
-        v = is_proximal(f0)
         items.append(_item_from_verdict(
-            "fuzzy(F0)-proximal", "proximal", "fuzzy(F0)", v,
+            "fuzzy(F0)-proximal", "proximal", "fuzzy(F0)", is_proximal(f0),
             in_matrix=False,
             note="states of different heights stay a diameter apart, so "
                  "the mixed-height system is expected non-proximal"))
     return items
 
 
-def _height_invariance_items(system, run: _Run) -> list[ReportItem]:
-    """Height-preservation lemma: Zadeh's extension of a total map keeps
-    every height, and two states of heights h1 < h2 are a diameter apart
-    (their cuts at h2 differ in emptiness).  So distinct heights stay a
-    diameter apart iff the lift table preserves heights: one O(S) pass
-    over the F0 lift, whose only missing state, the empty one, is fixed.
-    The witness counts the (pair, step) reads of a scan of every
-    distinct-height pair of all S states, the empty one included:
-    (C(S,2) - sum_h C(S_h,2)) times the steps."""
-    sys = _require_finite(system, "height-invariance")
-    pre, per = sys.eventual_period()
-    bound = run.horizon if run.horizon is not None else pre + per + 1
+def _height_invariance_items(sys: SystemMap, run: _Run) -> list[ReportItem]:
     f0 = fuzzy_lift_system(sys, run.grid, "nonempty", cap=run.cap)
-    # the heights of every code, the empty one too; F0 state i is code i + 1
-    heights = _code_heights(len(sys.space.points), run.grid.m + 1)
-    moved = next((i for i, t in enumerate(f0.table)
-                  if heights[t + 1] != heights[i + 1]), None)
-    if moved is not None:
-        raise RuntimeError(f"lift kernel bug: state "
-                           f"{point_label(f0.space.points[moved])} "
-                           f"changes height under Zadeh's extension")
-    pairs = math.comb(len(heights), 2) - sum(
-        math.comb(k, 2) for k in Counter(heights).values())
-    # a pair scan reads T^0 .. T^(bound-1), and T^0 even at bound 0
-    checked = pairs * max(bound, 1)
-    items = [ReportItem(
+    items = [_item_from_verdict(
         "height-obstruction", "distinct heights stay a diameter apart",
-        "fuzzy(all)", "holds", True,
-        witnesses=(("pairs_times_checked", checked),),
-        note="height-preservation lemma")]
+        "fuzzy(all)", heights_preserved(sys, run.grid, f0, run.horizon))]
     if sys.space.nontrivial:
         items.append(_item_from_verdict(
             "f0-not-transitive", "transitive", "fuzzy(F0)",
@@ -375,110 +325,11 @@ def _height_invariance_items(system, run: _Run) -> list[ReportItem]:
     return items
 
 
-class _ImageMemo(dict):
-    """T^n(mask) per cut mask, for one n, filled on first use."""
-
-    def __init__(self, point_bits: list[int]):
-        super().__init__()
-        self.point_bits = point_bits
-
-    def __missing__(self, mask: int) -> int:
-        image = self[mask] = _mask_image(mask, self.point_bits)
-        return image
-
-
-def _cut_lemma_items(system, run: _Run, sample_cap=256,
-                     seed=11) -> list[ReportItem]:
-    """Cuts of the g-iterates are images of cuts moved by the level
-    transfer: [G^n(a)]_alpha = T^n([a]_{xi^n(alpha)}), checked on state
-    codes and cut bitmasks.  The count and the first mismatch are those of
-    a scan state by state in code order, each state step by step.
-
-    The left side steps every state at once with the code kernel: one index
-    table of all states, or the sampled batch.  The right side reads
-    T^n(mask) from a memo.  Each step compares every level's whole column
-    of masks at once and scans state by state only when two columns differ;
-    from then on only the states before that first mismatch are stepped,
-    since no later state can come first.  Only one step is held at a time,
-    and stepping stops at the fold max(pre) + lcm(per) of T, g and xi:
-    G^n(a)(x) is the max of g^n(a(y)) over the y with T^n(y) = x, so from
-    the fold on every comparison repeats the one at n - lcm(per) >=
-    max(pre), and the one at n = 0 holds.  So the first mismatch, if any,
-    is before the fold, and the count over the whole horizon follows.  That
-    holds for a wrong lift table too: a state's orbit leaves the true one
-    at the first state it steps wrongly, which the true orbit reaches
-    within the fold, and the mismatch shows at the next step."""
-    sys = _require_finite(system, "cut-lemma")
-    grid = run.grid
-    m = grid.m
-    radix = m + 1
-    values = grid.with_zero()
-    g = run.g if run.g is not None else GFunction.identity(grid)
-    gint = _g_levels(grid, g)
-    n_max = run.horizon if run.horizon is not None else 6
-    n_pts = len(sys.space.points)
-    if enumeration_cost(n_pts, grid, "all") <= run.cap:
-        _, codes, step = _lift_table(sys, grid, ("all",), g, run.cap)
-        every = _cut_columns(n_pts, radix, m)
-
-        def columns(at: list[int]) -> list[list[int]]:
-            return [list(map(col.__getitem__, at)) for col in every]
-        advance = partial(map, step.__getitem__)
-        note = "all states"
-    else:
-        rng = random.Random(seed)
-        levels = range(m + 1)
-        codes = [_code([rng.choice(levels) for _ in range(n_pts)], radix)
-                 for _ in range(sample_cap)]
-        render = _renderer(n_pts, radix, levels)
-
-        def columns(at: list[int]) -> list[list[int]]:
-            return list(map(list, zip(*(_cut_masks(render(c), m)
-                                        for c in at))))
-        advance = partial(_code_steps, n_pts, radix, sys.preimages(), gint)
-        note = f"{sample_cap} sampled states (seed {seed})"
-    level_of = {v: k for k, v in enumerate(values)}
-    xi = xi_of(g)
-    xint = [level_of[xi[v]] for v in values]  # xi on the integer levels
-    folds = [sys.eventual_period(), _rho(gint), _rho(xint)]
-    horizon = min(n_max, max(f[0] for f in folds)
-                  + math.lcm(*(f[1] for f in folds)))
-    at = codes            # G^n of every state before the first mismatch
-    cuts = columns(at)    # their cut masks, one column per level
-    transfer = xint       # xi^n on the integer levels
-    moved = sys.table     # T^n
-    first = None          # (state, n, level index) of the first mismatch
-    for n in range(1, horizon + 1):
-        if n > 1:
-            transfer = [xint[k] for k in transfer]
-            moved = [sys.table[t] for t in moved]
-        at = list(advance(at))
-        images = _ImageMemo([1 << t for t in moved])
-        # level k at time n: [G^n(a)]_k against T^n([a]_{xi^n(k)}), and
-        # the cut at level xi^n(k) is in column xi^n(k) - 1
-        lhs = columns(at)
-        rhs = [list(map(images.__getitem__, cuts[t - 1]))
-               for t in transfer[1:]]
-        if lhs == rhs:
-            continue
-        i = next(i for i, row in enumerate(zip(*lhs, *rhs))
-                 if row[:m] != row[m:])
-        k = next(k for k in range(m) if lhs[k][i] != rhs[k][i])
-        first = (i, n, k)
-        if not i:
-            break
-        at, cuts = at[:i], [col[:i] for col in cuts]
-    wit = (("equalities_checked", len(codes) * m * n_max),)
-    if first:
-        i, n, k = first
-        wit = (("equalities_checked", (i * n_max + n - 1) * m + k + 1),)
-        fuzzy = FuzzySet(sys.space, grid,
-                         _renderer(n_pts, radix, values)(codes[i]))
-        wit += (("mismatch", (repr(fuzzy), n, str(values[k + 1]))),)
-    return [ReportItem("cut-commutation",
-                       "iterated cuts move by the level transfer",
-                       "fuzzy(all)", "fails" if first else "holds",
-                       note == "all states", witnesses=wit, note=note)]
+def _cut_lemma_items(sys: SystemMap, run: _Run) -> list[ReportItem]:
+    return [_item_from_verdict(
+        "cut-commutation", "iterated cuts move by the level transfer",
+        "fuzzy(all)", cuts_commute(sys, run.grid, run.g, run.horizon,
+                                   run.cap))]
 
 
 _BUILDERS = {
@@ -514,9 +365,11 @@ def verify_theorem(theorem: str, system, *, m: int = 2,
         lams = grid.levels
     else:
         lams = tuple(as_fraction(x) for x in lambdas)
-        for lam in lams:
+        for k, lam in enumerate(lams):
             if not grid.admits(lam) or lam <= 0:
                 raise InputError(f"lambda {lam} is not a positive grid level")
+            if lam in lams[:k]:
+                raise InputError(f"lambda {lam} is repeated")
     label = system.label if hasattr(system, "label") else str(system)
     config = {"theorem": theorem, "system": label, "m": m,
               "lambdas": ",".join(str(x) for x in lams),
@@ -529,5 +382,7 @@ def verify_theorem(theorem: str, system, *, m: int = 2,
                tuple(exponents) if exponents is not None else (1, 2), g,
                catalog,
                family if family is not None else FamilyClassifier("thick"))
+    if theorem not in _ROWS and not isinstance(system, SystemMap):
+        raise InputError(f"theorem {theorem!r} needs a finite table system")
     report.items = builder(system, run)
     return report.finalize()

@@ -4,9 +4,9 @@ These recompute everything from the definitions with plain Fraction loops,
 deliberately avoiding the package's optimized integer-mask paths; optimized
 and definitional routes are cross-checked against each other in the tests.
 ``image_points``, ``recurrent_points``, ``point_return_set``,
-``orbit_points``, ``is_isometry`` and the ``catalog_*_upto`` fixtures are
-former package names that only tests call; they stay thin edges over the
-package.
+``orbit_points``, ``is_isometry``, ``apply``, ``ball``, ``surjective`` and
+the ``catalog_*_upto`` fixtures are former package names that only tests
+call; they stay thin edges over the package.
 """
 
 from __future__ import annotations
@@ -41,6 +41,23 @@ def recurrent_points(sys) -> CompactSet:
 def point_return_set(sys, x, v, horizon=None):
     """N(x, V) = {n : T^n(x) in V} for a finite table system."""
     return return_time_set(sys, [x], v, horizon)
+
+
+def apply(sys, p):
+    """T(p) for a point p."""
+    return sys.space.points[sys.table[sys.space.index(p)]]
+
+
+def ball(space, center, radius) -> frozenset:
+    """Open ball {q : d(center, q) < radius}."""
+    r = as_fraction(radius)
+    i = space.index(center)
+    return frozenset(q for j, q in enumerate(space.points)
+                     if space.d_by_index(i, j) < r)
+
+
+def surjective(sys) -> bool:
+    return len(set(sys.table)) == len(sys.space.points)
 
 
 def orbit_points(sys, p, steps):

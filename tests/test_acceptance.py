@@ -23,7 +23,7 @@ from fuzzdyn.spaces import (SystemMap, circle_space, iterate_tables,
                             make_multiply, one_point_system, validate_metric)
 from fuzzdyn.symbolic import full_shift
 from fuzzdyn.theorems import verify_theorem
-from helpers import (catalog_bijections_upto, catalog_isometries_upto,
+from helpers import (apply, catalog_bijections_upto, catalog_isometries_upto,
                      catalog_upto, random_table_system, taxi_space)
 
 F = Fraction
@@ -94,7 +94,7 @@ def test_criterion_02_cut_commutation():
             for alpha, level in cuts.items():
                 want = alpha_cut(a, level).members
                 for _ in range(n):
-                    want = frozenset(sys.apply(p) for p in want)
+                    want = frozenset(apply(sys, p) for p in want)
                 if alpha_cut(current, alpha).members != want:
                     failures += 1
     elapsed = time.monotonic() - start

@@ -34,12 +34,11 @@ from fuzzdyn.spaces import (MetricSpace, SystemMap, circle_space, iterate,
                             make_grid_interval_map, make_multiply,
                             make_rotation, one_point_system, product_system)
 from fuzzdyn.symbolic import ShiftSystem, full_shift
-from helpers import (PairwiseProduct, brute_proximal, brute_return_times,
-                     brute_transitive, image_points, omega_limit,
-                     pairwise_first_failure,
-                     pairwise_mixing, pairwise_tail, pairwise_transitive,
-                     point_return_set, random_table_system, recurrent_points,
-                     shift_brute_member)
+from helpers import (PairwiseProduct, apply, ball, brute_proximal,
+                     brute_return_times, brute_transitive, image_points,
+                     omega_limit, pairwise_first_failure, pairwise_mixing,
+                     pairwise_tail, pairwise_transitive, point_return_set,
+                     random_table_system, recurrent_points, shift_brute_member)
 
 F = Fraction
 
@@ -326,7 +325,7 @@ class TestEquicontinuity:
             for x, y in itertools.combinations(pts, 2):
                 if sys.space.d(x, y) < candidate:
                     for it in iterates:
-                        if sys.space.d(it.apply(x), it.apply(y)) >= eps:
+                        if sys.space.d(apply(it, x), apply(it, y)) >= eps:
                             return False
             return True
 
@@ -490,7 +489,7 @@ class TestSensitivity:
     def test_expanding_map_sensitive_on_coarse_basis(self):
         sys = make_multiply(9, 2)
         space = sys.space
-        basis = tuple(points_open(space, space.ball(x, F(2, 9)),
+        basis = tuple(points_open(space, ball(space, x, F(2, 9)),
                                   label=f"B({x};2/9)")
                       for x in space.points)
         assert is_sensitive(sys, F(2, 9), basis=basis).holds

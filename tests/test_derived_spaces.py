@@ -19,9 +19,9 @@ from fuzzdyn.fuzzy import (FuzzySet, GFunction, LevelGrid, _code, _code_steps,
 from fuzzdyn.hyperspace import MASK_PAIR_MAX_POINTS, lift_system
 from fuzzdyn.spaces import SystemMap, iterate, product_system
 
-from helpers import (brute_fuzzy_states, brute_fuzzy_step, brute_hausdorff,
-                     brute_levelwise, brute_product_distance, image_points,
-                     taxi_space)
+from helpers import (apply, brute_fuzzy_states, brute_fuzzy_step,
+                     brute_hausdorff, brute_levelwise, brute_product_distance,
+                     image_points, taxi_space)
 
 F = Fraction
 
@@ -269,7 +269,7 @@ def test_product_matches_definitions(parts, rng):
     assert pts == tuple(itertools.product(*[s.space.points for s, _ in parts]))
     steps = [iterate(s, e) for s, e in parts]
     for i, p in enumerate(pts):
-        assert pts[prod.table[i]] == tuple(t.apply(x)
+        assert pts[prod.table[i]] == tuple(apply(t, x)
                                            for t, x in zip(steps, p))
     spaces = [s.space for s, _ in parts]
     for i, j in sampled_pairs(rng, len(pts)):

@@ -304,12 +304,67 @@ class TestCli:
         ["plotdata", "--system", "rotation:3,1", "--eps", "1/2"],
         ["plotdata", "--system", "rotation:3,1", "--m", "1"],
         ["plotdata", "--system", "rotation:3,1", "--seed", "1"],
+        ["check", "--system", "rotation:3,1", "--props", "transitivity",
+         "--seed", "1"],
+        ["verify", "--system", "rotation:3,1", "--theorem", "cut-lemma",
+         "--seed", "1"],
     ])
     def test_options_a_command_does_not_read_exit_two(self, tmp_path, capsys,
                                                       monkeypatch, args):
         monkeypatch.chdir(tmp_path)
         assert main(args) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_reports_echo_no_seed(self, tmp_path):
+        for argv, name in (
+                (["check", "--props", "transitivity"], "check_report.json"),
+                (["verify", "--theorem", "cut-lemma"],
+                 "equivalence_report.json")):
+            assert main(argv + ["--system", "rotation:3,1",
+                                "--out", str(tmp_path)]) == 0
+            config = json.loads((tmp_path / name).read_text())["config"]
+            assert "m" in config and "seed" not in config
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"kind": "rotation", "n": 3.5, "step": 1},
+         "'n' must be an integer, not 3.5"),
+        ({"kind": "rotation", "n": True, "step": 1},
+         "'n' must be an integer, not true"),
+        ({"kind": "rotation", "n": 3, "step": "1"},
+         "'step' must be an integer, not \"1\""),
+        ({"kind": "multiply", "n": 8, "a": 2.0},
+         "'a' must be an integer, not 2.0"),
+        ({"kind": "grid_map", "shape": "half", "m": False},
+         "'m' must be an integer, not false"),
+        ({"kind": "sft", "alphabet": ["a", "b"], "resolution": 2.5},
+         "'resolution' must be an integer, not 2.5"),
+        ({"kind": "sft", "alphabet": ["ab"], "resolution": 2},
+         "alphabet symbols must be single characters"),
+    ])
+    def test_system_document_is_read_as_written(self, tmp_path, capsys, doc,
+                                                 message):
+        """A float, string or boolean where an integer is due, or a symbol
+        of two characters, exits 2 with one line instead of running some
+        other system."""
+        assert main(["check", "--system", "json:" + json.dumps(doc),
+                     "--props", "transitivity", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args,message", [
+        (["check", "--props", "transitivity,mixing,transitivity"],
+         "check 'transitivity' is repeated"),
+        (["verify", "--theorem", "mixing", "--lambdas", "1/2,1/2"],
+         "lambda 1/2 is repeated"),
+        (["verify", "--theorem", "mixing", "--lambdas", "1/2,1,2/4"],
+         "lambda 1/2 is repeated"),
+    ])
+    def test_a_repeated_value_exits_two(self, tmp_path, capsys, args,
+                                        message):
+        assert main(args + ["--system", "rotation:3,1",
+                            "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.iterdir())
 
     def test_uniform_rigidity_has_no_subset_bound(self, tmp_path):

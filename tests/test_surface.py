@@ -1,7 +1,8 @@
-"""Every public name is reached: the package uses it, or the README documents
-it.  A public function or method that neither reaches is surface nothing
-needs; delete it, or move it to ``tests/helpers.py`` if only tests use it.
-Every module also stays under the parser-token budget of one compile step."""
+"""Every public name is reached: the package's code uses it, or a README
+code span or block names it.  A public function or method that neither
+reaches is surface nothing needs; delete it, or move it to
+``tests/helpers.py`` if only tests use it.  Every module also stays under
+the parser-token budget of one compile step."""
 
 import ast
 import re
@@ -29,22 +30,38 @@ def _public_defs():
             {n for n in methods if not n.startswith("_")})
 
 
+def _code_names():
+    """The NAME tokens of the package outside ``__init__.py`` (a re-export
+    is not a use), less the name that each ``def`` and ``class`` defines.
+    Strings and comments are not NAME tokens, so prose is no use."""
+    names = set()
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        with path.open("rb") as f:
+            previous = None
+            for tok in tokenize.tokenize(f.readline):
+                if tok.type == tokenize.NAME and previous not in ("def",
+                                                                   "class"):
+                    names.add(tok.string)
+                previous = tok.string
+    return names
+
+
+def _readme_code_names():
+    """The identifiers inside README code blocks and code spans."""
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```.*?^```", text, flags=re.M | re.S)
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"^```.*?^```", "", text,
+                                               flags=re.M | re.S))
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(blocks + spans)))
+
+
 def _unreached(names):
-    """The names that the README does not mention, and that no line of the
-    package mentions outside ``__init__.py`` (a re-export is not a use) and
-    outside the names' own ``def`` and ``class`` lines."""
-    readme = (ROOT / "README.md").read_text()
-    lines = [line for path in MODULES if path.name != "__init__.py"
-             for line in path.read_text().splitlines()]
-    out = []
-    for name in sorted(names):
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        own = re.compile(rf"\s*(def|class)\s+{re.escape(name)}\b")
-        if not (word.search(readme) or any(
-                word.search(line) and not own.match(line)
-                for line in lines)):
-            out.append(name)
-    return out
+    """The names that are neither a code token of the package nor a name
+    in a README code span or block."""
+    used = _code_names() | _readme_code_names()
+    return sorted(set(names) - used)
 
 
 def test_every_public_function_is_reached():
@@ -78,3 +95,23 @@ def test_every_module_stays_under_the_token_budget():
         f"{over} reach {TOKEN_BUDGET} parser tokens: split the module along "
         "a module boundary, as the oracles were split from the checkers; "
         "never rewrite its code denser to fit")
+
+
+def _report_item_calls(tree) -> int:
+    return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "ReportItem" for node in ast.walk(tree))
+
+
+def test_the_harness_declares_and_the_checkers_decide():
+    """``theorems.py`` imports no ``_``-prefixed name from another fuzzdyn
+    module, and builds every report item from a checker's ``Verdict``: it
+    calls ``ReportItem`` only inside ``_item_from_verdict``."""
+    tree = ast.parse((ROOT / "src" / "fuzzdyn" / "theorems.py").read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("fuzzdyn"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+    wrapper, = (node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "_item_from_verdict")
+    assert _report_item_calls(wrapper) == _report_item_calls(tree) == 1

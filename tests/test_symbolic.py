@@ -7,7 +7,7 @@ from fuzzdyn.errors import InputError
 from fuzzdyn.families import IndexSet, classify_cofinite
 from fuzzdyn.spaces import validate_metric
 from fuzzdyn.symbolic import ShiftSystem, full_shift, golden_mean_shift
-from helpers import shift_brute_member
+from helpers import ball, shift_brute_member
 
 F = Fraction
 
@@ -71,8 +71,8 @@ def test_word_space_is_ultrametric():
     assert space.d("000", "100") == 1
     assert space.d("010", "010") == 0
     # the length-2 cylinder is the open ball of radius 2^-1 around any member
-    ball = space.ball("010", F(1, 2))
-    assert ball == {w for w in space.points if w.startswith("01")}
+    assert ball(space, "010", F(1, 2)) == {w for w in space.points
+                                           if w.startswith("01")}
 
 
 def test_return_times_example():

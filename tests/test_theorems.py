@@ -13,6 +13,7 @@ from fuzzdyn.fuzzy import FuzzySet, GFunction, LevelGrid, fuzzy_lift_system
 from fuzzdyn.spaces import (SystemMap, make_grid_interval_map, make_multiply,
                             make_rotation, one_point_system)
 from fuzzdyn.symbolic import ShiftSystem, full_shift
+import fuzzdyn.fuzzy as fuzzy
 import fuzzdyn.theorems as theorems
 from fuzzdyn.theorems import (EquivalenceReport, ReportItem, verify_theorem)
 from helpers import (brute_cut_lemma, brute_fuzzy_states, brute_fuzzy_step,
@@ -209,8 +210,6 @@ class TestHeightInvariance:
         assert by_id["f0-not-proximal"].status == "fails"
 
     def test_height_changing_lift_is_a_kernel_bug(self, monkeypatch):
-        import fuzzdyn.theorems as theorems
-
         def collapsing(sys, grid, constraint, cap):
             # every state of the F0 lift maps to state 0, (0, 0, 1/2)
             lift = fuzzy_lift_system(sys, grid, constraint, cap=cap)
@@ -243,6 +242,12 @@ class TestHeightInvariance:
         assert by_id["f0-not-proximal"].status == "fails"
 
 
+def test_a_repeated_height_is_an_input_error():
+    with pytest.raises(InputError, match="lambda 1/2 is repeated"):
+        verify_theorem("mixing", make_rotation(3, 1), m=2,
+                       lambdas=[F(1, 2), F(1, 2)])
+
+
 class TestCutLemmaTheorem:
     def test_full_enumeration_small(self):
         rep = verify_theorem("cut-lemma", make_rotation(4, 1), m=2,
@@ -262,8 +267,7 @@ class TestCutLemmaTheorem:
 
     def test_mismatch_witness_names_state_time_and_level(self, monkeypatch):
         # a broken subset image makes every nonempty right-hand side empty
-        import fuzzdyn.theorems as theorems
-        monkeypatch.setattr(theorems, "_mask_image", lambda mask, bits: 0)
+        monkeypatch.setattr(fuzzy, "_mask_image", lambda mask, bits: 0)
         sys = make_rotation(3, 1)
         rep = verify_theorem("cut-lemma", sys, m=2, horizon=2)
         item = rep.items[0]
@@ -298,15 +302,15 @@ def broken_cut_lemma(sys, grid, g, horizon, breaks, sampled):
     cap, in the code kernel that steps the sample."""
     n_codes = (grid.m + 1) ** len(sys.space)
     if sampled:
-        steps = theorems._code_steps
-        patch = mock.patch.object(theorems, "_code_steps", lambda *args: [
+        steps = fuzzy._code_steps
+        patch = mock.patch.object(fuzzy, "_code_steps", lambda *args: [
             breaks.get(c, t) for c, t in zip(args[-1], steps(*args))])
         cap = n_codes - 1
     else:
-        radix, codes, table = theorems._lift_table(sys, grid, ("all",), g,
-                                                   n_codes)
+        radix, codes, table = fuzzy._lift_table(sys, grid, ("all",), g,
+                                                n_codes)
         broken = [breaks.get(c, t) for c, t in zip(codes, table)]
-        patch = mock.patch.object(theorems, "_lift_table",
+        patch = mock.patch.object(fuzzy, "_lift_table",
                                   return_value=(radix, codes, broken))
         cap = n_codes
     with patch:

@@ -11,12 +11,14 @@ argv in the same directory path, one after the other, so a path that a
 report prints reads the same on both sides.
 The written files are compared by relative path and bytes.
 
-The run list covers ``verify`` of every theorem at m=1 and m=2 on five table
-systems and at m=1 on two shifts, ``check`` of every property and
-``plotdata`` on each system.  On each table system it adds, at ``--horizon``
-1 and 1000, ``verify`` of the theorems whose exactness rests on a time scan
-(``HORIZON_THEOREMS``, at m=2) and ``check`` of every property.  Each run
-is made in text and in ``--json``.  Stdlib only.
+The run list covers ``verify`` of every theorem at m=1 and m=2 on six table
+systems and at m=1 on three shifts, ``check`` of every property and
+``plotdata`` on each system.  One table and one shift are inline ``json:``
+documents, the ingest path that every benchmark operation takes.  On each
+table system it adds, at ``--horizon`` 1 and 1000, ``verify`` of the
+theorems whose exactness rests on a time scan (``HORIZON_THEOREMS``, at
+m=2) and ``check`` of every property.  Each run is made in text and in
+``--json``.  Stdlib only.
 The exit status is 0 when every run matches and 1 otherwise.
 """
 
@@ -37,9 +39,16 @@ THEOREMS = ("transitivity", "mixing", "f-mixing", "mild-mixing",
             "proximality", "height-invariance", "cut-lemma")
 CHECKS = ("transitivity,weak-mixing,mixing,mild-mixing,uniform-rigidity,"
           "equicontinuity,proximality,sensitivity,periodic-density")
+#: a three-point map that is not a bijection (b has two preimages, c none)
+FINITE_DOC = ('json:{"kind":"finite","points":["a","b","c"],'
+              '"dist":[["0","1/2","1"],["1/2","0","1/2"],["1","1/2","0"]],'
+              '"map":{"a":"b","b":"b","c":"a"}}')
+#: the period-2 shift of finite type of the golden reports
+PERIOD_2_SFT = ('json:{"kind":"sft","alphabet":["a","b"],'
+                '"edges":[["a","b"],["b","a"]],"resolution":2}')
 TABLES = ("rotation:3,1", "rotation:6,2", "gridmap:half,8", "multiply:8,2",
-          "point")
-SHIFTS = ("fullshift:2,3", "goldenmean:4")
+          "point", FINITE_DOC)
+SHIFTS = ("fullshift:2,3", "goldenmean:4", PERIOD_2_SFT)
 HORIZON_THEOREMS = ("uniform-rigidity", "proximality", "transitivity")
 
 #: seconds allowed for one run
