@@ -20,7 +20,8 @@ from fractions import Fraction
 from .errors import InputError
 from .families import (TAIL_KINDS, FamilyClassifier, IndexSet, difference_set,
                        fs_set)
-from .oracles import ProductDyn, TableDyn, _box_row, _BoxBasis, as_dyn
+from .oracles import (ProductDyn, TableDyn, _box_row, _BoxBasis, _count,
+                      as_dyn)
 from .spaces import (Point, SystemMap, _scaled_matrix, as_fraction,
                      iterate_tables, point_label)
 from .symbolic import DEFAULT_HORIZON
@@ -137,7 +138,7 @@ def _scan(dyn, basis, bound: int):
     boxes, passed = isinstance(basis, _BoxBasis), set()
     rows = (dyn.factor_rows if boxes else dyn.rows)(basis, bound)
     for i, row in enumerate(rows):
-        if (boxes and i * len(basis) >= 8
+        if (boxes and i * _count(basis) >= 8
                 and tuple(r.values for r in row) in passed):
             continue
         sets = iter(_box_row(row) if boxes else row)
@@ -548,10 +549,10 @@ def is_proximal(sys: SystemMap) -> Verdict:
     """All pairs proximal.  Two orbits of a finite system merge iff
     T^preperiod sends them to one state, so this holds iff T^preperiod(X)
     is a single state; otherwise the counterexample is point 0 and the
-    first point whose T^preperiod image differs from that of point 0."""
+    first point whose T^preperiod image differs from that of point 0
+    (``SystemMap.first_apart``, a lemma on a lift of Zadeh's extension)."""
     _require_table(sys, "proximality")
-    tbl = sys.preperiod_table()
-    j = next((j for j, t in enumerate(tbl) if t != tbl[0]), None)
+    j = sys.first_apart()
     if j is None:
         return Verdict("holds", True, note="all pairs merge")
     return Verdict("fails", True,

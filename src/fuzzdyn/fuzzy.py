@@ -18,18 +18,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 from collections import Counter
 from fractions import Fraction
 from functools import partial, reduce
+from sys import maxsize
 from typing import Callable, Sequence
 
 from .analysis import Verdict
 from .errors import BoundExceeded, InputError
 from .hyperspace import CompactSet, _cut_lift, _mask_image
-from .spaces import (MetricSpace, Point, SystemMap, ZERO, ONE, _RenderedPoints,
-                     _rho, as_fraction, point_label)
+from .spaces import (LiftTable, MetricSpace, Point, SystemMap, ZERO, ONE,
+                     _RenderedPoints, _rho, as_fraction, point_label)
 
 #: default cap on enumerated fuzzy states, (m+1)^|X|
 DEFAULT_STATE_CAP = 3 ** 9
@@ -212,16 +212,6 @@ def normalize_constraint(constraint) -> tuple:
     raise InputError(f"unknown constraint {constraint!r}")
 
 
-def _satisfies(height: Fraction, norm: tuple) -> bool:
-    if norm[0] == "all":
-        return True
-    if norm[0] == "nonempty":
-        return height > 0
-    if norm[0] == "eq":
-        return height == norm[1]
-    return height >= norm[1]
-
-
 def constraint_label(norm: tuple) -> str:
     if norm[0] == "all":
         return "all"
@@ -255,9 +245,10 @@ def enumerate_fuzzy(space: MetricSpace, grid: LevelGrid, constraint=None,
     except that a height-eq slice restricts to its own grade range).
     """
     n = len(space.points)
-    radix, codes, _ = _states(n, grid, normalize_constraint(constraint), cap)
+    radix, low = _slice(grid, normalize_constraint(constraint))
+    _bounded(n, radix, cap)
     render = _renderer(n, radix, grid.with_zero())
-    for code in codes:
+    for code in _Codes(n, radix, low):
         yield FuzzySet(space, grid, render(code))
 
 
@@ -294,27 +285,86 @@ def _code_heights(n: int, radix: int) -> list[int]:
     return heights
 
 
-def _states(n: int, grid: LevelGrid, norm: tuple,
-            cap: int) -> tuple[int, Sequence[int], list[int] | None]:
-    """(radix, codes, rank) of the states on n points that satisfy the
-    normalized constraint, codes ascending.  The level and the bound are
-    checked at the call, before anything is built.  State i of "all" has the
-    code i, and of "nonempty" the code i + 1; a height slice has a rank array
-    instead, where rank[c] - 1 is the index of the state with code c."""
-    if norm[0] in ("eq", "ge") and not grid.admits(norm[1]):
-        raise InputError(f"constraint level {norm[1]} is not on the grid")
-    radix = len(_enumeration_choices(grid, norm))
+def _bounded(n: int, radix: int, cap: int) -> int:
+    """radix^n, the codes on n points, once checked to be at most cap."""
     total = radix ** n
     if total > cap:
         raise BoundExceeded("fuzzy lift", total, cap)
-    if norm[0] == "all":
-        return radix, range(total), None
-    if norm[0] == "nonempty":
-        return radix, range(1, total), None
-    keep = [_satisfies(v, norm) for v in grid.with_zero()]
-    kept = list(map(keep.__getitem__, _code_heights(n, radix)))
-    return (radix, list(itertools.compress(range(total), kept)),
-            list(itertools.accumulate(kept)))
+    return total
+
+
+def _slice(grid: LevelGrid, norm: tuple) -> tuple[int, int]:
+    """(radix, low) of the states under the normalized constraint: their
+    points take the levels 0 .. radix-1, and their height is at least
+    ``low``: 0 for every state, 1 for the nonempty ones, and a height
+    slice's level (an eq slice has no level above it)."""
+    if norm[0] in ("eq", "ge") and not grid.admits(norm[1]):
+        raise InputError(f"constraint level {norm[1]} is not on the grid")
+    radix = len(_enumeration_choices(grid, norm))
+    low = {"all": 0, "nonempty": 1}.get(norm[0])
+    return radix, int(norm[1] * grid.m) if low is None else low
+
+
+class _Codes(Sequence):
+    """The codes of the states on n points of height at least ``low`` over
+    the levels 0 .. radix-1, ascending (see :func:`_slice`).  A digit DP
+    reads the code of index i, and the index of a code (``index``), in
+    O(n): after a digit at least ``low``, each of radix^L strings of L more
+    digits completes a state, and before one, radix^L - low^L of them do.
+    Iteration walks the codes, as every state is read."""
+
+    __slots__ = ("n", "radix", "low", "_full", "_short")
+
+    def __init__(self, n: int, radix: int, low: int):
+        self.n, self.radix, self.low = n, radix, low
+        # per place from the last: the completions after a digit at least
+        # low, and after one below it with none at least low before
+        self._full = [radix ** k for k in range(n)]
+        self._short = [radix ** k - low ** k for k in range(n)]
+
+    def __len__(self) -> int:
+        return self.radix ** self.n - self.low ** self.n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self.__getitem__, range(len(self))[i]))
+        i = range(len(self))[i]
+        code, low, hit = 0, self.low, False
+        for full, short in zip(reversed(self._full), reversed(self._short)):
+            if hit:
+                k, i = divmod(i, full)
+            elif i < low * short:
+                k, i = divmod(i, short)
+            else:
+                k, i = divmod(i - low * short, full)
+                k += low
+                hit = True
+            code = code * self.radix + k
+        return code
+
+    def index(self, code: int) -> int:
+        digits = []                 # the last point's level first
+        for _ in range(self.n):
+            code, k = divmod(code, self.radix)
+            digits.append(k)
+        i, low, hit = 0, self.low, False
+        for k, full, short in zip(reversed(digits), reversed(self._full),
+                                  reversed(self._short)):
+            if hit:
+                i += k * full
+            else:
+                i += min(k, low) * short + max(k - low, 0) * full
+                hit = k >= low
+        if code or not hit:
+            raise ValueError("not the code of a state")
+        return i
+
+    def __iter__(self):
+        total = self.radix ** self.n
+        if self.low <= 1:
+            return iter(range(self.low, total))
+        return itertools.compress(range(total), map(
+            self.low.__le__, _code_heights(self.n, self.radix)))
 
 
 def _g_levels(grid: LevelGrid, g: GFunction | None) -> tuple[int, ...]:
@@ -384,71 +434,65 @@ def _cut_masks(s: Sequence[int], m: int) -> list[int]:
 
 
 def _cut_columns(n: int, radix: int, m: int) -> list[list[int]]:
-    """The cut masks of every code on n points, one column per level 1/m
-    .. 1: column k - 1 holds, by code, the mask of the points whose level
-    is at least k.  Each column grows one point at a time, most significant
+    """The cut masks of every code on n points over the levels 0 ..
+    radix-1, one column per level 1/m .. 1: column k - 1 holds, by code,
+    the mask of the points whose level is at least k (none when k is at
+    least radix).  Each column grows one point at a time, most significant
     first, as the codes do."""
     cols = []
     for k in range(1, m + 1):
         col = [0]
         for bit in range(n):
-            digits = [0] * k + [1 << bit] * (radix - k)
+            digits = [0] * min(k, radix) + [1 << bit] * (radix - k)
             col = [c | d for c in col for d in digits]
         cols.append(col)
     return cols
 
 
-def _cut_reader(n: int, radix: int,
-                m: int) -> Callable[[int], tuple[int, ...]]:
-    """code -> the cut masks at levels 1/m .. 1 of the state with that code
-    on n points: the OR of two table entries, the masks of the code's high
-    and of its low half of digits, each table about the square root of the
-    codes long."""
-    low = n // 2
-
-    def table(size: int, shift: int) -> list[list[int]]:
-        return [[mask << shift for mask in _cut_masks(levels, m)]
-                for levels in itertools.product(range(radix), repeat=size)]
-
-    high, lows, split = table(n - low, 0), table(low, n - low), radix ** low
-
-    def cuts(code: int) -> tuple[int, ...]:
-        hi, lo = divmod(code, split)
-        return tuple(map(operator.or_, high[hi], lows[lo]))
-    return cuts
-
-
-def _lift_table(sys: SystemMap, grid: LevelGrid, norm: tuple,
-                g: GFunction | None,
-                cap: int) -> tuple[int, Sequence[int], list[int]]:
-    """(radix, codes, table): the codes of the lift's states under the
-    normalized constraint and the index table of one g-extension step on
-    them.  A state stepped out of the family is an input error.
+def _closed_levels(n: int, grid: LevelGrid, norm: tuple,
+                   g: GFunction | None) -> tuple[int, ...]:
+    """g on the integer levels (:func:`_g_levels`), once it is checked to
+    keep the states under the normalized constraint among them; a state
+    stepped out of them is an input error.
 
     The extension of a total map by a nondecreasing g sends a state of
     height h to one of height g(h), so the family is closed iff g keeps each
     of its heights inside it; the first state of height h, in product
     order, is (0, ..., 0, h), whose code is h."""
-    n = len(sys.space.points)
-    radix, codes, rank = _states(n, grid, norm, cap)
+    radix, low = _slice(grid, norm)
     gint = _g_levels(grid, g)
-    keep = [_satisfies(v, norm) for v in grid.with_zero()]
-    bad = next((h for h in range(radix) if keep[h] and not keep[gint[h]]),
-               None)
+    bad = next((h for h in range(low, radix)
+                if not low <= gint[h] < radix), None)
     if bad is not None:
         values = grid.with_zero()
         raise InputError(
             f"lift not invariant: state {(ZERO,) * (n - 1) + (values[bad],)} "
             f"maps to height {values[gint[bad]]} "
             f"outside constraint {constraint_label(norm)}")
+    return gint
+
+
+def _lift_table(sys: SystemMap, grid: LevelGrid, norm: tuple,
+                g: GFunction | None,
+                cap: int) -> tuple[int, Sequence[int], list[int]]:
+    """(radix, codes, table): the codes of the lift's states under the
+    normalized constraint and the whole index table of one g-extension step
+    on them, stepped over every code at once by the column kernel.  The
+    bound is checked first, on the (radix)^n codes the kernel steps.  A
+    height slice ranks the image codes through an array over every code."""
+    n = len(sys.space.points)
+    radix, low = _slice(grid, norm)
+    total = _bounded(n, radix, cap)
+    gint = _closed_levels(n, grid, norm, g)
     images = _code_steps(n, radix, sys.preimages(), gint)
-    if norm[0] == "all":
-        table = images
-    elif norm[0] == "nonempty":
-        table = [c - 1 for c in images[1:]]
-    else:
-        table = [rank[images[c]] - 1 for c in codes]
-    return radix, codes, table
+    if low == 0:
+        return radix, range(total), images
+    if low == 1:
+        return radix, range(1, total), [c - 1 for c in images[1:]]
+    kept = list(map(low.__le__, _code_heights(n, radix)))
+    codes = list(itertools.compress(range(total), kept))
+    rank = list(itertools.accumulate(kept))
+    return radix, codes, [rank[images[c]] - 1 for c in codes]
 
 
 def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
@@ -457,14 +501,21 @@ def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
     """The extended dynamics on the enumerated fuzzy states, as a SystemMap.
 
     A state reads as its tuple of grades, and the metric is the levelwise
-    distance of the shared lift kernel, read from each state's cut bitmasks
-    (kept once computed).  If the enumerated family is not closed under the map
-    (possible for distorted grades and height constraints), that is
-    reported as an error rather than repaired.
+    distance of the shared lift kernel, read from each state's cut bitmasks.
+    If the enumerated family is not closed under the map (possible for
+    distorted grades and height constraints), that is reported as an error
+    rather than repaired.
 
-    Internally a state is its code (see :func:`_states`); ``space.points``
+    Internally a state is its code (see :class:`_Codes`); ``space.points``
     is a read-only sequence that renders a code into its tuple of grades,
-    built from the shared ``grid.with_zero()`` values, only when read.
+    built from the shared ``grid.with_zero()`` values, only when read.  The
+    table is a :class:`LiftTable`: an entry read by index steps its one
+    code by the column kernel, and only a reader of every entry builds the
+    whole table, within ``cap`` (see :func:`_lift_table`).  The states are
+    indexable while (m+1)^n is at most ``sys.maxsize``.  A distance read
+    renders the cut masks of its two codes, in O(n) each; a scan reads
+    every state's masks from the cut columns of every code, within ``cap``
+    too (:func:`_cut_columns`).
 
     Under Zadeh's extension (g the identity on the levels) the lift takes
     the base's eventual period, since every constraint keeps a point mass
@@ -472,25 +523,45 @@ def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
     """
     norm = normalize_constraint(constraint)
     n = len(sys.space.points)
-    radix, codes, table = _lift_table(sys, grid, norm, g, cap)
     m = grid.m
-    read_cuts = _cut_reader(n, radix, m)
-    masks: list[tuple[int, ...] | None] = [None] * len(codes)
+    radix, low = _slice(grid, norm)
+    _bounded(n, radix, maxsize)
+    gint = _closed_levels(n, grid, norm, g)
+    codes = _Codes(n, radix, low)
 
-    def cuts(i: int) -> tuple[int, ...]:
-        hit = masks[i]
-        if hit is None:
-            hit = masks[i] = read_cuts(codes[i])
-        return hit
+    def step(base: SystemMap, states) -> list[int]:
+        if states is None:
+            return _lift_table(base, grid, norm, g, cap)[2]
+        return list(map(codes.index, _code_steps(
+            n, radix, base.preimages(), gint, [codes[i] for i in states])))
 
-    points = _RenderedPoints(codes, _renderer(n, radix, grid.with_zero()))
+    levels = _renderer(n, radix, range(radix))
+
+    def cuts(i: int) -> list[int]:
+        return _cut_masks(levels(codes[i]), m)
+
+    def every_cut() -> list[tuple[int, ...]]:
+        _bounded(n, radix, cap)
+        columns = _cut_columns(n, radix, m)
+        return list(zip(*(map(col.__getitem__, codes) for col in columns)))
+
+    level = {v: k for k, v in enumerate(grid.with_zero()[:radix])}
+
+    def encode(grades: tuple) -> int:
+        if not isinstance(grades, tuple) or len(grades) != n:
+            raise ValueError("a fuzzy state is a tuple of grades")
+        return _code(map(level.__getitem__, grades), radix)
+
+    zadeh = gint == tuple(range(m + 1))
+    table = LiftTable(sys, len(codes), step, radix - low if zadeh else None)
+    points = _RenderedPoints(codes, _renderer(n, radix, grid.with_zero()),
+                             encode)
     label = f"F[{constraint_label(norm)}]({sys.label};m={m})"
     prov = {"kind": "fuzzy_lift", "m": m,
             "constraint": constraint_label(norm),
             "g": None if g is None else {str(k): str(v)
                                          for k, v in sorted(g.table.items())}}
-    zadeh = _g_levels(grid, g) == tuple(range(m + 1))
-    return _cut_lift(sys, points, cuts, table, label, prov, zadeh)
+    return _cut_lift(sys, points, cuts, every_cut, table, label, prov)
 
 
 # -- the level-wise lemmas --------------------------------------------------

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from sys import maxsize
 from typing import Callable, Iterable, Sequence
 
 from .errors import BoundExceeded, InputError
-from .spaces import (MetricSpace, Point, SystemMap, ZERO, _RenderedPoints,
-                     _scaled_matrix, point_label)
+from .spaces import (LiftTable, MetricSpace, Point, SystemMap, ZERO,
+                     _RenderedPoints, _scaled_matrix, point_label)
 
 #: most base points whose 4^n mask pairs a scan tabulates
 MASK_PAIR_MAX_POINTS = 8
@@ -89,13 +90,20 @@ def hausdorff_distance(a: CompactSet, b: CompactSet) -> Fraction:
 
 def _subset_points(space: MetricSpace, bound: int) -> _RenderedPoints:
     """The 2^n - 1 nonempty subsets of the points, in bitmask order: the
-    states of the subset lift, kept as bitmasks and rendered when read."""
+    states of the subset lift, kept as bitmasks and rendered when read.
+    The bound is on the points."""
     n = len(space.points)
     if n > bound:
         raise BoundExceeded("hyperspace lift", n, bound)
     pts = space.points
+
+    def encode(subset: frozenset) -> int:
+        if not isinstance(subset, frozenset):
+            raise ValueError("a subset state is a frozenset")
+        return sum(1 << space.index(p) for p in subset)
+
     return _RenderedPoints(range(1, 1 << n), lambda mask: frozenset(
-        pts[i] for i in range(n) if mask >> i & 1))
+        pts[i] for i in range(n) if mask >> i & 1), encode)
 
 
 def enumerate_compacts(space: MetricSpace, bound: int = DEFAULT_MAX_POINTS):
@@ -119,6 +127,20 @@ def _min_to_mask_table(n: int, mat: list[list[int]]) -> list[list[int] | None]:
         else:
             mind[mask] = list(col)
     return mind
+
+
+class _MinRows:
+    """The rows of the min-to-mask table, each computed when it is read:
+    row ``mask`` is, per point a, the min over b in the mask of d(b, a)."""
+
+    __slots__ = ("mat",)
+
+    def __init__(self, mat: list[list[int]]):
+        self.mat = mat
+
+    def __getitem__(self, mask: int) -> list[int]:
+        rows = [self.mat[i] for i in range(mask.bit_length()) if mask >> i & 1]
+        return list(map(min, zip(*rows)))
 
 
 def _mask_hausdorff(a_mask: int, b_mask: int, mind) -> int:
@@ -175,47 +197,15 @@ def _mask_image(mask: int, point_bit: list[int]) -> int:
     return img
 
 
-def _cut_lift(sys: SystemMap, points: Sequence[Point],
-              cuts: Callable[[int], Sequence[int]], table: Sequence[int],
-              label: str, provenance: dict,
-              same_period: bool) -> SystemMap:
-    """The lift of ``sys`` onto ``points``, where state i has the cut
-    bitmasks ``cuts(i)``, one per level, and steps to state ``table[i]``.
-
-    ``same_period`` says that the lift takes the base's eventual period, so
-    its table is never walked for it.  It holds for a lift that steps every
-    state by images of preimage sets, T_F^n(u)(x) = max{u(y) : T^n(y) = x},
-    and that holds a point mass lambda * 1_y at every base point y: equal
-    powers of T give equal preimage sets, and T_F^n(lambda * 1_y) is
-    lambda * 1_(T^n(y)), so T_F^(p+q) = T_F^p exactly when T^(p+q) = T^p.
-
-    The metric is the levelwise distance, evaluated on demand from the cut
-    masks as an integer over the base denominator: the max over levels of
-    the mask Hausdorff distance, where a cut empty on one side only counts
-    the diameter.  On a base of two or more points, two distinct states are
-    at least the base gap apart, and two states whose cuts are two
-    singletons at the gap realize it.  The min-to-mask table behind the
-    distance is built on the first distance read and kept, so a check that
-    reads none never builds it; a scan builds its pair table from it, and
-    keeps neither past the scan when no distance was read before.
-    """
-    base = sys.space
-    n = len(base.points)
-    denom, mat = _scaled_matrix(base)
-    mind = None
-    diam = int(base.diam * denom)
-
-    def min_table() -> list[list[int] | None]:
-        nonlocal mind
-        if mind is None:
-            mind = _min_to_mask_table(n, mat)
-        return mind
-
+def _levelwise(read: Callable[[int], Sequence[int]], mind,
+               diam: int) -> Callable[[int, int], int]:
+    """(i, j) -> the levelwise distance of states i and j, whose cut masks
+    are ``read(i)`` and ``read(j)``, with the min-to-mask rows ``mind``."""
     def dist(i: int, j: int) -> int:
         worst = 0
-        for a_mask, b_mask in zip(cuts(i), cuts(j)):
+        for a_mask, b_mask in zip(read(i), read(j)):
             if a_mask and b_mask:
-                v = _mask_hausdorff(a_mask, b_mask, mind or min_table())
+                v = _mask_hausdorff(a_mask, b_mask, mind)
             elif a_mask or b_mask:
                 v = diam
             else:
@@ -223,33 +213,92 @@ def _cut_lift(sys: SystemMap, points: Sequence[Point],
             if v > worst:
                 worst = v
         return worst
+    return dist
+
+
+def _cut_lift(sys: SystemMap, points: Sequence[Point],
+              cuts: Callable[[int], Sequence[int]],
+              every_cut: Callable[[], list[Sequence[int]]], table: LiftTable,
+              label: str, provenance: dict) -> SystemMap:
+    """The lift of ``sys`` onto ``points``, where state i has the cut
+    bitmasks ``cuts(i)``, one per level, and steps by ``table``;
+    ``every_cut()`` is the list of every state's masks, within the lift's
+    bound.
+
+    A lift whose table has ``heights`` takes the base's eventual period, so
+    its table is never walked for it.  Such a lift steps every state by
+    images of preimage sets, T_F^n(u)(x) = max{u(y) : T^n(y) = x}, and
+    holds a point mass lambda * 1_y at every base point y: equal powers of
+    T give equal preimage sets, and T_F^n(lambda * 1_y) is
+    lambda * 1_(T^n(y)), so T_F^(p+q) = T_F^p exactly when T^(p+q) = T^p.
+
+    The metric is the levelwise distance, evaluated on demand from the cut
+    masks as an integer over the base denominator: the max over levels of
+    the mask Hausdorff distance, where a cut empty on one side only counts
+    the diameter.  On a base of two or more points, two distinct states are
+    at least the base gap apart, and two states whose cuts are two
+    singletons at the gap realize it.  ``dist_int`` reads the cut masks of
+    its two states and the rows of the min-to-mask table that it needs
+    (``_MinRows``), and keeps nothing.  A scan reads every state's masks
+    and builds the whole table, and its reader holds them until the caller
+    drops it: over more than ``MASK_PAIR_MAX_POINTS`` base points it reads
+    both, and over fewer it reads every pair of masks from the pair table.
+    """
+    base = sys.space
+    n = len(base.points)
+    denom, mat = _scaled_matrix(base)
+    diam = int(base.diam * denom)
 
     def scan() -> Callable[[int, int], int]:
+        masks = every_cut()
+        mind = _min_to_mask_table(n, mat)
         if n > MASK_PAIR_MAX_POINTS:
-            return dist
-        h = _mask_pair_table(n, mind or _min_to_mask_table(n, mat), diam)
-        masks = list(map(cuts, range(len(points))))
+            return _levelwise(masks.__getitem__, mind, diam)
+        h = _mask_pair_table(n, mind, diam)
         rows = [[a << n for a in c] for c in masks]
         return lambda i, j: max(map(h.__getitem__,
                                     map(operator.or_, rows[i], masks[j])))
 
-    space = MetricSpace(points, fn=dist, denom=denom, diam=base.diam,
+    space = MetricSpace(points, fn=_levelwise(cuts, _MinRows(mat), diam),
+                        denom=denom, diam=base.diam,
                         gap=base.gap if n > 1 else None, scan=scan,
                         label=label)
     prov = {**provenance,
             "base": sys.provenance if sys.provenance else {"kind": "finite"}}
     return SystemMap(space, table, label=label, provenance=prov,
-                     period=sys.eventual_period() if same_period else None)
+                     period=None if table.heights is None
+                     else sys.eventual_period())
+
+
+#: the most base points of a subset lift whose states a sequence can index:
+#: 2^n - 1 states at most ``sys.maxsize``
+_INDEX_MAX_POINTS = maxsize.bit_length()
 
 
 def lift_system(sys: SystemMap, bound: int = DEFAULT_MAX_POINTS) -> SystemMap:
     """The induced system on all nonempty subsets, as a bona fide SystemMap:
     the one-level case of the levelwise lift, whose metric is the Hausdorff
-    metric.  State i is the subset with bitmask i + 1.  The singletons are
-    the point masses, so the lift takes the base's eventual period.
+    metric.  State i is the subset with bitmask i + 1, and steps to the
+    image mask of the subset kernel.  The bound is on the base points, and
+    is checked when the whole table is built or a scan reads every state's
+    mask; the states are indexable up
+    to ``_INDEX_MAX_POINTS`` = 63 points.  The singletons are the point
+    masses, so the lift takes the base's eventual period.
     """
-    subsets = _subset_points(sys.space, bound)
-    point_bit = [1 << t for t in sys.table]
-    table = [_mask_image(mask, point_bit) - 1 for mask in subsets.codes]
-    return _cut_lift(sys, subsets, lambda i: (i + 1,), table,
-                     f"K({sys.label})", {"kind": "hyperspace_lift"}, True)
+    subsets = _subset_points(sys.space, _INDEX_MAX_POINTS)
+    n = len(sys.space.points)
+
+    def bounded() -> range:
+        if n > bound:
+            raise BoundExceeded("hyperspace lift", n, bound)
+        return range(1, 1 << n)
+
+    def step(base: SystemMap, states) -> list[int]:
+        masks = bounded() if states is None else (i + 1 for i in states)
+        point_bit = [1 << t for t in base.table]
+        return [_mask_image(mask, point_bit) - 1 for mask in masks]
+
+    return _cut_lift(sys, subsets, lambda i: (i + 1,),
+                     lambda: [(mask,) for mask in bounded()],
+                     LiftTable(sys, len(subsets), step, 1),
+                     f"K({sys.label})", {"kind": "hyperspace_lift"})

@@ -123,26 +123,22 @@ def points_open(space: MetricSpace, members: Iterable[Point],
 
 class _SingletonBasis(Sequence):
     """The singleton balls of a table space, one per point in point order;
-    each open is built on first access and kept."""
+    each open is built on first access and kept, so a basis of a lift's
+    many states holds only the opens a check has read."""
 
     def __init__(self, space: MetricSpace):
         self.space = space
-        self._opens: list[PointsOpen | None] = [None] * len(space.points)
+        self._opens: dict[int, PointsOpen] = {}
 
     def __len__(self) -> int:
-        return len(self._opens)
+        return len(self.space.points)
 
     def __getitem__(self, i: int) -> PointsOpen:
-        i = range(len(self._opens))[i]
-        hit = self._opens[i]
+        i = range(len(self))[i]
+        hit = self._opens.get(i)
         if hit is None:
             hit = self._opens[i] = _SingletonOpen(self.space, frozenset((i,)))
         return hit
-
-    def __iter__(self):
-        if None in self._opens:
-            return map(self.__getitem__, range(len(self._opens)))
-        return iter(self._opens)
 
 
 def _covers(sizes: tuple, boxes: list) -> bool:
@@ -185,7 +181,7 @@ class _Oracle:
             basis, sizes = self.default_basis(), None
         else:
             basis, sizes = tuple(map(self.as_open, basis)), self._sizes()
-        if not basis:
+        if not _count(basis):
             raise InputError("empty basis")
         if sizes and not _covers(sizes, list(map(self._parts, basis))):
             raise InputError("basis does not cover the space")
@@ -316,23 +312,33 @@ def _dilate(bits: int, a: int, bound: int) -> int:
 
 class _BoxBasis(Sequence):
     """The boxes of the factor bases in product order, each built only when
-    it is read by index; scans read rows by index and build none."""
+    it is read by index; scans read rows by index and build none.  There
+    may be more boxes than ``len()`` can return (at most ``sys.maxsize``),
+    so ``size`` counts them."""
 
-    __slots__ = ("bases",)
+    __slots__ = ("bases", "size")
 
     def __init__(self, bases: tuple):
         self.bases = bases
+        self.size = math.prod(map(_count, bases))
 
     def __len__(self) -> int:
-        return math.prod(map(len, self.bases))
+        return self.size
 
     def __getitem__(self, i: int) -> ProductOpen:
-        i = range(len(self))[i]
+        if not -self.size <= i < self.size:
+            raise IndexError("box index out of range")
+        i %= self.size
         parts = []
         for basis in reversed(self.bases):
-            i, r = divmod(i, len(basis))
+            i, r = divmod(i, _count(basis))
             parts.append(basis[r])
         return ProductOpen(tuple(reversed(parts)))
+
+
+def _count(basis) -> int:
+    """The number of opens of a basis, box bases past ``len()`` included."""
+    return basis.size if isinstance(basis, _BoxBasis) else len(basis)
 
 
 class _LazyRow:

@@ -66,6 +66,21 @@ def _integer(obj: dict, key: str) -> int:
     return value
 
 
+def _list(value, what: str) -> list:
+    """A JSON list; a string or any other value is an input error, not a
+    sequence to split."""
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list, not {json.dumps(value)}")
+    return value
+
+
+def _edge(value) -> tuple:
+    if len(_list(value, "an edge")) != 2:
+        raise InputError(f"an edge must be a list of two symbols, "
+                         f"not {json.dumps(value)}")
+    return tuple(value)
+
+
 def system_from_jsonable(obj: dict):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("system description needs a 'kind' field")
@@ -85,11 +100,11 @@ def system_from_jsonable(obj: dict):
         if kind == "sft":
             edges = obj.get("edges")
             pairs = None if edges in (None, "full") else \
-                [(a, b) for a, b in edges]
+                list(map(_edge, _list(edges, "'edges'")))
             return ShiftSystem(obj["alphabet"], pairs,
                                _integer(obj, "resolution"))
         if kind == "finite":
-            pts = list(obj["points"])
+            pts = _list(obj["points"], "'points'")
             dist = [[as_fraction(v) for v in row] for row in obj["dist"]]
             space = MetricSpace(pts, matrix=dist,
                                 label=obj.get("label", "finite"))

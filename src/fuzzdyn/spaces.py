@@ -57,13 +57,18 @@ def point_label(p) -> str:
 
 class _RenderedPoints(Sequence):
     """A read-only point sequence that keeps one integer code per point and
-    renders the point id from its code only when the point is read."""
+    renders the point id from its code only when the point is read.
+    ``encode`` is the inverse of ``render`` and raises on anything that is
+    no point id; ``index`` reads a point's index through it, building no
+    table."""
 
-    __slots__ = ("codes", "render")
+    __slots__ = ("codes", "render", "encode")
 
-    def __init__(self, codes: Sequence[int], render: Callable[[int], Point]):
+    def __init__(self, codes: Sequence[int], render: Callable[[int], Point],
+                 encode: Callable[[Point], int]):
         self.codes = codes
         self.render = render
+        self.encode = encode
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -72,6 +77,83 @@ class _RenderedPoints(Sequence):
         if isinstance(i, slice):
             return tuple(map(self.render, self.codes[i]))
         return self.render(self.codes[i])
+
+    def __iter__(self):
+        return map(self.render, self.codes)
+
+    def index(self, p: Point) -> int:
+        return self.codes.index(self.encode(p))
+
+
+class LiftTable(Sequence):
+    """The step table of a lift of a base map, read one state at a time.
+
+    ``step(base, states)`` is the list of the image indices of a batch of
+    state indices under the lift of the map ``base``: one call of the lift's
+    kernel.  ``states`` None is every state, by the kernel's column route,
+    which checks the lift's bound before it builds anything.  An entry read
+    by index steps its one state through the base and is kept nowhere; a
+    reader of every entry (``whole``, and iteration) builds the whole table
+    once, which is then kept and read.
+
+    ``heights`` is the number of heights of the states when the lift steps
+    them by Zadeh's extension and holds a point mass at every base point,
+    else None.  Then T_L^k is the lift of T^k, and the lift takes the
+    base's eventual period (see :func:`fuzzdyn.hyperspace._cut_lift`)."""
+
+    __slots__ = ("base", "step", "heights", "_size", "_whole")
+
+    def __init__(self, base: "SystemMap", size: int,
+                 step: Callable[["SystemMap", Sequence[int] | None],
+                                list[int]],
+                 heights: int | None):
+        self.base = base
+        self.step = step
+        self.heights = heights
+        self._size = size
+        self._whole = None
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i: int) -> int:
+        if self._whole is not None:
+            return self._whole[i]
+        return self.step(self.base, [range(self._size)[i]])[0]
+
+    def __iter__(self):
+        return iter(self.whole())
+
+    def whole(self) -> list[int]:
+        if self._whole is None:
+            self._whole = self.step(self.base, None)
+        return self._whole
+
+    def first_apart(self) -> int | None:
+        """The first state whose T_L^pre image differs from that of state
+        0, None when there is none, for a lift with ``heights``.  T_L^pre
+        is the lift of T^pre, so T_L^pre(u) is h(u) 1_x for every state u
+        of height h(u) when T^pre is the constant x; and the point masses
+        of one height at distinct points of T^pre(X) have distinct images
+        otherwise.  So T_L^pre is constant iff T^pre is and the states have
+        one height.  Else the states 1, 2, ... are stepped by T^pre in
+        batches of 8, 16, ... up to 1,024, until one leaves state 0's
+        image."""
+        base = self.base
+        if self.heights == 1 and len(set(base.preperiod_table())) == 1:
+            return None
+        power = iterate(base, base.eventual_period()[0])
+        first, = self.step(power, [0])
+        start, size = 1, 8
+        while start < self._size:
+            stop = min(start + size, self._size)
+            images = self.step(power, range(start, stop))
+            j = next((j for j, t in enumerate(images, start) if t != first),
+                     None)
+            if j is not None:
+                return j
+            start, size = stop, min(2 * size, 1024)
+        return None
 
 
 class MetricSpace:
@@ -87,7 +169,8 @@ class MetricSpace:
     returns the scaled integer and keeps nothing per pair.  ``d_by_index``
     renders one distance as a Fraction, for witnesses and serialization.
     ``points`` is copied to a tuple, except a ``_RenderedPoints`` sequence,
-    which a lift passes so that a point id is rendered only when read.
+    which a lift passes so that a point id is rendered only when read, and
+    looked up through its code.
 
     ``gap`` is the least scaled distance between two distinct points when
     the space knows it, else None: a table space with a symmetric table and
@@ -174,12 +257,18 @@ class MetricSpace:
         return len(self.points) >= 2
 
     def __contains__(self, p) -> bool:
-        return p in self._point_index()
+        try:
+            self.index(p)
+        except InputError:
+            return False
+        return True
 
     def index(self, p: Point) -> int:
         try:
+            if isinstance(self.points, _RenderedPoints):
+                return self.points.index(p)
             return self._point_index()[p]
-        except KeyError:
+        except (KeyError, ValueError):
             raise InputError(f"point not in space: {point_label(p)}") from None
 
     def d(self, p: Point, q: Point) -> Fraction:
@@ -264,7 +353,9 @@ class SystemMap:
 
     ``period``, when given, is the map's (preperiod, period), known to the
     caller by a lemma; a lift passes its base's (see
-    :func:`fuzzdyn.hyperspace._cut_lift`)."""
+    :func:`fuzzdyn.hyperspace._cut_lift`).  A lift's ``table`` is a
+    :class:`LiftTable`, closed by construction, so it is neither copied nor
+    range-checked; a reader of every entry reads ``whole_table()``."""
 
     __slots__ = ("space", "table", "label", "provenance", "_ep", "_settled",
                  "_pre")
@@ -272,11 +363,12 @@ class SystemMap:
     def __init__(self, space: MetricSpace, table: Sequence[int],
                  label: str = "system", provenance: dict | None = None,
                  period: tuple[int, int] | None = None):
-        tbl = tuple(table)
         n = len(space.points)
+        tbl = table if isinstance(table, LiftTable) else tuple(table)
         if len(tbl) != n:
             raise InputError("map table length does not match the space")
-        if (not all(issubclass(t, int) for t in set(map(type, tbl)))
+        if tbl is not table and (
+                not all(issubclass(t, int) for t in set(map(type, tbl)))
                 or min(tbl) < 0 or max(tbl) >= n):
             raise InputError("map table entry out of range")
         self.space = space
@@ -293,11 +385,17 @@ class SystemMap:
     def image_indices(self, idxs: Iterable[int]) -> frozenset:
         return frozenset(self.table[i] for i in idxs)
 
+    def whole_table(self) -> Sequence[int]:
+        """Every entry of the table at once: a lift's is built by its
+        kernel's column route on first read, where its bound is checked."""
+        table = self.table
+        return table.whole() if isinstance(table, LiftTable) else table
+
     def preimages(self) -> tuple[tuple[int, ...], ...]:
         """Preimage index lists, one per point."""
         if self._pre is None:
             buckets: list[list[int]] = [[] for _ in self.space.points]
-            for src, dst in enumerate(self.table):
+            for src, dst in enumerate(self.whole_table()):
                 buckets[dst].append(src)
             self._pre = tuple(tuple(b) for b in buckets)
         return self._pre
@@ -306,15 +404,27 @@ class SystemMap:
         """Smallest (preperiod, period) with T^(p+q) = T^p as tables: the
         ``period`` the map was built with, else one walk over the table."""
         if self._ep is None:
-            self._ep = _rho(self.table)
+            self._ep = _rho(self.whole_table())
         return self._ep
 
     def preperiod_table(self) -> tuple[int, ...]:
         """The table of T^preperiod, composed by :func:`_power` on first
         read and kept."""
         if self._settled is None:
-            self._settled = _power(self.table, self.eventual_period()[0])
+            self._settled = _power(self.whole_table(),
+                                   self.eventual_period()[0])
         return self._settled
+
+    def first_apart(self) -> int | None:
+        """The first state whose T^preperiod image differs from that of
+        state 0, None when T^preperiod is constant; a lift of Zadeh's
+        extension reads it by :meth:`LiftTable.first_apart`."""
+        table = self.table
+        if isinstance(table, LiftTable) and table.heights is not None:
+            return table.first_apart()
+        settled = self.preperiod_table()
+        return next((j for j, t in enumerate(settled) if t != settled[0]),
+                    None)
 
 
 def _rho(table: Sequence[int]) -> tuple[int, int]:
@@ -370,16 +480,17 @@ def iterate(sys: SystemMap, k: int) -> SystemMap:
     """The k-th power of the map, as a fresh table; k = 0 is the identity."""
     if k < 0:
         raise InputError("iterate needs k >= 0")
-    return SystemMap(sys.space, _power(sys.table, k), label=f"{sys.label}^{k}")
+    return SystemMap(sys.space, _power(sys.whole_table(), k),
+                     label=f"{sys.label}^{k}")
 
 
 def iterate_tables(sys: SystemMap, upto: int) -> list[tuple[int, ...]]:
     """Tables of T^0 .. T^(upto-1); shared helper for checkers."""
     n = len(sys.space.points)
+    table = sys.whole_table()
     out = [tuple(range(n))]
     while len(out) < upto:
-        prev = out[-1]
-        out.append(tuple(sys.table[i] for i in prev))
+        out.append(tuple(map(table.__getitem__, out[-1])))
     return out
 
 

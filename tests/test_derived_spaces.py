@@ -6,18 +6,20 @@ and a known gap equal to the least distance between distinct states."""
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fuzzdyn.hyperspace as hyperspace
 from fuzzdyn.errors import InputError
 from fuzzdyn.fuzzy import (FuzzySet, GFunction, LevelGrid, _code, _code_steps,
                            _g_levels, _renderer, constraint_label,
                            enumerate_fuzzy, fuzzy_lift_system,
                            normalize_constraint)
 from fuzzdyn.hyperspace import MASK_PAIR_MAX_POINTS, lift_system
-from fuzzdyn.spaces import SystemMap, iterate, product_system
+from fuzzdyn.spaces import SystemMap, circle_space, iterate, product_system
 
 from helpers import (apply, brute_fuzzy_states, brute_fuzzy_step,
                      brute_hausdorff, brute_levelwise, brute_product_distance,
@@ -208,17 +210,31 @@ def test_every_pair_of_small_lifts(sys, m):
     assert_every_pair(lift.space, lambda i, j: brute_hausdorff(
         sys.space, subsets[i], subsets[j]))
     fuzzy = fuzzy_lift_system(sys, grid, "all")
-    states = [FuzzySet(sys.space, grid, p) for p in fuzzy.space.points]
-    assert_every_pair(fuzzy.space, lambda i, j: brute_levelwise(
-        states[i], states[j]))
+    for constraint in every_constraint(grid):
+        space = fuzzy_lift_system(sys, grid, constraint).space
+        states = [FuzzySet(sys.space, grid, p) for p in space.points]
+        assert_every_pair(space, lambda i, j: brute_levelwise(
+            states[i], states[j]))
     # over a metric of two or more points the gap is known
     for space in (lift.space, fuzzy.space):
         assert (space.gap is None) == (len(sys.space) == 1)
 
 
+def test_a_low_slice_scans_its_empty_cuts():
+    """A height slice below the grid's top has empty cuts above its level;
+    its scan reader still agrees with the levelwise distance."""
+    sys = SystemMap(circle_space(3), [1, 2, 2])
+    grid = LevelGrid(3)
+    for constraint in (("eq", Fraction(1, 3)), ("eq", Fraction(2, 3))):
+        space = fuzzy_lift_system(sys, grid, constraint).space
+        states = [FuzzySet(sys.space, grid, p) for p in space.points]
+        assert_every_pair(space, lambda i, j: brute_levelwise(
+            states[i], states[j]))
+
+
 def test_lifts_above_the_pair_table_bound():
-    """On a base above MASK_PAIR_MAX_POINTS the scan reader is dist_int
-    itself; both lifts still match the definitions on sampled pairs, the
+    """On a base above MASK_PAIR_MAX_POINTS the scan reader builds no pair
+    table; both lifts still match the definitions on sampled pairs, the
     empty fuzzy state (index 0 of the "all" lift) included."""
     rng = random.Random(9)
     n = MASK_PAIR_MAX_POINTS + 1
@@ -236,8 +252,9 @@ def test_lifts_above_the_pair_table_bound():
             (fuzzy.space, lambda i, j: brute_levelwise(
                 FuzzySet(sys.space, grid, fuzzy.space.points[i]),
                 FuzzySet(sys.space, grid, fuzzy.space.points[j])))):
-        scan = space.scan_metric()
-        assert scan == space.dist_int
+        with mock.patch.object(hyperspace, "_mask_pair_table",
+                               side_effect=AssertionError("pair table")):
+            scan = space.scan_metric()
         pairs = sampled_pairs(rng, len(space)) + [(0, rng.randrange(
             len(space))) for _ in range(5)]
         for i, j in pairs:

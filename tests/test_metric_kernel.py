@@ -128,10 +128,11 @@ def test_proximality_never_indexes_points(monkeypatch):
     assert expected[0].fails and expected[1].fails
 
 
-def test_lift_builds_its_mask_table_on_the_first_distance():
-    """A lift builds the min-to-mask table behind its distance only when a
-    distance is read one at a time, and then once; the proximality
-    collapse route reads none."""
+def test_a_lift_tabulates_masks_only_for_a_scan():
+    """A distance read one at a time reads the base's distance rows, and
+    builds no min-to-mask table over the 2^n masks; a scan reader builds
+    it for itself, and the proximality collapse route reads none.  After a
+    scan, a distance read still reads only the rows it needs."""
     built = []
     real = hyperspace._min_to_mask_table
 
@@ -143,6 +144,21 @@ def test_lift_builds_its_mask_table_on_the_first_distance():
         lift = fuzzy_lift_system(make_grid_interval_map("half", 8),
                                  LevelGrid(2), "all")
         assert is_proximal(lift).fails
-        assert built == []
         d = lift.space.d_by_index(1, 2)
-        assert lift.space.d_by_index(1, 2) == d and built == [9]
+        assert lift.space.d_by_index(1, 2) == d and built == []
+        small = fuzzy_lift_system(make_grid_interval_map("half", 4),
+                                  LevelGrid(2), "all")
+        scan = small.space.scan_metric()
+        assert built == [5]
+        assert all(scan(i, j) == small.space.dist_int(i, j)
+                   for i in range(0, 243, 7) for j in range(0, 243, 11))
+        wide = lift.space.scan_metric()
+        assert built == [5, 9]
+    rows = []
+    read_row = hyperspace._MinRows.__getitem__
+    with mock.patch.object(hyperspace._MinRows, "__getitem__",
+                           lambda self, mask: rows.append(mask)
+                           or read_row(self, mask)):
+        assert lift.space.d_by_index(1, 2) == d == F(wide(1, 2),
+                                                     lift.space.denom)
+    assert rows

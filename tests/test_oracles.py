@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzdyn.analysis import (is_mildly_mixing_bounded, is_mixing,
-                              is_transitive, is_weakly_mixing,
+from fuzzdyn.analysis import (is_a_transitive, is_mildly_mixing_bounded,
+                              is_mixing, is_transitive, is_weakly_mixing,
                               return_time_set)
 from fuzzdyn.errors import InputError
 from fuzzdyn.oracles import (CylinderOpen, HyperShiftDyn, ProductDyn,
@@ -176,3 +176,33 @@ def test_mild_mixing_is_exact_on_a_finite_product():
         assert got.exact
         assert (got.status, got.exact, got.note, got.witnesses) == (
             want.status, want.exact, want.note, want.witnesses)
+
+
+def test_a_box_basis_past_len_is_read_by_index():
+    """70 factors of two points make 2^70 boxes, more than ``len()`` can
+    return: the basis counts them by ``size``, reads any of them by index,
+    and a nested product counts its inner boxes the same way."""
+    boxes = ProductDyn([(rotation(2), 1)] * 70).default_basis()
+    assert boxes.size == 2 ** 70
+    with pytest.raises(OverflowError):
+        len(boxes)
+    assert [set(p.indices) for p in boxes[-1].parts] == [{1}] * 70
+    assert [set(p.indices) for p in boxes[2 ** 69].parts] == \
+        [{1}] + [{0}] * 69
+    for i in (2 ** 70, -2 ** 70 - 1):
+        with pytest.raises(IndexError):
+            boxes[i]
+    inner = ProductDyn([(rotation(2), 1)] * 63)
+    nested = ProductDyn([(inner, 1), (rotation(3), 1)]).default_basis()
+    assert nested.size == 3 * 2 ** 63
+    assert nested[-1].parts[1].indices == frozenset({2})
+    assert [set(p.indices) for p in nested[-1].parts[0].parts] == [{1}] * 63
+
+
+def test_a_check_over_more_boxes_than_len_answers():
+    # the a-transitivity scan fails at its second box, of 2^70
+    v = is_a_transitive(make_rotation(2, 1), [1] * 70)
+    assert v.fails and v.exact
+    assert v.counterexample[1] == "B((" + "0," * 69 + "1))"
+    assert is_transitive(ProductDyn([(rotation(2), 1)] * 70),
+                         horizon=3).fails

@@ -279,9 +279,25 @@ class TestCli:
         assert doc["report"]["consistent"] is True
 
     def test_bound_exceeded_exit_three(self, tmp_path):
-        assert main(["verify", "--theorem", "transitivity",
+        # equicontinuity reads every state of each lift, so its lifts of
+        # 3^20 states are built whole, within the state cap
+        assert main(["verify", "--theorem", "equicontinuity",
                      "--system", "rotation:20,1",
                      "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("system, rc, err", [
+        # 2^40 subsets and their seven-fold boxes, 2^280 of them
+        ("rotation:40,1", 0, ""),
+        # the base item answers over 1500^7 boxes; 2^1500 subsets are past
+        # any index
+        ("rotation:1500,1", 3,
+         "bound exceeded: hyperspace lift: size 1500 exceeds bound 63\n")])
+    def test_more_boxes_than_len_exit_without_a_traceback(
+            self, tmp_path, capsys, system, rc, err):
+        assert main(["verify", "--theorem", "a-transitivity", "--system",
+                     system, "--m", "1", "--a", "1,1,1,1,1,1,1",
+                     "--out", str(tmp_path)]) == rc
+        assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize("system", ["rotation:2049,1",
                                         "gridmap:half,2048"])
@@ -341,6 +357,18 @@ class TestCli:
          "'resolution' must be an integer, not 2.5"),
         ({"kind": "sft", "alphabet": ["ab"], "resolution": 2},
          "alphabet symbols must be single characters"),
+        ({"kind": "sft", "alphabet": ["a", "b"], "edges": ["ab", "ba"],
+          "resolution": 2},
+         "an edge must be a list, not \"ab\""),
+        ({"kind": "sft", "alphabet": ["a", "b"], "edges": "ab",
+          "resolution": 2},
+         "'edges' must be a list, not \"ab\""),
+        ({"kind": "sft", "alphabet": ["a", "b"], "edges": [["a", "b", "a"]],
+          "resolution": 2},
+         "an edge must be a list of two symbols, not [\"a\", \"b\", \"a\"]"),
+        ({"kind": "finite", "points": "ab", "dist": [["0", "1"], ["1", "0"]],
+          "map": {"a": "b", "b": "a"}},
+         "'points' must be a list, not \"ab\""),
     ])
     def test_system_document_is_read_as_written(self, tmp_path, capsys, doc,
                                                  message):
