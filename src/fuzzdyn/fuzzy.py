@@ -34,6 +34,9 @@ from .spaces import (LiftTable, MetricSpace, Point, SystemMap, ZERO, ONE,
 #: default cap on enumerated fuzzy states, (m+1)^|X|
 DEFAULT_STATE_CAP = 3 ** 9
 
+#: most levels of a grade grid; each height slice rebuilds O(m) grades
+GRID_LEVEL_CAP = 1024
+
 
 class LevelGrid:
     """The positive grade levels {1/m, ..., 1}; grades may also be 0."""
@@ -43,6 +46,8 @@ class LevelGrid:
     def __init__(self, m: int):
         if m < 1:
             raise InputError("grid resolution must be >= 1")
+        if m > GRID_LEVEL_CAP:
+            raise BoundExceeded("grade grid", m, GRID_LEVEL_CAP)
         self.m = m
         self.levels = tuple(Fraction(i, m) for i in range(1, m + 1))
         self._levelset = frozenset(self.levels) | {ZERO}
@@ -360,10 +365,7 @@ class _Codes(Sequence):
         return i
 
     def __iter__(self):
-        total = self.radix ** self.n
-        if self.low <= 1:
-            return iter(range(self.low, total))
-        return itertools.compress(range(total), map(
+        return itertools.compress(range(self.radix ** self.n), map(
             self.low.__le__, _code_heights(self.n, self.radix)))
 
 
@@ -449,102 +451,35 @@ def _cut_columns(n: int, radix: int, m: int) -> list[list[int]]:
     return cols
 
 
-def _closed_levels(n: int, grid: LevelGrid, norm: tuple,
-                   g: GFunction | None) -> tuple[int, ...]:
-    """g on the integer levels (:func:`_g_levels`), once it is checked to
-    keep the states under the normalized constraint among them; a state
-    stepped out of them is an input error.
-
-    The extension of a total map by a nondecreasing g sends a state of
-    height h to one of height g(h), so the family is closed iff g keeps each
-    of its heights inside it; the first state of height h, in product
-    order, is (0, ..., 0, h), whose code is h."""
-    radix, low = _slice(grid, norm)
-    gint = _g_levels(grid, g)
-    bad = next((h for h in range(low, radix)
-                if not low <= gint[h] < radix), None)
-    if bad is not None:
-        values = grid.with_zero()
-        raise InputError(
-            f"lift not invariant: state {(ZERO,) * (n - 1) + (values[bad],)} "
-            f"maps to height {values[gint[bad]]} "
-            f"outside constraint {constraint_label(norm)}")
-    return gint
-
-
-def _lift_table(sys: SystemMap, grid: LevelGrid, norm: tuple,
-                g: GFunction | None,
-                cap: int) -> tuple[int, Sequence[int], list[int]]:
-    """(radix, codes, table): the codes of the lift's states under the
-    normalized constraint and the whole index table of one g-extension step
-    on them, stepped over every code at once by the column kernel.  The
-    bound is checked first, on the (radix)^n codes the kernel steps.  A
-    height slice ranks the image codes through an array over every code."""
-    n = len(sys.space.points)
-    radix, low = _slice(grid, norm)
-    total = _bounded(n, radix, cap)
-    gint = _closed_levels(n, grid, norm, g)
-    images = _code_steps(n, radix, sys.preimages(), gint)
-    if low == 0:
-        return radix, range(total), images
-    if low == 1:
-        return radix, range(1, total), [c - 1 for c in images[1:]]
-    kept = list(map(low.__le__, _code_heights(n, radix)))
-    codes = list(itertools.compress(range(total), kept))
-    rank = list(itertools.accumulate(kept))
-    return radix, codes, [rank[images[c]] - 1 for c in codes]
-
-
 def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
-                      g: GFunction | None = None,
                       cap: int = DEFAULT_STATE_CAP) -> SystemMap:
-    """The extended dynamics on the enumerated fuzzy states, as a SystemMap.
+    """Zadeh's extension on the enumerated fuzzy states, as a SystemMap.
 
     A state reads as its tuple of grades, and the metric is the levelwise
     distance of the shared lift kernel, read from each state's cut bitmasks.
-    If the enumerated family is not closed under the map (possible for
-    distorted grades and height constraints), that is reported as an error
-    rather than repaired.
+    Zadeh's extension of a total map keeps every height, so every
+    constraint is closed under it.
 
-    Internally a state is its code (see :class:`_Codes`); ``space.points``
-    is a read-only sequence that renders a code into its tuple of grades,
-    built from the shared ``grid.with_zero()`` values, only when read.  The
-    table is a :class:`LiftTable`: an entry read by index steps its one
-    code by the column kernel, and only a reader of every entry builds the
-    whole table, within ``cap`` (see :func:`_lift_table`).  The states are
-    indexable while (m+1)^n is at most ``sys.maxsize``.  A distance read
-    renders the cut masks of its two codes, in O(n) each; a scan reads
-    every state's masks from the cut columns of every code, within ``cap``
-    too (:func:`_cut_columns`).
-
-    Under Zadeh's extension (g the identity on the levels) the lift takes
-    the base's eventual period, since every constraint keeps a point mass
-    at every base point (see :func:`_cut_lift`).
+    Internally a state is its code: a ``range`` of codes holds every state
+    or the nonempty ones, and a :class:`_Codes` sequence a height slice.
+    ``space.points`` renders a code into its tuple of grades only when
+    read.  The table is a :class:`LiftTable` over the column kernel
+    :func:`_code_steps`, whose whole table is built within ``cap`` on the
+    radix^n codes it steps.  The states are indexable while (m+1)^n is at
+    most ``sys.maxsize``.  A distance read renders the cut masks of its two
+    codes, in O(n) each; a scan reads every state's masks from the cut
+    columns of every code, within ``cap`` too (:func:`_cut_columns`).  The
+    lift takes the base's eventual period (see :func:`_cut_lift`).
     """
     norm = normalize_constraint(constraint)
     n = len(sys.space.points)
     m = grid.m
     radix, low = _slice(grid, norm)
-    _bounded(n, radix, maxsize)
-    gint = _closed_levels(n, grid, norm, g)
-    codes = _Codes(n, radix, low)
-
-    def step(base: SystemMap, states) -> list[int]:
-        if states is None:
-            return _lift_table(base, grid, norm, g, cap)[2]
-        return list(map(codes.index, _code_steps(
-            n, radix, base.preimages(), gint, [codes[i] for i in states])))
-
-    levels = _renderer(n, radix, range(radix))
-
-    def cuts(i: int) -> list[int]:
-        return _cut_masks(levels(codes[i]), m)
-
-    def every_cut() -> list[tuple[int, ...]]:
-        _bounded(n, radix, cap)
-        columns = _cut_columns(n, radix, m)
-        return list(zip(*(map(col.__getitem__, codes) for col in columns)))
-
+    total = _bounded(n, radix, maxsize)
+    codes = range(low, total) if low <= 1 else _Codes(n, radix, low)
+    table = LiftTable(sys, codes, lambda base, at: _code_steps(
+        n, radix, base.preimages(), range(radix), at),
+        partial(_bounded, n, radix, cap), radix - low)
     level = {v: k for k, v in enumerate(grid.with_zero()[:radix])}
 
     def encode(grades: tuple) -> int:
@@ -552,16 +487,14 @@ def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
             raise ValueError("a fuzzy state is a tuple of grades")
         return _code(map(level.__getitem__, grades), radix)
 
-    zadeh = gint == tuple(range(m + 1))
-    table = LiftTable(sys, len(codes), step, radix - low if zadeh else None)
     points = _RenderedPoints(codes, _renderer(n, radix, grid.with_zero()),
                              encode)
+    levels = _renderer(n, radix, range(radix))
     label = f"F[{constraint_label(norm)}]({sys.label};m={m})"
     prov = {"kind": "fuzzy_lift", "m": m,
-            "constraint": constraint_label(norm),
-            "g": None if g is None else {str(k): str(v)
-                                         for k, v in sorted(g.table.items())}}
-    return _cut_lift(sys, points, cuts, every_cut, table, label, prov)
+            "constraint": constraint_label(norm)}
+    return _cut_lift(points, table, lambda c: _cut_masks(levels(c), m),
+                     partial(_cut_columns, n, radix, m), label, prov)
 
 
 # -- the level-wise lemmas --------------------------------------------------
@@ -643,7 +576,9 @@ def cuts_commute(sys: SystemMap, grid: LevelGrid, g: GFunction | None = None,
     n_pts = len(sys.space.points)
     every = radix ** n_pts <= cap
     if every:
-        _, codes, step = _lift_table(sys, grid, ("all",), g, cap)
+        # an "all" code is its own state index
+        codes = range(radix ** n_pts)
+        step = _code_steps(n_pts, radix, sys.preimages(), gint)
         all_cuts = _cut_columns(n_pts, radix, m)
 
         def columns(at: list[int]) -> list[list[int]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import partial
 from sys import maxsize
 from typing import Callable, Iterable, Sequence
 
@@ -88,13 +89,18 @@ def hausdorff_distance(a: CompactSet, b: CompactSet) -> Fraction:
     return Fraction(max(directed(ia, ib), directed(ib, ia)), space.denom)
 
 
+def _bounded_points(n: int, bound: int) -> None:
+    """Raise the subset bound when n base points are more than ``bound``."""
+    if n > bound:
+        raise BoundExceeded("hyperspace lift", n, bound)
+
+
 def _subset_points(space: MetricSpace, bound: int) -> _RenderedPoints:
     """The 2^n - 1 nonempty subsets of the points, in bitmask order: the
     states of the subset lift, kept as bitmasks and rendered when read.
     The bound is on the points."""
     n = len(space.points)
-    if n > bound:
-        raise BoundExceeded("hyperspace lift", n, bound)
+    _bounded_points(n, bound)
     pts = space.points
 
     def encode(subset: frozenset) -> int:
@@ -216,21 +222,22 @@ def _levelwise(read: Callable[[int], Sequence[int]], mind,
     return dist
 
 
-def _cut_lift(sys: SystemMap, points: Sequence[Point],
-              cuts: Callable[[int], Sequence[int]],
-              every_cut: Callable[[], list[Sequence[int]]], table: LiftTable,
+def _cut_lift(points: _RenderedPoints, table: LiftTable,
+              masks: Callable[[int], Sequence[int]],
+              columns: Callable[[], Sequence[Sequence[int]]],
               label: str, provenance: dict) -> SystemMap:
-    """The lift of ``sys`` onto ``points``, where state i has the cut
-    bitmasks ``cuts(i)``, one per level, and steps by ``table``;
-    ``every_cut()`` is the list of every state's masks, within the lift's
-    bound.
+    """The lift of ``table.base`` onto ``points``, rendered from the codes
+    of the table, where the state of code c has the cut bitmasks
+    ``masks(c)``, one per level, and steps by ``table``; ``columns()`` is
+    the list of the cut columns over every code of the kernel, one per
+    level, each indexed by code.
 
-    A lift whose table has ``heights`` takes the base's eventual period, so
-    its table is never walked for it.  Such a lift steps every state by
-    images of preimage sets, T_F^n(u)(x) = max{u(y) : T^n(y) = x}, and
-    holds a point mass lambda * 1_y at every base point y: equal powers of
-    T give equal preimage sets, and T_F^n(lambda * 1_y) is
-    lambda * 1_(T^n(y)), so T_F^(p+q) = T_F^p exactly when T^(p+q) = T^p.
+    A lift takes the base's eventual period, so its table is never walked
+    for it.  It steps every state by images of preimage sets, T_F^n(u)(x) =
+    max{u(y) : T^n(y) = x}, and holds a point mass lambda * 1_y at every
+    base point y: equal powers of T give equal preimage sets, and
+    T_F^n(lambda * 1_y) is lambda * 1_(T^n(y)), so T_F^(p+q) = T_F^p
+    exactly when T^(p+q) = T^p.
 
     The metric is the levelwise distance, evaluated on demand from the cut
     masks as an integer over the base denominator: the max over levels of
@@ -238,41 +245,54 @@ def _cut_lift(sys: SystemMap, points: Sequence[Point],
     the diameter.  On a base of two or more points, two distinct states are
     at least the base gap apart, and two states whose cuts are two
     singletons at the gap realize it.  ``dist_int`` reads the cut masks of
-    its two states and the rows of the min-to-mask table that it needs
-    (``_MinRows``), and keeps nothing.  A scan reads every state's masks
-    and builds the whole table, and its reader holds them until the caller
-    drops it: over more than ``MASK_PAIR_MAX_POINTS`` base points it reads
-    both, and over fewer it reads every pair of masks from the pair table.
+    the codes of its two states and the rows of the min-to-mask table that
+    it needs (``_MinRows``), and keeps nothing.  A scan checks the table's
+    bound, reads every state's masks from the columns and builds the whole
+    min-to-mask table, and its reader holds them until the caller drops
+    it: over more than ``MASK_PAIR_MAX_POINTS`` base points it reads both,
+    and over fewer it reads every pair of masks from the pair table.
     """
+    sys, codes = table.base, table.codes
     base = sys.space
     n = len(base.points)
     denom, mat = _scaled_matrix(base)
     diam = int(base.diam * denom)
 
     def scan() -> Callable[[int, int], int]:
-        masks = every_cut()
+        table.bound()
+        every = list(zip(*(map(col.__getitem__, codes) for col in columns())))
         mind = _min_to_mask_table(n, mat)
         if n > MASK_PAIR_MAX_POINTS:
-            return _levelwise(masks.__getitem__, mind, diam)
+            return _levelwise(every.__getitem__, mind, diam)
         h = _mask_pair_table(n, mind, diam)
-        rows = [[a << n for a in c] for c in masks]
+        rows = [[a << n for a in c] for c in every]
         return lambda i, j: max(map(h.__getitem__,
-                                    map(operator.or_, rows[i], masks[j])))
+                                    map(operator.or_, rows[i], every[j])))
 
-    space = MetricSpace(points, fn=_levelwise(cuts, _MinRows(mat), diam),
+    space = MetricSpace(points,
+                        fn=_levelwise(lambda i: masks(codes[i]),
+                                      _MinRows(mat), diam),
                         denom=denom, diam=base.diam,
                         gap=base.gap if n > 1 else None, scan=scan,
                         label=label)
     prov = {**provenance,
             "base": sys.provenance if sys.provenance else {"kind": "finite"}}
     return SystemMap(space, table, label=label, provenance=prov,
-                     period=None if table.heights is None
-                     else sys.eventual_period())
+                     period=sys.eventual_period())
 
 
 #: the most base points of a subset lift whose states a sequence can index:
 #: 2^n - 1 states at most ``sys.maxsize``
 _INDEX_MAX_POINTS = maxsize.bit_length()
+
+
+def _subset_steps(base: SystemMap, masks: Sequence[int] | None) -> list[int]:
+    """The image masks of a batch of subset masks under ``base``, or of
+    every mask below 2^n (``masks`` None)."""
+    point_bit = [1 << t for t in base.table]
+    if masks is None:
+        masks = range(1 << len(point_bit))
+    return [_mask_image(mask, point_bit) for mask in masks]
 
 
 def lift_system(sys: SystemMap, bound: int = DEFAULT_MAX_POINTS) -> SystemMap:
@@ -281,24 +301,14 @@ def lift_system(sys: SystemMap, bound: int = DEFAULT_MAX_POINTS) -> SystemMap:
     metric.  State i is the subset with bitmask i + 1, and steps to the
     image mask of the subset kernel.  The bound is on the base points, and
     is checked when the whole table is built or a scan reads every state's
-    mask; the states are indexable up
-    to ``_INDEX_MAX_POINTS`` = 63 points.  The singletons are the point
-    masses, so the lift takes the base's eventual period.
+    mask; the states are indexable up to ``_INDEX_MAX_POINTS`` = 63 points.
+    The singletons are the point masses, so the lift takes the base's
+    eventual period.
     """
     subsets = _subset_points(sys.space, _INDEX_MAX_POINTS)
     n = len(sys.space.points)
-
-    def bounded() -> range:
-        if n > bound:
-            raise BoundExceeded("hyperspace lift", n, bound)
-        return range(1, 1 << n)
-
-    def step(base: SystemMap, states) -> list[int]:
-        masks = bounded() if states is None else (i + 1 for i in states)
-        point_bit = [1 << t for t in base.table]
-        return [_mask_image(mask, point_bit) - 1 for mask in masks]
-
-    return _cut_lift(sys, subsets, lambda i: (i + 1,),
-                     lambda: [(mask,) for mask in bounded()],
-                     LiftTable(sys, len(subsets), step, 1),
-                     f"K({sys.label})", {"kind": "hyperspace_lift"})
+    table = LiftTable(sys, subsets.codes, _subset_steps,
+                      partial(_bounded_points, n, bound), 1)
+    return _cut_lift(subsets, table, lambda mask: (mask,),
+                     lambda: [range(1 << n)], f"K({sys.label})",
+                     {"kind": "hyperspace_lift"})

@@ -20,12 +20,15 @@ import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import BoundExceeded, InputError
 from .spaces import MetricSpace, Point, SystemMap, point_label
 from .symbolic import ShiftSystem
 
 DEFAULT_CYLINDER_LENGTH = 3
 VIETORIS_COMPONENT_CAP = 2
+
+#: most factors of a product oracle; its rows nest one iterator per factor
+PRODUCT_FACTOR_CAP = 256
 
 
 # -- opens ----------------------------------------------------------------
@@ -399,6 +402,9 @@ class ProductDyn(_Oracle):
     def __init__(self, factors: Sequence[tuple[object, int]]):
         if not factors:
             raise InputError("empty factor list rejected")
+        if len(factors) > PRODUCT_FACTOR_CAP:
+            raise BoundExceeded("product factors", len(factors),
+                                PRODUCT_FACTOR_CAP)
         for _, e in factors:
             if e < 1:
                 raise InputError("exponents must be positive")

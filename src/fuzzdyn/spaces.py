@@ -88,66 +88,72 @@ class _RenderedPoints(Sequence):
 class LiftTable(Sequence):
     """The step table of a lift of a base map, read one state at a time.
 
-    ``step(base, states)`` is the list of the image indices of a batch of
-    state indices under the lift of the map ``base``: one call of the lift's
-    kernel.  ``states`` None is every state, by the kernel's column route,
-    which checks the lift's bound before it builds anything.  An entry read
-    by index steps its one state through the base and is kept nowhere; a
-    reader of every entry (``whole``, and iteration) builds the whole table
-    once, which is then kept and read.
+    State i is the code ``codes[i]``, and ``codes.index`` ranks a code.
+    ``step(base, codes)`` is the list of the image codes of a batch of codes
+    under the lift of the map ``base``; ``codes`` None is the kernel's
+    column route, the image of every code below radix^n, by code.  An entry
+    read by index steps its one code and is kept nowhere; a reader of every
+    entry (``whole``, and iteration) checks ``bound()``, which raises the
+    lift's bound, then builds the whole table by the column route once.
 
-    ``heights`` is the number of heights of the states when the lift steps
-    them by Zadeh's extension and holds a point mass at every base point,
-    else None.  Then T_L^k is the lift of T^k, and the lift takes the
-    base's eventual period (see :func:`fuzzdyn.hyperspace._cut_lift`)."""
+    Every lift is Zadeh's extension and holds a point mass at every base
+    point, and ``heights`` counts the heights of its states: T_L^k is the
+    lift of T^k, and the lift takes the base's eventual period (see
+    :func:`fuzzdyn.hyperspace._cut_lift`)."""
 
-    __slots__ = ("base", "step", "heights", "_size", "_whole")
+    __slots__ = ("base", "codes", "step", "bound", "heights", "_whole")
 
-    def __init__(self, base: "SystemMap", size: int,
+    def __init__(self, base: "SystemMap", codes: Sequence[int],
                  step: Callable[["SystemMap", Sequence[int] | None],
                                 list[int]],
-                 heights: int | None):
+                 bound: Callable[[], object], heights: int):
         self.base = base
+        self.codes = codes
         self.step = step
+        self.bound = bound
         self.heights = heights
-        self._size = size
         self._whole = None
 
     def __len__(self) -> int:
-        return self._size
+        return len(self.codes)
 
     def __getitem__(self, i: int) -> int:
         if self._whole is not None:
             return self._whole[i]
-        return self.step(self.base, [range(self._size)[i]])[0]
+        codes = self.codes
+        return codes.index(self.step(self.base, [codes[i]])[0])
 
     def __iter__(self):
         return iter(self.whole())
 
     def whole(self) -> list[int]:
         if self._whole is None:
-            self._whole = self.step(self.base, None)
+            self.bound()
+            images = self.step(self.base, None)
+            codes = self.codes
+            rank = dict(zip(codes, itertools.count()))
+            self._whole = list(map(rank.__getitem__,
+                                   map(images.__getitem__, codes)))
         return self._whole
 
     def first_apart(self) -> int | None:
         """The first state whose T_L^pre image differs from that of state
-        0, None when there is none, for a lift with ``heights``.  T_L^pre
-        is the lift of T^pre, so T_L^pre(u) is h(u) 1_x for every state u
-        of height h(u) when T^pre is the constant x; and the point masses
-        of one height at distinct points of T^pre(X) have distinct images
-        otherwise.  So T_L^pre is constant iff T^pre is and the states have
-        one height.  Else the states 1, 2, ... are stepped by T^pre in
-        batches of 8, 16, ... up to 1,024, until one leaves state 0's
-        image."""
-        base = self.base
+        0, None when there is none.  T_L^pre is the lift of T^pre, so
+        T_L^pre(u) is h(u) 1_x for every state u of height h(u) when T^pre
+        is the constant x; and the point masses of one height at distinct
+        points of T^pre(X) have distinct images otherwise.  So T_L^pre is
+        constant iff T^pre is and the states have one height.  Else the
+        codes of states 1, 2, ... are stepped by T^pre in batches of 8, 16,
+        ... up to 1,024, until one leaves state 0's image."""
+        base, codes = self.base, self.codes
         if self.heights == 1 and len(set(base.preperiod_table())) == 1:
             return None
         power = iterate(base, base.eventual_period()[0])
-        first, = self.step(power, [0])
+        first, = self.step(power, [codes[0]])
         start, size = 1, 8
-        while start < self._size:
-            stop = min(start + size, self._size)
-            images = self.step(power, range(start, stop))
+        while start < len(codes):
+            stop = min(start + size, len(codes))
+            images = self.step(power, codes[start:stop])
             j = next((j for j, t in enumerate(images, start) if t != first),
                      None)
             if j is not None:
@@ -417,10 +423,10 @@ class SystemMap:
 
     def first_apart(self) -> int | None:
         """The first state whose T^preperiod image differs from that of
-        state 0, None when T^preperiod is constant; a lift of Zadeh's
-        extension reads it by :meth:`LiftTable.first_apart`."""
+        state 0, None when T^preperiod is constant; a lift reads it by
+        :meth:`LiftTable.first_apart`."""
         table = self.table
-        if isinstance(table, LiftTable) and table.heights is not None:
+        if isinstance(table, LiftTable):
             return table.first_apart()
         settled = self.preperiod_table()
         return next((j for j, t in enumerate(settled) if t != settled[0]),

@@ -18,8 +18,7 @@ from fractions import Fraction
 from fuzzdyn.analysis import Verdict, _recurrent_indices, return_time_set
 from fuzzdyn.catalog import base_catalog
 from fuzzdyn.errors import InputError
-from fuzzdyn.fuzzy import (FuzzySet, fuzzy_lift_system, g_fuzzify_apply,
-                           xi_of, zadeh_apply)
+from fuzzdyn.fuzzy import FuzzySet, fuzzy_lift_system, xi_of, zadeh_apply
 from fuzzdyn.hyperspace import CompactSet
 from fuzzdyn.oracles import ProductDyn, ProductOpen, TableDyn, _Oracle
 from fuzzdyn.spaces import (MetricSpace, SystemMap, as_fraction,
@@ -146,17 +145,17 @@ def brute_fuzzy_states(n_points, grid, constraint=None):
             if keep(max(s))]
 
 
-def brute_lift_entries(sys, grid, constraint, g, indices):
+def brute_lift_entries(sys, grid, constraint, indices):
     """Entries of the fuzzy lift's table, state by state: each state of
-    ``brute_fuzzy_states`` is stepped by ``zadeh_apply`` (by
-    ``g_fuzzify_apply`` for a g), the step is checked against
-    ``brute_fuzzy_step``, and its image is looked up among the states."""
+    ``brute_fuzzy_states`` is stepped by ``zadeh_apply``, the step is
+    checked against ``brute_fuzzy_step``, and its image is looked up among
+    the states."""
     states = brute_fuzzy_states(len(sys.space.points), grid, constraint)
     out = []
     for i in indices:
         a = FuzzySet(sys.space, grid, states[i])
-        b = zadeh_apply(sys, a) if g is None else g_fuzzify_apply(sys, g, a)
-        assert b == brute_fuzzy_step(sys, a, g)
+        b = zadeh_apply(sys, a)
+        assert b == brute_fuzzy_step(sys, a)
         out.append(states.index(b.grades))
     return out
 

@@ -13,11 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fuzzdyn.hyperspace as hyperspace
-from fuzzdyn.errors import InputError
 from fuzzdyn.fuzzy import (FuzzySet, GFunction, LevelGrid, _code, _code_steps,
-                           _g_levels, _renderer, constraint_label,
-                           enumerate_fuzzy, fuzzy_lift_system,
-                           normalize_constraint)
+                           _g_levels, _renderer, enumerate_fuzzy,
+                           fuzzy_lift_system)
 from fuzzdyn.hyperspace import MASK_PAIR_MAX_POINTS, lift_system
 from fuzzdyn.spaces import SystemMap, circle_space, iterate, product_system
 
@@ -80,31 +78,35 @@ def test_subset_lift_matches_definitions(sys, rng):
             brute_hausdorff(sys.space, pts[i], pts[j])
 
 
+def assert_distorted_columns(sys, grid, g):
+    """The column route of the code kernel under a grade distortion g steps
+    every code as the definition steps its grades."""
+    n, radix = len(sys.space.points), grid.m + 1
+    images = _code_steps(n, radix, sys.preimages(), _g_levels(grid, g))
+    render = _renderer(n, radix, grid.with_zero())
+    assert list(map(render, images)) == [
+        brute_fuzzy_step(sys, FuzzySet(sys.space, grid, s), g).grades
+        for s in brute_fuzzy_states(n, grid)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(table_systems(), st.integers(1, 2), st.data())
 def test_fuzzy_lift_matches_definitions(sys, m, data):
     grid = LevelGrid(m)
     constraint = data.draw(constraints(grid))
-    g = data.draw(st.none() | gfunctions(grid))
-
     family = list(enumerate_fuzzy(sys.space, grid, constraint))
-    try:
-        lift = fuzzy_lift_system(sys, grid, constraint, g=g)
-    except InputError:
-        grades = {a.grades for a in family}
-        assert any(brute_fuzzy_step(sys, a, g).grades not in grades
-                   for a in family)
-        return
+    lift = fuzzy_lift_system(sys, grid, constraint)
     pts = lift.space.points
     assert_distinct(lift.space)
     assert tuple(pts) == tuple(a.grades for a in family)
     states = [FuzzySet(sys.space, grid, p) for p in pts]
     for i, a in enumerate(states):
-        assert pts[lift.table[i]] == brute_fuzzy_step(sys, a, g).grades
+        assert pts[lift.table[i]] == brute_fuzzy_step(sys, a).grades
     rng = data.draw(st.randoms(use_true_random=False))
     for i, j in sampled_pairs(rng, len(pts)):
         assert lift.space.d_by_index(i, j) == \
             brute_levelwise(states[i], states[j])
+    assert_distorted_columns(sys, grid, data.draw(gfunctions(grid)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -134,30 +136,20 @@ def every_constraint(grid):
 @settings(max_examples=25, deadline=None)
 @given(table_systems(), st.integers(1, 3), st.data())
 def test_code_kernel_matches_brute_lift(sys, m, data):
-    # the states, the step table and the invariance error of every slice
-    # against product-order grade tuples stepped by the definition
+    # the states and the step table of every slice against product-order
+    # grade tuples stepped by the definition, and the column route of the
+    # kernel under a grade distortion
     grid = LevelGrid(m)
-    g = data.draw(st.none() | gfunctions(grid))
     n = len(sys.space.points)
     for constraint in every_constraint(grid):
         states = brute_fuzzy_states(n, grid, constraint)
         index = {s: i for i, s in enumerate(states)}
-        images = [brute_fuzzy_step(sys, FuzzySet(sys.space, grid, s),
-                                   g).grades for s in states]
-        leaving = next((i for i, t in enumerate(images) if t not in index),
-                       None)
-        if leaving is not None:
-            with pytest.raises(InputError) as err:
-                fuzzy_lift_system(sys, grid, constraint, g=g)
-            label = constraint_label(normalize_constraint(constraint))
-            assert str(err.value) == (
-                f"lift not invariant: state {states[leaving]} maps to "
-                f"height {max(images[leaving])} outside constraint {label}")
-            continue
-        lift = fuzzy_lift_system(sys, grid, constraint, g=g)
-        assert len(lift.space.points) == len(states)
+        images = [brute_fuzzy_step(sys, FuzzySet(sys.space, grid, s)).grades
+                  for s in states]
+        lift = fuzzy_lift_system(sys, grid, constraint)
         assert tuple(lift.space.points) == tuple(states)
         assert list(lift.table) == [index[t] for t in images]
+    assert_distorted_columns(sys, grid, data.draw(gfunctions(grid)))
 
 
 @settings(max_examples=25, deadline=None)

@@ -18,36 +18,35 @@ import fuzzdyn.fuzzy as fuzzy
 import fuzzdyn.hyperspace as hyperspace
 from fuzzdyn.analysis import is_proximal
 from fuzzdyn.errors import BoundExceeded, InputError
-from fuzzdyn.fuzzy import GFunction, LevelGrid, _Codes, fuzzy_lift_system
+from fuzzdyn.fuzzy import LevelGrid, _Codes, fuzzy_lift_system
 from fuzzdyn.hyperspace import lift_system
-from fuzzdyn.spaces import make_rotation
+from fuzzdyn.spaces import LiftTable, make_rotation
 from fuzzdyn.theorems import verify_theorem
 
 from helpers import brute_lift_entries, brute_proximal, image_points
-from test_derived_spaces import every_constraint, gfunctions, table_systems
+from test_derived_spaces import every_constraint, table_systems
+
+
+def no_whole_table():
+    """Fail any build of a whole lift table."""
+    return mock.patch.object(LiftTable, "whole",
+                             side_effect=AssertionError("whole table"))
 
 
 @settings(max_examples=40, deadline=None)
 @given(table_systems(max_points=6), st.integers(1, 3), st.data())
 def test_lazy_entries_match_the_brute_step(sys, m, data):
-    """Under every constraint and an identity or a distorted g, a few
-    entries read by index equal the brute steps and the whole table, and
-    reading them builds no whole table."""
+    """Under every constraint, a few entries read by index equal the brute
+    steps and the whole table, and reading them builds no whole table."""
     grid = LevelGrid(m)
-    g = data.draw(st.sampled_from([None, GFunction.identity(grid)])
-                  | gfunctions(grid))
     for constraint in every_constraint(grid):
-        try:
-            lift = fuzzy_lift_system(sys, grid, constraint, g=g)
-        except InputError:
-            continue
+        lift = fuzzy_lift_system(sys, grid, constraint)
         size = len(lift.table)
         picks = data.draw(st.lists(st.integers(-size, size - 1),
                                    min_size=1, max_size=5))
-        with mock.patch.object(fuzzy, "_lift_table",
-                               side_effect=AssertionError("whole table")):
+        with no_whole_table():
             lazy = [lift.table[i] for i in picks]
-        assert lazy == brute_lift_entries(sys, grid, constraint, g,
+        assert lazy == brute_lift_entries(sys, grid, constraint,
                                           [i % size for i in picks])
         whole = lift.whole_table()
         assert lazy == [whole[i] for i in picks]
@@ -129,8 +128,7 @@ def test_the_proximality_lemma_matches_the_whole_table(sys, m):
 def test_lazy_theorems_build_no_whole_lift(theorem):
     """The five theorems that read an orbit answer on 3^12 states, past
     the state cap, without building a whole fuzzy table."""
-    with mock.patch.object(fuzzy, "_lift_table",
-                           side_effect=AssertionError("whole table")):
+    with no_whole_table():
         rep = verify_theorem(theorem, make_rotation(12, 1), m=2)
     assert rep.consistent and all(it.exact for it in rep.items)
 
@@ -139,11 +137,10 @@ def test_proximality_reads_distances_without_tables():
     """The proximality counterexample on 3^30 states reads its distances
     from the cut masks of its codes: no whole lift table, no cut columns and
     no min-to-mask table, and a small traced peak."""
-    kernels = ("_lift_table", "_cut_columns")
     with contextlib.ExitStack() as stack:
-        for name in kernels:
-            stack.enter_context(mock.patch.object(
-                fuzzy, name, side_effect=AssertionError(name)))
+        stack.enter_context(no_whole_table())
+        stack.enter_context(mock.patch.object(
+            fuzzy, "_cut_columns", side_effect=AssertionError("_cut_columns")))
         stack.enter_context(mock.patch.object(
             hyperspace, "_min_to_mask_table",
             side_effect=AssertionError("_min_to_mask_table")))

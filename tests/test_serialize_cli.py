@@ -313,6 +313,29 @@ class TestCli:
                       "bound 2048\n"
         assert not list(tmp_path.iterdir())
 
+    def test_a_grid_over_the_cap_exits_three(self, tmp_path, capsys):
+        # the levels are counted before any grade is built
+        assert main(["verify", "--theorem", "transitivity",
+                     "--system", "rotation:3,1", "--m", "100000000",
+                     "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "bound exceeded: grade grid: " \
+                                          "size 100000000 exceeds bound 1024\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("factors, rc, err", [
+        (256, 0, ""),
+        (257, 3, "bound exceeded: product factors: size 257 exceeds "
+                 "bound 256\n")])
+    def test_product_factors_over_the_cap_exit_three(self, tmp_path, capsys,
+                                                     factors, rc, err):
+        # each factor nests one iterator in a box row, so 1,000 of them
+        # overflowed the stack
+        assert main(["verify", "--theorem", "a-transitivity",
+                     "--system", "rotation:3,1", "--m", "1",
+                     "--a", ",".join(["1"] * factors),
+                     "--out", str(tmp_path)]) == rc
+        assert capsys.readouterr().err == err
+
     @pytest.mark.parametrize("args", [
         ["catalog", "--out", "x"],
         ["catalog", "--horizon", "3"],

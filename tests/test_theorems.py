@@ -298,22 +298,17 @@ def sample_states(n_points, grid):
 
 def broken_cut_lemma(sys, grid, g, horizon, breaks, sampled):
     """The cut-lemma item with the image of each code c in ``breaks`` sent
-    to breaks[c]: in the lift table of all states, or, one state above the
-    cap, in the code kernel that steps the sample."""
+    to breaks[c] by the code kernel: in its column route over all states,
+    or, one state above the cap, in the batch that steps the sample."""
     n_codes = (grid.m + 1) ** len(sys.space)
-    if sampled:
-        steps = fuzzy._code_steps
-        patch = mock.patch.object(fuzzy, "_code_steps", lambda *args: [
-            breaks.get(c, t) for c, t in zip(args[-1], steps(*args))])
-        cap = n_codes - 1
-    else:
-        radix, codes, table = fuzzy._lift_table(sys, grid, ("all",), g,
-                                                n_codes)
-        broken = [breaks.get(c, t) for c, t in zip(codes, table)]
-        patch = mock.patch.object(fuzzy, "_lift_table",
-                                  return_value=(radix, codes, broken))
-        cap = n_codes
-    with patch:
+    cap = n_codes - 1 if sampled else n_codes
+    steps = fuzzy._code_steps
+
+    def broken(n, radix, pre, gint, codes=None):
+        at = range(n_codes) if codes is None else codes
+        return [breaks.get(c, t) for c, t in
+                zip(at, steps(n, radix, pre, gint, codes))]
+    with mock.patch.object(fuzzy, "_code_steps", broken):
         item, = verify_theorem("cut-lemma", sys, m=grid.m, horizon=horizon,
                                g=g, state_cap=cap).items
     assert item.exact != sampled
