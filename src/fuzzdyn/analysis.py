@@ -23,7 +23,7 @@ from .families import (TAIL_KINDS, FamilyClassifier, IndexSet, difference_set,
 from .oracles import (ProductDyn, TableDyn, _box_row, _BoxBasis, _count,
                       as_dyn)
 from .spaces import (Point, SystemMap, _scaled_matrix, as_fraction,
-                     iterate_tables, point_label)
+                     point_label)
 from .symbolic import DEFAULT_HORIZON
 
 #: generator triples behind the bounded difference-of-sums evidence
@@ -395,7 +395,8 @@ def equicontinuity_modulus(sys: SystemMap, eps) -> Verdict:
     space = sys.space
     n_pts = len(space.points)
     pre, per = sys.eventual_period()
-    tables = iterate_tables(sys, pre + per)
+    # a lift's whole table is its bound: read it before any pair
+    table = sys.whole_table()
     # a distance reaches eps iff its scaled integer reaches this
     reach = -(-eps.numerator * space.denom // eps.denominator)
     gap = space.gap if space.gap is not None and space.gap >= reach else None
@@ -409,10 +410,12 @@ def equicontinuity_modulus(sys: SystemMap, eps) -> Verdict:
                 if d0 == gap:
                     break
         elif near is None or d0 < near[0]:
-            step = next((step for step, tbl in enumerate(tables)
-                         if d(tbl[i], tbl[j]) >= reach), None)
-            if step is not None:
-                near = (d0, i, j, step)
+            x, y = i, j
+            for step in range(pre + per):
+                if d(x, y) >= reach:
+                    near = (d0, i, j, step)
+                    break
+                x, y = table[x], table[y]
     best = near or far
     if best is None:
         delta = space.diam if n_pts > 1 else eps
@@ -434,38 +437,38 @@ def modulus_curve(sys: SystemMap) -> list[tuple[Fraction, Fraction]]:
     Let M(i, j) be the largest distance of a pair over T^0 ..
     T^(pre+per-1).  Then delta(eps) is the least starting distance over the
     pairs with M >= eps: a pair at or beyond eps violates at step 0, and a
-    closer one violates iff its orbit reaches eps.  With no such pair it is
-    the diameter, or eps on a one-point space.  The pass keeps the least
-    starting distance for each distinct M, one row of M at a time.
+    closer one violates iff its orbit reaches eps.  Each eps is attained by
+    a pair, whose M is at least eps, so there is always such a pair.  The
+    pass steps T one table at a time, keeping M for every pair, then keeps
+    the least starting distance for each distinct M.
     """
     _require_table(sys, "the equicontinuity modulus")
-    space = sys.space
-    eps_values = [v for v in space.distance_values() if v > 0]
     pre, per = sys.eventual_period()
-    tables = iterate_tables(sys, pre + per)
-    denom, mat = _scaled_matrix(space)
-    n_pts = len(space.points)
+    table = sys.whole_table()
+    denom, mat = _scaled_matrix(sys.space)
+    starts = [row[i + 1:] for i, row in enumerate(mat)]
+    top = starts    # M(i, j) for j > i, one step at a time
+    step = range(len(mat))      # T^n
+    for _ in range(1, pre + per):
+        step = list(map(table.__getitem__, step))
+        top = [[a if a > b else b for a, b in
+                zip(row, map(mat[step[i]].__getitem__,
+                             itertools.islice(step, i + 1, None)))]
+               for i, row in enumerate(top)]
     least: dict[int, int] = {}  # M -> least starting distance
-    for i, row in enumerate(mat):
-        starts = row[i + 1:]
-        top = starts    # M(i, j) for j > i, one step at a time
-        for tbl in tables[1:]:
-            later = map(mat[tbl[i]].__getitem__,
-                        itertools.islice(tbl, i + 1, None))
-            top = [a if a > b else b for a, b in zip(top, later)]
-        for d0, high in zip(starts, top):
+    for row, highs in zip(starts, top):
+        for d0, high in zip(row, highs):
             if least.get(high, d0 + 1) > d0:
                 least[high] = d0
     out = []
     best = None         # the least d0 over the M >= eps
     tops = sorted(least)
-    for eps in reversed(eps_values):
-        while tops and tops[-1] >= eps * denom:
+    for eps in sorted({d0 for row in starts for d0 in row if d0 > 0},
+                      reverse=True):
+        while tops and tops[-1] >= eps:
             d0 = least[tops.pop()]
             best = d0 if best is None or d0 < best else best
-        delta = (Fraction(best, denom) if best is not None
-                 else space.diam if n_pts > 1 else eps)
-        out.append((eps, delta))
+        out.append((Fraction(eps, denom), Fraction(best, denom)))
     return out[::-1]
 
 
@@ -476,12 +479,14 @@ def displacement_curve(sys: SystemMap, horizon: int | None = None) -> list[Fract
     _require_table(sys, "displacement")
     pre, per = sys.eventual_period()
     bound = horizon if horizon is not None else pre + per + 1
-    tables = iterate_tables(sys, min(bound, pre + per))[:bound]
+    table = sys.whole_table()
     space = sys.space
-    d = space.dist_int
-    n_pts = len(space.points)
-    curve = [Fraction(max(d(tbl[i], i) for i in range(n_pts)), space.denom)
-             for tbl in tables]
+    step = range(len(space.points))     # T^n, one table at a time
+    curve = []
+    for _ in range(min(bound, pre + per)):
+        curve.append(Fraction(max(map(space.dist_int, step,
+                                      range(len(step)))), space.denom))
+        step = list(map(table.__getitem__, step))
     return curve + [curve[pre + (n - pre) % per]
                     for n in range(len(curve), bound)]
 
@@ -593,18 +598,19 @@ def is_sensitive(sys: SystemMap, eps, basis=None,
     dyn = TableDyn(sys)
     basis = dyn.checked_basis(basis)
     bound, exact = _clock(dyn, horizon)
-    tables = iterate_tables(sys, bound)
+    table = sys.whole_table()
+
+    def escapes(i: int, j: int) -> bool:
+        # T^0 is read even below a bound of 1
+        for _ in range(max(bound, 1)):
+            if d(i, j) > floor:
+                return True
+            i, j = table[i], table[j]
+        return False
     for i, x in enumerate(space.points):
         for u in basis:
             members = u.indices
-            if i not in members:
-                continue
-            escaped = False
-            for j in members:
-                if any(d(tbl[i], tbl[j]) > floor for tbl in tables):
-                    escaped = True
-                    break
-            if not escaped:
+            if i in members and not any(escapes(i, j) for j in members):
                 return Verdict("fails", exact, horizon=bound,
                                counterexample=(point_label(x), u.label),
                                note="no neighbor ever escapes past eps"

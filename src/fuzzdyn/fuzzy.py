@@ -226,19 +226,9 @@ def constraint_label(norm: tuple) -> str:
     return f"h{op}{norm[1]}"
 
 
-def _enumeration_choices(grid: LevelGrid, norm: tuple) -> tuple[Fraction, ...]:
-    """Grade values worth enumerating under the constraint.  A height-eq
-    slice never uses grades above its level, which keeps its loop cost at
-    the slice scale rather than the full grid scale."""
-    if norm[0] == "eq":
-        return (ZERO,) + tuple(v for v in grid.levels if v <= norm[1])
-    return grid.with_zero()
-
-
 def enumeration_cost(n_points: int, grid: LevelGrid, constraint=None) -> int:
     """States visited by the enumeration loop for this constraint."""
-    norm = normalize_constraint(constraint)
-    return len(_enumeration_choices(grid, norm)) ** n_points
+    return _slice(grid, normalize_constraint(constraint))[0] ** n_points
 
 
 def enumerate_fuzzy(space: MetricSpace, grid: LevelGrid, constraint=None,
@@ -305,9 +295,10 @@ def _slice(grid: LevelGrid, norm: tuple) -> tuple[int, int]:
     slice's level (an eq slice has no level above it)."""
     if norm[0] in ("eq", "ge") and not grid.admits(norm[1]):
         raise InputError(f"constraint level {norm[1]} is not on the grid")
-    radix = len(_enumeration_choices(grid, norm))
     low = {"all": 0, "nonempty": 1}.get(norm[0])
-    return radix, int(norm[1] * grid.m) if low is None else low
+    if low is None:
+        low = int(norm[1] * grid.m)
+    return low + 1 if norm[0] == "eq" else grid.m + 1, low
 
 
 class _Codes(Sequence):
@@ -516,9 +507,11 @@ def heights_preserved(sys: SystemMap, grid: LevelGrid, f0: SystemMap,
     pre + per + 1 by default: (C(S,2) - sum_h C(S_h,2)) times the steps."""
     pre, per = sys.eventual_period()
     bound = horizon if horizon is not None else pre + per + 1
+    # the whole table checks the lift's bound before the heights are built
+    table = f0.whole_table()
     # the heights of every code, the empty one too; F0 state i is code i + 1
     heights = _code_heights(len(sys.space.points), grid.m + 1)
-    moved = next((i for i, t in enumerate(f0.table)
+    moved = next((i for i, t in enumerate(table)
                   if heights[t + 1] != heights[i + 1]), None)
     if moved is not None:
         raise RuntimeError(f"lift kernel bug: state "

@@ -1,10 +1,10 @@
 """Finite metric spaces with exact rational distances, and table dynamics on them.
 
 Every distance is a :class:`fractions.Fraction`; no floats appear anywhere.
-Spaces either carry a dense symmetric distance table or (for large derived
-spaces such as hyperspace and fuzzy lifts) a distance function evaluated on
-demand, never cached.  All values are immutable after construction and every
-operation is pure.
+Spaces either carry a dense distance table (an ingested document) or a
+distance function evaluated on demand, never cached: the circle and grid
+formulas, products, and the hyperspace and fuzzy lifts.  All values are
+immutable after construction and every operation is pure.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ HALF = Fraction(1, 2)
 #: cap on materialized product systems (total states)
 PRODUCT_STATE_CAP = 262144
 
-#: cap on the points of a generated circle or interval grid space, whose
-#: dense distance table holds points^2 entries
+#: cap on the points of a generated circle or interval grid space: it bounds
+#: the checks that read every pair of points or N x (pre + per) steps
 TABLE_POINT_CAP = 2048
 
 
@@ -171,7 +171,7 @@ class MetricSpace:
     ``diam`` must be supplied.  A table space scales its table once, over
     the lcm of the denominators of every entry, so asymmetric tables scale
     exactly too; a table of integers comes with its ``denom``, already
-    scaled.  A lazy metric ``fn(i, j)`` is called with an index pair,
+    scaled.  A formula metric ``fn(i, j)`` is called with an index pair,
     returns the scaled integer and keeps nothing per pair.  ``d_by_index``
     renders one distance as a Fraction, for witnesses and serialization.
     ``points`` is copied to a tuple, except a ``_RenderedPoints`` sequence,
@@ -180,15 +180,15 @@ class MetricSpace:
 
     ``gap`` is the least scaled distance between two distinct points when
     the space knows it, else None: a table space with a symmetric table and
-    zero diagonal knows it, and a lift or product is told it by its
-    constructor.  ``scan``, when given, makes the reader that
+    zero diagonal knows it, and a formula space, lift or product is told it
+    by its constructor.  ``scan``, when given, makes the reader that
     ``scan_metric`` returns.  The point-to-index map is built on first use;
     table spaces build it at once, which rejects duplicate point ids on
     ingest.
     """
 
-    __slots__ = ("points", "label", "dist_int", "denom", "gap", "_scan",
-                 "_index", "_matrix", "_diam", "_minpos", "_values")
+    __slots__ = ("points", "label", "dist_int", "denom", "diam", "gap",
+                 "_scan", "_index")
 
     def __init__(self, points: Sequence[Point], *, matrix=None,
                  fn: Callable[[int, int], int] | None = None,
@@ -203,7 +203,6 @@ class MetricSpace:
         self.label = label
         self._scan = scan
         self._index = None
-        self._values = None
         if matrix is not None:
             self._point_index()
             n = len(pts)
@@ -213,7 +212,7 @@ class MetricSpace:
                 rows = [[as_fraction(v) for v in row] for row in matrix]
                 denom = math.lcm(*(v.denominator for r in rows for v in r))
                 matrix = [[int(v * denom) for v in r] for r in rows]
-            self._matrix = ints = matrix
+            ints = matrix
             self.denom = denom
             self.dist_int = lambda i, j: ints[i][j]
             flat = [ints[i][j] for i in range(n) for j in range(i + 1, n)]
@@ -221,19 +220,15 @@ class MetricSpace:
                          all(ints[i][j] == ints[j][i] for j in range(i))
                          for i in range(n))
             self.gap = min(flat) if flat and metric else None
-            self._diam = Fraction(max(flat, default=0), self.denom)
-            pos = min((v for v in flat if v > 0), default=None)
-            self._minpos = None if pos is None else Fraction(pos, denom)
+            self.diam = Fraction(max(flat, default=0), denom)
         elif fn is not None:
             if diam is None or denom is None:
                 raise InputError("lazy metric needs an explicit diameter "
                                  "and denominator")
-            self._matrix = None
             self.dist_int = fn
             self.denom = denom
             self.gap = gap
-            self._diam = as_fraction(diam)
-            self._minpos = None
+            self.diam = as_fraction(diam)
         else:
             raise InputError("need a distance table or a distance function")
 
@@ -252,10 +247,6 @@ class MetricSpace:
 
     def __repr__(self) -> str:
         return f"MetricSpace({self.label!r}, {len(self.points)} points)"
-
-    @property
-    def diam(self) -> Fraction:
-        return self._diam
 
     @property
     def nontrivial(self) -> bool:
@@ -290,22 +281,9 @@ class MetricSpace:
         return self.dist_int if self._scan is None else self._scan()
 
     def min_positive_distance(self) -> Fraction | None:
-        if self._matrix is None:
-            raise InputError("min distance unavailable on a lazy metric space")
-        return self._minpos
-
-    def distance_values(self) -> tuple[Fraction, ...]:
-        """Sorted distinct distance values, including 0 (table spaces only)."""
-        if self._matrix is None:
-            raise InputError("distance values unavailable on a lazy metric space")
-        if self._values is None:
-            vals = {0}
-            n = len(self.points)
-            for i in range(n):
-                vals.update(self._matrix[i][i + 1:])
-            self._values = tuple(Fraction(v, self.denom)
-                                 for v in sorted(vals))
-        return self._values
+        """The gap as a Fraction: None when the space knows no positive
+        gap, as on one point."""
+        return Fraction(self.gap, self.denom) if self.gap else None
 
 
 def _scaled_matrix(space: MetricSpace) -> tuple[int, list[list[int]]]:
@@ -490,39 +468,33 @@ def iterate(sys: SystemMap, k: int) -> SystemMap:
                      label=f"{sys.label}^{k}")
 
 
-def iterate_tables(sys: SystemMap, upto: int) -> list[tuple[int, ...]]:
-    """Tables of T^0 .. T^(upto-1); shared helper for checkers."""
-    n = len(sys.space.points)
-    table = sys.whole_table()
-    out = [tuple(range(n))]
-    while len(out) < upto:
-        out.append(tuple(map(table.__getitem__, out[-1])))
-    return out
-
-
 # -- generators -----------------------------------------------------------
 
 def circle_space(n: int) -> MetricSpace:
-    """Z_n with the circle metric d(i,j) = min(|i-j|, n-|i-j|)/n."""
+    """Z_n with the circle metric d(i,j) = min(|i-j|, n-|i-j|)/n, read by
+    formula: the diameter is floor(n/2)/n and the gap 1/n."""
     if n < 1:
         raise InputError("circle space needs n >= 1")
     if n > TABLE_POINT_CAP:
         raise BoundExceeded("table space", n, TABLE_POINT_CAP)
-    # integer rows over n, which is the lcm of the reduced denominators
-    rows = [[min(abs(i - j), n - abs(i - j)) for j in range(n)]
-            for i in range(n)]
-    return MetricSpace(range(n), matrix=rows, denom=n, label=f"Z{n}")
+
+    def dist(i: int, j: int) -> int:
+        k = abs(i - j)      # the shorter way round
+        return k if 2 * k <= n else n - k
+    return MetricSpace(range(n), fn=dist, denom=n, diam=Fraction(n // 2, n),
+                       gap=1 if n > 1 else None, label=f"Z{n}")
 
 
 def interval_grid_space(m: int) -> MetricSpace:
-    """The grid {i/m : 0 <= i <= m} inside [0,1] with |x - y|."""
+    """The grid {i/m : 0 <= i <= m} inside [0,1] with |x - y|, read by
+    formula: the diameter is 1 and the gap 1/m."""
     if m < 1:
         raise InputError("grid needs m >= 1")
     if m + 1 > TABLE_POINT_CAP:
         raise BoundExceeded("table space", m + 1, TABLE_POINT_CAP)
-    pts = [Fraction(i, m) for i in range(m + 1)]
-    rows = [[abs(x - y) for y in pts] for x in pts]
-    return MetricSpace(pts, matrix=rows, label=f"grid[0,1]/{m}")
+    return MetricSpace([Fraction(i, m) for i in range(m + 1)],
+                       fn=lambda i, j: abs(i - j), denom=m, diam=ONE, gap=1,
+                       label=f"grid[0,1]/{m}")
 
 
 def make_rotation(n: int, step: int = 1) -> SystemMap:

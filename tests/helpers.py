@@ -6,7 +6,10 @@ and definitional routes are cross-checked against each other in the tests.
 ``image_points``, ``recurrent_points``, ``point_return_set``,
 ``orbit_points``, ``is_isometry``, ``apply``, ``ball``, ``surjective`` and
 the ``catalog_*_upto`` fixtures are former package names that only tests
-call; they stay thin edges over the package.
+call; they stay thin edges over the package.  ``iterate_tables`` and
+``distance_values`` are brute copies of former package routes, and
+``dense_circle_space`` and ``dense_grid_space`` are the circle and grid
+metrics as the dense tables the package once built.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from fuzzdyn.fuzzy import FuzzySet, fuzzy_lift_system, xi_of, zadeh_apply
 from fuzzdyn.hyperspace import CompactSet
 from fuzzdyn.oracles import ProductDyn, ProductOpen, TableDyn, _Oracle
 from fuzzdyn.spaces import (MetricSpace, SystemMap, as_fraction,
-                            circle_space, iterate, iterate_tables,
-                            point_label)
+                            circle_space, iterate, point_label)
 
 
 def image_points(sys, pts):
@@ -76,6 +78,45 @@ def is_isometry(sys) -> bool:
     t = sys.table
     return all(d(t[i], t[j]) == d(i, j)
                for i in range(n) for j in range(i + 1, n))
+
+
+def iterate_tables(sys, upto):
+    """Tables of T^0 .. T^(upto-1), T^0 even at upto below 1."""
+    n = len(sys.space.points)
+    table = sys.whole_table()
+    out = [tuple(range(n))]
+    while len(out) < upto:
+        out.append(tuple(map(table.__getitem__, out[-1])))
+    return out
+
+
+def distance_values(space) -> tuple[Fraction, ...]:
+    """Sorted distinct distances d(i, j), i < j, and 0, as Fractions."""
+    n = len(space.points)
+    return tuple(sorted({Fraction(0)} | {space.d_by_index(i, j)
+                                         for i in range(n)
+                                         for j in range(i + 1, n)}))
+
+
+def least_positive(space):
+    """The least positive distance d(i, j), i < j, None when there is
+    none."""
+    return next((v for v in distance_values(space) if v > 0), None)
+
+
+def dense_circle_space(n):
+    """Z_n with the circle metric min(|i-j|, n-|i-j|)/n as a Fraction
+    table."""
+    return MetricSpace(range(n), matrix=[[Fraction(min(abs(i - j),
+                                                       n - abs(i - j)), n)
+                                          for j in range(n)]
+                                         for i in range(n)])
+
+
+def dense_grid_space(m):
+    """The grid {i/m : 0 <= i <= m} with |x - y| as a Fraction table."""
+    pts = [Fraction(i, m) for i in range(m + 1)]
+    return MetricSpace(pts, matrix=[[abs(x - y) for y in pts] for x in pts])
 
 
 def catalog_upto(n_points: int) -> list[SystemMap]:

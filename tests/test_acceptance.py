@@ -18,13 +18,14 @@ from fuzzdyn.fuzzy import (LevelGrid, fuzzy_lift_system, g_fuzzify_apply,
 from fuzzdyn.hyperspace import enumerate_compacts, hausdorff_distance, \
     lift_system
 from fuzzdyn.oracles import ShiftDyn
-from fuzzdyn.spaces import (SystemMap, circle_space, iterate_tables,
-                            make_grid_interval_map, make_rotation,
-                            make_multiply, one_point_system, validate_metric)
+from fuzzdyn.spaces import (SystemMap, circle_space, make_grid_interval_map,
+                            make_rotation, make_multiply, one_point_system,
+                            validate_metric)
 from fuzzdyn.symbolic import full_shift
 from fuzzdyn.theorems import verify_theorem
 from helpers import (apply, catalog_bijections_upto, catalog_isometries_upto,
-                     catalog_upto, random_table_system, taxi_space)
+                     catalog_upto, iterate_tables, random_table_system,
+                     taxi_space)
 
 F = Fraction
 HALF = F(1, 2)

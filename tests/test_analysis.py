@@ -35,10 +35,11 @@ from fuzzdyn.spaces import (MetricSpace, SystemMap, circle_space, iterate,
                             make_rotation, one_point_system, product_system)
 from fuzzdyn.symbolic import ShiftSystem, full_shift
 from helpers import (PairwiseProduct, apply, ball, brute_proximal,
-                     brute_return_times, brute_transitive, image_points,
-                     omega_limit, pairwise_first_failure, pairwise_mixing,
-                     pairwise_tail, pairwise_transitive, point_return_set,
-                     random_table_system, recurrent_points, shift_brute_member)
+                     brute_return_times, brute_transitive, distance_values,
+                     image_points, omega_limit, pairwise_first_failure,
+                     pairwise_mixing, pairwise_tail, pairwise_transitive,
+                     point_return_set, random_table_system, recurrent_points,
+                     shift_brute_member)
 
 F = Fraction
 
@@ -329,7 +330,7 @@ class TestEquicontinuity:
                             return False
             return True
 
-        candidates = [v for v in sys.space.distance_values() if v > 0]
+        candidates = [v for v in distance_values(sys.space) if v > 0]
         best = max((c for c in candidates if works(c)), default=None)
         assert delta == best
         assert cert is not None and works(delta)
@@ -392,7 +393,7 @@ def test_rigidity_witness_matches_the_stepped_iterates():
         moves = [max(d(t, i) for i, t in enumerate(iterate(sys, n).table))
                  for n in range(3 * (pre + per) + 6)]
         for horizon in (1, 2, pre + per, pre + per + 1, len(moves)):
-            for eps in sys.space.distance_values()[1:]:
+            for eps in distance_values(sys.space)[1:]:
                 v = is_uniformly_rigid(sys, eps, horizon)
                 n = next((n for n in range(1, horizon) if moves[n] < eps),
                          None)
@@ -505,18 +506,28 @@ class TestSensitivity:
         assert full.holds and full.exact
 
     def test_a_long_horizon_steps_only_the_clock(self):
-        """A horizon past pre + per is cut to it, so no more iterate
-        tables are built than the clock needs."""
+        """A horizon past pre + per is cut to it, so a pair walk reads no
+        more distances than the clock needs: as many as at the clock
+        itself, and at most pre + per per pair it tests."""
         sys = make_rotation(12, 1)
         pre, per = sys.eventual_period()
-        build = analysis.iterate_tables
+        n_pts = len(sys.space)
 
-        def spy(s, upto):
-            assert upto <= pre + per, f"{upto} iterate tables asked for"
-            return build(s, upto)
-        with mock.patch.object(analysis, "iterate_tables", spy):
-            v = is_sensitive(sys, F(1, 12), horizon=10**6)
+        def reads(horizon):
+            count = 0
+            dist = sys.space.dist_int
+
+            def spy(i, j):
+                nonlocal count
+                count += 1
+                return dist(i, j)
+            with mock.patch.object(sys.space, "dist_int", spy):
+                v = is_sensitive(sys, F(1, 12), horizon=horizon)
+            return v, count
+        v, long_reads = reads(10**6)
         assert v.fails and v.exact and v.horizon == pre + per
+        assert 0 < long_reads == reads(pre + per)[1]
+        assert long_reads <= n_pts * n_pts * (pre + per)
 
 
 class TestPeriodicDensity:

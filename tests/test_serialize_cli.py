@@ -303,7 +303,7 @@ class TestCli:
                                         "gridmap:half,2048"])
     def test_table_space_over_the_cap_exits_three(self, tmp_path, capsys,
                                                    system):
-        # the point count is checked before any distance row is built
+        # the point count is checked before the space is built
         start = time.monotonic()
         assert main(["check", "--system", system, "--props", "transitivity",
                      "--out", str(tmp_path)]) == 3
@@ -483,6 +483,64 @@ class TestCli:
         out = capsys.readouterr().out
         assert "rotation:n,step" in out
         assert "uniform-rigidity" in out
+
+
+#: a child that caps its own address space, runs the CLI on its argv and
+#: prints its own peak resident memory (VmHWM, in KiB) to stderr last
+_LIMITED_CHILD = """\
+import resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from fuzzdyn.cli import main
+rc = main(sys.argv[2:])
+with open("/proc/self/status") as status:
+    hwm = next(line.split()[1] for line in status
+               if line.startswith("VmHWM:"))
+print(hwm, file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+def run_limited_cli(args, cwd, limit_mib=512):
+    """The CLI on ARGS in a child interpreter whose address space is capped
+    at ``limit_mib`` MiB, the cap set in the child only.  Returns the exit
+    code, the wall seconds of the child and its VmHWM in MiB."""
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CHILD, str(limit_mib * 2 ** 20),
+         *args, "--out", str(cwd)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+    wall = time.monotonic() - start
+    lines = proc.stderr.splitlines()
+    assert lines and lines[-1].isdigit(), proc.stderr
+    return proc.returncode, wall, int(lines[-1]) / 1024
+
+
+class TestScale:
+    """Bounds fire before allocations, and formula spaces keep the base
+    checks at the point cap small.  Each run is a fresh child interpreter,
+    so its VmHWM is its own."""
+
+    def test_height_invariance_exits_three_before_it_allocates(
+            self, tmp_path):
+        # 3^20 codes: the lift's bound fires before any per-state list
+        rc, wall, _ = run_limited_cli(
+            ["verify", "--theorem", "height-invariance",
+             "--system", "rotation:20,1", "--m", "2"], tmp_path)
+        assert rc == 3 and wall < 5.0
+
+    @pytest.mark.parametrize("system, props", [
+        ("rotation:2000,1",
+         "proximality,periodic-density,mixing,equicontinuity,sensitivity"),
+        ("gridmap:half,2000",
+         "transitivity,weak-mixing,mixing,mild-mixing,uniform-rigidity,"
+         "equicontinuity,proximality,sensitivity,periodic-density")])
+    def test_base_checks_at_the_point_cap_stay_small(self, tmp_path, system,
+                                                    props):
+        rc, _, hwm = run_limited_cli(
+            ["check", "--system", system, "--props", props], tmp_path)
+        assert rc == 0 and hwm < 64
 
 
 def test_cli_loads_only_the_standard_library(tmp_path):

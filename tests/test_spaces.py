@@ -14,8 +14,10 @@ from fuzzdyn.spaces import (MetricSpace, SystemMap, circle_space,
                             make_grid_interval_map, make_multiply,
                             make_rotation, one_point_system, product_system,
                             validate_metric)
+from fuzzdyn.serialize import format_fraction, system_from_jsonable
 from helpers import (apply, brute_eventual_period, brute_metric_violations,
-                     catalog_upto, is_isometry, orbit_points, surjective)
+                     catalog_upto, dense_circle_space, dense_grid_space,
+                     is_isometry, least_positive, orbit_points, surjective)
 
 F = Fraction
 
@@ -286,6 +288,51 @@ def test_interval_grid_space():
     assert g.points == (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
     assert g.diam == 1
     assert g.d(F(1, 4), F(3, 4)) == F(1, 2)
+
+
+class TestFormulaSpaces:
+    """The circle and grid metrics are formulas: each equals its dense
+    table pair by pair, with the constants a table space derives, and the
+    least distance of every space is its gap."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.sampled_from(["circle", "grid"]))
+    def test_formula_matches_the_dense_definition(self, n, kind):
+        if kind == "circle":
+            space, dense = circle_space(n), dense_circle_space(n)
+        else:
+            space, dense = interval_grid_space(n), dense_grid_space(n)
+        assert space.points == dense.points
+        size = len(dense)
+        assert all(space.d_by_index(i, j) == dense.d_by_index(i, j)
+                   for i in range(size) for j in range(size))
+        assert (space.denom, space.diam, space.gap) == \
+            (dense.denom, dense.diam, dense.gap)
+        assert space.min_positive_distance() == least_positive(dense)
+
+    def test_least_distance_is_the_gap_on_the_catalog(self):
+        for sys in base_catalog():
+            assert sys.space.min_positive_distance() == \
+                least_positive(sys.space), sys.label
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                    min_size=1, max_size=6, unique=True), st.data())
+    def test_least_distance_is_the_gap_on_documents(self, cells, data):
+        """A ``finite`` document's least positive table entry, on taxicab
+        tables of distinct points."""
+        coords = [(F(x, 2), F(y, 3)) for x, y in cells]
+        names = [f"p{i}" for i in range(len(coords))]
+        dist = [[abs(ax - bx) + abs(ay - by) for bx, by in coords]
+                for ax, ay in coords]
+        image = data.draw(st.lists(st.sampled_from(names),
+                                   min_size=len(names), max_size=len(names)))
+        doc = {"kind": "finite", "points": names,
+               "dist": [list(map(format_fraction, row)) for row in dist],
+               "map": dict(zip(names, image))}
+        space = system_from_jsonable(doc).space
+        assert space.min_positive_distance() == min(
+            (v for row in dist for v in row if v > 0), default=None)
 
 
 def test_duplicate_point_ids_rejected_on_table_space():
