@@ -119,7 +119,7 @@ def _clock(dyn, horizon: int | None, extra: int = 0) -> tuple[int, bool]:
 _FIRST_CHUNK, _CHUNK_CAP = 8, 1024
 
 
-def _scan(dyn, basis, bound: int):
+def _scan(dyn, basis, bound: int, fails):
     """(i, j0, chunk) through every row of the scan, one oracle row per
     source index i, in order: chunk lists N(basis[i], basis[j]) below the
     bound for j = j0, j0 + 1, ...  Each row is read in chunks of 8, 16,
@@ -127,19 +127,49 @@ def _scan(dyn, basis, bound: int):
     a failure early in a row reads little past it, and no row is ever held
     whole.  An open is built only when a checker labels it.
 
-    Every checker stops at its first failing set, so a row read to its end
-    has passed.  A product's box row holds the ANDs of one set from each of
-    its factor rows, so its key, the tuple of their sets of values, fixes
-    its set of sets.  Past the first 8 sets, a box row whose key has passed
-    is skipped; its key reads each of its factor rows, none of which is
-    read twice, and no box pair.  A row with a new key is read in chunks,
-    so its first failing set ends the scan.  The keys that passed, one per
-    distinct key read to its end, are held only during the scan."""
+    ``fails(sets)`` is the checker's one set test: does any of the sets
+    fail.  Every checker stops at its first failing set, so a row read to
+    its end has passed.  A product's box row holds the ANDs of one set from
+    each of its factor rows, so its key, the tuple of their sets of values,
+    fixes its set of sets.  Past the first 8 sets, a box row whose key has
+    passed is skipped; its key reads each of its factor rows, none of which
+    is read twice, and no box pair.  A row with a new key is read in
+    chunks, so its first failing set ends the scan.
+
+    The whole scan's set of sets is that of ``ProductDyn.box_values``.
+    Once the sets read or skipped reach the factors' pairs, sum |basis_k|^2
+    (at least 8 whenever they are fewer than the scan's sets), the value
+    pass builds it, giving up past as many ANDs as sets covered.  If no set
+    of it fails, it is yielded as one chunk with no row index and the scan
+    stops, its verdict decided; otherwise the ordered scan goes on, so the
+    checker still finds its first failing box.  The keys that passed and
+    the values are held only during the scan."""
+    n = _count(basis)
+    pass_at = total = n * n
+    if isinstance(basis, _BoxBasis):
+        pass_at = sum(_count(b) ** 2 for b in basis.bases)
+    for i, j0, chunk in _rows(dyn, basis, bound):
+        if chunk:
+            yield i, j0, chunk
+        covered = i * n + j0 + len(chunk)
+        if pass_at <= covered < total:
+            pass_at = total                 # the pass runs once
+            sets = dyn.box_values(basis, bound, covered)
+            if sets is not None and not fails(sets):
+                yield None, 0, list(sets)
+                return
+
+
+def _rows(dyn, basis, bound: int):
+    """``_scan`` in order: its chunks, and (i, n, []) for a box row i of n
+    sets that is skipped by its key."""
     boxes, passed = isinstance(basis, _BoxBasis), set()
+    n = _count(basis)
     rows = (dyn.factor_rows if boxes else dyn.rows)(basis, bound)
     for i, row in enumerate(rows):
-        if (boxes and i * _count(basis) >= 8
+        if (boxes and i * n >= 8
                 and tuple(r.values for r in row) in passed):
+            yield i, n, []
             continue
         sets = iter(_box_row(row) if boxes else row)
         j0, size = 0, _FIRST_CHUNK
@@ -149,6 +179,11 @@ def _scan(dyn, basis, bound: int):
             size = min(2 * size, _CHUNK_CAP)
         if boxes:
             passed.add(tuple(r.values for r in row))
+
+
+def _empty(sets) -> bool:
+    """Transitivity's set test: is one of the sets empty."""
+    return 0 in sets
 
 
 def _labels(basis, i: int, j: int) -> tuple[str, str]:
@@ -166,8 +201,8 @@ def is_transitive(target, basis=None, horizon: int | None = None) -> Verdict:
     basis = dyn.checked_basis(basis)
     bound, exact = _clock(dyn, horizon)
     witnesses = []
-    for i, j0, chunk in _scan(dyn, basis, bound):
-        if 0 in chunk:
+    for i, j0, chunk in _scan(dyn, basis, bound, _empty):
+        if _empty(chunk):
             return Verdict("fails", exact, horizon=bound,
                            counterexample=_labels(basis, i,
                                                   j0 + chunk.index(0)),
@@ -230,12 +265,17 @@ def is_mixing(target, basis=None, horizon: int | None = None) -> Verdict:
     tail_bound = pp[0] if exact else bound // 2
     worst_tail = 0
     full = (1 << bound) - 1
-    for i, j0, chunk in _scan(dyn, basis, bound):
+
+    def tail(sets) -> int:
         # the missing times of each set: its tail starts past the last one
-        tails = list(map(int.bit_length, map(full.__xor__, chunk)))
-        tail = max(tails)
-        if tail > tail_bound:
-            k = next(k for k, t in enumerate(tails) if t > tail_bound)
+        return max(map(int.bit_length, map(full.__xor__, sets)))
+
+    def fails(sets) -> bool:
+        return tail(sets) > tail_bound
+    for i, j0, chunk in _scan(dyn, basis, bound, fails):
+        worst = tail(chunk)
+        if worst > tail_bound:
+            k = next(k for k, bits in enumerate(chunk) if fails((bits,)))
             example = _labels(basis, i, j0 + k)
             if exact:
                 example += (tail_bound
@@ -244,7 +284,7 @@ def is_mixing(target, basis=None, horizon: int | None = None) -> Verdict:
                            counterexample=example,
                            note="a full residue class of times is missing"
                                 if exact else "not cofinite at the horizon")
-        worst_tail = max(worst_tail, tail)
+        worst_tail = max(worst_tail, worst)
     return Verdict("holds", exact, horizon=bound,
                    witnesses=(("tail_start", worst_tail),),
                    note="" if exact else "horizon evidence")
@@ -274,20 +314,25 @@ def is_F_transitive(target, family: FamilyClassifier, basis=None,
     tail = TAIL_KINDS.get(family.kind)
     exact = exact and tail is not None
     note = f"N(U,V) not {family.kind} ({'exact' if exact else 'at horizon'})"
-    for i, j0, chunk in _scan(dyn, basis, window):
-        if exact:
-            parts = map(period.__and__, chunk)
-            oks = list(map(period.__eq__, parts) if tail.full
-                       else map(bool, parts))
-            if False in oks:
-                return Verdict("fails", exact, horizon=window, note=note,
-                               counterexample=_labels(basis, i,
-                                                      j0 + oks.index(False)))
+
+    def passing(sets) -> int:
+        """How many of the sets pass before the first that fails."""
+        if not exact:
+            oks = (family.classify(IndexSet.from_bits(window, bits))[0]
+                   for bits in sets)
+        elif tail.full:
+            oks = map(period.__eq__, map(period.__and__, sets))
         else:
-            for j, bits in enumerate(chunk, j0):
-                if not family.classify(IndexSet.from_bits(window, bits))[0]:
-                    return Verdict("fails", exact, horizon=window, note=note,
-                                   counterexample=_labels(basis, i, j))
+            oks = map(period.__and__, sets)
+        return len(list(itertools.takewhile(bool, oks)))
+
+    def fails(sets) -> bool:
+        return passing(sets) < len(sets)
+    for i, j0, chunk in _scan(dyn, basis, window, fails):
+        k = passing(chunk)
+        if k < len(chunk):
+            return Verdict("fails", exact, horizon=window, note=note,
+                           counterexample=_labels(basis, i, j0 + k))
     # the witness is read off the last pair's set at the window; a product
     # scan may skip that pair's row
     detail = family.classify(IndexSet.from_bits(
@@ -367,8 +412,11 @@ def _ip_difference_evidence(target, horizon: int | None) -> bool:
               else horizon or DEFAULT_HORIZON)
     witness_bits = [difference_set(fs_set(g, window)).bits
                     for g in IP_WITNESS_GENERATORS]
-    return all(0 not in map(w.__and__, chunk) for _, _, chunk in
-               _scan(dyn, dyn.default_basis(), window) for w in witness_bits)
+
+    def fails(sets) -> bool:
+        return any(0 in map(w.__and__, sets) for w in witness_bits)
+    return not any(fails(chunk) for _, _, chunk in
+                   _scan(dyn, dyn.default_basis(), window, fails))
 
 
 # -- metric behaviour ----------------------------------------------------------

@@ -258,7 +258,8 @@ class TableDyn(_Oracle):
             bit = 1 << n
             for i in cur:
                 times[i] = times.get(i, 0) | bit
-            cur = {tbl[i] for i in cur}
+            # the image of one point is one index
+            cur = (tbl[i],) if len(cur) == 1 else {tbl[i] for i in cur}
         mask = (1 << bound) - 1
         # ones at walk + k * per for k < bound // per, enough since walk >=
         # per whenever walk < bound
@@ -478,6 +479,21 @@ class ProductDyn(_Oracle):
         first, *rest = (map(_LazyRow, self._factor_rows(k, b, bound))
                         for k, b in enumerate(basis.bases))
         return _tuples(first, *map(_LazyRow, rest))
+
+    def box_values(self, basis: _BoxBasis, bound: int, most: int):
+        """The set of the sets of all box pairs, or None once it would take
+        more than ``most`` ANDs.  Box pairs are the tuples of factor pairs,
+        so these sets are the ANDs of one distinct (dilated) set of each
+        factor over all pairs of its basis; the ANDs are deduplicated after
+        each factor, whose rows are read only when it is reached."""
+        sets = {-1}
+        for k, b in enumerate(basis.bases):
+            values = set(itertools.chain.from_iterable(
+                self._factor_rows(k, b, bound)))
+            if len(sets) * len(values) > most:
+                return None
+            sets = {s & v for s in sets for v in values}
+        return sets
 
 
 class HyperShiftDyn(_Oracle):

@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from .errors import InputError
 from .fuzzy import GFunction, LevelGrid
-from .spaces import (MetricSpace, SystemMap, as_fraction,
-                     make_grid_interval_map, make_multiply, make_rotation,
-                     validate_metric)
+from .spaces import (MetricSpace, SystemMap, _check_metric_size,
+                     as_fraction, make_grid_interval_map, make_multiply,
+                     make_rotation, validate_metric)
 from .symbolic import ShiftSystem
 from .theorems import EquivalenceReport
 
@@ -105,6 +105,8 @@ def system_from_jsonable(obj: dict):
                                _integer(obj, "resolution"))
         if kind == "finite":
             pts = _list(obj["points"], "'points'")
+            # the metric is validated below: its bound fires before parsing
+            _check_metric_size(len(pts))
             dist = [[as_fraction(v) for v in row] for row in obj["dist"]]
             space = MetricSpace(pts, matrix=dist,
                                 label=obj.get("label", "finite"))

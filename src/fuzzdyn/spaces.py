@@ -31,6 +31,10 @@ PRODUCT_STATE_CAP = 262144
 #: the checks that read every pair of points or N x (pre + per) steps
 TABLE_POINT_CAP = 2048
 
+#: cap on the points of a metric whose axioms are validated: validation
+#: reads every triple of points
+METRIC_POINT_CAP = 512
+
 
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions, and 'p/q' strings to an exact rational."""
@@ -293,7 +297,15 @@ def _scaled_matrix(space: MetricSpace) -> tuple[int, list[list[int]]]:
     return space.denom, [[d(i, j) for j in range(n)] for i in range(n)]
 
 
-def validate_metric(space: MetricSpace, point_bound: int = 512) -> list[str]:
+def _check_metric_size(n: int, point_bound: int = METRIC_POINT_CAP) -> None:
+    """Raise the bound of metric validation, which reads every triple of
+    points, for a metric of n points above it."""
+    if n > point_bound:
+        raise BoundExceeded("metric validation", n, point_bound)
+
+
+def validate_metric(space: MetricSpace,
+                    point_bound: int = METRIC_POINT_CAP) -> list[str]:
     """Check all metric axioms exhaustively; return the list of violations.
 
     Validation never aborts on a bad metric; each violation names the
@@ -304,8 +316,7 @@ def validate_metric(space: MetricSpace, point_bound: int = 512) -> list[str]:
     d(i, k).
     """
     n = len(space.points)
-    if n > point_bound:
-        raise BoundExceeded("metric validation", n, point_bound)
+    _check_metric_size(n, point_bound)
     out: list[str] = []
     lab = [point_label(p) for p in space.points]
     d = space.d_by_index

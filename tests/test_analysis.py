@@ -1,14 +1,16 @@
 import gc
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import fuzzdyn.analysis as analysis
@@ -1122,7 +1124,7 @@ class TestOracleMemory:
         assert is_transitive(pd, horizon=24).holds
         assert is_mixing(pd).fails
         assert vars(pd) == {"factors": pd.factors}
-        pairs = _scan(pd, pd.default_basis(), 16)
+        pairs = _scan(pd, pd.default_basis(), 16, analysis._empty)
         next(pairs)
         assert live_rows() > before
         pairs.close()
@@ -1208,7 +1210,8 @@ class TestChunkedScan:
             lambda: is_F_transitive(sys, ip, basis=basis))
         with mock.patch.multiple(analysis, _FIRST_CHUNK=1, _CHUNK_CAP=2):
             small = [check() for check in checks]
-            scan = list(_scan(TableDyn(sys), basis, bound))
+            scan = list(_scan(TableDyn(sys), basis, bound,
+                              analysis._empty))
         assert small == [check() for check in checks]
         for i, u in enumerate(basis):
             row = [(j0, chunk) for k, j0, chunk in scan if k == i]
@@ -1288,23 +1291,110 @@ def mixed_factors(draw):
     return hyper, tuple(basis)
 
 
+@st.composite
+def later_factors(draw):
+    """A factor with at least two opens whose first open passes in many
+    checks: a table (a cycle, which an exponent may split, another
+    permutation or any map) with the whole space X first, one to three
+    times, and random opens after it (T^0(X) meets every open), or a shift
+    or the hyperspace of a shift as in ``mixed_factors``."""
+    if draw(st.booleans()):
+        return draw(mixed_factors().filter(lambda f: len(f[1]) > 1))
+    n = draw(st.integers(2, 4))
+    sys = SystemMap(circle_space(n), draw(
+        st.just([*range(1, n), 0]) | st.permutations(range(n))
+        | st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    whole = points_open(sys.space, sys.space.points)
+    rest = draw(st.lists(point_sets(sys) | st.sampled_from(
+        sys.space.points).map(lambda p: [p]), min_size=1, max_size=3))
+    return TableDyn(sys), (whole,) * draw(st.integers(1, 3)) + tuple(
+        points_open(sys.space, members) for members in rest)
+
+
+@st.composite
+def reaching_factors(draw):
+    """(oracle, basis, exponent) of the factors of a product: a rotation
+    with its singletons and an exponent prime to its length, so that its
+    sets are all nonempty, then one or two ``later_factors`` with exponents
+    1-3.  The first box rows of such a product often pass, so its scans
+    reach the value pass; one that fails there often fails only on a later
+    factor's values, past the pass."""
+    n = draw(st.integers(2, 5))
+    sys = make_rotation(n, 1)
+    prime = [e for e in (1, 2, 3) if math.gcd(e, n) == 1]
+    first = (TableDyn(sys), _SingletonBasis(sys.space),
+             draw(st.sampled_from(prime)))
+    return [first] + [(dyn, basis, draw(st.integers(1, 3))) for dyn, basis
+                      in draw(st.lists(later_factors(), min_size=1,
+                                       max_size=2))]
+
+
+class _ScanSpy:
+    """Counts what the scans run under it read: the chunks (``steps``) and
+    their sets, and what the value pass did: how often
+    ``ProductDyn.box_values`` ran (``built``) and gave up, and how often a
+    scan yielded the values, decided."""
+
+    def __init__(self):
+        self.steps = self.sets = self.built = self.gave_up = self.decided = 0
+
+    def __enter__(self):
+        box_values, scan = ProductDyn.box_values, analysis._scan
+
+        def counted_values(oracle, *args):
+            sets = box_values(oracle, *args)
+            self.built += 1
+            self.gave_up += sets is None
+            return sets
+
+        def counted_scan(*args):
+            for step in scan(*args):
+                self.steps += 1
+                self.sets += len(step[2])
+                self.decided += step[0] is None
+                yield step
+        self._patches = (mock.patch.object(ProductDyn, "box_values",
+                                           counted_values),
+                         mock.patch.object(analysis, "_scan", counted_scan))
+        for patch in self._patches:
+            patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        for patch in self._patches:
+            patch.stop()
+
+    def event(self) -> str:
+        if not self.built:
+            return "no value pass"
+        if self.decided:
+            return "a value pass decided a scan"
+        if self.built > self.gave_up:
+            return "value passes failed; the ordered scans went on"
+        return "value passes gave up"
+
+
 class TestBoxClasses:
     """A product scan over boxes skips each box row whose key, the value
-    set of each of its factor rows, has passed; every verdict is the
-    pair-by-pair scan's."""
+    set of each of its factor rows, has passed, and once it has covered as
+    many sets as its factors' pairs, the value pass decides it when no
+    value fails; every verdict is the pair-by-pair scan's."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_class_scan_keeps_the_pairwise_answers(self, data):
         """Products of 1-3 factors of mixed kinds with exponents 1-3: each
-        checker that skips rows gives the verdict of the same boxes read
-        pair by pair through ``ProductDyn.return_times``, at the real chunk
-        sizes and at chunks of 1, 2, 2, ..."""
-        factors = data.draw(st.lists(mixed_factors(), min_size=1,
-                                     max_size=3))
-        pd = ProductDyn([(dyn, data.draw(st.integers(1, 3)))
-                         for dyn, _ in factors])
-        boxes = _BoxBasis(tuple(basis for _, basis in factors))
+        checker that scans gives the verdict of the same boxes read pair
+        by pair through ``ProductDyn.return_times``, at the real chunk
+        sizes and at chunks of 1, 2, 2, ...  Half of the products are of
+        factors whose first opens pass, so that their scans reach the value
+        pass, both holding and failing past it on a later factor's values;
+        an event records what the pass did."""
+        factors = data.draw(reaching_factors() | st.lists(st.tuples(
+            mixed_factors(), st.integers(1, 3)).map(lambda f: (*f[0], f[1])),
+            min_size=1, max_size=3))
+        pd = ProductDyn([(dyn, a) for dyn, _, a in factors])
+        boxes = _BoxBasis(tuple(basis for _, basis, _ in factors))
         pairwise = PairwiseProduct(pd)
         horizon = data.draw(st.one_of(st.none(), st.integers(1, 16)))
         family = FamilyClassifier(data.draw(st.sampled_from(
@@ -1316,15 +1406,18 @@ class TestBoxClasses:
                   lambda t, **kw: is_F_transitive(t, ip, **kw))
         expect = [check(pairwise, basis=tuple(boxes), horizon=horizon)
                   for check in checks]
-        assert [check(pd, basis=boxes, horizon=horizon)
-                for check in checks] == expect
+        with _ScanSpy() as spy:
+            assert [check(pd, basis=boxes, horizon=horizon)
+                    for check in checks] == expect
+        event(spy.event())
         with mock.patch.multiple(analysis, _FIRST_CHUNK=1, _CHUNK_CAP=2):
             assert [check(pd, basis=boxes, horizon=horizon)
                     for check in checks] == expect
         # a holding family check takes its witness from the last pair
         for v, fam in zip(expect[2:], (family, ip)):
             if v.holds:
-                *_, (_, _, chunk) = _scan(pairwise, tuple(boxes), v.horizon)
+                *_, (_, _, chunk) = _scan(pairwise, tuple(boxes), v.horizon,
+                                          analysis._empty)
                 _, detail = fam.classify(IndexSet.from_bits(v.horizon,
                                                             chunk[-1]))
                 found = (detail or {}).get("witness")
@@ -1405,4 +1498,80 @@ class TestBoxClasses:
         v = is_transitive(pd, basis=boxes)
         assert v.counterexample == ("(B(0),{0})", "(B(0),{1})")
         assert pulled == [5 + 41 + 41] and boxes_read == [5 * 41 + 8]
+        assert v == is_transitive(PairwiseProduct(pd), basis=tuple(boxes))
+
+    def test_holding_weak_mixing_reads_one_row_and_the_values(self):
+        """The square of the full shift on 2 symbols over its 14 cylinders:
+        the first of its 196 box rows fills the window, the next two have
+        its key, and once 2 * 14^2 sets are covered the value pass ANDs the
+        shift's distinct sets.  None is empty, so the scan yields them as
+        one chunk and stops: it reads 196 + 8 sets, not 9,604."""
+        shift = ShiftDyn(full_shift(2, 3))
+        with _ScanSpy() as spy:
+            v = is_weakly_mixing(shift)
+        assert v.holds and spy.decided == 1 and spy.sets <= 500
+        square = ProductDyn([(shift, 1), (shift, 1)])
+        assert replace(v, note="") == is_transitive(PairwiseProduct(square))
+
+    def test_disjoint_rotations_run_the_value_pass(self):
+        """rotation(80) x rotation(81) over 6,480 boxes: the first box row
+        is read in 13 chunks, the next two are skipped by its key, and the
+        value pass decides the scan from 80 * 81 ANDs, one more chunk."""
+        with _ScanSpy() as spy:
+            v = weakly_disjoint(make_rotation(80, 1), make_rotation(81, 1))
+        assert v.holds and v.exact and len(v.witnesses) == 8
+        assert (spy.built, spy.decided) == (1, 1)
+        assert (spy.steps, spy.sets) == (13 + 1, 6480 + 80 * 81)
+
+    def test_failure_before_the_pass_pulls_no_more_factor_rows(
+            self, monkeypatch):
+        """rotation(3) x (the full shift on 2 symbols)^2 x (the identity on
+        6 points) over the singletons, the cylinders [0], [1], and X, {0},
+        ..., {5}: the first box row fills the window and the second fails
+        at its third box, after 42 + 8 of the 62 sets that start the value
+        pass.  So no value pass runs, and the scan pulls the factor entries
+        it pulled before there was one: a row of each factor's first open
+        and the identity's row of {0}, for the key."""
+        pulled = [0]
+        factor_rows = ProductDyn._factor_rows
+
+        def counted(row):
+            for bits in row:
+                pulled[0] += 1
+                yield bits
+
+        monkeypatch.setattr(ProductDyn, "_factor_rows", lambda *args: map(
+            counted, factor_rows(*args)))
+        ident = discrete_system(list(range(6)))
+        opens = (points_open(ident.space, range(6)),) + tuple(
+            points_open(ident.space, [k]) for k in range(6))
+        factors = [(TableDyn(make_rotation(3, 1)), 1),
+                   (ShiftDyn(full_shift(2, 2), cylinder_length=1), 2),
+                   (TableDyn(ident), 1)]
+        pd = ProductDyn(factors)
+        boxes = _BoxBasis((factors[0][0].default_basis(),
+                           factors[1][0].default_basis(), opens))
+        with _ScanSpy() as spy:
+            v = is_transitive(pd, basis=boxes)
+        assert v.fails and spy.built == 0
+        assert pulled == [3 + 2 + 7 + 7]
+        assert v == is_transitive(PairwiseProduct(pd), basis=tuple(boxes))
+
+    def test_failure_past_the_pass_is_found_in_order(self):
+        """(the full shift on 2 symbols) x (a 2-cycle)^2 over the cylinders
+        [0], [1] and X, X, X, {0}, {1}: T^2 fixes both points, so {0}
+        never reaches {1}, although T sends it there at odd times.  The
+        first three box rows pass, and the value pass finds the empty set
+        only among the ANDs of every factor's dilated sets; the ordered
+        scan then finds the first failing box."""
+        cycle = make_rotation(2, 1)
+        opens = (points_open(cycle.space, [0, 1]),) * 3 + (
+            points_open(cycle.space, [0]), points_open(cycle.space, [1]))
+        shift = ShiftDyn(full_shift(2, 2), cylinder_length=1)
+        pd = ProductDyn([(shift, 1), (TableDyn(cycle), 2)])
+        boxes = _BoxBasis((shift.default_basis(), opens))
+        with _ScanSpy() as spy:
+            v = is_transitive(pd, basis=boxes)
+        assert (spy.built, spy.gave_up, spy.decided) == (1, 0, 0)
+        assert v.counterexample == ("([0],{0})", "([0],{1})")
         assert v == is_transitive(PairwiseProduct(pd), basis=tuple(boxes))

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import fuzzdyn
+import fuzzdyn.serialize as serialize
 from fuzzdyn.cli import main, parse_system_spec
 from fuzzdyn.errors import InputError
 from fuzzdyn.fuzzy import GFunction, LevelGrid
@@ -541,6 +542,27 @@ class TestScale:
         rc, _, hwm = run_limited_cli(
             ["check", "--system", system, "--props", props], tmp_path)
         assert rc == 0 and hwm < 64
+
+
+def test_large_finite_document_exits_three_before_parsing(
+        tmp_path, monkeypatch, capsys):
+    """A 700-point discrete ``finite`` document is over the 512 points of
+    metric validation, and its bound fires on the point count, before any
+    of its 490,000 distances is parsed."""
+    pts = [f"p{i}" for i in range(700)]
+    doc = {"kind": "finite", "points": pts,
+           "dist": [["0" if p == q else "1" for q in pts] for p in pts],
+           "map": {p: p for p in pts}}
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(doc))
+    parsed = []
+    monkeypatch.setattr(serialize, "as_fraction",
+                        lambda value: parsed.append(value))
+    rc = main(["check", "--system", f"file:{path}",
+               "--props", "transitivity", "--out", str(tmp_path)])
+    assert rc == 3 and parsed == []
+    assert capsys.readouterr().err == (
+        "bound exceeded: metric validation: size 700 exceeds bound 512\n")
 
 
 def test_cli_loads_only_the_standard_library(tmp_path):
