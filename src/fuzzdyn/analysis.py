@@ -17,11 +17,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import BoundExceeded, InputError
 from .families import (TAIL_KINDS, FamilyClassifier, IndexSet, difference_set,
                        fs_set)
-from .oracles import (ProductDyn, TableDyn, _box_row, _BoxBasis, _count,
-                      as_dyn)
+from .oracles import ProductDyn, TableDyn, _BoxBasis, _count, as_dyn
 from .spaces import (Point, SystemMap, _scaled_matrix, as_fraction,
                      point_label)
 from .symbolic import DEFAULT_HORIZON
@@ -128,57 +127,33 @@ def _scan(dyn, basis, bound: int, fails):
     whole.  An open is built only when a checker labels it.
 
     ``fails(sets)`` is the checker's one set test: does any of the sets
-    fail.  Every checker stops at its first failing set, so a row read to
-    its end has passed.  A product's box row holds the ANDs of one set from
-    each of its factor rows, so its key, the tuple of their sets of values,
-    fixes its set of sets.  Past the first 8 sets, a box row whose key has
-    passed is skipped; its key reads each of its factor rows, none of which
-    is read twice, and no box pair.  A row with a new key is read in
-    chunks, so its first failing set ends the scan.
-
-    The whole scan's set of sets is that of ``ProductDyn.box_values``.
-    Once the sets read or skipped reach the factors' pairs, sum |basis_k|^2
-    (at least 8 whenever they are fewer than the scan's sets), the value
-    pass builds it, giving up past as many ANDs as sets covered.  If no set
-    of it fails, it is yielded as one chunk with no row index and the scan
-    stops, its verdict decided; otherwise the ordered scan goes on, so the
-    checker still finds its first failing box.  The keys that passed and
-    the values are held only during the scan."""
+    fail.  Every checker stops at its first failing set.  A product's box
+    pairs are the tuples of its factors' pairs, so the whole scan's set of
+    sets is that of ``ProductDyn.box_values``.  Once the sets read reach
+    the factors' pairs, sum |basis_k|^2 (at least 8 whenever they are fewer
+    than the scan's sets), the value pass builds it, giving up past as many
+    ANDs as sets read.  If no set of it fails, it is yielded as one chunk
+    with no row index and the scan stops before its last pair, its verdict
+    decided; otherwise the ordered scan goes on, so the checker still finds
+    its first failing box.  The values are held only during the pass."""
     n = _count(basis)
     pass_at = total = n * n
     if isinstance(basis, _BoxBasis):
         pass_at = sum(_count(b) ** 2 for b in basis.bases)
-    for i, j0, chunk in _rows(dyn, basis, bound):
-        if chunk:
-            yield i, j0, chunk
-        covered = i * n + j0 + len(chunk)
-        if pass_at <= covered < total:
-            pass_at = total                 # the pass runs once
-            sets = dyn.box_values(basis, bound, covered)
-            if sets is not None and not fails(sets):
-                yield None, 0, list(sets)
-                return
-
-
-def _rows(dyn, basis, bound: int):
-    """``_scan`` in order: its chunks, and (i, n, []) for a box row i of n
-    sets that is skipped by its key."""
-    boxes, passed = isinstance(basis, _BoxBasis), set()
-    n = _count(basis)
-    rows = (dyn.factor_rows if boxes else dyn.rows)(basis, bound)
-    for i, row in enumerate(rows):
-        if (boxes and i * n >= 8
-                and tuple(r.values for r in row) in passed):
-            yield i, n, []
-            continue
-        sets = iter(_box_row(row) if boxes else row)
+    for i, row in enumerate(dyn.rows(basis, bound)):
+        sets = iter(row)
         j0, size = 0, _FIRST_CHUNK
         while chunk := list(itertools.islice(sets, size)):
             yield i, j0, chunk
             j0 += len(chunk)
             size = min(2 * size, _CHUNK_CAP)
-        if boxes:
-            passed.add(tuple(r.values for r in row))
+            read = i * n + j0
+            if pass_at <= read < total:
+                pass_at = total             # the pass runs once
+                values = dyn.box_values(basis, bound, read)
+                if values is not None and not fails(values):
+                    yield None, 0, list(values)
+                    return
 
 
 def _empty(sets) -> bool:
@@ -333,8 +308,8 @@ def is_F_transitive(target, family: FamilyClassifier, basis=None,
         if k < len(chunk):
             return Verdict("fails", exact, horizon=window, note=note,
                            counterexample=_labels(basis, i, j0 + k))
-    # the witness is read off the last pair's set at the window; a product
-    # scan may skip that pair's row
+    # the witness is read off the last pair's set at the window; the value
+    # pass may stop a product scan before that pair
     detail = family.classify(IndexSet.from_bits(
         window, dyn.return_times(basis[-1], basis[-1], window)))[1]
     wit = (("family", family.kind),)
@@ -478,6 +453,11 @@ def equicontinuity_modulus(sys: SystemMap, eps) -> Verdict:
                    horizon=pre + per, witnesses=wit)
 
 
+#: cap on the pair-steps of a modulus curve: N (N - 1) / 2 pairs of points,
+#: each stepped through T^0 .. T^(pre+per-1)
+MODULUS_PAIR_STEP_CAP = 2 ** 24
+
+
 def modulus_curve(sys: SystemMap) -> list[tuple[Fraction, Fraction]]:
     """(eps, delta) of :func:`equicontinuity_modulus` at every positive
     distance value eps, in ascending eps, from one pass over the pairs.
@@ -488,10 +468,17 @@ def modulus_curve(sys: SystemMap) -> list[tuple[Fraction, Fraction]]:
     closer one violates iff its orbit reaches eps.  Each eps is attained by
     a pair, whose M is at least eps, so there is always such a pair.  The
     pass steps T one table at a time, keeping M for every pair, then keeps
-    the least starting distance for each distinct M.
+    the least starting distance for each distinct M.  Past
+    ``MODULUS_PAIR_STEP_CAP`` pair-steps it raises ``BoundExceeded``
+    before it reads a distance.
     """
     _require_table(sys, "the equicontinuity modulus")
     pre, per = sys.eventual_period()
+    n = len(sys.space.points)
+    work = n * (n - 1) // 2 * (pre + per)
+    if work > MODULUS_PAIR_STEP_CAP:
+        raise BoundExceeded("modulus curve pair-steps", work,
+                            MODULUS_PAIR_STEP_CAP)
     table = sys.whole_table()
     denom, mat = _scaled_matrix(sys.space)
     starts = [row[i + 1:] for i, row in enumerate(mat)]

@@ -196,6 +196,9 @@ def cmd_plotdata(args) -> int:
     system = parse_system_spec(args.system)
     if not isinstance(system, SystemMap):
         raise InputError("plot data needs a finite table system")
+    # the modulus first: a system past its bound exits before any curve is
+    # written
+    modulus = modulus_curve(system)
     decay = diam_decay(system, args.horizon)
     write_atomic(os.path.join(args.out, "diam_decay.csv"), _csv_text(
         [["n", "diam"]] +
@@ -206,7 +209,7 @@ def cmd_plotdata(args) -> int:
         [[str(n), format_fraction(v)] for n, v in enumerate(disp)]))
     rows = [["eps", "delta"]] + [
         [format_fraction(eps), format_fraction(delta)]
-        for eps, delta in modulus_curve(system)]
+        for eps, delta in modulus]
     write_atomic(os.path.join(args.out, "modulus.csv"), _csv_text(rows))
     if not args.json:
         print(f"wrote diam_decay.csv, rigidity.csv, modulus.csv to {args.out}")

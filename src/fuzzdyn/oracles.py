@@ -355,11 +355,6 @@ class _LazyRow:
         self._source = source
         self._done: list[int] = []
 
-    @functools.cached_property
-    def values(self) -> frozenset:
-        """The set of the row's bitsets, read to its end on first use."""
-        return frozenset(self)
-
     def __iter__(self):
         if self._source is None:
             return iter(self._done)
@@ -468,17 +463,15 @@ class ProductDyn(_Oracle):
         return bits
 
     def rows(self, basis, bound: int):
+        """Over a box basis, each box row is the ANDs of one factor row per
+        factor, in box order: a later factor's rows are pulled on first use
+        and kept for the scan; a row of the first factor serves consecutive
+        boxes only."""
         if not isinstance(basis, _BoxBasis):
             return super().rows(basis, bound)
-        return map(_box_row, self.factor_rows(basis, bound))
-
-    def factor_rows(self, basis: _BoxBasis, bound: int):
-        """The factor rows of each box row, a tuple per box in box order:
-        a later factor's rows are pulled on first use and kept for the
-        scan; a row of the first factor serves consecutive boxes only."""
         first, *rest = (map(_LazyRow, self._factor_rows(k, b, bound))
                         for k, b in enumerate(basis.bases))
-        return _tuples(first, *map(_LazyRow, rest))
+        return map(_box_row, _tuples(first, *map(_LazyRow, rest)))
 
     def box_values(self, basis: _BoxBasis, bound: int, most: int):
         """The set of the sets of all box pairs, or None once it would take

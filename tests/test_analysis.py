@@ -1333,10 +1333,13 @@ class _ScanSpy:
     """Counts what the scans run under it read: the chunks (``steps``) and
     their sets, and what the value pass did: how often
     ``ProductDyn.box_values`` ran (``built``) and gave up, and how often a
-    scan yielded the values, decided."""
+    scan yielded the values, decided.  ``before_pass`` lists, for each box
+    scan, the sets it read before its value pass ran, or in all if none
+    ran."""
 
     def __init__(self):
         self.steps = self.sets = self.built = self.gave_up = self.decided = 0
+        self.before_pass = []
 
     def __enter__(self):
         box_values, scan = ProductDyn.box_values, analysis._scan
@@ -1348,11 +1351,18 @@ class _ScanSpy:
             return sets
 
         def counted_scan(*args):
-            for step in scan(*args):
-                self.steps += 1
-                self.sets += len(step[2])
-                self.decided += step[0] is None
-                yield step
+            built, read = self.built, 0
+            try:
+                for step in scan(*args):
+                    self.steps += 1
+                    self.sets += len(step[2])
+                    self.decided += step[0] is None
+                    if self.built == built:
+                        read += len(step[2])
+                    yield step
+            finally:
+                if isinstance(args[1], _BoxBasis):
+                    self.before_pass.append(read)
         self._patches = (mock.patch.object(ProductDyn, "box_values",
                                            counted_values),
                          mock.patch.object(analysis, "_scan", counted_scan))
@@ -1375,10 +1385,9 @@ class _ScanSpy:
 
 
 class TestBoxClasses:
-    """A product scan over boxes skips each box row whose key, the value
-    set of each of its factor rows, has passed, and once it has covered as
-    many sets as its factors' pairs, the value pass decides it when no
-    value fails; every verdict is the pair-by-pair scan's."""
+    """Once a product scan over boxes has read as many sets as its
+    factors' pairs, the value pass decides it when no value fails; every
+    verdict is the pair-by-pair scan's."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -1389,7 +1398,8 @@ class TestBoxClasses:
         sizes and at chunks of 1, 2, 2, ...  Half of the products are of
         factors whose first opens pass, so that their scans reach the value
         pass, both holding and failing past it on a later factor's values;
-        an event records what the pass did."""
+        an event records what the pass did, and no scan reads a chunk
+        more than the factors' pairs before the pass runs."""
         factors = data.draw(reaching_factors() | st.lists(st.tuples(
             mixed_factors(), st.integers(1, 3)).map(lambda f: (*f[0], f[1])),
             min_size=1, max_size=3))
@@ -1410,6 +1420,9 @@ class TestBoxClasses:
             assert [check(pd, basis=boxes, horizon=horizon)
                     for check in checks] == expect
         event(spy.event())
+        # the pass runs within a chunk of reaching the factors' pairs
+        pairs = sum(len(basis) ** 2 for basis in boxes.bases)
+        assert max(spy.before_pass) < pairs + analysis._CHUNK_CAP
         with mock.patch.multiple(analysis, _FIRST_CHUNK=1, _CHUNK_CAP=2):
             assert [check(pd, basis=boxes, horizon=horizon)
                     for check in checks] == expect
@@ -1425,10 +1438,10 @@ class TestBoxClasses:
                     () if found is None else (("witness", found),))
 
     def test_holding_product_builds_only_the_window_rows(self, monkeypatch):
-        """Every factor row of a rotation holds the same set of values, so
-        one key decides each box row past the first, whose sets fill the
-        witness window: a holding transitivity or syndetic check of a
-        product of rotations builds that one box row."""
+        """A product of two rotations over its boxes has n * m sets a box
+        row and n^2 + m^2 factor pairs, so its scan reaches the value pass
+        in its third box row: a holding transitivity or syndetic check
+        builds those three box rows, and the pass decides the rest."""
         built = []
         product = oracles._box_row
 
@@ -1437,27 +1450,27 @@ class TestBoxClasses:
                 built.append(seqs)
             return product(seqs, *rest)
 
-        monkeypatch.setattr(analysis, "_box_row", counting)
+        monkeypatch.setattr(oracles, "_box_row", counting)
         pd = ProductDyn([(TableDyn(make_rotation(5, 1)), 1),
                          (TableDyn(make_rotation(7, 1)), 1)])
         v = is_transitive(pd)
-        assert v.holds and v.exact and len(built) == 1
+        assert v.holds and v.exact and len(built) == 3
         assert v == is_transitive(PairwiseProduct(pd))
         built.clear()
         v = weakly_disjoint(make_rotation(80, 1), make_rotation(81, 1))
         assert v.holds and v.exact and len(v.witnesses) == 8
-        assert len(built) == 1
+        assert len(built) == 3
         built.clear()
         syndetic = FamilyClassifier("syndetic")
         v = is_F_transitive(pd, syndetic)
-        assert v.holds and v.exact and len(built) == 1
+        assert v.holds and v.exact and len(built) == 3
         assert v == is_F_transitive(PairwiseProduct(pd), syndetic)
 
-    def test_failing_key_past_the_window_reads_its_row(self):
+    def test_failing_row_past_the_window_is_read_in_order(self):
         """rotation(2) x (0 -> 1 -> 2 -> 1) over the opens {0,1,2}, {1,2},
-        {1}, {2}: the first box row fills the window, the second has its
-        key and is skipped, and the third fails, since 1 is sent into {2}
-        only at odd times, and is read to find its first failing box."""
+        {1}, {2}: the first box row fills the window, the second passes,
+        and the third fails, since 1 is sent into {2} only at odd times,
+        and is read to find its first failing box."""
         sys = discrete_system([1, 2, 1])
         opens = tuple(points_open(sys.space, members)
                       for members in ([0, 1, 2], [1, 2], [1], [2]))
@@ -1473,9 +1486,10 @@ class TestBoxClasses:
     def test_failing_row_past_the_window_reads_one_chunk(self, monkeypatch):
         """rotation(5) x (the identity on 40 points) over the opens X, {0},
         {1}, ...: the first box row fills the window, and the second fails
-        at its third box.  Its key reads its new factor row once, to its
-        end, and no combination of values; then the scan reads one chunk
-        of that box row, not its 5 * 41 boxes."""
+        at its third box.  The scan reads one chunk of that box row, not
+        its 5 * 41 boxes, and pulls the factor entries of the boxes it
+        reads: the rotation's row of B(0), the identity's row of X and the
+        first 8 entries of its row of {0}."""
         pulled, boxes_read = [0], [0]
         factor_rows, box_row = ProductDyn._factor_rows, oracles._box_row
 
@@ -1486,7 +1500,7 @@ class TestBoxClasses:
 
         monkeypatch.setattr(ProductDyn, "_factor_rows", lambda *args: (
             counted(row, pulled) for row in factor_rows(*args)))
-        monkeypatch.setattr(analysis, "_box_row", lambda rows, *acc: (
+        monkeypatch.setattr(oracles, "_box_row", lambda rows, *acc: (
             box_row(rows, *acc) if acc
             else counted(box_row(rows), boxes_read)))
         sys = discrete_system(list(range(40)))
@@ -1497,15 +1511,15 @@ class TestBoxClasses:
         boxes = _BoxBasis((rotation.default_basis(), opens))
         v = is_transitive(pd, basis=boxes)
         assert v.counterexample == ("(B(0),{0})", "(B(0),{1})")
-        assert pulled == [5 + 41 + 41] and boxes_read == [5 * 41 + 8]
+        assert pulled == [5 + 41 + 8] and boxes_read == [5 * 41 + 8]
         assert v == is_transitive(PairwiseProduct(pd), basis=tuple(boxes))
 
-    def test_holding_weak_mixing_reads_one_row_and_the_values(self):
+    def test_holding_weak_mixing_reads_two_rows_and_the_values(self):
         """The square of the full shift on 2 symbols over its 14 cylinders:
-        the first of its 196 box rows fills the window, the next two have
-        its key, and once 2 * 14^2 sets are covered the value pass ANDs the
-        shift's distinct sets.  None is empty, so the scan yields them as
-        one chunk and stops: it reads 196 + 8 sets, not 9,604."""
+        once the first two of its 196 box rows are read, 2 * 14^2 sets,
+        the value pass ANDs the shift's distinct sets.  None is empty, so
+        the scan yields them as one chunk and stops: it reads 2 * 196 + 8
+        sets, not 9,604."""
         shift = ShiftDyn(full_shift(2, 3))
         with _ScanSpy() as spy:
             v = is_weakly_mixing(shift)
@@ -1514,14 +1528,16 @@ class TestBoxClasses:
         assert replace(v, note="") == is_transitive(PairwiseProduct(square))
 
     def test_disjoint_rotations_run_the_value_pass(self):
-        """rotation(80) x rotation(81) over 6,480 boxes: the first box row
-        is read in 13 chunks, the next two are skipped by its key, and the
-        value pass decides the scan from 80 * 81 ANDs, one more chunk."""
+        """rotation(80) x rotation(81) over 6,480 boxes: the first two box
+        rows are read in 13 chunks each, and the first chunk of the third
+        brings the sets read to 80^2 + 81^2; the value pass decides the
+        scan from 80 * 81 ANDs, one more chunk."""
         with _ScanSpy() as spy:
             v = weakly_disjoint(make_rotation(80, 1), make_rotation(81, 1))
         assert v.holds and v.exact and len(v.witnesses) == 8
         assert (spy.built, spy.decided) == (1, 1)
-        assert (spy.steps, spy.sets) == (13 + 1, 6480 + 80 * 81)
+        assert (spy.steps, spy.sets) == (2 * 13 + 1 + 1,
+                                         2 * 6480 + 8 + 80 * 81)
 
     def test_failure_before_the_pass_pulls_no_more_factor_rows(
             self, monkeypatch):
@@ -1529,9 +1545,9 @@ class TestBoxClasses:
         6 points) over the singletons, the cylinders [0], [1], and X, {0},
         ..., {5}: the first box row fills the window and the second fails
         at its third box, after 42 + 8 of the 62 sets that start the value
-        pass.  So no value pass runs, and the scan pulls the factor entries
-        it pulled before there was one: a row of each factor's first open
-        and the identity's row of {0}, for the key."""
+        pass.  So no value pass runs, and the scan pulls only the factor
+        entries of the boxes it reads: a row of each factor's first open
+        and the identity's row of {0}."""
         pulled = [0]
         factor_rows = ProductDyn._factor_rows
 

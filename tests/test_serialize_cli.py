@@ -10,6 +10,7 @@ import pytest
 
 import fuzzdyn
 import fuzzdyn.serialize as serialize
+from fuzzdyn.analysis import MODULUS_PAIR_STEP_CAP
 from fuzzdyn.cli import main, parse_system_spec
 from fuzzdyn.errors import InputError
 from fuzzdyn.fuzzy import GFunction, LevelGrid
@@ -468,6 +469,21 @@ class TestCli:
         assert all(eps == delta for eps, delta in
                    (row.split(",") for row in rows[1:]))
         assert elapsed < 10.0, f"runtime {elapsed:.1f}s exceeds 10s"
+
+    def test_plotdata_past_the_modulus_bound_exits_three(self, tmp_path):
+        """rotation:2000,1 would step 2000 * 1999 / 2 pairs 2000 times:
+        the modulus bound stops it before any distance is read or any
+        curve is written."""
+        start = time.monotonic()
+        proc = run_module_cli(["plotdata", "--system", "rotation:2000,1",
+                               "--out", str(tmp_path)], tmp_path)
+        elapsed = time.monotonic() - start
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "bound exceeded: modulus curve pair-steps: size 3998000000 "
+            f"exceeds bound {MODULUS_PAIR_STEP_CAP}\n")
+        assert list(tmp_path.iterdir()) == []
+        assert elapsed < 1.0, f"runtime {elapsed:.1f}s exceeds 1s"
 
     def test_reports_byte_identical_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
