@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -233,7 +234,10 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: ``parse_args``
+    gives each run a fresh namespace and keeps nothing between runs."""
     parser = argparse.ArgumentParser(
         prog="fuzzdyn",
         description="exact checks for induced dynamics on subsets and "

@@ -81,6 +81,40 @@ def _edge(value) -> tuple:
     return tuple(value)
 
 
+def _distances(row) -> list:
+    """A row of a ``finite`` document's distance table, handed to
+    :class:`MetricSpace` as written: a list, and no entry a boolean."""
+    if bool in map(type, _list(row, "a row of 'dist'")):
+        value = next(v for v in row if isinstance(v, bool))
+        raise InputError(f"a distance in 'dist' must be a \"p/q\" string "
+                         f"or an integer, not {json.dumps(value)}")
+    return row
+
+
+def _map_table(mapping, pts: list) -> list[int]:
+    """The index table of a ``finite`` document's map: an object whose keys
+    are exactly the points, each sent to a point."""
+    if not isinstance(mapping, dict):
+        raise InputError(f"'map' must be an object, not "
+                         f"{json.dumps(mapping)}")
+    index = {p: i for i, p in enumerate(pts)}
+    table = []
+    for p in pts:
+        if p not in mapping:
+            raise InputError(f"'map' has no key for point {json.dumps(p)}")
+        image = mapping[p]
+        try:
+            table.append(index[image])
+        except (KeyError, TypeError):
+            raise InputError(f"'map' sends point {json.dumps(p)} to "
+                             f"{json.dumps(image)}, which is no point") \
+                from None
+    for key in mapping:
+        if key not in index:
+            raise InputError(f"'map' key {json.dumps(key)} names no point")
+    return table
+
+
 def system_from_jsonable(obj: dict):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("system description needs a 'kind' field")
@@ -107,17 +141,15 @@ def system_from_jsonable(obj: dict):
             pts = _list(obj["points"], "'points'")
             # the metric is validated below: its bound fires before parsing
             _check_metric_size(len(pts))
-            dist = [[as_fraction(v) for v in row] for row in obj["dist"]]
+            dist = [_distances(row) for row in _list(obj["dist"], "'dist'")]
             space = MetricSpace(pts, matrix=dist,
                                 label=obj.get("label", "finite"))
             violations = validate_metric(space)
             if violations:
                 raise InputError(f"distance table is not a metric: "
                                  f"{violations[0]}")
-            mapping = obj["map"]
-            index = {p: i for i, p in enumerate(pts)}
-            table = [index[mapping[p]] for p in pts]
-            return SystemMap(space, table, label=obj.get("label", "finite"))
+            return SystemMap(space, _map_table(obj["map"], pts),
+                             label=obj.get("label", "finite"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad system description: {exc}") from exc
     raise InputError(f"unknown system kind {kind!r}")

@@ -174,13 +174,13 @@ class MetricSpace:
     (dense table, list of rows) or ``fn`` plus ``denom`` and an explicit
     ``diam`` must be supplied.  A table space scales its table once, over
     the lcm of the denominators of every entry, so asymmetric tables scale
-    exactly too; a table of integers comes with its ``denom``, already
-    scaled.  A formula metric ``fn(i, j)`` is called with an index pair,
-    returns the scaled integer and keeps nothing per pair.  ``d_by_index``
-    renders one distance as a Fraction, for witnesses and serialization.
-    ``points`` is copied to a tuple, except a ``_RenderedPoints`` sequence,
-    which a lift passes so that a point id is rendered only when read, and
-    looked up through its code.
+    exactly too, and coerces each distinct entry once; a table of integers
+    comes with its ``denom``, already scaled.  A formula metric ``fn(i, j)``
+    is called with an index pair, returns the scaled integer and keeps
+    nothing per pair.  ``d_by_index`` renders one distance as a Fraction,
+    for witnesses and serialization.  ``points`` is copied to a tuple,
+    except a ``_RenderedPoints`` sequence, which a lift passes so that a
+    point id is rendered only when read, and looked up through its code.
 
     ``gap`` is the least scaled distance between two distinct points when
     the space knows it, else None: a table space with a symmetric table and
@@ -213,9 +213,7 @@ class MetricSpace:
             if len(matrix) != n or any(len(r) != n for r in matrix):
                 raise InputError("distance table shape does not match points")
             if denom is None:
-                rows = [[as_fraction(v) for v in row] for row in matrix]
-                denom = math.lcm(*(v.denominator for r in rows for v in r))
-                matrix = [[int(v * denom) for v in r] for r in rows]
+                denom, matrix = _scaled_table(matrix)
             ints = matrix
             self.denom = denom
             self.dist_int = lambda i, j: ints[i][j]
@@ -288,6 +286,33 @@ class MetricSpace:
         """The gap as a Fraction: None when the space knows no positive
         gap, as on one point."""
         return Fraction(self.gap, self.denom) if self.gap else None
+
+
+def _keyed(row: Sequence) -> Iterable[tuple[type, Any]]:
+    """Each entry of a table row keyed by its type and value, so that 1,
+    "1", 1.0 and True stay apart."""
+    return zip(map(type, row), row)
+
+
+def _scaled_table(matrix: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
+    """A table of rationals as integers over the lcm of its denominators.
+    Each distinct entry is coerced and scaled once; the first entry that is
+    no rational, in row order, raises."""
+    try:
+        keys = dict.fromkeys(itertools.chain.from_iterable(map(_keyed,
+                                                               matrix)))
+    except TypeError:
+        # an unhashable entry is no rational: coerce in order, so that the
+        # first bad entry raises
+        for row in matrix:
+            list(map(as_fraction, row))
+        raise
+    values = {key: as_fraction(key[1]) for key in keys}
+    denom = math.lcm(*{v.denominator for v in values.values()})
+    scaled = {key: v.numerator * (denom // v.denominator)
+              for key, v in values.items()}
+    return denom, [list(map(scaled.__getitem__, _keyed(row)))
+                   for row in matrix]
 
 
 def _scaled_matrix(space: MetricSpace) -> tuple[int, list[list[int]]]:

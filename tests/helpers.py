@@ -397,9 +397,12 @@ def shift_brute_member(shift, u, v, n):
 def brute_metric_violations(space):
     """Every metric axiom checked on Fraction distances, one message per
     violation, in the order pairs and triples are visited."""
-    n = len(space.points)
-    lab = [point_label(p) for p in space.points]
-    d = space.d_by_index
+    return _axiom_violations([point_label(p) for p in space.points],
+                             space.d_by_index)
+
+
+def _axiom_violations(lab, d):
+    n = len(lab)
     out = [f"d({lab[i]},{lab[i]}) = {d(i, i)} != 0"
            for i in range(n) if d(i, i) != 0]
     for i in range(n):
@@ -416,6 +419,29 @@ def brute_metric_violations(space):
                         f"triangle violation: d({lab[i]},{lab[k]}) > "
                         f"d({lab[i]},{lab[j]}) + d({lab[j]},{lab[k]})")
     return out
+
+
+def brute_finite_space(points, dist) -> dict:
+    """The distance table of a ``finite`` document coerced entry by entry
+    with Fraction: its common denominator ``denom``, the ``table`` scaled
+    to integers over it, the least distance ``gap`` between distinct points
+    (None unless the table is symmetric with zero diagonal), the diameter
+    ``diam`` and the axiom ``violations``."""
+    rows = [[Fraction(v) for v in row] for row in dist]
+    n = len(points)
+    denom = math.lcm(*(v.denominator for row in rows for v in row))
+    off = [rows[i][j] for i in range(n) for j in range(n) if i != j]
+    symmetric = all(rows[i][j] == rows[j][i] for i in range(n)
+                    for j in range(n))
+    zero_diagonal = all(rows[i][i] == 0 for i in range(n))
+    return {"denom": denom,
+            "table": [[int(v * denom) for v in row] for row in rows],
+            "gap": int(min(off) * denom) if off and symmetric and
+            zero_diagonal else None,
+            "diam": max(off, default=Fraction(0)),
+            "violations": _axiom_violations(
+                [point_label(p) for p in points],
+                lambda i, j: rows[i][j])}
 
 
 def random_table_system(rng, n_points, label="random"):

@@ -4,12 +4,17 @@ import subprocess
 import sys
 import time
 import types
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fuzzdyn
+import fuzzdyn.cli as cli
 import fuzzdyn.serialize as serialize
+import fuzzdyn.spaces as spaces
 from fuzzdyn.analysis import MODULUS_PAIR_STEP_CAP
 from fuzzdyn.cli import main, parse_system_spec
 from fuzzdyn.errors import InputError
@@ -18,9 +23,11 @@ from fuzzdyn.hyperspace import lift_system
 from fuzzdyn.serialize import (canonical_json, format_fraction,
                                gfunction_from_jsonable, gfunction_to_jsonable,
                                system_from_jsonable, system_to_jsonable)
-from fuzzdyn.spaces import (as_fraction, make_grid_interval_map, make_multiply,
-                            make_rotation)
+from fuzzdyn.spaces import (MetricSpace, _scaled_matrix, as_fraction,
+                            make_grid_interval_map, make_multiply,
+                            make_rotation, validate_metric)
 from fuzzdyn.symbolic import golden_mean_shift
+from helpers import brute_finite_space
 
 F = Fraction
 
@@ -405,6 +412,48 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("dist,mapping,message", [
+        (["01", "10"], {"a": "b", "b": "a"},
+         "a row of 'dist' must be a list, not \"01\""),
+        (5, {"a": "b", "b": "a"}, "'dist' must be a list, not 5"),
+        ([["0", True], [True, "0"]], {"a": "b", "b": "a"},
+         "a distance in 'dist' must be a \"p/q\" string or an integer, "
+         "not true"),
+        ([[0, 1], [1.0, 0]], {"a": "b", "b": "a"},
+         "not an exact rational: 1.0"),
+        ([["0", "1"], ["1", "0"]], ["b", "a"],
+         "'map' must be an object, not [\"b\", \"a\"]"),
+        ([["0", "1"], ["1", "0"]], {"a": "b"},
+         "'map' has no key for point \"b\""),
+        ([["0", "1"], ["1", "0"]], {"a": "b", "b": "a", "c": "a"},
+         "'map' key \"c\" names no point"),
+        ([["0", "1"], ["1", "0"]], {"a": "c", "b": "a"},
+         "'map' sends point \"a\" to \"c\", which is no point"),
+        ([["0", "1"], ["1", "0"]], {"a": ["b"], "b": "a"},
+         "'map' sends point \"a\" to [\"b\"], which is no point"),
+    ])
+    def test_finite_document_fields_are_read_as_written(
+            self, tmp_path, capsys, dist, mapping, message):
+        """A ``finite`` document's ``dist`` is a list of lists of rationals
+        and its ``map`` keys exactly the points, each to a point: any other
+        shape exits 2 with one line that names the field or the point."""
+        doc = {"kind": "finite", "points": ["a", "b"], "dist": dist,
+               "map": mapping}
+        assert main(["check", "--system", "json:" + json.dumps(doc),
+                     "--props", "transitivity", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_integer_point_ids_name_the_point(self, tmp_path, capsys):
+        """A JSON object's keys are strings, so a map cannot key the
+        integer point 1: the run names that point."""
+        doc = {"kind": "finite", "points": [1, 2],
+               "dist": [[0, 1], [1, 0]], "map": {"1": 2, "2": 1}}
+        assert main(["check", "--system", "json:" + json.dumps(doc),
+                     "--props", "transitivity", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            "error: 'map' has no key for point 1\n"
+
     @pytest.mark.parametrize("args,message", [
         (["check", "--props", "transitivity,mixing,transitivity"],
          "check 'transitivity' is repeated"),
@@ -572,8 +621,9 @@ def test_large_finite_document_exits_three_before_parsing(
     path = tmp_path / "large.json"
     path.write_text(json.dumps(doc))
     parsed = []
-    monkeypatch.setattr(serialize, "as_fraction",
-                        lambda value: parsed.append(value))
+    for module in (serialize, spaces):
+        monkeypatch.setattr(module, "as_fraction",
+                            lambda value: parsed.append(value))
     rc = main(["check", "--system", f"file:{path}",
                "--props", "transitivity", "--out", str(tmp_path)])
     assert rc == 3 and parsed == []
@@ -598,3 +648,114 @@ def test_cli_loads_only_the_standard_library(tmp_path):
 def test_package_exports_are_public_names_not_modules():
     for name in fuzzdyn.__all__:
         assert not isinstance(getattr(fuzzdyn, name), types.ModuleType), name
+
+
+#: runs of one process, in order: the options of each must not leak into
+#: the next, and a malformed argv, help or a bound exit must not spoil it
+ONE_PROCESS_ARGVS = (
+    ["check", "--system", "rotation:6,1", "--props", "transitivity,mixing",
+     "--json"],
+    ["verify", "--theorem", "proximality", "--system", "gridmap:half,8",
+     "--horizon", "1"],
+    ["check", "--system", "rotation:6,1",
+     "--props", "uniform-rigidity,equicontinuity", "--eps", "1/4"],
+    ["check", "--system", "rotation:6,1", "--props", "transitivity",
+     "--horizon", "x"],
+    ["--help"],
+    ["verify", "--theorem", "transitivity", "--m", "1", "--system",
+     'json:{"kind":"finite","points":["a","b","c"],'
+     '"dist":[["0","1/2","1"],["2/4","0","0.5"],[1,"1/2","0"]],'
+     '"map":{"a":"b","b":"b","c":"a"}}'],
+    ["verify", "--theorem", "transitivity", "--system", "rotation:3,1",
+     "--m", "100000000"],
+    ["check", "--system", "rotation:6,1", "--props", "transitivity,mixing"],
+)
+
+
+def _outputs(directory) -> dict:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def test_one_process_runs_as_fresh_processes(tmp_path, monkeypatch, capsys):
+    """``main`` called again and again in one process, as the benchmark's
+    child calls it, answers each argv as a fresh ``python -m fuzzdyn.cli``
+    does: the same exit code, stdout, stderr and written files."""
+    # help text wraps at the terminal width; both sides read it from here
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("NO_COLOR", "1")
+    assert cli.build_parser() is cli.build_parser()
+    codes = []
+    for k, argv in enumerate(ONE_PROCESS_ARGVS):
+        here, fresh = tmp_path / f"in{k}", tmp_path / f"child{k}"
+        here.mkdir()
+        fresh.mkdir()
+        rc = main(argv + ["--out", str(here)])
+        out, err = capsys.readouterr()
+        proc = run_module_cli(argv + ["--out", str(fresh)], fresh)
+        assert (rc, out, err) == (proc.returncode, proc.stdout,
+                                  proc.stderr), argv
+        assert _outputs(here) == _outputs(fresh), argv
+        codes.append(rc)
+    assert codes == [0, 0, 0, 2, 0, 0, 3, 0]
+
+
+DRAWN_DISTANCES = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1), F(3, 2), F(2),
+                   F(5), F(-1, 2), F(1, 3))
+
+
+def _spellings(value: Fraction) -> list:
+    """Every way a document may write ``value``: an integer, "p/q", "kp/kq"
+    and a decimal where one ends."""
+    p, q = value.numerator, value.denominator
+    out = [f"{p}/{q}", f"{2 * p}/{2 * q}", f"{3 * p}/{3 * q}"]
+    if q == 1:
+        out += [p, str(p)]
+    if 1000 % q == 0:
+        out.append(str(Decimal(p) / Decimal(q)))
+    return out
+
+
+@st.composite
+def spelled_tables(draw, max_points=5):
+    """Square tables of rationals, each entry spelled one of several ways;
+    some are metrics (symmetric, zero diagonal, entries in [1, 2]) and the
+    rest break an axiom more often than not."""
+    n = draw(st.integers(1, max_points))
+    if draw(st.booleans()):
+        value = st.sampled_from([F(1), F(5, 4), F(3, 2), F(7, 4), F(2)])
+    else:
+        value = st.sampled_from(DRAWN_DISTANCES)
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [[rows[min(i, j)][max(i, j)] if i != j else F(0)
+                 for j in range(n)] for i in range(n)]
+    dist = [[draw(st.sampled_from(_spellings(v))) for v in row]
+            for row in rows]
+    return [f"p{i}" for i in range(n)], dist
+
+
+@settings(max_examples=150, deadline=None)
+@given(spelled_tables())
+def test_ingest_matches_entrywise_coercion(table):
+    """A table scaled once per distinct entry equals the table coerced
+    entry by entry: the same denominator, scaled table, gap, diameter and
+    axiom violations, whichever way equal values are spelled."""
+    points, dist = table
+    brute = brute_finite_space(points, dist)
+    space = MetricSpace(points, matrix=dist)
+    assert space.denom == brute["denom"]
+    assert _scaled_matrix(space)[1] == brute["table"]
+    assert validate_metric(space) == brute["violations"]
+    doc = {"kind": "finite", "points": points, "dist": dist,
+           "map": {p: p for p in points}}
+    if brute["violations"]:
+        with pytest.raises(InputError) as exc:
+            system_from_jsonable(doc)
+        assert str(exc.value) == ("distance table is not a metric: "
+                                  + brute["violations"][0])
+        return
+    space = system_from_jsonable(doc).space
+    assert space.denom == brute["denom"]
+    assert _scaled_matrix(space)[1] == brute["table"]
+    assert (space.gap, space.diam) == (brute["gap"], brute["diam"])
