@@ -274,18 +274,16 @@ class TableDyn(_Oracle):
 
 
 class ShiftDyn(_Oracle):
-    """Return-time oracle for cylinders of a shift of finite type.
-
-    Each word pair is decided once per bound: the oracle keeps every bitset
-    it computes, at most (cylinders)^2 x (distinct bounds) of them.  Only
-    legal pairs get an entry, so every call with an illegal word is
-    validated again and raises."""
+    """Return-time oracle for cylinders of a shift of finite type.  It holds
+    no cache: ``ShiftSystem.return_bits`` keeps one bitset per legal word
+    pair, at the longest bound asked for and read masked for a shorter
+    one, at most (cylinders)^2 per shift, so every oracle over one shift
+    shares that one memo."""
 
     def __init__(self, shift: ShiftSystem,
                  cylinder_length: int = DEFAULT_CYLINDER_LENGTH):
         self.shift = shift
         self.cylinder_length = min(cylinder_length, shift.resolution)
-        self._times: dict[tuple[str, str, int], int] = {}
 
     def default_basis(self) -> tuple[CylinderOpen, ...]:
         return tuple(CylinderOpen(w)
@@ -296,16 +294,8 @@ class ShiftDyn(_Oracle):
         x = CylinderOpen(x) if isinstance(x, str) else x
         return x if isinstance(x, CylinderOpen) else super().as_open(x)
 
-    def word_times(self, u: str, v: str, bound: int) -> int:
-        """N([u], [v]) below the bound."""
-        key = (u, v, bound)
-        bits = self._times.get(key)
-        if bits is None:
-            bits = self._times[key] = self.shift.return_bits(u, v, bound)
-        return bits
-
     def return_times(self, u: CylinderOpen, v: CylinderOpen, bound: int) -> int:
-        return self.word_times(u.word, v.word, bound)
+        return self.shift.return_bits(u.word, v.word, bound)
 
 
 def _dilate(bits: int, a: int, bound: int) -> int:
@@ -497,21 +487,15 @@ class HyperShiftDyn(_Oracle):
     point into some V_j at time n and every V_j receives one from some U_i;
     a finite set realizing the matching witnesses membership.  This reduces
     hyperspace membership to base membership exactly, read from the word
-    pairs a base :class:`ShiftDyn` keeps.  A ``base`` passed in is shared,
-    memo included, and fixes the cylinder length.
+    pairs the shift keeps: one bitset per pair, at the longest bound asked
+    for and read masked for a shorter one (``ShiftSystem.return_bits``).
     """
 
     def __init__(self, shift: ShiftSystem,
                  cylinder_length: int = DEFAULT_CYLINDER_LENGTH,
-                 max_components: int = VIETORIS_COMPONENT_CAP,
-                 base: ShiftDyn | None = None):
-        if base is None:
-            base = ShiftDyn(shift, cylinder_length)
-        elif base.shift is not shift:
-            raise InputError("the base oracle is over another shift")
+                 max_components: int = VIETORIS_COMPONENT_CAP):
         self.shift = shift
-        self.base = base
-        self.cylinder_length = base.cylinder_length
+        self.cylinder_length = min(cylinder_length, shift.resolution)
         self.max_components = max_components
 
     def default_basis(self) -> tuple[VietorisOpen, ...]:
@@ -524,7 +508,7 @@ class HyperShiftDyn(_Oracle):
         return x if isinstance(x, VietorisOpen) else super().as_open(x)
 
     def return_times(self, u: VietorisOpen, v: VietorisOpen, bound: int) -> int:
-        times = [[self.base.word_times(a, b, bound) for b in v.words]
+        times = [[self.shift.return_bits(a, b, bound) for b in v.words]
                  for a in u.words]
         # each U_i sends into some V_j; each V_j receives from some U_i
         return functools.reduce(operator.and_, (
@@ -545,7 +529,7 @@ class HyperShiftDyn(_Oracle):
         for u in opens:
             for w in u:
                 if w not in word_rows:
-                    word_rows[w] = [self.base.word_times(w, x, bound)
+                    word_rows[w] = [self.shift.return_bits(w, x, bound)
                                     for x in words]
             rows = [word_rows[w] for w in u]
             yield itertools.chain.from_iterable(map(functools.partial(

@@ -322,26 +322,25 @@ def _scaled_matrix(space: MetricSpace) -> tuple[int, list[list[int]]]:
     return space.denom, [[d(i, j) for j in range(n)] for i in range(n)]
 
 
-def _check_metric_size(n: int, point_bound: int = METRIC_POINT_CAP) -> None:
+def _check_metric_size(n: int) -> None:
     """Raise the bound of metric validation, which reads every triple of
-    points, for a metric of n points above it."""
-    if n > point_bound:
-        raise BoundExceeded("metric validation", n, point_bound)
+    points, for a metric of n points above ``METRIC_POINT_CAP``."""
+    if n > METRIC_POINT_CAP:
+        raise BoundExceeded("metric validation", n, METRIC_POINT_CAP)
 
 
-def validate_metric(space: MetricSpace,
-                    point_bound: int = METRIC_POINT_CAP) -> list[str]:
+def validate_metric(space: MetricSpace) -> list[str]:
     """Check all metric axioms exhaustively; return the list of violations.
 
     Validation never aborts on a bad metric; each violation names the
     offending pair or triple.  Works on lazy spaces too (distances are
-    evaluated on demand), guarded by ``point_bound``.  Distances are
+    evaluated on demand), guarded by ``METRIC_POINT_CAP``.  Distances are
     compared as scaled integers; a pair (i, k) is scanned for a triangle
     violator j only when the least d(i, j) + d(j, k) over all j is below
     d(i, k).
     """
     n = len(space.points)
-    _check_metric_size(n, point_bound)
+    _check_metric_size(n)
     out: list[str] = []
     lab = [point_label(p) for p in space.points]
     d = space.d_by_index

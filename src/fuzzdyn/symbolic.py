@@ -33,7 +33,7 @@ class ShiftSystem:
     """
 
     __slots__ = ("alphabet", "resolution", "label", "_succ", "_walk_cache",
-                 "_walk_length", "_wspace", "_legal")
+                 "_walk_length", "_wspace", "_legal", "_pairs")
 
     def __init__(self, alphabet: Sequence[str] = "01",
                  edges: Iterable[tuple[str, str]] | None = None,
@@ -67,6 +67,7 @@ class ShiftSystem:
         self._walk_length = 0
         self._wspace = None
         self._legal: set[str] = set()
+        self._pairs: dict[tuple[str, str], tuple[int, int]] = {}
 
     def __repr__(self) -> str:
         return f"ShiftSystem({self.label!r})"
@@ -137,21 +138,36 @@ class ShiftSystem:
 
     def return_bits(self, u: str, v: str, bound: int) -> int:
         """N([u], [v]) below ``bound`` as a bitset: bit n is set iff n is an
-        exact return time of the one-sided shift.  For n < len(u) the words
-        overlap, and legal words agreeing on their overlap merge into a
-        legal word; for n >= len(u) a path of n - len(u) + 1 edges must lead
-        from the last symbol of u to the first of v.
+        exact return time of the one-sided shift.
 
         Each word is validated once: a legal word no longer than the
         resolution is kept, which bounds the set kept by the number of
-        cylinders, and any other word is validated at every call."""
-        for word in (u, v):
-            if word not in self._legal:
-                if not self.is_legal(word):
-                    raise InputError(
-                        "cylinder words must be legal and nonempty")
-                if len(word) <= self.resolution:
-                    self._legal.add(word)
+        cylinders, and any other word is validated at every call.  A pair
+        of kept words keeps one bitset, at the longest bound asked for, and
+        a shorter bound reads it masked, since N below b is N below b' >= b
+        masked to b; so the memo holds at most (cylinders)^2 bitsets,
+        whatever the bounds, and an illegal word never enters it."""
+        kept = self._pairs.get((u, v))
+        if kept is None or kept[0] < bound:
+            for word in (u, v):
+                if word not in self._legal:
+                    if not self.is_legal(word):
+                        raise InputError(
+                            "cylinder words must be legal and nonempty")
+                    if len(word) <= self.resolution:
+                        self._legal.add(word)
+            kept = (bound, self._pair_bits(u, v, bound))
+            if u in self._legal and v in self._legal:
+                self._pairs[u, v] = kept
+        if kept[0] == bound:
+            return kept[1]
+        return kept[1] & ((1 << max(bound, 0)) - 1)
+
+    def _pair_bits(self, u: str, v: str, bound: int) -> int:
+        """N([u], [v]) below ``bound`` for legal words.  For n < len(u) the
+        words overlap, and legal words agreeing on their overlap merge into
+        a legal word; for n >= len(u) a path of n - len(u) + 1 edges must
+        lead from the last symbol of u to the first of v."""
         bits = sum(1 << n for n in range(min(len(u), bound))
                    if u[n:n + len(v)] == v[:len(u) - n])
         if bound > len(u):

@@ -26,7 +26,7 @@ from .families import FamilyClassifier
 from .fuzzy import (DEFAULT_STATE_CAP, GFunction, LevelGrid, cuts_commute,
                     fuzzy_lift_system, heights_preserved)
 from .hyperspace import lift_system
-from .oracles import DEFAULT_CYLINDER_LENGTH, HyperShiftDyn, ShiftDyn
+from .oracles import HyperShiftDyn, ShiftDyn
 from .spaces import SystemMap, as_fraction
 
 
@@ -223,16 +223,12 @@ def _rows_items(rows: tuple[_Row, ...], system, run: _Run) -> list[ReportItem]:
                     items.append(_row_item(row, name, v, run))
         return items
     hyper = {}
-    bases = {}  # cylinder length -> the one ShiftDyn, word-pair memo shared
     for row in rows:
         if row.level == "fuzzy":
             continue
         options, note = row.shift_basis
-        length = options.get("cylinder_length", DEFAULT_CYLINDER_LENGTH)
-        if length not in bases:
-            bases[length] = ShiftDyn(system, length)
-        oracle = bases[length] if row.level == "base" else HyperShiftDyn(
-            system, **options, base=bases[length])
+        oracle = (ShiftDyn if row.level == "base" else HyperShiftDyn)(
+            system, **options)
         v = (row.shift_check or _ITEMS[row.item][1])(oracle, run)
         if note:
             v = replace(v, note=note)

@@ -982,6 +982,8 @@ class TestOracleRows:
 
 class TestOracleMemory:
     def test_shift_memo_never_skips_validation(self):
+        """The oracles of one shift share its word-pair memo; a pair with an
+        illegal word never enters it, so every such call raises."""
         shift = ShiftSystem("ab", [("a", "b"), ("b", "a")], resolution=2)
         sd, hd = ShiftDyn(shift), HyperShiftDyn(shift)
         legal, illegal = CylinderOpen("ab"), CylinderOpen("aa")
@@ -989,14 +991,15 @@ class TestOracleMemory:
             for u, v in ((legal, illegal), (illegal, legal)):
                 with pytest.raises(InputError):
                     sd.return_times(u, v, 8)
+        assert shift._pairs == {}
+        for _ in range(2):
             with pytest.raises(InputError):
                 hd.return_times(VietorisOpen(("ab",)),
                                 VietorisOpen(("ba", "aa")), 8)
-        assert sd._times == {}
-        assert all("aa" not in key for key in hd.base._times)
+        assert list(shift._pairs) == [("ab", "ba")]
         assert sd.return_times(legal, CylinderOpen("ba"), 8) == \
-            sd.return_times(legal, CylinderOpen("ba"), 8)
-        assert list(sd._times) == [("ab", "ba", 8)]
+            hd.return_times(VietorisOpen(("ab",)), VietorisOpen(("ba",)), 8)
+        assert list(shift._pairs) == [("ab", "ba")]
 
     def test_empty_vietoris_open_is_an_input_error(self):
         # as a source its row once raised a TypeError from an empty reduce
@@ -1033,20 +1036,17 @@ class TestOracleMemory:
             with pytest.raises(InputError, match="^empty basis$"):
                 check(dyn, basis=basis)
 
-    def test_shift_memo_holds_word_pairs_per_bound(self):
-        hd = HyperShiftDyn(full_shift(2, 3))
+    def test_shift_memo_holds_one_bitset_per_word_pair(self):
+        """Two bounds and two oracles over one shift keep one bitset per
+        word pair, at the longest bound asked for."""
+        shift = full_shift(2, 3)
+        hd = HyperShiftDyn(shift)
         is_mixing(hd)
         is_transitive(hd, horizon=16)
-        cylinders = len(hd.shift.cylinders(hd.cylinder_length))
-        assert len(hd.base._times) == cylinders ** 2 * 2
-
-    def test_hyper_oracle_shares_a_base_of_its_shift_only(self):
-        shift = full_shift(2, 3)
-        base = ShiftDyn(shift, cylinder_length=2)
-        hd = HyperShiftDyn(shift, max_components=1, base=base)
-        assert hd.base is base and hd.cylinder_length == 2
-        with pytest.raises(InputError):
-            HyperShiftDyn(full_shift(2, 3), base=base)
+        is_transitive(ShiftDyn(shift), horizon=80)
+        cylinders = len(shift.cylinders(hd.cylinder_length))
+        assert len(shift._pairs) == cylinders ** 2
+        assert {bound for bound, _ in shift._pairs.values()} == {80}
 
     def test_product_basis_builds_only_the_opens_it_reads(self, monkeypatch):
         """A product check that fails at its first pair reads one box, so it

@@ -26,7 +26,7 @@ from fuzzdyn.serialize import (canonical_json, format_fraction,
 from fuzzdyn.spaces import (MetricSpace, _scaled_matrix, as_fraction,
                             make_grid_interval_map, make_multiply,
                             make_rotation, validate_metric)
-from fuzzdyn.symbolic import golden_mean_shift
+from fuzzdyn.symbolic import ShiftSystem, golden_mean_shift
 from helpers import brute_finite_space
 
 F = Fraction
@@ -237,6 +237,25 @@ class TestCli:
         rc = main(["check", "--system", "fullshift:2,3",
                    "--props", "uniform-rigidity", "--out", str(tmp_path)])
         assert rc == 2
+
+    def test_a_shift_check_computes_each_word_pair_once(self, tmp_path,
+                                                        monkeypatch):
+        """The four shift properties of one check, mild mixing's catalog
+        loop included, read one word-pair memo per shift: the checked shift
+        and the catalog's full shift each compute their 14^2 pairs once."""
+        computed = []
+        pair_bits = ShiftSystem._pair_bits
+
+        def counting(self, u, v, bound):
+            computed.append((self, u, v))
+            return pair_bits(self, u, v, bound)
+
+        monkeypatch.setattr(ShiftSystem, "_pair_bits", counting)
+        assert main(["check", "--system", "fullshift:2,3", "--props",
+                     "transitivity,weak-mixing,mixing,mild-mixing",
+                     "--out", str(tmp_path)]) == 0
+        assert len({shift for shift, _, _ in computed}) == 2
+        assert len(computed) == len(set(computed)) == 2 * 14 ** 2
 
     def test_malformed_input_exit_two(self, tmp_path):
         assert main(["check", "--system", "torus:9",

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzdyn.errors import InputError
 from fuzzdyn.families import IndexSet, classify_cofinite
@@ -122,3 +124,40 @@ def test_walk_cache_is_bounded():
     assert 100 <= shift._walk_length <= 2 * 100
     assert all(bits < 1 << shift._walk_length
                for bits in shift._walk_cache.values())
+
+
+@st.composite
+def shifts_and_asks(draw):
+    """A vertex shift (a cycle through every symbol keeps none stranded),
+    and return-time asks on its legal words, up to one longer than the
+    resolution, with bounds in any order."""
+    k = draw(st.integers(1, 3))
+    syms = "abc"[:k]
+    edges = set(draw(st.lists(st.tuples(st.sampled_from(syms),
+                                        st.sampled_from(syms)))))
+    edges |= {(syms[i], syms[(i + 1) % k]) for i in range(k)}
+    resolution = draw(st.integers(1, 3 if k < 3 else 2))
+    args = (syms, sorted(edges), resolution)
+    words = st.sampled_from(ShiftSystem(*args).cylinders(resolution + 1))
+    asks = draw(st.lists(st.tuples(words, words, st.integers(0, 80)),
+                         min_size=1, max_size=12))
+    return args, asks
+
+
+@settings(max_examples=40, deadline=None)
+@given(shifts_and_asks())
+def test_the_word_pair_memo_answers_as_a_fresh_shift(drawn):
+    """Each answer of one shift, after any earlier asks, is the answer of a
+    fresh shift, and a horizon sweep leaves one bitset per pair of
+    cylinders, at the longest bound."""
+    args, asks = drawn
+    shift = ShiftSystem(*args)
+    for u, v, bound in asks:
+        assert shift.return_bits(u, v, bound) == \
+            ShiftSystem(*args).return_bits(u, v, bound)
+    cylinders = shift.cylinders(shift.resolution)
+    for bound in range(1, 65):
+        for u, v in itertools.product(cylinders, repeat=2):
+            shift.return_bits(u, v, bound)
+    assert len(shift._pairs) == len(cylinders) ** 2
+    assert all(bound >= 64 for bound, _ in shift._pairs.values())

@@ -378,19 +378,19 @@ def test_cut_lemma_first_mismatch_at_a_later_state_and_step(sampled, broken,
 
 
 def test_shift_rows_share_one_word_pair_memo(monkeypatch):
-    """Every shift row of one verification reads the word pairs of one base
-    oracle per cylinder length: each pair is decided once."""
-    calls = []
-    return_bits = ShiftSystem.return_bits
+    """Every shift row of one verification reads the word pairs of the
+    shift's one memo: each pair is computed once, whatever reads it."""
+    computed = []
+    pair_bits = ShiftSystem._pair_bits
 
     def counting(self, u, v, bound):
-        calls.append((u, v, bound))
-        return return_bits(self, u, v, bound)
+        computed.append((u, v, bound))
+        return pair_bits(self, u, v, bound)
 
-    monkeypatch.setattr(ShiftSystem, "return_bits", counting)
+    monkeypatch.setattr(ShiftSystem, "_pair_bits", counting)
     rep = verify_theorem("transitivity", full_shift(2, 3), m=1)
     assert rep.consistent
-    assert len(calls) == len(set(calls)) == 14 ** 2
+    assert len(computed) == len(set(computed)) == 14 ** 2
 
 
 class TestReportMachinery:
