@@ -155,12 +155,6 @@ def system_from_jsonable(obj: dict):
     raise InputError(f"unknown system kind {kind!r}")
 
 
-def gfunction_to_jsonable(g: GFunction) -> dict:
-    return {"m": g.grid.m,
-            "table": {format_fraction(k): format_fraction(v)
-                      for k, v in sorted(g.table.items())}}
-
-
 def gfunction_from_jsonable(obj: dict) -> GFunction:
     try:
         grid = LevelGrid(_integer(obj, "m"))

@@ -192,7 +192,7 @@ class MetricSpace:
     """
 
     __slots__ = ("points", "label", "dist_int", "denom", "diam", "gap",
-                 "_scan", "_index")
+                 "_scan", "_index", "_rows")
 
     def __init__(self, points: Sequence[Point], *, matrix=None,
                  fn: Callable[[int, int], int] | None = None,
@@ -207,6 +207,7 @@ class MetricSpace:
         self.label = label
         self._scan = scan
         self._index = None
+        self._rows = None
         if matrix is not None:
             self._point_index()
             n = len(pts)
@@ -214,15 +215,19 @@ class MetricSpace:
                 raise InputError("distance table shape does not match points")
             if denom is None:
                 denom, matrix = _scaled_table(matrix)
-            ints = matrix
+            ints = self._rows = matrix
             self.denom = denom
             self.dist_int = lambda i, j: ints[i][j]
-            flat = [ints[i][j] for i in range(n) for j in range(i + 1, n)]
-            metric = all(ints[i][i] == 0 and
-                         all(ints[i][j] == ints[j][i] for j in range(i))
-                         for i in range(n))
-            self.gap = min(flat) if flat and metric else None
-            self.diam = Fraction(max(flat, default=0), denom)
+            metric, least, most = True, [], []
+            for i, row in enumerate(ints):      # the upper triangle, by rows
+                upper = row[i + 1:]
+                metric = metric and row[i] == 0 and upper == [
+                    r[i] for r in ints[i + 1:]]
+                if upper:
+                    least.append(min(upper))
+                    most.append(max(upper))
+            self.gap = min(least) if least and metric else None
+            self.diam = Fraction(max(most, default=0), denom)
         elif fn is not None:
             if diam is None or denom is None:
                 raise InputError("lazy metric needs an explicit diameter "
@@ -316,7 +321,10 @@ def _scaled_table(matrix: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
 
 
 def _scaled_matrix(space: MetricSpace) -> tuple[int, list[list[int]]]:
-    """Every distance as an integer over the space's common denominator."""
+    """Every distance as an integer over the space's common denominator: a
+    table space's own rows, which the caller reads and never changes."""
+    if space._rows is not None:
+        return space.denom, space._rows
     n = len(space.points)
     d = space.dist_int
     return space.denom, [[d(i, j) for j in range(n)] for i in range(n)]

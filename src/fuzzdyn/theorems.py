@@ -12,9 +12,11 @@ bounded), though the matrix still records the inconsistency.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .analysis import (Verdict, diam_reaches_zero, equicontinuity_modulus,
@@ -90,6 +92,7 @@ def _item_from_verdict(item_id: str, prop: str, level: str, v: Verdict,
 @dataclass(frozen=True)
 class _Run:
     """The parameters shared by every item of one verification."""
+    system: object
     grid: LevelGrid
     lambdas: tuple
     horizon: int | None
@@ -99,17 +102,48 @@ class _Run:
     g: GFunction | None
     catalog: Sequence | None
     family: FamilyClassifier
+    held: dict = field(default_factory=dict)
+
+    def lift(self, key):
+        """The base (key None), its subset lift ("hyper") or its fuzzy lift on
+        a constraint, built when first read; the run holds the last one."""
+        if key is None:
+            return self.system
+        if key not in self.held:
+            self.held.clear()
+            self.held[key] = (lift_system(self.system) if key == "hyper" else
+                              fuzzy_lift_system(self.system, self.grid, key,
+                                                cap=self.cap))
+        return self.held[key]
+
+    def eps_or(self, share: Fraction) -> Fraction:
+        """The run's eps, else ``share`` of the base gap, else ``share``."""
+        if self.eps is not None:
+            return self.eps
+        gap = self.system.space.min_positive_distance()
+        return gap * share if gap else share
 
 
 # -- theorems declared as rows ---------------------------------------------
 #
-# A row is one item of a theorem: a checker run on every instance of a level.
-# On a table system the levels are the base system, its subset lift and one
-# fuzzy slice of exact height lambda per lambda, each built when its rows run.
-# On a shift the base and hyper rows run on return-time oracles, and every
-# fuzzy item copies the hyper verdict of the same item: the indicator states
-# of height lambda carry the subset system isometrically.
+# A row is one item of a theorem: a checker run on every instance of a level,
+# a (level name, lift key) pair.  The levels are the base system, its subset
+# lift, fuzzy slices of height lambda (``fuzzy``, ``eq``) or at least lambda
+# (``ge``), the nonempty states (``F0``), and ``all``: lemmas on the base.
 
+_LEVELS = {
+    "base": lambda run: [("base", None)],
+    "hyper": lambda run: [("hyper", "hyper")],
+    "fuzzy": lambda run: [(f"fuzzy({x})", ("eq", x)) for x in run.lambdas],
+    "F0": lambda run: [("fuzzy(F0)", "nonempty")],
+    "eq": lambda run: [(f"fuzzy(eq {x})", ("eq", x)) for x in run.lambdas],
+    "ge": lambda run: [(f"fuzzy(ge {x})", ("ge", x)) for x in run.lambdas],
+    "all": lambda run: [("fuzzy(all)", None)],
+}
+
+#: the levels of a shift: base and hyper rows run on return-time oracles, and
+#: a fuzzy row copies its item's hyper verdict, not exact (``_ISOMETRIC``)
+_SHIFT_LEVELS = ("base", "hyper", "fuzzy")
 _ISOMETRIC = "indicator states carry the subset system isometrically"
 
 #: shift oracle options of a row, and the note that replaces the verdict's
@@ -134,6 +168,8 @@ def _wm_and_a_transitive(target, run: _Run, wm_witnesses: int = 2) -> Verdict:
 _ITEMS = {
     "transitive": ("transitive",
                    lambda t, run: is_transitive(t, horizon=run.horizon)),
+    # read to the period whatever the horizon
+    "transitive-unbounded": ("transitive", lambda t, run: is_transitive(t)),
     "weak-mixing": ("weakly mixing",
                     lambda t, run: is_weakly_mixing(t, horizon=run.horizon)),
     "mixing": ("mixing", lambda t, run: is_mixing(t, horizon=run.horizon)),
@@ -147,21 +183,49 @@ _ITEMS = {
         t, run.exps, horizon=run.horizon)),
     "wm-and-a-transitive": ("weakly mixing and {exps}-transitive",
                             _wm_and_a_transitive),
+    "equicontinuous": ("equicontinuous", lambda t, run: equicontinuity_modulus(
+        t, run.eps_or(Fraction(1)))),
+    "uniformly-rigid": ("uniformly rigid", lambda t, run: is_uniformly_rigid(
+        t, run.eps_or(Fraction(1, 2)), run.horizon)),
+    "proximal": ("proximal", lambda t, run: is_proximal(t)),
+    "diam-decay": ("image diameters reach zero",
+                   lambda t, run: diam_reaches_zero(t, run.horizon)),
+    "height-obstruction": (
+        "distinct heights stay a diameter apart",
+        lambda t, run: heights_preserved(t, run.grid, run.lift("nonempty"),
+                                         run.horizon)),
+    "cut-commutation": ("iterated cuts move by the level transfer",
+                        lambda t, run: cuts_commute(t, run.grid, run.g,
+                                                    run.horizon, run.cap)),
+}
+
+#: a row's condition -> does it hold on a run
+_WHEN = {
+    "on a table": lambda run: isinstance(run.system, SystemMap),
+    "nontrivial": lambda run: run.system.space.nontrivial,
+    "multi-height": lambda run: run.grid.m > 1 and run.system.space.nontrivial,
 }
 
 
 @dataclass(frozen=True)
 class _Row:
-    """Item ``<level>-<item>`` of a theorem; ``level`` is "base", "hyper" or
-    "fuzzy".  On a shift, ``shift_basis`` builds the oracle, ``shift_check``
-    (when given) replaces the item's check, and a fuzzy row with
-    ``on_shift`` False gives no item."""
+    """Item ``<level name>-<item>`` of a theorem, or ``item_id``, on every
+    instance of ``level`` when its condition holds; ``note`` replaces the
+    verdict's.  A ``copy`` row repeats the item's last computed verdict and
+    builds no lift.  On a shift, ``shift_basis`` builds the oracle and
+    ``shift_check`` replaces the item's check."""
     level: str
     item: str
     shift_basis: tuple = _DEFAULT_BASIS
     shift_check: Callable[..., Verdict] | None = None
-    on_shift: bool = True
+    when: str = ""
+    item_id: str = ""
+    note: str = ""
+    in_matrix: bool = True
+    copy: bool = False
 
+
+_F0_FAILS = "expected to fail on a multi-height enumeration"
 
 _ROWS = {
     "transitivity": (
@@ -182,7 +246,7 @@ _ROWS = {
         _Row("hyper", "F-transitive", _ONE_COMPONENT),
         _Row("hyper", "F-mixing", _ONE_COMPONENT_LENGTH_2),
         _Row("fuzzy", "F-transitive"),
-        _Row("fuzzy", "F-mixing", on_shift=False),
+        _Row("fuzzy", "F-mixing", when="on a table"),
     ),
     "mild-mixing": (
         _Row("base", "mildly-mixing"),
@@ -195,149 +259,81 @@ _ROWS = {
         _Row("hyper", "a-transitive", _ONE_COMPONENT),
         _Row("fuzzy", "a-transitive"),
     ),
+    "equicontinuity": (
+        _Row("base", "equicontinuous"),
+        _Row("hyper", "equicontinuous"),
+        # on one point the F0 lift puts its distinct heights at distance 0
+        _Row("F0", "equicontinuous", when="nontrivial",
+             item_id="fuzzy-equicontinuous"),
+    ),
+    # Every level reads the base displacement curve.  Singleton lemma: max
+    # over nonempty A of d_H(T^n(A), A) is max over x of d(T^n(x), x),
+    # since singletons attain it and each point of A moves at most that
+    # far.  Each fuzzy slice displaces like the subset lift: some cut of
+    # its states is any given subset, and cuts commute with Zadeh's
+    # extension.
+    "uniform-rigidity": (
+        _Row("base", "uniformly-rigid"),
+        _Row("hyper", "uniformly-rigid", note="singleton lemma", copy=True),
+        *(_Row(level, "uniformly-rigid", note="levelwise cut reduction",
+               copy=True) for level in ("F0", "eq", "ge")),
+    ),
+    "proximality": (
+        _Row("hyper", "proximal"),
+        _Row("base", "diam-decay", item_id="diam-decay"),
+        _Row("fuzzy", "proximal"),
+        _Row("F0", "proximal", when="multi-height", in_matrix=False,
+             note="states of different heights stay a diameter apart, so "
+                  "the mixed-height system is expected non-proximal"),
+    ),
+    "height-invariance": (
+        _Row("all", "height-obstruction", item_id="height-obstruction"),
+        _Row("F0", "transitive-unbounded", item_id="f0-not-transitive",
+             when="nontrivial", in_matrix=False, note=_F0_FAILS),
+        _Row("F0", "proximal", item_id="f0-not-proximal",
+             when="nontrivial", in_matrix=False, note=_F0_FAILS),
+    ),
+    "cut-lemma": (
+        _Row("all", "cut-commutation", item_id="cut-commutation"),
+    ),
 }
 
-
-def _row_item(row: _Row, level: str, v: Verdict, run: _Run) -> ReportItem:
-    prop = _ITEMS[row.item][0].format(kind=run.family.kind, exps=run.exps)
-    return _item_from_verdict(f"{level}-{row.item}", prop, level, v)
+THEOREM_IDS = tuple(_ROWS)
 
 
-def _table_levels(sys: SystemMap, run: _Run):
-    """(row level, level name, system) per level, each built on demand."""
-    yield "base", "base", sys
-    yield "hyper", "hyper", lift_system(sys)
-    for lam in run.lambdas:
-        yield "fuzzy", f"fuzzy({lam})", fuzzy_lift_system(
-            sys, run.grid, ("eq", lam), cap=run.cap)
+def _verdict(row: _Row, key, run: _Run) -> Verdict:
+    """The verdict of a row that is no copy, on the instance of that key."""
+    if isinstance(run.system, SystemMap):
+        return _ITEMS[row.item][1](run.lift(key), run)
+    options, note = row.shift_basis
+    oracle = (ShiftDyn if row.level == "base" else HyperShiftDyn)(
+        run.system, **options)
+    v = (row.shift_check or _ITEMS[row.item][1])(oracle, run)
+    return replace(v, note=note) if note else v
 
 
-def _rows_items(rows: tuple[_Row, ...], system, run: _Run) -> list[ReportItem]:
-    """Run every row of a theorem, level by level."""
-    items = []
-    if isinstance(system, SystemMap):
-        for level, name, target in _table_levels(system, run):
-            for row in rows:
-                if row.level == level:
-                    v = _ITEMS[row.item][1](target, run)
-                    items.append(_row_item(row, name, v, run))
-        return items
-    hyper = {}
-    for row in rows:
-        if row.level == "fuzzy":
-            continue
-        options, note = row.shift_basis
-        oracle = (ShiftDyn if row.level == "base" else HyperShiftDyn)(
-            system, **options)
-        v = (row.shift_check or _ITEMS[row.item][1])(oracle, run)
-        if note:
-            v = replace(v, note=note)
-        if row.level == "hyper":
-            hyper[row.item] = v
-        items.append(_row_item(row, row.level, v, run))
-    for lam in run.lambdas:
-        for row in rows:
-            if row.level == "fuzzy" and row.on_shift:
-                v = replace(hyper[row.item], exact=False, note=_ISOMETRIC)
-                items.append(_row_item(row, f"fuzzy({lam})", v, run))
+def _rows_items(rows: tuple[_Row, ...], run: _Run) -> list[ReportItem]:
+    """Run a theorem's rows in declared order, consecutive rows of one level
+    instance by instance.  The run holds one lift at a time, so the rows
+    that share a lift are declared together."""
+    shift = not isinstance(run.system, SystemMap)
+    items, computed = [], {}
+    for level, group in itertools.groupby(rows, key=attrgetter("level")):
+        group = [row for row in group if not row.when or _WHEN[row.when](run)]
+        for name, key in _LEVELS[level](run):
+            for row in group:
+                if row.copy or (shift and level == "fuzzy"):
+                    v = computed[row.item]
+                    v = replace(v, exact=v.exact and not shift,
+                                note=row.note or _ISOMETRIC)
+                else:
+                    v = computed[row.item] = _verdict(row, key, run)
+                prop = _ITEMS[row.item][0].format(kind=run.family.kind,
+                                                  exps=run.exps)
+                items.append(_item_from_verdict(
+                    row.item_id or f"{name}-{row.item}", prop, name, v,
+                    row.in_matrix, row.note))
     return items
-
-
-# -- theorems with their own builders --------------------------------------
-
-
-def _equicontinuity_items(sys: SystemMap, run: _Run) -> list[ReportItem]:
-    eps = run.eps
-    if eps is None:
-        eps = sys.space.min_positive_distance() or Fraction(1)
-    levels = (
-        ("base-equicontinuous", "base", lambda: sys),
-        ("hyper-equicontinuous", "hyper", lambda: lift_system(sys)),
-        ("fuzzy-equicontinuous", "fuzzy(F0)",
-         lambda: fuzzy_lift_system(sys, run.grid, "nonempty", cap=run.cap)))
-    # on one point the F0 lift puts its distinct heights at distance 0
-    return [_item_from_verdict(item_id, "equicontinuous", level,
-                               equicontinuity_modulus(build(), eps))
-            for item_id, level, build in levels
-            if sys.space.nontrivial or level != "fuzzy(F0)"]
-
-
-def _uniform_rigidity_items(sys: SystemMap, run: _Run) -> list[ReportItem]:
-    """Every level reads the base displacement curve.  Singleton lemma:
-    max over nonempty A of d_H(T^n(A), A) is max over x of d(T^n(x), x),
-    since singletons attain it and each point of A moves at most that far.
-    Each fuzzy slice displaces like the subset lift: some cut of its states
-    is any given subset, and cuts commute with Zadeh's extension."""
-    eps = run.eps
-    if eps is None:
-        mp = sys.space.min_positive_distance()
-        eps = (mp / 2) if mp else Fraction(1, 2)
-    v = is_uniformly_rigid(sys, eps, run.horizon)
-    slices = ["F0"] + [f"{kind} {lam}" for kind in ("eq", "ge")
-                       for lam in run.lambdas]
-    levels = ([("base", v.note), ("hyper", "singleton lemma")]
-              + [(f"fuzzy({name})", "levelwise cut reduction")
-                 for name in slices])
-    return [_item_from_verdict(f"{level}-uniformly-rigid", "uniformly rigid",
-                               level, v, note=note)
-            for level, note in levels]
-
-
-def _proximality_items(sys: SystemMap, run: _Run) -> list[ReportItem]:
-    grid = run.grid
-    items = [_item_from_verdict("hyper-proximal", "proximal", "hyper",
-                                is_proximal(lift_system(sys))),
-             _item_from_verdict("diam-decay", "image diameters reach zero",
-                                "base", diam_reaches_zero(sys, run.horizon))]
-    for lam in run.lambdas:
-        fl = fuzzy_lift_system(sys, grid, ("eq", lam), cap=run.cap)
-        items.append(_item_from_verdict(
-            f"fuzzy({lam})-proximal", "proximal", f"fuzzy({lam})",
-            is_proximal(fl)))
-    if grid.m >= 2 and sys.space.nontrivial:
-        f0 = fuzzy_lift_system(sys, grid, "nonempty", cap=run.cap)
-        items.append(_item_from_verdict(
-            "fuzzy(F0)-proximal", "proximal", "fuzzy(F0)", is_proximal(f0),
-            in_matrix=False,
-            note="states of different heights stay a diameter apart, so "
-                 "the mixed-height system is expected non-proximal"))
-    return items
-
-
-def _height_invariance_items(sys: SystemMap, run: _Run) -> list[ReportItem]:
-    f0 = fuzzy_lift_system(sys, run.grid, "nonempty", cap=run.cap)
-    items = [_item_from_verdict(
-        "height-obstruction", "distinct heights stay a diameter apart",
-        "fuzzy(all)", heights_preserved(sys, run.grid, f0, run.horizon))]
-    if sys.space.nontrivial:
-        items.append(_item_from_verdict(
-            "f0-not-transitive", "transitive", "fuzzy(F0)",
-            is_transitive(f0), in_matrix=False,
-            note="expected to fail on a multi-height enumeration"))
-        items.append(_item_from_verdict(
-            "f0-not-proximal", "proximal", "fuzzy(F0)",
-            is_proximal(f0), in_matrix=False,
-            note="expected to fail on a multi-height enumeration"))
-    return items
-
-
-def _cut_lemma_items(sys: SystemMap, run: _Run) -> list[ReportItem]:
-    return [_item_from_verdict(
-        "cut-commutation", "iterated cuts move by the level transfer",
-        "fuzzy(all)", cuts_commute(sys, run.grid, run.g, run.horizon,
-                                   run.cap))]
-
-
-_BUILDERS = {
-    **{theorem: partial(_rows_items, rows) for theorem, rows in _ROWS.items()},
-    "equicontinuity": _equicontinuity_items,
-    "uniform-rigidity": _uniform_rigidity_items,
-    "proximality": _proximality_items,
-    "height-invariance": _height_invariance_items,
-    "cut-lemma": _cut_lemma_items,
-}
-
-THEOREM_IDS = tuple(_BUILDERS)
 
 
 def verify_theorem(theorem: str, system, *, m: int = 2,
@@ -352,8 +348,8 @@ def verify_theorem(theorem: str, system, *, m: int = 2,
     height in ``lambdas`` (defaulting to all grid levels).  Returns the
     finalized report; the red-alert flag marks exact-mode disagreements.
     """
-    builder = _BUILDERS.get(theorem)
-    if builder is None:
+    rows = _ROWS.get(theorem)
+    if rows is None:
         raise InputError(f"unknown theorem id {theorem!r}; "
                          f"known: {', '.join(THEOREM_IDS)}")
     grid = LevelGrid(m)
@@ -374,11 +370,12 @@ def verify_theorem(theorem: str, system, *, m: int = 2,
               ",".join(str(e) for e in exponents),
               "horizon": "" if horizon is None else horizon}
     report = EquivalenceReport(theorem, label, config)
-    run = _Run(grid, lams, horizon, state_cap, eps,
+    run = _Run(system, grid, lams, horizon, state_cap, eps,
                tuple(exponents) if exponents is not None else (1, 2), g,
                catalog,
                family if family is not None else FamilyClassifier("thick"))
-    if theorem not in _ROWS and not isinstance(system, SystemMap):
+    if not isinstance(system, SystemMap) and any(
+            row.level not in _SHIFT_LEVELS for row in rows):
         raise InputError(f"theorem {theorem!r} needs a finite table system")
-    report.items = builder(system, run)
+    report.items = _rows_items(rows, run)
     return report.finalize()

@@ -10,6 +10,8 @@ call; they stay thin edges over the package.  ``iterate_tables`` and
 ``distance_values`` are brute copies of former package routes, and
 ``dense_circle_space`` and ``dense_grid_space`` are the circle and grid
 metrics as the dense tables the package once built.
+``gfunction_to_jsonable`` writes the ``--g`` document that
+``serialize.gfunction_from_jsonable`` reads.
 """
 
 from __future__ import annotations
@@ -24,8 +26,15 @@ from fuzzdyn.errors import InputError
 from fuzzdyn.fuzzy import FuzzySet, fuzzy_lift_system, xi_of, zadeh_apply
 from fuzzdyn.hyperspace import CompactSet
 from fuzzdyn.oracles import ProductDyn, ProductOpen, TableDyn, _Oracle
+from fuzzdyn.serialize import format_fraction
 from fuzzdyn.spaces import (MetricSpace, SystemMap, as_fraction,
                             circle_space, iterate, point_label)
+
+
+def gfunction_to_jsonable(g) -> dict:
+    return {"m": g.grid.m,
+            "table": {format_fraction(k): format_fraction(v)
+                      for k, v in sorted(g.table.items())}}
 
 
 def image_points(sys, pts):

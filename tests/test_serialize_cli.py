@@ -21,13 +21,13 @@ from fuzzdyn.errors import InputError
 from fuzzdyn.fuzzy import GFunction, LevelGrid
 from fuzzdyn.hyperspace import lift_system
 from fuzzdyn.serialize import (canonical_json, format_fraction,
-                               gfunction_from_jsonable, gfunction_to_jsonable,
-                               system_from_jsonable, system_to_jsonable)
+                               gfunction_from_jsonable, system_from_jsonable,
+                               system_to_jsonable)
 from fuzzdyn.spaces import (MetricSpace, _scaled_matrix, as_fraction,
                             make_grid_interval_map, make_multiply,
                             make_rotation, validate_metric)
 from fuzzdyn.symbolic import ShiftSystem, golden_mean_shift
-from helpers import brute_finite_space
+from helpers import brute_finite_space, gfunction_to_jsonable
 
 F = Fraction
 
@@ -486,6 +486,20 @@ class TestCli:
         assert main(args + ["--system", "rotation:3,1",
                             "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--theorem", "equicontinuity", "--eps", "0"],
+        ["verify", "--theorem", "uniform-rigidity", "--eps", "0"],
+        ["check", "--props", "equicontinuity,uniform-rigidity,sensitivity",
+         "--eps=-1/2"],
+    ])
+    def test_eps_must_be_positive(self, tmp_path, capsys, args):
+        """An eps of 0 is given, not absent: it never falls back to the
+        default eps."""
+        assert main(args + ["--system", "rotation:4,1", "--m", "2",
+                            "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: eps must be positive\n"
         assert not list(tmp_path.iterdir())
 
     def test_uniform_rigidity_has_no_subset_bound(self, tmp_path):

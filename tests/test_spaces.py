@@ -43,6 +43,16 @@ class TestValidateMetric:
         msgs = "\n".join(validate_metric(space))
         assert "not positive" in msgs
 
+    def test_table_space_validates_from_its_own_rows(self):
+        """A table space's scaled rows are the table that validation reads:
+        no ``dist_int`` call rebuilds it."""
+        space = dense_circle_space(12)
+        calls = []
+        read = space.dist_int
+        space.dist_int = lambda i, j: calls.append((i, j)) or read(i, j)
+        assert validate_metric(space) == []
+        assert calls == []
+
     def test_all_catalog_spaces_clean(self):
         for sys in base_catalog():
             assert validate_metric(sys.space) == [], sys.label

@@ -97,6 +97,21 @@ def test_every_module_stays_under_the_token_budget():
         "never rewrite its code denser to fit")
 
 
+def test_every_theorem_is_rows():
+    """``THEOREM_IDS`` are the ``_ROWS`` keys, and ``theorems.py`` defines
+    no per-theorem builder: ``_rows_items`` builds every report item."""
+    from fuzzdyn import theorems
+    assert theorems.THEOREM_IDS == tuple(theorems._ROWS)
+    tree = ast.parse((ROOT / "src" / "fuzzdyn" / "theorems.py").read_text())
+    names = {node.name for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    names.update(target.id for node in tree.body
+                 if isinstance(node, ast.Assign) for target in node.targets
+                 if isinstance(target, ast.Name))
+    assert sorted(name for name in names if name.endswith("_items")
+                  or name == "_BUILDERS") == ["_rows_items"]
+
+
 def _report_item_calls(tree) -> int:
     return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                and node.func.id == "ReportItem" for node in ast.walk(tree))

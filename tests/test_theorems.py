@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzdyn.analysis import displacement_curve
-from fuzzdyn.errors import InputError
+from fuzzdyn.errors import BoundExceeded, InputError
 from fuzzdyn.fuzzy import FuzzySet, GFunction, LevelGrid, fuzzy_lift_system
+from fuzzdyn.hyperspace import lift_system
 from fuzzdyn.spaces import (SystemMap, make_grid_interval_map, make_multiply,
                             make_rotation, one_point_system)
 from fuzzdyn.symbolic import ShiftSystem, full_shift
@@ -391,6 +392,57 @@ def test_shift_rows_share_one_word_pair_memo(monkeypatch):
     rep = verify_theorem("transitivity", full_shift(2, 3), m=1)
     assert rep.consistent
     assert len(computed) == len(set(computed)) == 14 ** 2
+
+
+#: the lifts each verification on rotation:4,1 at m=2 builds, in order:
+#: "hyper" for the subset lift, else the fuzzy lift's constraint
+SLICES = [("eq", F(1, 2)), ("eq", F(1))]
+LIFTS_BUILT = {
+    **{theorem: ["hyper", *SLICES] for theorem in (
+        "transitivity", "mixing", "f-mixing", "mild-mixing",
+        "a-transitivity")},
+    "equicontinuity": ["hyper", "nonempty"],
+    "uniform-rigidity": [],
+    "proximality": ["hyper", *SLICES, "nonempty"],
+    "height-invariance": ["nonempty"],
+    "cut-lemma": [],
+}
+
+
+@pytest.mark.parametrize("theorem", theorems.THEOREM_IDS)
+def test_each_lift_is_built_at_most_once(monkeypatch, theorem):
+    """The rows that share a lift run on one build of it: proximality's
+    hyper row and its F0 row, height invariance's obstruction row and its
+    two F0 rows.  Copy rows build none."""
+    built = []
+    lift, fuzzy_lift = theorems.lift_system, theorems.fuzzy_lift_system
+
+    def counting_lift(sys):
+        built.append("hyper")
+        return lift(sys)
+
+    def counting_fuzzy_lift(sys, grid, constraint, cap):
+        built.append(constraint)
+        return fuzzy_lift(sys, grid, constraint, cap=cap)
+
+    monkeypatch.setattr(theorems, "lift_system", counting_lift)
+    monkeypatch.setattr(theorems, "fuzzy_lift_system", counting_fuzzy_lift)
+    verify_theorem(theorem, make_rotation(4, 1), m=2)
+    assert built == LIFTS_BUILT[theorem]
+
+
+def test_copy_rows_build_no_lift():
+    """Uniform rigidity copies its base verdict to the hyper level, F0 and
+    every eq and ge slice.  On 64 points a subset lift exceeds its bound
+    when built, so every item here comes from the base curve alone."""
+    sys = make_rotation(64, 1)
+    with pytest.raises(BoundExceeded):
+        lift_system(sys)
+    rep = verify_theorem("uniform-rigidity", sys, m=2)
+    base = rep.items[0]
+    assert len(rep.items) == 7
+    assert {(it.status, it.exact, it.witnesses) for it in rep.items} == {
+        (base.status, base.exact, base.witnesses)}
 
 
 class TestReportMachinery:
