@@ -396,6 +396,17 @@ def _ip_difference_evidence(target, horizon: int | None) -> bool:
 
 # -- metric behaviour ----------------------------------------------------------
 
+#: cap on the pair-steps of a scan of every pair: of its N (N - 1) / 2
+#: pairs of points, each stepped through at most T^0 .. T^(pre+per-1)
+MODULUS_PAIR_STEP_CAP = 2 ** 24
+
+
+def _check_pair_steps(what: str, work: int) -> None:
+    """Raise the bound ``what`` when ``work`` pair-steps exceed the cap."""
+    if work > MODULUS_PAIR_STEP_CAP:
+        raise BoundExceeded(what, work, MODULUS_PAIR_STEP_CAP)
+
+
 def equicontinuity_modulus(sys: SystemMap, eps) -> Verdict:
     """Largest distance-value delta so that pairs within delta stay within
     eps under every iterate.
@@ -407,22 +418,25 @@ def equicontinuity_modulus(sys: SystemMap, eps) -> Verdict:
     distance >= eps, else the diameter when nothing violates.  Only pairs
     closer than eps get an orbit scan, and only when they could lower
     delta; when eps is at most the space's gap there are none, and the scan
-    stops at the first pair at the gap.  The verdict holds when delta is
-    positive; its witnesses are ``eps``, ``delta`` and, for any violation
-    found, the ``violator`` (x, y, n): the first pair in index order at
-    delta and its first violating step.
+    stops at the first pair at the gap.  Above it the pair reads and the
+    orbit steps taken count against ``MODULUS_PAIR_STEP_CAP``.  The verdict
+    holds when delta is positive; its witnesses are ``eps``, ``delta`` and,
+    for any violation found, the ``violator`` (x, y, n): the first pair in
+    index order at delta and its first violating step.
     """
     if not isinstance(sys, SystemMap):
         raise InputError("equicontinuity needs a finite table system")
     eps = _positive_eps(eps)
     space = sys.space
     n_pts = len(space.points)
-    pre, per = sys.eventual_period()
-    # a lift's whole table is its bound: read it before any pair
-    table = sys.whole_table()
     # a distance reaches eps iff its scaled integer reaches this
     reach = -(-eps.numerator * space.denom // eps.denominator)
     gap = space.gap if space.gap is not None and space.gap >= reach else None
+    pre, per = sys.eventual_period()
+    # a lift's whole table is its bound: read it before any pair
+    table = sys.whole_table()
+    work = 0 if gap is not None else n_pts * (n_pts - 1) // 2
+    _check_pair_steps("equicontinuity pair-steps", work)
     d = space.dist_int if gap is not None else space.scan_metric()
     near = far = None               # (d0, i, j, step) of the best violator
     for i, j in itertools.combinations(range(n_pts), 2):
@@ -439,6 +453,8 @@ def equicontinuity_modulus(sys: SystemMap, eps) -> Verdict:
                     near = (d0, i, j, step)
                     break
                 x, y = table[x], table[y]
+            work += step
+            _check_pair_steps("equicontinuity pair-steps", work)
     best = near or far
     if best is None:
         delta = space.diam if n_pts > 1 else eps
@@ -451,11 +467,6 @@ def equicontinuity_modulus(sys: SystemMap, eps) -> Verdict:
                               point_label(space.points[j]), step)),)
     return Verdict("holds" if delta > 0 else "fails", True,
                    horizon=pre + per, witnesses=wit)
-
-
-#: cap on the pair-steps of a modulus curve: N (N - 1) / 2 pairs of points,
-#: each stepped through T^0 .. T^(pre+per-1)
-MODULUS_PAIR_STEP_CAP = 2 ** 24
 
 
 def modulus_curve(sys: SystemMap) -> list[tuple[Fraction, Fraction]]:
@@ -475,10 +486,8 @@ def modulus_curve(sys: SystemMap) -> list[tuple[Fraction, Fraction]]:
     _require_table(sys, "the equicontinuity modulus")
     pre, per = sys.eventual_period()
     n = len(sys.space.points)
-    work = n * (n - 1) // 2 * (pre + per)
-    if work > MODULUS_PAIR_STEP_CAP:
-        raise BoundExceeded("modulus curve pair-steps", work,
-                            MODULUS_PAIR_STEP_CAP)
+    _check_pair_steps("modulus curve pair-steps",
+                      n * (n - 1) // 2 * (pre + per))
     table = sys.whole_table()
     denom, mat = _scaled_matrix(sys.space)
     starts = [row[i + 1:] for i, row in enumerate(mat)]

@@ -28,11 +28,10 @@ from typing import Callable, Sequence
 from .analysis import Verdict
 from .errors import BoundExceeded, InputError
 from .hyperspace import CompactSet, _cut_lift, _mask_image
+from . import spaces
 from .spaces import (LiftTable, MetricSpace, Point, SystemMap, ZERO, ONE,
-                     _RenderedPoints, _rho, as_fraction, point_label)
-
-#: default cap on enumerated fuzzy states, (m+1)^|X|
-DEFAULT_STATE_CAP = 3 ** 9
+                     _check_states, _RenderedPoints, _rho, as_fraction,
+                     point_label)
 
 #: most levels of a grade grid; each height slice rebuilds O(m) grades
 GRID_LEVEL_CAP = 1024
@@ -231,17 +230,16 @@ def enumeration_cost(n_points: int, grid: LevelGrid, constraint=None) -> int:
     return _slice(grid, normalize_constraint(constraint))[0] ** n_points
 
 
-def enumerate_fuzzy(space: MetricSpace, grid: LevelGrid, constraint=None,
-                    cap: int = DEFAULT_STATE_CAP):
+def enumerate_fuzzy(space: MetricSpace, grid: LevelGrid, constraint=None):
     """Every grade function satisfying the constraint, exactly once, in the
     state order of the fuzzy lift.
 
-    The bound applies to the states the loop visits (all (m+1)^|X| of them,
-    except that a height-eq slice restricts to its own grade range).
+    The state cap applies to the states the loop visits (all (m+1)^|X| of
+    them, except that a height-eq slice restricts to its own grade range).
     """
     n = len(space.points)
     radix, low = _slice(grid, normalize_constraint(constraint))
-    _bounded(n, radix, cap)
+    _check_states("fuzzy lift", radix ** n)
     render = _renderer(n, radix, grid.with_zero())
     for code in _Codes(n, radix, low):
         yield FuzzySet(space, grid, render(code))
@@ -278,14 +276,6 @@ def _code_heights(n: int, radix: int) -> list[int]:
     for _ in range(n):
         heights = [h if h > k else k for h in heights for k in levels]
     return heights
-
-
-def _bounded(n: int, radix: int, cap: int) -> int:
-    """radix^n, the codes on n points, once checked to be at most cap."""
-    total = radix ** n
-    if total > cap:
-        raise BoundExceeded("fuzzy lift", total, cap)
-    return total
 
 
 def _slice(grid: LevelGrid, norm: tuple) -> tuple[int, int]:
@@ -442,8 +432,8 @@ def _cut_columns(n: int, radix: int, m: int) -> list[list[int]]:
     return cols
 
 
-def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
-                      cap: int = DEFAULT_STATE_CAP) -> SystemMap:
+def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid,
+                      constraint=None) -> SystemMap:
     """Zadeh's extension on the enumerated fuzzy states, as a SystemMap.
 
     A state reads as its tuple of grades, and the metric is the levelwise
@@ -455,22 +445,24 @@ def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid, constraint=None,
     or the nonempty ones, and a :class:`_Codes` sequence a height slice.
     ``space.points`` renders a code into its tuple of grades only when
     read.  The table is a :class:`LiftTable` over the column kernel
-    :func:`_code_steps`, whose whole table is built within ``cap`` on the
-    radix^n codes it steps.  The states are indexable while (m+1)^n is at
-    most ``sys.maxsize``.  A distance read renders the cut masks of its two
-    codes, in O(n) each; a scan reads every state's masks from the cut
-    columns of every code, within ``cap`` too (:func:`_cut_columns`).  The
-    lift takes the base's eventual period (see :func:`_cut_lift`).
+    :func:`_code_steps`, whose whole table is built within the state cap on
+    the radix^n codes it steps.  The states are indexable while radix^n is
+    at most ``sys.maxsize``.  A distance read renders the cut masks of its
+    two codes, in O(n) each; a scan reads every state's masks from the cut
+    columns of every code, within the state cap too (:func:`_cut_columns`).
+    The lift takes the base's eventual period (see :func:`_cut_lift`).
     """
     norm = normalize_constraint(constraint)
     n = len(sys.space.points)
     m = grid.m
     radix, low = _slice(grid, norm)
-    total = _bounded(n, radix, maxsize)
+    total = radix ** n
+    if total > maxsize:
+        raise BoundExceeded("fuzzy lift", total, maxsize)
     codes = range(low, total) if low <= 1 else _Codes(n, radix, low)
     table = LiftTable(sys, codes, lambda base, at: _code_steps(
-        n, radix, base.preimages(), range(radix), at),
-        partial(_bounded, n, radix, cap), radix - low)
+        n, radix, base.preimages(), range(radix), at), "fuzzy lift", total,
+        radix - low)
     level = {v: k for k, v in enumerate(grid.with_zero()[:radix])}
 
     def encode(grades: tuple) -> int:
@@ -537,12 +529,11 @@ class _ImageMemo(dict):
 
 
 def cuts_commute(sys: SystemMap, grid: LevelGrid, g: GFunction | None = None,
-                 horizon: int | None = None,
-                 cap: int = DEFAULT_STATE_CAP) -> Verdict:
+                 horizon: int | None = None) -> Verdict:
     """Cuts of the g-iterates are images of cuts moved by the level
     transfer: [G^n(a)]_alpha = T^n([a]_{xi^n(alpha)}) for n = 1 .. horizon
     (6 by default), on state codes and cut bitmasks, exactly on all states
-    within the cap and else on a fixed sample.  The count and the first
+    within the state cap and else on a fixed sample.  The count and the first
     mismatch are those of a scan state by state in code order, each state
     step by step.
 
@@ -567,7 +558,7 @@ def cuts_commute(sys: SystemMap, grid: LevelGrid, g: GFunction | None = None,
     gint = _g_levels(grid, g)
     n_max = horizon if horizon is not None else 6
     n_pts = len(sys.space.points)
-    every = radix ** n_pts <= cap
+    every = radix ** n_pts <= spaces.STATE_CAP
     if every:
         # an "all" code is its own state index
         codes = range(radix ** n_pts)

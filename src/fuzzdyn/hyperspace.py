@@ -10,19 +10,16 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import partial
 from sys import maxsize
 from typing import Callable, Iterable, Sequence
 
 from .errors import BoundExceeded, InputError
 from .spaces import (LiftTable, MetricSpace, Point, SystemMap, ZERO,
-                     _RenderedPoints, _scaled_matrix, point_label)
+                     _check_states, _RenderedPoints, _scaled_matrix,
+                     point_label)
 
 #: most base points whose 4^n mask pairs a scan tabulates
 MASK_PAIR_MAX_POINTS = 8
-
-#: default bound on the base points of a subset enumeration or lift
-DEFAULT_MAX_POINTS = 16
 
 
 class CompactSet:
@@ -89,18 +86,13 @@ def hausdorff_distance(a: CompactSet, b: CompactSet) -> Fraction:
     return Fraction(max(directed(ia, ib), directed(ib, ia)), space.denom)
 
 
-def _bounded_points(n: int, bound: int) -> None:
-    """Raise the subset bound when n base points are more than ``bound``."""
-    if n > bound:
-        raise BoundExceeded("hyperspace lift", n, bound)
-
-
-def _subset_points(space: MetricSpace, bound: int) -> _RenderedPoints:
+def _subset_points(space: MetricSpace) -> _RenderedPoints:
     """The 2^n - 1 nonempty subsets of the points, in bitmask order: the
     states of the subset lift, kept as bitmasks and rendered when read.
-    The bound is on the points."""
+    They are indexable up to ``_INDEX_MAX_POINTS`` = 63 points."""
     n = len(space.points)
-    _bounded_points(n, bound)
+    if n > _INDEX_MAX_POINTS:
+        raise BoundExceeded("hyperspace lift", n, _INDEX_MAX_POINTS)
     pts = space.points
 
     def encode(subset: frozenset) -> int:
@@ -112,9 +104,10 @@ def _subset_points(space: MetricSpace, bound: int) -> _RenderedPoints:
         pts[i] for i in range(n) if mask >> i & 1), encode)
 
 
-def enumerate_compacts(space: MetricSpace, bound: int = DEFAULT_MAX_POINTS):
+def enumerate_compacts(space: MetricSpace):
     """All 2^n - 1 nonempty subsets, each exactly once, in bitmask order."""
-    for members in _subset_points(space, bound):
+    _check_states("hyperspace lift", 1 << len(space.points))
+    for members in _subset_points(space):
         yield CompactSet(space, members)
 
 
@@ -246,8 +239,8 @@ def _cut_lift(points: _RenderedPoints, table: LiftTable,
     at least the base gap apart, and two states whose cuts are two
     singletons at the gap realize it.  ``dist_int`` reads the cut masks of
     the codes of its two states and the rows of the min-to-mask table that
-    it needs (``_MinRows``), and keeps nothing.  A scan checks the table's
-    bound, reads every state's masks from the columns and builds the whole
+    it needs (``_MinRows``), and keeps nothing.  A scan checks the state
+    cap, reads every state's masks from the columns and builds the whole
     min-to-mask table, and its reader holds them until the caller drops
     it: over more than ``MASK_PAIR_MAX_POINTS`` base points it reads both,
     and over fewer it reads every pair of masks from the pair table.
@@ -259,7 +252,7 @@ def _cut_lift(points: _RenderedPoints, table: LiftTable,
     diam = int(base.diam * denom)
 
     def scan() -> Callable[[int, int], int]:
-        table.bound()
+        _check_states(table.name, table.count)
         every = list(zip(*(map(col.__getitem__, codes) for col in columns())))
         mind = _min_to_mask_table(n, mat)
         if n > MASK_PAIR_MAX_POINTS:
@@ -295,20 +288,19 @@ def _subset_steps(base: SystemMap, masks: Sequence[int] | None) -> list[int]:
     return [_mask_image(mask, point_bit) for mask in masks]
 
 
-def lift_system(sys: SystemMap, bound: int = DEFAULT_MAX_POINTS) -> SystemMap:
+def lift_system(sys: SystemMap) -> SystemMap:
     """The induced system on all nonempty subsets, as a bona fide SystemMap:
     the one-level case of the levelwise lift, whose metric is the Hausdorff
     metric.  State i is the subset with bitmask i + 1, and steps to the
-    image mask of the subset kernel.  The bound is on the base points, and
-    is checked when the whole table is built or a scan reads every state's
-    mask; the states are indexable up to ``_INDEX_MAX_POINTS`` = 63 points.
-    The singletons are the point masses, so the lift takes the base's
-    eventual period.
+    image mask of the subset kernel.  The state cap is on the 2^n masks the
+    kernel steps, and is checked when the whole table is built or a scan
+    reads every state's mask.  The singletons are the point masses, so the
+    lift takes the base's eventual period.
     """
-    subsets = _subset_points(sys.space, _INDEX_MAX_POINTS)
+    subsets = _subset_points(sys.space)
     n = len(sys.space.points)
-    table = LiftTable(sys, subsets.codes, _subset_steps,
-                      partial(_bounded_points, n, bound), 1)
+    table = LiftTable(sys, subsets.codes, _subset_steps, "hyperspace lift",
+                      1 << n, 1)
     return _cut_lift(subsets, table, lambda mask: (mask,),
                      lambda: [range(1 << n)], f"K({sys.label})",
                      {"kind": "hyperspace_lift"})

@@ -24,8 +24,9 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
-#: cap on materialized product systems (total states)
-PRODUCT_STATE_CAP = 262144
+#: cap on every materialized state space: the codes a lift or enumeration
+#: steps (2^n subset masks, radix^n fuzzy codes), or a product's states
+STATE_CAP = 3 ** 12
 
 #: cap on the points of a generated circle or interval grid space: it bounds
 #: the checks that read every pair of points or N x (pre + per) steps
@@ -89,32 +90,39 @@ class _RenderedPoints(Sequence):
         return self.codes.index(self.encode(p))
 
 
+def _check_states(what: str, count: int) -> None:
+    """Raise the bound ``what`` when ``count`` exceeds ``STATE_CAP``."""
+    if count > STATE_CAP:
+        raise BoundExceeded(what, count, STATE_CAP)
+
+
 class LiftTable(Sequence):
     """The step table of a lift of a base map, read one state at a time.
 
     State i is the code ``codes[i]``, and ``codes.index`` ranks a code.
     ``step(base, codes)`` is the list of the image codes of a batch of codes
     under the lift of the map ``base``; ``codes`` None is the kernel's
-    column route, the image of every code below radix^n, by code.  An entry
-    read by index steps its one code and is kept nowhere; a reader of every
-    entry (``whole``, and iteration) checks ``bound()``, which raises the
-    lift's bound, then builds the whole table by the column route once.
+    column route, the image of all ``count`` codes below radix^n, by code.
+    An entry read by index steps its one code and is kept nowhere; a reader
+    of every entry (``whole``, and iteration) raises the bound ``name`` when
+    ``count`` passes the state cap, else builds the whole table once.
 
     Every lift is Zadeh's extension and holds a point mass at every base
     point, and ``heights`` counts the heights of its states: T_L^k is the
     lift of T^k, and the lift takes the base's eventual period (see
     :func:`fuzzdyn.hyperspace._cut_lift`)."""
 
-    __slots__ = ("base", "codes", "step", "bound", "heights", "_whole")
+    __slots__ = ("base", "codes", "step", "name", "count", "heights", "_whole")
 
     def __init__(self, base: "SystemMap", codes: Sequence[int],
                  step: Callable[["SystemMap", Sequence[int] | None],
                                 list[int]],
-                 bound: Callable[[], object], heights: int):
+                 name: str, count: int, heights: int):
         self.base = base
         self.codes = codes
         self.step = step
-        self.bound = bound
+        self.name = name
+        self.count = count
         self.heights = heights
         self._whole = None
 
@@ -132,7 +140,7 @@ class LiftTable(Sequence):
 
     def whole(self) -> list[int]:
         if self._whole is None:
-            self.bound()
+            _check_states(self.name, self.count)
             images = self.step(self.base, None)
             codes = self.codes
             rank = dict(zip(codes, itertools.count()))
@@ -620,8 +628,7 @@ def one_point_system() -> SystemMap:
     return make_rotation(1, 0)
 
 
-def product_system(factors: Sequence[tuple[SystemMap, int]],
-                   state_cap: int = PRODUCT_STATE_CAP) -> SystemMap:
+def product_system(factors: Sequence[tuple[SystemMap, int]]) -> SystemMap:
     """Product of the factor systems, each factor advanced exponent steps
     per tick; the metric is the max metric over the coordinates.
     """
@@ -630,18 +637,13 @@ def product_system(factors: Sequence[tuple[SystemMap, int]],
     for _, e in factors:
         if not isinstance(e, int) or e < 1:
             raise InputError("exponents must be positive integers")
-    total = 1
-    for sys_i, _ in factors:
-        total *= len(sys_i.space.points)
-    if total > state_cap:
-        raise BoundExceeded("product system", total, state_cap)
-
     spaces = [s.space for s, _ in factors]
+    sizes = [len(sp.points) for sp in spaces]
+    _check_states("product system", math.prod(sizes))
     points = tuple(itertools.product(*[sp.points for sp in spaces]))
 
     # state index = mixed-radix code of the factor indices, last factor
     # fastest, matching the order of itertools.product
-    sizes = [len(sp.points) for sp in spaces]
     strides = [1] * len(sizes)
     for i in range(len(sizes) - 2, -1, -1):
         strides[i] = strides[i + 1] * sizes[i + 1]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from operator import attrgetter
 from typing import Callable, Sequence
 
@@ -23,10 +23,11 @@ from .analysis import (Verdict, diam_reaches_zero, equicontinuity_modulus,
                        is_a_transitive, is_F_transitive,
                        is_mildly_mixing_bounded, is_mixing, is_proximal,
                        is_transitive, is_uniformly_rigid, is_weakly_mixing)
+from .catalog import transitive_catalog
 from .errors import InputError
 from .families import FamilyClassifier
-from .fuzzy import (DEFAULT_STATE_CAP, GFunction, LevelGrid, cuts_commute,
-                    fuzzy_lift_system, heights_preserved)
+from .fuzzy import (GFunction, LevelGrid, cuts_commute, fuzzy_lift_system,
+                    heights_preserved)
 from .hyperspace import lift_system
 from .oracles import HyperShiftDyn, ShiftDyn
 from .spaces import SystemMap, as_fraction
@@ -96,7 +97,6 @@ class _Run:
     grid: LevelGrid
     lambdas: tuple
     horizon: int | None
-    cap: int
     eps: Fraction | None
     exps: tuple
     g: GFunction | None
@@ -112,9 +112,14 @@ class _Run:
         if key not in self.held:
             self.held.clear()
             self.held[key] = (lift_system(self.system) if key == "hyper" else
-                              fuzzy_lift_system(self.system, self.grid, key,
-                                                cap=self.cap))
+                              fuzzy_lift_system(self.system, self.grid, key))
         return self.held[key]
+
+    @cached_property
+    def transitive(self) -> Sequence:
+        """The run's catalog, else a default one built when first read."""
+        return (self.catalog if self.catalog is not None else
+                transitive_catalog())
 
     def eps_or(self, share: Fraction) -> Fraction:
         """The run's eps, else ``share`` of the base gap, else ``share``."""
@@ -178,7 +183,7 @@ _ITEMS = {
     "F-mixing": ("{kind}-mixing", lambda t, run: is_F_transitive(
         t, run.family, horizon=run.horizon, mixing=True)),
     "mildly-mixing": ("mildly mixing", lambda t, run: is_mildly_mixing_bounded(
-        t, run.catalog, run.horizon)),
+        t, run.transitive, run.horizon)),
     "a-transitive": ("{exps}-transitive", lambda t, run: is_a_transitive(
         t, run.exps, horizon=run.horizon)),
     "wm-and-a-transitive": ("weakly mixing and {exps}-transitive",
@@ -196,7 +201,7 @@ _ITEMS = {
                                          run.horizon)),
     "cut-commutation": ("iterated cuts move by the level transfer",
                         lambda t, run: cuts_commute(t, run.grid, run.g,
-                                                    run.horizon, run.cap)),
+                                                    run.horizon)),
 }
 
 #: a row's condition -> does it hold on a run
@@ -340,8 +345,8 @@ def verify_theorem(theorem: str, system, *, m: int = 2,
                    lambdas: Sequence[Fraction] | None = None,
                    eps=None, exponents: Sequence[int] | None = None,
                    g: GFunction | None = None, horizon: int | None = None,
-                   catalog=None, family: FamilyClassifier | None = None,
-                   state_cap: int = DEFAULT_STATE_CAP) -> EquivalenceReport:
+                   catalog=None, family: FamilyClassifier | None = None
+                   ) -> EquivalenceReport:
     """Evaluate every item of the named equivalence on one instance.
 
     Levels are the base system, the subset lift, and fuzzy slices for each
@@ -370,7 +375,7 @@ def verify_theorem(theorem: str, system, *, m: int = 2,
               ",".join(str(e) for e in exponents),
               "horizon": "" if horizon is None else horizon}
     report = EquivalenceReport(theorem, label, config)
-    run = _Run(system, grid, lams, horizon, state_cap, eps,
+    run = _Run(system, grid, lams, horizon, eps,
                tuple(exponents) if exponents is not None else (1, 2), g,
                catalog,
                family if family is not None else FamilyClassifier("thick"))

@@ -23,7 +23,7 @@ from fuzzdyn.analysis import (_scan, diam_decay, equicontinuity_modulus,
                               is_uniformly_rigid, is_weakly_mixing,
                               return_time_set, weakly_disjoint)
 from fuzzdyn.catalog import base_catalog, transitive_catalog
-from fuzzdyn.errors import InputError
+from fuzzdyn.errors import BoundExceeded, InputError
 from fuzzdyn.families import (FamilyClassifier, IndexSet, difference_set,
                               fs_set)
 from fuzzdyn.fuzzy import LevelGrid, fuzzy_lift_system
@@ -348,6 +348,44 @@ class TestEquicontinuity:
     def test_rejects_symbolic(self):
         with pytest.raises(InputError):
             equicontinuity_modulus(full_shift(2, 3), F(1, 2))
+
+    def test_every_pair_scan_counts_the_pair_steps_it_takes(self,
+                                                            monkeypatch):
+        """Above the gap the N (N - 1) / 2 pair reads are charged before
+        the scan starts, and each orbit step past a pair's first read as
+        it is taken.  A pair that cannot lower delta is only read, so the
+        work is the scan's, not N (N - 1) / 2 (pre + per).  At the gap the
+        scan stops at the first pair at the gap, and has no bound."""
+        def bound(cap):
+            monkeypatch.setattr(analysis, "MODULUS_PAIR_STEP_CAP", cap)
+
+        # an isometry: every pair closer than eps is stepped in full
+        rot, mul = make_rotation(6, 1), make_multiply(16, 2)
+        want, mul_want = modulus(rot, F(1, 2)), modulus(mul, F(1, 4))
+        bound(75)
+        assert modulus(rot, F(1, 2)) == want
+        bound(74)
+        with pytest.raises(BoundExceeded,
+                           match="^equicontinuity pair-steps: size 75 "
+                                 "exceeds bound 74$"):
+            equicontinuity_modulus(rot, F(1, 2))
+        bound(14)
+        with mock.patch.object(MetricSpace, "scan_metric",
+                               side_effect=AssertionError("scan started")):
+            with pytest.raises(BoundExceeded,
+                               match="^equicontinuity pair-steps: size 15 "
+                                     "exceeds bound 14$"):
+                equicontinuity_modulus(rot, F(1, 2))
+        bound(0)
+        assert modulus(rot, F(1, 6))[0] == F(1, 6)
+        # pair (0, 1) violates at step 2; the other 119 pairs are only read,
+        # against 120 * 5 = 600 for every pair stepped in full
+        assert mul_want == (F(1, 16), ("0", "1", 2))
+        bound(122)
+        assert modulus(mul, F(1, 4)) == mul_want
+        bound(121)
+        with pytest.raises(BoundExceeded, match="size 122 exceeds bound 121"):
+            equicontinuity_modulus(mul, F(1, 4))
 
 
 def rigid_time(sys, eps):

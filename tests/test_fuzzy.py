@@ -350,9 +350,10 @@ class TestEnumeration:
         assert len(ge) == len({s.grades for s in ge}) == 26
         assert all(s.height >= F(1, 2) for s in ge)
 
-    def test_bound(self):
+    def test_bound(self, monkeypatch):
+        monkeypatch.setattr(spaces, "STATE_CAP", 1000)
         with pytest.raises(BoundExceeded):
-            list(enumerate_fuzzy(circle_space(9), LevelGrid(3), cap=1000))
+            list(enumerate_fuzzy(circle_space(9), LevelGrid(3)))
 
     def test_grid_levels_are_bounded(self):
         assert len(LevelGrid(1024).levels) == 1024

@@ -16,9 +16,11 @@ import json
 import os
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+import fuzzdyn.spaces as spaces
 from fuzzdyn.cli import parse_system_spec
 from fuzzdyn.fuzzy import GFunction, LevelGrid
 from fuzzdyn.serialize import canonical_json, report_to_jsonable
@@ -34,7 +36,7 @@ SHIFT_THEOREMS = ("transitivity", "mixing", "f-mixing", "mild-mixing",
 PERIOD_2_SFT = ('json:{"kind":"sft","alphabet":["a","b"],'
                 '"edges":[["a","b"],["b","a"]],"resolution":2}')
 
-#: (theorem, system spec, m, state cap or None for the default
+#: (theorem, system spec, m, ``spaces.STATE_CAP`` or None for the default
 #: [, horizon or None for the default [, eps or None for the default
 #: [, grade distortion "level:value,..." or None for Zadeh's extension]]])
 CASES = (
@@ -77,12 +79,14 @@ def parse_g(m, text):
 
 
 def report_text(theorem, spec, m, cap, horizon=None, eps=None, g=None):
-    kwargs = {} if cap is None else {"state_cap": cap}
-    report = verify_theorem(theorem, parse_system_spec(spec), m=m,
-                            horizon=horizon,
-                            eps=None if eps is None else Fraction(eps),
-                            g=None if g is None else parse_g(m, g),
-                            **kwargs)
+    """The canonical report of a case, run with ``spaces.STATE_CAP`` set to
+    the case's state cap when it names one."""
+    with mock.patch.object(spaces, "STATE_CAP",
+                           spaces.STATE_CAP if cap is None else cap):
+        report = verify_theorem(theorem, parse_system_spec(spec), m=m,
+                                horizon=horizon,
+                                eps=None if eps is None else Fraction(eps),
+                                g=None if g is None else parse_g(m, g))
     return canonical_json(report_to_jsonable(report))
 
 

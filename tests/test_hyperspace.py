@@ -8,6 +8,7 @@ import pytest
 from fuzzdyn.errors import BoundExceeded, InputError
 from fuzzdyn.hyperspace import (CompactSet, enumerate_compacts,
                                 hausdorff_distance, lift_system)
+import fuzzdyn.spaces as spaces
 from fuzzdyn.spaces import (circle_space, eventual_period, iterate,
                             make_grid_interval_map, make_multiply,
                             make_rotation)
@@ -152,8 +153,10 @@ class TestEnumeration:
         assert len({s.members for s in sets}) == count
 
     def test_bound(self):
-        with pytest.raises(BoundExceeded):
-            list(enumerate_compacts(circle_space(17)))
+        # 2^20 masks are past the state cap of 3^12
+        with pytest.raises(BoundExceeded, match="^hyperspace lift: size "
+                           "1048576 exceeds bound 531441$"):
+            list(enumerate_compacts(circle_space(20)))
 
 
 class TestLiftSystem:
@@ -194,18 +197,20 @@ class TestLiftSystem:
     def test_bound(self):
         # the bound guards the whole table, which a lift builds only when
         # a reader of every entry asks for it
-        lift = lift_system(make_rotation(17, 1))
-        with pytest.raises(BoundExceeded):
+        lift = lift_system(make_rotation(20, 1))
+        with pytest.raises(BoundExceeded, match="^hyperspace lift: size "
+                           "1048576 exceeds bound 531441$"):
             lift.preimages()
 
 
-def test_bound_caps_enumeration():
+def test_bound_caps_enumeration(monkeypatch):
+    monkeypatch.setattr(spaces, "STATE_CAP", 2 ** 4)
     with pytest.raises(BoundExceeded):
-        list(enumerate_compacts(circle_space(5), bound=4))
+        list(enumerate_compacts(circle_space(5)))
     with pytest.raises(BoundExceeded):
-        lift_system(make_rotation(5, 1), bound=4).preimages()
-    assert len(list(enumerate_compacts(circle_space(4), bound=4))) == 15
-    assert len(lift_system(make_rotation(4, 1), bound=4).space) == 15
+        lift_system(make_rotation(5, 1)).preimages()
+    assert len(list(enumerate_compacts(circle_space(4)))) == 15
+    assert len(lift_system(make_rotation(4, 1)).preimages()) == 15
 
 
 def test_lift_build_keeps_no_subset_sets():

@@ -20,6 +20,7 @@ from fuzzdyn.analysis import is_proximal
 from fuzzdyn.errors import BoundExceeded, InputError
 from fuzzdyn.fuzzy import LevelGrid, _Codes, fuzzy_lift_system
 from fuzzdyn.hyperspace import lift_system
+import fuzzdyn.spaces as spaces
 from fuzzdyn.spaces import LiftTable, make_rotation
 from fuzzdyn.theorems import verify_theorem
 
@@ -154,13 +155,13 @@ def test_proximality_reads_distances_without_tables():
     assert peak < 4 * 2 ** 20
 
 
-def test_whole_readers_are_bounded():
+def test_whole_readers_are_bounded(monkeypatch):
     """A reader of every entry builds the whole table within the cap."""
     lift = fuzzy_lift_system(make_rotation(10, 1), LevelGrid(2), "nonempty")
     assert len(lift.table) == 3 ** 10 - 1
     assert lift.table[5] == fuzzy_lift_system(
-        make_rotation(10, 1), LevelGrid(2), "nonempty",
-        cap=3 ** 10).whole_table()[5]
+        make_rotation(10, 1), LevelGrid(2), "nonempty").whole_table()[5]
+    monkeypatch.setattr(spaces, "STATE_CAP", 3 ** 9)
     for read in (lift.preimages, lift.preperiod_table, lift.whole_table,
                  lambda: list(lift.table), lift.space.scan_metric):
         with pytest.raises(BoundExceeded, match="^fuzzy lift: size 59049 "

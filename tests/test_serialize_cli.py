@@ -629,6 +629,34 @@ class TestScale:
              "--system", "rotation:20,1", "--m", "2"], tmp_path)
         assert rc == 3 and wall < 5.0
 
+    def test_one_point_past_the_state_cap_exits_three(self, tmp_path):
+        # 3^13 codes of the F0 lift are past the state cap of 3^12, which
+        # rotation:12,1 answers within
+        start = time.monotonic()
+        proc = run_module_cli(["verify", "--theorem", "height-invariance",
+                               "--system", "rotation:13,1", "--m", "2",
+                               "--out", str(tmp_path)], tmp_path)
+        wall = time.monotonic() - start
+        assert proc.returncode == 3
+        assert proc.stderr == ("bound exceeded: fuzzy lift: size 1594323 "
+                               "exceeds bound 531441\n")
+        assert list(tmp_path.iterdir()) == []
+        assert wall < 5.0
+
+    def test_equicontinuity_past_the_pair_step_bound_exits_three(
+            self, tmp_path):
+        """Above the gap every pair of the 6,560-state F0 lift of
+        rotation(8, 1) is read: its 21,513,520 pair reads alone pass the
+        pair-step bound, which fires before any pair is read."""
+        proc = run_module_cli(["verify", "--theorem", "equicontinuity",
+                               "--system", "rotation:8,1", "--m", "2",
+                               "--eps", "1/2", "--out", str(tmp_path)],
+                              tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "bound exceeded: equicontinuity pair-steps: size 21513520 "
+            f"exceeds bound {MODULUS_PAIR_STEP_CAP}\n")
+
     @pytest.mark.parametrize("system, props", [
         ("rotation:2000,1",
          "proximality,periodic-density,mixing,equicontinuity,sensitivity"),

@@ -194,10 +194,11 @@ class TestProductSystem:
         with pytest.raises(InputError):
             product_system([])
 
-    def test_state_cap(self):
+    def test_state_cap(self, monkeypatch):
+        monkeypatch.setattr(spaces, "STATE_CAP", 10_000)
         r = make_rotation(12, 1)
         with pytest.raises(BoundExceeded):
-            product_system([(r, 1)] * 6, state_cap=10_000)
+            product_system([(r, 1)] * 6)
 
     def test_max_metric(self):
         r = make_rotation(4, 1)

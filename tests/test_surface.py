@@ -130,3 +130,37 @@ def test_the_harness_declares_and_the_checkers_decide():
     wrapper, = (node for node in tree.body if isinstance(node, ast.FunctionDef)
                 and node.name == "_item_from_verdict")
     assert _report_item_calls(wrapper) == _report_item_calls(tree) == 1
+
+
+#: the parameter names of a per-call resource cap
+CAP_PARAMETERS = ("cap", "state_cap", "bound")
+
+
+def _parameters(tree):
+    """(function, parameter, has a default) for every parameter of every
+    function and lambda of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            name = getattr(node, "name", "<lambda>")
+            for arg in positional:
+                yield name, arg.arg, arg in defaulted
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                yield name, arg.arg, default is not None
+
+
+def test_no_function_takes_a_state_cap():
+    """Every state space is bounded by ``spaces.STATE_CAP`` alone: no
+    function or lambda of the package takes a ``cap`` or ``state_cap``,
+    nor a ``bound`` that a caller may leave out.  ``bound`` stays the name
+    of a required argument: a scan's time window, which ``_clock``
+    computes, and the field of ``BoundExceeded``."""
+    found = [(path.name, name, param)
+             for path in MODULES
+             for name, param, default in _parameters(
+                 ast.parse(path.read_text()))
+             if param in CAP_PARAMETERS[:2]
+             or (param == "bound" and default)]
+    assert found == []

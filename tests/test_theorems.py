@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzdyn.analysis import displacement_curve
+from fuzzdyn.catalog import transitive_catalog
 from fuzzdyn.errors import BoundExceeded, InputError
 from fuzzdyn.fuzzy import FuzzySet, GFunction, LevelGrid, fuzzy_lift_system
 from fuzzdyn.hyperspace import lift_system
@@ -15,6 +16,7 @@ from fuzzdyn.spaces import (SystemMap, make_grid_interval_map, make_multiply,
                             make_rotation, one_point_system)
 from fuzzdyn.symbolic import ShiftSystem, full_shift
 import fuzzdyn.fuzzy as fuzzy
+import fuzzdyn.spaces as spaces
 import fuzzdyn.theorems as theorems
 from fuzzdyn.theorems import (EquivalenceReport, ReportItem, verify_theorem)
 from helpers import (brute_cut_lemma, brute_fuzzy_states, brute_fuzzy_step,
@@ -88,6 +90,22 @@ class TestMildMixingTheorem:
         rep = verify_theorem("mild-mixing", make_rotation(7, 1), m=2)
         assert rep.consistent and not rep.red_alert
         assert all(it.status == "fails" and it.exact for it in rep.items)
+
+    def test_one_catalog_per_verification(self, monkeypatch):
+        """Every row reads one catalog, so the catalog shift's word-pair
+        memo serves all three; a theorem with no mild-mixing row builds
+        none."""
+        built = []
+
+        def counting_catalog():
+            built.append(1)
+            return transitive_catalog()
+        monkeypatch.setattr(theorems, "transitive_catalog", counting_catalog)
+        rep = verify_theorem("mild-mixing", full_shift(2, 3), m=1)
+        assert built == [1] and len(rep.items) == 3
+        assert all(it.status == "holds" and not it.exact for it in rep.items)
+        rep = verify_theorem("transitivity", make_rotation(3, 1), m=1)
+        assert built == [1]
 
 
 class TestATransitivityTheorem:
@@ -211,9 +229,9 @@ class TestHeightInvariance:
         assert by_id["f0-not-proximal"].status == "fails"
 
     def test_height_changing_lift_is_a_kernel_bug(self, monkeypatch):
-        def collapsing(sys, grid, constraint, cap):
+        def collapsing(sys, grid, constraint):
             # every state of the F0 lift maps to state 0, (0, 0, 1/2)
-            lift = fuzzy_lift_system(sys, grid, constraint, cap=cap)
+            lift = fuzzy_lift_system(sys, grid, constraint)
             return SystemMap(lift.space, [0] * len(lift.table))
 
         monkeypatch.setattr(theorems, "fuzzy_lift_system", collapsing)
@@ -309,9 +327,10 @@ def broken_cut_lemma(sys, grid, g, horizon, breaks, sampled):
         at = range(n_codes) if codes is None else codes
         return [breaks.get(c, t) for c, t in
                 zip(at, steps(n, radix, pre, gint, codes))]
-    with mock.patch.object(fuzzy, "_code_steps", broken):
+    with mock.patch.object(fuzzy, "_code_steps", broken), \
+            mock.patch.object(spaces, "STATE_CAP", cap):
         item, = verify_theorem("cut-lemma", sys, m=grid.m, horizon=horizon,
-                               g=g, state_cap=cap).items
+                               g=g).items
     assert item.exact != sampled
     return item
 
@@ -421,9 +440,9 @@ def test_each_lift_is_built_at_most_once(monkeypatch, theorem):
         built.append("hyper")
         return lift(sys)
 
-    def counting_fuzzy_lift(sys, grid, constraint, cap):
+    def counting_fuzzy_lift(sys, grid, constraint):
         built.append(constraint)
-        return fuzzy_lift(sys, grid, constraint, cap=cap)
+        return fuzzy_lift(sys, grid, constraint)
 
     monkeypatch.setattr(theorems, "lift_system", counting_lift)
     monkeypatch.setattr(theorems, "fuzzy_lift_system", counting_fuzzy_lift)
