@@ -20,9 +20,7 @@ from .hyperspace import (CompactSet, enumerate_compacts, hausdorff_distance,
 from .fuzzy import (FuzzySet, GFunction, LevelGrid, alpha_cut,
                     enumerate_fuzzy, fuzzy_lift_system, g_fuzzify_apply,
                     xi_of, zadeh_apply)
-from .families import (FamilyClassifier, IndexSet, classify_cofinite,
-                       classify_syndetic, classify_thick, contains_ip,
-                       difference_set, dual_contains, fs_set)
+from .families import FamilyClassifier, IndexSet
 from .analysis import (Verdict, diam_decay, equicontinuity_modulus,
                        is_a_transitive, is_F_transitive,
                        is_mildly_mixing_bounded, is_mixing,

@@ -2,12 +2,12 @@
 
 Every checker returns a :class:`Verdict` that records whether its
 quantifiers were exhausted.  The checkers read an oracle of
-:mod:`fuzzdyn.oracles` through its contract, never by its type.  On finite
-oracles the eventual period makes all "for all n" quantifiers finite, so
-verdicts there are exact once a scan reaches the clock (``_clock``).  On
-symbolic backends membership of each individual n in a return-time set is
-exact, but tail claims and the open-set quantifier (truncated to cylinders
-of bounded length) are horizon evidence and are flagged as such.
+:mod:`fuzzdyn.oracles` through its contract, never by its type.  Every
+oracle has a clock, after which its return-time sets repeat, so every "for
+all n" quantifier is finite and each scan reads to the clock (``_clock``).
+The open-set quantifier is exhausted only where the default basis exhausts
+the opens (a table's singletons, not a shift's bounded cylinders), and
+``exact`` says so.
 """
 
 from __future__ import annotations
@@ -18,15 +18,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import BoundExceeded, InputError
-from .families import (TAIL_KINDS, FamilyClassifier, IndexSet, difference_set,
-                       fs_set)
+from .families import FamilyClassifier, IndexSet
 from .oracles import ProductDyn, TableDyn, _BoxBasis, _count, as_dyn
 from .spaces import (Point, SystemMap, _scaled_matrix, as_fraction,
                      point_label)
-from .symbolic import DEFAULT_HORIZON
-
-#: generator triples behind the bounded difference-of-sums evidence
-IP_WITNESS_GENERATORS = ((1, 2, 4), (2, 3, 7), (1, 3, 5), (3, 4, 9), (2, 5, 11))
 
 
 # -- verdicts --------------------------------------------------------------
@@ -35,9 +30,9 @@ IP_WITNESS_GENERATORS = ((1, 2, 4), (2, 3, 7), (1, 3, 5), (3, 4, 9), (2, 5, 11))
 class Verdict:
     """Outcome of a checker run.
 
-    ``exact`` is True only when every quantifier was exhausted (finite
-    backends scanned past the eventual period, full declared basis).  A
-    failing verdict always carries a replayable counterexample.
+    ``exact`` is True only when every quantifier was exhausted (the scan
+    reached the clock over a basis that exhausts the opens).  A failing
+    verdict always carries a replayable counterexample.
     """
 
     status: str                     # "holds" | "fails" | "inconclusive"
@@ -61,15 +56,15 @@ class Verdict:
 def return_time_set(target, u, v, horizon: int | None = None) -> IndexSet:
     """N(U, V) = {n : T^n(U) meets V}, materialized up to the horizon.
 
-    Finite backends default the horizon to preperiod + 2*period, which
-    exhibits the full eventually periodic structure; membership of each
-    listed n is exact on every backend.
+    The horizon defaults to preperiod + 2*period of the oracle's clock,
+    which exhibits the full eventually periodic structure; membership of
+    each listed n is exact on every backend.
     """
     dyn = as_dyn(target)
     u, v = dyn.as_open(u), dyn.as_open(v)
     if horizon is None:
-        pp = dyn.preperiod_period()
-        horizon = (pp[0] + 2 * pp[1]) if pp is not None else DEFAULT_HORIZON
+        pre, per = dyn.preperiod_period()
+        horizon = pre + 2 * per
     return IndexSet.from_bits(horizon, dyn.return_times(u, v, horizon))
 
 
@@ -96,22 +91,19 @@ def _recurrent_indices(sys: SystemMap) -> frozenset:
 
 # -- transitivity and mixing ---------------------------------------------------
 
-def _clock(dyn, horizon: int | None, extra: int = 0) -> tuple[int, bool]:
+def _clock(dyn, extra: int = 0) -> tuple[int, bool]:
     """(scan bound, exact?) of a scan over the times n below the bound, the
-    one rule behind every ``exact`` flag that rests on a time window.  On a
-    finite oracle of (pre, per) a scan below pre + per + extra is
-    exhaustive, since later times repeat earlier ones; ``extra`` is 1 for a
-    curve read up to pre + per inclusive.  No horizon, or one at least that
-    bound, is cut to the bound and exact; a shorter horizon, or an oracle
-    with no clock, is horizon evidence.  A verdict that rests on a witness
-    it found is exact whatever the bound."""
-    pp = dyn.preperiod_period()
-    if pp is None:
-        return horizon or DEFAULT_HORIZON, False
-    full = pp[0] + pp[1] + extra
-    if horizon is None or horizon >= full:
-        return full, True
-    return horizon, False
+    one rule behind every ``exact`` flag.  On an oracle of clock (pre, per)
+    a scan below pre + per + extra exhausts the times, since later times
+    repeat earlier ones; ``extra`` is 1 for a curve read up to pre + per
+    inclusive.  The verdict is exact when the oracle's default basis
+    exhausts its opens too (``exact_basis``)."""
+    pre, per = dyn.preperiod_period()
+    return pre + per + extra, dyn.exact_basis
+
+
+#: the note of a holding verdict whose basis does not exhaust the opens
+_BOUNDED_BASIS = "bounded basis evidence"
 
 
 #: the first and the longest chunk of a row that a scan reads at once
@@ -170,19 +162,18 @@ def _first(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
-def is_transitive(target, basis=None, horizon: int | None = None) -> Verdict:
+def is_transitive(target, basis=None) -> Verdict:
     """Every pair of basis opens communicates: N(U, V) is nonempty."""
     dyn = as_dyn(target)
     basis = dyn.checked_basis(basis)
-    bound, exact = _clock(dyn, horizon)
+    bound, exact = _clock(dyn)
     witnesses = []
     for i, j0, chunk in _scan(dyn, basis, bound, _empty):
         if _empty(chunk):
             return Verdict("fails", exact, horizon=bound,
                            counterexample=_labels(basis, i,
                                                   j0 + chunk.index(0)),
-                           note="orbit never meets the target ball" if exact
-                                else "no return time below the horizon")
+                           note="orbit never meets the target ball")
         if len(witnesses) < 8:
             _witness(witnesses, basis, i, j0, chunk)
     return Verdict("holds", exact, horizon=bound, witnesses=tuple(witnesses))
@@ -202,18 +193,17 @@ def _square(dyn, basis) -> tuple:
     return ProductDyn([(dyn, 1), (dyn, 1)]), basis
 
 
-def is_weakly_mixing(target, basis=None, horizon: int | None = None,
-                     method: str = "product") -> Verdict:
+def is_weakly_mixing(target, basis=None, method: str = "product") -> Verdict:
     """Transitivity of the 2-fold product, or the return-time overlap
     criterion N(U,U) meets N(U,V); the two must agree."""
     if method not in ("product", "lemma"):
         raise InputError("method must be 'product' or 'lemma'")
     dyn = as_dyn(target)
     if method == "product":
-        v = is_transitive(*_square(dyn, basis), horizon=horizon)
+        v = is_transitive(*_square(dyn, basis))
         return replace(v, note="via 2-fold product")
     basis = dyn.checked_basis(basis)
-    bound, exact = _clock(dyn, horizon)
+    bound, exact = _clock(dyn)
     witnesses = []
     for i, row in enumerate(dyn.rows(basis, bound)):
         row = list(row)
@@ -221,23 +211,19 @@ def is_weakly_mixing(target, basis=None, horizon: int | None = None,
         if 0 in both:
             return Verdict("fails", exact, horizon=bound,
                            counterexample=_labels(basis, i, both.index(0)),
-                           note="N(U,U) and N(U,V) never overlap "
-                                "below the horizon")
+                           note="N(U,U) and N(U,V) never overlap")
         _witness(witnesses, basis, i, 0, both)
     return Verdict("holds", exact, horizon=bound, witnesses=tuple(witnesses),
                    note="via return-time overlap")
 
 
-def is_mixing(target, basis=None, horizon: int | None = None) -> Verdict:
-    """Every N(U, V) is cofinite.  Exact on finite oracles through the
-    eventual period; horizon-classified on symbolic backends."""
+def is_mixing(target, basis=None) -> Verdict:
+    """Every N(U, V) is cofinite: every time from the preperiod of the
+    clock on is a return time."""
     dyn = as_dyn(target)
     basis = dyn.checked_basis(basis)
-    pp = dyn.preperiod_period()
-    # a finite oracle reads its whole clock whatever the horizon: cofinite
-    # iff every time from the preperiod on is a return time
-    bound, exact = _clock(dyn, None if pp else horizon)
-    tail_bound = pp[0] if exact else bound // 2
+    bound, exact = _clock(dyn)
+    tail_bound = dyn.preperiod_period()[0]
     worst_tail = 0
     full = (1 << bound) - 1
 
@@ -251,54 +237,40 @@ def is_mixing(target, basis=None, horizon: int | None = None) -> Verdict:
         worst = tail(chunk)
         if worst > tail_bound:
             k = next(k for k, bits in enumerate(chunk) if fails((bits,)))
-            example = _labels(basis, i, j0 + k)
-            if exact:
-                example += (tail_bound
-                            + _first((full ^ chunk[k]) >> tail_bound),)
+            missing = tail_bound + _first((full ^ chunk[k]) >> tail_bound)
             return Verdict("fails", exact, horizon=bound,
-                           counterexample=example,
-                           note="a full residue class of times is missing"
-                                if exact else "not cofinite at the horizon")
+                           counterexample=_labels(basis, i, j0 + k)
+                           + (missing,),
+                           note="a full residue class of times is missing")
         worst_tail = max(worst_tail, worst)
     return Verdict("holds", exact, horizon=bound,
                    witnesses=(("tail_start", worst_tail),),
-                   note="" if exact else "horizon evidence")
+                   note="" if exact else _BOUNDED_BASIS)
 
 
 def is_F_transitive(target, family: FamilyClassifier, basis=None,
-                    horizon: int | None = None, mixing: bool = False) -> Verdict:
+                    mixing: bool = False) -> Verdict:
     """Every N(U, V) belongs to the family.
 
     With ``mixing`` the check runs on the 2-fold product, over the boxes of
-    the basis when one is given.  On finite oracles the eventually periodic
-    structure decides the built-in tail families exactly: a set with a
-    nonempty periodic part has bounded gaps (syndetic and infinite
-    coincide), and one with a full periodic part is cofinite (thick and
-    cofinite coincide).  Sum-based membership stays bounded.
+    the basis when one is given.  The clock (pre, per) decides every
+    built-in family from the times of the first period (``families``).
     """
     dyn = as_dyn(target)
     if mixing:
         dyn, basis = _square(dyn, basis)
     basis = dyn.checked_basis(basis)
-    pp = dyn.preperiod_period()
-    window, exact = _clock(dyn, None if pp else horizon)
-    if pp:
-        pre, per = pp
-        window += per                        # a second period, for the witness
-        period = ((1 << per) - 1) << pre     # the first period from pre on
-    tail = TAIL_KINDS.get(family.kind)
-    exact = exact and tail is not None
-    note = f"N(U,V) not {family.kind} ({'exact' if exact else 'at horizon'})"
+    window, exact = _clock(dyn)
+    mask = family.mask(*dyn.preperiod_period())
+    note = (f"N(U,V) not {family.kind} "
+            f"({'exact' if exact else 'bounded basis'})")
 
     def passing(sets) -> int:
         """How many of the sets pass before the first that fails."""
-        if not exact:
-            oks = (family.classify(IndexSet.from_bits(window, bits))[0]
-                   for bits in sets)
-        elif tail.full:
-            oks = map(period.__eq__, map(period.__and__, sets))
+        if family.full:
+            oks = map(mask.__eq__, map(mask.__and__, sets))
         else:
-            oks = map(period.__and__, sets)
+            oks = map(mask.__and__, sets)
         return len(list(itertools.takewhile(bool, oks)))
 
     def fails(sets) -> bool:
@@ -308,32 +280,24 @@ def is_F_transitive(target, family: FamilyClassifier, basis=None,
         if k < len(chunk):
             return Verdict("fails", exact, horizon=window, note=note,
                            counterexample=_labels(basis, i, j0 + k))
-    # the witness is read off the last pair's set at the window; the value
-    # pass may stop a product scan before that pair
-    detail = family.classify(IndexSet.from_bits(
-        window, dyn.return_times(basis[-1], basis[-1], window)))[1]
-    wit = (("family", family.kind),)
-    if detail and detail.get("witness") is not None:
-        wit += (("witness", detail["witness"]),)
-    return Verdict("holds", exact, horizon=window, witnesses=wit,
-                   note="" if exact else "horizon evidence")
+    return Verdict("holds", exact, horizon=window,
+                   witnesses=(("family", family.kind),),
+                   note="" if exact else _BOUNDED_BASIS)
 
 
-def is_a_transitive(target, exponents: Sequence[int],
-                    horizon: int | None = None) -> Verdict:
+def is_a_transitive(target, exponents: Sequence[int]) -> Verdict:
     """Transitivity of the product advanced by the given exponent vector."""
     exps = tuple(exponents)
     if not exps or any(e < 1 for e in exps):
         raise InputError("exponent vector must be nonempty and positive")
     dyn = as_dyn(target)
-    v = is_transitive(ProductDyn([(dyn, e) for e in exps]), horizon=horizon)
+    v = is_transitive(ProductDyn([(dyn, e) for e in exps]))
     return replace(v, note=f"exponents {exps}")
 
 
-def weakly_disjoint(a, b, horizon: int | None = None) -> Verdict:
+def weakly_disjoint(a, b) -> Verdict:
     """Transitivity of the heterogeneous product of the two systems."""
-    v = is_transitive(ProductDyn([(as_dyn(a), 1), (as_dyn(b), 1)]),
-                      horizon=horizon)
+    v = is_transitive(ProductDyn([(as_dyn(a), 1), (as_dyn(b), 1)]))
     return replace(v, note="product transitivity")
 
 
@@ -343,24 +307,23 @@ _TABLE_LEMMA = ("finite-table lemma: a transitive table is one c-cycle, "
                 "and X x X is transitive only for c = 1")
 
 
-def is_mildly_mixing_bounded(target, catalog: Sequence | None = None,
-                             horizon: int | None = None) -> Verdict:
+def is_mildly_mixing_bounded(target, catalog: Sequence | None = None
+                             ) -> Verdict:
     """Weak disjointness from every member of a catalog of transitive
     systems.  The universal quantifier over all transitive systems is not
     finitely exhaustible, so on a shift a passing verdict is
     catalog-relative; a failing product is a genuine counterexample.  The
     finite-table lemma makes it exact on any finite oracle, as it holds on
-    every finite system with the discrete topology.  Bounded
-    difference-of-sums evidence is attached as a witness.
+    every finite system with the discrete topology.
     """
     if catalog is None:
         from .catalog import transitive_catalog
         catalog = transitive_catalog()
     if not catalog:
         raise InputError("empty catalog rejected")
-    _, finite = _clock(as_dyn(target), None)
+    _, finite = _clock(as_dyn(target))
     for member in list(catalog) + ([target] if finite else []):
-        v = weakly_disjoint(target, member, horizon=horizon)
+        v = weakly_disjoint(target, member)
         if not v.holds:
             label = member.label if hasattr(member, "label") else str(member)
             if member is target:
@@ -370,28 +333,10 @@ def is_mildly_mixing_bounded(target, catalog: Sequence | None = None,
                            counterexample=("catalog member", label),
                            note="product with a transitive system is not "
                                 "transitive")
-    evidence = _ip_difference_evidence(target, horizon)
-    return Verdict("holds", finite, horizon=horizon,
-                   witnesses=(("catalog", len(catalog)),
-                              ("difference_sums_met", evidence)),
+    return Verdict("holds", finite, witnesses=(("catalog", len(catalog)),),
                    note=_TABLE_LEMMA if finite else
                    "catalog-relative; universal quantifier over all "
                    "transitive systems not exhausted")
-
-
-def _ip_difference_evidence(target, horizon: int | None) -> bool:
-    """Do all basis return sets meet each bounded difference-of-sums set."""
-    dyn = as_dyn(target)
-    pp = dyn.preperiod_period()
-    window = (max(64, pp[0] + 2 * pp[1]) if pp is not None
-              else horizon or DEFAULT_HORIZON)
-    witness_bits = [difference_set(fs_set(g, window)).bits
-                    for g in IP_WITNESS_GENERATORS]
-
-    def fails(sets) -> bool:
-        return any(0 in map(w.__and__, sets) for w in witness_bits)
-    return not any(fails(chunk) for _, _, chunk in
-                   _scan(dyn, dyn.default_basis(), window, fails))
 
 
 # -- metric behaviour ----------------------------------------------------------
@@ -535,48 +480,44 @@ def displacement_curve(sys: SystemMap, horizon: int | None = None) -> list[Fract
                     for n in range(len(curve), bound)]
 
 
-def is_uniformly_rigid(sys: SystemMap, eps, horizon: int | None = None) -> Verdict:
+def is_uniformly_rigid(sys: SystemMap, eps) -> Verdict:
     """Some n >= 1 moves every point within eps of itself; the least such n
-    below the horizon is the ``witness_n`` (None when there is none).  The
-    curve to n = pre + per decides it: later entries repeat entries from pre
-    on (n = per repeats n = 0 when pre = 0)."""
+    is the ``witness_n`` (None when there is none).  The curve to n = pre +
+    per decides it: later entries repeat entries from pre on (n = per
+    repeats n = 0 when pre = 0)."""
     _require_table(sys, "uniform rigidity")
     eps = _positive_eps(eps)
-    bound, exact = _clock(TableDyn(sys), horizon, extra=1)
+    bound, exact = _clock(TableDyn(sys), extra=1)
     curve = displacement_curve(sys, bound)
     n = next((n for n in range(1, bound) if curve[n] < eps), None)
-    return Verdict("holds" if n is not None else "fails",
-                   exact or n is not None, horizon=bound,
+    return Verdict("holds" if n is not None else "fails", exact, horizon=bound,
                    witnesses=(("witness_n", n),), note=f"eps={eps}")
 
 
-def diam_reaches_zero(sys: SystemMap, horizon: int | None = None) -> Verdict:
+def diam_reaches_zero(sys: SystemMap) -> Verdict:
     """Some image T^n(X) is a single point.  The diameter curve is read to
     n = pre + per, like the rigidity curve; the witnesses are the least n
     where it is zero (None when there is none) and its last value."""
     _require_table(sys, "diameter decay")
-    bound, exact = _clock(TableDyn(sys), horizon, extra=1)
+    bound, exact = _clock(TableDyn(sys), extra=1)
     decay = diam_decay(sys, bound)
     n = next((n for n, v in enumerate(decay) if v == 0), None)
-    return Verdict("holds" if n is not None else "fails",
-                   exact or n is not None, horizon=bound,
+    return Verdict("holds" if n is not None else "fails", exact, horizon=bound,
                    witnesses=(("first_zero_at", n), ("final", str(decay[-1]))))
 
 
-def is_proximal_pair(sys: SystemMap, x: Point, y: Point,
-                     horizon: int | None = None) -> Verdict:
+def is_proximal_pair(sys: SystemMap, x: Point, y: Point) -> Verdict:
     """Do the two orbits merge (liminf distance zero is merging on a
-    finite space, since distinct points keep positive distance).  A failure
-    is exact only when the scan reaches preperiod + period."""
+    finite space, since distinct points keep positive distance).  The scan
+    to preperiod + period decides it."""
     _require_table(sys, "proximality")
-    return _proximal_pair(sys, sys.space.index(x), sys.space.index(y), horizon)
+    return _proximal_pair(sys, sys.space.index(x), sys.space.index(y))
 
 
-def _proximal_pair(sys: SystemMap, i: int, j: int,
-                   horizon: int | None) -> Verdict:
+def _proximal_pair(sys: SystemMap, i: int, j: int) -> Verdict:
     """``is_proximal_pair`` on point indices."""
     pre, _ = sys.eventual_period()
-    bound, exact = _clock(TableDyn(sys), horizon)
+    bound, exact = _clock(TableDyn(sys))
     space = sys.space
     x, y = space.points[i], space.points[j]
     best = None
@@ -590,8 +531,7 @@ def _proximal_pair(sys: SystemMap, i: int, j: int,
     liminf = "None" if best is None else str(Fraction(best, space.denom))
     return Verdict("fails", exact, horizon=bound,
                    counterexample=(point_label(x), point_label(y), liminf),
-                   note="orbits never merge; liminf distance shown" if exact
-                        else "orbits do not merge up to the horizon")
+                   note="orbits never merge; liminf distance shown")
 
 
 def is_proximal(sys: SystemMap) -> Verdict:
@@ -605,7 +545,7 @@ def is_proximal(sys: SystemMap) -> Verdict:
     if j is None:
         return Verdict("holds", True, note="all pairs merge")
     return Verdict("fails", True,
-                   counterexample=_proximal_pair(sys, 0, j, None).counterexample,
+                   counterexample=_proximal_pair(sys, 0, j).counterexample,
                    note="non-proximal pair")
 
 
@@ -629,10 +569,10 @@ def diam_decay(sys: SystemMap, horizon: int | None = None) -> list[Fraction]:
     return out + out[-1:] * (bound - len(out))
 
 
-def is_sensitive(sys: SystemMap, eps, basis=None,
-                 horizon: int | None = None) -> Verdict:
+def is_sensitive(sys: SystemMap, eps, basis=None) -> Verdict:
     """For every point and every basis neighborhood of it, some neighbor
-    escapes to distance > eps at some time below the horizon."""
+    escapes to distance > eps at some time; T^0 .. T^(pre+per-1) decide
+    it."""
     _require_table(sys, "sensitivity")
     eps = _positive_eps(eps)
     space = sys.space
@@ -641,12 +581,11 @@ def is_sensitive(sys: SystemMap, eps, basis=None,
     floor = eps.numerator * space.denom // eps.denominator
     dyn = TableDyn(sys)
     basis = dyn.checked_basis(basis)
-    bound, exact = _clock(dyn, horizon)
+    bound, exact = _clock(dyn)
     table = sys.whole_table()
 
     def escapes(i: int, j: int) -> bool:
-        # T^0 is read even below a bound of 1
-        for _ in range(max(bound, 1)):
+        for _ in range(bound):
             if d(i, j) > floor:
                 return True
             i, j = table[i], table[j]
@@ -657,10 +596,7 @@ def is_sensitive(sys: SystemMap, eps, basis=None,
             if i in members and not any(escapes(i, j) for j in members):
                 return Verdict("fails", exact, horizon=bound,
                                counterexample=(point_label(x), u.label),
-                               note="no neighbor ever escapes past eps"
-                                    if exact else
-                                    "no neighbor escapes past eps up to "
-                                    "the horizon")
+                               note="no neighbor ever escapes past eps")
     return Verdict("holds", True, horizon=bound)
 
 

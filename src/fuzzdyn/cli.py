@@ -77,17 +77,17 @@ def parse_system_spec(spec: str):
     raise InputError(f"unknown system kind {head!r}")
 
 
-#: check name -> checker(system, eps, horizon) returning a Verdict
+#: check name -> checker(system, eps) returning a Verdict
 CHECKS = {
-    "transitivity": lambda s, eps, h: is_transitive(s, horizon=h),
-    "weak-mixing": lambda s, eps, h: is_weakly_mixing(s, horizon=h),
-    "mixing": lambda s, eps, h: is_mixing(s, horizon=h),
-    "mild-mixing": lambda s, eps, h: is_mildly_mixing_bounded(s, horizon=h),
-    "uniform-rigidity": lambda s, eps, h: is_uniformly_rigid(s, eps, h),
-    "equicontinuity": lambda s, eps, h: equicontinuity_modulus(s, eps),
-    "proximality": lambda s, eps, h: is_proximal(s),
-    "sensitivity": lambda s, eps, h: is_sensitive(s, eps, horizon=h),
-    "periodic-density": lambda s, eps, h: is_periodically_dense(s),
+    "transitivity": lambda s, eps: is_transitive(s),
+    "weak-mixing": lambda s, eps: is_weakly_mixing(s),
+    "mixing": lambda s, eps: is_mixing(s),
+    "mild-mixing": lambda s, eps: is_mildly_mixing_bounded(s),
+    "uniform-rigidity": lambda s, eps: is_uniformly_rigid(s, eps),
+    "equicontinuity": lambda s, eps: equicontinuity_modulus(s, eps),
+    "proximality": lambda s, eps: is_proximal(s),
+    "sensitivity": lambda s, eps: is_sensitive(s, eps),
+    "periodic-density": lambda s, eps: is_periodically_dense(s),
 }
 
 
@@ -119,14 +119,12 @@ def cmd_check(args) -> int:
                              f"known: {', '.join(CHECKS)}")
         if name in props[:k]:
             raise InputError(f"check {name!r} is repeated")
-    results = {name: verdict_to_jsonable(CHECKS[name](system, eps,
-                                                      args.horizon))
+    results = {name: verdict_to_jsonable(CHECKS[name](system, eps))
                for name in props}
     payload = {
         "tool": {"name": "fuzzdyn", "version": __version__},
         "config": {"command": "check", "system": args.system,
-                   "props": props, "eps": args.eps,
-                   "horizon": args.horizon, "m": args.m},
+                   "props": props, "eps": args.eps, "m": args.m},
         "system": system_to_jsonable(system),
         "results": results,
     }
@@ -163,14 +161,13 @@ def cmd_verify(args) -> int:
         path = args.g[5:] if args.g.startswith("file:") else args.g
         g = gfunction_from_jsonable(_load_json(path, "g from "))
     report = verify_theorem(args.theorem, system, m=args.m, lambdas=lambdas,
-                            eps=eps, exponents=exponents, g=g,
-                            horizon=args.horizon)
+                            eps=eps, exponents=exponents, g=g)
     payload = {
         "tool": {"name": "fuzzdyn", "version": __version__},
         "config": {"command": "verify", "system": args.system,
                    "theorem": args.theorem, "m": args.m,
                    "lambdas": args.lambdas, "eps": args.eps,
-                   "a": args.a, "horizon": args.horizon},
+                   "a": args.a},
         "report": report_to_jsonable(report),
     }
     text = canonical_json(payload)
@@ -248,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     options = {
         "--out": dict(default=".", help="output directory"),
         "--json": dict(action="store_true", help="machine-readable stdout"),
-        "--horizon": dict(type=int, default=None),
         "--m": dict(type=int, default=2, help="grade grid 1/m"),
         "--eps": dict(default=None, help="epsilon as p/q"),
     }
@@ -278,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plot = sub.add_parser("plotdata", help="emit two-column CSV curves")
     p_plot.add_argument("--system", required=True)
-    common(p_plot, ("--out", "--json", "--horizon"))
+    common(p_plot, ("--out", "--json"))
+    p_plot.add_argument("--horizon", type=int, default=None,
+                        help="curve length, pre + per + 1 by default")
     p_plot.set_defaults(fn=cmd_plotdata)
 
     p_cat = sub.add_parser("catalog",

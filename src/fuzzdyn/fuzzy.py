@@ -485,9 +485,12 @@ def fuzzy_lift_system(sys: SystemMap, grid: LevelGrid,
 #: the states the cut lemma samples above the cap, and their seed
 _CUT_SAMPLE, _CUT_SEED = 256, 11
 
+#: the cut lemma checks the iterates n = 1 .. _CUT_STEPS
+_CUT_STEPS = 6
 
-def heights_preserved(sys: SystemMap, grid: LevelGrid, f0: SystemMap,
-                      horizon: int | None = None) -> Verdict:
+
+def heights_preserved(sys: SystemMap, grid: LevelGrid, f0: SystemMap
+                      ) -> Verdict:
     """Height-preservation lemma on ``f0``, the F0 lift of ``sys``: Zadeh's
     extension of a total map keeps every height, and states of heights
     h1 < h2 are a diameter apart (their cuts at h2 differ in emptiness), so
@@ -495,10 +498,10 @@ def heights_preserved(sys: SystemMap, grid: LevelGrid, f0: SystemMap,
     heights (its one missing state, the empty one, is fixed).  A changed
     height is a kernel bug, raised as ``RuntimeError``.  The witness counts
     the (pair, step) reads of a scan of every distinct-height pair of all S
-    states, the empty one included, over T^0 .. T^(horizon-1), horizon
-    pre + per + 1 by default: (C(S,2) - sum_h C(S_h,2)) times the steps."""
+    states, the empty one included, over T^0 .. T^(pre+per): (C(S,2) -
+    sum_h C(S_h,2)) times the steps."""
     pre, per = sys.eventual_period()
-    bound = horizon if horizon is not None else pre + per + 1
+    bound = pre + per + 1
     # the whole table checks the lift's bound before the heights are built
     table = f0.whole_table()
     # the heights of every code, the empty one too; F0 state i is code i + 1
@@ -511,9 +514,8 @@ def heights_preserved(sys: SystemMap, grid: LevelGrid, f0: SystemMap,
                            f"changes height under Zadeh's extension")
     pairs = math.comb(len(heights), 2) - sum(
         math.comb(k, 2) for k in Counter(heights).values())
-    # a pair scan reads T^0 .. T^(bound-1), and T^0 even at bound 0
     return Verdict("holds", True, horizon=bound,
-                   witnesses=(("pairs_times_checked", pairs * max(bound, 1)),),
+                   witnesses=(("pairs_times_checked", pairs * bound),),
                    note="height-preservation lemma")
 
 
@@ -528,11 +530,11 @@ class _ImageMemo(dict):
         return image
 
 
-def cuts_commute(sys: SystemMap, grid: LevelGrid, g: GFunction | None = None,
-                 horizon: int | None = None) -> Verdict:
+def cuts_commute(sys: SystemMap, grid: LevelGrid, g: GFunction | None = None
+                 ) -> Verdict:
     """Cuts of the g-iterates are images of cuts moved by the level
-    transfer: [G^n(a)]_alpha = T^n([a]_{xi^n(alpha)}) for n = 1 .. horizon
-    (6 by default), on state codes and cut bitmasks, exactly on all states
+    transfer: [G^n(a)]_alpha = T^n([a]_{xi^n(alpha)}) for n = 1 ..
+    ``_CUT_STEPS``, on state codes and cut bitmasks, exactly on all states
     within the state cap and else on a fixed sample.  The count and the first
     mismatch are those of a scan state by state in code order, each state
     step by step.
@@ -547,7 +549,7 @@ def cuts_commute(sys: SystemMap, grid: LevelGrid, g: GFunction | None = None,
     G^n(a)(x) is the max of g^n(a(y)) over the y with T^n(y) = x, so from
     the fold on every comparison repeats the one at n - lcm(per) >=
     max(pre), and the one at n = 0 holds.  So the first mismatch, if any,
-    is before the fold, and the count over the whole horizon follows.  That
+    is before the fold, and the count over every step follows.  That
     holds for a wrong lift table too: a state's orbit leaves the true one
     at the first state it steps wrongly, which the true orbit reaches
     within the fold, and the mismatch shows at the next step."""
@@ -556,7 +558,7 @@ def cuts_commute(sys: SystemMap, grid: LevelGrid, g: GFunction | None = None,
     values = grid.with_zero()
     g = g if g is not None else GFunction.identity(grid)
     gint = _g_levels(grid, g)
-    n_max = horizon if horizon is not None else 6
+    n_max = _CUT_STEPS
     n_pts = len(sys.space.points)
     every = radix ** n_pts <= spaces.STATE_CAP
     if every:

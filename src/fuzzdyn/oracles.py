@@ -3,12 +3,12 @@
 An oracle answers when T^n(U) meets V for opens U, V of one system: a
 finite table (``TableDyn``), a shift of finite type (``ShiftDyn``), the
 hyperspace of a shift (``HyperShiftDyn``) or a product of oracles with
-exponents (``ProductDyn``).  Each owns its opens, its basis and its
-exactness (``_Oracle``).  The default bases are a table's singleton balls
-(radius below the minimum positive distance), a shift's legal cylinders up
-to a configured length, the Vietoris elements of a bounded number of
-cylinder components over a shift, decided through base return times, and
-the boxes of a product's factor bases.
+exponents (``ProductDyn``).  Each owns its opens, its basis, its clock and
+whether its basis is exhaustive (``_Oracle``).  The default bases are a
+table's singleton balls (radius below the minimum positive distance), a
+shift's legal cylinders up to a configured length, the Vietoris elements of
+a bounded number of cylinder components over a shift, decided through base
+return times, and the boxes of a product's factor bases.
 """
 
 from __future__ import annotations
@@ -166,15 +166,16 @@ class _Oracle:
     ``checked_basis(basis)`` is the default basis for None, else the
     caller's opens through ``as_open``, which must cover the space of a
     finite oracle; no basis may be empty, as a scan over none holds
-    vacuously.  ``preperiod_period()`` is the only exactness signal: it is
-    not None exactly when the oracle is finite and a scan to pre + per over
-    its default basis is exhaustive.  So it ties exactness in time to that
-    of the basis, and exact time on a shift must split the two: bounded
-    cylinders are no basis of its topology whatever its clock.
-    ``return_times(u, v, bound)`` is N(U, V) below the bound as one bitset,
-    bit n set iff T^n(U) meets V.  Scans read ``rows(basis, bound)``, one
-    row per basis open U in basis order, yielding N(U, V) for every V of
-    the basis in basis order, on demand."""
+    vacuously.  ``preperiod_period()`` is the clock (pre, per): every
+    N(U, V) of the oracle's opens is periodic with period per from pre on,
+    so a scan below pre + per exhausts the times.  ``exact_basis`` says
+    whether the default basis exhausts the opens as well: true on a table,
+    whose singletons are open, false on a shift, whose bounded cylinders
+    are no basis of its topology.  ``return_times(u, v, bound)`` is
+    N(U, V) below the bound as one bitset, bit n set iff T^n(U) meets V.
+    Scans read ``rows(basis, bound)``, one row per basis open U in basis
+    order, yielding N(U, V) for every V of the basis in basis order, on
+    demand."""
 
     def as_open(self, x):
         raise InputError(f"cannot interpret {x!r} as an open set")
@@ -190,9 +191,6 @@ class _Oracle:
             raise InputError("basis does not cover the space")
         return basis
 
-    def preperiod_period(self) -> tuple[int, int] | None:
-        return None
-
     def _sizes(self) -> tuple | None:
         """Each table's point count on a finite oracle, for ``_parts``."""
         return None
@@ -205,6 +203,8 @@ class _Oracle:
 class TableDyn(_Oracle):
     """Return-time oracle for a finite table system; exact via the eventual
     period of the map table."""
+
+    exact_basis = True
 
     def __init__(self, sys: SystemMap):
         self.sys = sys
@@ -273,17 +273,32 @@ class TableDyn(_Oracle):
             yield bits
 
 
-class ShiftDyn(_Oracle):
-    """Return-time oracle for cylinders of a shift of finite type.  It holds
-    no cache: ``ShiftSystem.return_bits`` keeps one bitset per legal word
-    pair, at the longest bound asked for and read masked for a shorter
-    one, at most (cylinders)^2 per shift, so every oracle over one shift
-    shares that one memo."""
+class _ShiftOracle(_Oracle):
+    """An oracle over the cylinders of a shift, words no longer than its
+    resolution, on the shift's clock (``ShiftSystem.clock``)."""
+
+    exact_basis = False
 
     def __init__(self, shift: ShiftSystem,
                  cylinder_length: int = DEFAULT_CYLINDER_LENGTH):
         self.shift = shift
         self.cylinder_length = min(cylinder_length, shift.resolution)
+
+    def preperiod_period(self) -> tuple[int, int]:
+        return self.shift.clock()
+
+    def _check_word(self, word: str) -> None:
+        if len(word) > self.shift.resolution:
+            raise InputError(f"cylinder word {word!r} is longer than the "
+                             f"resolution {self.shift.resolution}")
+
+
+class ShiftDyn(_ShiftOracle):
+    """Return-time oracle for cylinders of a shift of finite type.  It holds
+    no cache: ``ShiftSystem.return_bits`` keeps one bitset per legal word
+    pair, at the longest bound asked for and read masked for a shorter
+    one, at most (cylinders)^2 per shift, so every oracle over one shift
+    shares that one memo."""
 
     def default_basis(self) -> tuple[CylinderOpen, ...]:
         return tuple(CylinderOpen(w)
@@ -292,7 +307,10 @@ class ShiftDyn(_Oracle):
     def as_open(self, x) -> CylinderOpen:
         """A ``CylinderOpen``, or a word as its cylinder."""
         x = CylinderOpen(x) if isinstance(x, str) else x
-        return x if isinstance(x, CylinderOpen) else super().as_open(x)
+        if not isinstance(x, CylinderOpen):
+            return super().as_open(x)
+        self._check_word(x.word)
+        return x
 
     def return_times(self, u: CylinderOpen, v: CylinderOpen, bound: int) -> int:
         return self.shift.return_bits(u.word, v.word, bound)
@@ -418,13 +436,14 @@ class ProductDyn(_Oracle):
         return _BoxBasis(tuple(dyn.checked_basis(b) for (dyn, _), b
                                in zip(self.factors, basis.bases)))
 
-    def preperiod_period(self) -> tuple[int, int] | None:
+    @property
+    def exact_basis(self) -> bool:
+        return all(dyn.exact_basis for dyn, _ in self.factors)
+
+    def preperiod_period(self) -> tuple[int, int]:
         pre_star, per_star = 0, 1
         for dyn, a in self.factors:
-            pp = dyn.preperiod_period()
-            if pp is None:
-                return None
-            pre, per = pp
+            pre, per = dyn.preperiod_period()
             pre_i = -(-pre // a)
             per_i = per // math.gcd(per, a)
             pre_star = max(pre_star, pre_i)
@@ -479,7 +498,7 @@ class ProductDyn(_Oracle):
         return sets
 
 
-class HyperShiftDyn(_Oracle):
+class HyperShiftDyn(_ShiftOracle):
     """Hyperspace return times over a shift, on Vietoris elements whose
     components are base cylinders.
 
@@ -494,8 +513,7 @@ class HyperShiftDyn(_Oracle):
     def __init__(self, shift: ShiftSystem,
                  cylinder_length: int = DEFAULT_CYLINDER_LENGTH,
                  max_components: int = VIETORIS_COMPONENT_CAP):
-        self.shift = shift
-        self.cylinder_length = min(cylinder_length, shift.resolution)
+        super().__init__(shift, cylinder_length)
         self.max_components = max_components
 
     def default_basis(self) -> tuple[VietorisOpen, ...]:
@@ -505,7 +523,11 @@ class HyperShiftDyn(_Oracle):
                      for combo in itertools.combinations(cyls, r))
 
     def as_open(self, x) -> VietorisOpen:
-        return x if isinstance(x, VietorisOpen) else super().as_open(x)
+        if not isinstance(x, VietorisOpen):
+            return super().as_open(x)
+        for word in x.words:
+            self._check_word(word)
+        return x
 
     def return_times(self, u: VietorisOpen, v: VietorisOpen, bound: int) -> int:
         times = [[self.shift.return_bits(a, b, bound) for b in v.words]

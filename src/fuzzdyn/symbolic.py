@@ -1,27 +1,21 @@
 """Vertex shifts of finite type as exactly computable substrates.
 
 Points of the genuine system are one-sided infinite symbol sequences; the
-finite artifact works with two views of them:
-
-* a truncated word space of all legal length-k words under the ultrametric
-  d(u, v) = 2^-(first disagreement index), which makes cylinder sets honest
-  open balls, and
-* return-time sets of cylinder pairs as bitsets, decided exactly by word
-  overlap plus path counting in the transition graph.
+finite artifact works with return-time sets of cylinder pairs as bitsets,
+decided exactly by word overlap plus path counting in the transition graph.
 
 Membership of each individual n in N([u],[v]) is exact for the infinite
-system; only claims about tails beyond a scan horizon stay bounded.
+system, and so is every tail: the boolean powers of the adjacency matrix
+are eventually periodic, so each N([u],[v]) is too, with a clock read off
+the graph (``ShiftSystem.clock``).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .spaces import MetricSpace
-
-DEFAULT_HORIZON = 64
+from .spaces import _check_states
 
 
 class ShiftSystem:
@@ -32,8 +26,8 @@ class ShiftSystem:
     word extends to an infinite legal point.
     """
 
-    __slots__ = ("alphabet", "resolution", "label", "_succ", "_walk_cache",
-                 "_walk_length", "_wspace", "_legal", "_pairs")
+    __slots__ = ("alphabet", "resolution", "label", "_succ", "_rows",
+                 "_adjacency_clock", "_walk_cache", "_legal", "_pairs")
 
     def __init__(self, alphabet: Sequence[str] = "01",
                  edges: Iterable[tuple[str, str]] | None = None,
@@ -60,14 +54,16 @@ class ShiftSystem:
             if not succ[a] or not pred[a]:
                 raise InputError(f"stranded vertex {a!r}")
         self._succ = succ
+        # row a of the adjacency matrix: the bitset of the successors of a
+        self._rows = tuple(sum(1 << syms.index(b) for b in succ[a])
+                           for a in syms)
         full = len(pairs) == len(syms) ** 2
         self.label = label or (f"fullshift({len(syms)},k={resolution})" if full
                                else f"sft({len(syms)},k={resolution})")
-        self._walk_cache: dict[tuple[str, str], int] = {}
-        self._walk_length = 0
-        self._wspace = None
+        self._adjacency_clock: tuple[int, int] | None = None
+        self._walk_cache: dict[tuple[str, str], int] | None = None
         self._legal: set[str] = set()
-        self._pairs: dict[tuple[str, str], tuple[int, int]] = {}
+        self._pairs: dict[tuple[str, str], int] = {}
 
     def __repr__(self) -> str:
         return f"ShiftSystem({self.label!r})"
@@ -95,46 +91,71 @@ class ShiftSystem:
             out.extend(self.legal_words(ln))
         return out
 
-    def word_space(self) -> MetricSpace:
-        """Truncated word space: legal length-k words, d = 2^-(first diff)."""
-        if self._wspace is None:
-            words = self.legal_words(self.resolution)
+    def _step(self, rows: tuple) -> tuple:
+        """The rows of A^(k+1) from those of A^k, where row a of A^k is the
+        bitset of the symbols that a path of exactly k edges leads to from
+        symbol a."""
+        out = []
+        for row in rows:
+            bits = 0
+            for b in _members(row):
+                bits |= self._rows[b]
+            out.append(bits)
+        return tuple(out)
 
-            def first_diff(u, v):
-                for i, (a, b) in enumerate(zip(u, v)):
-                    if a != b:
-                        return i
-                return None
+    def adjacency_clock(self) -> tuple[int, int]:
+        """(pre_A, per_A), the least pair with A^(k + per_A) = A^k for
+        every k >= pre_A, for the boolean powers of the adjacency matrix A.
+        It is found once, by Brent's repeat detection on the rows that
+        ``_walks`` steps, keeping two powers at a time; a walk of more
+        than ``spaces.STATE_CAP`` steps raises the bound ``shift clock``."""
+        if self._adjacency_clock is None:
+            start = tuple(1 << i for i in range(len(self.alphabet)))
+            power = per = walked = 1
+            slow, fast = start, self._step(start)
+            while slow != fast:
+                if power == per:        # the saved power moves ahead
+                    slow, power, per = fast, 2 * power, 0
+                fast = self._step(fast)
+                per += 1
+                walked += 1
+                _check_states("shift clock", walked)
+            # two walks per steps apart first meet at the preperiod
+            slow, fast, pre = start, start, 0
+            for _ in range(per):
+                fast = self._step(fast)
+            while slow != fast:
+                slow, fast = self._step(slow), self._step(fast)
+                pre += 1
+            self._adjacency_clock = (pre, per)
+        return self._adjacency_clock
 
-            rows = []
-            for u in words:
-                row = []
-                for v in words:
-                    i = first_diff(u, v)
-                    row.append(Fraction(0) if i is None else Fraction(1, 2 ** i))
-                rows.append(row)
-            self._wspace = MetricSpace(words, matrix=rows,
-                                       label=f"words({self.label})")
-        return self._wspace
-
-    def _walks(self, length: int) -> dict[tuple[str, str], int]:
+    def _walks(self) -> dict[tuple[str, str], int]:
         """(a, b) -> bitset whose bit k is set iff a path of exactly k edges
-        leads from a to b, for every k < ``length``; rebuilt only when a
-        longer bitset is asked for.  The cache is bounded: it holds one
-        bitset per ordered symbol pair, k^2 for k symbols, each at most
-        twice as long as the longest length asked for, since a rebuild
-        only runs for a longer ask and at most doubles the kept length."""
-        if self._walk_length < length:
-            length = max(length, 2 * self._walk_length)
-            walks = {(a, b): 0 for a in self.alphabet for b in self.alphabet}
-            for a in self.alphabet:
-                reach = {a}
-                for k in range(length):
-                    for b in reach:
-                        walks[a, b] |= 1 << k
-                    reach = {c for b in reach for c in self._succ[b]}
-            self._walk_cache, self._walk_length = walks, length
+        leads from a to b, for every k below pre_A + per_A; later bits
+        repeat with period per_A (``_extend``).  Built once: one bitset per
+        ordered symbol pair, k^2 for k symbols."""
+        if self._walk_cache is None:
+            pre, per = self.adjacency_clock()
+            syms = self.alphabet
+            walks = {(a, b): 0 for a in syms for b in syms}
+            rows = tuple(1 << i for i in range(len(syms)))      # A^0
+            for k in range(pre + per):
+                for a, row in zip(syms, rows):
+                    for b in _members(row):
+                        walks[a, syms[b]] |= 1 << k
+                rows = self._step(rows)
+            self._walk_cache = walks
         return self._walk_cache
+
+    def clock(self) -> tuple[int, int]:
+        """(pre, per) of every N([u],[v]) with u and v no longer than the
+        resolution: n is a member iff n + per is, for every n >= pre.  For
+        n >= len(u) the member test reads A^(n - len(u) + 1), which repeats
+        with period per_A from pre_A on, so pre = resolution - 1 +
+        max(pre_A, 1)."""
+        pre_a, per_a = self.adjacency_clock()
+        return self.resolution - 1 + max(pre_a, 1), per_a
 
     def return_bits(self, u: str, v: str, bound: int) -> int:
         """N([u], [v]) below ``bound`` as a bitset: bit n is set iff n is an
@@ -143,22 +164,27 @@ class ShiftSystem:
         Each word is validated once: a legal word no longer than the
         resolution is kept, which bounds the set kept by the number of
         cylinders, and any other word is validated at every call.  A pair
-        of kept words keeps one bitset, at the longest bound asked for, and
-        a shorter bound reads it masked, since N below b is N below b' >= b
-        masked to b; so the memo holds at most (cylinders)^2 bitsets,
-        whatever the bounds, and an illegal word never enters it."""
+        of kept words keeps one bitset, at the longest bound asked for and
+        at least the clock's pre + per: N is computed below the clock and
+        extended periodically (``_extend``), and a shorter bound reads it
+        masked; so the memo holds at most (cylinders)^2 bitsets, whatever
+        the bounds, and an illegal word never enters it."""
         kept = self._pairs.get((u, v))
         if kept is None or kept[0] < bound:
-            for word in (u, v):
-                if word not in self._legal:
-                    if not self.is_legal(word):
-                        raise InputError(
-                            "cylinder words must be legal and nonempty")
-                    if len(word) <= self.resolution:
-                        self._legal.add(word)
-            kept = (bound, self._pair_bits(u, v, bound))
-            if u in self._legal and v in self._legal:
-                self._pairs[u, v] = kept
+            pre, per = self.clock()
+            if kept is None:
+                for word in (u, v):
+                    if word not in self._legal:
+                        if not self.is_legal(word):
+                            raise InputError(
+                                "cylinder words must be legal and nonempty")
+                        if len(word) <= self.resolution:
+                            self._legal.add(word)
+                if u not in self._legal or v not in self._legal:
+                    return self._pair_bits(u, v, bound)
+                kept = (pre + per, self._pair_bits(u, v, pre + per))
+            top = max(bound, pre + per)
+            kept = self._pairs[u, v] = (top, _extend(kept[1], pre, per, top))
         if kept[0] == bound:
             return kept[1]
         return kept[1] & ((1 << max(bound, 0)) - 1)
@@ -171,9 +197,30 @@ class ShiftSystem:
         bits = sum(1 << n for n in range(min(len(u), bound))
                    if u[n:n + len(v)] == v[:len(u) - n])
         if bound > len(u):
-            paths = self._walks(bound - len(u) + 1)[u[-1], v[0]]
+            paths = _extend(self._walks()[u[-1], v[0]],
+                            *self.adjacency_clock(), bound - len(u) + 1)
             bits |= (paths >> 1) << len(u)
         return bits & ((1 << max(bound, 0)) - 1)
+
+
+def _extend(bits: int, pre: int, per: int, bound: int) -> int:
+    """The bits below ``bound`` of the set whose bits below pre + per are
+    those of ``bits`` and that repeats with period ``per`` from ``pre``
+    on."""
+    if bound > pre + per:
+        copies = -(-(bound - pre) // per)
+        repunit = ((1 << per * copies) - 1) // ((1 << per) - 1)
+        period = bits >> pre & (1 << per) - 1
+        bits = (bits & (1 << pre) - 1) | period * repunit << pre
+    return bits & ((1 << max(bound, 0)) - 1)
+
+
+def _members(bits: int):
+    """The indices of the set bits, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def full_shift(symbols: int = 2, resolution: int = 3) -> ShiftSystem:

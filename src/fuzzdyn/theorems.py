@@ -6,8 +6,8 @@ per-item verdicts with an agreement matrix.  Every item is a checker's
 An exact-mode disagreement between items of one equivalence is an
 implementation-bug oracle, not mathematics; it raises a red alert carrying
 a replayable payload, and the CLI turns that into its own exit code.
-Horizon-limited items can disagree without an alert (their evidence is
-bounded), though the matrix still records the inconsistency.
+Items that are not exact (a shift's bounded basis) can disagree without an
+alert, though the matrix still records the inconsistency.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Sequence
 
@@ -96,7 +96,6 @@ class _Run:
     system: object
     grid: LevelGrid
     lambdas: tuple
-    horizon: int | None
     eps: Fraction | None
     exps: tuple
     g: GFunction | None
@@ -159,49 +158,43 @@ _ONE_COMPONENT_LENGTH_2 = ({"cylinder_length": 2, "max_components": 1},
                            "single-component, length-2 basis")
 
 
-def _wm_and_a_transitive(target, run: _Run, wm_witnesses: int = 2) -> Verdict:
-    """Weak mixing and a-transitivity, witnessed by the first witnesses of
-    each side."""
-    wm = is_weakly_mixing(target, horizon=run.horizon)
-    at = is_a_transitive(target, run.exps, horizon=run.horizon)
+def _wm_and_a_transitive(target, run: _Run) -> Verdict:
+    """Weak mixing and a-transitivity, witnessed by the first two witnesses
+    of each side."""
+    wm = is_weakly_mixing(target)
+    at = is_a_transitive(target, run.exps)
     return Verdict("holds" if wm.holds and at.holds else "fails",
                    wm.exact and at.exact,
-                   witnesses=wm.witnesses[:wm_witnesses] + at.witnesses[:2])
+                   witnesses=wm.witnesses[:2] + at.witnesses[:2])
 
 
 #: item -> (property, check(target, run)); {kind} and {exps} are filled in
 _ITEMS = {
-    "transitive": ("transitive",
-                   lambda t, run: is_transitive(t, horizon=run.horizon)),
-    # read to the period whatever the horizon
-    "transitive-unbounded": ("transitive", lambda t, run: is_transitive(t)),
-    "weak-mixing": ("weakly mixing",
-                    lambda t, run: is_weakly_mixing(t, horizon=run.horizon)),
-    "mixing": ("mixing", lambda t, run: is_mixing(t, horizon=run.horizon)),
-    "F-transitive": ("{kind}-transitive", lambda t, run: is_F_transitive(
-        t, run.family, horizon=run.horizon)),
+    "transitive": ("transitive", lambda t, run: is_transitive(t)),
+    "weak-mixing": ("weakly mixing", lambda t, run: is_weakly_mixing(t)),
+    "mixing": ("mixing", lambda t, run: is_mixing(t)),
+    "F-transitive": ("{kind}-transitive",
+                     lambda t, run: is_F_transitive(t, run.family)),
     "F-mixing": ("{kind}-mixing", lambda t, run: is_F_transitive(
-        t, run.family, horizon=run.horizon, mixing=True)),
+        t, run.family, mixing=True)),
     "mildly-mixing": ("mildly mixing", lambda t, run: is_mildly_mixing_bounded(
-        t, run.transitive, run.horizon)),
-    "a-transitive": ("{exps}-transitive", lambda t, run: is_a_transitive(
-        t, run.exps, horizon=run.horizon)),
+        t, run.transitive)),
+    "a-transitive": ("{exps}-transitive",
+                     lambda t, run: is_a_transitive(t, run.exps)),
     "wm-and-a-transitive": ("weakly mixing and {exps}-transitive",
                             _wm_and_a_transitive),
     "equicontinuous": ("equicontinuous", lambda t, run: equicontinuity_modulus(
         t, run.eps_or(Fraction(1)))),
     "uniformly-rigid": ("uniformly rigid", lambda t, run: is_uniformly_rigid(
-        t, run.eps_or(Fraction(1, 2)), run.horizon)),
+        t, run.eps_or(Fraction(1, 2)))),
     "proximal": ("proximal", lambda t, run: is_proximal(t)),
     "diam-decay": ("image diameters reach zero",
-                   lambda t, run: diam_reaches_zero(t, run.horizon)),
+                   lambda t, run: diam_reaches_zero(t)),
     "height-obstruction": (
         "distinct heights stay a diameter apart",
-        lambda t, run: heights_preserved(t, run.grid, run.lift("nonempty"),
-                                         run.horizon)),
+        lambda t, run: heights_preserved(t, run.grid, run.lift("nonempty"))),
     "cut-commutation": ("iterated cuts move by the level transfer",
-                        lambda t, run: cuts_commute(t, run.grid, run.g,
-                                                    run.horizon)),
+                        lambda t, run: cuts_commute(t, run.grid, run.g)),
 }
 
 #: a row's condition -> does it hold on a run
@@ -237,7 +230,7 @@ _ROWS = {
         _Row("base", "weak-mixing"),
         _Row("hyper", "transitive"),
         _Row("hyper", "weak-mixing", shift_check=lambda t, run:
-             is_weakly_mixing(t, horizon=run.horizon, method="lemma")),
+             is_weakly_mixing(t, method="lemma")),
         _Row("fuzzy", "transitive"),
         _Row("fuzzy", "weak-mixing"),
     ),
@@ -259,8 +252,7 @@ _ROWS = {
         _Row("fuzzy", "mildly-mixing"),
     ),
     "a-transitivity": (
-        _Row("base", "wm-and-a-transitive",
-             shift_check=partial(_wm_and_a_transitive, wm_witnesses=0)),
+        _Row("base", "wm-and-a-transitive"),
         _Row("hyper", "a-transitive", _ONE_COMPONENT),
         _Row("fuzzy", "a-transitive"),
     ),
@@ -293,7 +285,7 @@ _ROWS = {
     ),
     "height-invariance": (
         _Row("all", "height-obstruction", item_id="height-obstruction"),
-        _Row("F0", "transitive-unbounded", item_id="f0-not-transitive",
+        _Row("F0", "transitive", item_id="f0-not-transitive",
              when="nontrivial", in_matrix=False, note=_F0_FAILS),
         _Row("F0", "proximal", item_id="f0-not-proximal",
              when="nontrivial", in_matrix=False, note=_F0_FAILS),
@@ -344,8 +336,8 @@ def _rows_items(rows: tuple[_Row, ...], run: _Run) -> list[ReportItem]:
 def verify_theorem(theorem: str, system, *, m: int = 2,
                    lambdas: Sequence[Fraction] | None = None,
                    eps=None, exponents: Sequence[int] | None = None,
-                   g: GFunction | None = None, horizon: int | None = None,
-                   catalog=None, family: FamilyClassifier | None = None
+                   g: GFunction | None = None, catalog=None,
+                   family: FamilyClassifier | None = None
                    ) -> EquivalenceReport:
     """Evaluate every item of the named equivalence on one instance.
 
@@ -372,10 +364,9 @@ def verify_theorem(theorem: str, system, *, m: int = 2,
               "lambdas": ",".join(str(x) for x in lams),
               "eps": "" if eps is None else str(eps),
               "exponents": "" if exponents is None else
-              ",".join(str(e) for e in exponents),
-              "horizon": "" if horizon is None else horizon}
+              ",".join(str(e) for e in exponents)}
     report = EquivalenceReport(theorem, label, config)
-    run = _Run(system, grid, lams, horizon, eps,
+    run = _Run(system, grid, lams, eps,
                tuple(exponents) if exponents is not None else (1, 2), g,
                catalog,
                family if family is not None else FamilyClassifier("thick"))

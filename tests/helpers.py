@@ -11,11 +11,13 @@ call; they stay thin edges over the package.  ``iterate_tables`` and
 ``dense_circle_space`` and ``dense_grid_space`` are the circle and grid
 metrics as the dense tables the package once built.
 ``gfunction_to_jsonable`` writes the ``--g`` document that
-``serialize.gfunction_from_jsonable`` reads.
+``serialize.gfunction_from_jsonable`` reads.  ``fs_set`` is a former
+package name too, now the finite-sums sets of the IP residue lemma tests.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -23,6 +25,7 @@ from fractions import Fraction
 from fuzzdyn.analysis import Verdict, _recurrent_indices, return_time_set
 from fuzzdyn.catalog import base_catalog
 from fuzzdyn.errors import InputError
+from fuzzdyn.families import IndexSet
 from fuzzdyn.fuzzy import FuzzySet, fuzzy_lift_system, xi_of, zadeh_apply
 from fuzzdyn.hyperspace import CompactSet
 from fuzzdyn.oracles import ProductDyn, ProductOpen, TableDyn, _Oracle
@@ -307,6 +310,10 @@ class PairwiseProduct(_Oracle):
 
     def preperiod_period(self):
         return self.product.preperiod_period()
+
+    @property
+    def exact_basis(self) -> bool:
+        return self.product.exact_basis
 
     def return_times(self, u, v, bound: int) -> int:
         return self.product.return_times(u, v, bound)
@@ -608,25 +615,68 @@ def brute_subset_displacement(sys: SystemMap, horizon: int) -> list[Fraction]:
     return out
 
 
-def brute_family_results(members, horizon, threshold):
-    """(syndetic, thick, cofinite, infinite) results of a set, scanned n by
-    n through its members; ``threshold`` is shared as the gap, run, tail and
-    window bound, None for each classifier's default."""
-    def longest_run(inside):
+def fs_set(generators, horizon: int):
+    """FS(x), every sum of a nonempty set of distinct generators, below the
+    horizon, as an ``IndexSet``: the finite-sums sets of the IP residue
+    lemma, summed subset by subset."""
+    gens = list(generators)
+    if not gens:
+        raise InputError("fs_set needs at least one generator")
+    if any((not isinstance(g, int)) or g < 1 for g in gens):
+        raise InputError("generators must be positive integers")
+    sums = {sum(c) for r in range(1, len(gens) + 1)
+            for c in itertools.combinations(gens, r)}
+    return IndexSet.of(horizon, {n for n in sums if n < horizon})
+
+
+def periodic_member(bits: int, pre: int, per: int, n: int) -> bool:
+    """Is n in the set periodic from ``pre`` with period ``per`` whose
+    members below pre + per are the set bits of ``bits``."""
+    if n >= pre + per:
+        n = pre + (n - pre) % per
+    return bool(bits >> n & 1)
+
+
+def brute_family_results(bits: int, pre: int, per: int) -> dict:
+    """Each tail family's verdict on a periodic set, by its definition read
+    member by member over four periods from the preperiod on: infinite,
+    some member in the last of them; syndetic, no run of non-members as
+    long as a period; cofinite, every time; thick, a run of members longer
+    than a period."""
+    window = range(pre, pre + 4 * per)
+    inside = [periodic_member(bits, pre, per, n) for n in window]
+
+    def longest(value: bool) -> int:
         longest = run = 0
-        for n in range(horizon):
-            run = run + 1 if (n in members) == inside else 0
+        for x in inside:
+            run = run + 1 if x == value else 0
             longest = max(longest, run)
         return longest
+    return {"infinite": any(inside[-per:]),
+            "syndetic": longest(False) < per,
+            "cofinite": all(inside),
+            "thick": longest(True) > per}
 
-    window = threshold if threshold is not None else max(1, horizon // 4)
-    tail = threshold if threshold is not None else horizon // 2
-    seq = [-1] + sorted(members) + [horizon - 1]
-    gap = max(b - a for a, b in zip(seq, seq[1:])) if members else horizon
-    t = next((n + 1 for n in range(horizon - 1, -1, -1)
-              if n not in members), 0)
-    count = len([n for n in members if n >= tail])
-    return ((longest_run(False) + 1 <= window, gap),
-            (longest_run(True) >= window, longest_run(True)),
-            (t <= tail, t),
-            (count > 0, count))
+
+def brute_ip_search(bits: int, pre: int, per: int) -> bool:
+    """Is there an FS set of p(p - 1) + 1 generators, each at least
+    max(q, 1), inside the set periodic from q = ``pre`` with period p =
+    ``per``?  Every finite sum of such generators is at least q, so it is a
+    member iff its residue mod p is that of a member in [q, q + p): the
+    search runs depth first over the multisets of residues of the
+    generators, in nondecreasing order, following the residues of their
+    finite sums, and drops a multiset once one of its sums leaves the
+    set."""
+    members = {n % per for n in range(pre, pre + per)
+               if periodic_member(bits, pre, per, n)}
+
+    @functools.cache
+    def extend(start: int, sums: frozenset, left: int) -> bool:
+        if not left:
+            return True
+        for r in range(start, per):
+            more = sums | {r} | {(s + r) % per for s in sums}
+            if more <= members and extend(r, more, left - 1):
+                return True
+        return False
+    return extend(0, frozenset(), per * (per - 1) + 1)

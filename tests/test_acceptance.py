@@ -11,8 +11,7 @@ from fractions import Fraction
 
 from fuzzdyn.analysis import is_proximal, is_transitive, is_weakly_mixing
 from fuzzdyn.catalog import base_catalog
-from fuzzdyn.families import (FamilyClassifier, IndexSet, classify_syndetic,
-                              contains_ip, dual_contains, fs_set)
+from fuzzdyn.families import FamilyClassifier
 from fuzzdyn.fuzzy import (LevelGrid, fuzzy_lift_system, g_fuzzify_apply,
                            xi_of, alpha_cut, FuzzySet, GFunction)
 from fuzzdyn.hyperspace import enumerate_compacts, hausdorff_distance, \
@@ -23,8 +22,9 @@ from fuzzdyn.spaces import (SystemMap, circle_space, make_grid_interval_map,
                             validate_metric)
 from fuzzdyn.symbolic import full_shift
 from fuzzdyn.theorems import verify_theorem
-from helpers import (apply, catalog_bijections_upto, catalog_isometries_upto,
-                     catalog_upto, iterate_tables, random_table_system,
+from helpers import (apply, brute_ip_search, catalog_bijections_upto,
+                     catalog_isometries_upto, catalog_upto, fs_set,
+                     iterate_tables, periodic_member, random_table_system,
                      taxi_space)
 
 F = Fraction
@@ -238,36 +238,37 @@ def test_criterion_08_weak_mixing_method_agreement():
 
 
 def test_criterion_09_family_machinery():
+    """On eventually periodic sets: a set is syndetic iff its complement
+    is not thick, and it contains an IP set iff a search over the finite
+    sums of p(p - 1) + 1 generators finds one inside it."""
     rng = random.Random(20249)
+
+    def member(kind, bits, pre, per):
+        family = FamilyClassifier(kind)
+        mask = family.mask(pre, per)
+        return bits & mask == mask if family.full else bits & mask != 0
     for _ in range(500):
-        density = rng.random()
-        members = {n for n in range(200) if rng.random() < density}
-        s = IndexSet.of(200, members)
-        assert dual_contains(s, FamilyClassifier("thick")) == \
-            classify_syndetic(s).ok
-    assert fs_set([1, 2, 4, 8, 16, 32], 64).sorted_members() == \
-        list(range(1, 64))
+        pre, per = rng.randrange(10), rng.randrange(1, 10)
+        bits = rng.getrandbits(pre + per)
+        complement = ~bits & (1 << pre + per) - 1
+        assert (not member("thick", complement, pre, per)) == \
+            member("syndetic", bits, pre, per)
     for _ in range(100):
-        members = {n for n in range(1, 40) if rng.random() < 0.45}
-        s = IndexSet.of(40, members)
-        got, _ = contains_ip(s, 3)
-        brute = False
-        for combo in itertools.combinations_with_replacement(
-                sorted(members), 3):
-            sums = {sum(c) for r in range(1, 4)
-                    for c in itertools.combinations(combo, r)}
-            if sums and sums <= members:
-                brute = True
-                break
-        assert got == brute
-    print("\nCRITERION-09 family machinery PASS (500 duals, sums, 100 "
-          "bounded-depth searches)")
+        pre, per = rng.randrange(6), rng.randrange(1, 6)
+        bits = rng.getrandbits(pre + per)
+        found = member("ip", bits, pre, per)
+        assert found == brute_ip_search(bits, pre, per)
+        if found:
+            gens = [per * (pre + 2 ** i) for i in range(5)]
+            assert all(periodic_member(bits, pre, per, n)
+                       for n in fs_set(gens, sum(gens) + 1).members)
+    print("\nCRITERION-09 family machinery PASS (500 duals, 100 IP "
+          "residue decisions against a sum search)")
 
 
 def test_criterion_10_metric_axioms():
     for sys in base_catalog():
         assert validate_metric(sys.space) == [], sys.label
-    assert validate_metric(full_shift(2, 3).word_space()) == []
     for sys in catalog_upto(5):
         assert validate_metric(lift_system(sys).space) == [], sys.label
 

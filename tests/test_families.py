@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import random
 
 import pytest
@@ -7,57 +6,75 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzdyn.errors import InputError
-from fuzzdyn.families import (FamilyClassifier, IndexSet, classify_cofinite,
-                              classify_infinite, classify_syndetic,
-                              classify_thick, contains_ip, difference_set,
-                              dual_contains, fs_set)
-from helpers import brute_family_results
+from fuzzdyn.families import KINDS, FamilyClassifier, IndexSet
+from helpers import (brute_family_results, brute_ip_search, fs_set,
+                     periodic_member)
 
 
 def iset(horizon, members):
     return IndexSet.of(horizon, members)
 
 
+def member_of(kind, bits, pre, per):
+    """The family's verdict on the set periodic from pre with period per
+    whose members below pre + per are the set bits of ``bits``."""
+    family = FamilyClassifier(kind)
+    mask = family.mask(pre, per)
+    return bits & mask == mask if family.full else bits & mask != 0
+
+
+def bits_of(members):
+    return sum(1 << n for n in members)
+
+
+@st.composite
+def periodic_sets(draw, max_per=4):
+    """(bits, pre, per) of an eventually periodic set with small period."""
+    pre = draw(st.integers(0, 6))
+    per = draw(st.integers(1, max_per))
+    return draw(st.integers(0, (1 << pre + per) - 1)), pre, per
+
+
+def random_periodic(rng):
+    pre, per = rng.randrange(8), rng.randrange(1, 7)
+    return rng.getrandbits(pre + per), pre, per
+
+
 class TestClassifiers:
     def test_evens_syndetic(self):
-        s = iset(100, range(0, 100, 2))
-        assert classify_syndetic(s) == (True, 2)
+        assert member_of("syndetic", 0b01, 0, 2)
 
     def test_single_point_not_syndetic(self):
-        s = iset(100, [0])
-        ok, gap = classify_syndetic(s)
-        assert not ok and gap == 99
+        # {0}: nothing from 1 on, period 1
+        assert not member_of("syndetic", 0b01, 1, 1)
 
     def test_thick_block(self):
-        s = iset(100, range(10, 61))
-        ok, run = classify_thick(s, 25)
-        assert ok and run >= 51
+        # a block that goes on forever is thick; a finite one is not
+        assert member_of("thick", bits_of(range(10, 61)), 10, 1)
+        assert not member_of("thick", bits_of(range(10, 61)), 61, 1)
 
     def test_evens_not_thick(self):
-        assert classify_thick(iset(100, range(0, 100, 2))) == (False, 1)
+        assert not member_of("thick", 0b01, 0, 2)
 
     def test_tail_cofinite(self):
-        ok, t = classify_cofinite(iset(100, range(3, 100)))
-        assert ok and t == 3
+        assert member_of("cofinite", bits_of(range(3, 4)), 3, 1)
 
     def test_evens_not_cofinite(self):
-        assert not classify_cofinite(iset(100, range(0, 100, 2))).ok
+        assert not member_of("cofinite", 0b01, 0, 2)
 
     def test_infinite_tail_window(self):
-        assert classify_infinite(iset(100, [70])).ok
-        assert not classify_infinite(iset(100, [3])).ok
+        # 70 repeats every 30 from 50 on; 3 never comes back
+        assert member_of("infinite", 1 << 70, 50, 30)
+        assert not member_of("infinite", 1 << 3, 50, 30)
 
     def test_heredity_upwards_random(self):
         rng = random.Random(0)
-        classifiers = [classify_syndetic, classify_thick, classify_cofinite,
-                       classify_infinite]
-        for _ in range(60):
-            base = {n for n in range(200) if rng.random() < 0.3}
-            extra = {n for n in range(200) if rng.random() < 0.3}
-            small, big = iset(200, base), iset(200, base | extra)
-            for classify in classifiers:
-                if classify(small)[0]:
-                    assert classify(big)[0], classify.__name__
+        for _ in range(200):
+            small, pre, per = random_periodic(rng)
+            big = small | rng.getrandbits(pre + per)
+            for kind in KINDS:
+                if member_of(kind, small, pre, per):
+                    assert member_of(kind, big, pre, per), kind
 
 
 class TestFsSets:
@@ -81,82 +98,83 @@ class TestFsSets:
             fs_set([], 10)
 
 
+def fs_inside(gens, bits, pre, per):
+    """Does FS(gens) lie in the periodic set."""
+    return all(periodic_member(bits, pre, per, n)
+               for n in fs_set(gens, sum(gens) + 1).members)
+
+
 class TestContainsIp:
     def test_planted_witness(self):
-        s = iset(64, fs_set([1, 2, 4], 64).members | {40, 50})
-        found, witness = contains_ip(s, 3)
-        assert found
-        sums = {sum(c) for r in range(1, 4)
-                for c in itertools.combinations(witness, r)}
-        assert sums <= s.members
+        # the multiples of 3 from 6 on, and 1 and 5
+        bits = bits_of([1, 5, 6])
+        assert member_of("ip", bits, 5, 3)
+        assert fs_inside([3 * (5 + 2 ** i) for i in range(4)], bits, 5, 3)
 
     def test_tiny_set_fails(self):
-        assert contains_ip(iset(10, [1]), 2) == (False, ())
-
-    def test_depth_bound(self):
-        with pytest.raises(InputError):
-            contains_ip(iset(10, [1]), 9)
+        assert not member_of("ip", 0b10, 2, 1)
+        assert not brute_ip_search(0b10, 2, 1)
 
     def test_oracle_agreement(self):
         rng = random.Random(1)
-        for _ in range(40):
-            members = {n for n in range(1, 40) if rng.random() < 0.45}
-            s = iset(40, members)
-            found, witness = contains_ip(s, 3)
-            ordered = sorted(members)
-            brute = False
-            for combo in itertools.combinations_with_replacement(ordered, 3):
-                sums = {sum(c) for r in range(1, 4)
-                        for c in itertools.combinations(combo, r)}
-                if sums <= members:
-                    brute = True
-                    break
-            assert found == brute
+        for _ in range(100):
+            bits, pre, per = random_periodic(rng)
+            per = min(per, 4)
+            bits &= (1 << pre + per) - 1
+            assert member_of("ip", bits, pre, per) == \
+                brute_ip_search(bits, pre, per)
 
 
-class TestDifferenceSets:
-    def test_evens_closed(self):
-        s = iset(50, range(0, 50, 2))
-        assert difference_set(s).members == set(range(0, 50, 2))
+@settings(max_examples=150, deadline=None)
+@given(periodic_sets())
+def test_ip_residue_lemma(case):
+    """A set periodic from q with period p contains an IP set iff it holds
+    the multiple of p in [q, q + p).  On a yes, the FS set of the
+    generators p(q + 2^i) lies in the set; on a no, no FS set of p(p - 1)
+    + 1 generators, each at least q, does: some p of them share a residue,
+    and their sum would be a multiple of p from q on."""
+    bits, pre, per = case
+    if member_of("ip", bits, pre, per):
+        assert fs_inside([per * (pre + 2 ** i) for i in range(6)],
+                         bits, pre, per)
+    else:
+        assert not brute_ip_search(bits, pre, per)
 
-    def test_singleton(self):
-        assert difference_set(iset(50, [5])).members == {0}
 
-    def test_pairwise_oracle(self):
-        s = fs_set([1, 2, 4], 64)
-        got = difference_set(s).members
-        want = {i - j for i in s.members for j in s.members if i >= j}
-        assert got == want
-
-    def test_contains_zero_when_nonempty(self):
-        rng = random.Random(2)
-        for _ in range(20):
-            members = {n for n in range(30) if rng.random() < 0.3}
-            if members:
-                assert 0 in difference_set(iset(30, members)).members
+@settings(max_examples=200, deadline=None)
+@given(periodic_sets(max_per=6))
+def test_bitset_classifiers_match_member_scans(case):
+    """Each tail family's period-mask test equals its definition read member
+    by member over several periods."""
+    bits, pre, per = case
+    brute = brute_family_results(bits, pre, per)
+    assert {kind: member_of(kind, bits, pre, per)
+            for kind in brute} == brute
 
 
 class TestDuality:
     def test_syndetic_thick_duality_matched_thresholds(self):
+        """A set meets every thick set iff it is syndetic: its complement
+        is not thick."""
         rng = random.Random(3)
-        for _ in range(100):
-            members = {n for n in range(200) if rng.random() < rng.random()}
-            s = iset(200, members)
-            assert dual_contains(s, FamilyClassifier("thick")) == \
-                classify_syndetic(s).ok
+        for _ in range(200):
+            bits, pre, per = random_periodic(rng)
+            complement = ~bits & (1 << pre + per) - 1
+            assert (not member_of("thick", complement, pre, per)) == \
+                member_of("syndetic", bits, pre, per)
 
     def test_dual_of_infinite_is_tail_containment(self):
         rng = random.Random(4)
-        for _ in range(50):
-            members = {n for n in range(100) if rng.random() < 0.7}
-            s = iset(100, members)
-            expect = all(n in members for n in range(50, 100))
-            assert dual_contains(s, FamilyClassifier("infinite")) == expect
+        for _ in range(200):
+            bits, pre, per = random_periodic(rng)
+            complement = ~bits & (1 << pre + per) - 1
+            assert (not member_of("infinite", complement, pre, per)) == \
+                member_of("cofinite", bits, pre, per)
 
     def test_whole_horizon_in_every_dual(self):
-        s = iset(64, range(64))
-        for kind in ("syndetic", "thick", "infinite"):
-            assert dual_contains(s, FamilyClassifier(kind))
+        # the complement of every time is empty, in no family
+        for kind in KINDS:
+            assert not member_of(kind, 0, 3, 4)
 
     def test_custom_rejected(self):
         # the built-in kinds are the only kinds
@@ -166,56 +184,21 @@ class TestDuality:
 
 def test_syndetic_meets_thick_at_matched_threshold():
     rng = random.Random(5)
-    horizon, r = 200, 50
-    for _ in range(60):
-        stride = rng.randrange(2, r)
-        syndetic = set()
-        n = rng.randrange(stride)
-        while n < horizon:
-            syndetic.add(n)
-            n += rng.randrange(1, stride + 1)
-        start = rng.randrange(horizon - r)
-        thick = set(range(start, start + r))
-        assert classify_syndetic(iset(horizon, syndetic), r).ok
-        assert classify_thick(iset(horizon, thick), r).ok
-        assert syndetic & thick
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.sets(st.integers(0, 99)))
-def test_complement_involution(members):
-    s = iset(100, members)
-    assert s.complement().complement() == s
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 80).flatmap(lambda h: st.tuples(
-    st.just(h), st.integers(-1, 1 << h),
-    st.one_of(st.none(), st.integers(-2, h + 2)))))
-def test_bitset_classifiers_match_member_scans(case):
-    """Each classifier reads the set's bitset; a set built from bits equals
-    the one built from its members, and the results equal n-by-n scans."""
-    horizon, bits, threshold = case
-    members = {n for n in range(horizon) if bits >> n & 1}
-    s = IndexSet.from_bits(horizon, bits)
-    built = iset(horizon, members)
-    assert s == built and s.bits == built.bits
-    assert s.complement() == iset(horizon, set(range(horizon)) - members)
-    got = (classify_syndetic(s, threshold), classify_thick(s, threshold),
-           classify_cofinite(s, threshold), classify_infinite(s, threshold))
-    assert tuple(map(tuple, got)) == brute_family_results(members, horizon,
-                                                          threshold)
+    for _ in range(200):
+        (s, pre, per), t = random_periodic(rng), rng.getrandbits(13)
+        t &= (1 << pre + per) - 1
+        if member_of("syndetic", s, pre, per) and \
+                member_of("thick", t, pre, per):
+            assert member_of("infinite", s & t, pre, per)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 40).flatmap(lambda h: st.tuples(
-    st.just(h), st.sets(st.integers(0, h - 1)),
-    st.lists(st.integers(1, h + 2), min_size=1, max_size=5),
-    st.integers(-3, h + 3))))
+    st.just(h), st.sets(st.integers(0, h - 1)), st.integers(-3, h + 3))))
 def test_indexset_operations_match_python_sets(case):
     """Every operation on the bitset equals the same operation on a plain
     set of members."""
-    horizon, members, gens, n = case
+    horizon, members, n = case
     s = iset(horizon, members)
     assert IndexSet.from_bits(horizon, s.bits) == s
     assert s.bits == sum(1 << v for v in members)
@@ -223,18 +206,12 @@ def test_indexset_operations_match_python_sets(case):
     assert s.sorted_members() == sorted(members)
     assert len(s) == len(members)
     assert (n in s) == (n in members)
-    assert s.complement().members == set(range(horizon)) - members
-    sums = {sum(c) for r in range(1, len(gens) + 1)
-            for c in itertools.combinations(gens, r)}
-    assert fs_set(gens, horizon).members == {v for v in sums if v < horizon}
-    assert difference_set(s).members == {i - j for i in members
-                                         for j in members if i >= j}
 
 
 def test_indexset_fields_are_horizon_and_bits():
     assert [f.name for f in dataclasses.fields(IndexSet)] == ["horizon",
                                                               "bits"]
-    assert "name" not in {f.name for f in dataclasses.fields(FamilyClassifier)}
+    assert [f.name for f in dataclasses.fields(FamilyClassifier)] == ["kind"]
 
 
 def test_indexset_validation():
@@ -244,11 +221,3 @@ def test_indexset_validation():
         IndexSet.of(0, [])
     with pytest.raises(InputError):
         IndexSet.from_bits(0, 0)
-
-
-def test_classifier_detail_shape():
-    s = iset(100, range(0, 100, 2))
-    ok, detail = FamilyClassifier("syndetic").classify(s)
-    assert ok
-    assert detail == {"kind": "syndetic", "horizon": 100,
-                      "thresholds": {"gap": 25}, "witness": 2}

@@ -37,8 +37,8 @@ PERIOD_2_SFT = ('json:{"kind":"sft","alphabet":["a","b"],'
                 '"edges":[["a","b"],["b","a"]],"resolution":2}')
 
 #: (theorem, system spec, m, ``spaces.STATE_CAP`` or None for the default
-#: [, horizon or None for the default [, eps or None for the default
-#: [, grade distortion "level:value,..." or None for Zadeh's extension]]])
+#: [, eps or None for the default [, grade distortion "level:value,..." or
+#: None for Zadeh's extension]])
 CASES = (
     [(t, spec, 2, None) for spec in ("rotation:4,1", "gridmap:half,4")
      for t in THEOREM_IDS]
@@ -47,26 +47,22 @@ CASES = (
        for t in SHIFT_THEOREMS]
     + [("cut-lemma", "rotation:5,1", 2, 100),          # sampled states
        ("uniform-rigidity", "rotation:4,1", 2, 20),    # cap below slices
-       ("mixing", "goldenmean:2", 1, None, 16),        # horizon-limited
-       ("transitivity", "point", 1, None, 2),          # product witnesses
-       ("a-transitivity", "rotation:4,1", 2, None, 3),  # non-exact products
-       ("equicontinuity", "multiply:8,2", 1, None, None,   # delta < eps
+       ("transitivity", "point", 1, None),             # product witnesses
+       ("equicontinuity", "multiply:8,2", 1, None,     # delta < eps
         "1/2"),
-       ("equicontinuity", "gridmap:half,4", 2, None, None,  # delta = eps
+       ("equicontinuity", "gridmap:half,4", 2, None,   # delta = eps
         "1/2"),
-       ("cut-lemma", "rotation:4,1", 2, None, None, None,   # distorted,
-        "0:0,1/2:1,1:1"),                                   # all states
-       ("cut-lemma", "multiply:9,2", 4, None, 3, None,      # distorted,
-        "0:0,1/4:1/2,1/2:1/2,3/4:3/4,1:1")]                 # sampled
+       ("cut-lemma", "rotation:4,1", 2, None, None,    # distorted,
+        "0:0,1/2:1,1:1"),                              # all states
+       ("cut-lemma", "multiply:9,2", 4, None, None,    # distorted,
+        "0:0,1/4:1/2,1/2:1/2,3/4:3/4,1:1")]            # sampled
 )
 
 
-def case_key(theorem, spec, m, cap, horizon=None, eps=None, g=None):
+def case_key(theorem, spec, m, cap, eps=None, g=None):
     key = f"{theorem} {spec} m={m}"
     if cap is not None:
         key += f" state_cap={cap}"
-    if horizon is not None:
-        key += f" horizon={horizon}"
     if eps is not None:
         key += f" eps={eps}"
     return key if g is None else f"{key} g={g}"
@@ -78,13 +74,12 @@ def parse_g(m, text):
                                     for k, v in table.items()})
 
 
-def report_text(theorem, spec, m, cap, horizon=None, eps=None, g=None):
+def report_text(theorem, spec, m, cap, eps=None, g=None):
     """The canonical report of a case, run with ``spaces.STATE_CAP`` set to
     the case's state cap when it names one."""
     with mock.patch.object(spaces, "STATE_CAP",
                            spaces.STATE_CAP if cap is None else cap):
         report = verify_theorem(theorem, parse_system_spec(spec), m=m,
-                                horizon=horizon,
                                 eps=None if eps is None else Fraction(eps),
                                 g=None if g is None else parse_g(m, g))
     return canonical_json(report_to_jsonable(report))

@@ -45,7 +45,7 @@ def test_an_oracle_rejects_the_open_of_another(kind, other):
     found = oracles()
     dyn, own = found[kind]
     foreign = found[other][1]
-    for call in (lambda: is_transitive(dyn, basis=[own, foreign], horizon=4),
+    for call in (lambda: is_transitive(dyn, basis=[own, foreign]),
                  lambda: return_time_set(dyn, foreign, own, 4),
                  lambda: return_time_set(dyn, own, foreign, 4)):
         with pytest.raises(InputError, match="^cannot interpret"):
@@ -64,7 +64,7 @@ def test_a_box_part_is_checked_by_its_factor():
     dyn, box = oracles()["product"]
     swapped = ProductOpen(box.parts[::-1])
     with pytest.raises(InputError, match="^cannot interpret"):
-        is_transitive(dyn, basis=[swapped], horizon=4)
+        is_transitive(dyn, basis=[swapped])
     with pytest.raises(InputError, match="^cannot interpret"):
         return_time_set(dyn, box, swapped, 4)
 
@@ -128,13 +128,20 @@ def test_cover_matches_the_points(data):
         covered == set(itertools.product(*map(range, sizes))))
 
 
-def test_only_finite_oracles_have_a_clock():
+def test_every_oracle_has_a_clock_and_tables_an_exact_basis():
+    """A shift's clock is its resolution and adjacency clock; a product's
+    combines its factors'.  Only a table's default basis exhausts its
+    opens, so a product's does only when every factor's does."""
     found = oracles()
     assert found["table"][0].preperiod_period() == (0, 2)
-    for kind in ("shift", "hyper", "product"):
-        assert found[kind][0].preperiod_period() is None
+    for kind in ("shift", "hyper"):
+        assert found[kind][0].preperiod_period() == (3, 1)
+    assert found["product"][0].preperiod_period() == (3, 2)
     assert ProductDyn([(rotation(3), 1), (rotation(2), 2)]) \
         .preperiod_period() == (0, 3)
+    assert [found[kind][0].exact_basis for kind in KINDS] == [
+        kind == "table" for kind in KINDS]
+    assert ProductDyn([(rotation(3), 1), (rotation(2), 2)]).exact_basis
 
 
 def test_mixing_is_exact_on_a_finite_product():
@@ -150,18 +157,16 @@ def test_mixing_is_exact_on_a_finite_product():
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3),
-                          st.integers(1, 3)), min_size=1, max_size=3),
-       st.one_of(st.none(), st.integers(1, 6)))
-def test_product_checks_match_the_materialized_product(specs, horizon):
+                          st.integers(1, 3)), min_size=1, max_size=3))
+def test_product_checks_match_the_materialized_product(specs):
     """Mixing and weak mixing of a product of rotations with exponents,
     read through the oracle, are the verdicts on the product system."""
     factors = [(make_rotation(n, k % n), a) for n, k, a in specs]
     dyn = ProductDyn([(TableDyn(s), a) for s, a in factors])
     table = product_system(factors)
-    assert is_mixing(dyn, horizon=horizon) == is_mixing(table,
-                                                        horizon=horizon)
-    assert is_weakly_mixing(dyn, horizon=horizon, method="lemma") == \
-        is_weakly_mixing(table, horizon=horizon, method="lemma")
+    assert is_mixing(dyn) == is_mixing(table)
+    assert is_weakly_mixing(dyn, method="lemma") == \
+        is_weakly_mixing(table, method="lemma")
 
 
 def test_mild_mixing_is_exact_on_a_finite_product():
@@ -204,5 +209,4 @@ def test_a_check_over_more_boxes_than_len_answers():
     v = is_a_transitive(make_rotation(2, 1), [1] * 70)
     assert v.fails and v.exact
     assert v.counterexample[1] == "B((" + "0," * 69 + "1))"
-    assert is_transitive(ProductDyn([(rotation(2), 1)] * 70),
-                         horizon=3).fails
+    assert is_transitive(ProductDyn([(rotation(2), 1)] * 70)).fails

@@ -165,20 +165,20 @@ class TestCli:
                    for item in doc["report"]["items"])
         assert (tmp_path / "equivalence_matrix.csv").exists()
 
-    def test_a_short_horizon_raises_no_red_alert(self, tmp_path):
-        """At horizon 2 the image diameters have not reached zero: the
-        decay item fails as horizon evidence, against exact proximal
-        items, so the report is inconsistent but raises no alert."""
-        rc = main(["verify", "--theorem", "proximality",
-                   "--system", "gridmap:half,8", "--m", "2",
-                   "--horizon", "2", "--out", str(tmp_path)])
-        assert rc == 0
-        doc = json.loads((tmp_path / "equivalence_report.json").read_text())
-        assert doc["report"]["consistent"] is False
-        assert doc["report"]["red_alert"] is False
-        decay, = (item for item in doc["report"]["items"]
-                  if item["id"] == "diam-decay")
-        assert decay["status"] == "fails" and decay["exact"] is False
+    def test_only_plotdata_takes_a_horizon(self, tmp_path, capsys):
+        """Every check reads its whole clock, so ``verify`` and ``check``
+        refuse ``--horizon``; on ``plotdata`` it is the curves' length."""
+        for args in (["verify", "--theorem", "proximality", "--m", "2"],
+                     ["check", "--props", "proximality"]):
+            assert main(args + ["--system", "gridmap:half,8", "--horizon",
+                                "2", "--out", str(tmp_path)]) == 2
+            assert "unrecognized arguments: --horizon 2" in \
+                capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        assert main(["plotdata", "--system", "gridmap:half,8", "--horizon",
+                     "2", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "rigidity.csv").read_text().splitlines() == [
+            "n,max_displacement", "0,0/1", "1,1/2"]
 
     def test_verify_proximality_includes_mixed_height_row(self, tmp_path):
         rc = main(["verify", "--theorem", "proximality",
@@ -271,10 +271,8 @@ class TestCli:
          {"m": 2}),
         (["verify", "--theorem", "cut-lemma", "--system", "rotation:3,1"],
          [1, 2]),
-        (["check", "--system", "rotation:3,1", "--props", "transitivity",
-          "--horizon", "0"], None),
-        (["check", "--system", "rotation:3,1", "--props", "transitivity",
-          "--horizon", "-3"], None),
+        (["plotdata", "--system", "rotation:3,1", "--horizon", "0"], None),
+        (["plotdata", "--system", "rotation:3,1", "--horizon", "-3"], None),
         (["check", "--props", "transitivity", "--system", "json:" + json.dumps(
             {"kind": "finite", "points": ["a", "b"],
              "dist": [["0", "1/2"], ["1", "0"]],
@@ -512,31 +510,14 @@ class TestCli:
         assert rows["hyper-uniformly-rigid"]["note"] == "singleton lemma"
 
     def test_large_horizon_reads_the_periodic_part(self, tmp_path):
-        # T^(n+3) = T^n on rotation:3,1: a run steps 3 tables, not 3e6
+        # T^(n+3) = T^n on rotation:3,1: the curves step 3 tables, not 1e5
         start = time.monotonic()
-        for args in (["check", "--props", "uniform-rigidity"],
-                     ["verify", "--theorem", "uniform-rigidity"]):
-            assert main(args + ["--system", "rotation:3,1",
-                                "--horizon", "3000000",
-                                "--out", str(tmp_path)]) == 0
-        doc = json.loads((tmp_path / "check_report.json").read_text())
-        assert doc["results"]["uniform-rigidity"]["witnesses"] == [
-            ["witness_n", 3]]
+        assert main(["plotdata", "--system", "rotation:3,1",
+                     "--horizon", "100000", "--out", str(tmp_path)]) == 0
+        rigidity = (tmp_path / "rigidity.csv").read_text().splitlines()
+        assert len(rigidity) == 100001
+        assert rigidity[-3:] == ["99997,1/3", "99998,1/3", "99999,0/1"]
         elapsed = time.monotonic() - start
-        assert elapsed < 10.0, f"runtime {elapsed:.1f}s exceeds 10s"
-
-    def test_cut_lemma_large_horizon_stops_at_the_fold(self, tmp_path):
-        # G^n, xi^n and T^n repeat from the fold on: the run steps 3 times
-        # and counts the equalities of all 3e6 steps
-        start = time.monotonic()
-        assert main(["verify", "--theorem", "cut-lemma",
-                     "--system", "rotation:3,1", "--horizon", "3000000",
-                     "--out", str(tmp_path)]) == 0
-        elapsed = time.monotonic() - start
-        doc = json.loads((tmp_path / "equivalence_report.json").read_text())
-        item, = doc["report"]["items"]
-        assert item["status"] == "holds" and item["exact"] is True
-        assert item["witnesses"] == [["equalities_checked", 27 * 2 * 3000000]]
         assert elapsed < 10.0, f"runtime {elapsed:.1f}s exceeds 10s"
 
     def test_plotdata_modulus_in_one_pass(self, tmp_path):
@@ -716,8 +697,7 @@ def test_package_exports_are_public_names_not_modules():
 ONE_PROCESS_ARGVS = (
     ["check", "--system", "rotation:6,1", "--props", "transitivity,mixing",
      "--json"],
-    ["verify", "--theorem", "proximality", "--system", "gridmap:half,8",
-     "--horizon", "1"],
+    ["plotdata", "--system", "gridmap:half,8", "--horizon", "1", "--json"],
     ["check", "--system", "rotation:6,1",
      "--props", "uniform-rigidity,equicontinuity", "--eps", "1/4"],
     ["check", "--system", "rotation:6,1", "--props", "transitivity",

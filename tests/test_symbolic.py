@@ -1,17 +1,17 @@
 import itertools
-from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzdyn.errors import InputError
-from fuzzdyn.families import IndexSet, classify_cofinite
-from fuzzdyn.spaces import validate_metric
+import fuzzdyn.spaces as spaces
+from fuzzdyn.analysis import is_transitive
+from fuzzdyn.cli import main
+from fuzzdyn.errors import BoundExceeded, InputError
+from fuzzdyn.oracles import HyperShiftDyn, ShiftDyn, VietorisOpen
 from fuzzdyn.symbolic import ShiftSystem, full_shift, golden_mean_shift
-from helpers import ball, shift_brute_member
-
-F = Fraction
+from helpers import shift_brute_member
 
 
 def test_full_shift_word_counts():
@@ -65,31 +65,21 @@ def test_an_illegal_word_raises_at_every_call():
     assert gm._legal == {"0"}
 
 
-def test_word_space_is_ultrametric():
-    fs = full_shift(2, 3)
-    space = fs.word_space()
-    assert validate_metric(space) == []
-    assert space.d("000", "001") == F(1, 4)
-    assert space.d("000", "100") == 1
-    assert space.d("010", "010") == 0
-    # the length-2 cylinder is the open ball of radius 2^-1 around any member
-    assert ball(space, "010", F(1, 2)) == {w for w in space.points
-                                           if w.startswith("01")}
-
-
 def test_return_times_example():
     fs = full_shift(2, 3)
     assert fs.return_bits("01", "1", 10) == 0b1111111110
 
 
 def test_cofinite_tail_of_long_cylinder():
+    """Every time from the clock's preperiod on is a return time of every
+    pair of cylinders of the full shift."""
     fs = full_shift(2, 3)
+    pre, per = fs.clock()
+    assert (pre, per) == (3, 1)
     for u in fs.legal_words(3):
         for v in fs.legal_words(3):
-            s = IndexSet.from_bits(32, fs.return_bits(u, v, 32))
-            res = classify_cofinite(s)
-            assert res.ok
-            assert res.tail_start <= 3
+            bits = fs.return_bits(u, v, 32)
+            assert bits >> pre == (1 << 32 - pre) - 1
 
 
 @pytest.mark.parametrize("shift", [full_shift(2, 3), golden_mean_shift(4)])
@@ -115,14 +105,14 @@ def test_golden_mean_overlap_blocked():
 
 
 def test_walk_cache_is_bounded():
-    """The walk bitsets are one per ordered symbol pair, each at most twice
-    as long as the longest length asked for."""
+    """The walk bitsets are one per ordered symbol pair, each as long as
+    the adjacency clock, whatever the bounds asked for."""
     shift = full_shift(3, 2)
     shift.return_bits("0", "1", 10)
     shift.return_bits("0", "1", 100)
+    shift.return_bits("010", "1", 100)
     assert len(shift._walk_cache) == 3 * 3
-    assert 100 <= shift._walk_length <= 2 * 100
-    assert all(bits < 1 << shift._walk_length
+    assert all(bits < 1 << sum(shift.adjacency_clock())
                for bits in shift._walk_cache.values())
 
 
@@ -148,7 +138,7 @@ def shifts_and_asks(draw):
 @given(shifts_and_asks())
 def test_the_word_pair_memo_answers_as_a_fresh_shift(drawn):
     """Each answer of one shift, after any earlier asks, is the answer of a
-    fresh shift, and a horizon sweep leaves one bitset per pair of
+    fresh shift, and a sweep of bounds leaves one bitset per pair of
     cylinders, at the longest bound."""
     args, asks = drawn
     shift = ShiftSystem(*args)
@@ -161,3 +151,69 @@ def test_the_word_pair_memo_answers_as_a_fresh_shift(drawn):
             shift.return_bits(u, v, bound)
     assert len(shift._pairs) == len(cylinders) ** 2
     assert all(bound >= 64 for bound, _ in shift._pairs.values())
+
+
+@pytest.mark.parametrize("shift, adjacency, clock", [
+    (full_shift(2, 3), (1, 1), (3, 1)),
+    (golden_mean_shift(4), (2, 1), (5, 1)),
+    (ShiftSystem("ab", [("a", "b"), ("b", "a")], 2), (0, 2), (2, 2)),
+    # a 2-cycle and a 3-cycle: A^n repeats with period 6 from n = 0
+    (ShiftSystem("abcde", [("a", "b"), ("b", "a"), ("c", "d"), ("d", "e"),
+                           ("e", "c")], 1), (0, 6), (1, 6)),
+])
+def test_adjacency_clock(shift, adjacency, clock):
+    assert shift.adjacency_clock() == adjacency
+    assert shift.clock() == clock
+
+
+@st.composite
+def vertex_shifts(draw):
+    """A vertex shift of at most 4 symbols with no stranded vertex: each
+    symbol gets a drawn successor and a drawn predecessor."""
+    k = draw(st.integers(1, 4))
+    syms = "abcd"[:k]
+    pick = st.sampled_from(syms)
+    edges = set(draw(st.lists(st.tuples(pick, pick), max_size=10)))
+    edges |= {(a, draw(pick)) for a in syms}
+    edges |= {(draw(pick), b) for b in syms}
+    return ShiftSystem(syms, sorted(edges),
+                       draw(st.integers(1, 3 if k < 4 else 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(vertex_shifts(), st.data())
+def test_clock_extension_matches_a_long_brute_scan(shift, data):
+    """Past the clock every N([u],[v]) repeats with its period: the bits
+    below pre + per, extended periodically, equal a word-by-word scan over
+    two more periods."""
+    pre, per = shift.clock()
+    words = shift.cylinders(shift.resolution)
+    u = data.draw(st.sampled_from(words))
+    v = data.draw(st.sampled_from(words))
+    bits = shift.return_bits(u, v, pre + per)
+    for n in range(pre + 3 * per):
+        k = n if n < pre + per else pre + (n - pre) % per
+        assert bool(bits >> k & 1) == shift_brute_member(shift, u, v, n), n
+
+
+def test_a_word_longer_than_the_resolution_is_rejected():
+    """Past the resolution a cylinder's return times need not repeat from
+    the clock on, so no shift oracle takes it as an open; the CLI turns
+    the error into exit 2."""
+    shift = full_shift(2, 2)
+    with pytest.raises(InputError, match="longer than the resolution"):
+        is_transitive(ShiftDyn(shift), basis=["0", "1", "010"])
+    with pytest.raises(InputError, match="longer than the resolution"):
+        HyperShiftDyn(shift).as_open(VietorisOpen(("0", "011")))
+    assert ShiftDyn(shift).as_open("01").word == "01"
+
+
+def test_the_shift_clock_exits_three_past_the_state_cap(tmp_path, capsys):
+    shift = full_shift(2, 3)
+    with mock.patch.object(spaces, "STATE_CAP", 1):
+        with pytest.raises(BoundExceeded, match="shift clock"):
+            shift.adjacency_clock()
+        assert main(["check", "--system", "fullshift:2,3", "--props",
+                     "transitivity", "--out", str(tmp_path)]) == 3
+    assert "bound exceeded: shift clock" in capsys.readouterr().err
+    assert shift.adjacency_clock() == (1, 1)

@@ -241,13 +241,12 @@ class TestHeightInvariance:
             verify_theorem("height-invariance", make_rotation(3, 1), m=2)
 
     @settings(max_examples=40, deadline=None)
-    @given(taxi_tables(), st.integers(1, 3), st.one_of(st.none(),
-                                                       st.integers(1, 4)))
-    def test_lemma_matches_the_pair_scan(self, sys, m, horizon):
-        rep = verify_theorem("height-invariance", sys, m=m, horizon=horizon)
+    @given(taxi_tables(), st.integers(1, 3))
+    def test_lemma_matches_the_pair_scan(self, sys, m):
+        rep = verify_theorem("height-invariance", sys, m=m)
         item = rep.items[0]
         pre, per = sys.eventual_period()
-        bound = horizon if horizon is not None else pre + per + 1
+        bound = pre + per + 1
         status, checked = brute_height_obstruction(sys, LevelGrid(m), bound)
         assert (item.status, item.exact) == (status, True)
         assert dict(item.witnesses)["pairs_times_checked"] == checked
@@ -269,8 +268,7 @@ def test_a_repeated_height_is_an_input_error():
 
 class TestCutLemmaTheorem:
     def test_full_enumeration_small(self):
-        rep = verify_theorem("cut-lemma", make_rotation(4, 1), m=2,
-                             horizon=4)
+        rep = verify_theorem("cut-lemma", make_rotation(4, 1), m=2)
         item = rep.items[0]
         assert item.status == "holds" and item.exact
 
@@ -278,8 +276,7 @@ class TestCutLemmaTheorem:
         grid = LevelGrid(4)
         g = GFunction(grid, {F(0): 0, F(1, 4): F(1, 2), F(1, 2): F(1, 2),
                              F(3, 4): F(3, 4), F(1): 1})
-        rep = verify_theorem("cut-lemma", make_multiply(9, 2), m=4,
-                             horizon=3, g=g)
+        rep = verify_theorem("cut-lemma", make_multiply(9, 2), m=4, g=g)
         item = rep.items[0]
         assert item.status == "holds"
         assert not item.exact and "sampled" in item.note
@@ -288,7 +285,7 @@ class TestCutLemmaTheorem:
         # a broken subset image makes every nonempty right-hand side empty
         monkeypatch.setattr(fuzzy, "_mask_image", lambda mask, bits: 0)
         sys = make_rotation(3, 1)
-        rep = verify_theorem("cut-lemma", sys, m=2, horizon=2)
+        rep = verify_theorem("cut-lemma", sys, m=2)
         item = rep.items[0]
         assert item.status == "fails"
         # the first state in enumeration order with a nonempty cut
@@ -315,27 +312,28 @@ def sample_states(n_points, grid):
                   for _ in range(n_points)) for _ in range(256)]
 
 
-def broken_cut_lemma(sys, grid, g, horizon, breaks, sampled):
-    """The cut-lemma item with the image of each code c in ``breaks`` sent
-    to breaks[c] by the code kernel: in its column route over all states,
-    or, one state above the cap, in the batch that steps the sample."""
+def broken_cut_lemma(sys, grid, g, steps, breaks, sampled):
+    """The cut-lemma item over ``steps`` iterates with the image of each
+    code c in ``breaks`` sent to breaks[c] by the code kernel: in its column
+    route over all states, or, one state above the cap, in the batch that
+    steps the sample."""
     n_codes = (grid.m + 1) ** len(sys.space)
     cap = n_codes - 1 if sampled else n_codes
-    steps = fuzzy._code_steps
+    code_steps = fuzzy._code_steps
 
     def broken(n, radix, pre, gint, codes=None):
         at = range(n_codes) if codes is None else codes
         return [breaks.get(c, t) for c, t in
-                zip(at, steps(n, radix, pre, gint, codes))]
+                zip(at, code_steps(n, radix, pre, gint, codes))]
     with mock.patch.object(fuzzy, "_code_steps", broken), \
-            mock.patch.object(spaces, "STATE_CAP", cap):
-        item, = verify_theorem("cut-lemma", sys, m=grid.m, horizon=horizon,
-                               g=g).items
+            mock.patch.object(spaces, "STATE_CAP", cap), \
+            mock.patch.object(fuzzy, "_CUT_STEPS", steps):
+        item, = verify_theorem("cut-lemma", sys, m=grid.m, g=g).items
     assert item.exact != sampled
     return item
 
 
-def broken_scan(sys, grid, g, horizon, breaks, sampled):
+def broken_scan(sys, grid, g, steps, breaks, sampled):
     """``brute_cut_lemma`` over the same states, stepped by the brute
     g-step with the same codes broken."""
     states = brute_fuzzy_states(len(sys.space), grid)
@@ -347,7 +345,7 @@ def broken_scan(sys, grid, g, horizon, breaks, sampled):
         if c in breaks:
             return states[breaks[c]]
         return brute_fuzzy_step(sys, FuzzySet(sys.space, grid, a), g).grades
-    return brute_cut_lemma(sys, grid, g, horizon, step,
+    return brute_cut_lemma(sys, grid, g, steps, step,
                            sample_states(len(sys.space), grid)
                            if sampled else None)
 
@@ -365,25 +363,25 @@ def assert_scan(item, scan):
 @settings(max_examples=100, deadline=None)
 @given(taxi_tables(max_points=3), st.integers(1, 3), st.integers(1, 30),
        st.booleans(), st.data())
-def test_cut_lemma_fold_keeps_the_state_by_state_scan(sys, m, horizon,
+def test_cut_lemma_fold_keeps_the_state_by_state_scan(sys, m, steps,
                                                       sampled, data):
     # a step broken at random codes: the first mismatch and the count of a
-    # scan state by state over the whole horizon, though the check steps all
+    # scan state by state over every step, though the check steps all
     # states at once, compares whole columns and stops at the fold of T, g
     # and xi; on all states, and on the sample one state above the cap
     grid = LevelGrid(m)
     g = distortions(grid, data)
     codes = st.integers(0, (m + 1) ** len(sys.space) - 1)
     breaks = dict(data.draw(st.lists(st.tuples(codes, codes), max_size=3)))
-    item = broken_cut_lemma(sys, grid, g, horizon, breaks, sampled)
-    assert_scan(item, broken_scan(sys, grid, g, horizon, breaks, sampled))
+    item = broken_cut_lemma(sys, grid, g, steps, breaks, sampled)
+    assert_scan(item, broken_scan(sys, grid, g, steps, breaks, sampled))
 
 
-@pytest.mark.parametrize("sampled,broken,horizon,first", [
+@pytest.mark.parametrize("sampled,broken,steps,first", [
     (False, 4, 3, "Fuzzy{2:1}"), (True, 4, 3, "Fuzzy{2:1}"),
     (False, 6, 2, "Fuzzy{0:1,2:1}")])
 def test_cut_lemma_first_mismatch_at_a_later_state_and_step(sampled, broken,
-                                                            horizon, first):
+                                                            steps, first):
     # rotation(3) at m = 1 cycles the states 1 = (0,0,1) -> 4 -> 2 -> 1 and
     # 3 -> 5 -> 6 -> 3, and the sample starts (1,1,1), (0,0,1), (0,0,1),
     # (1,0,0); a broken image of state 4 (or 6) fails there at step 1, but
@@ -391,8 +389,8 @@ def test_cut_lemma_first_mismatch_at_a_later_state_and_step(sampled, broken,
     # after the scan has cut the states back to those before 4 (or 6)
     sys, grid = make_rotation(3, 1), LevelGrid(1)
     g = GFunction.identity(grid)
-    item = broken_cut_lemma(sys, grid, g, horizon, {broken: 0}, sampled)
-    scan = broken_scan(sys, grid, g, horizon, {broken: 0}, sampled)
+    item = broken_cut_lemma(sys, grid, g, steps, {broken: 0}, sampled)
+    scan = broken_scan(sys, grid, g, steps, {broken: 0}, sampled)
     assert scan[1] == (first, 2, "1")
     assert_scan(item, scan)
 

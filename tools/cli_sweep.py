@@ -14,11 +14,8 @@ The written files are compared by relative path and bytes.
 The run list covers ``verify`` of every theorem at m=1 and m=2 on six table
 systems and at m=1 on three shifts, ``check`` of every property and
 ``plotdata`` on each system.  One table and one shift are inline ``json:``
-documents, the ingest path that every benchmark operation takes.  On each
-table system it adds, at ``--horizon`` 1 and 1000, ``verify`` of the
-theorems whose exactness rests on a time scan (``HORIZON_THEOREMS``, at
-m=2) and ``check`` of every property.  Each run is made in text and in
-``--json``.  Stdlib only.
+documents, the ingest path that every benchmark operation takes.  Each run
+is made in text and in ``--json``.  Stdlib only.
 The exit status is 0 when every run matches and 1 otherwise.
 """
 
@@ -49,7 +46,6 @@ PERIOD_2_SFT = ('json:{"kind":"sft","alphabet":["a","b"],'
 TABLES = ("rotation:3,1", "rotation:6,2", "gridmap:half,8", "multiply:8,2",
           "point", FINITE_DOC)
 SHIFTS = ("fullshift:2,3", "goldenmean:4", PERIOD_2_SFT)
-HORIZON_THEOREMS = ("uniform-rigidity", "proximality", "transitivity")
 
 #: seconds allowed for one run
 TIMEOUT = 600.0
@@ -66,13 +62,6 @@ def runs() -> list[list[str]]:
                      "--m", str(m)] for theorem in THEOREMS]
         out.append(["check", "--system", system, "--props", CHECKS])
         out.append(["plotdata", "--system", system])
-    for system in TABLES:
-        for horizon in ("1", "1000"):
-            out += [["verify", "--system", system, "--theorem", theorem,
-                     "--m", "2", "--horizon", horizon]
-                    for theorem in HORIZON_THEOREMS]
-            out.append(["check", "--system", system, "--props", CHECKS,
-                        "--horizon", horizon])
     return [argv + mode for argv in out for mode in ([], ["--json"])]
 
 
