@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import BoundExceeded, InputError
-from .families import FamilyClassifier, IndexSet
+from .families import FamilyClassifier, IndexSet, _extend
 from .oracles import ProductDyn, TableDyn, _BoxBasis, _count, as_dyn
 from .spaces import (Point, SystemMap, _scaled_matrix, as_fraction,
                      point_label)
@@ -57,15 +57,16 @@ def return_time_set(target, u, v, horizon: int | None = None) -> IndexSet:
     """N(U, V) = {n : T^n(U) meets V}, materialized up to the horizon.
 
     The horizon defaults to preperiod + 2*period of the oracle's clock,
-    which exhibits the full eventually periodic structure; membership of
-    each listed n is exact on every backend.
+    which exhibits the full eventually periodic structure; the set below
+    the clock is extended periodically, exact on every backend.
     """
     dyn = as_dyn(target)
     u, v = dyn.as_open(u), dyn.as_open(v)
+    pre, per = dyn.preperiod_period()
     if horizon is None:
-        pre, per = dyn.preperiod_period()
         horizon = pre + 2 * per
-    return IndexSet.from_bits(horizon, dyn.return_times(u, v, horizon))
+    return IndexSet.from_bits(horizon, _extend(dyn.return_times(u, v), pre,
+                                               per, horizon))
 
 
 # -- orbits and recurrence ----------------------------------------------------
@@ -110,13 +111,13 @@ _BOUNDED_BASIS = "bounded basis evidence"
 _FIRST_CHUNK, _CHUNK_CAP = 8, 1024
 
 
-def _scan(dyn, basis, bound: int, fails):
+def _scan(dyn, basis, fails):
     """(i, j0, chunk) through every row of the scan, one oracle row per
     source index i, in order: chunk lists N(basis[i], basis[j]) below the
-    bound for j = j0, j0 + 1, ...  Each row is read in chunks of 8, 16,
-    32, ... up to the cap, so a checker tests a chunk with list operations,
-    a failure early in a row reads little past it, and no row is ever held
-    whole.  An open is built only when a checker labels it.
+    clock's pre + per for j = j0, j0 + 1, ...  Each row is read in chunks
+    of 8, 16, 32, ... up to the cap, so a checker tests a chunk with list
+    operations, a failure early in a row reads little past it, and no row
+    is ever held whole.  An open is built only when a checker labels it.
 
     ``fails(sets)`` is the checker's one set test: does any of the sets
     fail.  Every checker stops at its first failing set.  A product's box
@@ -132,7 +133,7 @@ def _scan(dyn, basis, bound: int, fails):
     pass_at = total = n * n
     if isinstance(basis, _BoxBasis):
         pass_at = sum(_count(b) ** 2 for b in basis.bases)
-    for i, row in enumerate(dyn.rows(basis, bound)):
+    for i, row in enumerate(dyn.rows(basis)):
         sets = iter(row)
         j0, size = 0, _FIRST_CHUNK
         while chunk := list(itertools.islice(sets, size)):
@@ -142,7 +143,7 @@ def _scan(dyn, basis, bound: int, fails):
             read = i * n + j0
             if pass_at <= read < total:
                 pass_at = total             # the pass runs once
-                values = dyn.box_values(basis, bound, read)
+                values = dyn.box_values(basis, read)
                 if values is not None and not fails(values):
                     yield None, 0, list(values)
                     return
@@ -168,7 +169,7 @@ def is_transitive(target, basis=None) -> Verdict:
     basis = dyn.checked_basis(basis)
     bound, exact = _clock(dyn)
     witnesses = []
-    for i, j0, chunk in _scan(dyn, basis, bound, _empty):
+    for i, j0, chunk in _scan(dyn, basis, _empty):
         if _empty(chunk):
             return Verdict("fails", exact, horizon=bound,
                            counterexample=_labels(basis, i,
@@ -205,7 +206,7 @@ def is_weakly_mixing(target, basis=None, method: str = "product") -> Verdict:
     basis = dyn.checked_basis(basis)
     bound, exact = _clock(dyn)
     witnesses = []
-    for i, row in enumerate(dyn.rows(basis, bound)):
+    for i, row in enumerate(dyn.rows(basis)):
         row = list(row)
         both = list(map(row[i].__and__, row))   # N(U, U) & N(U, V)
         if 0 in both:
@@ -233,7 +234,7 @@ def is_mixing(target, basis=None) -> Verdict:
 
     def fails(sets) -> bool:
         return tail(sets) > tail_bound
-    for i, j0, chunk in _scan(dyn, basis, bound, fails):
+    for i, j0, chunk in _scan(dyn, basis, fails):
         worst = tail(chunk)
         if worst > tail_bound:
             k = next(k for k, bits in enumerate(chunk) if fails((bits,)))
@@ -275,7 +276,7 @@ def is_F_transitive(target, family: FamilyClassifier, basis=None,
 
     def fails(sets) -> bool:
         return passing(sets) < len(sets)
-    for i, j0, chunk in _scan(dyn, basis, window, fails):
+    for i, j0, chunk in _scan(dyn, basis, fails):
         k = passing(chunk)
         if k < len(chunk):
             return Verdict("fails", exact, horizon=window, note=note,

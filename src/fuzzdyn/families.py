@@ -100,3 +100,15 @@ class FamilyClassifier:
         if self.kind == "ip":
             return 1 << -(-pre // per) * per
         return ((1 << per) - 1) << pre
+
+
+def _extend(bits: int, pre: int, per: int, bound: int) -> int:
+    """The bits below ``bound`` of the set whose bits below pre + per are
+    those of ``bits`` and that repeats with period ``per`` from ``pre``
+    on."""
+    if bound > pre + per:
+        copies = -(-(bound - pre) // per)
+        repunit = ((1 << per * copies) - 1) // ((1 << per) - 1)
+        period = bits >> pre & (1 << per) - 1
+        bits = (bits & (1 << pre) - 1) | period * repunit << pre
+    return bits & ((1 << max(bound, 0)) - 1)

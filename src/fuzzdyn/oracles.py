@@ -21,6 +21,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import BoundExceeded, InputError
+from .families import _extend
 from .spaces import MetricSpace, Point, SystemMap, point_label
 from .symbolic import ShiftSystem
 
@@ -171,11 +172,11 @@ class _Oracle:
     so a scan below pre + per exhausts the times.  ``exact_basis`` says
     whether the default basis exhausts the opens as well: true on a table,
     whose singletons are open, false on a shift, whose bounded cylinders
-    are no basis of its topology.  ``return_times(u, v, bound)`` is
-    N(U, V) below the bound as one bitset, bit n set iff T^n(U) meets V.
-    Scans read ``rows(basis, bound)``, one row per basis open U in basis
-    order, yielding N(U, V) for every V of the basis in basis order, on
-    demand."""
+    are no basis of its topology.  ``return_times(u, v)`` is N(U, V)
+    below the clock's pre + per as one bitset, bit n set iff T^n(U) meets
+    V; the clock extends it to any bound (``families._extend``).  Scans
+    read ``rows(basis)``, one row per basis open U in basis order, yielding
+    N(U, V) for every V of the basis in basis order, on demand."""
 
     def as_open(self, x):
         raise InputError(f"cannot interpret {x!r} as an open set")
@@ -195,9 +196,9 @@ class _Oracle:
         """Each table's point count on a finite oracle, for ``_parts``."""
         return None
 
-    def rows(self, basis, bound: int):
-        return (map(self.return_times, itertools.repeat(u), basis,
-                    itertools.repeat(bound)) for u in basis)
+    def rows(self, basis):
+        return (map(self.return_times, itertools.repeat(u), basis)
+                for u in basis)
 
 
 class TableDyn(_Oracle):
@@ -232,50 +233,41 @@ class TableDyn(_Oracle):
     def _parts(self, u: PointsOpen) -> tuple:
         return (u.indices,)
 
-    def return_times(self, u: PointsOpen, v: PointsOpen, bound: int) -> int:
-        return next(self._row(u.indices, (v.indices,), bound))
+    def return_times(self, u: PointsOpen, v: PointsOpen) -> int:
+        return next(self._row(u.indices, (v.indices,)))
 
-    def rows(self, basis, bound: int):
+    def rows(self, basis):
         if (isinstance(basis, _SingletonBasis)
                 and basis.space is self.sys.space):
             n = len(basis)                  # point i is the set (i,)
-            return (self._row((i,), zip(range(n)), bound) for i in range(n))
+            return (self._row((i,), zip(range(n))) for i in range(n))
         sets = tuple(u.indices for u in basis)
-        return (self._row(u, sets, bound) for u in sets)
+        return (self._row(u, sets) for u in sets)
 
-    def _row(self, u, sets, bound: int):
+    def _row(self, u, sets):
         """One walk of the orbit of the point set u up to pre + per records,
         per point, the times n at which it lies in T^n(u); each target set
         collects its points' times (T^n(u) meets it iff some point of it
-        lies in T^n(u)); a multiply by a repunit repeats the per-bit cycle
-        when the bound lies past the walk."""
-        pre, per = self.sys.eventual_period()
+        lies in T^n(u))."""
         tbl = self.sys.table
-        walk = min(bound, pre + per)
         times: dict[int, int] = {}
         cur = u
-        for n in range(walk):
+        for n in range(sum(self.sys.eventual_period())):
             bit = 1 << n
             for i in cur:
                 times[i] = times.get(i, 0) | bit
             # the image of one point is one index
             cur = (tbl[i],) if len(cur) == 1 else {tbl[i] for i in cur}
-        mask = (1 << bound) - 1
-        # ones at walk + k * per for k < bound // per, enough since walk >=
-        # per whenever walk < bound
-        rep = mask // ((1 << per) - 1) >> bound % per << walk
         for v in sets:
             bits = 0
             for j in v:
                 bits |= times.get(j, 0)
-            if walk < bound:
-                bits = (bits | (bits >> pre) * rep) & mask
             yield bits
 
 
 class _ShiftOracle(_Oracle):
-    """An oracle over the cylinders of a shift, words no longer than its
-    resolution, on the shift's clock (``ShiftSystem.clock``)."""
+    """An oracle over the cylinders of a shift (``ShiftSystem.check_word``),
+    on the shift's clock (``ShiftSystem.clock``)."""
 
     exact_basis = False
 
@@ -287,18 +279,11 @@ class _ShiftOracle(_Oracle):
     def preperiod_period(self) -> tuple[int, int]:
         return self.shift.clock()
 
-    def _check_word(self, word: str) -> None:
-        if len(word) > self.shift.resolution:
-            raise InputError(f"cylinder word {word!r} is longer than the "
-                             f"resolution {self.shift.resolution}")
-
 
 class ShiftDyn(_ShiftOracle):
     """Return-time oracle for cylinders of a shift of finite type.  It holds
-    no cache: ``ShiftSystem.return_bits`` keeps one bitset per legal word
-    pair, at the longest bound asked for and read masked for a shorter
-    one, at most (cylinders)^2 per shift, so every oracle over one shift
-    shares that one memo."""
+    no cache: every oracle over one shift reads its one word-pair memo
+    (``ShiftSystem.return_bits``)."""
 
     def default_basis(self) -> tuple[CylinderOpen, ...]:
         return tuple(CylinderOpen(w)
@@ -309,17 +294,21 @@ class ShiftDyn(_ShiftOracle):
         x = CylinderOpen(x) if isinstance(x, str) else x
         if not isinstance(x, CylinderOpen):
             return super().as_open(x)
-        self._check_word(x.word)
+        self.shift.check_word(x.word)
         return x
 
-    def return_times(self, u: CylinderOpen, v: CylinderOpen, bound: int) -> int:
-        return self.shift.return_bits(u.word, v.word, bound)
+    def return_times(self, u: CylinderOpen, v: CylinderOpen) -> int:
+        return self.shift.return_bits(u.word, v.word)
 
 
-def _dilate(bits: int, a: int, bound: int) -> int:
-    """The bitset whose bit n < bound is bit a * n of ``bits``."""
-    digits = format(bits, "b")[::-1][::a][:bound]   # bit 0 first
-    return int(digits[::-1] or "0", 2)
+def _widen(bits: int, clock: tuple, a: int, bound: int) -> int:
+    """The bitset whose bit n < bound is bit a * n of the set on ``clock``
+    whose bits below its pre + per are ``bits``: the set is extended
+    periodically, and then, when a > 1, every a-th bit is kept."""
+    if a == 1:
+        return bits if sum(clock) == bound else _extend(bits, *clock, bound)
+    digits = format(_extend(bits, *clock, a * bound), "b")[::-1]  # bit 0 first
+    return int(digits[::a][::-1] or "0", 2)
 
 
 class _BoxBasis(Sequence):
@@ -377,7 +366,7 @@ class _LazyRow:
 
 
 def _box_row(rows: list, acc: int = -1):
-    """The AND of one bitset from each (masked) factor row, in product
+    """The AND of one bitset from each (widened) factor row, in product
     order."""
     heads = map(acc.__and__, rows[0])
     if len(rows) == 1:
@@ -399,8 +388,9 @@ class ProductDyn(_Oracle):
     """Product of oracles with per-factor exponents; membership is decided
     coordinatewise: n is a return time iff a_i * n is one for each factor,
     so a box's row is the AND of its factors' dilated rows (Furstenberg
-    1967).  Over a box basis each factor row comes from one scan of the
-    factor and is kept only for this scan; any other basis is read
+    1967), each read at its factor's clock and widened to the product's
+    (``_widen``).  Over a box basis each factor row comes from one scan of
+    the factor and is kept only for this scan; any other basis is read
     pairwise."""
 
     def __init__(self, factors: Sequence[tuple[object, int]]):
@@ -441,14 +431,18 @@ class ProductDyn(_Oracle):
         return all(dyn.exact_basis for dyn, _ in self.factors)
 
     def preperiod_period(self) -> tuple[int, int]:
+        return self._clocks()[1]
+
+    def _clocks(self) -> tuple[list, tuple[int, int]]:
+        """The factors' clocks, and the product's (README)."""
+        clocks = [dyn.preperiod_period() for dyn, _ in self.factors]
         pre_star, per_star = 0, 1
-        for dyn, a in self.factors:
-            pre, per = dyn.preperiod_period()
+        for (pre, per), (_, a) in zip(clocks, self.factors):
             pre_i = -(-pre // a)
             per_i = per // math.gcd(per, a)
             pre_star = max(pre_star, pre_i)
             per_star = per_star * per_i // math.gcd(per_star, per_i)
-        return pre_star, per_star
+        return clocks, (pre_star, per_star)
 
     def _sizes(self) -> tuple | None:
         sizes = [dyn._sizes() for dyn, _ in self.factors]
@@ -458,40 +452,51 @@ class ProductDyn(_Oracle):
         return sum((dyn._parts(p) for (dyn, _), p
                     in zip(self.factors, u.parts)), ())
 
-    def _factor_rows(self, k: int, basis, bound: int):
-        dyn, a = self.factors[k]
-        rows = dyn.rows(basis, a * bound)
-        if a == 1:
-            return rows
-        return ((_dilate(bits, a, bound) for bits in row) for row in rows)
+    def _wideners(self) -> list:
+        """Per factor, the map from its sets at its own clock to their sets
+        at the product's (``_widen``), or None where they are the same."""
+        clocks, clock = self._clocks()
+        return [None if a == 1 and own == clock else
+                functools.partial(_widen, clock=own, a=a, bound=sum(clock))
+                for (_, a), own in zip(self.factors, clocks)]
 
-    def return_times(self, u: ProductOpen, v: ProductOpen, bound: int) -> int:
-        bits = (1 << bound) - 1
-        for (dyn, a), up, vp in zip(self.factors, u.parts, v.parts):
-            bits &= _dilate(dyn.return_times(up, vp, a * bound), a, bound)
+    def _factor_rows(self, dyn, basis, widen):
+        rows = dyn.rows(basis)
+        return rows if widen is None else (map(widen, row) for row in rows)
+
+    def return_times(self, u: ProductOpen, v: ProductOpen) -> int:
+        clocks, clock = self._clocks()
+        bits = -1
+        for (dyn, a), own, up, vp in zip(self.factors, clocks, u.parts,
+                                         v.parts):
+            bits &= _widen(dyn.return_times(up, vp), own, a, sum(clock))
         return bits
 
-    def rows(self, basis, bound: int):
+    def rows(self, basis):
         """Over a box basis, each box row is the ANDs of one factor row per
         factor, in box order: a later factor's rows are pulled on first use
         and kept for the scan; a row of the first factor serves consecutive
         boxes only."""
         if not isinstance(basis, _BoxBasis):
-            return super().rows(basis, bound)
-        first, *rest = (map(_LazyRow, self._factor_rows(k, b, bound))
-                        for k, b in enumerate(basis.bases))
+            return super().rows(basis)
+        first, *rest = (map(_LazyRow, self._factor_rows(dyn, b, widen))
+                        for (dyn, _), b, widen in zip(
+                            self.factors, basis.bases, self._wideners()))
         return map(_box_row, _tuples(first, *map(_LazyRow, rest)))
 
-    def box_values(self, basis: _BoxBasis, bound: int, most: int):
+    def box_values(self, basis: _BoxBasis, most: int):
         """The set of the sets of all box pairs, or None once it would take
         more than ``most`` ANDs.  Box pairs are the tuples of factor pairs,
-        so these sets are the ANDs of one distinct (dilated) set of each
-        factor over all pairs of its basis; the ANDs are deduplicated after
+        so these sets are the ANDs of one distinct (widened) set of each
+        factor over all pairs of its basis; a factor's sets are deduplicated
+        at its own clock, then widened, and the ANDs are deduplicated after
         each factor, whose rows are read only when it is reached."""
         sets = {-1}
-        for k, b in enumerate(basis.bases):
-            values = set(itertools.chain.from_iterable(
-                self._factor_rows(k, b, bound)))
+        for (dyn, _), b, widen in zip(self.factors, basis.bases,
+                                      self._wideners()):
+            values = set(itertools.chain.from_iterable(dyn.rows(b)))
+            if widen is not None:
+                values = set(map(widen, values))
             if len(sets) * len(values) > most:
                 return None
             sets = {s & v for s in sets for v in values}
@@ -505,9 +510,8 @@ class HyperShiftDyn(_ShiftOracle):
     For any system, T_K^n<U_1..U_p> meets <V_1..V_q> iff every U_i sends a
     point into some V_j at time n and every V_j receives one from some U_i;
     a finite set realizing the matching witnesses membership.  This reduces
-    hyperspace membership to base membership exactly, read from the word
-    pairs the shift keeps: one bitset per pair, at the longest bound asked
-    for and read masked for a shorter one (``ShiftSystem.return_bits``).
+    hyperspace membership to base membership exactly, read from the
+    shift's word-pair memo (``ShiftSystem.return_bits``).
     """
 
     def __init__(self, shift: ShiftSystem,
@@ -526,18 +530,18 @@ class HyperShiftDyn(_ShiftOracle):
         if not isinstance(x, VietorisOpen):
             return super().as_open(x)
         for word in x.words:
-            self._check_word(word)
+            self.shift.check_word(word)
         return x
 
-    def return_times(self, u: VietorisOpen, v: VietorisOpen, bound: int) -> int:
-        times = [[self.shift.return_bits(a, b, bound) for b in v.words]
+    def return_times(self, u: VietorisOpen, v: VietorisOpen) -> int:
+        times = [[self.shift.return_bits(a, b) for b in v.words]
                  for a in u.words]
         # each U_i sends into some V_j; each V_j receives from some U_i
         return functools.reduce(operator.and_, (
             functools.reduce(operator.or_, bits)
             for bits in (*times, *zip(*times))))
 
-    def rows(self, basis, bound: int):
+    def rows(self, basis):
         """One lazy row per source U, the Vietoris fold (README)."""
         # each open's distinct words, as <V, V> = <V>; per run of targets
         # of as many words, column k holds the index of each target's k-th
@@ -551,7 +555,7 @@ class HyperShiftDyn(_ShiftOracle):
         for u in opens:
             for w in u:
                 if w not in word_rows:
-                    word_rows[w] = [self.shift.return_bits(w, x, bound)
+                    word_rows[w] = [self.shift.return_bits(w, x)
                                     for x in words]
             rows = [word_rows[w] for w in u]
             yield itertools.chain.from_iterable(map(functools.partial(

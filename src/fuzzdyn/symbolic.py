@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import InputError
+from .families import _extend
 from .spaces import _check_states
 
 
@@ -157,62 +158,43 @@ class ShiftSystem:
         pre_a, per_a = self.adjacency_clock()
         return self.resolution - 1 + max(pre_a, 1), per_a
 
-    def return_bits(self, u: str, v: str, bound: int) -> int:
-        """N([u], [v]) below ``bound`` as a bitset: bit n is set iff n is an
-        exact return time of the one-sided shift.
+    def check_word(self, word: str) -> None:
+        """Raise ``InputError`` unless the word is a nonempty legal word no
+        longer than the resolution: the words whose cylinders the clock
+        covers.  A word that passes is kept, so each is validated once."""
+        if word in self._legal:
+            return
+        if len(word) > self.resolution:
+            raise InputError(f"cylinder word {word!r} is longer than the "
+                             f"resolution {self.resolution}")
+        if not self.is_legal(word):
+            raise InputError("cylinder words must be legal and nonempty")
+        self._legal.add(word)
 
-        Each word is validated once: a legal word no longer than the
-        resolution is kept, which bounds the set kept by the number of
-        cylinders, and any other word is validated at every call.  A pair
-        of kept words keeps one bitset, at the longest bound asked for and
-        at least the clock's pre + per: N is computed below the clock and
-        extended periodically (``_extend``), and a shorter bound reads it
-        masked; so the memo holds at most (cylinders)^2 bitsets, whatever
-        the bounds, and an illegal word never enters it."""
-        kept = self._pairs.get((u, v))
-        if kept is None or kept[0] < bound:
-            pre, per = self.clock()
-            if kept is None:
-                for word in (u, v):
-                    if word not in self._legal:
-                        if not self.is_legal(word):
-                            raise InputError(
-                                "cylinder words must be legal and nonempty")
-                        if len(word) <= self.resolution:
-                            self._legal.add(word)
-                if u not in self._legal or v not in self._legal:
-                    return self._pair_bits(u, v, bound)
-                kept = (pre + per, self._pair_bits(u, v, pre + per))
-            top = max(bound, pre + per)
-            kept = self._pairs[u, v] = (top, _extend(kept[1], pre, per, top))
-        if kept[0] == bound:
-            return kept[1]
-        return kept[1] & ((1 << max(bound, 0)) - 1)
+    def return_bits(self, u: str, v: str) -> int:
+        """N([u], [v]) below the clock's pre + per as a bitset, bit n set iff
+        n is an exact return time of the one-sided shift, for words that
+        pass ``check_word``.  Each pair's bitset is computed once and kept:
+        at most (cylinders)^2 bitsets."""
+        bits = self._pairs.get((u, v))
+        if bits is None:
+            self.check_word(u)
+            self.check_word(v)
+            bits = self._pairs[u, v] = self._pair_bits(u, v)
+        return bits
 
-    def _pair_bits(self, u: str, v: str, bound: int) -> int:
-        """N([u], [v]) below ``bound`` for legal words.  For n < len(u) the
-        words overlap, and legal words agreeing on their overlap merge into
-        a legal word; for n >= len(u) a path of n - len(u) + 1 edges must
-        lead from the last symbol of u to the first of v."""
-        bits = sum(1 << n for n in range(min(len(u), bound))
+    def _pair_bits(self, u: str, v: str) -> int:
+        """N([u], [v]) below the clock's pre + per for checked words.  For
+        n < len(u) the words overlap, and legal words agreeing on their
+        overlap merge into a legal word; for n >= len(u) a path of n -
+        len(u) + 1 edges must lead from the last symbol of u to the first
+        of v.  Since len(u) <= pre, both ranges lie below the clock."""
+        bound = sum(self.clock())
+        bits = sum(1 << n for n in range(len(u))
                    if u[n:n + len(v)] == v[:len(u) - n])
-        if bound > len(u):
-            paths = _extend(self._walks()[u[-1], v[0]],
-                            *self.adjacency_clock(), bound - len(u) + 1)
-            bits |= (paths >> 1) << len(u)
-        return bits & ((1 << max(bound, 0)) - 1)
-
-
-def _extend(bits: int, pre: int, per: int, bound: int) -> int:
-    """The bits below ``bound`` of the set whose bits below pre + per are
-    those of ``bits`` and that repeats with period ``per`` from ``pre``
-    on."""
-    if bound > pre + per:
-        copies = -(-(bound - pre) // per)
-        repunit = ((1 << per * copies) - 1) // ((1 << per) - 1)
-        period = bits >> pre & (1 << per) - 1
-        bits = (bits & (1 << pre) - 1) | period * repunit << pre
-    return bits & ((1 << max(bound, 0)) - 1)
+        paths = _extend(self._walks()[u[-1], v[0]],
+                        *self.adjacency_clock(), bound - len(u) + 1)
+        return bits | (paths >> 1) << len(u)
 
 
 def _members(bits: int):

@@ -13,6 +13,8 @@ metrics as the dense tables the package once built.
 ``gfunction_to_jsonable`` writes the ``--g`` document that
 ``serialize.gfunction_from_jsonable`` reads.  ``fs_set`` is a former
 package name too, now the finite-sums sets of the IP residue lemma tests.
+``vertex_shifts`` draws the random shifts that the symbolic and product
+tests share.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from fuzzdyn.analysis import Verdict, _recurrent_indices, return_time_set
 from fuzzdyn.catalog import base_catalog
@@ -32,6 +36,7 @@ from fuzzdyn.oracles import ProductDyn, ProductOpen, TableDyn, _Oracle
 from fuzzdyn.serialize import format_fraction
 from fuzzdyn.spaces import (MetricSpace, SystemMap, as_fraction,
                             circle_space, iterate, point_label)
+from fuzzdyn.symbolic import ShiftSystem
 
 
 def gfunction_to_jsonable(g) -> dict:
@@ -315,8 +320,8 @@ class PairwiseProduct(_Oracle):
     def exact_basis(self) -> bool:
         return self.product.exact_basis
 
-    def return_times(self, u, v, bound: int) -> int:
-        return self.product.return_times(u, v, bound)
+    def return_times(self, u, v) -> int:
+        return self.product.return_times(u, v)
 
 
 def pairwise_first_failure(sys, basis, ok):
@@ -402,12 +407,40 @@ def brute_proximal(sys) -> Verdict:
 
 
 def shift_brute_member(shift, u, v, n):
-    """Enumerate every legal word long enough to carry both constraints."""
-    length = max(len(u), n + len(v))
-    for w in shift.legal_words(length):
-        if w.startswith(u) and w[n:n + len(v)] == v:
-            return True
-    return False
+    """Is there a legal word that starts with u and carries v at position
+    n?  The words are grown one symbol at a time from the first, keeping
+    only the last symbols of the legal prefixes so far, since a prefix's
+    legal extensions depend on its last symbol alone; a position that u or
+    v fixes admits only its symbol.  No power of the transition graph and
+    no periodicity is used, and the cost is linear in n, where listing the
+    legal words grows exponentially."""
+    fixed = {}
+    for start, word in ((0, u), (n, v)):
+        for i, c in enumerate(word, start):
+            if fixed.setdefault(i, c) != c:
+                return False
+    last = None         # the last symbols of the legal prefixes of length i
+    for i in range(max(len(u), n + len(v))):
+        options = shift.alphabet if last is None else {
+            b for a in last for b in shift.alphabet if shift.follows(a, b)}
+        last = {c for c in options if fixed.get(i, c) == c}
+        if not last:
+            return False
+    return True
+
+
+@st.composite
+def vertex_shifts(draw):
+    """A vertex shift of at most 4 symbols with no stranded vertex: each
+    symbol gets a drawn successor and a drawn predecessor."""
+    k = draw(st.integers(1, 4))
+    syms = "abcd"[:k]
+    pick = st.sampled_from(syms)
+    edges = set(draw(st.lists(st.tuples(pick, pick), max_size=10)))
+    edges |= {(a, draw(pick)) for a in syms}
+    edges |= {(draw(pick), b) for b in syms}
+    return ShiftSystem(syms, sorted(edges),
+                       draw(st.integers(1, 3 if k < 4 else 2)))
 
 
 def brute_metric_violations(space):

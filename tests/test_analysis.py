@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import math
@@ -41,7 +42,7 @@ from helpers import (PairwiseProduct, apply, ball, brute_ip_search,
                      image_points, omega_limit, pairwise_first_failure,
                      pairwise_mixing, pairwise_tail, pairwise_transitive,
                      point_return_set, random_table_system, recurrent_points,
-                     shift_brute_member)
+                     shift_brute_member, vertex_shifts)
 
 F = Fraction
 
@@ -602,8 +603,7 @@ class TestProductDyn:
         v = [o for o in pd.default_basis()
              if o.parts[0].members == frozenset({2})][0]
         # (T^2)^n hits 2 from 0 when 2n = 2 mod 4
-        bits = pd.return_times(u, v, 8)
-        times = [n for n in range(8) if bits >> n & 1]
+        times = return_time_set(pd, u, v, 8).sorted_members()
         assert times == [1, 3, 5, 7]
 
     def test_mixed_product_shift_and_cycle(self):
@@ -653,9 +653,9 @@ def test_hyper_shift_vietoris_matches_subset_search():
     basis = [b for b in hd.default_basis() if len(b.words) <= 2]
     for u in basis[:12]:
         for v in basis[:12]:
-            bits = hd.return_times(u, v, 2)
+            times = return_time_set(hd, u, v, 2)
             for n in range(0, 2):
-                got = bool(bits >> n & 1)
+                got = n in times
                 want = brute(u.words, v.words, n)
                 assert got == want, (u, v, n)
 
@@ -665,6 +665,11 @@ def test_hyper_shift_vietoris_matches_subset_search():
 def bit_members(bits, bound):
     assert 0 <= bits < 1 << bound
     return {n for n in range(bound) if bits >> n & 1}
+
+
+def clock_bound(dyn) -> int:
+    """pre + per of the oracle's clock, below which it answers."""
+    return sum(dyn.preperiod_period())
 
 
 @st.composite
@@ -698,22 +703,21 @@ class TestOracleBitsets:
         u, v = data.draw(point_sets(sys)), data.draw(point_sets(sys))
         pre, per = sys.eventual_period()
         bound = pre + per + data.draw(st.integers(0, 3 * per + 2))
-        bits = TableDyn(sys).return_times(points_open(sys.space, u),
-                                          points_open(sys.space, v), bound)
-        assert bit_members(bits, bound) == brute_return_times(sys, u, v,
-                                                              bound)
+        times = return_time_set(TableDyn(sys), points_open(sys.space, u),
+                                points_open(sys.space, v), bound)
+        assert times.members == brute_return_times(sys, u, v, bound)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_shift_matches_word_enumeration(self, data):
-        shift = data.draw(small_shifts())
-        words = shift.cylinders(3)
+        shift = data.draw(small_shifts(st.integers(1, 3)))
+        words = shift.cylinders(shift.resolution)
         u, v = data.draw(st.sampled_from(words)), data.draw(
             st.sampled_from(words))
-        bound = data.draw(st.integers(0, 6))
-        bits = ShiftDyn(shift).return_times(CylinderOpen(u), CylinderOpen(v),
-                                            bound)
-        assert bit_members(bits, bound) == {
+        bound = data.draw(st.integers(1, 6))
+        times = return_time_set(ShiftDyn(shift), CylinderOpen(u),
+                                CylinderOpen(v), bound)
+        assert times.members == {
             n for n in range(bound) if shift_brute_member(shift, u, v, n)}
 
     @settings(max_examples=40, deadline=None)
@@ -724,20 +728,20 @@ class TestOracleBitsets:
             min_size=1, max_size=2))
         opens = [(data.draw(point_sets(sys)), data.draw(point_sets(sys)))
                  for sys, _ in factors]
-        bounds = data.draw(st.lists(st.integers(0, 16), min_size=2,
+        bounds = data.draw(st.lists(st.integers(1, 16), min_size=2,
                                     max_size=2))
         pd = ProductDyn([(TableDyn(sys), a) for sys, a in factors])
         u = ProductOpen(tuple(points_open(sys.space, pu)
                               for (sys, _), (pu, _) in zip(factors, opens)))
         v = ProductOpen(tuple(points_open(sys.space, pv)
                               for (sys, _), (_, pv) in zip(factors, opens)))
-        for bound in bounds:     # one oracle, so its factor bitsets are kept
+        for bound in bounds:     # one oracle read at two horizons
             factor_times = [brute_return_times(sys, pu, pv, a * bound)
                             for (sys, a), (pu, pv) in zip(factors, opens)]
             want = {n for n in range(bound)
                     if all(a * n in times for (_, a), times
                            in zip(factors, factor_times))}
-            assert bit_members(pd.return_times(u, v, bound), bound) == want
+            assert return_time_set(pd, u, v, bound).members == want
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -748,9 +752,9 @@ class TestOracleBitsets:
                                            min_size=1, max_size=2)))
         v_words = tuple(data.draw(st.lists(st.sampled_from(words),
                                            min_size=1, max_size=2)))
-        bound = data.draw(st.integers(0, 5))
-        bits = HyperShiftDyn(shift).return_times(
-            VietorisOpen(u_words), VietorisOpen(v_words), bound)
+        bound = data.draw(st.integers(1, 5))
+        times = return_time_set(HyperShiftDyn(shift), VietorisOpen(u_words),
+                                VietorisOpen(v_words), bound)
 
         def meets(a, b, n):
             return shift_brute_member(shift, a, b, n)
@@ -759,15 +763,16 @@ class TestOracleBitsets:
                 if all(any(meets(a, b, n) for b in v_words) for a in u_words)
                 and all(any(meets(a, b, n) for a in u_words)
                         for b in v_words)}
-        assert bit_members(bits, bound) == want
+        assert times.members == want
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_vietoris_rows_match_the_membership_rule(self, data):
         """Whole rows of the hyperspace oracle, entry by entry: n is in
         N(U, V) iff every U_i meets some V_j at time n and every V_j is met
-        by some U_i.  The basis is a caller's, of opens with 1-3 words in
-        any order and with repeats, or the default one at 3 components."""
+        by some U_i, for every n below the clock.  The basis is a caller's,
+        of opens with 1-3 words in any order and with repeats, or the
+        default one at 3 components."""
         shift = data.draw(small_shifts())
         hyper = HyperShiftDyn(shift,
                               cylinder_length=data.draw(st.integers(1, 2)),
@@ -779,7 +784,7 @@ class TestOracleBitsets:
             basis = [VietorisOpen(tuple(ws)) for ws in data.draw(st.lists(
                 st.lists(st.sampled_from(words), min_size=1, max_size=3),
                 min_size=1, max_size=6))]
-        bound = data.draw(st.integers(0, 6))
+        bound = clock_bound(hyper)
         used = {w for u in basis for w in u.words}
         meets = {(a, b): {n for n in range(bound)
                           if shift_brute_member(shift, a, b, n)}
@@ -792,7 +797,7 @@ class TestOracleBitsets:
                     and all(any(n in meets[a, b] for a in u.words)
                             for b in v.words)}
 
-        rows = list(hyper.rows(basis, bound))
+        rows = list(hyper.rows(basis))
         assert len(rows) == len(basis)
         for u, row in zip(basis, rows):
             assert [bit_members(bits, bound) for bits in row] == [
@@ -802,13 +807,13 @@ class TestOracleBitsets:
         """An open of more distinct words than a fold nests lazily reads
         some partial folds into lists; its rows still match the pairwise
         rule, which ``return_times`` reads without a fold."""
-        hyper = HyperShiftDyn(full_shift(2, 3), cylinder_length=7)
+        hyper = HyperShiftDyn(full_shift(2, 7), cylinder_length=7)
         words = tuple(hyper.shift.cylinders(7))
         assert len(words) > oracles._FOLD_DEPTH
         basis = [VietorisOpen(words), VietorisOpen(words[:1]),
                  VietorisOpen(tuple(reversed(words[:70])) + words[:3])]
-        for u, row in zip(basis, hyper.rows(basis, 10)):
-            assert list(row) == [hyper.return_times(u, v, 10) for v in basis]
+        for u, row in zip(basis, hyper.rows(basis)):
+            assert list(row) == [hyper.return_times(u, v) for v in basis]
 
     def test_a_long_open_reads_in_a_child(self, tmp_path):
         """A chain of 100,000 lazy maps overflows the C stack when read, so
@@ -830,6 +835,48 @@ class TestOracleBitsets:
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["holds", "1"]
+
+
+@st.composite
+def seam_factors(draw):
+    """A factor with an exponent of 1-3 and two of its opens: a table of at
+    most 4 points with two point sets, or a vertex shift of at most 4
+    symbols with two of its cylinders; and its brute member test of a
+    factor time, by ``brute_return_times`` or ``shift_brute_member``."""
+    a = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        sys = draw(small_tables(4))
+        u, v = draw(point_sets(sys)), draw(point_sets(sys))
+
+        def member(n):
+            return n in brute_return_times(sys, u, v, n + 1)
+        return (TableDyn(sys), a, points_open(sys.space, u),
+                points_open(sys.space, v), member)
+    shift = draw(vertex_shifts())
+    words = st.sampled_from(shift.cylinders(shift.resolution))
+    u, v = draw(words), draw(words)
+    return (ShiftDyn(shift), a, CylinderOpen(u), CylinderOpen(v),
+            functools.partial(shift_brute_member, shift, u, v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(seam_factors(), min_size=1, max_size=3))
+def test_product_reads_each_factor_past_its_own_clock(factors):
+    """A product answers below its clock from factor sets below their own
+    clocks: n < pre + 3 * per + 2 is a return time of a box iff a * n is
+    one of each factor, by brute factor times, for tables and shifts
+    mixed, so that the factors' clocks differ from the product's."""
+    pd = ProductDyn([(dyn, a) for dyn, a, *_ in factors])
+    pre, per = pd.preperiod_period()
+    horizon = pre + 3 * per + 2
+    u = ProductOpen(tuple(f[2] for f in factors))
+    v = ProductOpen(tuple(f[3] for f in factors))
+    event("a factor's clock differs" if any(
+        (a, dyn.preperiod_period()) != (1, (pre, per))
+        for dyn, a, *_ in factors) else "every clock is the product's")
+    want = {n for n in range(horizon)
+            if all(member(a * n) for _, a, _, _, member in factors)}
+    assert return_time_set(pd, u, v, horizon).members == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -928,9 +975,12 @@ def factor_oracles(draw, max_points=6, max_length=3):
     return dyn, dyn.default_basis()
 
 
-def assert_rows_equal_pairs(dyn, basis, bound):
-    for u, row in zip(basis, dyn.rows(basis, bound)):
-        assert list(row) == [dyn.return_times(u, v, bound) for v in basis]
+def assert_rows_equal_pairs(dyn, basis):
+    """Each row is the oracle's pair reads, each below its clock."""
+    for u, row in zip(basis, dyn.rows(basis)):
+        row = list(row)
+        assert row == [dyn.return_times(u, v) for v in basis]
+        assert all(0 <= bits < 1 << clock_bound(dyn) for bits in row)
 
 
 class TestOracleRows:
@@ -939,26 +989,24 @@ class TestOracleRows:
     def test_table_rows_match_the_definition(self, data):
         sys = data.draw(small_tables(6))
         basis = data.draw(pointwise_bases(sys))
-        pre, per = sys.eventual_period()
-        bound = data.draw(st.integers(0, pre + 3 * per + 2))
         dyn = TableDyn(sys)
-        for u, row in zip(basis, dyn.rows(basis, bound)):
+        bound = clock_bound(dyn)
+        for u, row in zip(basis, dyn.rows(basis)):
             assert [bit_members(bits, bound) for bits in row] == [
                 brute_return_times(sys, u.members, v.members, bound)
                 for v in basis]
-        assert_rows_equal_pairs(dyn, basis, bound)
+        assert_rows_equal_pairs(dyn, basis)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_shift_and_vietoris_rows_equal_pairs(self, data):
         shift = data.draw(small_shifts(st.integers(1, 3)))
-        bound = data.draw(st.integers(0, 20))
         dyn = ShiftDyn(shift)
-        assert_rows_equal_pairs(dyn, dyn.default_basis(), bound)
+        assert_rows_equal_pairs(dyn, dyn.default_basis())
         hyper = HyperShiftDyn(shift, cylinder_length=2)
         basis = data.draw(st.lists(st.sampled_from(hyper.default_basis()),
                                    min_size=1, max_size=8))
-        assert_rows_equal_pairs(hyper, basis, bound)
+        assert_rows_equal_pairs(hyper, basis)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -972,10 +1020,9 @@ class TestOracleRows:
         bases = tuple(tuple(data.draw(st.lists(st.sampled_from(list(b)),
                                                min_size=1, max_size=3)))
                       for _, b in factors)
-        bound = data.draw(st.integers(0, 12))
-        assert_rows_equal_pairs(pd, _BoxBasis(bases), bound)
+        assert_rows_equal_pairs(pd, _BoxBasis(bases))
         for (dyn, _), basis in zip(factors, bases):
-            assert_rows_equal_pairs(dyn, basis, bound)
+            assert_rows_equal_pairs(dyn, basis)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -987,8 +1034,8 @@ class TestOracleRows:
         got = is_weakly_mixing(dyn, basis=basis, method="lemma")
         bound, found, witnesses = got.horizon, None, []
         for u, v in itertools.product(basis, basis):
-            both = (dyn.return_times(u, u, bound)
-                    & dyn.return_times(u, v, bound))
+            both = (return_time_set(dyn, u, u, bound).bits
+                    & return_time_set(dyn, u, v, bound).bits)
             if not both:
                 found = (u.label, v.label)
                 break
@@ -1031,15 +1078,15 @@ class TestOracleMemory:
         for _ in range(2):
             for u, v in ((legal, illegal), (illegal, legal)):
                 with pytest.raises(InputError):
-                    sd.return_times(u, v, 8)
+                    sd.return_times(u, v)
         assert shift._pairs == {}
         for _ in range(2):
             with pytest.raises(InputError):
                 hd.return_times(VietorisOpen(("ab",)),
-                                VietorisOpen(("ba", "aa")), 8)
+                                VietorisOpen(("ba", "aa")))
         assert list(shift._pairs) == [("ab", "ba")]
-        assert sd.return_times(legal, CylinderOpen("ba"), 8) == \
-            hd.return_times(VietorisOpen(("ab",)), VietorisOpen(("ba",)), 8)
+        assert sd.return_times(legal, CylinderOpen("ba")) == \
+            hd.return_times(VietorisOpen(("ab",)), VietorisOpen(("ba",)))
         assert list(shift._pairs) == [("ab", "ba")]
 
     def test_empty_vietoris_open_is_an_input_error(self):
@@ -1047,7 +1094,7 @@ class TestOracleMemory:
         hd = HyperShiftDyn(full_shift(2, 2))
         for u, v in (((), ("0",)), (("0",), ())):
             with pytest.raises(InputError, match="^empty open rejected$"):
-                hd.return_times(VietorisOpen(u), VietorisOpen(v), 4)
+                hd.return_times(VietorisOpen(u), VietorisOpen(v))
 
     def test_a_word_is_no_vietoris_open(self):
         # a bare word names a base cylinder; on the hyperspace oracle it
@@ -1078,17 +1125,18 @@ class TestOracleMemory:
                 check(dyn, basis=basis)
 
     def test_shift_memo_holds_one_bitset_per_word_pair(self):
-        """Two bounds and two oracles over one shift keep one bitset per
-        word pair, at the longest bound asked for."""
+        """Two checks and two oracles over one shift keep one bitset per
+        word pair, below the shift's clock."""
         shift = full_shift(2, 3)
         hd = HyperShiftDyn(shift)
         is_mixing(hd)
         is_transitive(hd)
-        for row in ShiftDyn(shift).rows(ShiftDyn(shift).default_basis(), 80):
+        for row in ShiftDyn(shift).rows(ShiftDyn(shift).default_basis()):
             list(row)
         cylinders = len(shift.cylinders(hd.cylinder_length))
         assert len(shift._pairs) == cylinders ** 2
-        assert {bound for bound, _ in shift._pairs.values()} == {80}
+        assert all(0 <= bits < 1 << sum(shift.clock())
+                   for bits in shift._pairs.values())
 
     def test_product_basis_builds_only_the_opens_it_reads(self, monkeypatch):
         """A product check that fails at its first pair reads one box, so it
@@ -1165,7 +1213,7 @@ class TestOracleMemory:
         assert is_transitive(pd).holds
         assert is_mixing(pd).fails
         assert vars(pd) == {"factors": pd.factors}
-        pairs = _scan(pd, pd.default_basis(), 16, analysis._empty)
+        pairs = _scan(pd, pd.default_basis(), analysis._empty)
         next(pairs)
         assert live_rows() > before
         pairs.close()
@@ -1234,8 +1282,6 @@ class TestChunkedScan:
         basis = data.draw(pointwise_bases(sys))
         other = data.draw(small_tables(4))
         product = ProductDyn([(TableDyn(sys), 1), (TableDyn(other), 1)])
-        pre, per = sys.eventual_period()
-        bound = pre + per
         ip = FamilyClassifier("ip")
         checks = (
             lambda: is_transitive(sys, basis=basis),
@@ -1249,8 +1295,7 @@ class TestChunkedScan:
             lambda: is_F_transitive(sys, ip, basis=basis))
         with mock.patch.multiple(analysis, _FIRST_CHUNK=1, _CHUNK_CAP=2):
             small = [check() for check in checks]
-            scan = list(_scan(TableDyn(sys), basis, bound,
-                              analysis._empty))
+            scan = list(_scan(TableDyn(sys), basis, analysis._empty))
         assert small == [check() for check in checks]
         for i, u in enumerate(basis):
             row = [(j0, chunk) for k, j0, chunk in scan if k == i]
@@ -1259,7 +1304,7 @@ class TestChunkedScan:
             assert [j0 for j0, _ in row] == list(itertools.accumulate(
                 [0] + [len(chunk) for _, chunk in row[:-1]]))
             assert [bits for _, chunk in row for bits in chunk] == \
-                [TableDyn(sys).return_times(u, v, bound) for v in basis]
+                [TableDyn(sys).return_times(u, v) for v in basis]
         transitive, mixing, thick, syndetic = small[:4]
         expect = pairwise_transitive(sys, basis)
         if transitive.holds:
@@ -1287,8 +1332,8 @@ class TestChunkedScan:
                 super().__init__(sys)
                 self.read = 0
 
-            def rows(self, basis, bound):
-                return map(self._count, super().rows(basis, bound))
+            def rows(self, basis):
+                return map(self._count, super().rows(basis))
 
             def _count(self, row):
                 for bits in row:

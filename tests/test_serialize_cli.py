@@ -246,9 +246,9 @@ class TestCli:
         computed = []
         pair_bits = ShiftSystem._pair_bits
 
-        def counting(self, u, v, bound):
+        def counting(self, u, v):
             computed.append((self, u, v))
-            return pair_bits(self, u, v, bound)
+            return pair_bits(self, u, v)
 
         monkeypatch.setattr(ShiftSystem, "_pair_bits", counting)
         assert main(["check", "--system", "fullshift:2,3", "--props",

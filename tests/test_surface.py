@@ -155,8 +155,9 @@ def test_no_function_takes_a_state_cap():
     """Every state space is bounded by ``spaces.STATE_CAP`` alone: no
     function or lambda of the package takes a ``cap`` or ``state_cap``,
     nor a ``bound`` that a caller may leave out.  ``bound`` stays the name
-    of a required argument: a scan's time window, which ``_clock``
-    computes, and the field of ``BoundExceeded``."""
+    of a required argument: the length to which a product or
+    ``return_time_set`` extends a set past its clock, and the field of
+    ``BoundExceeded``."""
     found = [(path.name, name, param)
              for path in MODULES
              for name, param, default in _parameters(
@@ -164,3 +165,32 @@ def test_no_function_takes_a_state_cap():
              if param in CAP_PARAMETERS[:2]
              or (param == "bound" and default)]
     assert found == []
+
+
+#: each return-time read of the oracles and the shift, with its parameters
+READS = {"return_times": ["self", "u", "v"], "rows": ["self", "basis"],
+         "return_bits": ["self", "u", "v"]}
+
+
+def test_no_return_time_read_takes_a_bound():
+    """Every oracle answers below its own clock: no ``return_times`` or
+    ``rows`` of an oracle, nor ``ShiftSystem.return_bits``, takes a bound,
+    and in ``oracles.py`` and ``symbolic.py`` only the product's
+    extension past a factor's clock, ``_widen``, takes one."""
+    reads, bounded = {}, []
+    for name in ("oracles.py", "symbolic.py"):
+        tree = ast.parse((ROOT / "src" / "fuzzdyn" / name).read_text())
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                reads.update(((cls.name, f.name), [a.arg for a in f.args.args])
+                             for f in cls.body
+                             if isinstance(f, ast.FunctionDef)
+                             and f.name in READS)
+        bounded += sorted({func for func, param, _ in _parameters(tree)
+                           if param in ("bound", "horizon")})
+    assert {key: READS[key[1]] for key in reads} == reads
+    assert {("_Oracle", "rows"), ("TableDyn", "return_times"),
+            ("ShiftDyn", "return_times"), ("ProductDyn", "return_times"),
+            ("HyperShiftDyn", "return_times"),
+            ("ShiftSystem", "return_bits")} <= set(reads)
+    assert bounded == ["_widen"]

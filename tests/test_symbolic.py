@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fuzzdyn.spaces as spaces
-from fuzzdyn.analysis import is_transitive
+from fuzzdyn.analysis import is_transitive, return_time_set
 from fuzzdyn.cli import main
 from fuzzdyn.errors import BoundExceeded, InputError
 from fuzzdyn.oracles import HyperShiftDyn, ShiftDyn, VietorisOpen
 from fuzzdyn.symbolic import ShiftSystem, full_shift, golden_mean_shift
-from helpers import shift_brute_member
+from helpers import shift_brute_member, vertex_shifts
 
 
 def test_full_shift_word_counts():
@@ -44,16 +44,18 @@ def test_return_bits_validates_each_short_word_once(monkeypatch):
     is_legal = ShiftSystem.is_legal
     monkeypatch.setattr(ShiftSystem, "is_legal",
                         lambda self, w: checked.append(w) or is_legal(self, w))
-    for bound in (4, 8, 4):
-        gm.return_bits("01", "10", bound)
-        gm.return_bits("10", "01", bound)
+    for _ in range(3):
+        gm.return_bits("01", "10")
+        gm.return_bits("10", "01")
     assert sorted(checked) == ["01", "10"]
-    # a word longer than the resolution is not kept, so the set stays
-    # within the cylinders, and it is validated at every call
+    # a word longer than the resolution is never kept, so the set stays
+    # within the cylinders, and it raises at every call
     for _ in range(2):
-        gm.return_bits("0101", "0", 6)
-    assert checked.count("0101") == 2
+        with pytest.raises(InputError, match="longer than the resolution"):
+            gm.return_bits("0", "0101")
+    assert "0101" not in checked
     assert gm._legal == {"01", "10", "0"}
+    assert ("0", "0101") not in gm._pairs
 
 
 def test_an_illegal_word_raises_at_every_call():
@@ -61,13 +63,13 @@ def test_an_illegal_word_raises_at_every_call():
     for _ in range(3):
         for u, v in (("11", "0"), ("0", "11"), ("", "0")):
             with pytest.raises(InputError):
-                gm.return_bits(u, v, 4)
+                gm.return_bits(u, v)
     assert gm._legal == {"0"}
 
 
 def test_return_times_example():
     fs = full_shift(2, 3)
-    assert fs.return_bits("01", "1", 10) == 0b1111111110
+    assert return_time_set(fs, "01", "1", 10).bits == 0b1111111110
 
 
 def test_cofinite_tail_of_long_cylinder():
@@ -78,7 +80,7 @@ def test_cofinite_tail_of_long_cylinder():
     assert (pre, per) == (3, 1)
     for u in fs.legal_words(3):
         for v in fs.legal_words(3):
-            bits = fs.return_bits(u, v, 32)
+            bits = return_time_set(fs, u, v, 32).bits
             assert bits >> pre == (1 << 32 - pre) - 1
 
 
@@ -86,31 +88,34 @@ def test_cofinite_tail_of_long_cylinder():
 def test_membership_matches_word_enumeration(shift):
     words = shift.cylinders(3)
     for u, v in itertools.product(words, repeat=2):
+        times = return_time_set(shift, u, v, 8)
         for n in range(8):
-            fast = bool(shift.return_bits(u, v, n + 1) >> n & 1)
+            fast = n in times
+            listed = any(w.startswith(u) and w[n:n + len(v)] == v for w
+                         in shift.legal_words(max(len(u), n + len(v))))
             brute = shift_brute_member(shift, u, v, n)
-            assert fast == brute, (u, v, n)
+            assert fast == brute == listed, (u, v, n)
 
 
 def test_membership_rejects_illegal_words():
     gm = golden_mean_shift(4)
     with pytest.raises(InputError):
-        gm.return_bits("11", "0", 2)
+        gm.return_bits("11", "0")
 
 
 def test_golden_mean_overlap_blocked():
     gm = golden_mean_shift(4)
     # shifting [1] by one step cannot land in [1]: 11 is forbidden
-    assert gm.return_bits("1", "1", 3) == 0b101
+    assert return_time_set(gm, "1", "1", 3).bits == 0b101
 
 
 def test_walk_cache_is_bounded():
     """The walk bitsets are one per ordered symbol pair, each as long as
-    the adjacency clock, whatever the bounds asked for."""
-    shift = full_shift(3, 2)
-    shift.return_bits("0", "1", 10)
-    shift.return_bits("0", "1", 100)
-    shift.return_bits("010", "1", 100)
+    the adjacency clock, whatever the horizons asked for."""
+    shift = full_shift(3, 3)
+    return_time_set(shift, "0", "1", 10)
+    return_time_set(shift, "0", "1", 100)
+    return_time_set(shift, "010", "1", 100)
     assert len(shift._walk_cache) == 3 * 3
     assert all(bits < 1 << sum(shift.adjacency_clock())
                for bits in shift._walk_cache.values())
@@ -120,7 +125,7 @@ def test_walk_cache_is_bounded():
 def shifts_and_asks(draw):
     """A vertex shift (a cycle through every symbol keeps none stranded),
     and return-time asks on its legal words, up to one longer than the
-    resolution, with bounds in any order."""
+    resolution, with horizons in any order."""
     k = draw(st.integers(1, 3))
     syms = "abc"[:k]
     edges = set(draw(st.lists(st.tuples(st.sampled_from(syms),
@@ -129,28 +134,38 @@ def shifts_and_asks(draw):
     resolution = draw(st.integers(1, 3 if k < 3 else 2))
     args = (syms, sorted(edges), resolution)
     words = st.sampled_from(ShiftSystem(*args).cylinders(resolution + 1))
-    asks = draw(st.lists(st.tuples(words, words, st.integers(0, 80)),
+    asks = draw(st.lists(st.tuples(words, words, st.integers(1, 80)),
                          min_size=1, max_size=12))
     return args, asks
+
+
+def answer(shift, u, v, horizon):
+    """N([u], [v]) below the horizon, or the message of its error."""
+    try:
+        return return_time_set(shift, u, v, horizon).bits
+    except InputError as exc:
+        return str(exc)
 
 
 @settings(max_examples=40, deadline=None)
 @given(shifts_and_asks())
 def test_the_word_pair_memo_answers_as_a_fresh_shift(drawn):
     """Each answer of one shift, after any earlier asks, is the answer of a
-    fresh shift, and a sweep of bounds leaves one bitset per pair of
-    cylinders, at the longest bound."""
+    fresh shift, a word longer than the resolution raising in both, and a
+    sweep of horizons leaves one bitset per pair of cylinders, below the
+    clock."""
     args, asks = drawn
     shift = ShiftSystem(*args)
-    for u, v, bound in asks:
-        assert shift.return_bits(u, v, bound) == \
-            ShiftSystem(*args).return_bits(u, v, bound)
+    for u, v, horizon in asks:
+        assert answer(shift, u, v, horizon) == \
+            answer(ShiftSystem(*args), u, v, horizon)
     cylinders = shift.cylinders(shift.resolution)
-    for bound in range(1, 65):
+    for horizon in range(1, 65):
         for u, v in itertools.product(cylinders, repeat=2):
-            shift.return_bits(u, v, bound)
+            return_time_set(shift, u, v, horizon)
     assert len(shift._pairs) == len(cylinders) ** 2
-    assert all(bound >= 64 for bound, _ in shift._pairs.values())
+    assert all(0 <= bits < 1 << sum(shift.clock())
+               for bits in shift._pairs.values())
 
 
 @pytest.mark.parametrize("shift, adjacency, clock", [
@@ -166,20 +181,6 @@ def test_adjacency_clock(shift, adjacency, clock):
     assert shift.clock() == clock
 
 
-@st.composite
-def vertex_shifts(draw):
-    """A vertex shift of at most 4 symbols with no stranded vertex: each
-    symbol gets a drawn successor and a drawn predecessor."""
-    k = draw(st.integers(1, 4))
-    syms = "abcd"[:k]
-    pick = st.sampled_from(syms)
-    edges = set(draw(st.lists(st.tuples(pick, pick), max_size=10)))
-    edges |= {(a, draw(pick)) for a in syms}
-    edges |= {(draw(pick), b) for b in syms}
-    return ShiftSystem(syms, sorted(edges),
-                       draw(st.integers(1, 3 if k < 4 else 2)))
-
-
 @settings(max_examples=60, deadline=None)
 @given(vertex_shifts(), st.data())
 def test_clock_extension_matches_a_long_brute_scan(shift, data):
@@ -190,7 +191,8 @@ def test_clock_extension_matches_a_long_brute_scan(shift, data):
     words = shift.cylinders(shift.resolution)
     u = data.draw(st.sampled_from(words))
     v = data.draw(st.sampled_from(words))
-    bits = shift.return_bits(u, v, pre + per)
+    bits = shift.return_bits(u, v)
+    assert 0 <= bits < 1 << pre + per
     for n in range(pre + 3 * per):
         k = n if n < pre + per else pre + (n - pre) % per
         assert bool(bits >> k & 1) == shift_brute_member(shift, u, v, n), n
@@ -198,14 +200,17 @@ def test_clock_extension_matches_a_long_brute_scan(shift, data):
 
 def test_a_word_longer_than_the_resolution_is_rejected():
     """Past the resolution a cylinder's return times need not repeat from
-    the clock on, so no shift oracle takes it as an open; the CLI turns
-    the error into exit 2."""
+    the clock on, so no shift oracle takes it as an open and the shift
+    answers no read of it; the CLI turns the error into exit 2."""
     shift = full_shift(2, 2)
     with pytest.raises(InputError, match="longer than the resolution"):
         is_transitive(ShiftDyn(shift), basis=["0", "1", "010"])
     with pytest.raises(InputError, match="longer than the resolution"):
         HyperShiftDyn(shift).as_open(VietorisOpen(("0", "011")))
     assert ShiftDyn(shift).as_open("01").word == "01"
+    # the shift's own read follows the one word rule
+    with pytest.raises(InputError, match="longer than the resolution"):
+        shift.return_bits("0", "010")
 
 
 def test_the_shift_clock_exits_three_past_the_state_cap(tmp_path, capsys):

@@ -401,9 +401,9 @@ def test_shift_rows_share_one_word_pair_memo(monkeypatch):
     computed = []
     pair_bits = ShiftSystem._pair_bits
 
-    def counting(self, u, v, bound):
-        computed.append((u, v, bound))
-        return pair_bits(self, u, v, bound)
+    def counting(self, u, v):
+        computed.append((u, v))
+        return pair_bits(self, u, v)
 
     monkeypatch.setattr(ShiftSystem, "_pair_bits", counting)
     rep = verify_theorem("transitivity", full_shift(2, 3), m=1)
