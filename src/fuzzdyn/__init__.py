@@ -23,7 +23,7 @@ from .fuzzy import (FuzzySet, GFunction, LevelGrid, alpha_cut,
 from .families import FamilyClassifier, IndexSet
 from .analysis import (Verdict, diam_decay, equicontinuity_modulus,
                        is_a_transitive, is_F_transitive,
-                       is_mildly_mixing_bounded, is_mixing,
+                       is_mildly_mixing, is_mixing,
                        is_periodically_dense, is_proximal, is_proximal_pair,
                        is_sensitive, is_transitive, is_uniformly_rigid,
                        is_weakly_mixing, return_time_set, weakly_disjoint)

@@ -20,8 +20,8 @@ from fractions import Fraction
 from .errors import BoundExceeded, InputError
 from .families import FamilyClassifier, IndexSet, _extend
 from .oracles import ProductDyn, TableDyn, _BoxBasis, _count, as_dyn
-from .spaces import (Point, SystemMap, _scaled_matrix, as_fraction,
-                     point_label)
+from .spaces import (Point, SystemMap, _check_states, _scaled_matrix,
+                     as_fraction, point_label)
 
 
 # -- verdicts --------------------------------------------------------------
@@ -98,8 +98,11 @@ def _clock(dyn, extra: int = 0) -> tuple[int, bool]:
     a scan below pre + per + extra exhausts the times, since later times
     repeat earlier ones; ``extra`` is 1 for a curve read up to pre + per
     inclusive.  The verdict is exact when the oracle's default basis
-    exhausts its opens too (``exact_basis``)."""
+    exhausts its opens too (``exact_basis``).  A clock of more than
+    ``spaces.STATE_CAP`` times raises ``BoundExceeded`` ("clock") before
+    any scan or curve walks it."""
     pre, per = dyn.preperiod_period()
+    _check_states("clock", pre + per)
     return pre + per + extra, dyn.exact_basis
 
 
@@ -302,42 +305,19 @@ def weakly_disjoint(a, b) -> Verdict:
     return replace(v, note="product transitivity")
 
 
-#: a finite target closes the quantifier (X x Y is Y when X is one point),
-#: so it is its own last opponent and its verdict is exact
-_TABLE_LEMMA = ("finite-table lemma: a transitive table is one c-cycle, "
-                "and X x X is transitive only for c = 1")
+#: the note of every mild-mixing verdict: the lemma that decides it (README)
+_IP_STAR = "mild-mixing lemma: mildly mixing iff every N(U,V) is IP*"
 
 
-def is_mildly_mixing_bounded(target, catalog: Sequence | None = None
-                             ) -> Verdict:
-    """Weak disjointness from every member of a catalog of transitive
-    systems.  The universal quantifier over all transitive systems is not
-    finitely exhaustible, so on a shift a passing verdict is
-    catalog-relative; a failing product is a genuine counterexample.  The
-    finite-table lemma makes it exact on any finite oracle, as it holds on
-    every finite system with the discrete topology.
-    """
-    if catalog is None:
-        from .catalog import transitive_catalog
-        catalog = transitive_catalog()
-    if not catalog:
-        raise InputError("empty catalog rejected")
-    _, finite = _clock(as_dyn(target))
-    for member in list(catalog) + ([target] if finite else []):
-        v = weakly_disjoint(target, member)
-        if not v.holds:
-            label = member.label if hasattr(member, "label") else str(member)
-            if member is target:
-                return Verdict("fails", v.exact, v.horizon, note=_TABLE_LEMMA,
-                               counterexample=("the target itself", label))
-            return Verdict("fails", v.exact, v.horizon,
-                           counterexample=("catalog member", label),
-                           note="product with a transitive system is not "
-                                "transitive")
-    return Verdict("holds", finite, witnesses=(("catalog", len(catalog)),),
-                   note=_TABLE_LEMMA if finite else
-                   "catalog-relative; universal quantifier over all "
-                   "transitive systems not exhausted")
+def is_mildly_mixing(target) -> Verdict:
+    """Weak disjointness from every transitive system.  By the mild-mixing
+    lemma (README) it holds iff every N(U, V) is IP*, and an eventually
+    periodic set is IP* iff it holds the multiple of its period in its
+    first period, the mask of the ``ip`` family: one scan over the default
+    basis decides it, exact wherever that basis exhausts the opens."""
+    v = is_F_transitive(target, FamilyClassifier("ip"))
+    return replace(v, note=_IP_STAR if v.exact or v.fails
+                   else f"{_IP_STAR}; {_BOUNDED_BASIS}")
 
 
 # -- metric behaviour ----------------------------------------------------------

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from .spaces import (SystemMap, circle_space, make_grid_interval_map,
-                     make_multiply, make_rotation, one_point_system,
-                     product_system)
-from .symbolic import full_shift
+                     make_multiply, make_rotation, one_point_system)
 
 
 def quad_merge_map() -> SystemMap:
@@ -33,19 +31,6 @@ def base_catalog() -> list[SystemMap]:
         make_grid_interval_map("tent", 8, snap="nearest"),
         quad_merge_map(),
     ]
-
-
-def transitive_catalog() -> list:
-    """Default opponents for the bounded mild-mixing check: short cycles, a
-    product of coprime cycles, and the full shift (itself transitive but not
-    minimal).  A transitive finite table system is a single cycle, hence
-    minimal; only the shift contributes a non-minimal member.
-    """
-    members: list = [make_rotation(n, 1) for n in range(2, 7)]
-    members.append(product_system([(make_rotation(2, 1), 1),
-                                   (make_rotation(3, 1), 1)]))
-    members.append(full_shift(2, 3))
-    return members
 
 
 GENERATOR_KINDS = (

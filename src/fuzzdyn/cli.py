@@ -18,7 +18,7 @@ import sys as _sys
 
 from . import __version__
 from .analysis import (diam_decay, displacement_curve, equicontinuity_modulus,
-                       is_mildly_mixing_bounded, is_mixing,
+                       is_mildly_mixing, is_mixing,
                        is_periodically_dense, is_proximal, is_sensitive,
                        is_transitive, is_uniformly_rigid, is_weakly_mixing,
                        modulus_curve)
@@ -82,7 +82,7 @@ CHECKS = {
     "transitivity": lambda s, eps: is_transitive(s),
     "weak-mixing": lambda s, eps: is_weakly_mixing(s),
     "mixing": lambda s, eps: is_mixing(s),
-    "mild-mixing": lambda s, eps: is_mildly_mixing_bounded(s),
+    "mild-mixing": lambda s, eps: is_mildly_mixing(s),
     "uniform-rigidity": lambda s, eps: is_uniformly_rigid(s, eps),
     "equicontinuity": lambda s, eps: equicontinuity_modulus(s, eps),
     "proximality": lambda s, eps: is_proximal(s),

@@ -431,10 +431,12 @@ class ProductDyn(_Oracle):
         return all(dyn.exact_basis for dyn, _ in self.factors)
 
     def preperiod_period(self) -> tuple[int, int]:
-        return self._clocks()[1]
+        return self._clocks[1]
 
+    @functools.cached_property
     def _clocks(self) -> tuple[list, tuple[int, int]]:
-        """The factors' clocks, and the product's (README)."""
+        """The factors' clocks, and the product's (README), worked out once
+        per oracle."""
         clocks = [dyn.preperiod_period() for dyn, _ in self.factors]
         pre_star, per_star = 0, 1
         for (pre, per), (_, a) in zip(clocks, self.factors):
@@ -455,7 +457,7 @@ class ProductDyn(_Oracle):
     def _wideners(self) -> list:
         """Per factor, the map from its sets at its own clock to their sets
         at the product's (``_widen``), or None where they are the same."""
-        clocks, clock = self._clocks()
+        clocks, clock = self._clocks
         return [None if a == 1 and own == clock else
                 functools.partial(_widen, clock=own, a=a, bound=sum(clock))
                 for (_, a), own in zip(self.factors, clocks)]
@@ -465,7 +467,7 @@ class ProductDyn(_Oracle):
         return rows if widen is None else (map(widen, row) for row in rows)
 
     def return_times(self, u: ProductOpen, v: ProductOpen) -> int:
-        clocks, clock = self._clocks()
+        clocks, clock = self._clocks
         bits = -1
         for (dyn, a), own, up, vp in zip(self.factors, clocks, u.parts,
                                          v.parts):

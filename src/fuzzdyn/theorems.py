@@ -15,15 +15,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Sequence
 
 from .analysis import (Verdict, diam_reaches_zero, equicontinuity_modulus,
-                       is_a_transitive, is_F_transitive,
-                       is_mildly_mixing_bounded, is_mixing, is_proximal,
-                       is_transitive, is_uniformly_rigid, is_weakly_mixing)
-from .catalog import transitive_catalog
+                       is_a_transitive, is_F_transitive, is_mildly_mixing,
+                       is_mixing, is_proximal, is_transitive,
+                       is_uniformly_rigid, is_weakly_mixing)
 from .errors import InputError
 from .families import FamilyClassifier
 from .fuzzy import (GFunction, LevelGrid, cuts_commute, fuzzy_lift_system,
@@ -99,7 +97,6 @@ class _Run:
     eps: Fraction | None
     exps: tuple
     g: GFunction | None
-    catalog: Sequence | None
     family: FamilyClassifier
     held: dict = field(default_factory=dict)
 
@@ -113,12 +110,6 @@ class _Run:
             self.held[key] = (lift_system(self.system) if key == "hyper" else
                               fuzzy_lift_system(self.system, self.grid, key))
         return self.held[key]
-
-    @cached_property
-    def transitive(self) -> Sequence:
-        """The run's catalog, else a default one built when first read."""
-        return (self.catalog if self.catalog is not None else
-                transitive_catalog())
 
     def eps_or(self, share: Fraction) -> Fraction:
         """The run's eps, else ``share`` of the base gap, else ``share``."""
@@ -177,8 +168,7 @@ _ITEMS = {
                      lambda t, run: is_F_transitive(t, run.family)),
     "F-mixing": ("{kind}-mixing", lambda t, run: is_F_transitive(
         t, run.family, mixing=True)),
-    "mildly-mixing": ("mildly mixing", lambda t, run: is_mildly_mixing_bounded(
-        t, run.transitive)),
+    "mildly-mixing": ("mildly mixing", lambda t, run: is_mildly_mixing(t)),
     "a-transitive": ("{exps}-transitive",
                      lambda t, run: is_a_transitive(t, run.exps)),
     "wm-and-a-transitive": ("weakly mixing and {exps}-transitive",
@@ -336,7 +326,7 @@ def _rows_items(rows: tuple[_Row, ...], run: _Run) -> list[ReportItem]:
 def verify_theorem(theorem: str, system, *, m: int = 2,
                    lambdas: Sequence[Fraction] | None = None,
                    eps=None, exponents: Sequence[int] | None = None,
-                   g: GFunction | None = None, catalog=None,
+                   g: GFunction | None = None,
                    family: FamilyClassifier | None = None
                    ) -> EquivalenceReport:
     """Evaluate every item of the named equivalence on one instance.
@@ -368,7 +358,6 @@ def verify_theorem(theorem: str, system, *, m: int = 2,
     report = EquivalenceReport(theorem, label, config)
     run = _Run(system, grid, lams, eps,
                tuple(exponents) if exponents is not None else (1, 2), g,
-               catalog,
                family if family is not None else FamilyClassifier("thick"))
     if not isinstance(system, SystemMap) and any(
             row.level not in _SHIFT_LEVELS for row in rows):

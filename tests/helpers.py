@@ -14,7 +14,8 @@ metrics as the dense tables the package once built.
 ``serialize.gfunction_from_jsonable`` reads.  ``fs_set`` is a former
 package name too, now the finite-sums sets of the IP residue lemma tests.
 ``vertex_shifts`` draws the random shifts that the symbolic and product
-tests share.
+tests share.  ``transitive_catalog`` and ``catalog_mildly_mixing`` are the
+former package route of mild mixing, weak disjointness from a catalog.
 """
 
 from __future__ import annotations
@@ -26,17 +27,20 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from fuzzdyn.analysis import Verdict, _recurrent_indices, return_time_set
+from fuzzdyn.analysis import (Verdict, _recurrent_indices, return_time_set,
+                              weakly_disjoint)
 from fuzzdyn.catalog import base_catalog
 from fuzzdyn.errors import InputError
 from fuzzdyn.families import IndexSet
 from fuzzdyn.fuzzy import FuzzySet, fuzzy_lift_system, xi_of, zadeh_apply
 from fuzzdyn.hyperspace import CompactSet
-from fuzzdyn.oracles import ProductDyn, ProductOpen, TableDyn, _Oracle
+from fuzzdyn.oracles import (ProductDyn, ProductOpen, TableDyn, _Oracle,
+                             as_dyn)
 from fuzzdyn.serialize import format_fraction
 from fuzzdyn.spaces import (MetricSpace, SystemMap, as_fraction,
-                            circle_space, iterate, point_label)
-from fuzzdyn.symbolic import ShiftSystem
+                            circle_space, iterate, make_rotation,
+                            point_label, product_system)
+from fuzzdyn.symbolic import ShiftSystem, full_shift
 
 
 def gfunction_to_jsonable(g) -> dict:
@@ -296,6 +300,39 @@ def brute_transitive(dyn) -> Verdict:
                            counterexample=(ball(start), ball(missing)),
                            note="orbit never meets the target ball")
     return Verdict("holds", True, horizon=steps)
+
+
+#: the vertex shift on a 7-cycle at resolution 2: one periodic orbit of 7
+#: points, weakly disjoint from every member of ``transitive_catalog()``
+SEVEN_CYCLE_SFT = ShiftSystem("abcdefg", list(zip("abcdefg", "bcdefga")), 2)
+
+
+def transitive_catalog() -> list:
+    """The seven transitive systems that mild mixing was once decided
+    against: the cycles of 2 to 6 points, the product of the 2- and 3-cycles
+    and the full shift on 2 symbols (transitive, but not minimal)."""
+    return [*(make_rotation(n, 1) for n in range(2, 7)),
+            product_system([(make_rotation(2, 1), 1),
+                            (make_rotation(3, 1), 1)]),
+            full_shift(2, 3)]
+
+
+def catalog_mildly_mixing(target) -> Verdict:
+    """Mild mixing as weak disjointness from ``transitive_catalog()``, the
+    route the package once took, kept as a brute cross-check of the IP*
+    scan.  Where the basis exhausts the opens, the target is its own last
+    opponent and the verdict is exact (finite-table lemma: a transitive
+    table is one c-cycle, and X x X is transitive only for c = 1);
+    elsewhere a hold is only catalog-relative.  A failing verdict names the
+    opponent."""
+    dyn = as_dyn(target)
+    exact = dyn.exact_basis
+    for member in transitive_catalog() + ([dyn] if exact else []):
+        v = weakly_disjoint(dyn, member)
+        if not v.holds:
+            return Verdict("fails", v.exact, counterexample=(
+                "the target itself" if member is dyn else member.label,))
+    return Verdict("holds", exact)
 
 
 class PairwiseProduct(_Oracle):

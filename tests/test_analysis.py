@@ -18,12 +18,12 @@ import fuzzdyn.analysis as analysis
 import fuzzdyn.oracles as oracles
 from fuzzdyn.analysis import (_scan, diam_decay, equicontinuity_modulus,
                               is_a_transitive, is_F_transitive,
-                              is_mildly_mixing_bounded, is_mixing,
+                              is_mildly_mixing, is_mixing,
                               is_periodically_dense, is_proximal,
                               is_proximal_pair, is_sensitive, is_transitive,
                               is_uniformly_rigid, is_weakly_mixing,
                               return_time_set, weakly_disjoint)
-from fuzzdyn.catalog import base_catalog, transitive_catalog
+from fuzzdyn.catalog import base_catalog
 from fuzzdyn.errors import BoundExceeded, InputError
 from fuzzdyn.families import FamilyClassifier
 from fuzzdyn.fuzzy import LevelGrid, fuzzy_lift_system
@@ -36,13 +36,13 @@ from fuzzdyn.spaces import (MetricSpace, SystemMap, circle_space, iterate,
                             make_grid_interval_map, make_multiply,
                             make_rotation, one_point_system, product_system)
 from fuzzdyn.symbolic import ShiftSystem, full_shift
-from helpers import (PairwiseProduct, apply, ball, brute_ip_search,
-                     brute_proximal, brute_return_times, brute_transitive,
-                     distance_values,
+from helpers import (SEVEN_CYCLE_SFT, PairwiseProduct, apply, ball,
+                     brute_ip_search, brute_proximal, brute_return_times,
+                     brute_transitive, catalog_mildly_mixing, distance_values,
                      image_points, omega_limit, pairwise_first_failure,
                      pairwise_mixing, pairwise_tail, pairwise_transitive,
                      point_return_set, random_table_system, recurrent_points,
-                     shift_brute_member, vertex_shifts)
+                     shift_brute_member, transitive_catalog, vertex_shifts)
 
 F = Fraction
 
@@ -292,36 +292,85 @@ class TestWeaklyDisjoint:
         assert v.fails and v.exact
 
 
+@st.composite
+def small_tables(draw, max_points=7):
+    n = draw(st.integers(1, max_points))
+    table = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return SystemMap(circle_space(n), table, label="random")
+
+
 class TestMildMixing:
     def test_one_point_holds(self):
-        # a table's quantifier closes: X x Y is Y on one point
-        v = is_mildly_mixing_bounded(one_point_system())
+        # every N(U, V) of one point is all of N, an IP* set
+        v = is_mildly_mixing(one_point_system())
         assert v.holds and v.exact
-        assert "finite-table lemma" in v.note
+        assert v.note.startswith("mild-mixing lemma")
 
     def test_prime_cycle_fails_against_itself(self):
-        # 7 is coprime to every cycle of the default catalog
-        v = is_mildly_mixing_bounded(make_rotation(7, 1))
+        # N(B(0), B(1)) is 1 mod 7 and holds no multiple of 7; the cycle is
+        # the opponent that the finite-table corollary names
+        r = make_rotation(7, 1)
+        v = is_mildly_mixing(r)
         assert v.fails and v.exact
-        assert v.counterexample == ("the target itself", "rotation(7,1)")
-        assert "finite-table lemma" in v.note
+        assert v.counterexample == ("B(0)", "B(1)")
+        assert v.note.startswith("mild-mixing lemma")
+        assert weakly_disjoint(r, r).fails
 
     def test_two_cycle_fails_against_itself(self):
-        v = is_mildly_mixing_bounded(make_rotation(2, 1))
+        r = make_rotation(2, 1)
+        v = is_mildly_mixing(r)
         assert v.fails and v.exact
+        assert weakly_disjoint(r, r).fails
 
-    def test_full_shift_holds_catalog_relative(self):
-        v = is_mildly_mixing_bounded(full_shift(2, 3))
+    def test_full_shift_holds_on_a_bounded_basis(self):
+        v = is_mildly_mixing(full_shift(2, 3))
         assert v.holds and not v.exact
-        assert "catalog" in v.note
-        assert v.witnesses == (("catalog", len(transitive_catalog())),)
+        assert v.note.endswith("bounded basis evidence")
+        assert v.witnesses == (("family", "ip"),)
 
     def test_default_catalog_members_transitive(self):
+        # the opponents of the brute catalog route
         for member in transitive_catalog():
             if isinstance(member, SystemMap):
                 assert is_transitive(member).holds, member.label
             else:
                 assert is_transitive(ShiftDyn(member)).holds
+
+    def test_seven_cycle_shift_fails(self):
+        """The 7-cycle shift is not even weakly mixing.  It is weakly
+        disjoint from every member of the old catalog (cycles of 2-6
+        points and a mixing shift), so the catalog route held; its
+        N([a], [b]) is 1 mod 7 and misses 7, the multiple of its period in
+        its first period, so the IP* scan fails, still over a bounded
+        basis."""
+        assert catalog_mildly_mixing(SEVEN_CYCLE_SFT).holds
+        assert is_weakly_mixing(SEVEN_CYCLE_SFT).fails
+        v = is_mildly_mixing(SEVEN_CYCLE_SFT)
+        assert v.fails and not v.exact
+        assert v.counterexample == ("[a]", "[b]")
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_tables(max_points=5))
+    def test_ip_route_matches_the_catalog_on_tables(self, sys):
+        """On a table both routes are exact and agree: one point holds,
+        and any other map fails (the finite-table corollary)."""
+        got, want = is_mildly_mixing(sys), catalog_mildly_mixing(sys)
+        assert got.status == want.status
+        assert got.exact and want.exact
+
+    @settings(max_examples=60, deadline=None)
+    @given(vertex_shifts())
+    def test_ip_route_matches_the_catalog_on_vertex_shifts(self, shift):
+        """A vertex shift of at most 4 symbols fails both routes iff its
+        graph is reducible or has a period d > 1.  A reducible graph has an
+        empty N([a], [b]).  A period d makes N([a], [b]) one residue class
+        mod d, missing the multiples of the clock's period for a, b in
+        adjacent classes, and d <= 4 is a cycle of the catalog, from which
+        the shift is not weakly disjoint.  An irreducible aperiodic graph
+        is mixing, and holds on both."""
+        got, want = is_mildly_mixing(shift), catalog_mildly_mixing(shift)
+        assert got.status == want.status
+        assert not got.exact
 
 
 def modulus(sys, eps):
@@ -670,13 +719,6 @@ def bit_members(bits, bound):
 def clock_bound(dyn) -> int:
     """pre + per of the oracle's clock, below which it answers."""
     return sum(dyn.preperiod_period())
-
-
-@st.composite
-def small_tables(draw, max_points=7):
-    n = draw(st.integers(1, max_points))
-    table = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    return SystemMap(circle_space(n), table, label="random")
 
 
 @st.composite
@@ -1202,7 +1244,8 @@ class TestOracleMemory:
 
     def test_product_keeps_no_pair_state(self):
         """Factor rows live only inside a scan: after it, or once it is
-        closed, the product oracle holds its factors and nothing else."""
+        closed, the product oracle holds its factors and their clocks, which
+        it works out once, and nothing else."""
         def live_rows():
             gc.collect()
             return sum(isinstance(o, _LazyRow) for o in gc.get_objects())
@@ -1212,7 +1255,8 @@ class TestOracleMemory:
         before = live_rows()
         assert is_transitive(pd).holds
         assert is_mixing(pd).fails
-        assert vars(pd) == {"factors": pd.factors}
+        assert vars(pd) == {"factors": pd.factors, "_clocks": (
+            [(2, 1), (0, 3)], (2, 3))}
         pairs = _scan(pd, pd.default_basis(), analysis._empty)
         next(pairs)
         assert live_rows() > before

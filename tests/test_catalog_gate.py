@@ -34,7 +34,8 @@ def gate_runs():
     for spec in SHIFTS:
         for theorem in SHIFT_THEOREMS:
             yield theorem, parse_system_spec(spec), 1
-    # prime cycles coprime to every cycle of the mild-mixing catalog
+    # prime cycles, each N(B(i), B(j)) a residue class with no multiple of
+    # the period unless i = j
     for n in (7, 11, 13):
         yield "mild-mixing", make_rotation(n, 1), 1
 

@@ -141,6 +141,21 @@ def test_ip_residue_lemma(case):
         assert not brute_ip_search(bits, pre, per)
 
 
+@settings(max_examples=150, deadline=None)
+@given(periodic_sets())
+def test_ip_star_is_the_ip_residue_bit(case):
+    """A set periodic from q with period p meets every IP set (is IP*) iff
+    it holds the multiple of p in [q, q + p), the ``ip`` mask: its
+    complement is periodic from q with period p too, so by the IP residue
+    lemma the complement holds an IP set iff it holds that multiple, and
+    the brute search finds an FS set in the complement iff the mask bit is
+    clear."""
+    bits, pre, per = case
+    complement = ~bits & (1 << pre + per) - 1
+    assert member_of("ip", bits, pre, per) == \
+        (not brute_ip_search(complement, pre, per))
+
+
 @settings(max_examples=200, deadline=None)
 @given(periodic_sets(max_per=6))
 def test_bitset_classifiers_match_member_scans(case):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzdyn.analysis import (is_a_transitive, is_mildly_mixing_bounded,
+from fuzzdyn.analysis import (is_a_transitive, is_mildly_mixing,
                               is_mixing, is_transitive, is_weakly_mixing,
                               return_time_set)
 from fuzzdyn.errors import InputError
@@ -170,14 +170,14 @@ def test_product_checks_match_the_materialized_product(specs):
 
 
 def test_mild_mixing_is_exact_on_a_finite_product():
-    """The finite-table lemma holds on any finite discrete system: a
-    product of tables is its own last opponent, as its table is, and a
-    holding verdict on it is exact."""
+    """A product of tables reads the IP* scan over its boxes, which exhaust
+    its opens as its table's singletons do, so its verdict is exact and is
+    the verdict on its table."""
     for factors in ([(one_point_system(), 1)] * 2,
                     [(make_rotation(3, 1), 1), (make_rotation(2, 1), 1)]):
-        got = is_mildly_mixing_bounded(
+        got = is_mildly_mixing(
             ProductDyn([(TableDyn(s), a) for s, a in factors]))
-        want = is_mildly_mixing_bounded(product_system(factors))
+        want = is_mildly_mixing(product_system(factors))
         assert got.exact
         assert (got.status, got.exact, got.note, got.witnesses) == (
             want.status, want.exact, want.note, want.witnesses)

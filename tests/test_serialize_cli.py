@@ -240,9 +240,9 @@ class TestCli:
 
     def test_a_shift_check_computes_each_word_pair_once(self, tmp_path,
                                                         monkeypatch):
-        """The four shift properties of one check, mild mixing's catalog
-        loop included, read one word-pair memo per shift: the checked shift
-        and the catalog's full shift each compute their 14^2 pairs once."""
+        """The four shift properties of one check read the shift's one
+        word-pair memo: its 14^2 pairs are each computed once, and no other
+        shift is read."""
         computed = []
         pair_bits = ShiftSystem._pair_bits
 
@@ -254,8 +254,8 @@ class TestCli:
         assert main(["check", "--system", "fullshift:2,3", "--props",
                      "transitivity,weak-mixing,mixing,mild-mixing",
                      "--out", str(tmp_path)]) == 0
-        assert len({shift for shift, _, _ in computed}) == 2
-        assert len(computed) == len(set(computed)) == 2 * 14 ** 2
+        assert len({shift for shift, _, _ in computed}) == 1
+        assert len(computed) == len(set(computed)) == 14 ** 2
 
     def test_malformed_input_exit_two(self, tmp_path):
         assert main(["check", "--system", "torus:9",
@@ -649,6 +649,46 @@ class TestScale:
         rc, _, hwm = run_limited_cli(
             ["check", "--system", system, "--props", props], tmp_path)
         assert rc == 0 and hwm < 64
+
+
+#: the primes up to 23: cycles of these lengths make 100 points
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def coprime_cycles_document() -> dict:
+    """A 100-point discrete ``finite`` document whose map is one cycle of
+    each length in ``PRIMES``: its clock is (0, 223,092,870), their lcm."""
+    pts = [f"p{i}" for i in range(sum(PRIMES))]
+    succ, start = {}, 0
+    for n in PRIMES:
+        for k in range(n):
+            succ[pts[start + k]] = pts[start + (k + 1) % n]
+        start += n
+    return {"kind": "finite", "points": pts,
+            "dist": [["0" if p == q else "1" for q in pts] for p in pts],
+            "map": succ}
+
+
+@pytest.mark.parametrize("props, rc", [
+    *((prop, 3) for prop in (
+        "transitivity", "weak-mixing", "mixing", "mild-mixing",
+        "uniform-rigidity", "proximality", "sensitivity")),
+    ("periodic-density,equicontinuity", 0)])
+def test_a_clock_past_the_state_cap_exits_three(tmp_path, capsys, props, rc):
+    """Every scan and curve reads its clock through ``analysis._clock``,
+    which bounds it by ``spaces.STATE_CAP`` before it walks: on the coprime
+    cycles, each exits 3 at once, where transitivity and uniform rigidity
+    ran without bound and proximality took 23 s.  The checks that walk no
+    clock still answer."""
+    path = tmp_path / "coprime.json"
+    path.write_text(json.dumps(coprime_cycles_document()))
+    start = time.monotonic()
+    assert main(["check", "--system", f"file:{path}", "--props", props,
+                 "--out", str(tmp_path)]) == rc
+    assert time.monotonic() - start < 5.0
+    if rc == 3:
+        assert capsys.readouterr().err == (
+            "bound exceeded: clock: size 223092870 exceeds bound 531441\n")
 
 
 def test_large_finite_document_exits_three_before_parsing(

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzdyn.analysis import displacement_curve
-from fuzzdyn.catalog import transitive_catalog
 from fuzzdyn.errors import BoundExceeded, InputError
 from fuzzdyn.fuzzy import FuzzySet, GFunction, LevelGrid, fuzzy_lift_system
 from fuzzdyn.hyperspace import lift_system
@@ -19,9 +18,9 @@ import fuzzdyn.fuzzy as fuzzy
 import fuzzdyn.spaces as spaces
 import fuzzdyn.theorems as theorems
 from fuzzdyn.theorems import (EquivalenceReport, ReportItem, verify_theorem)
-from helpers import (brute_cut_lemma, brute_fuzzy_states, brute_fuzzy_step,
-                     brute_height_obstruction, brute_subset_displacement,
-                     taxi_space)
+from helpers import (SEVEN_CYCLE_SFT, brute_cut_lemma, brute_fuzzy_states,
+                     brute_fuzzy_step, brute_height_obstruction,
+                     brute_subset_displacement, taxi_space)
 
 F = Fraction
 
@@ -91,21 +90,13 @@ class TestMildMixingTheorem:
         assert rep.consistent and not rep.red_alert
         assert all(it.status == "fails" and it.exact for it in rep.items)
 
-    def test_one_catalog_per_verification(self, monkeypatch):
-        """Every row reads one catalog, so the catalog shift's word-pair
-        memo serves all three; a theorem with no mild-mixing row builds
-        none."""
-        built = []
-
-        def counting_catalog():
-            built.append(1)
-            return transitive_catalog()
-        monkeypatch.setattr(theorems, "transitive_catalog", counting_catalog)
-        rep = verify_theorem("mild-mixing", full_shift(2, 3), m=1)
-        assert built == [1] and len(rep.items) == 3
-        assert all(it.status == "holds" and not it.exact for it in rep.items)
-        rep = verify_theorem("transitivity", make_rotation(3, 1), m=1)
-        assert built == [1]
+    def test_seven_cycle_shift_fails_at_every_level(self):
+        """Weak disjointness from the old catalog held at every level of the
+        7-cycle shift; the IP* scan fails each, over a bounded basis."""
+        rep = verify_theorem("mild-mixing", SEVEN_CYCLE_SFT, m=1)
+        assert rep.consistent and not rep.red_alert
+        assert [(it.status, it.exact) for it in rep.items] == \
+            [("fails", False)] * 3
 
 
 class TestATransitivityTheorem:
