@@ -12,7 +12,9 @@ the opens (a table's singletons, not a shift's bounded cylinders), and
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -230,10 +232,7 @@ def is_mixing(target, basis=None) -> Verdict:
     tail_bound = dyn.preperiod_period()[0]
     worst_tail = 0
     full = (1 << bound) - 1
-
-    def tail(sets) -> int:
-        # the missing times of each set: its tail starts past the last one
-        return max(map(int.bit_length, map(full.__xor__, sets)))
+    tail = functools.partial(_tail, full)
 
     def fails(sets) -> bool:
         return tail(sets) > tail_bound
@@ -250,6 +249,13 @@ def is_mixing(target, basis=None) -> Verdict:
     return Verdict("holds", exact, horizon=bound,
                    witnesses=(("tail_start", worst_tail),),
                    note="" if exact else _BOUNDED_BASIS)
+
+
+def _tail(full: int, sets) -> int:
+    """Where the latest tail of the sets, each below ``full``, starts: past
+    the last missing time of any of them.  That is the bit length of the OR
+    of their complements in ``full``, the complement of their AND."""
+    return (full ^ functools.reduce(operator.and_, sets, full)).bit_length()
 
 
 def is_F_transitive(target, family: FamilyClassifier, basis=None,

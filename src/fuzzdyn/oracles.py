@@ -17,6 +17,7 @@ import functools
 import itertools
 import math
 import operator
+from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -544,50 +545,62 @@ class HyperShiftDyn(_ShiftOracle):
             for bits in (*times, *zip(*times))))
 
     def rows(self, basis):
-        """One lazy row per source U, the Vietoris fold (README)."""
-        # each open's distinct words, as <V, V> = <V>; per run of targets
-        # of as many words, column k holds the index of each target's k-th
-        # word among the basis's words
+        """One row per source U, a few big-int ANDs and ORs of packed word
+        columns (the Vietoris rows, README)."""
+        # each open's distinct words, as <V, V> = <V>, padded to the widest
+        # open by repeating its last word; column k holds each target's
+        # k-th word as an index among the basis's words
         opens = [tuple(dict.fromkeys(v.words)) for v in basis]
         words = {}
-        runs = [[[words.setdefault(w, len(words)) for w in col]
-                 for col in zip(*run)]
-                for _, run in itertools.groupby(opens, len)]
-        word_rows = {}      # source word -> its base row over the words
+        cols = [[words.setdefault(v[min(k, len(v) - 1)], len(words))
+                 for v in opens]
+                for k in range(max(map(len, opens), default=0))]
+        size = _lane_size(sum(self.preperiod_period()))
+        by_word = {}    # source word -> the OR of its columns, its columns
         for u in opens:
             for w in u:
-                if w not in word_rows:
-                    word_rows[w] = [self.shift.return_bits(w, x)
-                                    for x in words]
-            rows = [word_rows[w] for w in u]
-            yield itertools.chain.from_iterable(map(functools.partial(
-                _vietoris_run, list(_fold(operator.or_, rows)), rows), runs))
+                if w not in by_word:
+                    base = [self.shift.return_bits(w, x) for x in words]
+                    packed = [_pack(map(base.__getitem__, c), size)
+                              for c in cols]
+                    by_word[w] = (_or_all(packed), *packed)
+            # each U_i sends into some V_k; each V_k receives from some U_i
+            ors, *cols_u = zip(*map(by_word.__getitem__, u))
+            yield _unpack(functools.reduce(operator.and_, (
+                *ors, *map(_or_all, cols_u))), size, len(opens))
 
 
-def _vietoris_run(ors, rows, cols):
-    """A source's sets over one run of targets, from the base rows of its
-    words and their OR: each V_k receives from some U_i, and each U_i sends
-    into some V_k."""
-    return _fold(operator.and_, [
-        *(map(ors.__getitem__, c) for c in cols),
-        *(_fold(operator.or_, [map(r.__getitem__, c) for c in cols])
-          for r in rows)])
+def _or_all(bits) -> int:
+    return functools.reduce(operator.or_, bits)
 
 
-#: the deepest chain of lazy maps a fold builds before it reads one into a
-#: list; a chain of 100,000 maps overflows the C stack when read
-_FOLD_DEPTH = 64
+#: the array codes of unsigned lanes by their bytes: 1, 2, 4 and 8
+_LANE_CODES = {array(c).itemsize: c for c in "BHIQ"}
 
 
-def _fold(op, its):
-    """The elementwise op of the iterables, read lazily unless there are
-    more than ``_FOLD_DEPTH`` of them."""
-    acc, *its = its
-    for k, it in enumerate(its, 1):
-        acc = map(op, acc, it)
-        if k % _FOLD_DEPTH == 0:
-            acc = list(acc)
-    return acc
+def _lane_size(bits: int) -> int:
+    """The bytes of a lane that holds a set of ``bits`` bits: the fewest of
+    1, 2, 4 or 8, and past 8 ceil(bits / 8)."""
+    size = -(-bits // 8)
+    return min((s for s in _LANE_CODES if s >= size), default=size)
+
+
+def _pack(sets, size: int) -> int:
+    """The sets in lanes of ``size`` bytes, packed into one int, so that an
+    AND or an OR of two packed ints acts lane by lane: no bit carries."""
+    code = _LANE_CODES.get(size)
+    return int.from_bytes(array(code, sets) if code else b"".join(
+        s.to_bytes(size, "little") for s in sets), "little")
+
+
+def _unpack(packed: int, size: int, count: int) -> list[int]:
+    """The ``count`` sets of a packed int, in lane order."""
+    data = packed.to_bytes(size * count, "little")
+    code = _LANE_CODES.get(size)
+    if code:
+        return array(code, data).tolist()
+    return [int.from_bytes(data[i:i + size], "little")
+            for i in range(0, len(data), size)]
 
 
 def as_dyn(target):

@@ -184,6 +184,45 @@ class TestMixing:
         assert v.holds and not v.exact
         assert dict(v.witnesses)["tail_start"] <= 3
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_tail_fold_is_the_largest_complement(self, data):
+        """The AND fold of a chunk gives the largest bit length of the
+        complements of its sets in ``full``, each set lying below it."""
+        full = (1 << data.draw(st.integers(0, 80))) - 1
+        sets = data.draw(st.lists(st.integers(0, full), min_size=1,
+                                  max_size=20))
+        assert analysis._tail(full, sets) == max(
+            map(int.bit_length, map(full.__xor__, sets)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_shift_scans_keep_the_pairwise_tail(self, data):
+        """Over the default basis of a shift or of its hyperspace, a
+        holding scan's tail_start is the latest tail of any pair, and a
+        failing one names the first pair in scan order that misses a time
+        from the preperiod on, with its first missed time."""
+        shift = data.draw(small_shifts())
+        dyn = data.draw(st.sampled_from([ShiftDyn, HyperShiftDyn]))(shift)
+        basis = dyn.default_basis()
+        pre, per = dyn.preperiod_period()
+        full = (1 << pre + per) - 1
+        misses = [(u, v, full ^ dyn.return_times(u, v))
+                  for u in basis for v in basis]
+        v = is_mixing(dyn)
+        first = next(((u, w, miss) for u, w, miss in misses if miss >> pre),
+                     None)
+        event(f"{type(dyn).__name__} {v.status}")
+        if first is None:
+            assert v.holds
+            assert v.witnesses == (("tail_start", max(
+                miss.bit_length() for *_, miss in misses)),)
+        else:
+            u, w, miss = first
+            assert v.fails
+            assert v.counterexample == (u.label, w.label, min(
+                n for n in range(pre, pre + per) if miss >> n & 1))
+
 
 class TestFamilyTransitivity:
     def test_infinite_family_one_point(self):
@@ -846,37 +885,63 @@ class TestOracleBitsets:
                 want(u, v) for v in basis]
 
     def test_vietoris_rows_past_the_fold_depth(self):
-        """An open of more distinct words than a fold nests lazily reads
-        some partial folds into lists; its rows still match the pairwise
-        rule, which ``return_times`` reads without a fold."""
+        """An open of all 254 cylinder words up to length 7 pads a one-word
+        open and one of 70 distinct words, 3 of them repeated, to 254 word
+        columns; their rows still match the pairwise rule of
+        ``return_times``."""
         hyper = HyperShiftDyn(full_shift(2, 7), cylinder_length=7)
         words = tuple(hyper.shift.cylinders(7))
-        assert len(words) > oracles._FOLD_DEPTH
         basis = [VietorisOpen(words), VietorisOpen(words[:1]),
                  VietorisOpen(tuple(reversed(words[:70])) + words[:3])]
         for u, row in zip(basis, hyper.rows(basis)):
             assert list(row) == [hyper.return_times(u, v) for v in basis]
 
     def test_a_long_open_reads_in_a_child(self, tmp_path):
-        """A chain of 100,000 lazy maps overflows the C stack when read, so
-        an open of 100,000 repeated words, and a fold of 200,000 lists, run
-        in a child interpreter that such a chain would crash."""
-        code = ("import operator\n"
-                "from fuzzdyn.analysis import is_transitive\n"
-                "from fuzzdyn.oracles import (HyperShiftDyn, VietorisOpen,"
-                " _fold)\n"
+        """An open of 100,000 repeated words runs in a child interpreter,
+        which a chain of 100,000 nested iterators would crash on the C
+        stack."""
+        code = ("from fuzzdyn.analysis import is_transitive\n"
+                "from fuzzdyn.oracles import HyperShiftDyn, VietorisOpen\n"
                 "from fuzzdyn.symbolic import full_shift\n"
                 "u = VietorisOpen(('0',) * 100_000)\n"
                 "print(is_transitive(HyperShiftDyn(full_shift(2, 3)),"
-                " basis=[u]).status)\n"
-                "print(*_fold(operator.and_, [[1]] * 200_000))\n")
+                " basis=[u]).status)\n")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(
             os.path.dirname(os.path.abspath(oracles.__file__))))
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                               env=env, capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["holds", "1"]
+        assert proc.stdout.split() == ["holds"]
+
+    @pytest.mark.parametrize("n, a, b, resolution, lane", [
+        (2, 0, 1, 1, 1), (4, 0, 2, 1, 2), (5, 0, 2, 1, 4), (7, 0, 2, 1, 8),
+        (9, 0, 2, 2, 9), (20, 0, 2, 1, 46)])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_vietoris_rows_at_every_lane_width(self, n, a, b, resolution,
+                                               lane, data):
+        """An n-cycle with the chord a -> b has a clock of 2 to 363 times,
+        so its rows pack each set into a lane of 1, 2, 4 or 8 bytes, or of
+        more read one by one.  Rows over a caller's basis of opens of 1-3
+        words, with repeats and in any order, match ``return_times``."""
+        syms = [chr(0x100 + i) for i in range(n)]
+        shift = ShiftSystem(syms, [(syms[i], syms[(i + 1) % n])
+                                   for i in range(n)]
+                            + [(syms[a], syms[b])], resolution)
+        hyper = HyperShiftDyn(shift)
+        assert oracles._lane_size(clock_bound(hyper)) == lane
+        words = shift.cylinders(resolution)
+        basis = [VietorisOpen(tuple(ws)) for ws in data.draw(st.lists(
+            st.lists(st.sampled_from(words), min_size=1, max_size=3),
+            min_size=1, max_size=12))]
+        rows = list(hyper.rows(basis))
+        assert len(rows) == len(basis)
+        for u, row in zip(basis, rows):
+            assert list(row) == [hyper.return_times(u, v) for v in basis]
+
+    def test_vietoris_rows_of_an_empty_basis(self):
+        assert list(HyperShiftDyn(full_shift(2, 3)).rows([])) == []
 
 
 @st.composite
